@@ -65,16 +65,40 @@ let order a b =
   match (a, b) with
   | Null, Null -> 0
   | Int x, Int y -> compare x y
-  | (Int _ | Float _), (Int _ | Float _) -> (
-      match (as_float a, as_float b) with
-      | Some x, Some y -> compare x y
-      | _ -> assert false)
+  | Float x, Float y -> compare x y
+  | Int x, Float y -> compare (float_of_int x) y
+  | Float x, Int y -> compare x (float_of_int y)
   | Str x, Str y -> compare x y
   | Bool x, Bool y -> compare x y
   | Date x, Date y -> compare x y
   | _ -> compare (tag a) (tag b)
 
 let equal a b = order a b = 0
+
+(* Consistent with [order]: an Int hashes through its float, so it hashes
+   like the numerically equal Float, and -0.0 is folded into 0.0. Values
+   [order] tells apart may still collide; hash tables only need the
+   converse. *)
+let hash = function
+  | Null -> 0
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f -> Hashtbl.hash (f +. 0.0)
+  | Str s -> Hashtbl.hash s
+  | Bool b -> Hashtbl.hash b
+  | Date d -> Hashtbl.hash d
+
+module Key = Hashtbl.Make (struct
+  type nonrec t = t array
+
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (order a.(i) b.(i) = 0 && go (i + 1)) in
+    go 0
+
+  let hash a = Array.fold_left (fun h v -> (h * 65599) + hash v) 0 a
+end)
 
 let to_string = function
   | Null -> "NULL"

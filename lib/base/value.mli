@@ -31,6 +31,16 @@ val order : t -> t -> int
 val equal : t -> t -> bool
 (** Equality under {!order} (so [equal Null Null = true], unlike SQL [=]). *)
 
+val hash : t -> int
+(** A hash consistent with {!order}: values it calls equal hash alike, so
+    [Int 1] and [Float 1.0] collide, as do [-0.0] and [0.0]. *)
+
+module Key : Hashtbl.S with type key = t array
+(** Hash tables keyed by exact value tuples (row, join and group keys),
+    compared with {!order} column by column. Unlike a rendered string key
+    this never merges distinct floats; like {!order} it puts NULLs in one
+    class and matches [Int 1] with [Float 1.0]. *)
+
 val to_string : t -> string
 (** SQL literal syntax ([NULL], [42], ['text'], [DATE '1995-01-01'], ...). *)
 

@@ -57,65 +57,91 @@ let col_stats t (c : Col.t) =
 
 let hist_total h = Array.fold_left ( + ) 0 h.h_counts
 
-(* Ascending (value, multiplicity) runs of a sorted array. *)
-let runs_of_sorted arr =
-  let n = Array.length arr in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      let v = arr.(i) in
-      let j = ref i in
+(* [Value.order], with a numerically equal Int before a Float: equal
+   multisets then sort to arrays that agree element by element under
+   structural equality, whichever order the values came in. *)
+let sort_order a b =
+  match Value.order a b with
+  | 0 -> (
+      match (a, b) with
+      | Value.Int _, Value.Float _ -> -1
+      | Value.Float _, Value.Int _ -> 1
+      | _ -> 0)
+  | c -> c
+
+let of_sorted ?(buckets = 16) ?(mcv_limit = 32) (arr : Value.t array) n :
+    col_stats =
+  if n = 0 then make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
+  else begin
+    (* Equi-depth cut over ascending (value, multiplicity) runs: a bucket
+       closes once it holds [depth] rows, and at the last run. *)
+    let bounds = ref [] and counts = ref [] and acc = ref 0 in
+    let cut depth v k ~last =
+      acc := !acc + k;
+      if !acc >= depth || last then begin
+        bounds := v :: !bounds;
+        counts := !acc :: !counts;
+        acc := 0
+      end
+    in
+    (* One pass over the runs: count them, keep the first few (all of
+       them on a low-NDV column), and cut as if there were at least
+       [buckets] of them. *)
+    let keep = max mcv_limit buckets in
+    let ndv = ref 0 and runs = ref [] and i = ref 0 in
+    while !i < n do
+      let v = arr.(!i) in
+      let j = ref (!i + 1) in
       while !j < n && Value.order arr.(!j) v = 0 do
         incr j
       done;
-      go !j ((v, !j - i) :: acc)
-  in
-  go 0 []
-
-let build_column ?(buckets = 16) ?(mcv_limit = 32) (values : Value.t list) :
-    col_stats =
-  let vs = List.filter (fun v -> not (Value.is_null v)) values in
-  match vs with
-  | [] -> make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
-  | _ ->
-      let arr = Array.of_list vs in
-      Array.sort Value.order arr;
-      let n = Array.length arr in
-      let runs = runs_of_sorted arr in
-      let ndv = List.length runs in
-      let mcvs =
-        if ndv <= mcv_limit then
-          (* Exhaustive: every distinct value with its exact multiplicity,
-             heaviest first (ties broken by value order for determinism). *)
-          List.stable_sort (fun (_, a) (_, b) -> compare b a) runs
-        else []
-      in
-      let hist =
-        if ndv <= 1 then None
-        else begin
-          let nb = min buckets ndv in
-          let depth = (n + nb - 1) / nb in
-          let bounds = ref [] and counts = ref [] in
-          let acc = ref 0 in
+      incr ndv;
+      if !ndv <= keep then runs := (v, !j - !i) :: !runs;
+      cut ((n + buckets - 1) / buckets) v (!j - !i) ~last:(!j = n);
+      i := !j
+    done;
+    let ndv = !ndv in
+    let runs = List.rev !runs in
+    let mcvs =
+      if ndv <= mcv_limit then
+        (* Exhaustive: every distinct value with its exact multiplicity,
+           heaviest first (ties broken by value order for determinism). *)
+        List.stable_sort (fun (_, a) (_, b) -> compare b a) runs
+      else []
+    in
+    let hist =
+      if ndv <= 1 then None
+      else begin
+        if ndv < buckets then begin
+          (* fewer runs than buckets, so [ndv] buckets: recut the kept
+             runs at that depth *)
+          bounds := [];
+          counts := [];
+          acc := 0;
           List.iteri
-            (fun i (v, k) ->
-              acc := !acc + k;
-              let last = i = ndv - 1 in
-              if !acc >= depth || last then begin
-                bounds := v :: !bounds;
-                counts := !acc :: !counts;
-                acc := 0
-              end)
-            runs;
-          Some
-            {
-              h_lo = arr.(0);
-              h_bounds = Array.of_list (List.rev !bounds);
-              h_counts = Array.of_list (List.rev !counts);
-            }
-        end
-      in
-      make_col ?hist ~mcvs ~min_v:arr.(0) ~max_v:arr.(n - 1) ~ndv ()
+            (fun r (v, k) -> cut ((n + ndv - 1) / ndv) v k ~last:(r = ndv - 1))
+            runs
+        end;
+        Some
+          {
+            h_lo = arr.(0);
+            h_bounds = Array.of_list (List.rev !bounds);
+            h_counts = Array.of_list (List.rev !counts);
+          }
+      end
+    in
+    make_col ?hist ~mcvs ~min_v:arr.(0) ~max_v:arr.(n - 1) ~ndv ()
+  end
+
+let build_column ?buckets ?mcv_limit (values : Value.t list) : col_stats =
+  (* a list merge sort: fewer comparisons than [Array.sort]'s heap sort,
+     and no write barrier on a major-heap array *)
+  let arr =
+    Array.of_list
+      (List.sort sort_order
+         (List.filter (fun v -> not (Value.is_null v)) values))
+  in
+  of_sorted ?buckets ?mcv_limit arr (Array.length arr)
 
 (* ---- selectivity ------------------------------------------------------ *)
 

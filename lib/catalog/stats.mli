@@ -49,11 +49,23 @@ val make_col :
     keeps the uniform-interpolation selectivity path. *)
 
 val build_column : ?buckets:int -> ?mcv_limit:int -> Value.t list -> col_stats
-(** One-pass column statistics from raw values: min/max/ndv, an equi-depth
-    histogram with at most [buckets] buckets (default 16; omitted for
-    empty or constant columns), and an exhaustive MCV list when the column
-    has at most [mcv_limit] (default 32) distinct values. Nulls are
-    ignored; an all-null or empty column yields [ndv = 0] with [Null]
+(** Column statistics from raw values: drop the nulls, sort by
+    {!sort_order}, then {!of_sorted}. *)
+
+val sort_order : Value.t -> Value.t -> int
+(** The order {!of_sorted} expects: {!Value.order}, with a numerically
+    equal [Int] before a [Float]. Two arrays holding the same multiset
+    sort to structurally equal arrays, so their statistics are equal
+    too. *)
+
+val of_sorted :
+  ?buckets:int -> ?mcv_limit:int -> Value.t array -> int -> col_stats
+(** [of_sorted arr n]: statistics of the first [n] entries of [arr],
+    which must be non-null and ascending by {!sort_order}, in one linear
+    pass per part: min/max/ndv, an equi-depth histogram with at most
+    [buckets] buckets (default 16; omitted for empty or constant columns),
+    and an exhaustive MCV list when the column has at most [mcv_limit]
+    (default 32) distinct values. [n = 0] yields [ndv = 0] with [Null]
     bounds. *)
 
 val table : t -> string -> table_stats option

@@ -57,8 +57,9 @@ val row_count : t -> string -> int
 
 val table_stats : ?buckets:int -> t -> string -> Mv_catalog.Stats.table_stats
 (** One table's statistics from its actual contents — what {!stats} runs
-    per table, exposed so IVM can rebuild a single maintained view's
-    entry without rescanning the whole database. *)
+    per table, exposed so a single view's entry can be built without
+    rescanning the whole database ({!Exec.materialize_stats}). Every entry
+    [Ivm.refresh_stats] derives must equal it. *)
 
 val stats : ?buckets:int -> t -> Mv_catalog.Stats.t
 (** Per-table, per-column statistics computed from the actual contents in

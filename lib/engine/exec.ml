@@ -100,9 +100,6 @@ let join_keys conjuncts ~bound ~next =
       | _ -> None)
     conjuncts
 
-let key_repr (vs : Value.t list) =
-  String.concat "\x01" (List.map Value.to_string vs)
-
 (* ---- cardinality estimation (adaptive mode) --------------------------- *)
 
 (* A deliberately coarse mirror of [Mv_opt.Cost]'s single-table selectivity
@@ -260,8 +257,9 @@ let table_source db conjuncts tname : Value.t array list =
    picked from the {e actual} cardinalities at hand: an index lookup when a
    declared index leads with a join key and the probe side is small, a
    nested loop when the comparison budget [n_src * n_probe] is within
-   [nlj_budget], a hash join otherwise. Every strategy compares full key tuples through [key_repr]
-   (NULLs never join), so they produce identical bags. *)
+   [nlj_budget], a hash join otherwise. Every strategy compares full key
+   tuples exactly ([Value.Key]; NULLs never join), so they produce
+   identical bags. *)
 let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
     tname : string list * bindings list =
   let tbl = Database.table_exn db tname in
@@ -269,23 +267,25 @@ let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
   let keys = join_keys conjuncts ~bound ~next:tname in
   let bound' = tname :: bound in
   let merge tup b = Col.Map.union (fun _ x _ -> Some x) tup b in
-  let build_key b = List.map (fun (tc, _) -> Col.Map.find tc b) keys in
-  let probe_key tup = List.map (fun (_, oc) -> Col.Map.find oc tup) keys in
+  let build_cols = Array.of_list (List.map fst keys) in
+  let probe_cols = Array.of_list (List.map snd keys) in
+  let build_key b = Array.map (fun tc -> Col.Map.find tc b) build_cols in
+  let probe_key tup = Array.map (fun oc -> Col.Map.find oc tup) probe_cols in
+  let has_null = Array.exists Value.is_null in
   let hash_join () =
     (* build on the new table, probe with current tuples *)
-    let build = Hashtbl.create 256 in
+    let build = Value.Key.create 256 in
     List.iter
       (fun row ->
         let b = bind_row tbl row in
         let kv = build_key b in
-        if not (List.exists Value.is_null kv) then
-          Hashtbl.add build (key_repr kv) b)
+        if not (has_null kv) then Value.Key.add build kv b)
       source_rows;
     List.concat_map
       (fun tup ->
         let kv = probe_key tup in
-        if List.exists Value.is_null kv then []
-        else List.map (merge tup) (Hashtbl.find_all build (key_repr kv)))
+        if has_null kv then []
+        else List.map (merge tup) (Value.Key.find_all build kv))
       tuples
   in
   let nested_loop () =
@@ -295,18 +295,18 @@ let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
         (fun row ->
           let b = bind_row tbl row in
           let kv = build_key b in
-          if List.exists Value.is_null kv then None
-          else Some (key_repr kv, b))
+          if has_null kv then None else Some (kv, b))
         source_rows
     in
     List.concat_map
       (fun tup ->
-        let kv = probe_key tup in
-        if List.exists Value.is_null kv then []
+        let k = probe_key tup in
+        if has_null k then []
         else
-          let k = key_repr kv in
           List.filter_map
-            (fun (bk, b) -> if String.equal bk k then Some (merge tup b) else None)
+            (fun (bk, b) ->
+              if Array.for_all2 Value.equal bk k then Some (merge tup b)
+              else None)
             srcs)
       tuples
   in
@@ -318,18 +318,15 @@ let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
     count_strategy "inlj";
     List.concat_map
       (fun tup ->
-        let kv = probe_key tup in
-        if List.exists Value.is_null kv then []
+        let k = probe_key tup in
+        if has_null k then []
         else
-          let k = key_repr kv in
           List.filter_map
             (fun row ->
               let b = bind_row tbl row in
               let bk = build_key b in
-              if
-                (not (List.exists Value.is_null bk))
-                && String.equal (key_repr bk) k
-              then Some (merge tup b)
+              if (not (has_null bk)) && Array.for_all2 Value.equal bk k then
+                Some (merge tup b)
               else None)
             (Index.prefix_lookup ix [ Col.Map.find oc0 tup ]))
       tuples
@@ -466,7 +463,7 @@ let eval_agg (rows : bindings list) (a : Spjg.agg) : Value.t =
   | Spjg.Sum_div_sum (num, den) -> Eval.arith Expr.Div (sum_of num) (sum_of den)
 
 let group_key gexprs (b : bindings) =
-  List.map (fun g -> Eval.expr (env_of b) g) gexprs
+  Array.of_list (List.map (fun g -> Eval.expr (env_of b) g) gexprs)
 
 let execute ?adaptive ?stats db (block : Spjg.t) : Relation.t =
   let tuples = spj_tuples ?adaptive ?stats db block in
@@ -491,16 +488,16 @@ let execute ?adaptive ?stats db (block : Spjg.t) : Relation.t =
       in
       finish { Relation.cols; rows }
   | Some gexprs ->
-      let groups = Hashtbl.create 64 in
+      let groups = Value.Key.create 64 in
       let order = ref [] in
       List.iter
         (fun b ->
-          let k = key_repr (group_key gexprs b) in
-          match Hashtbl.find_opt groups k with
-          | Some rows -> Hashtbl.replace groups k (b :: rows)
+          let k = group_key gexprs b in
+          match Value.Key.find_opt groups k with
+          | Some rows -> Value.Key.replace groups k (b :: rows)
           | None ->
               order := k :: !order;
-              Hashtbl.add groups k [ b ])
+              Value.Key.add groups k [ b ])
         tuples;
       (* SQL: zero input rows with an empty grouping list yields one row
          (count = 0, sums NULL); with a non-empty grouping list it yields
@@ -515,7 +512,7 @@ let execute ?adaptive ?stats db (block : Spjg.t) : Relation.t =
             let group_rows =
               match key with
               | `Empty -> []
-              | `Group k -> Hashtbl.find groups k
+              | `Group k -> Value.Key.find groups k
             in
             let witness =
               match group_rows with b :: _ -> Some b | [] -> None

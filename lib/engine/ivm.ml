@@ -6,10 +6,14 @@
     — and each term runs through the ordinary executor against a scratch
     database holding the right old/delta/new slice per table, with
     synthetic statistics that make the (tiny) delta table the cheapest so
-    adaptive ordering starts the join there. SPJ deltas edit the view's
-    bag directly; aggregation deltas fold into the stored grouping
-    columns, count_big( * ) and SUMs through a per-group sidecar that also
-    tracks non-null SUM contributions (NULL vs 0 on all-NULL groups). *)
+    adaptive ordering starts the join there; slices that are the live
+    tables themselves keep their indexes, so the join probes them. SPJ
+    deltas edit the view's bag directly; aggregation deltas fold into the
+    stored grouping columns, count_big( * ) and SUMs through a per-group
+    sidecar that also tracks non-null SUM contributions (NULL vs 0 on
+    all-NULL groups). Each view column's sorted non-null values follow the
+    exact rows a batch adds and removes, so statistics refresh without
+    re-sorting. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -104,15 +108,25 @@ let shape_of (name : string) (sp : Spjg.t) : agg_shape =
    record doubles as a batch-delta accumulator, where [g_count] and
    [g_nn] may go negative. *)
 type group = {
-  g_key : Value.t list;
+  g_key : Value.t array;
   mutable g_count : int;
   g_sums : Value.t array;
   g_nn : int array;
 }
 
-type vstate = Spj_state | Agg_state of agg_shape * (string, group) Hashtbl.t
+type vstate = Spj_state | Agg_state of agg_shape * group Value.Key.t
 
-type entry = { view : View.t; state : vstate; mutable dirty : bool }
+(* One column of a view's stored rows: its non-null values, ascending by
+   [Stats.sort_order], in the first [len] slots of [vals]; the spare slots
+   after them hold Null. Values are shared with the rows, never copied. *)
+type sorted = { mutable vals : Value.t array; mutable len : int }
+
+type entry = {
+  view : View.t;
+  state : vstate;
+  cols : sorted array;  (** one per view column *)
+  mutable dirty : bool;
+}
 
 type t = {
   db : Database.t;
@@ -160,29 +174,26 @@ let is_zero = function
   | Value.Float f -> f = 0.
   | _ -> false
 
-let key_repr (vs : Value.t list) =
-  String.concat "\x01" (List.map Value.to_string vs)
-
 let eval b e = Eval.expr (Exec.env_of b) e
 
 (* Fold one signed SPJ tuple into a group table (sidecar at attach time,
    sign +1 only; batch-delta accumulator during apply, either sign). *)
-let fold_signed shape (groups : (string, group) Hashtbl.t) b sign =
-  let key = List.map (eval b) shape.scalars in
-  let k = key_repr key in
+let empty_group shape key =
+  {
+    g_key = key;
+    g_count = 0;
+    g_sums = Array.make (Array.length shape.sums) Value.Null;
+    g_nn = Array.make (Array.length shape.sums) 0;
+  }
+
+let fold_signed shape (groups : group Value.Key.t) b sign =
+  let key = Array.of_list (List.map (eval b) shape.scalars) in
   let g =
-    match Hashtbl.find_opt groups k with
+    match Value.Key.find_opt groups key with
     | Some g -> g
     | None ->
-        let g =
-          {
-            g_key = key;
-            g_count = 0;
-            g_sums = Array.make (Array.length shape.sums) Value.Null;
-            g_nn = Array.make (Array.length shape.sums) 0;
-          }
-        in
-        Hashtbl.replace groups k g;
+        let g = empty_group shape key in
+        Value.Key.replace groups key g;
         g
   in
   g.g_count <- g.g_count + sign;
@@ -198,13 +209,88 @@ let fold_signed shape (groups : (string, group) Hashtbl.t) b sign =
 let row_of_group shape (g : group) : Value.t array =
   Array.map
     (function
-      | Key i -> List.nth g.g_key i
+      | Key i -> g.g_key.(i)
       | Count_slot -> Value.Int g.g_count
       | Sum_slot j ->
           if g.g_nn.(j) = 0 then
             if shape.sums.(j).s_zero then Value.Int 0 else Value.Null
           else g.g_sums.(j))
     shape.layout
+
+(* ---- sorted view columns ---------------------------------------------- *)
+
+(* The first of slots [lo, hi) of [vals] not below [v] ([above]: above
+   [v]), by binary search. *)
+let search vals lo hi v ~above =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Stats.sort_order vals.(mid) v in
+    if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Column [c]'s non-null values among [rows], ascending. *)
+let column_values c rows =
+  List.sort Stats.sort_order
+    (List.filter_map
+       (fun (r : Value.t array) ->
+         if Value.is_null r.(c) then None else Some r.(c))
+       rows)
+
+(* Drop the ascending values [out] from [col] in one compacting pass that
+   starts at the first removed slot. *)
+let remove_sorted name col out =
+  let vals = col.vals and n = col.len in
+  let r = ref 0 and w = ref 0 in
+  List.iter
+    (fun v ->
+      let p = search vals !r n v ~above:false in
+      if p >= n || Stats.sort_order vals.(p) v <> 0 then
+        raise
+          (Inconsistent
+             (name ^ ": a removed row holds a value the statistics lack"));
+      if !w < !r then Array.blit vals !r vals !w (p - !r);
+      w := !w + (p - !r);
+      r := p + 1)
+    out;
+  if !w < !r then begin
+    Array.blit vals !r vals !w (n - !r);
+    Array.fill vals (!w + n - !r) (!r - !w) Value.Null
+  end;
+  col.len <- !w + n - !r
+
+(* Merge the descending values [inn] into [col] from the top down: each
+   stored value above the smallest new one moves once. *)
+let insert_sorted col inn =
+  let k = List.length inn in
+  let need = col.len + k in
+  if need > Array.length col.vals then begin
+    let vals = Array.make (need + (need / 4)) Value.Null in
+    Array.blit col.vals 0 vals 0 col.len;
+    col.vals <- vals
+  end;
+  let vals = col.vals in
+  let hi = ref col.len in
+  List.iteri
+    (fun i v ->
+      (* [j] new values still go below this one *)
+      let j = k - 1 - i in
+      let p = search vals 0 !hi v ~above:true in
+      Array.blit vals p vals (p + j + 1) (!hi - p);
+      vals.(p + j) <- v;
+      hi := p)
+    inn;
+  col.len <- need
+
+(* Bring every column in line with the stored rows the view just lost
+   ([removed], the exact rows) and gained ([added]). *)
+let update_columns name cols ~removed ~added =
+  Array.iteri
+    (fun c col ->
+      remove_sorted name col (column_values c removed);
+      insert_sorted col (List.rev (column_values c added)))
+    cols
 
 (* ---- attach ----------------------------------------------------------- *)
 
@@ -220,32 +306,36 @@ let attach t (view : View.t) =
   let name = view.View.name in
   if List.exists (fun e -> e.view.View.name = name) t.entries then
     invalid_arg ("Ivm.attach: view " ^ name ^ " already attached");
-  (match Database.table t.db name with
-  | Some _ -> ()
-  | None -> invalid_arg ("Ivm.attach: view " ^ name ^ " is not materialized"));
+  let tbl =
+    match Database.table t.db name with
+    | Some tbl -> tbl
+    | None -> invalid_arg ("Ivm.attach: view " ^ name ^ " is not materialized")
+  in
   let sp = View.spjg view in
   let state =
     if Spjg.is_aggregate sp then begin
       let shape = shape_of name sp in
-      let groups = Hashtbl.create 64 in
+      let groups = Value.Key.create 64 in
       List.iter
         (fun b -> fold_signed shape groups b 1)
         (Exec.spj_tuples t.db sp);
       (* a scalar aggregate's single row exists even over empty input *)
-      if shape.scalar_only && Hashtbl.length groups = 0 then
-        Hashtbl.replace groups (key_repr [])
-          {
-            g_key = [];
-            g_count = 0;
-            g_sums = Array.make (Array.length shape.sums) Value.Null;
-            g_nn = Array.make (Array.length shape.sums) 0;
-          };
+      if shape.scalar_only && Value.Key.length groups = 0 then
+        Value.Key.replace groups [||] (empty_group shape [||]);
       Agg_state (shape, groups)
     end
     else Spj_state
   in
+  let cols =
+    Array.of_list
+      (List.mapi
+         (fun c _ ->
+           let vals = Array.of_list (column_values c tbl.Table.rows) in
+           { vals; len = Array.length vals })
+         (Table.def_of tbl).Mv_catalog.Table_def.columns)
+  in
   record_fresh t view;
-  t.entries <- t.entries @ [ { view; state; dirty = false } ]
+  t.entries <- t.entries @ [ { view; state; cols; dirty = false } ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
 
@@ -255,16 +345,20 @@ let attach t (view : View.t) =
    executor over a scratch database: tables before the delta position see
    new rows, the delta position sees just the insert (or delete) slice,
    tables after it see old rows. Synthetic row-count-only statistics make
-   the delta slice the smallest table so adaptive ordering leads with it. *)
+   the delta slice the smallest table so adaptive ordering leads with it.
+   The scratch database shares the live index cache, and a slice gets the
+   live table's declared indexes exactly when it is physically the live
+   row list (every unwritten table, and written ones before the delta
+   position): an index over the live rows would serve the wrong rows to a
+   delta or an old slice. *)
 let signed_tuples t (view : View.t) (batch : batch)
     (old_rows : (string * Value.t array list) list) :
     (Exec.bindings * int) list =
   let sp = View.spjg view in
   let tables = sp.Spjg.tables in
+  let live v = (Database.table_exn t.db v).Table.rows in
   let old_of v =
-    match List.assoc_opt v old_rows with
-    | Some rows -> rows
-    | None -> (Database.table_exn t.db v).Table.rows
+    match List.assoc_opt v old_rows with Some rows -> rows | None -> live v
   in
   let acc = ref [] in
   List.iteri
@@ -274,23 +368,28 @@ let signed_tuples t (view : View.t) (batch : batch)
       | Some d ->
           let term rows sign =
             if rows <> [] then begin
-              let scratch = Database.create t.db.Database.schema in
-              let stats = ref [] in
-              List.iteri
-                (fun j v ->
-                  let src =
-                    if j = i then rows
-                    else if j < i then (Database.table_exn t.db v).Table.rows
-                    else old_of v
-                  in
-                  (Database.table_exn scratch v).Table.rows <- src;
-                  stats :=
-                    (v, { Stats.row_count = List.length src; columns = [] })
-                    :: !stats)
-                tables;
+              let scratch =
+                {
+                  (Database.create t.db.Database.schema) with
+                  Database.index_cache = t.db.Database.index_cache;
+                }
+              in
+              let stats =
+                List.mapi
+                  (fun j v ->
+                    let src =
+                      if j = i then rows else if j < i then live v else old_of v
+                    in
+                    (Database.table_exn scratch v).Table.rows <- src;
+                    if j <> i && src == live v then
+                      Hashtbl.replace scratch.Database.declared_indexes v
+                        (Database.declared_indexes t.db v);
+                    (v, { Stats.row_count = List.length src; columns = [] }))
+                  tables
+              in
               List.iter
                 (fun b -> acc := (b, sign) :: !acc)
-                (Exec.spj_tuples ~adaptive:true ~stats:!stats scratch sp)
+                (Exec.spj_tuples ~adaptive:true ~stats scratch sp)
             end
           in
           term d.ins 1;
@@ -300,7 +399,9 @@ let signed_tuples t (view : View.t) (batch : batch)
 
 (* ---- applying deltas to the stored contents --------------------------- *)
 
-let apply_spj t (entry : entry) signed : bool =
+(* Each of these returns the exact stored rows the view lost and the rows
+   it gained. *)
+let apply_spj t (entry : entry) signed =
   let sp = View.spjg entry.view in
   let scalars =
     List.map
@@ -310,64 +411,66 @@ let apply_spj t (entry : entry) signed : bool =
         | Spjg.Aggregate _ -> assert false (* SPJ block *))
       sp.Spjg.out
   in
-  let plus = ref [] and minus = Hashtbl.create 16 and n_minus = ref 0 in
+  let plus = ref [] and minus = Value.Key.create 16 and n_minus = ref 0 in
   List.iter
     (fun (b, sign) ->
       let row = Array.of_list (List.map (eval b) scalars) in
       if sign > 0 then plus := row :: !plus
       else begin
-        let k = key_repr (Array.to_list row) in
-        let n = match Hashtbl.find_opt minus k with Some n -> n | None -> 0 in
-        Hashtbl.replace minus k (n + 1);
+        let n = Option.value ~default:0 (Value.Key.find_opt minus row) in
+        Value.Key.replace minus row (n + 1);
         incr n_minus
       end)
     signed;
-  if !plus = [] && !n_minus = 0 then false
+  if !plus = [] && !n_minus = 0 then ([], [])
   else begin
     let tbl = Database.table_exn t.db entry.view.View.name in
-    let removed = ref 0 in
+    let removed = ref [] and pending = ref !n_minus in
     let rows' =
       if !n_minus = 0 then tbl.Table.rows
       else
         List.filter
           (fun row ->
-            match Hashtbl.find_opt minus (key_repr (Array.to_list row)) with
+            !pending = 0
+            ||
+            match Value.Key.find_opt minus row with
             | Some n when n > 0 ->
-                Hashtbl.replace minus (key_repr (Array.to_list row)) (n - 1);
-                incr removed;
+                Value.Key.replace minus row (n - 1);
+                removed := row :: !removed;
+                decr pending;
                 false
             | _ -> true)
           tbl.Table.rows
     in
-    if !removed < !n_minus then
+    if !pending > 0 then
       raise
         (Inconsistent
            (entry.view.View.name
           ^ ": delta deletes a row the view does not contain"));
     tbl.Table.rows <- List.rev_append !plus rows';
     bump "rows.plus" (List.length !plus);
-    bump "rows.minus" !removed;
-    true
+    bump "rows.minus" !n_minus;
+    (!removed, !plus)
   end
 
-let apply_agg t (entry : entry) shape groups signed : bool =
+let apply_agg t (entry : entry) shape groups signed =
   let name = entry.view.View.name in
-  let d = Hashtbl.create 16 in
+  let d = Value.Key.create 16 in
   List.iter (fun (b, sign) -> fold_signed shape d b sign) signed;
-  if Hashtbl.length d = 0 then false
+  if Value.Key.length d = 0 then ([], [])
   else begin
-    let died = Hashtbl.create 8 in
-    let updated = Hashtbl.create 8 in
+    let died = Value.Key.create 8 in
+    let updated = Value.Key.create 8 in
     let born = ref [] in
-    Hashtbl.iter
+    Value.Key.iter
       (fun k (dg : group) ->
-        match Hashtbl.find_opt groups k with
+        match Value.Key.find_opt groups k with
         | None ->
             if dg.g_count > 0 then begin
               if Array.exists (fun n -> n < 0) dg.g_nn then
                 raise
                   (Inconsistent (name ^ ": negative SUM input count at birth"));
-              Hashtbl.replace groups k dg;
+              Value.Key.replace groups k dg;
               born := dg :: !born
             end
             else if
@@ -384,8 +487,8 @@ let apply_agg t (entry : entry) shape groups signed : bool =
             if count' < 0 then
               raise (Inconsistent (name ^ ": group count went negative"));
             if count' = 0 && not shape.scalar_only then begin
-              Hashtbl.remove groups k;
-              Hashtbl.replace died k ()
+              Value.Key.remove groups k;
+              Value.Key.replace died k ()
             end
             else begin
               g.g_count <- count';
@@ -397,35 +500,46 @@ let apply_agg t (entry : entry) shape groups signed : bool =
                     raise
                       (Inconsistent (name ^ ": SUM input count went negative")))
                 shape.sums;
-              Hashtbl.replace updated k g
+              Value.Key.replace updated k g
             end)
       d;
     let tbl = Database.table_exn t.db name in
-    let key_of_row row =
-      key_repr (Array.to_list (Array.map (fun c -> row.(c)) shape.key_cols))
-    in
+    let n_died = Value.Key.length died in
+    let removed = ref [] and added = ref [] in
+    let pending = ref (n_died + Value.Key.length updated) in
     let rows' =
       List.filter_map
         (fun row ->
-          let k = key_of_row row in
-          if Hashtbl.mem died k then None
+          if !pending = 0 then Some row
           else
-            match Hashtbl.find_opt updated k with
-            | Some g ->
-                Hashtbl.remove updated k;
-                Some (row_of_group shape g)
-            | None -> Some row)
+            let k = Array.map (fun c -> row.(c)) shape.key_cols in
+            if Value.Key.mem died k then begin
+              removed := row :: !removed;
+              decr pending;
+              None
+            end
+            else
+              match Value.Key.find_opt updated k with
+              | Some g ->
+                  Value.Key.remove updated k;
+                  let row' = row_of_group shape g in
+                  removed := row :: !removed;
+                  added := row' :: !added;
+                  decr pending;
+                  Some row'
+              | None -> Some row)
         tbl.Table.rows
     in
-    if Hashtbl.length updated > 0 then
+    if !pending > 0 then
       raise
         (Inconsistent (name ^ ": stored rows diverged from the group sidecar"));
-    tbl.Table.rows <- rows' @ List.rev_map (row_of_group shape) !born;
+    let born_rows = List.rev_map (row_of_group shape) !born in
+    tbl.Table.rows <- rows' @ born_rows;
     bump "rows.plus" (List.length !born);
-    bump "rows.minus" (Hashtbl.length died);
+    bump "rows.minus" n_died;
     bump "groups.born" (List.length !born);
-    bump "groups.died" (Hashtbl.length died);
-    true
+    bump "groups.died" n_died;
+    (!removed, List.rev_append born_rows !added)
   end
 
 (* ---- the batch entry point ------------------------------------------- *)
@@ -466,12 +580,13 @@ let apply t (batch : batch) =
         if affected then begin
           let t0 = Mv_obs.Instrument.now_wall () in
           let signed = signed_tuples t entry.view batch old_rows in
-          let changed =
+          let removed, added =
             match entry.state with
             | Spj_state -> apply_spj t entry signed
             | Agg_state (shape, groups) -> apply_agg t entry shape groups signed
           in
-          if changed then begin
+          if removed <> [] || added <> [] then begin
+            update_columns entry.view.View.name entry.cols ~removed ~added;
             Database.touch t.db entry.view.View.name;
             entry.view.View.row_count <-
               Database.row_count t.db entry.view.View.name;
@@ -489,14 +604,27 @@ let apply t (batch : batch) =
       t.entries
   end
 
+(* A view's statistics from its maintained sorted columns: what
+   [Database.table_stats] computes, without the sort. *)
+let entry_stats ?buckets t e : Stats.table_stats =
+  let tbl = Database.table_exn t.db e.view.View.name in
+  {
+    Stats.row_count = Table.row_count tbl;
+    columns =
+      List.mapi
+        (fun c (col : Mv_catalog.Column.t) ->
+          ( col.Mv_catalog.Column.name,
+            Stats.of_sorted ?buckets e.cols.(c).vals e.cols.(c).len ))
+        (Table.def_of tbl).Mv_catalog.Table_def.columns;
+  }
+
 let refresh_stats ?buckets t (stats : Stats.t) : Stats.t =
   let dirty = List.filter (fun e -> e.dirty) t.entries in
   let stats' =
     List.fold_left
       (fun acc e ->
         let name = e.view.View.name in
-        (name, Database.table_stats ?buckets t.db name)
-        :: List.remove_assoc name acc)
+        (name, entry_stats ?buckets t e) :: List.remove_assoc name acc)
       stats dirty
   in
   List.iter (fun e -> e.dirty <- false) dirty;

@@ -10,7 +10,11 @@
     where [ΔTᵢ = inserts − deletes] as a signed bag. Each term is
     evaluated by the ordinary executor against a scratch database with the
     delta part substituted for table [i] (insert and delete parts run
-    separately; the sign multiplies through). For SPJ views the signed
+    separately; the sign multiplies through). A slice that is physically
+    the live table's row list keeps the live database's declared and built
+    indexes, so the executor probes it instead of scanning it; the delta
+    slice and a written table's old rows never get them. For SPJ views the
+    signed
     output tuples apply directly to the materialized table as bag
     inserts/deletes; for aggregation views they are grouped and folded
     into the stored [count_big( * )] and [SUM] columns — a group is born
@@ -73,8 +77,11 @@ val attach : t -> Mv_core.View.t -> unit
 (** Register a materialized view for maintenance. The view's table must
     already exist in the database ({!Exec.materialize}); aggregation
     views pay one evaluation of their SPJ part here to build the
-    non-null-count sidecar. Records the current base-table write epochs
-    on the descriptor and clears its staleness mark.
+    non-null-count sidecar. Each view column's non-null values are sorted
+    once here and kept for {!refresh_stats}: one pointer per stored
+    non-null value (values are shared, never copied). Records the
+    current base-table write epochs on the descriptor and clears its
+    staleness mark.
     @raise Invalid_argument when the view is not materialized or already
     attached.
     @raise Unsupported on a definition IVM cannot maintain. *)
@@ -88,22 +95,27 @@ val attached : t -> Mv_core.View.t list
 val apply : t -> batch -> unit
 (** Apply the batch to the base tables, then propagate deltas into every
     attached view whose sources intersect the written tables: rewrite
-    their materialized rows in place, update {!Mv_core.View.row_count},
-    bump the view tables' write epochs (invalidating built indexes) and
-    re-stamp freshness ({!Mv_core.View.mark_fresh} with the new base
-    epochs). Views sourcing none of the written tables are untouched.
+    their materialized rows in place, update each column's sorted values
+    from the exact rows removed and added, update
+    {!Mv_core.View.row_count}, bump the view tables' write epochs
+    (invalidating built indexes) and re-stamp freshness
+    ({!Mv_core.View.mark_fresh} with the new base epochs). Views sourcing
+    none of the written tables are untouched.
     @raise Invalid_argument when a batch table is unknown, is an attached
     view's own table, a row has the wrong arity, or a delete names a row
     the base table does not contain.
-    @raise Inconsistent when propagation contradicts the attached state. *)
+    @raise Inconsistent when propagation contradicts the attached state,
+    including a removed row holding a value its column's sorted values
+    lack. *)
 
 val refresh_stats :
   ?buckets:int -> t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
-(** Mark-and-rebuild view statistics (ROADMAP item 4): return [stats]
-    with the entry of every view updated by {!apply} since the last call
-    rebuilt from its current contents ({!Database.table_stats} — row
-    count and histograms), leaving every other entry untouched. Clears
-    the dirty marks. *)
+(** Return [stats] with the entry of every view updated by {!apply} since
+    the last call derived from its maintained sorted columns
+    ({!Mv_catalog.Stats.of_sorted}, no sort), leaving every other entry
+    untouched. Each derived entry equals {!Database.table_stats} of the
+    view's current contents: row count, min, max, ndv, histograms and
+    MCVs. Clears the dirty marks. *)
 
 val dirty_views : t -> string list
 (** Views updated by {!apply} since the last {!refresh_stats} — whose

@@ -610,7 +610,8 @@ type maintain_cell = {
       (** every view's delta-maintained contents ended bag-equal (floats
           within tolerance) to the rematerialized arm's *)
   m_stats_fresh : bool;
-      (** [Ivm.refresh_stats] row counts match the actual contents *)
+      (** every [Ivm.refresh_stats] entry equals [Database.table_stats] of
+          the maintained contents *)
 }
 
 type maintain_measurement = {
@@ -732,20 +733,16 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
             .Mv_engine.Table.rows)
       views
   in
+  (* every view some batch changed gets a refreshed entry equal to a
+     rebuild from its maintained contents; untouched views need none *)
+  let dirty = Mv_engine.Ivm.dirty_views ivm in
   let stats' = Mv_engine.Ivm.refresh_stats ivm stats0 in
   let stats_fresh =
     List.for_all
-      (fun (v : Mv_core.View.t) ->
-        match List.assoc_opt v.Mv_core.View.name stats' with
-        | Some ts ->
-            ts.Mv_catalog.Stats.row_count
-            = Mv_engine.Database.row_count dba v.Mv_core.View.name
-        | None ->
-            (* untouched by every batch: no entry is required *)
-            not
-              (List.mem v.Mv_core.View.name
-                 (Mv_engine.Ivm.dirty_views ivm)))
-      views
+      (fun name ->
+        List.assoc_opt name stats'
+        = Some (Mv_engine.Database.table_stats dba name))
+      dirty
   in
   let q h p = Mv_obs.Instrument.quantile h p in
   let delta_wall = Mv_obs.Instrument.sum delta_h in

@@ -206,7 +206,8 @@ type maintain_cell = {
           columns within a relative tolerance — incremental SUMs reorder
           float additions) to the rematerialized arm's *)
   m_stats_fresh : bool;
-      (** [Ivm.refresh_stats] row counts match the actual contents *)
+      (** every [Ivm.refresh_stats] entry equals [Database.table_stats] of
+          the maintained contents *)
 }
 
 type maintain_measurement = {

@@ -77,7 +77,7 @@ type config = {
       (** update batch size as a fraction of the maintained state *)
   maintain_speedup : float;
       (** measured delta-vs-rematerialize advantage at that batch size
-          (EXPERIMENTS.md maintain section: 1.6-1.8x at small batches) *)
+          (EXPERIMENTS.md maintain section: 1.5-1.8x at small batches) *)
 }
 
 val default_config : config

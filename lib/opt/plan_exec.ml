@@ -69,7 +69,10 @@ let rec run ?(force_hash = false) ?adaptive ?stats ?record db (plan : Plan.t) :
   | Plan.Join { left; right; keys; post; strategy; est_rows; _ } ->
       let ls = rerun left and rs = rerun right in
       let merge l r = Col.Map.union (fun _ x _ -> Some x) l r in
-      let repr vs = String.concat "\x01" (List.map Value.to_string vs) in
+      let key side b =
+        Array.of_list (List.map (fun k -> env_of b (side k)) keys)
+      in
+      let has_null = Array.exists Value.is_null in
       let strategy = if force_hash then Plan.Hash else strategy in
       let joined =
         if keys = [] then
@@ -78,39 +81,37 @@ let rec run ?(force_hash = false) ?adaptive ?stats ?record db (plan : Plan.t) :
           Mv_engine.Exec.count_strategy (Plan.strategy_name strategy);
           match strategy with
           | Plan.Hash ->
-              let build = Hashtbl.create 256 in
+              let build = Value.Key.create 256 in
               List.iter
                 (fun r ->
-                  let kv = List.map (fun (_, rc) -> env_of r rc) keys in
-                  if not (List.exists Value.is_null kv) then
-                    Hashtbl.add build (repr kv) r)
+                  let kv = key snd r in
+                  if not (has_null kv) then Value.Key.add build kv r)
                 rs;
               List.concat_map
                 (fun l ->
-                  let kv = List.map (fun (lc, _) -> env_of l lc) keys in
-                  if List.exists Value.is_null kv then []
-                  else List.map (merge l) (Hashtbl.find_all build (repr kv)))
+                  let kv = key fst l in
+                  if has_null kv then []
+                  else List.map (merge l) (Value.Key.find_all build kv))
                 ls
           | Plan.Nlj ->
-              (* same key representation and NULL semantics as the hash
-                 path, so the bag is identical *)
+              (* same key equality and NULL semantics as the hash path, so
+                 the bag is identical *)
               let srcs =
                 List.filter_map
                   (fun r ->
-                    let kv = List.map (fun (_, rc) -> env_of r rc) keys in
-                    if List.exists Value.is_null kv then None
-                    else Some (repr kv, r))
+                    let kv = key snd r in
+                    if has_null kv then None else Some (kv, r))
                   rs
               in
               List.concat_map
                 (fun l ->
-                  let kv = List.map (fun (lc, _) -> env_of l lc) keys in
-                  if List.exists Value.is_null kv then []
+                  let k = key fst l in
+                  if has_null k then []
                   else
-                    let k = repr kv in
                     List.filter_map
                       (fun (rk, r) ->
-                        if String.equal rk k then Some (merge l r) else None)
+                        if Array.for_all2 Value.equal rk k then Some (merge l r)
+                        else None)
                       srcs)
                 ls
         end
@@ -131,17 +132,18 @@ let rec run ?(force_hash = false) ?adaptive ?stats ?record db (plan : Plan.t) :
       out
   | Plan.Aggregate { input; group_by; out; est_rows; _ } ->
       let rows = rerun input in
-      let repr vs = String.concat "\x01" (List.map Value.to_string vs) in
-      let groups = Hashtbl.create 64 in
+      let groups = Value.Key.create 64 in
       let order = ref [] in
       List.iter
         (fun b ->
-          let k = repr (List.map (fun g -> Eval.expr (env_of b) g) group_by) in
-          match Hashtbl.find_opt groups k with
-          | Some gr -> Hashtbl.replace groups k (b :: gr)
+          let k =
+            Array.of_list (List.map (fun g -> Eval.expr (env_of b) g) group_by)
+          in
+          match Value.Key.find_opt groups k with
+          | Some gr -> Value.Key.replace groups k (b :: gr)
           | None ->
               order := k :: !order;
-              Hashtbl.add groups k [ b ])
+              Value.Key.add groups k [ b ])
         rows;
       let keys =
         if rows = [] && group_by = [] then [ `Empty ]
@@ -151,7 +153,7 @@ let rec run ?(force_hash = false) ?adaptive ?stats ?record db (plan : Plan.t) :
         List.map
           (fun key ->
             let grp =
-              match key with `Empty -> [] | `Group k -> Hashtbl.find groups k
+              match key with `Empty -> [] | `Group k -> Value.Key.find groups k
             in
             let witness = match grp with b :: _ -> Some b | [] -> None in
             List.fold_left

@@ -191,6 +191,215 @@ let test_same_bag_detects_duplicates () =
   Alcotest.(check bool) "bags differ" false (Mv_engine.Relation.same_bag a b);
   Alcotest.(check bool) "bag equals itself" true (Mv_engine.Relation.same_bag a a)
 
+(* ---- exact keys: floats that share a 6-digit rendering stay apart ---- *)
+
+(* t(id, k, price) and u(id, k, price); price holds whatever values a test
+   needs (Int and Float alike), as the executors compare them with
+   Value.order. *)
+let priced_db ~t_rows ~u_rows =
+  let cols =
+    [
+      Mv_catalog.Column.make "id" Dtype.Int;
+      Mv_catalog.Column.make "k" Dtype.Int;
+      Mv_catalog.Column.make ~nullable:true "price" Dtype.Float;
+    ]
+  in
+  let schema =
+    Mv_catalog.Schema.make
+      ~tables:
+        [
+          Mv_catalog.Table_def.make ~name:"t" ~columns:cols
+            ~primary_key:[ "id" ] ();
+          Mv_catalog.Table_def.make ~name:"u" ~columns:cols
+            ~primary_key:[ "id" ] ();
+        ]
+      ~foreign_keys:[]
+  in
+  let db = Mv_engine.Database.create schema in
+  List.iter (Mv_engine.Database.insert db "t") t_rows;
+  List.iter (Mv_engine.Database.insert db "u") u_rows;
+  db
+
+let c_t name = Expr.Col (col "t" name)
+let c_u name = Expr.Col (col "u" name)
+
+let priced id price = [| Value.Int id; Value.Int 1; price |]
+
+(* Sorted (price, count) pairs of a grouped result, numbers rendered in
+   full. *)
+let groups_of (r : Mv_engine.Relation.t) =
+  let show v =
+    match Value.as_float v with
+    | Some f -> Printf.sprintf "%.1f" f
+    | None -> Value.to_string v
+  in
+  List.sort Mv_engine.Relation.row_order r.Mv_engine.Relation.rows
+  |> List.map (fun row -> (show row.(0), show row.(1)))
+
+(* SELECT t.price, COUNT( * ) AS n FROM t GROUP BY t.price, through Exec
+   and through a hand-built Plan_exec aggregate. *)
+let group_by_price db =
+  let q =
+    Spjg.make ~tables:[ "t" ] ~where:[]
+      ~group_by:(Some [ c_t "price" ])
+      ~out:
+        [
+          Spjg.scalar "price" (c_t "price");
+          Spjg.aggregate "n" Spjg.Count_star;
+        ]
+  in
+  let leaf =
+    Mv_opt.Plan.Leaf
+      {
+        source =
+          Mv_opt.Plan.Computed
+            (Spjg.make ~tables:[ "t" ] ~where:[] ~group_by:None
+               ~out:[ Spjg.scalar "price" (c_t "price") ]);
+        binds = [ ("price", col "t" "price") ];
+        est_rows = 2.0;
+        est_cost = 1.0;
+      }
+  in
+  let plan =
+    Mv_opt.Plan.Aggregate
+      {
+        input = leaf;
+        group_by = [ c_t "price" ];
+        out = q.Spjg.out;
+        est_rows = 2.0;
+        est_cost = 1.0;
+      }
+  in
+  [
+    ("exec", Mv_engine.Exec.execute db q);
+    ("plan_exec", Mv_opt.Plan_exec.execute db q plan);
+  ]
+
+let test_float_group_keys () =
+  let db =
+    priced_db
+      ~t_rows:
+        [ priced 1 (Value.Float 1234567.0); priced 2 (Value.Float 1234568.0) ]
+      ~u_rows:[]
+  in
+  List.iter
+    (fun (path, r) ->
+      Alcotest.(check (list (pair string string)))
+        (path ^ ": one group per distinct float")
+        [ ("1234567.0", "1.0"); ("1234568.0", "1.0") ]
+        (groups_of r))
+    (group_by_price db)
+
+let test_null_and_numeric_groups () =
+  (* NULLs form one group; Int 1 and Float 1.0 are one key *)
+  let db =
+    priced_db
+      ~t_rows:
+        [
+          priced 1 Value.Null; priced 2 Value.Null; priced 3 (Value.Int 1);
+          priced 4 (Value.Float 1.0); priced 5 (Value.Float 2.0);
+        ]
+      ~u_rows:[]
+  in
+  List.iter
+    (fun (path, r) ->
+      Alcotest.(check (list (pair string string)))
+        (path ^ ": NULL, 1 and 2 groups")
+        [ ("NULL", "2.0"); ("1.0", "2.0"); ("2.0", "1.0") ]
+        (groups_of r))
+    (group_by_price db)
+
+let count_strategy kind =
+  Mv_obs.Registry.counter_value Mv_obs.Registry.global
+    ("exec.join.strategy." ^ kind)
+
+let test_float_join_keys () =
+  (* u's prices 1234500..1234579 all share their first six digits with
+     t's; the Int 1234569 must still meet the Float 1234569.0 *)
+  let t_rows =
+    [
+      priced 1 (Value.Float 1234567.0); priced 2 (Value.Float 1234568.0);
+      priced 3 (Value.Int 1234569); priced 4 Value.Null;
+    ]
+  in
+  let u_rows =
+    List.init 80 (fun i ->
+        priced (100 + i) (Value.Float (1234500.0 +. float_of_int i)))
+  in
+  let q =
+    Spjg.make ~tables:[ "t"; "u" ]
+      ~where:
+        [
+          Pred.Cmp (Pred.Eq, c_t "k", c_u "k");
+          Pred.Cmp (Pred.Eq, c_t "price", c_u "price");
+        ]
+      ~group_by:None
+      ~out:[ Spjg.scalar "tid" (c_t "id"); Spjg.scalar "uid" (c_u "id") ]
+  in
+  let expected = [ (1, 167); (2, 168); (3, 169) ] in
+  let pairs (r : Mv_engine.Relation.t) =
+    List.sort compare
+      (List.map
+         (fun row ->
+           match (row.(0), row.(1)) with
+           | Value.Int a, Value.Int b -> (a, b)
+           | _ -> Alcotest.fail "non-integer ids")
+         r.Mv_engine.Relation.rows)
+  in
+  let check name ?(index = false) ~strategy run =
+    let db = priced_db ~t_rows ~u_rows in
+    if index then Mv_engine.Database.declare_index db ~table:"u" ~cols:[ "k" ];
+    let before = count_strategy strategy in
+    Alcotest.(check (list (pair int int))) (name ^ ": exact pairs") expected
+      (pairs (run db));
+    Alcotest.(check bool) (name ^ ": took the " ^ strategy ^ " path") true
+      (count_strategy strategy > before)
+  in
+  check "exec adaptive, nested loop" ~strategy:"nlj" (fun db ->
+      Mv_engine.Exec.execute ~adaptive:true db q);
+  check "exec adaptive, index nested loop" ~index:true ~strategy:"inlj"
+    (fun db -> Mv_engine.Exec.execute ~adaptive:true db q);
+  (* the default pipeline hash-joins without counting a strategy *)
+  Alcotest.(check (list (pair int int))) "exec hash join: exact pairs" expected
+    (pairs (Mv_engine.Exec.execute (priced_db ~t_rows ~u_rows) q));
+  let leaf tbl =
+    let c name = col tbl name in
+    Mv_opt.Plan.Leaf
+      {
+        source =
+          Mv_opt.Plan.Computed
+            (Spjg.make ~tables:[ tbl ] ~where:[] ~group_by:None
+               ~out:
+                 (List.map
+                    (fun n -> Spjg.scalar n (Expr.Col (c n)))
+                    [ "id"; "k"; "price" ]));
+        binds = List.map (fun n -> (n, c n)) [ "id"; "k"; "price" ];
+        est_rows = 1.0;
+        est_cost = 1.0;
+      }
+  in
+  List.iter
+    (fun strategy ->
+      let plan =
+        Mv_opt.Plan.Join
+          {
+            left = leaf "t";
+            right = leaf "u";
+            keys =
+              [
+                (col "t" "k", col "u" "k"); (col "t" "price", col "u" "price");
+              ];
+            post = [];
+            strategy;
+            est_rows = 1.0;
+            est_cost = 1.0;
+          }
+      in
+      let name = Mv_opt.Plan.strategy_name strategy in
+      check ("plan_exec " ^ name) ~strategy:name (fun db ->
+          Mv_opt.Plan_exec.execute db q plan))
+    [ Mv_opt.Plan.Hash; Mv_opt.Plan.Nlj ]
+
 let suite =
   [
     ( "engine",
@@ -209,5 +418,11 @@ let suite =
           test_null_join_keys_do_not_match;
         Alcotest.test_case "same_bag is multiset equality" `Quick
           test_same_bag_detects_duplicates;
+        Alcotest.test_case "float group keys stay exact" `Quick
+          test_float_group_keys;
+        Alcotest.test_case "NULL and Int/Float group keys" `Quick
+          test_null_and_numeric_groups;
+        Alcotest.test_case "float join keys stay exact" `Quick
+          test_float_join_keys;
       ] );
   ]
