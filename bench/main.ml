@@ -14,14 +14,19 @@
     JSON document — the BENCH_*.json perf trajectory. With [--json] and no
     explicit selection the slow micro/ablation benches are skipped.
 
+    Every section but the paper's sweep is a {!Mv_experiments.Measure.t}.
+    Once all selected sections have run (and the JSON is written), the
+    driver exits 3 if any of their verdicts is false, naming each one by
+    its JSON path.
+
     See EXPERIMENTS.md for paper-vs-measured discussion and the schema. *)
 
 let usage () =
   print_endline
     "usage: main.exe [--full|--quick] [--figure N] [--stats] [--micro]\n\
-    \       [--ablation] [--filtertree] [--levels] [--serving] [--serve]\n\
+    \       [--ablation] [--filtertree] [--levels] [--scaling] [--serve]\n\
     \       [--whynot] [--exec] [--maintain] [--advise] [--json FILE]\n\
-    \       [--domains N] [--passes N] [--queries N] [--max-views N] [--step N]\n\
+    \       [--domains N] [--queries N] [--max-views N] [--step N]\n\
     \       [--rate QPS] [--duration S] [--serve-trace FILE]\n\
     \       [--serve-advise N]\n\
     \       [--scales S1,S2,...] [--reps N] [--batches N]\n\
@@ -38,7 +43,6 @@ type what = {
   filtertree : bool;
   levels : bool;
   scaling : bool;
-  serving : bool;
   serve : bool;
   whynot : bool;
   exec : bool;
@@ -52,7 +56,6 @@ let () =
   let max_views = ref 1000 in
   let step = ref 200 in
   let domains = ref 1 in
-  let passes = ref 3 in
   let json_file = ref None in
   let sel = ref None in
   let add_sel w =
@@ -68,7 +71,6 @@ let () =
             filtertree = false;
             levels = false;
             scaling = false;
-            serving = false;
             serve = false;
             whynot = false;
             exec = false;
@@ -125,9 +127,6 @@ let () =
     | "--scaling" :: rest ->
         add_sel (fun s -> { s with scaling = true });
         parse rest
-    | "--serving" :: rest ->
-        add_sel (fun s -> { s with serving = true });
-        parse rest
     | "--serve" :: rest ->
         add_sel (fun s -> { s with serve = true });
         parse rest
@@ -182,9 +181,6 @@ let () =
     | "--reps" :: n :: rest ->
         exec_reps := max 1 (int_of_string n);
         parse rest
-    | "--passes" :: n :: rest ->
-        passes := max 1 (int_of_string n);
-        parse rest
     | "--domains" :: n :: rest ->
         domains := max 1 (int_of_string n);
         parse rest
@@ -217,7 +213,6 @@ let () =
             filtertree = true;
             levels = true;
             scaling = true;
-            serving = true;
             serve = true;
             whynot = true;
             exec = true;
@@ -233,7 +228,6 @@ let () =
             filtertree = true;
             levels = true;
             scaling = false;
-            serving = true;
             serve = true;
             whynot = true;
             exec = true;
@@ -246,12 +240,33 @@ let () =
     go 0 []
   in
   let module J = Mv_obs.Json in
+  let module H = Mv_experiments.Harness in
+  let module M = Mv_experiments.Measure in
   let json_sections = ref [] in
+  let failed = ref [] in
   let add_section name j = json_sections := (name, j) :: !json_sections in
+  (* one Measure section, or a list of them under one key: print, add the
+     JSON, and collect the false verdicts as JSON paths *)
+  let record key json fails =
+    add_section key json;
+    failed := !failed @ List.map (fun f -> key ^ "." ^ f) fails
+  in
+  let one (m : M.t) =
+    print_string (M.render m);
+    record m.M.section (M.to_json m) (M.failures m)
+  in
+  let many key (ms : M.t list) =
+    List.iter (fun m -> print_string (M.render m)) ms;
+    record key
+      (J.List (List.map M.to_json ms))
+      (List.concat
+         (List.mapi
+            (fun i m -> List.map (Printf.sprintf "%d.%s" i) (M.failures m))
+            ms))
+  in
   let need_sweep = what.figures <> [] || what.stats || what.ablation || what.levels in
   let need_workload =
-    need_sweep || what.filtertree || what.scaling || what.serving
-    || what.serve || what.whynot
+    need_sweep || what.filtertree || what.scaling || what.serve || what.whynot
   in
   let w =
     if need_workload then begin
@@ -285,63 +300,36 @@ let () =
     if what.ablation then Ablation.run w nviews_list;
     add_section "measurements" (Mv_experiments.Report.measurements_json ms)
   end;
-  if what.scaling then begin
+  if what.scaling then
     (* the multicore sweep: 1/2/4 domains (plus --domains N if beyond),
        full population, one shared registry *)
-    let domains_list =
-      List.sort_uniq compare (!domains :: [ 1; 2; 4 ])
-    in
-    let ms =
-      Mv_experiments.Harness.scaling (Option.get w) ~nviews:!max_views
-        ~domains_list
-    in
-    Mv_experiments.Report.scaling_table ms;
-    add_section "scaling" (Mv_experiments.Report.scaling_json ms)
-  end;
-  if what.serving then begin
-    (* repeated-query serving through the match/plan cache: cold pass,
-       --passes warm passes, then a drop and a re-add (epoch churn) *)
-    let m =
-      Mv_experiments.Harness.serving ~domains:!domains ~passes:!passes
-        (Option.get w) ~nviews:!max_views
-    in
-    Mv_experiments.Report.serving_table m;
-    add_section "serving" (Mv_experiments.Report.serving_json m);
-    if
-      not
-        (m.Mv_experiments.Harness.warm_identical
-        && m.Mv_experiments.Harness.churn_consistent
-        && m.Mv_experiments.Harness.churn_no_stale)
-    then begin
-      prerr_endline "serving benchmark: cache served a wrong or stale plan";
-      exit 3
-    end
-  end;
+    one
+      (H.scaling (Option.get w) ~nviews:!max_views
+         ~domains_list:(List.sort_uniq compare (!domains :: [ 1; 2; 4 ])));
   if what.serve then begin
     (* the serving front end: an open-loop query stream over OCaml 5
-       domains against RCU registry snapshots, with add/drop churn; the
-       sampled observations are replayed sequentially (exit 3 on any
-       unexplainable observation) *)
+       domains against RCU registry snapshots, with add/drop churn and
+       the sampled observations replayed sequentially; --rate 0 is the
+       closed loop *)
     let module S = Mv_experiments.Serve in
-    let cfg =
-      {
-        S.default_cfg with
-        S.nviews = !max_views;
-        domains = !domains;
-        rate = !rate;
-        duration = !duration;
-        advise = !serve_advise;
-      }
-    in
-    let m = S.run ~cfg (Option.get w) in
-    Mv_experiments.Report.serve_table m;
-    add_section "serving_throughput" (Mv_experiments.Report.serve_json m);
-    (match !serve_trace with
+    let w = Option.get w in
+    one
+      (S.run
+         ~cfg:
+           {
+             S.default_cfg with
+             S.nviews = !max_views;
+             domains = !domains;
+             rate = !rate;
+             duration = !duration;
+             advise = !serve_advise;
+           }
+         w);
+    match !serve_trace with
     | None -> ()
     | Some file ->
         (* one traced cold submission through a fresh front: the Perfetto
            serve-phase artifact CI uploads *)
-        let w = Option.get w in
         let registry = Mv_core.Registry.create w.Mv_experiments.Harness.schema in
         List.iter
           (Mv_core.Registry.add_prebuilt registry)
@@ -356,119 +344,62 @@ let () =
              (List.hd w.Mv_experiments.Harness.queries));
         Mv_experiments.Report.write_json file
           (Mv_obs.Span.to_trace_event_json col);
-        Printf.printf "wrote %s\n" file);
-    if not m.S.sv_consistent then begin
-      prerr_endline
-        "serving throughput: an observation is not explainable by any \
-         registry state";
-      exit 3
-    end;
-    if m.S.sv_dead <> [] then begin
-      Printf.eprintf
-        "serving throughput: advised view(s) never matched during the run \
-         (dead-view gate): %s\n"
-        (String.concat ", " m.S.sv_dead);
-      exit 3
-    end
+        Printf.printf "wrote %s\n" file
   end;
   if what.whynot then begin
     (* aggregate rejection provenance: every (query, view) pair of the
        workload attributed to matched / a filter-tree stage / a matcher
        rejection label, via Registry.explain *)
     let w = Option.get w in
-    let nq = List.length w.Mv_experiments.Harness.queries in
-    let causes = Mv_experiments.Harness.whynot w ~nviews:!max_views in
-    Mv_experiments.Report.whynot_table ~nviews:!max_views ~nqueries:nq causes;
-    add_section "whynot"
-      (Mv_experiments.Report.whynot_json ~nviews:!max_views ~nqueries:nq
-         causes)
+    one
+      (M.make "whynot"
+         ~params:
+           [
+             ("nviews", J.Int !max_views);
+             ("nqueries", J.Int (List.length w.H.queries));
+           ]
+         ~subs:
+           [
+             ( "causes",
+               List.map
+                 (fun (cause, n) ->
+                   M.make "cause"
+                     ~params:[ ("cause", J.String cause) ]
+                     ~metrics:[ ("pairs", J.Int n) ])
+                 (H.whynot w ~nviews:!max_views) );
+           ])
   end;
-  if what.exec then begin
+  if what.exec then
     (* the end-to-end execution benchmark: TPC-H-style data at growing
-       scales, hand-written views, the four (rewrite x adaptive) cells;
-       exits 3 if any cell's result is not bag-equal to direct legacy
-       execution *)
-    let ms =
-      List.map
-        (fun scale ->
-          Mv_experiments.Harness.exec_bench ~reps:!exec_reps ~scale ())
-        !exec_scales
-    in
-    Mv_experiments.Report.exec_table ms;
-    add_section "exec" (Mv_experiments.Report.exec_json ms);
-    if
-      not
-        (List.for_all
-           (fun m -> m.Mv_experiments.Harness.x_equivalent)
-           ms)
-    then begin
-      prerr_endline
-        "execution benchmark: a plan's result is not bag-equal to direct \
-         execution";
-      exit 3
-    end
-  end;
-  if what.maintain then begin
+       scales, hand-written views, the four (rewrite x adaptive) cells,
+       every result bag-checked against direct legacy execution *)
+    many "exec"
+      (List.map
+         (fun scale -> H.exec_bench ~reps:!exec_reps ~scale ())
+         !exec_scales);
+  if what.maintain then
     (* incremental view maintenance vs rematerialize-on-write: identical
-       random batches through both arms per (view count, batch size) cell;
-       exits 3 unless the maintained contents stay bag-equal and every
-       refreshed view statistics entry equals a rebuild from the contents *)
-    let m =
-      Mv_experiments.Harness.maintain ~batches:!batches
-        ~nviews_list:!maintain_views ~batch_sizes:!batch_rows ()
-    in
-    Mv_experiments.Report.maintenance_table m;
-    add_section "maintenance" (Mv_experiments.Report.maintenance_json m);
-    (* the per-window obs timeline the sampler domain collected over the
-       maintenance grid, surfaced top-level so json_check --require can pin
-       it without reading into the maintenance section *)
-    add_section "timeline" m.Mv_experiments.Harness.mm_timeline;
-    if
-      not
-        (m.Mv_experiments.Harness.mm_equivalent
-        && m.Mv_experiments.Harness.mm_stats_fresh)
-    then begin
-      prerr_endline
-        "maintenance benchmark: delta-maintained contents or statistics \
-         diverged from rematerialization";
-      exit 3
-    end
-  end;
-  if what.advise then begin
+       random batches through both arms per (view count, batch size) cell,
+       contents and refreshed statistics checked against rematerialization *)
+    one
+      (H.maintain ~batches:!batches ~nviews_list:!maintain_views
+         ~batch_sizes:!batch_rows ());
+  if what.advise then
     (* the view advisor: mine candidates from a generated workload, select
        under a storage budget, compare against random-equal-budget sets on
-       real optimizer cost; exits 3 if the advised set ever loses or blows
-       the budget — the comparison is purely model-cost-driven, so the
-       verdict is deterministic for fixed arguments *)
-    let ms =
-      List.map
-        (fun candidates ->
-          let nqueries = max 16 (candidates / 8) in
-          Mv_experiments.Harness.advise ~trials:!advise_trials
-            ~budget_frac:!advise_budget ~candidates ~nqueries ())
-        !advise_candidates
-    in
-    Mv_experiments.Report.advise_table ms;
-    add_section "advise" (Mv_experiments.Report.advise_json ms);
-    if
-      not
-        (List.for_all
-           (fun m ->
-             m.Mv_experiments.Harness.a_beats_random
-             && m.Mv_experiments.Harness.a_within_budget)
-           ms)
-    then begin
-      prerr_endline
-        "advisor benchmark: an advised view set lost to a random \
-         equal-budget set or exceeded the budget";
-      exit 3
-    end
-  end;
+       real optimizer cost — model-cost-driven, so the verdicts are
+       deterministic for fixed arguments *)
+    many "advise"
+      (List.map
+         (fun candidates ->
+           H.advise ~trials:!advise_trials ~budget_frac:!advise_budget
+             ~candidates ~nqueries:(max 16 (candidates / 8)) ())
+         !advise_candidates);
   if what.filtertree then
     add_section "filter_tree"
       (Filtertree.run ~domains:!domains (Option.get w) nviews_list);
   if what.micro then Micro.run ();
-  match !json_file with
+  (match !json_file with
   | None -> ()
   | Some file ->
       let doc =
@@ -487,4 +418,9 @@ let () =
           :: List.rev !json_sections)
       in
       Mv_experiments.Report.write_json file doc;
-      Printf.printf "\nwrote %s\n" file
+      Printf.printf "\nwrote %s\n" file);
+  if !failed <> [] then begin
+    Printf.eprintf "bench: verdict(s) failed: %s\n"
+      (String.concat ", " !failed);
+    exit 3
+  end

@@ -9,12 +9,6 @@
       why-not  explain why a specific view was not used for a query: the
                exact filter-tree stage that pruned it or the matcher's
                rejection reason
-      bench    measure batch optimization, optionally over several domains
-      cache-stats  serve repeated queries through the match/plan cache and
-               print its counters (hit/miss/eviction/invalidation)
-      serve    sustain an open-loop query stream over OCaml domains against
-               RCU registry snapshots under add/drop churn; print qps and
-               latency percentiles, replay sampled observations sequentially
       top      run a ledger-observed workload and print the per-view health
                table (times candidate/matched/chosen, estimated benefit,
                maintenance seconds) sorted by net benefit, dead views flagged
@@ -32,7 +26,9 @@
                workload cost before/after
 
     All commands run against the built-in TPC-H catalog. Statements can be
-    given inline or in files (one statement per file). *)
+    given inline or in files (one statement per file). The experiments
+    (batch optimization over domains, serving, caching) are driven by
+    bench/main.exe. *)
 
 open Cmdliner
 
@@ -49,17 +45,12 @@ let read_arg s =
 
 (* Every registry/metrics JSON dump below goes through
    [Mv_obs.Export.registry_json], so all subcommands emit the one schema:
-   {"metrics": <obs registry>, "timeline"?: ..., "health"?: ...,
-    <command section>...}. *)
-let dump_registry ?timeline ?health ?(extra = []) obs file =
-  let extra =
-    (match health with
-    | None -> []
-    | Some h -> [ ("health", Mv_core.Health.to_json h) ])
-    @ extra
-  in
+   {"metrics": <obs registry>, "timeline"?: ..., "health": ...}. *)
+let dump_registry ?timeline ~health obs file =
   Mv_experiments.Report.write_json file
-    (Mv_obs.Export.registry_json ?timeline ~extra obs);
+    (Mv_obs.Export.registry_json ?timeline
+       ~extra:[ ("health", Mv_core.Health.to_json health) ]
+       obs);
   Printf.printf "wrote %s\n" file
 
 (* ---- parse ---- *)
@@ -194,8 +185,8 @@ let explain_cmd =
       & info [ "stats" ]
           ~doc:
             "After optimizing, print the metrics table (rule counters, \
-             filter-tree per-level candidate flow, optimizer memo counters) \
-             and the rule trace.")
+             filter-tree per-level candidate flow, optimizer memo \
+             counters).")
   in
   let trace_flag =
     Arg.(
@@ -225,7 +216,7 @@ let explain_cmd =
              other subcommand's --json emits.")
   in
   let run views query execute show_stats trace trace_out json_file =
-    let registry = Mv_core.Registry.create ~tracing:show_stats schema in
+    let registry = Mv_core.Registry.create schema in
     let stats = Mv_tpch.Datagen.synthetic_stats () in
     List.iter
       (fun v ->
@@ -273,20 +264,8 @@ let explain_cmd =
         reports
     end;
     if show_stats then begin
-      let obs = registry.Mv_core.Registry.obs in
       print_newline ();
-      print_string (Mv_obs.Registry.render obs);
-      let tr = Mv_obs.Registry.trace obs in
-      if Mv_obs.Trace.length tr > 0 then begin
-        print_endline "rule trace:";
-        List.iter
-          (fun (e : Mv_obs.Trace.event) ->
-            Printf.printf "  #%d %s %s\n" e.Mv_obs.Trace.seq
-              e.Mv_obs.Trace.name
-              (Mv_obs.Json.to_string ~minify:true
-                 (Mv_obs.Json.Obj e.Mv_obs.Trace.fields)))
-          (Mv_obs.Trace.events tr)
-      end
+      print_string (Mv_obs.Registry.render registry.Mv_core.Registry.obs)
     end;
     (match json_file with
     | None -> ()
@@ -650,227 +629,6 @@ let advise_cmd =
       const run $ queries $ candidates $ budget $ seed $ write_fraction
       $ from_ledger)
 
-(* ---- bench ---- *)
-
-let bench_cmd =
-  let views =
-    Arg.(
-      value & opt int 200
-      & info [ "views" ] ~docv:"N" ~doc:"View population size.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 50
-      & info [ "queries" ] ~docv:"N" ~doc:"Query batch size.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Shard the query batch over $(docv) OCaml domains against one \
-             shared registry. With $(docv) > 1 the sequential run is \
-             measured too and the counter totals are cross-checked.")
-  in
-  let json_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also dump the measurements as JSON.")
-  in
-  let run views queries domains json_file =
-    let domains = max 1 domains in
-    let w =
-      Mv_experiments.Harness.make_workload ~nviews:views ~nqueries:queries ()
-    in
-    let config = { Mv_experiments.Harness.alt = true; filter = true } in
-    (* warmup, then sequential baseline, then (optionally) the sharded run *)
-    ignore (Mv_experiments.Harness.run w ~nviews:0 ~config);
-    let seq = Mv_experiments.Harness.run w ~nviews:views ~config in
-    let ms =
-      if domains = 1 then [ seq ]
-      else
-        [ seq; Mv_experiments.Harness.run ~domains w ~nviews:views ~config ]
-    in
-    Mv_experiments.Report.scaling_table ms;
-    (match ms with
-    | [ s; p ] ->
-        let agree =
-          s.Mv_experiments.Harness.candidates
-          = p.Mv_experiments.Harness.candidates
-          && s.Mv_experiments.Harness.matched
-             = p.Mv_experiments.Harness.matched
-          && s.Mv_experiments.Harness.substitutes
-             = p.Mv_experiments.Harness.substitutes
-          && s.Mv_experiments.Harness.plans_using_views
-             = p.Mv_experiments.Harness.plans_using_views
-          && s.Mv_experiments.Harness.level_flow
-             = p.Mv_experiments.Harness.level_flow
-        in
-        Printf.printf
-          "\nparallel run observationally equal to sequential: %b\n" agree;
-        if not agree then exit 3
-    | _ -> ());
-    match json_file with
-    | None -> ()
-    | Some file ->
-        dump_registry
-          ~extra:[ ("scaling", Mv_experiments.Report.scaling_json ms) ]
-          Mv_obs.Registry.global file
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Measure batch optimization over the section-5 workload, \
-          optionally sharded over OCaml domains")
-    Term.(const run $ views $ queries $ domains $ json_file)
-
-(* ---- cache-stats ---- *)
-
-let cache_stats_cmd =
-  let views =
-    Arg.(
-      value & opt int 100
-      & info [ "views" ] ~docv:"N" ~doc:"View population size.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 25
-      & info [ "queries" ] ~docv:"N" ~doc:"Distinct queries in the repeated batch.")
-  in
-  let passes =
-    Arg.(
-      value & opt int 3
-      & info [ "passes" ] ~docv:"N" ~doc:"Timed warm passes after the cold one.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Shard each pass over $(docv) OCaml domains (one shared cache).")
-  in
-  let capacity =
-    Arg.(
-      value & opt int 1024
-      & info [ "capacity" ] ~docv:"N" ~doc:"LRU capacity per cache layer.")
-  in
-  let json_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also dump the measurement as JSON.")
-  in
-  let run views queries passes domains capacity json_file =
-    let w =
-      Mv_experiments.Harness.make_workload ~nviews:views ~nqueries:queries ()
-    in
-    let m =
-      Mv_experiments.Harness.serving ~domains:(max 1 domains)
-        ~passes:(max 1 passes) ~capacity w ~nviews:views
-    in
-    Mv_experiments.Report.serving_table m;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-        dump_registry
-          ~extra:[ ("serving", Mv_experiments.Report.serving_json m) ]
-          Mv_obs.Registry.global file);
-    if
-      not
-        (m.Mv_experiments.Harness.warm_identical
-        && m.Mv_experiments.Harness.churn_consistent
-        && m.Mv_experiments.Harness.churn_no_stale)
-    then exit 3
-  in
-  Cmd.v
-    (Cmd.info "cache-stats"
-       ~doc:
-         "Serve a repeated query batch through the epoch-validated \
-          match/plan cache; print hit/miss/eviction/invalidation counters \
-          and warm-vs-cold latency")
-    Term.(const run $ views $ queries $ passes $ domains $ capacity $ json_file)
-
-(* ---- serve ---- *)
-
-let serve_cmd =
-  let views =
-    Arg.(
-      value & opt int 200
-      & info [ "views" ] ~docv:"N" ~doc:"View population size.")
-  in
-  let queries =
-    Arg.(
-      value & opt int 25
-      & info [ "queries" ] ~docv:"N" ~doc:"Distinct queries in the stream.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N" ~doc:"Serving domains (plus one churn mutator).")
-  in
-  let rate =
-    Arg.(
-      value & opt float 200.0
-      & info [ "rate" ] ~docv:"QPS"
-          ~doc:"Target arrival rate across all domains; 0 = closed loop.")
-  in
-  let duration =
-    Arg.(
-      value & opt float 1.0
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Timed-window length.")
-  in
-  let fixed =
-    Arg.(
-      value & flag
-      & info [ "fixed" ]
-          ~doc:"Fixed-rate arrivals instead of the Poisson default.")
-  in
-  let churn =
-    Arg.(
-      value & opt float 0.12
-      & info [ "churn-period" ] ~docv:"SECONDS"
-          ~doc:"Seconds between add/drop mutations; 0 disables churn.")
-  in
-  let json_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also dump the measurement as JSON.")
-  in
-  let run views queries domains rate duration fixed churn json_file =
-    let w =
-      Mv_experiments.Harness.make_workload ~nviews:views ~nqueries:queries ()
-    in
-    let module S = Mv_experiments.Serve in
-    let cfg =
-      {
-        S.default_cfg with
-        S.nviews = views;
-        domains = max 1 domains;
-        rate;
-        poisson = not fixed;
-        duration = Float.max 0.05 duration;
-        churn_period = churn;
-      }
-    in
-    let m = S.run ~cfg w in
-    Mv_experiments.Report.serve_table m;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-        dump_registry
-          ~extra:
-            [ ("serving_throughput", Mv_experiments.Report.serve_json m) ]
-          Mv_obs.Registry.global file);
-    if not m.S.sv_consistent then exit 3
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Sustain an open-loop query stream over OCaml domains against RCU \
-          registry snapshots under add/drop churn; print throughput and \
-          latency percentiles and replay sampled observations sequentially")
-    Term.(
-      const run $ views $ queries $ domains $ rate $ duration $ fixed $ churn
-      $ json_file)
-
 (* ---- top / metrics ---- *)
 
 (* Optimize a generated workload against its view population [passes]
@@ -1172,9 +930,6 @@ let main =
       whynot_cmd;
       generate_cmd;
       advise_cmd;
-      bench_cmd;
-      cache_stats_cmd;
-      serve_cmd;
       top_cmd;
       metrics_cmd;
       refresh_cmd;

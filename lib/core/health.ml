@@ -20,7 +20,7 @@ type account = {
   a_candidate : int Atomic.t;  (** survived the filter tree *)
   a_matched : int Atomic.t;  (** produced a substitute *)
   a_chosen : int Atomic.t;  (** appeared in a final plan *)
-  a_cache_hits : int Atomic.t;  (** served from plan cache / L1 *)
+  a_cache_hits : int Atomic.t;  (** served from the plan cache *)
   a_stale_flips : int Atomic.t;  (** fresh -> stale transitions *)
   a_maint_events : int Atomic.t;  (** maintenance batches applied *)
   a_lock : Mutex.t;
@@ -245,7 +245,7 @@ let render ?(limit = 0) t =
     List.fold_left (fun acc r -> max acc (String.length r.r_view)) 4 rs
   in
   Printf.bprintf b "  %-*s %9s %9s %9s %7s %7s %6s %12s %10s %12s  %s\n" width
-    "view" "candidate" "matched" "chosen" "l1+hit" "stale" "maint" "benefit"
+    "view" "candidate" "matched" "chosen" "cached" "stale" "maint" "benefit"
     "maint_s" "net" "";
   List.iter
     (fun r ->

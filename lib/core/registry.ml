@@ -6,10 +6,10 @@
     All measurement goes through an [Mv_obs] registry (one scoped instance
     per view registry unless the caller shares one): the rule maintains the
     [rule.*] counters and the [rule.time] wall+CPU timer, the filter tree
-    contributes its per-level [filter_tree.*] counters, and — when tracing
-    is on — every invocation appends a [rule] event carrying the query's
-    table set and the candidate/match counts. The historical [stats] record
-    survives as a read-only façade computed from the instruments. *)
+    contributes its per-level [filter_tree.*] counters. A per-invocation
+    record (tables, candidates, match verdicts, wall time) is the [rule]
+    span of a traced optimization ({!Mv_obs.Span}). The historical [stats]
+    record survives as a read-only façade computed from the instruments. *)
 
 module A = Mv_relalg.Analysis
 module Obs = Mv_obs.Registry
@@ -40,7 +40,6 @@ type t = {
   tree : Filter_tree.t;
   obs : Obs.t;
   health : Health.t;
-  tracing : bool;
   epoch : int Atomic.t;
       (** bumped by every effective add/drop; caches key their entries by
           it (see [Mv_opt.Match_cache]). Atomic so reader domains see a
@@ -60,12 +59,8 @@ type t = {
 exception Duplicate_view of string
 
 let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
-    ?obs ?(tracing = false) schema =
-  let obs =
-    match obs with
-    | Some o -> o
-    | None -> Obs.create ~trace_capacity:(if tracing then 256 else 0) ()
-  in
+    ?obs schema =
+  let obs = match obs with Some o -> o | None -> Obs.create () in
   {
     schema;
     relaxed_nulls;
@@ -80,7 +75,6 @@ let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
         ();
     obs;
     health = Health.create ();
-    tracing;
     epoch = Atomic.make 0;
     snap = Atomic.make None;
     write = Mutex.create ();
@@ -316,23 +310,6 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
       Health.record_matched t.health s.Substitute.view.View.name)
     subs;
   Mv_obs.Instrument.exit_into (Obs.timer t.obs "rule.time") span;
-  if t.tracing then begin
-    let wall, _ = Mv_obs.Instrument.elapsed span in
-    Mv_obs.Trace.record (Obs.trace t.obs) "rule"
-      [
-        ("tables", Mv_obs.Json.String (Mv_util.Sset.to_string q.A.table_set));
-        ("population", Mv_obs.Json.Int (List.length s.snap_views));
-        ("candidates", Mv_obs.Json.Int (List.length cands));
-        ("matched", Mv_obs.Json.Int (List.length subs));
-        ( "views",
-          Mv_obs.Json.List
-            (List.map
-               (fun (s : Substitute.t) ->
-                 Mv_obs.Json.String s.Substitute.view.View.name)
-               subs) );
-        ("wall_s", Mv_obs.Json.Float wall);
-      ]
-  end;
   (cands, subs)
 
 let find_substitutes ?spans ?snap ?fresh_only t (q : A.t) :

@@ -48,9 +48,6 @@ type t = {
           chosen/benefit (optimizer), maintenance ([Mv_engine.Ivm]) and
           cache hits (serving front end). Keyed by view name, so accounts
           survive churn and republication. *)
-  tracing : bool;
-      (** append a [rule] trace event per invocation (requires an [obs]
-          with a nonzero trace capacity; [create ~tracing:true] makes one) *)
   epoch : int Atomic.t;
       (** registry epoch: bumped by every effective {!add_view} /
           {!add_prebuilt} / {!remove_view}. Caches stamp their entries with
@@ -72,7 +69,6 @@ val create :
   ?backjoins:bool ->
   ?use_filter:bool ->
   ?obs:Mv_obs.Registry.t ->
-  ?tracing:bool ->
   Mv_catalog.Schema.t ->
   t
 

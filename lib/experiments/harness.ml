@@ -4,6 +4,7 @@
     collect the counters the paper reports. *)
 
 module Spjg = Mv_relalg.Spjg
+module J = Mv_obs.Json
 
 type config = { alt : bool; filter : bool }
 
@@ -227,165 +228,7 @@ let whynot (w : workload) ~nviews : (string * int) list =
   |> List.sort (fun (c1, n1) (c2, n2) ->
          match compare n2 n1 with 0 -> String.compare c1 c2 | c -> c)
 
-(* ---- the serving benchmark (dynamic registry + match/plan cache) ---- *)
-
-type serving_measurement = {
-  s_nviews : int;
-  s_queries : int;
-  s_passes : int;  (** timed warm passes *)
-  s_domains : int;
-  s_capacity : int;
-  cold_wall : float;  (** seconds for the first (cache-filling) pass *)
-  warm_wall : float;  (** per-pass average over the warm passes *)
-  warm_speedup : float;  (** [cold_wall /. warm_wall] *)
-  hit_rate : float;
-      (** plan-layer hits during the warm passes / plan lookups issued *)
-  match_hits : int;
-  match_misses : int;
-  match_evictions : int;
-  match_invalidations : int;
-  plan_hits : int;
-  plan_misses : int;
-  plan_evictions : int;
-  plan_invalidations : int;  (** all counters: totals over the whole run *)
-  warm_identical : bool;
-      (** every warm pass returned byte-identical plans to the cold pass *)
-  churn_invalidations : int;
-      (** cache invalidations observed after the drop and the re-add *)
-  churn_consistent : bool;
-      (** after each mutation the cached pass is byte-identical to an
-          uncached pass against the same (mutated) registry *)
-  churn_no_stale : bool;
-      (** no post-drop plan references the dropped view *)
-}
-
-(* Repeated-query serving against one registry and one match/plan cache:
-   a cold pass fills the cache, [passes] warm passes measure the hit path,
-   then a view drop and a re-add verify the epoch protocol end to end —
-   the invalidation counters move and the cached results stay byte-equal
-   to uncached optimization against the same registry. *)
-let serving ?(domains = 1) ?(passes = 3) ?(capacity = 1024) (w : workload)
-    ~nviews : serving_measurement =
-  let registry = Mv_core.Registry.create w.schema in
-  let views = take nviews w.views in
-  List.iter (Mv_core.Registry.add_prebuilt registry) views;
-  Mv_relalg.Intern.freeze ();
-  let cache = Mv_opt.Match_cache.create ~capacity registry in
-  let obs = registry.Mv_core.Registry.obs in
-  let cval name = Mv_obs.Registry.counter_value obs name in
-  let queries = Array.of_list w.queries in
-  let nq = Array.length queries in
-  let pass ?cache () =
-    let span = Mv_obs.Instrument.enter () in
-    let plans =
-      Pool.map_chunked ~domains nq (fun i ->
-          let r =
-            Mv_opt.Optimizer.optimize ?cache registry w.stats queries.(i)
-          in
-          ( Mv_opt.Plan.to_string r.Mv_opt.Optimizer.plan,
-            Mv_opt.Plan.views_used r.Mv_opt.Optimizer.plan ))
-    in
-    let wall, _ = Mv_obs.Instrument.elapsed span in
-    (wall, plans)
-  in
-  let cold_wall, cold_plans = pass ~cache () in
-  let hits_after_cold = cval "cache.plan.hits" in
-  let passes = max 1 passes in
-  let warm = List.init passes (fun _ -> pass ~cache ()) in
-  let warm_wall =
-    List.fold_left (fun acc (wl, _) -> acc +. wl) 0.0 warm
-    /. float_of_int passes
-  in
-  let warm_identical =
-    List.for_all (fun (_, plans) -> plans = cold_plans) warm
-  in
-  let warm_hits = cval "cache.plan.hits" - hits_after_cold in
-  let hit_rate =
-    if nq = 0 then 0.0 else float_of_int warm_hits /. float_of_int (nq * passes)
-  in
-  (* churn: drop one view, then add it back; after each mutation the
-     cached pass must agree byte-for-byte with an uncached one against
-     the same registry, and the invalidation counters must move *)
-  let inval () =
-    cval "cache.plan.invalidations" + cval "cache.match.invalidations"
-  in
-  let inval_before = inval () in
-  let check_churn mutate =
-    mutate ();
-    let _, cached = pass ~cache () in
-    let _, direct = pass () in
-    cached = direct
-  in
-  let consistent_after_drop, no_stale, consistent_after_readd =
-    match views with
-    | [] -> (true, true, true)
-    | v :: _ ->
-        let name = v.Mv_core.View.name in
-        let ok_drop =
-          check_churn (fun () -> Mv_core.Registry.remove_view registry name)
-        in
-        let no_stale =
-          (* re-check the post-drop cached pass via the cache itself *)
-          let _, plans = pass ~cache () in
-          List.for_all (fun (_, used) -> not (List.mem name used)) plans
-        in
-        let ok_readd =
-          check_churn (fun () -> Mv_core.Registry.add_prebuilt registry v)
-        in
-        (ok_drop, no_stale, ok_readd)
-  in
-  {
-    s_nviews = nviews;
-    s_queries = nq;
-    s_passes = passes;
-    s_domains = max 1 domains;
-    s_capacity = capacity;
-    cold_wall;
-    warm_wall;
-    warm_speedup = (if warm_wall > 0.0 then cold_wall /. warm_wall else 1.0);
-    hit_rate;
-    match_hits = cval "cache.match.hits";
-    match_misses = cval "cache.match.misses";
-    match_evictions = cval "cache.match.evictions";
-    match_invalidations = cval "cache.match.invalidations";
-    plan_hits = cval "cache.plan.hits";
-    plan_misses = cval "cache.plan.misses";
-    plan_evictions = cval "cache.plan.evictions";
-    plan_invalidations = cval "cache.plan.invalidations";
-    warm_identical;
-    churn_invalidations = inval () - inval_before;
-    churn_consistent = consistent_after_drop && consistent_after_readd;
-    churn_no_stale = no_stale;
-  }
-
 (* ---- the end-to-end execution benchmark (bench --exec) ---- *)
-
-type exec_cell = { xc_rewrite : bool; xc_adaptive : bool; xc_wall : float }
-
-type exec_node = {
-  xn_query : string;
-  xn_label : string;
-  xn_strategy : string;
-  xn_est : float;
-  xn_actual : int;
-}
-
-type exec_measurement = {
-  x_scale : int;
-  x_rows : int;
-  x_views : int;
-  x_queries : int;
-  x_reps : int;
-  x_cells : exec_cell list;
-  x_rewrite_speedup : float;
-  x_adaptive_speedup : float;
-  x_plans_with_views : int;
-  x_prunes : int;
-  x_stats_missing : int;
-  x_equivalent : bool;
-  x_strategies : (string * int) list;
-  x_nodes : exec_node list;
-}
 
 (* Hand-written views guaranteed to match some of the queries below: an
    o_custkey revenue rollup, a quantity-filtered SPJ slice, and a brand
@@ -438,7 +281,7 @@ let exec_queries =
    cells. Every cell's result is checked bag-equal against direct legacy
    execution of the original query; plans are computed outside the timing
    loop, so the cells measure execution only. *)
-let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : exec_measurement =
+let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
   let schema = Mv_tpch.Schema.schema in
   let db = Mv_tpch.Datagen.generate ~seed ~scale () in
   let base_rows =
@@ -531,21 +374,6 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : exec_measurement =
         acc.(i) <- acc.(i) +. wall)
       grid
   done;
-  let cells =
-    List.mapi
-      (fun i (rewrite, adaptive) ->
-        { xc_rewrite = rewrite; xc_adaptive = adaptive; xc_wall = acc.(i) })
-      grid
-  in
-  let wall ~rewrite ~adaptive =
-    match
-      List.find_opt
-        (fun c -> c.xc_rewrite = rewrite && c.xc_adaptive = adaptive)
-        cells
-    with
-    | Some c -> c.xc_wall
-    | None -> 0.0
-  in
   let ratio a b = if b > 0.0 then a /. b else 1.0 in
   (* per-node estimated-vs-actual rows, from the rewrite+adaptive arm *)
   let nodes =
@@ -558,74 +386,59 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : exec_measurement =
            in
            List.map
              (fun (nr : Mv_opt.Plan_exec.node_report) ->
-               {
-                 xn_query = qn;
-                 xn_label = nr.Mv_opt.Plan_exec.nr_label;
-                 xn_strategy = nr.Mv_opt.Plan_exec.nr_strategy;
-                 xn_est = nr.Mv_opt.Plan_exec.nr_est;
-                 xn_actual = nr.Mv_opt.Plan_exec.nr_actual;
-               })
+               Measure.make "node"
+                 ~params:
+                   [
+                     ("query", J.String qn);
+                     ("node", J.String nr.Mv_opt.Plan_exec.nr_label);
+                     ("strategy", J.String nr.Mv_opt.Plan_exec.nr_strategy);
+                   ]
+                 ~metrics:
+                   [
+                     ("est_rows", J.Float nr.Mv_opt.Plan_exec.nr_est);
+                     ("actual_rows", J.Int nr.Mv_opt.Plan_exec.nr_actual);
+                   ])
              reports)
          queries rw)
   in
-  {
-    x_scale = scale;
-    x_rows = base_rows;
-    x_views = List.length views;
-    x_queries = List.length queries;
-    x_reps = reps;
-    x_cells = cells;
-    x_rewrite_speedup =
-      ratio (wall ~rewrite:false ~adaptive:true)
-        (wall ~rewrite:true ~adaptive:true);
-    x_adaptive_speedup =
-      ratio (wall ~rewrite:true ~adaptive:false)
-        (wall ~rewrite:true ~adaptive:true);
-    x_plans_with_views = plans_with_views;
-    x_prunes = prunes;
-    x_stats_missing = gval "cost.stats.missing" - missing0;
-    x_equivalent = !equivalent;
-    x_strategies =
-      List.map (fun (k, v0) -> (k, gval ("exec.join.strategy." ^ k) - v0)) strat0;
-    x_nodes = nodes;
-  }
+  Measure.make "exec"
+    ~params:
+      [
+        ("scale", J.Int scale);
+        ("rows", J.Int base_rows);
+        ("views", J.Int (List.length views));
+        ("queries", J.Int (List.length queries));
+        ("reps", J.Int reps);
+      ]
+    ~metrics:
+      ([
+         (* grid order: acc.(1) = base/adaptive, acc.(2) = views/hash,
+            acc.(3) = views/adaptive *)
+         ("rewrite_speedup", J.Float (ratio acc.(1) acc.(3)));
+         ("adaptive_speedup", J.Float (ratio acc.(2) acc.(3)));
+         ("plans_with_views", J.Int plans_with_views);
+         ("cost_bound_prunes", J.Int prunes);
+         ("stats_missing", J.Int (gval "cost.stats.missing" - missing0));
+       ]
+      @ List.map
+          (fun (k, v0) ->
+            ("strategies." ^ k, J.Int (gval ("exec.join.strategy." ^ k) - v0)))
+          strat0)
+    ~verdicts:[ ("equivalent", !equivalent) ]
+    ~subs:
+      [
+        ( "cells",
+          List.mapi
+            (fun i (rewrite, adaptive) ->
+              Measure.make "cell"
+                ~params:
+                  [ ("rewrite", J.Bool rewrite); ("adaptive", J.Bool adaptive) ]
+                ~metrics:[ ("wall_s", J.Float acc.(i)) ])
+            grid );
+        ("nodes", nodes);
+      ]
 
 (* ---- maintenance benchmark (bench --maintain) ------------------------ *)
-
-type maintain_cell = {
-  m_nviews : int;
-  m_batch_rows : int;  (** base rows written per batch (inserts + deletes) *)
-  m_batches : int;
-  m_rows_written : int;  (** total base rows written over the cell *)
-  m_delta_wall : float;  (** total seconds, incremental-maintenance arm *)
-  m_remat_wall : float;  (** total seconds, full-rematerialization arm *)
-  m_delta_p50 : float;
-  m_delta_p90 : float;
-  m_delta_p99 : float;  (** per-batch seconds, delta arm *)
-  m_remat_p50 : float;
-  m_remat_p90 : float;
-  m_remat_p99 : float;  (** per-batch seconds, rematerialization arm *)
-  m_speedup : float;  (** [m_remat_wall /. m_delta_wall] *)
-  m_equivalent : bool;
-      (** every view's delta-maintained contents ended bag-equal (floats
-          within tolerance) to the rematerialized arm's *)
-  m_stats_fresh : bool;
-      (** every [Ivm.refresh_stats] entry equals [Database.table_stats] of
-          the maintained contents *)
-}
-
-type maintain_measurement = {
-  mm_scale : int;
-  mm_base_rows : int;
-  mm_pool : int;  (** generator view pool size *)
-  mm_batches : int;
-  mm_cells : maintain_cell list;
-  mm_equivalent : bool;  (** conjunction over the cells *)
-  mm_stats_fresh : bool;
-  mm_timeline : Mv_obs.Json.t;
-      (** {!Mv_obs.Timeline} export: per-window maintain.delta/remat
-          histogram stats sampled by a dedicated domain across the grid *)
-}
 
 (* Near-equality of view contents: float columns compare within a relative
    tolerance, because incremental SUM maintenance reorders float additions
@@ -655,7 +468,7 @@ let bag_close rows_a rows_b =
    (foreign keys keep holding, join deltas fire) and delete randomly
    picked distinct row instances of one randomly chosen source table. *)
 let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
-    : maintain_cell =
+    : Measure.t =
   let views = take nviews pool in
   let dba = Mv_engine.Database.copy db0 in
   let dbb = Mv_engine.Database.copy db0 in
@@ -744,29 +557,25 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
         = Some (Mv_engine.Database.table_stats dba name))
       dirty
   in
-  let q h p = Mv_obs.Instrument.quantile h p in
   let delta_wall = Mv_obs.Instrument.sum delta_h in
   let remat_wall = Mv_obs.Instrument.sum remat_h in
-  {
-    m_nviews = nviews;
-    m_batch_rows = batch_rows;
-    m_batches = Mv_obs.Instrument.count delta_h;
-    m_rows_written = !rows_written;
-    m_delta_wall = delta_wall;
-    m_remat_wall = remat_wall;
-    m_delta_p50 = q delta_h 0.5;
-    m_delta_p90 = q delta_h 0.9;
-    m_delta_p99 = q delta_h 0.99;
-    m_remat_p50 = q remat_h 0.5;
-    m_remat_p90 = q remat_h 0.9;
-    m_remat_p99 = q remat_h 0.99;
-    m_speedup = (if delta_wall > 0.0 then remat_wall /. delta_wall else 1.0);
-    m_equivalent = equivalent;
-    m_stats_fresh = stats_fresh;
-  }
+  Measure.make "cell"
+    ~params:[ ("nviews", J.Int nviews); ("batch_rows", J.Int batch_rows) ]
+    ~metrics:
+      [
+        ("batches", J.Int (Mv_obs.Instrument.count delta_h));
+        ("rows_written", J.Int !rows_written);
+        ("delta_wall_s", J.Float delta_wall);
+        ("remat_wall_s", J.Float remat_wall);
+        ( "speedup",
+          J.Float (if delta_wall > 0.0 then remat_wall /. delta_wall else 1.0) );
+      ]
+    ~pcts:
+      [ ("delta", Measure.pct_of delta_h); ("remat", Measure.pct_of remat_h) ]
+    ~verdicts:[ ("equivalent", equivalent); ("stats_fresh", stats_fresh) ]
 
 let maintain ?(seed = 42) ?(batches = 12) ?(scale = 1) ~nviews_list
-    ~batch_sizes () : maintain_measurement =
+    ~batch_sizes () : Measure.t =
   let schema = Mv_tpch.Schema.schema in
   let db0 = Mv_tpch.Datagen.generate ~seed ~scale () in
   let base_rows =
@@ -802,16 +611,19 @@ let maintain ?(seed = 42) ?(batches = 12) ?(scale = 1) ~nviews_list
       nviews_list
   in
   Mv_obs.Timeline.stop sampler;
-  {
-    mm_scale = scale;
-    mm_base_rows = base_rows;
-    mm_pool = List.length pool;
-    mm_batches = batches;
-    mm_cells = cells;
-    mm_equivalent = List.for_all (fun c -> c.m_equivalent) cells;
-    mm_stats_fresh = List.for_all (fun c -> c.m_stats_fresh) cells;
-    mm_timeline = Mv_obs.Timeline.to_json tl;
-  }
+  let all k = List.for_all (fun c -> Measure.verdict c k) cells in
+  Measure.make "maintenance"
+    ~params:
+      [
+        ("scale", J.Int scale);
+        ("base_rows", J.Int base_rows);
+        ("pool", J.Int (List.length pool));
+        ("batches", J.Int batches);
+      ]
+    ~metrics:[ ("timeline", Mv_obs.Timeline.to_json tl) ]
+    ~verdicts:
+      [ ("equivalent", all "equivalent"); ("stats_fresh", all "stats_fresh") ]
+    ~subs:[ ("cells", cells) ]
 
 (* The full grid for the figures. A discarded warmup run first: the very
    first measurement otherwise pays one-time allocation/GC costs. *)
@@ -825,41 +637,64 @@ let sweep ?(domains = 1) (w : workload) ~nviews_list ~configs :
       List.map (fun config -> run w ~domains ~nviews ~config) configs)
     nviews_list
 
+(* The counters that must not move with the domain count: only the
+   timings may differ between rows of one scaling sweep. *)
+let counters_agree (ms : measurement list) =
+  match ms with
+  | [] -> true
+  | m0 :: rest ->
+      List.for_all
+        (fun m ->
+          m.candidates = m0.candidates
+          && m.matched = m0.matched
+          && m.substitutes = m0.substitutes
+          && m.plans_using_views = m0.plans_using_views
+          && m.level_flow = m0.level_flow)
+        rest
+
 (* Domain-scaling sweep: the same (nviews, Alt&Filter) cell measured at
-   each domain count, after one discarded warmup. The per-measurement
-   counters must not vary across rows — only the timings may. *)
-let scaling (w : workload) ~nviews ~domains_list : measurement list =
+   each domain count, after one discarded warmup; speedup is
+   wall(1 domain) / wall(N). *)
+let scaling (w : workload) ~nviews ~domains_list : Measure.t =
   let config = { alt = true; filter = true } in
   ignore (run w ~nviews ~config);
-  List.map (fun domains -> run w ~domains ~nviews ~config) domains_list
+  let ms =
+    List.map (fun domains -> run w ~domains ~nviews ~config) domains_list
+  in
+  let base = List.find_opt (fun m -> m.domains = 1) ms in
+  let speedup m =
+    match base with
+    | Some b when m.wall_time > 0.0 -> b.wall_time /. m.wall_time
+    | _ -> 1.0
+  in
+  Measure.make "scaling"
+    ~params:
+      [ ("nviews", J.Int nviews); ("queries", J.Int (List.length w.queries)) ]
+    ~verdicts:[ ("counters_agree", counters_agree ms) ]
+    ~subs:
+      [
+        ( "rows",
+          List.map
+            (fun m ->
+              Measure.make "row"
+                ~params:[ ("domains", J.Int m.domains) ]
+                ~metrics:
+                  [
+                    ("wall_time_s", J.Float m.wall_time);
+                    ("cpu_time_s", J.Float m.cpu_time);
+                    ("speedup", J.Float (speedup m));
+                    ("candidates", J.Int m.candidates);
+                    ("matched", J.Int m.matched);
+                    ("substitutes", J.Int m.substitutes);
+                    ("plans_using_views", J.Int m.plans_using_views);
+                  ])
+            ms );
+      ]
 
 (* ---- the view-advisor benchmark (bench --advise) ---- *)
 
-type advise_measurement = {
-  a_candidates : int;
-  a_mined : int;
-  a_queries : int;
-  a_budget : float;
-  a_used : float;
-  a_picks : int;
-  a_considered : int;
-  a_rejected : int;
-  a_cost_none : float;
-  a_cost_advised : float;
-  a_cost_random : float list;
-  a_model_before : float;
-  a_model_after : float;
-  a_plans_using_views : int;
-  a_p50 : float;
-  a_p90 : float;
-  a_p99 : float;
-  a_wall : float;
-  a_beats_random : bool;
-  a_within_budget : bool;
-}
-
 let advise ?(seed = 0) ?(trials = 5) ?(write_fraction = 0.1)
-    ?(budget_frac = 0.05) ~candidates ~nqueries () : advise_measurement =
+    ?(budget_frac = 0.05) ~candidates ~nqueries () : Measure.t =
   let span = Mv_obs.Instrument.enter () in
   (* a different query workload per candidate scale, so the scales are
      independent observations *)
@@ -945,26 +780,34 @@ let advise ?(seed = 0) ?(trials = 5) ?(write_fraction = 0.1)
   in
   let wall, _ = Mv_obs.Instrument.elapsed span in
   let tol = 1e-9 *. (1.0 +. cost_none) in
-  {
-    a_candidates = candidates;
-    a_mined = List.length mined;
-    a_queries = List.length w.queries;
-    a_budget = budget;
-    a_used = advice.Mv_opt.Advisor.used_budget;
-    a_picks = List.length advice.Mv_opt.Advisor.picks;
-    a_considered = advice.Mv_opt.Advisor.considered;
-    a_rejected = advice.Mv_opt.Advisor.rejected;
-    a_cost_none = cost_none;
-    a_cost_advised = cost_advised;
-    a_cost_random = cost_random;
-    a_model_before = advice.Mv_opt.Advisor.cost_before;
-    a_model_after = advice.Mv_opt.Advisor.cost_after;
-    a_plans_using_views = plans_using_views;
-    a_p50 = Mv_obs.Instrument.quantile h 0.5;
-    a_p90 = Mv_obs.Instrument.quantile h 0.9;
-    a_p99 = Mv_obs.Instrument.quantile h 0.99;
-    a_wall = wall;
-    a_beats_random =
-      List.for_all (fun c -> cost_advised <= c +. tol) cost_random;
-    a_within_budget = advice.Mv_opt.Advisor.used_budget <= budget +. tol;
-  }
+  Measure.make "advise"
+    ~params:
+      [
+        ("candidates", J.Int candidates);
+        ("queries", J.Int (List.length w.queries));
+        ("budget_rows", J.Float budget);
+      ]
+    ~metrics:
+      [
+        ("mined", J.Int (List.length mined));
+        ("used_rows", J.Float advice.Mv_opt.Advisor.used_budget);
+        ("picks", J.Int (List.length advice.Mv_opt.Advisor.picks));
+        ("considered", J.Int advice.Mv_opt.Advisor.considered);
+        ("rejected", J.Int advice.Mv_opt.Advisor.rejected);
+        ("cost_none", J.Float cost_none);
+        ("cost_advised", J.Float cost_advised);
+        ("cost_random", J.List (List.map (fun c -> J.Float c) cost_random));
+        ( "cost_random_best",
+          J.Float (List.fold_left Float.min infinity cost_random) );
+        ("model_before", J.Float advice.Mv_opt.Advisor.cost_before);
+        ("model_after", J.Float advice.Mv_opt.Advisor.cost_after);
+        ("plans_using_views", J.Int plans_using_views);
+        ("wall_s", J.Float wall);
+      ]
+    ~pcts:[ ("latency", Measure.pct_of h) ]
+    ~verdicts:
+      [
+        ( "beats_random",
+          List.for_all (fun c -> cost_advised <= c +. tol) cost_random );
+        ("within_budget", advice.Mv_opt.Advisor.used_budget <= budget +. tol);
+      ]

@@ -205,464 +205,6 @@ let measurement_json (m : Harness.measurement) =
 let measurements_json (ms : Harness.measurement list) =
   J.List (List.map measurement_json ms)
 
-(* ---- domain-scaling report (the multicore sweep) ---- *)
-
-(* Speedup of each row relative to the 1-domain row of the same sweep
-   (1.0 when absent or unmeasurable). *)
-let scaling_speedup (ms : Harness.measurement list)
-    (m : Harness.measurement) =
-  match List.find_opt (fun (b : Harness.measurement) -> b.Harness.domains = 1) ms with
-  | Some base when m.Harness.wall_time > 0.0 ->
-      base.Harness.wall_time /. m.Harness.wall_time
-  | _ -> 1.0
-
-let scaling_table (ms : Harness.measurement list) =
-  pr "\n== Domain scaling: one shared registry, query batch sharded ==\n";
-  pr "(Alt&Filter; identical counter totals required across rows —\n";
-  pr "only the timings may move. Speedup is wall(1 domain)/wall(N).)\n\n";
-  pr "%8s %8s %12s %12s %10s %12s %12s\n" "domains" "views" "wall" "cpu"
-    "speedup" "candidates" "substitutes";
-  List.iter
-    (fun (m : Harness.measurement) ->
-      pr "%8d %8d %11.3fs %11.3fs %9.2fx %12d %12d\n" m.Harness.domains
-        m.Harness.nviews m.Harness.wall_time m.Harness.cpu_time
-        (scaling_speedup ms m) m.Harness.candidates m.Harness.substitutes)
-    ms
-
-let scaling_json (ms : Harness.measurement list) =
-  J.List
-    (List.map
-       (fun (m : Harness.measurement) ->
-         match measurement_json m with
-         | J.Obj fields ->
-             J.Obj (fields @ [ ("speedup", J.Float (scaling_speedup ms m)) ])
-         | j -> j)
-       ms)
-
-(* ---- serving report (dynamic registry + match/plan cache) ---- *)
-
-let serving_table (m : Harness.serving_measurement) =
-  pr "\n== Serving: repeated queries through the match/plan cache ==\n";
-  pr "(one registry, %d views; epoch-validated LRU, capacity %d;\n"
-    m.Harness.s_nviews m.Harness.s_capacity;
-  pr " a drop and a re-add between passes exercise invalidation)\n\n";
-  pr "%10s %8s %8s %8s\n" "queries" "passes" "domains" "views";
-  pr "%10d %8d %8d %8d\n\n" m.Harness.s_queries m.Harness.s_passes
-    m.Harness.s_domains m.Harness.s_nviews;
-  pr "cold pass:        %10.4fs\n" m.Harness.cold_wall;
-  pr "warm pass (avg):  %10.4fs\n" m.Harness.warm_wall;
-  pr "warm speedup:     %9.1fx\n" m.Harness.warm_speedup;
-  pr "warm hit rate:    %9.1f%%\n" (100.0 *. m.Harness.hit_rate);
-  pr "\n%-24s %10s %10s %10s %14s\n" "counter" "hits" "misses" "evictions"
-    "invalidations";
-  pr "%-24s %10d %10d %10d %14d\n" "cache.match" m.Harness.match_hits
-    m.Harness.match_misses m.Harness.match_evictions
-    m.Harness.match_invalidations;
-  pr "%-24s %10d %10d %10d %14d\n" "cache.plan" m.Harness.plan_hits
-    m.Harness.plan_misses m.Harness.plan_evictions
-    m.Harness.plan_invalidations;
-  pr "\nwarm plans byte-identical to cold: %b\n" m.Harness.warm_identical;
-  pr "churn invalidations (drop + re-add): %d\n" m.Harness.churn_invalidations;
-  pr "churn passes match uncached optimization: %b\n"
-    m.Harness.churn_consistent;
-  pr "no post-drop plan uses the dropped view: %b\n" m.Harness.churn_no_stale
-
-let serving_json (m : Harness.serving_measurement) =
-  J.Obj
-    [
-      ("nviews", J.Int m.Harness.s_nviews);
-      ("queries", J.Int m.Harness.s_queries);
-      ("passes", J.Int m.Harness.s_passes);
-      ("domains", J.Int m.Harness.s_domains);
-      ("capacity", J.Int m.Harness.s_capacity);
-      ("cold_wall_s", J.Float m.Harness.cold_wall);
-      ("warm_wall_s", J.Float m.Harness.warm_wall);
-      ("warm_speedup", J.Float m.Harness.warm_speedup);
-      ("hit_rate", J.Float m.Harness.hit_rate);
-      ( "match",
-        J.Obj
-          [
-            ("hits", J.Int m.Harness.match_hits);
-            ("misses", J.Int m.Harness.match_misses);
-            ("evictions", J.Int m.Harness.match_evictions);
-            ("invalidations", J.Int m.Harness.match_invalidations);
-          ] );
-      ( "plan",
-        J.Obj
-          [
-            ("hits", J.Int m.Harness.plan_hits);
-            ("misses", J.Int m.Harness.plan_misses);
-            ("evictions", J.Int m.Harness.plan_evictions);
-            ("invalidations", J.Int m.Harness.plan_invalidations);
-          ] );
-      ("warm_identical", J.Bool m.Harness.warm_identical);
-      ("churn_invalidations", J.Int m.Harness.churn_invalidations);
-      ("churn_consistent", J.Bool m.Harness.churn_consistent);
-      ("churn_no_stale", J.Bool m.Harness.churn_no_stale);
-    ]
-
-(* ---- serving-throughput report (RCU front end, open-loop driver) ---- *)
-
-let serve_table (m : Serve.measurement) =
-  pr "\n== Serving throughput: open-loop stream over RCU snapshots ==\n";
-  pr "(%d views, %d serving domains + 1 churn mutator; %s arrivals at\n"
-    m.Serve.sv_nviews m.Serve.sv_domains
-    (if m.Serve.sv_poisson then "Poisson" else "fixed-rate");
-  pr " %.0f qps target; readers pin wait-free snapshots, never a mutex)\n\n"
-    m.Serve.sv_rate;
-  pr "queries served:   %10d in %.3fs  =>  %.0f qps\n" m.Serve.sv_queries
-    m.Serve.sv_wall m.Serve.sv_qps;
-  pr "\n%-10s %12s %12s %12s\n" "" "p50" "p90" "p99";
-  pr "%-10s %11.4fs %11.4fs %11.4fs\n" "latency" m.Serve.sv_lat_p50
-    m.Serve.sv_lat_p90 m.Serve.sv_lat_p99;
-  pr "%-10s %11.4fs %11.4fs %11.4fs\n" "service" m.Serve.sv_srv_p50
-    m.Serve.sv_srv_p90 m.Serve.sv_srv_p99;
-  pr "(latency counts schedule lag: completion - scheduled arrival)\n";
-  pr "\n%-24s %10s %10s\n" "layer" "hits" "misses";
-  pr "%-24s %10d %10d\n" "cache.l1 (per-domain)" m.Serve.sv_l1_hits
-    m.Serve.sv_l1_misses;
-  pr "%-24s %10d %10d\n" "cache.plan (shared)" m.Serve.sv_plan_hits
-    m.Serve.sv_plan_misses;
-  pr "%-24s %10d %10d\n" "cache.match (shared)" m.Serve.sv_match_hits
-    m.Serve.sv_match_misses;
-  pr "%-24s %10d %10d\n" "single-flight (led/waited)"
-    m.Serve.sv_flight_leaders m.Serve.sv_flight_waits;
-  pr "\nchurn: %d mutations, epoch %d -> %d\n" m.Serve.sv_mutations
-    m.Serve.sv_epoch_lo m.Serve.sv_epoch_hi;
-  if m.Serve.sv_maint_batches > 0 then
-    pr "write traffic: %d delta batches, maintained == recomputed: %b\n"
-      m.Serve.sv_maint_batches m.Serve.sv_maint_consistent;
-  pr "sampled observations replayed sequentially: %d, consistent: %b\n"
-    m.Serve.sv_sampled m.Serve.sv_consistent;
-  (match m.Serve.sv_advised with
-  | [] -> ()
-  | advised ->
-      pr "advised views registered: %d (%s)\n" (List.length advised)
-        (String.concat ", " advised);
-      (match m.Serve.sv_dead with
-      | [] -> pr "dead-view gate: clean (every advised view matched)\n"
-      | dead ->
-          pr "dead-view gate: TRIPPED — never matched: %s\n"
-            (String.concat ", " dead)));
-  match m.Serve.sv_windows with
-  | [] -> ()
-  | windows ->
-      pr "\ntimeline (%d windows): %10s %10s %12s\n" (List.length windows)
-        "dur" "served" "p99-lat";
-      List.iteri
-        (fun i (dur, served, p99) ->
-          pr "  window %-3d            %9.3fs %10d %11.4fs\n" i dur served p99)
-        windows
-
-let serve_json (m : Serve.measurement) =
-  let pct p50 p90 p99 =
-    J.Obj [ ("p50_s", J.Float p50); ("p90_s", J.Float p90);
-            ("p99_s", J.Float p99) ]
-  in
-  J.Obj
-    [
-      ("nviews", J.Int m.Serve.sv_nviews);
-      ("domains", J.Int m.Serve.sv_domains);
-      ("rate_qps", J.Float m.Serve.sv_rate);
-      ("poisson", J.Bool m.Serve.sv_poisson);
-      ("duration_s", J.Float m.Serve.sv_wall);
-      ("queries", J.Int m.Serve.sv_queries);
-      ("qps", J.Float m.Serve.sv_qps);
-      ("latency", pct m.Serve.sv_lat_p50 m.Serve.sv_lat_p90 m.Serve.sv_lat_p99);
-      ("service", pct m.Serve.sv_srv_p50 m.Serve.sv_srv_p90 m.Serve.sv_srv_p99);
-      ( "cache",
-        J.Obj
-          [
-            ("l1_hits", J.Int m.Serve.sv_l1_hits);
-            ("l1_misses", J.Int m.Serve.sv_l1_misses);
-            ("flight_leaders", J.Int m.Serve.sv_flight_leaders);
-            ("flight_waits", J.Int m.Serve.sv_flight_waits);
-            ("plan_hits", J.Int m.Serve.sv_plan_hits);
-            ("plan_misses", J.Int m.Serve.sv_plan_misses);
-            ("match_hits", J.Int m.Serve.sv_match_hits);
-            ("match_misses", J.Int m.Serve.sv_match_misses);
-          ] );
-      ( "churn",
-        J.Obj
-          [
-            ("mutations", J.Int m.Serve.sv_mutations);
-            ("maint_batches", J.Int m.Serve.sv_maint_batches);
-            ("maint_consistent", J.Bool m.Serve.sv_maint_consistent);
-            ("epoch_lo", J.Int m.Serve.sv_epoch_lo);
-            ("epoch_hi", J.Int m.Serve.sv_epoch_hi);
-            ("sampled", J.Int m.Serve.sv_sampled);
-            ("consistent", J.Bool m.Serve.sv_consistent);
-          ] );
-      ("advised", J.List (List.map (fun n -> J.String n) m.Serve.sv_advised));
-      ("dead", J.List (List.map (fun n -> J.String n) m.Serve.sv_dead));
-      ( "windows",
-        J.List
-          (List.map
-             (fun (dur, served, p99) ->
-               J.Obj
-                 [
-                   ("dur_s", J.Float dur);
-                   ("served", J.Int served);
-                   ("latency_p99_s", J.Float p99);
-                 ])
-             m.Serve.sv_windows) );
-      ("timeline", m.Serve.sv_timeline);
-      ("health", m.Serve.sv_health);
-    ]
-
-(* ---- why-not report (aggregate rejection provenance) ---- *)
-
-let whynot_table ~nviews ~nqueries (causes : (string * int) list) =
-  pr "\n== Why-not: every (query, view) pair attributed ==\n";
-  pr "(%d queries x %d views; \"filter:\" = pruned by that filter-tree\n"
-    nqueries nviews;
-  pr " stage, \"reject:\" = survived filtering, failed matching there)\n\n";
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 causes in
-  pr "  %-36s %12s %9s\n" "cause" "pairs" "share";
-  List.iter
-    (fun (cause, n) ->
-      pr "  %-36s %12d %8.2f%%\n" cause n
-        (100.0 *. float_of_int n /. float_of_int (max 1 total)))
-    causes;
-  pr "  %-36s %12d\n" "total" total
-
-let whynot_json ~nviews ~nqueries (causes : (string * int) list) =
-  J.Obj
-    [
-      ("nviews", J.Int nviews);
-      ("nqueries", J.Int nqueries);
-      ( "causes",
-        J.List
-          (List.map
-             (fun (cause, n) ->
-               J.Obj [ ("cause", J.String cause); ("pairs", J.Int n) ])
-             causes) );
-    ]
-
-(* ---- execution report (bench --exec: views + adaptive joins) ---- *)
-
-let exec_table (ms : Harness.exec_measurement list) =
-  pr "\n== Execution: view rewrites + adaptive joins, end to end ==\n";
-  pr "(TPC-H-style data; 3 hand-written views, 6 queries — 4 answerable\n";
-  pr " from a view, 2 not; every cell bag-checked against direct legacy\n";
-  pr " execution; wall seconds are totals over reps x queries)\n\n";
-  pr "%7s %9s %5s %12s %12s %12s %12s %9s %9s\n" "scale" "rows" "reps"
-    "base/hash" "base/adapt" "views/hash" "views/adapt" "rw-spdup"
-    "ad-spdup";
-  List.iter
-    (fun (m : Harness.exec_measurement) ->
-      let wall rw ad =
-        match
-          List.find_opt
-            (fun (c : Harness.exec_cell) ->
-              c.Harness.xc_rewrite = rw && c.Harness.xc_adaptive = ad)
-            m.Harness.x_cells
-        with
-        | Some c -> c.Harness.xc_wall
-        | None -> 0.0
-      in
-      pr "%7d %9d %5d %11.4fs %11.4fs %11.4fs %11.4fs %8.2fx %8.2fx\n"
-        m.Harness.x_scale m.Harness.x_rows m.Harness.x_reps
-        (wall false false) (wall false true) (wall true false)
-        (wall true true) m.Harness.x_rewrite_speedup
-        m.Harness.x_adaptive_speedup)
-    ms;
-  List.iter
-    (fun (m : Harness.exec_measurement) ->
-      pr "\nscale %d: %d/%d plans use a view; strategies " m.Harness.x_scale
-        m.Harness.x_plans_with_views m.Harness.x_queries;
-      List.iter
-        (fun (k, n) -> pr "%s=%d " k n)
-        m.Harness.x_strategies;
-      pr "; prunes=%d stats-missing=%d equivalent=%b\n" m.Harness.x_prunes
-        m.Harness.x_stats_missing m.Harness.x_equivalent)
-    ms;
-  (* the estimation-error table, largest scale only (one row per node) *)
-  match List.rev ms with
-  | [] -> ()
-  | m :: _ ->
-      pr "\nEstimated vs actual rows per plan node (scale %d, views+adaptive):\n"
-        m.Harness.x_scale;
-      pr "  %-10s %-34s %-9s %12s %9s %8s\n" "query" "node" "strategy" "est"
-        "actual" "q-err";
-      List.iter
-        (fun (n : Harness.exec_node) ->
-          let e = n.Harness.xn_est and a = float_of_int n.Harness.xn_actual in
-          let q = if e > 0.0 && a > 0.0 then Float.max (e /. a) (a /. e) else 0.0 in
-          pr "  %-10s %-34s %-9s %12.1f %9d %8.2f\n" n.Harness.xn_query
-            n.Harness.xn_label n.Harness.xn_strategy n.Harness.xn_est
-            n.Harness.xn_actual q)
-        m.Harness.x_nodes
-
-let exec_json (ms : Harness.exec_measurement list) =
-  J.List
-    (List.map
-       (fun (m : Harness.exec_measurement) ->
-         J.Obj
-           [
-             ("scale", J.Int m.Harness.x_scale);
-             ("rows", J.Int m.Harness.x_rows);
-             ("views", J.Int m.Harness.x_views);
-             ("queries", J.Int m.Harness.x_queries);
-             ("reps", J.Int m.Harness.x_reps);
-             ( "cells",
-               J.List
-                 (List.map
-                    (fun (c : Harness.exec_cell) ->
-                      J.Obj
-                        [
-                          ("rewrite", J.Bool c.Harness.xc_rewrite);
-                          ("adaptive", J.Bool c.Harness.xc_adaptive);
-                          ("wall_s", J.Float c.Harness.xc_wall);
-                        ])
-                    m.Harness.x_cells) );
-             ("rewrite_speedup", J.Float m.Harness.x_rewrite_speedup);
-             ("adaptive_speedup", J.Float m.Harness.x_adaptive_speedup);
-             ("plans_with_views", J.Int m.Harness.x_plans_with_views);
-             ("cost_bound_prunes", J.Int m.Harness.x_prunes);
-             ("stats_missing", J.Int m.Harness.x_stats_missing);
-             ("equivalent", J.Bool m.Harness.x_equivalent);
-             ( "strategies",
-               J.Obj
-                 (List.map
-                    (fun (k, n) -> (k, J.Int n))
-                    m.Harness.x_strategies) );
-             ( "nodes",
-               J.List
-                 (List.map
-                    (fun (n : Harness.exec_node) ->
-                      J.Obj
-                        [
-                          ("query", J.String n.Harness.xn_query);
-                          ("node", J.String n.Harness.xn_label);
-                          ("strategy", J.String n.Harness.xn_strategy);
-                          ("est_rows", J.Float n.Harness.xn_est);
-                          ("actual_rows", J.Int n.Harness.xn_actual);
-                        ])
-                    m.Harness.x_nodes) );
-           ])
-       ms)
-
-(* ---- maintenance report (bench --maintain: IVM vs rematerialize) ---- *)
-
-let maintenance_table (m : Harness.maintain_measurement) =
-  pr "\n== Maintenance: incremental deltas vs full rematerialization ==\n";
-  pr "(TPC-H-style data at scale %d, %d base rows; generator view pool of\n"
-    m.Harness.mm_scale m.Harness.mm_base_rows;
-  pr " %d; per cell, %d identical insert/delete batches pushed through\n"
-    m.Harness.mm_pool m.Harness.mm_batches;
-  pr " Ivm.apply on one database copy and through rematerialization of\n";
-  pr " the affected views on another; final contents bag-checked)\n\n";
-  pr "%7s %7s %8s %11s %11s %11s %11s %8s\n" "views" "batch" "written"
-    "delta-total" "remat-total" "delta-p50" "remat-p50" "speedup";
-  List.iter
-    (fun (c : Harness.maintain_cell) ->
-      pr "%7d %7d %8d %10.4fs %10.4fs %10.5fs %10.5fs %7.2fx\n"
-        c.Harness.m_nviews c.Harness.m_batch_rows c.Harness.m_rows_written
-        c.Harness.m_delta_wall c.Harness.m_remat_wall c.Harness.m_delta_p50
-        c.Harness.m_remat_p50 c.Harness.m_speedup)
-    m.Harness.mm_cells;
-  pr "\nequivalent=%b stats_fresh=%b\n" m.Harness.mm_equivalent
-    m.Harness.mm_stats_fresh
-
-let maintenance_json (m : Harness.maintain_measurement) =
-  let pct p50 p90 p99 =
-    J.Obj
-      [ ("p50_s", J.Float p50); ("p90_s", J.Float p90); ("p99_s", J.Float p99) ]
-  in
-  J.Obj
-    [
-      ("scale", J.Int m.Harness.mm_scale);
-      ("base_rows", J.Int m.Harness.mm_base_rows);
-      ("pool", J.Int m.Harness.mm_pool);
-      ("batches", J.Int m.Harness.mm_batches);
-      ( "cells",
-        J.List
-          (List.map
-             (fun (c : Harness.maintain_cell) ->
-               J.Obj
-                 [
-                   ("nviews", J.Int c.Harness.m_nviews);
-                   ("batch_rows", J.Int c.Harness.m_batch_rows);
-                   ("batches", J.Int c.Harness.m_batches);
-                   ("rows_written", J.Int c.Harness.m_rows_written);
-                   ("delta_wall_s", J.Float c.Harness.m_delta_wall);
-                   ("remat_wall_s", J.Float c.Harness.m_remat_wall);
-                   ( "delta",
-                     pct c.Harness.m_delta_p50 c.Harness.m_delta_p90
-                       c.Harness.m_delta_p99 );
-                   ( "remat",
-                     pct c.Harness.m_remat_p50 c.Harness.m_remat_p90
-                       c.Harness.m_remat_p99 );
-                   ("speedup", J.Float c.Harness.m_speedup);
-                   ("equivalent", J.Bool c.Harness.m_equivalent);
-                   ("stats_fresh", J.Bool c.Harness.m_stats_fresh);
-                 ])
-             m.Harness.mm_cells) );
-      ("equivalent", J.Bool m.Harness.mm_equivalent);
-      ("stats_fresh", J.Bool m.Harness.mm_stats_fresh);
-      ("timeline", m.Harness.mm_timeline);
-    ]
-
-let advise_table (ms : Harness.advise_measurement list) =
-  pr "\n== Advisor: advised vs random-equal-budget view sets ==\n";
-  pr "(candidates mined from the workload's own queries; selection under\n";
-  pr " a storage budget; costs are real optimizer totals over the whole\n";
-  pr " query batch plus the shared maintenance term)\n\n";
-  pr "%6s %6s %5s %10s %10s %12s %12s %12s %6s %6s\n" "cands" "mined" "picks"
-    "budget" "used" "cost-none" "cost-advised" "best-random" "beats" "inbdg";
-  List.iter
-    (fun (a : Harness.advise_measurement) ->
-      let best_random =
-        List.fold_left Float.min infinity a.Harness.a_cost_random
-      in
-      pr "%6d %6d %5d %10.0f %10.0f %12.0f %12.0f %12.0f %6b %6b\n"
-        a.Harness.a_candidates a.Harness.a_mined a.Harness.a_picks
-        a.Harness.a_budget a.Harness.a_used a.Harness.a_cost_none
-        a.Harness.a_cost_advised best_random a.Harness.a_beats_random
-        a.Harness.a_within_budget)
-    ms;
-  pr "\n"
-
-let advise_json (ms : Harness.advise_measurement list) =
-  J.List
-    (List.map
-       (fun (a : Harness.advise_measurement) ->
-         J.Obj
-           [
-             ("candidates", J.Int a.Harness.a_candidates);
-             ("mined", J.Int a.Harness.a_mined);
-             ("queries", J.Int a.Harness.a_queries);
-             ("budget_rows", J.Float a.Harness.a_budget);
-             ("used_rows", J.Float a.Harness.a_used);
-             ("picks", J.Int a.Harness.a_picks);
-             ("considered", J.Int a.Harness.a_considered);
-             ("rejected", J.Int a.Harness.a_rejected);
-             ("cost_none", J.Float a.Harness.a_cost_none);
-             ("cost_advised", J.Float a.Harness.a_cost_advised);
-             ( "cost_random",
-               J.List
-                 (List.map (fun c -> J.Float c) a.Harness.a_cost_random) );
-             ( "cost_random_best",
-               J.Float
-                 (List.fold_left Float.min infinity a.Harness.a_cost_random)
-             );
-             ("model_before", J.Float a.Harness.a_model_before);
-             ("model_after", J.Float a.Harness.a_model_after);
-             ("plans_using_views", J.Int a.Harness.a_plans_using_views);
-             ( "latency",
-               J.Obj
-                 [
-                   ("p50_s", J.Float a.Harness.a_p50);
-                   ("p90_s", J.Float a.Harness.a_p90);
-                   ("p99_s", J.Float a.Harness.a_p99);
-                 ] );
-             ("wall_s", J.Float a.Harness.a_wall);
-             ("beats_random", J.Bool a.Harness.a_beats_random);
-             ("within_budget", J.Bool a.Harness.a_within_budget);
-           ])
-       ms)
-
 let write_json file (j : J.t) =
   let oc = open_out file in
   output_string oc (J.to_string j);

@@ -1,5 +1,6 @@
 (** Formatting of the paper's figures and in-text statistics from sweep
-    measurements, plus the machine-readable BENCH_*.json trajectory.
+    measurements, plus their section of the machine-readable BENCH_*.json
+    trajectory (every other bench section is a {!Measure.t}).
     Every printer states what the paper reported so the output reads as
     paper-vs-measured. *)
 
@@ -35,73 +36,9 @@ val level_flow_json : Harness.level_flow list -> Mv_obs.Json.t
 (** The per-level candidate flow as the ["levels"] list (also used by the
     filter-tree bench for its own sections). *)
 
-val measurement_json : Harness.measurement -> Mv_obs.Json.t
-
 val measurements_json : Harness.measurement list -> Mv_obs.Json.t
 (** The ["measurements"] section of the trajectory, one object per grid
     cell. *)
-
-val scaling_speedup :
-  Harness.measurement list -> Harness.measurement -> float
-(** Wall-time speedup of a row relative to the 1-domain row of the same
-    sweep (1.0 when absent or unmeasurable). *)
-
-val scaling_table : Harness.measurement list -> unit
-
-val scaling_json : Harness.measurement list -> Mv_obs.Json.t
-(** The ["scaling"] section: measurements plus their [speedup]. *)
-
-val serving_table : Harness.serving_measurement -> unit
-(** The serving benchmark: warm-vs-cold latency, hit rate, the cache
-    counters, and the churn (drop/re-add) verdicts. *)
-
-val serving_json : Harness.serving_measurement -> Mv_obs.Json.t
-(** The ["serving"] section of the trajectory. *)
-
-val serve_table : Serve.measurement -> unit
-(** The serving-throughput benchmark: qps, latency/service percentiles,
-    the three cache layers, single-flight dedup, and the churn +
-    linearizability-replay verdict. *)
-
-val serve_json : Serve.measurement -> Mv_obs.Json.t
-(** The ["serving_throughput"] section of the trajectory; the [latency]
-    and [service] objects carry the [p50_s/p90_s/p99_s] keys
-    json_check's percentile tolerance compares on. *)
-
-val whynot_table : nviews:int -> nqueries:int -> (string * int) list -> unit
-(** The aggregate why-not table from {!Harness.whynot}: one row per cause
-    with its (query, view) pair count and share. *)
-
-val whynot_json : nviews:int -> nqueries:int -> (string * int) list -> Mv_obs.Json.t
-(** The ["whynot"] section of the trajectory. *)
-
-val exec_table : Harness.exec_measurement list -> unit
-(** The end-to-end execution benchmark: one timing row per scale (four
-    rewrite x adaptive cells plus the two speedups), per-scale strategy
-    and counter lines, and the estimated-vs-actual-rows table of the
-    largest scale. *)
-
-val exec_json : Harness.exec_measurement list -> Mv_obs.Json.t
-(** The ["exec"] section of the trajectory, one object per scale. *)
-
-val maintenance_table : Harness.maintain_measurement -> unit
-(** The maintenance benchmark: per (view count, batch size) cell, total
-    and per-batch p50 wall seconds of the delta arm vs the
-    rematerialization arm, the speedup, and the equivalence verdicts. *)
-
-val maintenance_json : Harness.maintain_measurement -> Mv_obs.Json.t
-(** The ["maintenance"] section of the trajectory; the per-cell [delta]
-    and [remat] objects carry the [p50_s/p90_s/p99_s] keys json_check's
-    percentile tolerance compares on. *)
-
-val advise_table : Harness.advise_measurement list -> unit
-(** One row per candidate scale: budget use, advised vs best-random real
-    workload cost, and the two acceptance verdicts. *)
-
-val advise_json : Harness.advise_measurement list -> Mv_obs.Json.t
-(** One object per candidate scale; [beats_random] and [within_budget]
-    are the acceptance gate, [latency] the percentile-gated per-query
-    optimize times under the advised registry. *)
 
 val write_json : string -> Mv_obs.Json.t -> unit
 (** Write one JSON document (plus trailing newline). *)

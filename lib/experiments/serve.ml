@@ -3,11 +3,9 @@
 
     Layering of one [submit], hot to cold:
 
-    - a per-domain L1 result cache ({!Mv_util.Lru} behind [Domain.DLS] —
-      unsynchronized by construction, one per domain), valid only at the
-      pinned snapshot's epoch;
-    - a lock-free probe of the shared plan layer
-      ({!Mv_opt.Match_cache.peek_plan} — one shard mutex, no compute);
+    - a probe of the shared plan layer ({!Mv_opt.Match_cache.peek_plan} —
+      one shard mutex, no compute), valid only at the pinned snapshot's
+      epoch;
     - single-flight dedup: concurrent identical cold queries elect one
       leader that optimizes while the rest wait on a condvar, so a herd of
       K identical requests runs the optimizer exactly once;
@@ -26,14 +24,12 @@ module MC = Mv_opt.Match_cache
 module Opt = Mv_opt.Optimizer
 module Plan = Mv_opt.Plan
 module Spjg = Mv_relalg.Spjg
-module Lru = Mv_util.Lru
 module Prng = Mv_util.Prng
 module I = Mv_obs.Instrument
 module Obs = Mv_obs.Registry
+module J = Mv_obs.Json
 
 (* ---- the front ---- *)
-
-type l1_slot = { l1_epoch : int; l1_entry : MC.plan_entry }
 
 type flight = {
   fl_lock : Mutex.t;
@@ -45,31 +41,25 @@ type front = {
   f_registry : R.t;
   f_stats : Mv_catalog.Stats.t;
   f_cache : MC.t;
-  f_l1 : (Spjg.t, l1_slot) Lru.t Domain.DLS.key;
   f_flights : (Spjg.t, flight) Hashtbl.t;
   f_flights_lock : Mutex.t;
-  (* counters are atomic ({!Mv_obs.Instrument.counter}), so per-domain L1
-     hits/misses sum exactly across domains — the lost-update qcheck in
-     test_serve.ml holds the totals to the submission count *)
-  c_l1_hits : I.counter;
-  c_l1_misses : I.counter;
+  (* counters are atomic ({!Mv_obs.Instrument.counter}), so they sum
+     exactly across domains — the lost-update qcheck in test_serve.ml
+     holds plan hits + leaders + waits to the submission count *)
   c_leaders : I.counter;
   c_waits : I.counter;
   h_latency : I.histogram;  (** open-loop: completion - scheduled arrival *)
   h_service : I.histogram;  (** submit call duration alone *)
 }
 
-let front ?(l1_capacity = 512) ?(capacity = 4096) registry stats =
+let front registry stats =
   let obs = registry.R.obs in
   {
     f_registry = registry;
     f_stats = stats;
-    f_cache = MC.create ~capacity registry;
-    f_l1 = Domain.DLS.new_key (fun () -> Lru.create ~capacity:l1_capacity);
+    f_cache = MC.create ~capacity:4096 registry;
     f_flights = Hashtbl.create 64;
     f_flights_lock = Mutex.create ();
-    c_l1_hits = Obs.counter obs "cache.l1.hits";
-    c_l1_misses = Obs.counter obs "cache.l1.misses";
     c_leaders = Obs.counter obs "serve.flight.leaders";
     c_waits = Obs.counter obs "serve.flight.waits";
     h_latency = Obs.histogram obs "serve.latency";
@@ -163,7 +153,7 @@ let fly t snap q =
       | Ok (oep, e) -> (oep, e, false)
       | Error e -> raise e)
 
-(* Ledger attribution for a submission served WITHOUT optimizing (L1 hit,
+(* Ledger attribution for a submission served WITHOUT optimizing (a
    plan-layer hit, or a waiter handed the leader's result): the optimizer
    records the query and the chosen views itself on the cold path, so
    these are the complementary paths — one [record_query] per submission
@@ -179,30 +169,21 @@ let record_served t q (entry : MC.plan_entry) =
 let submit t (q : Spjg.t) : int * Opt.result =
   let snap = R.snapshot t.f_registry in
   let ep = snap.R.snap_epoch in
-  let l1 = Domain.DLS.get t.f_l1 in
-  match Lru.find l1 q with
-  | Some s when s.l1_epoch = ep ->
-      I.incr t.c_l1_hits;
-      record_served t q s.l1_entry;
-      (ep, result_of_entry s.l1_entry)
-  | _ ->
-      I.incr t.c_l1_misses;
-      let oep, entry =
-        match MC.peek_plan ~epoch:ep t.f_cache q with
-        | Some e ->
-            record_served t q e;
-            (ep, e)
-        | None ->
-            let oep, entry, led = fly t snap q in
-            if not led then record_served t q entry;
-            (oep, entry)
-      in
-      ignore (Lru.set l1 q { l1_epoch = oep; l1_entry = entry });
-      (oep, result_of_entry entry)
+  let oep, entry =
+    match MC.peek_plan ~epoch:ep t.f_cache q with
+    | Some e ->
+        record_served t q e;
+        (ep, e)
+    | None ->
+        let oep, entry, led = fly t snap q in
+        if not led then record_served t q entry;
+        (oep, entry)
+  in
+  (oep, result_of_entry entry)
 
-(* One traced submission through the L1-miss path (for the Perfetto
-   artifact): bypasses the caller's L1 so the spans always show the
-   shared-cache lookup and, when cold, the pinned optimization. *)
+(* One traced submission through the shared cache (for the Perfetto
+   artifact): the spans show the plan-layer lookup and, when cold, the
+   pinned optimization. *)
 let submit_traced t ~spans (q : Spjg.t) : int * Opt.result =
   let snap = R.snapshot t.f_registry in
   Mv_obs.Span.wrap (Some spans) "serve"
@@ -220,14 +201,13 @@ let submit_traced t ~spans (q : Spjg.t) : int * Opt.result =
 type cfg = {
   nviews : int;
   domains : int;
-  rate : float;  (** target queries/second across all domains; 0 = closed loop *)
-  poisson : bool;  (** exponential inter-arrivals instead of fixed *)
+  rate : float;
+      (** target queries/second across all domains, Poisson arrivals;
+          0 = closed loop *)
   duration : float;  (** timed-window seconds *)
   warmup : bool;  (** one sequential cache-filling pass before the clock *)
   churn_period : float;  (** seconds between add/drop mutations; 0 = none *)
   churn_pool : int;  (** how many tail views the mutator cycles *)
-  l1_capacity : int;
-  capacity : int;  (** shared match/plan cache capacity *)
   sample : int;  (** observations kept per domain for the replay check *)
   sample_stride : int;  (** keep every k-th observation *)
   maintain_batch : int;
@@ -249,13 +229,10 @@ let default_cfg =
     nviews = 1000;
     domains = 2;
     rate = 200.0;
-    poisson = true;
     duration = 1.5;
     warmup = true;
     churn_period = 0.12;
     churn_pool = 8;
-    l1_capacity = 512;
-    capacity = 4096;
     sample = 32;
     sample_stride = 13;
     maintain_batch = 0;
@@ -264,52 +241,6 @@ let default_cfg =
     timeline_period = 0.05;
     seed = 4242;
   }
-
-type measurement = {
-  sv_nviews : int;
-  sv_domains : int;
-  sv_rate : float;
-  sv_poisson : bool;
-  sv_wall : float;  (** actual timed-window seconds *)
-  sv_queries : int;  (** submissions completed inside the window *)
-  sv_qps : float;
-  sv_lat_p50 : float;
-  sv_lat_p90 : float;
-  sv_lat_p99 : float;  (** open-loop latency: completion - scheduled arrival *)
-  sv_srv_p50 : float;
-  sv_srv_p90 : float;
-  sv_srv_p99 : float;  (** service time: the submit call alone *)
-  sv_l1_hits : int;
-  sv_l1_misses : int;
-  sv_flight_leaders : int;
-  sv_flight_waits : int;
-  sv_plan_hits : int;
-  sv_plan_misses : int;
-  sv_match_hits : int;
-  sv_match_misses : int;
-  sv_mutations : int;  (** add/drop operations the mutator applied *)
-  sv_maint_batches : int;  (** delta batches the mutator applied *)
-  sv_maint_consistent : bool;
-      (** every maintained view clone ended bag-equal (floats within
-          tolerance) to a from-scratch recomputation; [true] when write
-          traffic is disabled *)
-  sv_epoch_lo : int;
-  sv_epoch_hi : int;  (** epoch range the run covered *)
-  sv_sampled : int;  (** observations replayed by the consistency check *)
-  sv_consistent : bool;
-      (** every sampled (epoch, query, plan) observation is byte-identical
-          to sequential optimization against a scratch registry rebuilt at
-          that epoch's population — the linearizability verdict *)
-  sv_advised : string list;  (** advised-and-registered view names *)
-  sv_dead : string list;
-      (** advised views that never matched during the run (per the health
-          ledger) — the dead-view gate trips when non-empty *)
-  sv_windows : (float * int * float) list;
-      (** per timeline window: (length s, submissions completed, p99
-          open-loop latency) — empty when the sampler is off *)
-  sv_timeline : Mv_obs.Json.t;  (** full timeline export *)
-  sv_health : Mv_obs.Json.t;  (** health ledger export *)
-}
 
 type observation = { ob_epoch : int; ob_query : int; ob_plan : string }
 
@@ -452,7 +383,7 @@ let consistency_check (w : Harness.workload) ~pops ~queries observations =
       && String.equal ob.ob_plan (seq_plan ob.ob_epoch ob.ob_query))
     observations
 
-let run ?(cfg = default_cfg) (w : Harness.workload) : measurement =
+let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
   let registry = R.create w.Harness.schema in
   let base_views = Harness.take cfg.nviews w.Harness.views in
   List.iter (R.add_prebuilt registry) base_views;
@@ -489,10 +420,7 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : measurement =
   in
   let views = base_views @ advised in
   Mv_relalg.Intern.freeze ();
-  let t =
-    front ~l1_capacity:cfg.l1_capacity ~capacity:cfg.capacity registry
-      w.Harness.stats
-  in
+  let t = front registry w.Harness.stats in
   (* activate RCU publication before the clock starts: from here on,
      readers are wait-free and every mutation republishes *)
   ignore (R.snapshot registry);
@@ -508,9 +436,8 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : measurement =
     List.map
       (fun n -> (n, cval n))
       [
-        "cache.l1.hits"; "cache.l1.misses"; "serve.flight.leaders";
-        "serve.flight.waits"; "cache.plan.hits"; "cache.plan.misses";
-        "cache.match.hits"; "cache.match.misses";
+        "serve.flight.leaders"; "serve.flight.waits"; "cache.plan.hits";
+        "cache.plan.misses"; "cache.match.hits"; "cache.match.misses";
       ]
   in
   let mlog = ref [] (* newest first; only the mutator writes *) in
@@ -582,16 +509,25 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : measurement =
       if cfg.rate <= 0.0 then 0.0
       else
         let per = float_of_int cfg.domains /. cfg.rate in
-        if cfg.poisson then -.log (1.0 -. Prng.float prng) *. per else per
+        -.log (1.0 -. Prng.float prng) *. per
     in
     let next = ref (t_start +. inter ()) in
     let count = ref 0 in
     let sampled = ref [] in
     let qi = ref d in
-    while now () < t_stop do
-      (if cfg.rate > 0.0 then
-         let n = now () in
-         if !next > n then Unix.sleepf (Float.min (!next -. n) 0.05));
+    (* sleep until the scheduled arrival in slices of at most 50 ms, so a
+       long gap is honoured in full and the window end is noticed *)
+    let rec pace () =
+      let n = now () in
+      if n < !next && n < t_stop then begin
+        Unix.sleepf (Float.min (!next -. n) 0.05);
+        pace ()
+      end
+    in
+    while
+      pace ();
+      now () < t_stop
+    do
       (* open loop: latency is measured from the scheduled arrival, so
          queueing delay (falling behind the schedule) counts against us *)
       let t0 = now () in
@@ -628,64 +564,82 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : measurement =
   let ops = List.rev !mlog in
   let pops = populations ~views ~epoch0 ops in
   let consistent = consistency_check w ~pops ~queries observations in
-  let q h p = I.quantile h p in
-  let d name = cval name - List.assoc name counters0 in
-  {
-    sv_nviews = cfg.nviews;
-    sv_domains = max 1 cfg.domains;
-    sv_rate = cfg.rate;
-    sv_poisson = cfg.poisson;
-    sv_wall = wall;
-    sv_queries = total;
-    sv_qps = (if wall > 0.0 then float_of_int total /. wall else 0.0);
-    sv_lat_p50 = q t.h_latency 0.5;
-    sv_lat_p90 = q t.h_latency 0.9;
-    sv_lat_p99 = q t.h_latency 0.99;
-    sv_srv_p50 = q t.h_service 0.5;
-    sv_srv_p90 = q t.h_service 0.9;
-    sv_srv_p99 = q t.h_service 0.99;
-    sv_l1_hits = d "cache.l1.hits";
-    sv_l1_misses = d "cache.l1.misses";
-    sv_flight_leaders = d "serve.flight.leaders";
-    sv_flight_waits = d "serve.flight.waits";
-    sv_plan_hits = d "cache.plan.hits";
-    sv_plan_misses = d "cache.plan.misses";
-    sv_match_hits = d "cache.match.hits";
-    sv_match_misses = d "cache.match.misses";
-    sv_mutations = List.length ops;
-    sv_maint_batches = !maint_batches;
-    sv_maint_consistent = maint_consistent maint;
-    sv_epoch_lo = epoch0;
-    sv_epoch_hi = R.epoch registry;
-    sv_sampled = List.length observations;
-    sv_consistent = consistent;
-    sv_advised = List.map (fun (v : Mv_core.View.t) -> v.Mv_core.View.name) advised;
-    sv_dead =
-      List.filter_map
-        (fun (v : Mv_core.View.t) ->
-          let n = v.Mv_core.View.name in
-          match Mv_core.Health.find registry.R.health n with
-          | Some r when not (Mv_core.Health.dead r) -> None
-          | _ -> Some n)
-        advised;
-    sv_windows =
-      List.map
-        (fun (s : Mv_obs.Timeline.sample) ->
-          let hist name =
-            List.assoc_opt name s.Mv_obs.Timeline.histograms
-          in
-          let count =
-            match hist "serve.service" with
-            | Some w -> w.Mv_obs.Timeline.w_count
-            | None -> 0
-          in
-          let p99 =
-            match hist "serve.latency" with
-            | Some w -> w.Mv_obs.Timeline.w_p99
-            | None -> 0.0
-          in
-          (s.Mv_obs.Timeline.dur, count, p99))
-        (Mv_obs.Timeline.samples tl);
-    sv_timeline = Mv_obs.Timeline.to_json tl;
-    sv_health = Mv_core.Health.to_json registry.R.health;
-  }
+  let d name = J.Int (cval name - List.assoc name counters0) in
+  let names vs =
+    J.List
+      (List.map (fun (v : Mv_core.View.t) -> J.String v.Mv_core.View.name) vs)
+  in
+  (* advised views whose ledger account never matched during the run *)
+  let dead =
+    List.filter
+      (fun (v : Mv_core.View.t) ->
+        match Mv_core.Health.find registry.R.health v.Mv_core.View.name with
+        | Some r -> Mv_core.Health.dead r
+        | None -> true)
+      advised
+  in
+  Measure.make "serving_throughput"
+    ~params:
+      [
+        ("nviews", J.Int cfg.nviews);
+        ("domains", J.Int (max 1 cfg.domains));
+        ("rate_qps", J.Float cfg.rate);
+      ]
+    ~metrics:
+      [
+        ("duration_s", J.Float wall);
+        ("queries", J.Int total);
+        ( "qps",
+          J.Float (if wall > 0.0 then float_of_int total /. wall else 0.0) );
+        ("cache.flight_leaders", d "serve.flight.leaders");
+        ("cache.flight_waits", d "serve.flight.waits");
+        ("cache.plan_hits", d "cache.plan.hits");
+        ("cache.plan_misses", d "cache.plan.misses");
+        ("cache.match_hits", d "cache.match.hits");
+        ("cache.match_misses", d "cache.match.misses");
+        ("churn.mutations", J.Int (List.length ops));
+        ("churn.maint_batches", J.Int !maint_batches);
+        ("churn.epoch_lo", J.Int epoch0);
+        ("churn.epoch_hi", J.Int (R.epoch registry));
+        ("churn.sampled", J.Int (List.length observations));
+        ("advised", names advised);
+        ("dead", names dead);
+        ("timeline", Mv_obs.Timeline.to_json tl);
+        ("health", Mv_core.Health.to_json registry.R.health);
+      ]
+    ~pcts:
+      [
+        ("latency", Measure.pct_of t.h_latency);
+        ("service", Measure.pct_of t.h_service);
+      ]
+    ~verdicts:
+      [
+        ("churn.maint_consistent", maint_consistent maint);
+        ("churn.consistent", consistent);
+        ("no_dead_views", dead = []);
+      ]
+    ~subs:
+      [
+        ( "windows",
+          List.map
+            (fun (s : Mv_obs.Timeline.sample) ->
+              let hist name =
+                List.assoc_opt name s.Mv_obs.Timeline.histograms
+              in
+              Measure.make "window"
+                ~metrics:
+                  [
+                    ("dur_s", J.Float s.Mv_obs.Timeline.dur);
+                    ( "served",
+                      J.Int
+                        (match hist "serve.service" with
+                        | Some w -> w.Mv_obs.Timeline.w_count
+                        | None -> 0) );
+                    ( "latency_p99_s",
+                      J.Float
+                        (match hist "serve.latency" with
+                        | Some w -> w.Mv_obs.Timeline.w_p99
+                        | None -> 0.0) );
+                  ])
+            (Mv_obs.Timeline.samples tl) );
+      ]

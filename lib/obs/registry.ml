@@ -9,19 +9,13 @@ type t = {
           a name) but may race across domains; the instruments themselves
           are domain-safe and are updated without this lock *)
   instruments : (string, instrument) Hashtbl.t;
-  tr : Trace.t;
 }
 
 exception Kind_mismatch of string
 
-let create ?(trace_capacity = 0) () =
-  {
-    lock = Mutex.create ();
-    instruments = Hashtbl.create 32;
-    tr = Trace.create ~capacity:trace_capacity ();
-  }
+let create () = { lock = Mutex.create (); instruments = Hashtbl.create 32 }
 
-let global = create ~trace_capacity:256 ()
+let global = create ()
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -59,8 +53,6 @@ let histogram t name =
     ~make:(fun () -> Histogram (Instrument.histogram ()))
     ~cast:(function Histogram h -> Some h | _ -> None)
 
-let trace t = t.tr
-
 let find t name =
   Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.instruments name)
 
@@ -83,8 +75,7 @@ let reset t =
       | Counter c -> Instrument.reset_counter c
       | Timer x -> Instrument.reset_timer x
       | Histogram h -> Instrument.reset_histogram h)
-    all;
-  Trace.clear t.tr
+    all
 
 (* ---- snapshots ---- *)
 
@@ -131,7 +122,6 @@ let to_json t =
       ("timers", Json.Obj (section (function Timer _ -> true | _ -> false)));
       ( "histograms",
         Json.Obj (section (function Histogram _ -> true | _ -> false)) );
-      ("trace", Trace.to_json t.tr);
     ]
 
 let render t =
@@ -160,7 +150,4 @@ let render t =
                  (Instrument.min_value h) (Instrument.max_value h)
                  (Instrument.quantile h 0.5)))
     (names t);
-  if Trace.length t.tr > 0 then
-    Printf.bprintf b "  trace: %d event(s) retained (%d recorded)\n"
-      (Trace.length t.tr) (Trace.total t.tr);
   Buffer.contents b

@@ -17,20 +17,17 @@ exception Kind_mismatch of string
 (** Raised when a name is requested as one instrument kind after having
     been created as another. *)
 
-val create : ?trace_capacity:int -> unit -> t
-(** A fresh scoped registry. [trace_capacity] bounds the event ring
-    (default 0: tracing off). *)
+val create : unit -> t
+(** A fresh scoped registry. *)
 
 val global : t
-(** The process-wide registry (trace capacity 256). *)
+(** The process-wide registry. *)
 
 val counter : t -> string -> Instrument.counter
 
 val timer : t -> string -> Instrument.timer
 
 val histogram : t -> string -> Instrument.histogram
-
-val trace : t -> Trace.t
 
 type instrument =
   | Counter of Instrument.counter
@@ -47,12 +44,11 @@ val counter_value : t -> string -> int
     that are only recorded on some code paths. *)
 
 val reset : t -> unit
-(** Zero every instrument and clear the trace; instruments stay
-    registered. *)
+(** Zero every instrument; instruments stay registered. *)
 
 val to_json : t -> Json.t
-(** Snapshot: [{"counters": ..., "timers": ..., "histograms": ...,
-    "trace": [...]}]. Instruments appear in sorted name order. *)
+(** Snapshot: [{"counters": ..., "timers": ..., "histograms": ...}].
+    Instruments appear in sorted name order. *)
 
 val render : t -> string
 (** Human-readable table of every instrument. *)

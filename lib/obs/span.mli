@@ -1,7 +1,7 @@
 (** Hierarchical spans: a per-query trace of the whole optimize pipeline.
 
-    Unlike the flat event ring of {!Trace} (always-on, bounded, aggregate),
-    a span collector is created for ONE traced invocation — [mvopt explain
+    Spans are the one tracing path (the [rule.*] instruments are the
+    aggregate view). A span collector is created for ONE traced invocation — [mvopt explain
     --trace-out] or a test — and records a tree: every span has a parent,
     a start timestamp and a duration, plus typed attributes attached as the
     traced code learns things (candidate counts, the [Reject.t] that killed

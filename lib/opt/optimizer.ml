@@ -767,7 +767,7 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
      optimized; a winning plan credits each view leaf with "chosen" plus
      the estimated cost saved against computing the query directly. This
      counts every final plan, warm plan-cache hits included — serving-side
-     L1/peek hits are attributed separately as cache hits. *)
+     plan-layer peeks are attributed separately as cache hits. *)
   let health = registry.Mv_core.Registry.health in
   Mv_core.Health.record_query health query;
   if r.used_views then begin

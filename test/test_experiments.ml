@@ -89,6 +89,66 @@ let test_sweep_covers_grid () =
   in
   Alcotest.(check int) "grid size" 4 (List.length ms)
 
+(* The scaling sweep's counters_agree verdict: rows may differ in their
+   timings only. *)
+let test_counters_agree () =
+  let w = Lazy.force mini in
+  let m = H.run w ~nviews:150 ~config:{ H.alt = true; filter = true } in
+  let slower = { m with H.domains = 2; wall_time = m.H.wall_time *. 2.0 } in
+  Alcotest.(check bool) "timings may differ" true
+    (H.counters_agree [ m; slower ]);
+  Alcotest.(check bool) "candidates may not" false
+    (H.counters_agree [ m; { m with H.candidates = m.H.candidates + 1 } ])
+
+(* ---- Measure: one record, one encoder, one failure collector ---- *)
+
+module M = Mv_experiments.Measure
+module J = Mv_obs.Json
+
+let exec_section = lazy (H.exec_bench ~reps:1 ~scale:1 ())
+
+let test_measure_exec_json () =
+  let j = M.to_json (Lazy.force exec_section) in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) path true
+        (J.path (String.split_on_char '.' path) j <> None))
+    [ "cells"; "nodes"; "equivalent"; "strategies.hash"; "scale" ];
+  (match J.path [ "cells" ] j, J.path [ "nodes" ] j with
+  | Some (J.List (c0 :: _)), Some (J.List (n0 :: _)) ->
+      Alcotest.(check bool) "cells.0.wall_s" true
+        (J.member "wall_s" c0 <> None);
+      Alcotest.(check bool) "nodes.0.est_rows" true
+        (J.member "est_rows" n0 <> None)
+  | _ -> Alcotest.fail "cells and nodes must be non-empty lists");
+  Alcotest.(check bool) "equivalent holds" true
+    (J.member "equivalent" j = Some (J.Bool true))
+
+let test_measure_failures () =
+  let cell ok =
+    M.make "cell" ~metrics:[ ("wall_s", J.Float 0.1) ]
+      ~verdicts:[ ("equivalent", ok) ]
+  in
+  let section cells =
+    M.make "maintenance" ~verdicts:[ ("stats_fresh", true) ]
+      ~subs:[ ("cells", cells) ]
+  in
+  Alcotest.(check (list string)) "every verdict holds" []
+    (M.failures (section [ cell true; cell true ]));
+  Alcotest.(check (list string)) "nested false verdict named by its path"
+    [ "cells.1.equivalent" ]
+    (M.failures (section [ cell true; cell false ]));
+  Alcotest.(check (list string)) "exec section holds" []
+    (M.failures (Lazy.force exec_section))
+
+let test_measure_render_empty () =
+  let m =
+    M.make "whynot" ~params:[ ("nviews", J.Int 0) ] ~subs:[ ("causes", []) ]
+  in
+  Alcotest.(check bool) "renders" true (String.length (M.render m) > 0);
+  Alcotest.(check bool) "empty list in JSON" true
+    (J.member "causes" (M.to_json m) = Some (J.List []))
+
 (* ---- Pool.chunk_bounds edge cases ---- *)
 
 module Pool = Mv_experiments.Pool
@@ -163,6 +223,14 @@ let suite =
         Alcotest.test_case "more views, more view plans" `Quick
           test_more_views_more_plans;
         Alcotest.test_case "sweep covers the grid" `Quick test_sweep_covers_grid;
+        Alcotest.test_case "counters_agree rejects a counter mismatch" `Quick
+          test_counters_agree;
+        Alcotest.test_case "Measure JSON of an exec section" `Quick
+          test_measure_exec_json;
+        Alcotest.test_case "Measure failures name nested verdicts" `Quick
+          test_measure_failures;
+        Alcotest.test_case "Measure renders a section with no cells" `Quick
+          test_measure_render_empty;
         Alcotest.test_case "chunk_bounds edge cases" `Quick
           test_chunk_bounds_edges;
         Alcotest.test_case "chunk_bounds invariants over a grid" `Quick

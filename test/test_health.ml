@@ -17,7 +17,8 @@
       drops/re-adds a view must lose no updates — [queries_total] equals
       the number of submissions and per-view [chosen + cache_hits] equals
       the summed occurrences of the view across every returned plan
-      (single-flight leaders record chosen, L1/waiter paths cache hits).
+      (single-flight leaders record chosen, plan-hit/waiter paths cache
+      hits).
 
     Suites are named with a [health_] prefix so the @runtest-quick alias
     can select them; MVIEW_HEALTH_QUICK=1 shrinks the domain grid and the
@@ -215,7 +216,7 @@ let test_stale_flip_attribution () =
 
 (* N domains submit through one front while a mutator drops/re-adds the
    tail view. Submissions route through every serving path — flight
-   leaders (optimizer records chosen), waiters and L1 hits
+   leaders (optimizer records chosen), waiters and plan-layer hits
    (record_served records cache hits) — so the per-view identity
    [chosen + cache_hits = plan occurrences] and the per-submission
    identity [queries_total = submissions] only hold if no update is

@@ -1,6 +1,6 @@
 (** The observability layer itself: instrument arithmetic, scoped-registry
-    isolation, JSON snapshot round-trips, the trace ring, and the
-    [Registry.stats] façade agreeing with the underlying instruments. *)
+    isolation, JSON snapshot round-trips, and the [Registry.stats] façade
+    agreeing with the underlying instruments. *)
 
 module Obs = Mv_obs.Registry
 module I = Mv_obs.Instrument
@@ -75,13 +75,11 @@ let test_kind_mismatch () =
       ignore (Obs.timer r "m"))
 
 let test_json_roundtrip () =
-  let r = Obs.create ~trace_capacity:8 () in
+  let r = Obs.create () in
   I.add (Obs.counter r "rule.invocations") 17;
   I.record (Obs.timer r "rule.time") ~wall:0.125 ~cpu:0.0625;
   let h = Obs.histogram r "latency" in
   List.iter (fun v -> I.observe h v) [ 0.001; 0.004; 2.5 ];
-  Mv_obs.Trace.record (Obs.trace r) "rule"
-    [ ("tables", J.String "{lineitem}"); ("candidates", J.Int 3) ];
   let snap = Obs.to_json r in
   let reparsed = J.of_string (J.to_string snap) in
   Alcotest.(check bool) "pretty round-trip" true (J.equal snap reparsed);
@@ -92,11 +90,8 @@ let test_json_roundtrip () =
     (J.path [ "counters"; "rule.invocations" ] snap = Some (J.Int 17));
   Alcotest.(check bool) "timer wall" true
     (J.path [ "timers"; "rule.time"; "wall_s" ] snap = Some (J.Float 0.125));
-  match J.member "trace" snap with
-  | Some (J.List [ ev ]) ->
-      Alcotest.(check bool) "trace event name" true
-        (J.member "event" ev = Some (J.String "rule"))
-  | _ -> Alcotest.fail "expected one trace event"
+  Alcotest.(check bool) "histogram count" true
+    (J.path [ "histograms"; "latency"; "count" ] snap = Some (J.Int 3))
 
 let test_json_parser () =
   let t = J.of_string {| {"a": [1, -2.5, true, null, "x\n\"yA"], "b": {}} |} in
@@ -120,26 +115,6 @@ let test_json_parser () =
   match J.of_string (J.to_string (J.Float 2.0)) with
   | J.Float f -> Alcotest.(check (float 0.0)) "2.0 stays float" 2.0 f
   | _ -> Alcotest.fail "Float 2.0 must not reparse as Int"
-
-let test_trace_ring () =
-  let tr = Mv_obs.Trace.create ~capacity:4 () in
-  for i = 0 to 9 do
-    Mv_obs.Trace.record tr "e" [ ("i", J.Int i) ]
-  done;
-  Alcotest.(check int) "retained" 4 (Mv_obs.Trace.length tr);
-  Alcotest.(check int) "total" 10 (Mv_obs.Trace.total tr);
-  let seqs = List.map (fun e -> e.Mv_obs.Trace.seq) (Mv_obs.Trace.events tr) in
-  Alcotest.(check (list int)) "newest four, oldest first" [ 6; 7; 8; 9 ] seqs;
-  let disabled = Mv_obs.Trace.create ~capacity:0 () in
-  Mv_obs.Trace.record disabled "e" [];
-  Alcotest.(check int) "capacity 0 records nothing" 0
-    (Mv_obs.Trace.length disabled);
-  (* the default is disabled too — tracing is opt-in, as Registry's
-     [?trace_capacity] doc promises *)
-  let default = Mv_obs.Trace.create () in
-  Mv_obs.Trace.record default "e" [];
-  Alcotest.(check int) "default capacity is 0" 0
-    (Mv_obs.Trace.length default)
 
 (* The compatibility façade: after a real matching run, [Registry.stats]
    must report exactly what the instruments hold. *)
@@ -370,7 +345,6 @@ let suite =
         Alcotest.test_case "JSON snapshot round-trips" `Quick
           test_json_roundtrip;
         Alcotest.test_case "JSON parser" `Quick test_json_parser;
-        Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
         Alcotest.test_case "stats façade = instruments" `Quick
           test_stats_facade;
         Alcotest.test_case "table rendering" `Quick test_render;
