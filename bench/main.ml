@@ -371,8 +371,8 @@ let () =
   end;
   if what.exec then
     (* the end-to-end execution benchmark: TPC-H-style data at growing
-       scales, hand-written views, the four (rewrite x adaptive) cells,
-       every result bag-checked against direct legacy execution *)
+       scales, hand-written views, plans timed without and with rewrites,
+       every result bag-checked against direct execution *)
     many "exec"
       (List.map
          (fun scale -> H.exec_bench ~reps:!exec_reps ~scale ())

@@ -248,7 +248,7 @@ let explain_cmd =
       let exec_stats = Mv_engine.Database.stats db in
       let direct = Mv_engine.Exec.execute db q in
       let via, reports =
-        Mv_opt.Plan_exec.execute_report ~adaptive:true ~stats:exec_stats db q
+        Mv_opt.Plan_exec.execute_report ~stats:exec_stats db q
           r.Mv_opt.Optimizer.plan
       in
       Printf.printf "\nexecution check: %d rows, plan matches direct: %b\n"

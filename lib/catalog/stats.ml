@@ -113,8 +113,8 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) (arr : Value.t array) n :
       if ndv <= 1 then None
       else begin
         if ndv < buckets then begin
-          (* fewer runs than buckets, so [ndv] buckets: recut the kept
-             runs at that depth *)
+          (* fewer runs than buckets: recut the kept runs at depth
+             [ceil(n / ndv)], which makes at most [ndv] buckets *)
           bounds := [];
           counts := [];
           acc := 0;

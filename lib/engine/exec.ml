@@ -1,17 +1,13 @@
-(** Direct execution of SPJG blocks with SQL bag semantics.
+(** Direct execution of SPJG blocks with SQL bag semantics: the one join
+    pipeline behind direct execution, plan execution, materialization and
+    incremental maintenance.
 
-    The executor joins tables greedily along column-equality predicates
-    (hash join when an equijoin key is available, filtered nested loop
-    otherwise), applies each conjunct as soon as all its columns are bound,
-    then groups and projects. It is deliberately simple: it exists to give
-    ground truth for the matching algorithm's rewrites and to run the
-    examples, not to be fast.
-
-    With [~adaptive:true] (and optionally [~stats]) it additionally picks
-    the join order by estimated intermediate cardinality and a per-join
-    strategy — indexed or plain nested loop below a cardinality threshold,
-    hash join above — recording strategy counts and estimation error on the
-    global registry. All strategies produce the same bag. *)
+    The executor orders the join (by estimated intermediate cardinality
+    when statistics are given, by connectivity otherwise), joins each
+    table through a declared index when the probe side is small and by a
+    hash join otherwise, applies each conjunct as soon as all its columns
+    are bound, then groups and projects. Strategy picks and estimation
+    error are recorded on the global registry. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -28,10 +24,9 @@ let count_rows kind n =
     (Mv_obs.Registry.counter Mv_obs.Registry.global ("exec.rows." ^ kind))
     n
 
-(* Strategy pick counters ([exec.join.strategy.hash|nlj|inlj]) and the
+(* Join strategy counters ([exec.join.strategy.hash|inlj]) and the
    per-join q-error histogram (max(est/actual, actual/est); only recorded
-   when both sides are positive). Shared names with Plan_exec so bench
-   snapshots aggregate both executors. *)
+   when both sides are positive). *)
 let count_strategy kind =
   Mv_obs.Instrument.incr
     (Mv_obs.Registry.counter Mv_obs.Registry.global
@@ -47,11 +42,9 @@ let observe_qerror ~est ~actual =
     Mv_obs.Instrument.observe (Lazy.force qerror_hist)
       (Float.max (est /. a) (a /. est))
 
-(* Below this many build-side rows a nested loop beats paying hash-table
-   construction; also the probe-count bound for preferring an index
-   lookup. *)
+(* The probe-side bound for preferring an index lookup over a hash join
+   (and the build-side size above which the lookup pays). *)
 let nlj_threshold = 64
-let nlj_budget = 16 * nlj_threshold
 
 let env_of (b : bindings) (c : Col.t) =
   match Col.Map.find_opt c b with
@@ -59,6 +52,10 @@ let env_of (b : bindings) (c : Col.t) =
   | None ->
       raise
         (Eval.Eval_error ("unbound column " ^ Col.to_string c))
+
+let merge tup b = Col.Map.union (fun _ x _ -> Some x) tup b
+let key_of cols b = Array.map (fun c -> Col.Map.find c b) cols
+let has_null = Array.exists Value.is_null
 
 (* Bindings for one row of one table. *)
 let bind_row (tbl : Table.t) (row : Value.t array) : bindings =
@@ -100,7 +97,7 @@ let join_keys conjuncts ~bound ~next =
       | _ -> None)
     conjuncts
 
-(* ---- cardinality estimation (adaptive mode) --------------------------- *)
+(* ---- cardinality estimation (with statistics) ------------------------- *)
 
 (* A deliberately coarse mirror of [Mv_opt.Cost]'s single-table selectivity
    (the engine cannot depend on the optimizer): histograms/MCVs through
@@ -253,84 +250,45 @@ let table_source db conjuncts tname : Value.t array list =
   count_rows "scan" (List.length rows);
   rows
 
-(* Join [tbl] into the current tuples. In adaptive mode the strategy is
-   picked from the {e actual} cardinalities at hand: an index lookup when a
-   declared index leads with a join key and the probe side is small, a
-   nested loop when the comparison budget [n_src * n_probe] is within
-   [nlj_budget], a hash join otherwise. Every strategy compares full key
-   tuples exactly ([Value.Key]; NULLs never join), so they produce
-   identical bags. *)
-let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
-    tname : string list * bindings list =
+(* Equijoin of two bags of tuples on [keys], (probe column, build column)
+   pairs: a hash table over [build], probed by each [probe] tuple in turn.
+   Keys compare as exact tuples ([Value.Key]) and a NULL key never joins;
+   no keys is a cross product. *)
+let hash_join keys ~(probe : bindings list) ~(build : bindings list) :
+    bindings list =
+  match keys with
+  | [] -> List.concat_map (fun tup -> List.map (merge tup) build) probe
+  | _ ->
+      count_strategy "hash";
+      let probe_cols = Array.of_list (List.map fst keys) in
+      let build_cols = Array.of_list (List.map snd keys) in
+      let table = Value.Key.create 256 in
+      List.iter
+        (fun b ->
+          let kv = key_of build_cols b in
+          if not (has_null kv) then Value.Key.add table kv b)
+        build;
+      List.concat_map
+        (fun tup ->
+          let kv = key_of probe_cols tup in
+          if has_null kv then []
+          else List.map (merge tup) (Value.Key.find_all table kv))
+        probe
+
+(* Join [tname] into the current tuples: an index nested loop when a
+   declared index leads with a join key, the probe side has at most
+   [nlj_threshold] tuples and the table more rows than that (building a
+   hash table over the whole table would dominate), a hash join built on
+   the table otherwise. Both compare full key tuples exactly, so they
+   produce identical bags. *)
+let join_table db conjuncts ~bound (tuples : bindings list) tname :
+    string list * bindings list =
   let tbl = Database.table_exn db tname in
   let source_rows = table_source db conjuncts tname in
   let keys = join_keys conjuncts ~bound ~next:tname in
-  let bound' = tname :: bound in
-  let merge tup b = Col.Map.union (fun _ x _ -> Some x) tup b in
-  let build_cols = Array.of_list (List.map fst keys) in
-  let probe_cols = Array.of_list (List.map snd keys) in
-  let build_key b = Array.map (fun tc -> Col.Map.find tc b) build_cols in
-  let probe_key tup = Array.map (fun oc -> Col.Map.find oc tup) probe_cols in
-  let has_null = Array.exists Value.is_null in
-  let hash_join () =
-    (* build on the new table, probe with current tuples *)
-    let build = Value.Key.create 256 in
-    List.iter
-      (fun row ->
-        let b = bind_row tbl row in
-        let kv = build_key b in
-        if not (has_null kv) then Value.Key.add build kv b)
-      source_rows;
-    List.concat_map
-      (fun tup ->
-        let kv = probe_key tup in
-        if has_null kv then []
-        else List.map (merge tup) (Value.Key.find_all build kv))
-      tuples
-  in
-  let nested_loop () =
-    count_strategy "nlj";
-    let srcs =
-      List.filter_map
-        (fun row ->
-          let b = bind_row tbl row in
-          let kv = build_key b in
-          if has_null kv then None else Some (kv, b))
-        source_rows
-    in
-    List.concat_map
-      (fun tup ->
-        let k = probe_key tup in
-        if has_null k then []
-        else
-          List.filter_map
-            (fun (bk, b) ->
-              if Array.for_all2 Value.equal bk k then Some (merge tup b)
-              else None)
-            srcs)
-      tuples
-  in
-  (* Index nested loop through a declared index whose leading column is a
-     join key. The index serves the full table, possibly wider than the
-     narrowed [source_rows] — harmless, since the caller re-applies every
-     local predicate once the table is bound. *)
-  let indexed_loop ix oc0 =
-    count_strategy "inlj";
-    List.concat_map
-      (fun tup ->
-        let k = probe_key tup in
-        if has_null k then []
-        else
-          List.filter_map
-            (fun row ->
-              let b = bind_row tbl row in
-              let bk = build_key b in
-              if (not (has_null bk)) && Array.for_all2 Value.equal bk k then
-                Some (merge tup b)
-              else None)
-            (Index.prefix_lookup ix [ Col.Map.find oc0 tup ]))
-      tuples
-  in
+  (* The index serves the full table, possibly wider than the narrowed
+     [source_rows]: harmless, since the caller re-applies every local
+     predicate once the table is bound. *)
   let join_index () =
     List.find_map
       (fun cols ->
@@ -339,42 +297,51 @@ let join_table ?(adaptive = false) db conjuncts ~bound (tuples : bindings list)
             match
               List.find_opt (fun ((tc : Col.t), _) -> tc.Col.col = lead) keys
             with
-            | Some (_, oc) -> (
-                match Database.index db ~table:tname ~cols with
-                | Some ix -> Some (ix, oc)
-                | None -> None)
+            | Some (_, oc) ->
+                Option.map
+                  (fun ix -> (ix, oc))
+                  (Database.index db ~table:tname ~cols)
             | None -> None)
         | [] -> None)
       (Database.declared_indexes db tname)
   in
+  let indexed_loop ix oc0 =
+    count_strategy "inlj";
+    let build_cols = Array.of_list (List.map fst keys) in
+    let probe_cols = Array.of_list (List.map snd keys) in
+    List.concat_map
+      (fun tup ->
+        let k = key_of probe_cols tup in
+        if has_null k then []
+        else
+          List.filter_map
+            (fun row ->
+              let b = bind_row tbl row in
+              let bk = key_of build_cols b in
+              if (not (has_null bk)) && Array.for_all2 Value.equal bk k then
+                Some (merge tup b)
+              else None)
+            (Index.prefix_lookup ix [ Col.Map.find oc0 tup ]))
+      tuples
+  in
+  let small_probe () =
+    List.compare_length_with tuples nlj_threshold <= 0
+    && List.compare_length_with source_rows nlj_threshold > 0
+  in
   let joined =
-    if keys <> [] && tuples <> [] then
-      if not adaptive then hash_join ()
-      else
-        let n_src = List.length source_rows in
-        let n_probe = List.length tuples in
-        match join_index () with
-        | Some (ix, oc0) when n_probe <= nlj_threshold && n_src > nlj_threshold
-          ->
-            indexed_loop ix oc0
-        | _ ->
-            (* a nested loop does [n_src * n_probe] key comparisons; a hash
-               join does [n_src + n_probe] hashtable operations — the loop
-               only wins when the comparison budget is small *)
-            if n_src * n_probe <= nlj_budget || n_probe <= 2 then
-              nested_loop ()
-            else begin
-              count_strategy "hash";
-              hash_join ()
-            end
+    if tuples = [] then []
     else
-      (* cross product (filtered immediately below) *)
-      List.concat_map
-        (fun tup -> List.map (fun row -> merge tup (bind_row tbl row)) source_rows)
-        tuples
+      (* the index is looked up (and built) only when it would be used *)
+      match if small_probe () then join_index () else None with
+      | Some (ix, oc0) -> indexed_loop ix oc0
+      | None ->
+          hash_join
+            (List.map (fun (tc, oc) -> (oc, tc)) keys)
+            ~probe:tuples
+            ~build:(List.map (bind_row tbl) source_rows)
   in
   count_rows "join" (List.length joined);
-  (bound', joined)
+  (tname :: bound, joined)
 
 (* Greedy join order: start anywhere, prefer tables connected to the bound
    set by a column-equality predicate. *)
@@ -393,12 +360,12 @@ let order_tables conjuncts tables =
   go [] tables []
 
 (* The SPJ part: the bag of fully-joined, fully-filtered tuples. *)
-let spj_tuples ?(adaptive = false) ?stats db (block : Spjg.t) : bindings list =
+let spj_tuples ?stats db (block : Spjg.t) : bindings list =
   let conjuncts = block.Spjg.where in
   let order, ests =
-    match (adaptive, stats) with
-    | true, Some st -> order_tables_est st conjuncts block.Spjg.tables
-    | _ -> (order_tables conjuncts block.Spjg.tables, [])
+    match stats with
+    | Some st -> order_tables_est st conjuncts block.Spjg.tables
+    | None -> (order_tables conjuncts block.Spjg.tables, [])
   in
   let rec go i bound applied tuples = function
     | [] ->
@@ -406,9 +373,7 @@ let spj_tuples ?(adaptive = false) ?stats db (block : Spjg.t) : bindings list =
         let rest = List.filter (fun p -> not (List.memq p applied)) conjuncts in
         apply_preds rest tuples
     | t :: rest ->
-        let bound', tuples' =
-          join_table ~adaptive db conjuncts ~bound tuples t
-        in
+        let bound', tuples' = join_table db conjuncts ~bound tuples t in
         let ready =
           List.filter
             (fun p -> (not (List.memq p applied)) && applicable bound' p)
@@ -462,19 +427,53 @@ let eval_agg (rows : bindings list) (a : Spjg.agg) : Value.t =
       else Eval.arith Expr.Div (sum_of e) (Value.Int (List.length non_null))
   | Spjg.Sum_div_sum (num, den) -> Eval.arith Expr.Div (sum_of num) (sum_of den)
 
-let group_key gexprs (b : bindings) =
-  Array.of_list (List.map (fun g -> Eval.expr (env_of b) g) gexprs)
-
-let execute ?adaptive ?stats db (block : Spjg.t) : Relation.t =
-  let tuples = spj_tuples ?adaptive ?stats db block in
-  let cols = Spjg.out_names block in
-  let finish (rel : Relation.t) =
-    count_rows "output" (List.length rel.Relation.rows);
-    rel
+let aggregate gexprs (out : Spjg.out_item list) (tuples : bindings list) :
+    Value.t array list =
+  let groups = Value.Key.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun b ->
+      let k =
+        Array.of_list (List.map (fun g -> Eval.expr (env_of b) g) gexprs)
+      in
+      match Value.Key.find_opt groups k with
+      | Some rows -> Value.Key.replace groups k (b :: rows)
+      | None ->
+          order := k :: !order;
+          Value.Key.add groups k [ b ])
+    tuples;
+  (* SQL: zero input rows with an empty grouping list yields one row
+     (count = 0, sums NULL); with a non-empty grouping list it yields
+     none. *)
+  let keys =
+    if tuples = [] && gexprs = [] then [ `Empty ]
+    else List.rev_map (fun k -> `Group k) !order
   in
-  match block.Spjg.group_by with
-  | None ->
-      let rows =
+  let rows =
+    List.map
+      (fun key ->
+        let group_rows =
+          match key with `Empty -> [] | `Group k -> Value.Key.find groups k
+        in
+        let witness = match group_rows with b :: _ -> Some b | [] -> None in
+        Array.of_list
+          (List.map
+             (fun (o : Spjg.out_item) ->
+               match (o.Spjg.def, witness) with
+               | Spjg.Scalar e, Some b -> Eval.expr (env_of b) e
+               | Spjg.Scalar _, None -> Value.Null
+               | Spjg.Aggregate a, _ -> eval_agg group_rows a)
+             out))
+      keys
+  in
+  count_rows "group" (List.length rows);
+  rows
+
+let execute ?stats db (block : Spjg.t) : Relation.t =
+  let tuples = spj_tuples ?stats db block in
+  let rows =
+    match block.Spjg.group_by with
+    | None ->
         List.map
           (fun b ->
             Array.of_list
@@ -485,50 +484,10 @@ let execute ?adaptive ?stats db (block : Spjg.t) : Relation.t =
                    | Spjg.Aggregate _ -> assert false)
                  block.Spjg.out))
           tuples
-      in
-      finish { Relation.cols; rows }
-  | Some gexprs ->
-      let groups = Value.Key.create 64 in
-      let order = ref [] in
-      List.iter
-        (fun b ->
-          let k = group_key gexprs b in
-          match Value.Key.find_opt groups k with
-          | Some rows -> Value.Key.replace groups k (b :: rows)
-          | None ->
-              order := k :: !order;
-              Value.Key.add groups k [ b ])
-        tuples;
-      (* SQL: zero input rows with an empty grouping list yields one row
-         (count = 0, sums NULL); with a non-empty grouping list it yields
-         none. *)
-      let keys =
-        if tuples = [] && gexprs = [] then [ `Empty ]
-        else List.rev_map (fun k -> `Group k) !order
-      in
-      let rows =
-        List.map
-          (fun key ->
-            let group_rows =
-              match key with
-              | `Empty -> []
-              | `Group k -> Value.Key.find groups k
-            in
-            let witness =
-              match group_rows with b :: _ -> Some b | [] -> None
-            in
-            Array.of_list
-              (List.map
-                 (fun (o : Spjg.out_item) ->
-                   match (o.Spjg.def, witness) with
-                   | Spjg.Scalar e, Some b -> Eval.expr (env_of b) e
-                   | Spjg.Scalar _, None -> Value.Null
-                   | Spjg.Aggregate a, _ -> eval_agg group_rows a)
-                 block.Spjg.out))
-          keys
-      in
-      count_rows "group" (List.length rows);
-      finish { Relation.cols; rows }
+    | Some gexprs -> aggregate gexprs block.Spjg.out tuples
+  in
+  count_rows "output" (List.length rows);
+  { Relation.cols = Spjg.out_names block; rows }
 
 (* Materialize a view's contents as a table registered in the database. *)
 let materialize db (view : Mv_core.View.t) : Table.t =
@@ -562,19 +521,18 @@ let materialize_stats ?buckets db (view : Mv_core.View.t) stats :
 
 (* Execute a substitute: its block references the view's materialized
    table, which must exist in [db] (see [materialize]). *)
-let execute_substitute ?adaptive ?stats db (s : Mv_core.Substitute.t) :
-    Relation.t =
-  execute ?adaptive ?stats db s.Mv_core.Substitute.block
+let execute_substitute ?stats db (s : Mv_core.Substitute.t) : Relation.t =
+  execute ?stats db s.Mv_core.Substitute.block
 
 (* UNION ALL of a union substitute's parts (all views materialized). *)
-let execute_union ?adaptive ?stats db (u : Mv_core.Union_substitute.t) :
+let execute_union ?stats db (u : Mv_core.Union_substitute.t) :
     Relation.t =
   match u.Mv_core.Union_substitute.parts with
   | [] -> invalid_arg "Exec.execute_union: empty union"
   | first :: rest ->
-      let r0 = execute_substitute ?adaptive ?stats db first in
+      let r0 = execute_substitute ?stats db first in
       List.fold_left
         (fun (acc : Relation.t) part ->
-          let r = execute_substitute ?adaptive ?stats db part in
+          let r = execute_substitute ?stats db part in
           { acc with Relation.rows = acc.Relation.rows @ r.Relation.rows })
         r0 rest

@@ -1,37 +1,23 @@
-(** Direct execution of SPJG blocks with SQL bag semantics: greedy hash
-    joins along column-equality predicates, each conjunct applied as soon
-    as its columns are bound, then grouping and projection.
+(** Direct execution of SPJG blocks with SQL bag semantics. This is the
+    one join pipeline: direct execution, {!Mv_opt.Plan_exec},
+    materialization and both {!Ivm} paths (attach and delta terms) run
+    through it.
 
-    Adaptive mode ([~adaptive:true], optionally with [~stats]) picks the
-    join order by estimated intermediate cardinality and a per-join
-    strategy from the actual cardinalities at hand — an indexed nested
-    loop when a declared index leads with a join key and the probe side is
-    small, a plain nested loop below a build-side threshold, a hash join
-    above it. Strategy picks are counted as
-    [exec.join.strategy.hash|nlj|inlj] and per-join estimation error (the
-    q-error [max(est/actual, actual/est)]) is observed as
-    [exec.estimation.qerror], both on [Mv_obs.Registry.global]. All
-    strategies produce the same bag. *)
+    Tables join in estimated-cardinality order when [~stats] is given and
+    in connectivity order otherwise. Each join probes a declared index
+    whose leading column is a join key when the probe side has at most 64
+    tuples and the table more rows than that, and is a hash join built on
+    the table otherwise; both compare full key tuples exactly and never
+    join NULL keys. Each conjunct applies as soon as its columns are
+    bound, then rows are grouped and projected. Strategy picks are counted
+    as [exec.join.strategy.hash|inlj] and per-join estimation error (the
+    q-error [max(est/actual, actual/est)], with [~stats] only) is observed
+    as [exec.estimation.qerror], both on [Mv_obs.Registry.global]. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
 
 type bindings = Value.t Col.Map.t
-
-val nlj_threshold : int
-(** Probe-side row-count bound for preferring an index nested loop (and
-    the side of the square that defines {!nlj_budget}). *)
-
-val nlj_budget : int
-(** A plain nested loop replaces the hash join when
-    [build_rows * probe_rows] is within this budget: the loop's total key
-    comparisons stay small enough to beat the hash join's per-row hashing
-    overhead (one hash operation costs roughly a dozen key
-    comparisons). *)
-
-val count_strategy : string -> unit
-(** Bump [exec.join.strategy.<kind>] on the global registry. Exposed so
-    [Mv_opt.Plan_exec] records its strategy picks under the same names. *)
 
 val observe_qerror : est:float -> actual:int -> unit
 (** Record [max(est/actual, actual/est)] in the [exec.estimation.qerror]
@@ -40,26 +26,30 @@ val observe_qerror : est:float -> actual:int -> unit
 val env_of : bindings -> Col.t -> Value.t
 (** @raise Eval.Eval_error on unbound columns. *)
 
-val eval_agg : bindings list -> Spjg.agg -> Value.t
-(** Aggregate over one group's rows; NULLs are skipped, empty sums are
-    NULL (except [Sum0], which coalesces to 0). *)
+val hash_join :
+  (Col.t * Col.t) list ->
+  probe:bindings list ->
+  build:bindings list ->
+  bindings list
+(** The join of every SPJ block: [keys] are (probe column, build column)
+    equijoin pairs; a hash table over [build] is probed by each [probe]
+    tuple in turn. A NULL key never joins; no keys is a cross product.
+    {!Mv_opt.Plan_exec}'s join nodes call it directly. *)
+
+val aggregate :
+  Expr.t list -> Spjg.out_item list -> bindings list -> Value.t array list
+(** Group the tuples by the grouping expressions and evaluate the output
+    items per group, groups in first-seen order. Aggregates skip NULLs and
+    an empty sum is NULL (except [Sum0], which coalesces to 0). Zero
+    tuples with no grouping expressions yield one row; with grouping
+    expressions, none. {!Mv_opt.Plan_exec}'s aggregate nodes call it
+    directly. *)
 
 val spj_tuples :
-  ?adaptive:bool ->
-  ?stats:Mv_catalog.Stats.t ->
-  Database.t ->
-  Spjg.t ->
-  bindings list
-(** The fully-joined, fully-filtered bag of tuples of the SPJ part.
-    [adaptive] defaults to [false]: the original greedy
-    connectivity-ordered hash-join pipeline. *)
+  ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> bindings list
+(** The fully-joined, fully-filtered bag of tuples of the SPJ part. *)
 
-val execute :
-  ?adaptive:bool ->
-  ?stats:Mv_catalog.Stats.t ->
-  Database.t ->
-  Spjg.t ->
-  Relation.t
+val execute : ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> Relation.t
 
 val materialize : Database.t -> Mv_core.View.t -> Table.t
 (** Compute the view's contents, register them as a table in the database,
@@ -79,15 +69,10 @@ val materialize_stats :
     numbers for unmaintained views. *)
 
 val execute_substitute :
-  ?adaptive:bool ->
-  ?stats:Mv_catalog.Stats.t ->
-  Database.t ->
-  Mv_core.Substitute.t ->
-  Relation.t
+  ?stats:Mv_catalog.Stats.t -> Database.t -> Mv_core.Substitute.t -> Relation.t
 (** The substitute's view must have been materialized first. *)
 
 val execute_union :
-  ?adaptive:bool ->
   ?stats:Mv_catalog.Stats.t ->
   Database.t ->
   Mv_core.Union_substitute.t ->

@@ -6,7 +6,7 @@
     — and each term runs through the ordinary executor against a scratch
     database holding the right old/delta/new slice per table, with
     synthetic statistics that make the (tiny) delta table the cheapest so
-    adaptive ordering starts the join there; slices that are the live
+    the estimated join order starts there; slices that are the live
     tables themselves keep their indexes, so the join probes them. SPJ
     deltas edit the view's bag directly; aggregation deltas fold into the
     stored grouping columns, count_big( * ) and SUMs through a per-group
@@ -345,7 +345,8 @@ let attach t (view : View.t) =
    executor over a scratch database: tables before the delta position see
    new rows, the delta position sees just the insert (or delete) slice,
    tables after it see old rows. Synthetic row-count-only statistics make
-   the delta slice the smallest table so adaptive ordering leads with it.
+   the delta slice the smallest table so the estimated join order leads
+   with it.
    The scratch database shares the live index cache, and a slice gets the
    live table's declared indexes exactly when it is physically the live
    row list (every unwritten table, and written ones before the delta
@@ -389,7 +390,7 @@ let signed_tuples t (view : View.t) (batch : batch)
               in
               List.iter
                 (fun b -> acc := (b, sign) :: !acc)
-                (Exec.spj_tuples ~adaptive:true ~stats scratch sp)
+                (Exec.spj_tuples ~stats scratch sp)
             end
           in
           term d.ins 1;

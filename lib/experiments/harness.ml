@@ -247,8 +247,8 @@ let exec_views =
   ]
 
 (* Four queries answerable from the views (exactly or with compensation)
-   plus two with no matching view, exercising the adaptive join pipeline
-   on base tables. *)
+   plus two with no matching view, exercising the join pipeline on base
+   tables. *)
 let exec_queries =
   [
     ( "q_custrev",
@@ -277,8 +277,8 @@ let exec_queries =
 (* One scale point of the end-to-end benchmark: generate data, register
    and materialize the views, compute statistics (with histograms) from
    the actual contents, optimize the query set with and without view
-   substitutes, then time plan execution in the four (rewrite x adaptive)
-   cells. Every cell's result is checked bag-equal against direct legacy
+   substitutes, then time plan execution in the two (rewrite off/on)
+   cells. Every cell's result is checked bag-equal against direct
    execution of the original query; plans are computed outside the timing
    loop, so the cells measure execution only. *)
 let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
@@ -289,7 +289,7 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
       (fun name _ acc -> acc + Mv_engine.Database.row_count db name)
       db.Mv_engine.Database.tables 0
   in
-  (* primary-key indexes give the adaptive executor its INLJ option *)
+  (* primary-key indexes give the executor its index nested loop *)
   List.iter
     (fun (table, cols) -> Mv_engine.Database.declare_index db ~table ~cols)
     [
@@ -321,7 +321,7 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
   let strat0 =
     List.map
       (fun k -> (k, gval ("exec.join.strategy." ^ k)))
-      [ "hash"; "nlj"; "inlj" ]
+      [ "hash"; "inlj" ]
   in
   let opt cfg =
     List.map (fun (_, q) -> Mv_opt.Optimizer.optimize ~config:cfg registry stats q) queries
@@ -341,24 +341,21 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
     Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs
       "opt.prune.cost_bound"
   in
-  (* reference results: the legacy executor straight off the query *)
+  (* reference results: direct execution of the original query *)
   let direct = List.map (fun (_, q) -> Mv_engine.Exec.execute db q) queries in
   let equivalent = ref true in
-  let exec ~adaptive (_, q) (r : Mv_opt.Optimizer.result) =
-    if adaptive then
-      Mv_opt.Plan_exec.execute ~adaptive:true ~stats db q
-        r.Mv_opt.Optimizer.plan
-    else Mv_opt.Plan_exec.execute ~force_hash:true db q r.Mv_opt.Optimizer.plan
+  let exec (_, q) (r : Mv_opt.Optimizer.result) =
+    Mv_opt.Plan_exec.execute ~stats db q r.Mv_opt.Optimizer.plan
   in
-  let grid = [ (false, false); (false, true); (true, false); (true, true) ] in
+  let grid = [ false; true ] in
   (* correctness first (also a discarded warmup pass per cell) *)
   List.iter
-    (fun (rewrite, adaptive) ->
+    (fun rewrite ->
       List.iter2
         (fun got want ->
           if not (Mv_engine.Relation.same_bag got want) then
             equivalent := false)
-        (List.map2 (exec ~adaptive) queries (if rewrite then rw else nr))
+        (List.map2 exec queries (if rewrite then rw else nr))
         direct)
     grid;
   (* the cells' passes are interleaved so GC and allocator drift over the
@@ -366,22 +363,22 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
   let acc = Array.make (List.length grid) 0.0 in
   for _ = 1 to reps do
     List.iteri
-      (fun i (rewrite, adaptive) ->
+      (fun i rewrite ->
         let plans = if rewrite then rw else nr in
         let span = Mv_obs.Instrument.enter () in
-        List.iter2 (fun qp rp -> ignore (exec ~adaptive qp rp)) queries plans;
+        List.iter2 (fun qp rp -> ignore (exec qp rp)) queries plans;
         let wall, _ = Mv_obs.Instrument.elapsed span in
         acc.(i) <- acc.(i) +. wall)
       grid
   done;
   let ratio a b = if b > 0.0 then a /. b else 1.0 in
-  (* per-node estimated-vs-actual rows, from the rewrite+adaptive arm *)
+  (* per-node estimated-vs-actual rows, from the rewrite arm *)
   let nodes =
     List.concat
       (List.map2
          (fun (qn, q) (r : Mv_opt.Optimizer.result) ->
            let _, reports =
-             Mv_opt.Plan_exec.execute_report ~adaptive:true ~stats db q
+             Mv_opt.Plan_exec.execute_report ~stats db q
                r.Mv_opt.Optimizer.plan
            in
            List.map
@@ -412,10 +409,7 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
       ]
     ~metrics:
       ([
-         (* grid order: acc.(1) = base/adaptive, acc.(2) = views/hash,
-            acc.(3) = views/adaptive *)
-         ("rewrite_speedup", J.Float (ratio acc.(1) acc.(3)));
-         ("adaptive_speedup", J.Float (ratio acc.(2) acc.(3)));
+         ("rewrite_speedup", J.Float (ratio acc.(0) acc.(1)));
          ("plans_with_views", J.Int plans_with_views);
          ("cost_bound_prunes", J.Int prunes);
          ("stats_missing", J.Int (gval "cost.stats.missing" - missing0));
@@ -429,10 +423,9 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
       [
         ( "cells",
           List.mapi
-            (fun i (rewrite, adaptive) ->
+            (fun i rewrite ->
               Measure.make "cell"
-                ~params:
-                  [ ("rewrite", J.Bool rewrite); ("adaptive", J.Bool adaptive) ]
+                ~params:[ ("rewrite", J.Bool rewrite) ]
                 ~metrics:[ ("wall_s", J.Float acc.(i)) ])
             grid );
         ("nodes", nodes);

@@ -108,10 +108,11 @@ val exec_bench : ?seed:int -> ?reps:int -> scale:int -> unit -> Measure.t
 (** One scale point of [bench --exec]: TPC-H-style data, three
     hand-written views, six queries (four answerable from the views).
     Statistics come from the materialized contents; plan execution is
-    timed in the four (rewrite x adaptive) [cells], plans built outside
+    timed in two [cells], without and with rewrites, plans built outside
     the timing loop. [nodes] carries estimated vs actual rows per plan
-    node of the rewrite+adaptive arm; the [equivalent] verdict holds when
-    every cell's every result was bag-equal to direct legacy execution. *)
+    node of the rewrite arm; the [equivalent] verdict holds when every
+    cell's every result was bag-equal to direct execution of the
+    query. *)
 
 val bag_close :
   Mv_base.Value.t array list -> Mv_base.Value.t array list -> bool

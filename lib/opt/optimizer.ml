@@ -30,18 +30,6 @@ type result = {
   pruned_views : string list;
 }
 
-(* Join strategy picked at plan time from the estimated cardinalities of
-   both sides: a nested loop does [left * right] key comparisons and only
-   beats the hash join's per-row hashing overhead when that budget is
-   small (the executor's [nlj_budget]). Purely physical — never affects
-   cost comparisons or the result bag. *)
-let strategy_for left right =
-  if
-    Plan.est_rows left *. Plan.est_rows right
-    <= float_of_int Mv_engine.Exec.nlj_budget
-  then Plan.Nlj
-  else Plan.Hash
-
 (* binding spec of a leaf: bare-column outputs rebind to their base column,
    everything else to a synthetic #agg column *)
 let leaf_binds (block : Spjg.t) =
@@ -444,7 +432,6 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
                          right = eb.plan;
                          keys;
                          post;
-                         strategy = strategy_for ea.plan eb.plan;
                          est_rows = rows;
                          est_cost = cost;
                        })
@@ -611,7 +598,6 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
                                   right = rplan;
                                   keys;
                                   post;
-                                  strategy = strategy_for plan rplan;
                                   est_rows = rows;
                                   est_cost =
                                     Plan.est_cost plan +. Plan.est_cost rplan

@@ -14,10 +14,6 @@ type source =
   | Computed of Spjg.t
   | Via of Mv_core.Substitute.t  (** read from a materialized view *)
 
-type join_strategy = Hash | Nlj
-
-let strategy_name = function Hash -> "hash" | Nlj -> "nlj"
-
 type t =
   | Leaf of {
       source : source;
@@ -31,8 +27,6 @@ type t =
       right : t;
       keys : (Col.t * Col.t) list;  (** (left col, right col) equijoin keys *)
       post : Pred.t list;  (** residual predicates applied after the join *)
-      strategy : join_strategy;
-          (** picked at plan time from the estimated build-side rows *)
       est_rows : float;
       est_cost : float;
     }
@@ -78,9 +72,8 @@ let rec pp ?(indent = 0) ppf t =
   | Leaf { source = Via s; est_rows; est_cost; _ } ->
       Fmt.pf ppf "%sViewScan[%s] (rows=%.0f cost=%.0f)@." pad
         s.Mv_core.Substitute.view.Mv_core.View.name est_rows est_cost
-  | Join { left; right; keys; strategy; est_rows; est_cost; _ } ->
-      Fmt.pf ppf "%s%s on %s (rows=%.0f cost=%.0f)@.%a%a" pad
-        (match strategy with Hash -> "HashJoin" | Nlj -> "NestedLoopJoin")
+  | Join { left; right; keys; est_rows; est_cost; _ } ->
+      Fmt.pf ppf "%sHashJoin on %s (rows=%.0f cost=%.0f)@.%a%a" pad
         (String.concat ", "
            (List.map
               (fun (a, b) -> Col.to_string a ^ "=" ^ Col.to_string b)

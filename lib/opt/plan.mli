@@ -7,15 +7,6 @@ module Spjg = Mv_relalg.Spjg
 
 type source = Computed of Spjg.t | Via of Mv_core.Substitute.t
 
-type join_strategy = Hash | Nlj
-(** Picked by the optimizer at plan time: nested loop when the estimated
-    build (right) side is below {!Mv_engine.Exec.nlj_threshold} rows, hash
-    join otherwise. The strategy never affects the result bag, so
-    [Plan_exec] may override it (e.g. [~force_hash:true] for A/B runs). *)
-
-val strategy_name : join_strategy -> string
-(** ["hash"] or ["nlj"]. *)
-
 type t =
   | Leaf of {
       source : source;
@@ -29,7 +20,6 @@ type t =
       right : t;
       keys : (Col.t * Col.t) list;
       post : Pred.t list;
-      strategy : join_strategy;
       est_rows : float;
       est_cost : float;
     }

@@ -1,16 +1,17 @@
-(** Adaptive execution differentials: every join strategy — legacy hash,
-    adaptive (NLJ / hash / indexed NLJ), and plan-level strategy nodes —
-    must produce the identical bag; rewritten queries stay equivalent to
-    the originals under the adaptive executor; and branch-and-bound
-    cost-bound pruning never changes the chosen plan, only the work done. *)
+(** Execution differentials against the naive oracle ({!Naive}), which
+    shares no code with the executor: direct execution with and without
+    statistics (estimated vs connectivity join order, index probes and
+    hash joins), optimizer plans through [Plan_exec], and matched
+    rewrites all produce the oracle's bag; and branch-and-bound cost-bound
+    pruning never changes the chosen plan, only the work done. *)
 
 module Spjg = Mv_relalg.Spjg
 
 let schema = Mv_tpch.Schema.schema
 
 (* One shared database with statistics built from its actual contents
-   (histograms included), plus the declared indexes the adaptive executor
-   can pick for indexed nested loops. *)
+   (histograms included), plus the declared indexes the executor can
+   probe. *)
 let db =
   lazy
     (let db = Mv_tpch.Datagen.generate ~seed:57 ~scale:2 () in
@@ -30,87 +31,88 @@ let gen_query seed =
   let rng = Mv_util.Prng.create seed in
   Mv_workload.Generator.generate_query schema (Lazy.force stats) rng
 
-(* Adaptive direct execution computes the same bag as the legacy
-   hash-pipeline for random section-5 queries. *)
+(* [runs] all equal the oracle's bag; otherwise report the first that
+   does not. *)
+let agree_with_naive ~what ~detail oracle runs =
+  match
+    List.find_opt
+      (fun (_, r) -> not (Mv_engine.Relation.same_bag oracle r))
+      runs
+  with
+  | None -> true
+  | Some (name, r) ->
+      QCheck.Test.fail_reportf
+        "%s diverged from the naive oracle (%s)!\n%s\nnaive=%d rows %s=%d rows"
+        what name detail
+        (Mv_engine.Relation.cardinality oracle)
+        name
+        (Mv_engine.Relation.cardinality r)
+
+(* Direct execution, with statistics (estimated join order) and without
+   (connectivity order), computes the oracle's bag for random section-5
+   queries. *)
 let adaptive_exec_prop =
-  QCheck.Test.make ~name:"adaptive: direct execution is bag-identical"
+  QCheck.Test.make ~name:"adaptive: direct execution equals the naive oracle"
     ~count:(Helpers.qcheck_count 150) QCheck.small_int (fun seed ->
       let q = gen_query ((seed * 7919) + 1) in
       let db = Lazy.force db in
-      let legacy = Mv_engine.Exec.execute db q in
-      let adaptive =
-        Mv_engine.Exec.execute ~adaptive:true ~stats:(Lazy.force stats) db q
-      in
-      let ok = Mv_engine.Relation.same_bag legacy adaptive in
-      if not ok then
-        QCheck.Test.fail_reportf
-          "adaptive execution diverged!\nquery:\n%s\nlegacy=%d rows \
-           adaptive=%d rows"
-          (Spjg.to_sql q)
-          (Mv_engine.Relation.cardinality legacy)
-          (Mv_engine.Relation.cardinality adaptive);
-      ok)
+      agree_with_naive ~what:"direct execution"
+        ~detail:("query:\n" ^ Spjg.to_sql q)
+        (Naive.execute db q)
+        [
+          ("with stats", Mv_engine.Exec.execute ~stats:(Lazy.force stats) db q);
+          ("without stats", Mv_engine.Exec.execute db q);
+        ])
 
-(* Optimizer plans (strategy nodes honored vs forced to hash) both equal
-   direct execution. *)
-let plan_strategy_prop =
-  QCheck.Test.make ~name:"adaptive: plan strategies are bag-identical"
+(* Optimizer plans, run with and without statistics for their leaves,
+   compute the oracle's bag. *)
+let plan_exec_prop =
+  QCheck.Test.make ~name:"adaptive: plan execution equals the naive oracle"
     ~count:(Helpers.qcheck_count 100) QCheck.small_int (fun seed ->
       let q = gen_query ((seed * 104729) + 2) in
       let db = Lazy.force db in
       let stats = Lazy.force stats in
       let registry = Mv_core.Registry.create schema in
       let r = Mv_opt.Optimizer.optimize registry stats q in
-      let direct = Mv_engine.Exec.execute db q in
-      let hash =
-        Mv_opt.Plan_exec.execute ~force_hash:true db q r.Mv_opt.Optimizer.plan
-      in
-      let adaptive =
-        Mv_opt.Plan_exec.execute ~adaptive:true ~stats db q
-          r.Mv_opt.Optimizer.plan
-      in
-      let ok =
-        Mv_engine.Relation.same_bag direct hash
-        && Mv_engine.Relation.same_bag direct adaptive
-      in
-      if not ok then
-        QCheck.Test.fail_reportf
-          "plan execution diverged!\nquery:\n%s\nplan:\n%s" (Spjg.to_sql q)
-          (Mv_opt.Plan.to_string r.Mv_opt.Optimizer.plan);
-      ok)
+      let plan = r.Mv_opt.Optimizer.plan in
+      agree_with_naive ~what:"plan execution"
+        ~detail:
+          (Printf.sprintf "query:\n%s\nplan:\n%s" (Spjg.to_sql q)
+             (Mv_opt.Plan.to_string plan))
+        (Naive.execute db q)
+        [
+          ("with stats", Mv_opt.Plan_exec.execute ~stats db q plan);
+          ("without stats", Mv_opt.Plan_exec.execute db q plan);
+        ])
 
-(* Matched rewrites stay equivalent to the original when the substitute
-   is executed through the adaptive path. Samples the matcher-accepted
-   (query, substitute) pool built by {!Test_prop_equivalence} — random
-   pairs almost never match, the pool guarantees real rewrites. *)
+(* Matched rewrites executed with statistics compute the oracle's bag of
+   the original query. Samples the matcher-accepted (query, substitute)
+   pool built by {!Test_prop_equivalence} — random pairs almost never
+   match, the pool guarantees real rewrites. *)
 let adaptive_rewrite_prop =
   QCheck.Test.make
-    ~name:"adaptive: rewritten queries equal originals under new executor"
+    ~name:"adaptive: rewritten queries equal the naive oracle"
     ~count:(Helpers.qcheck_count 150)
     QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
     (fun (pick, db_seed) ->
       let pairs = Lazy.force Test_prop_equivalence.matched_pairs in
       let query, s = List.nth pairs (pick mod List.length pairs) in
       let db = Mv_tpch.Datagen.generate ~seed:db_seed ~scale:1 () in
-      let direct = Mv_engine.Exec.execute db query in
+      let oracle = Naive.execute db query in
       ignore (Mv_engine.Exec.materialize db s.Mv_core.Substitute.view);
       let stats = Mv_engine.Database.stats db in
-      let via =
-        Mv_engine.Exec.execute_substitute ~adaptive:true ~stats db s
-      in
-      let ok = Mv_engine.Relation.same_bag direct via in
-      if not ok then
-        QCheck.Test.fail_reportf
-          "adaptive rewrite diverged!\nquery:\n%s\nsubstitute:\n%s\ndirect=%d \
-           via=%d"
-          (Spjg.to_sql query)
-          (Mv_core.Substitute.to_sql s)
-          (Mv_engine.Relation.cardinality direct)
-          (Mv_engine.Relation.cardinality via);
-      ok)
+      agree_with_naive ~what:"rewrite"
+        ~detail:
+          (Printf.sprintf "query:\n%s\nsubstitute:\n%s" (Spjg.to_sql query)
+             (Mv_core.Substitute.to_sql s))
+        oracle
+        [
+          ("direct", Mv_engine.Exec.execute db query);
+          ("via view", Mv_engine.Exec.execute_substitute ~stats db s);
+        ])
 
 (* The indexed nested loop actually fires on a small-probe / large-build
-   join with a declared index, and computes the same bag. *)
+   join with a declared index, and computes the oracle's bag. *)
 let test_inlj_fires () =
   let db = Lazy.force db in
   let stats = Lazy.force stats in
@@ -121,11 +123,10 @@ let test_inlj_fires () =
   in
   let gval = Mv_obs.Registry.counter_value Mv_obs.Registry.global in
   let before = gval "exec.join.strategy.inlj" in
-  let legacy = Mv_engine.Exec.execute db q in
-  let adaptive = Mv_engine.Exec.execute ~adaptive:true ~stats db q in
+  let got = Mv_engine.Exec.execute ~stats db q in
   Alcotest.(check bool)
     "bag-identical" true
-    (Mv_engine.Relation.same_bag legacy adaptive);
+    (Mv_engine.Relation.same_bag (Naive.execute db q) got);
   Alcotest.(check bool)
     "indexed nested loop fired" true
     (gval "exec.join.strategy.inlj" > before)
@@ -204,7 +205,7 @@ let suite =
     ( "prop_adaptive",
       [
         Helpers.qtest adaptive_exec_prop;
-        Helpers.qtest plan_strategy_prop;
+        Helpers.qtest plan_exec_prop;
         Helpers.qtest adaptive_rewrite_prop;
         Alcotest.test_case "indexed nested loop fires" `Quick test_inlj_fires;
         Alcotest.test_case "cost-bound pruning keeps plans" `Quick

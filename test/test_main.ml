@@ -2,7 +2,8 @@ let () =
   Alcotest.run "mview"
     (Test_base.suite @ Test_relalg.suite @ Test_matching.suite
    @ Test_extra_tables.suite @ Test_aggregation.suite @ Test_sql.suite
-   @ Test_lattice.suite @ Test_engine.suite @ Test_equivalence.suite
+   @ Test_lattice.suite @ Test_engine.suite @ Test_naive.suite
+   @ Test_equivalence.suite
    @ Test_filter_tree.suite @ Test_optimizer.suite @ Test_relaxed_nulls.suite
    @ Test_tpch.suite @ Test_workload.suite @ Test_util.suite
    @ Test_checks.suite @ Test_backjoin.suite @ Test_index.suite
