@@ -33,9 +33,9 @@ let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
   List.iter (Mv_core.Registry.add_prebuilt registry) (H.take nviews w.H.views);
   Mv_relalg.Intern.freeze ();
   (* counter pass: per-level flow and the candidate totals. Sharded over
-     [domains] like the timed passes (chunked, so each pre-analyzed query —
-     and its lazily built key memo — is touched by exactly one domain per
-     pass; passes are separated by Domain.join). *)
+     [domains] like the timed passes (chunked, so each pre-analyzed query
+     is touched by exactly one domain per pass; passes are separated by
+     Domain.join). *)
   let candidates =
     List.fold_left ( + ) 0
       (Mv_experiments.Pool.map_list ~domains

@@ -11,8 +11,10 @@
 open Mv_base
 module Interval = Mv_relalg.Interval
 
+let col_name c = Col.to_string (Mv_relalg.Intern.col_of_id c)
+
 (* Compensating equalities: route both sides via view classes. *)
-let equalities (router : Routing.t) (pairs : (Col.t * Col.t) list) :
+let equalities (router : Routing.t) (pairs : (int * int) list) :
     (Pred.t list, Reject.t) result =
   let v_equiv = router.Routing.view.View.analysis.Mv_relalg.Analysis.equiv in
   let rec go acc = function
@@ -25,13 +27,14 @@ let equalities (router : Routing.t) (pairs : (Col.t * Col.t) list) :
         | _ ->
             Error
               (Reject.Compensation_not_computable
-                 (Fmt.str "equality %s = %s" (Col.to_string a) (Col.to_string b))))
+                 (fun () ->
+                   Fmt.str "equality %s = %s" (col_name a) (col_name b))))
   in
   go [] pairs
 
 (* Compensating ranges: any column of the query class will do. *)
 let ranges (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t)
-    (comps : (Col.t * Interval.t) list) : (Pred.t list, Reject.t) result =
+    (comps : (int * Interval.t) list) : (Pred.t list, Reject.t) result =
   let rec go acc = function
     | [] -> Ok (List.concat (List.rev acc))
     | (c, delta) :: rest -> (
@@ -40,7 +43,7 @@ let ranges (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t)
         | None ->
             Error
               (Reject.Compensation_not_computable
-                 (Fmt.str "range on %s" (Col.to_string c))))
+                 (fun () -> Fmt.str "range on %s" (col_name c))))
   in
   go [] comps
 
@@ -57,13 +60,13 @@ let residuals (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t)
         | None ->
             Error
               (Reject.Compensation_not_computable
-                 (Fmt.str "residual %s" (Pred.to_string p))))
+                 (fun () -> Fmt.str "residual %s" (Pred.to_string p))))
   in
   go [] preds
 
 (* Disjunctive range compensations: one OR predicate per class. *)
 let range_sets (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t)
-    (comps : (Col.t * Mv_relalg.Rset.t) list) : (Pred.t list, Reject.t) result
+    (comps : (int * Mv_relalg.Rset.t) list) : (Pred.t list, Reject.t) result
     =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -76,7 +79,7 @@ let range_sets (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t)
         | None ->
             Error
               (Reject.Compensation_not_computable
-                 (Fmt.str "range set on %s" (Col.to_string c))))
+                 (fun () -> Fmt.str "range set on %s" (col_name c))))
   in
   go [] comps
 

@@ -146,8 +146,8 @@ let view_key level (v : View.t) : Bitset.t =
   | Grouping_exprs -> k.View.grouping_exprs
   | Grouping_cols -> k.View.grouping_cols
 
-(* Query-side search keys: the analysis' interned key record, computed once
-   per analyzed expression and memoized there (see {!A.keys}). *)
+(* Query-side search keys: the analysis' interned key record, built with
+   the analysis (see {!A.keys}). *)
 type query_info = A.keys = {
   source_tables : Bitset.t;
   output_expr_templates : Bitset.t;

@@ -49,8 +49,8 @@ type query_info = {
 
 val query_info : Mv_relalg.Analysis.t -> query_info
 (** The query-side search keys (interned bitsets over the
-    {!Mv_relalg.Intern} domains), computed once per analysis and memoized
-    there ({!Mv_relalg.Analysis.keys}). *)
+    {!Mv_relalg.Intern} domains), built with the analysis
+    ({!Mv_relalg.Analysis.keys}). *)
 
 val view_key : level -> View.t -> Mv_util.Bitset.t
 (** The view's precomputed key for a level (from {!View.keys}). *)

@@ -23,7 +23,10 @@ type edge = {
   src : string;
   dst : string;
   fk : Mv_catalog.Foreign_key.t;
-  join_cols : (Col.t * Col.t) list;  (** (fk column, key column) pairs *)
+  join_ids : (int * int) list;  (** (fk column, key column) id pairs *)
+  nullable : Col.t list;
+      (** FK columns declared nullable: the edge holds only under the
+          relaxation, given a null-rejecting predicate on each *)
 }
 
 type mode = [ `Strict | `Optimistic | `Query of Mv_relalg.Analysis.t ]
@@ -58,8 +61,18 @@ let null_rejecting_on (q : Mv_relalg.Analysis.t) (c : Col.t) =
   in
   in_ranges || in_residuals
 
-(* All cardinality-preserving edges of the block [a]. *)
-let edges ?(mode = `Strict) (a : Mv_relalg.Analysis.t) : edge list =
+let admits ~(mode : mode) e =
+  e.nullable = []
+  ||
+  match mode with
+  | `Strict -> false
+  | `Optimistic -> true
+  | `Query q -> List.for_all (null_rejecting_on q) e.nullable
+
+(* Every FK/unique-key edge the block's classes equate, whatever the
+   nullability of its FK columns — the mode-independent part of {!edges},
+   which a view precomputes once. *)
+let equated_edges (a : Mv_relalg.Analysis.t) : edge list =
   let schema = a.Mv_relalg.Analysis.schema in
   let tables = a.Mv_relalg.Analysis.spjg.Mv_relalg.Spjg.tables in
   let equiv = a.Mv_relalg.Analysis.equiv in
@@ -72,27 +85,38 @@ let edges ?(mode = `Strict) (a : Mv_relalg.Analysis.t) : edge list =
           (fun f c -> (Col.make src f, Col.make dst c))
           fk.Mv_catalog.Foreign_key.from_cols fk.Mv_catalog.Foreign_key.to_cols
       in
+      let join_ids =
+        List.map
+          (fun (f, c) -> (Mv_relalg.Intern.col f, Mv_relalg.Intern.col c))
+          pairs
+      in
       (* all FK/key column pairs equated by the block's predicates,
          transitively via equivalence classes *)
-      let equated =
-        List.for_all (fun (f, c) -> Mv_relalg.Equiv.same equiv f c) pairs
-      in
-      let non_null_ok (f, _) =
-        if not (Mv_catalog.Schema.column_nullable schema f) then true
-        else
-          match mode with
-          | `Strict -> false
-          | `Optimistic -> true
-          | `Query q -> null_rejecting_on q f
-      in
-      if equated && List.for_all non_null_ok pairs then
-        Some { src; dst; fk; join_cols = pairs }
+      if List.for_all (fun (f, c) -> Mv_relalg.Equiv.same_id equiv f c) join_ids
+      then
+        Some
+          {
+            src;
+            dst;
+            fk;
+            join_ids;
+            nullable =
+              List.filter_map
+                (fun (f, _) ->
+                  if Mv_catalog.Schema.column_nullable schema f then Some f
+                  else None)
+                pairs;
+          }
       else None
   in
   List.concat_map
     (fun src ->
       List.filter_map (edge_for src) (Mv_catalog.Schema.fks_from schema src))
     tables
+
+(* All cardinality-preserving edges of the block [a]. *)
+let edges ?(mode = `Strict) (a : Mv_relalg.Analysis.t) : edge list =
+  List.filter (admits ~mode) (equated_edges a)
 
 (* Repeatedly delete any node in [eliminable] that has no outgoing edges
    and exactly one incoming edge (deleting the node deletes its incoming
@@ -101,19 +125,23 @@ let edges ?(mode = `Strict) (a : Mv_relalg.Analysis.t) : edge list =
 let eliminate ~(eliminable : Sset.t) (all_edges : edge list) =
   let rec go eliminated used remaining =
     let deletable t =
-      Sset.mem t eliminable
-      && (not (List.exists (fun e -> e.src = t) remaining))
-      && List.length (List.filter (fun e -> e.dst = t) remaining) = 1
+      (not (List.exists (fun e -> e.src = t) remaining))
+      &&
+      let rec exactly_one seen = function
+        | [] -> seen
+        | e :: rest ->
+            if e.dst <> t then exactly_one seen rest
+            else (not seen) && exactly_one true rest
+      in
+      exactly_one false remaining
     in
-    let nodes =
-      List.sort_uniq String.compare
-        (List.concat_map (fun e -> [ e.src; e.dst ]) remaining)
-    in
-    match List.find_opt deletable nodes with
+    (* the first deletable table in name order *)
+    match Seq.find deletable (Sset.to_seq eliminable) with
     | None -> (List.rev eliminated, List.rev used, remaining)
     | Some t ->
-        let incoming, rest = List.partition (fun e -> e.dst = t) remaining in
-        go (t :: eliminated) (incoming @ used) rest
+        let incoming = List.find (fun e -> e.dst = t) remaining in
+        go (t :: eliminated) (incoming :: used)
+          (List.filter (fun e -> e.dst <> t) remaining)
   in
   go [] [] all_edges
 
@@ -132,7 +160,7 @@ let eliminate_extras ~(extras : Sset.t) (all_edges : edge list) :
 let hub ?(mode = `Strict) (a : Mv_relalg.Analysis.t) : Sset.t =
   let tables = Sset.of_list a.Mv_relalg.Analysis.spjg.Mv_relalg.Spjg.tables in
   let equiv = a.Mv_relalg.Analysis.equiv in
-  let trivial c = Col.Set.cardinal (Mv_relalg.Equiv.class_of equiv c) = 1 in
+  let trivial c = Mv_relalg.Equiv.is_trivial equiv (Mv_relalg.Intern.col c) in
   let predicate_cols =
     List.map
       (fun (c, _, _) -> c)

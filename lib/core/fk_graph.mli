@@ -10,7 +10,10 @@ type edge = {
   src : string;
   dst : string;
   fk : Mv_catalog.Foreign_key.t;
-  join_cols : (Col.t * Col.t) list;  (** (fk column, key column) pairs *)
+  join_ids : (int * int) list;  (** (fk column, key column) id pairs *)
+  nullable : Col.t list;
+      (** FK columns declared nullable: the edge holds only under the
+          relaxation, given a null-rejecting predicate on each *)
 }
 
 type mode = [ `Strict | `Optimistic | `Query of Mv_relalg.Analysis.t ]
@@ -22,7 +25,15 @@ type mode = [ `Strict | `Optimistic | `Query of Mv_relalg.Analysis.t ]
 
 val null_rejecting_on : Mv_relalg.Analysis.t -> Col.t -> bool
 
+val equated_edges : Mv_relalg.Analysis.t -> edge list
+(** Every FK/unique-key edge the block's classes equate, nullable FK
+    columns included: the mode-independent part of {!edges}. *)
+
+val admits : mode:mode -> edge -> bool
+(** Does the edge hold in this mode? *)
+
 val edges : ?mode:mode -> Mv_relalg.Analysis.t -> edge list
+(** [equated_edges] filtered by {!admits}. *)
 
 val eliminate :
   eliminable:Sset.t ->

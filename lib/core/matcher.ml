@@ -14,9 +14,10 @@ module Residual = Mv_relalg.Residual
 let ( let* ) = Result.bind
 
 (* Does every expression of [xs] match some expression of [ys] under
-   [q_equiv]? (grouping-list subset test, section 3.3). *)
+   [q_equiv]? (grouping-list subset test, section 3.3, on the analyses'
+   expression shapes). *)
 let exprs_subset q_equiv xs ys =
-  List.for_all (fun x -> List.exists (Residual.exprs_match q_equiv x) ys) xs
+  Array.for_all (fun x -> Array.exists (Residual.shapes_match q_equiv x) ys) xs
 
 (* Decide the aggregation situation. *)
 let grouping (view : View.t) (q_equiv : Mv_relalg.Equiv.t) (query : A.t) :
@@ -27,11 +28,13 @@ let grouping (view : View.t) (q_equiv : Mv_relalg.Equiv.t) (query : A.t) :
   | None, None -> Ok `Plain
   | None, Some _ -> Error Reject.View_more_aggregated
   | Some _, None -> Ok `Agg_over_spj
-  | Some gq, Some gv ->
+  | Some _, Some _ ->
+      let gq = query.A.group_shapes
+      and gv = view.View.analysis.A.group_shapes in
       if not (exprs_subset q_equiv gq gv) then
         Error
           (Reject.Grouping_incompatible
-             "query grouping list is not a subset of the view's")
+             (Reject.detail "query grouping list is not a subset of the view's"))
       else if exprs_subset q_equiv gv gq then Ok `Agg_same
       else Ok `Agg_regroup
 
@@ -41,18 +44,20 @@ let substitute_group_by (router : Routing.t) q_equiv ~situation (query : A.t) :
   match (situation, query.A.spjg.Spjg.group_by) with
   | `Plain, _ | `Agg_same, _ -> Ok None
   | (`Agg_over_spj | `Agg_regroup), Some gq ->
-      let rec go acc = function
+      let rec go acc i = function
         | [] -> Ok (Some (List.rev acc))
         | g :: rest -> (
-            match Output_match.scalar router q_equiv g with
-            | Some g' -> go (g' :: acc) rest
+            let shape = query.A.group_shapes.(i) in
+            match Output_match.scalar router q_equiv g shape with
+            | Some g' -> go (g' :: acc) (i + 1) rest
             | None ->
                 Error
                   (Reject.Grouping_incompatible
-                     (Fmt.str "grouping expression %s not available"
-                        (Mv_base.Expr.to_string g))))
+                     (fun () ->
+                       Fmt.str "grouping expression %s not available"
+                         (Mv_base.Expr.to_string g))))
       in
-      go [] gq
+      go [] 0 gq
   | (`Agg_over_spj | `Agg_regroup), None -> assert false
 
 (* One construction pass with a given router. *)
@@ -64,6 +69,7 @@ let build_substitute (router : Routing.t) ~backjoin_preds
   let* group_by = substitute_group_by router q_equiv ~situation query in
   let* out =
     Output_match.out_items router q_equiv ~situation query.A.spjg.Spjg.out
+      query.A.out_shapes
   in
   match
     Substitute.make ~backjoins:router.Routing.backjoins ~backjoin_preds
@@ -71,7 +77,8 @@ let build_substitute (router : Routing.t) ~backjoin_preds
   with
   | s -> Ok s
   | exception Spjg.Invalid msg ->
-      Error (Reject.Output_not_computable ("substitute invalid: " ^ msg))
+      Error
+        (Reject.Output_not_computable (fun () -> "substitute invalid: " ^ msg))
 
 let match_view ?(relaxed_nulls = false) ?(backjoins = false)
     ?(fresh_only = false) ?spans ~(query : A.t) (view : View.t) :

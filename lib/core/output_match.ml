@@ -1,8 +1,11 @@
 (** Computing the query's output expressions from the view's output
-    (section 3.1.4) and the aggregation rewrites of section 3.3. *)
+    (section 3.1.4) and the aggregation rewrites of section 3.3.
+
+    Query expressions arrive with their {!Mv_relalg.Residual.shape} from
+    the analysis, and the view's output and SUM templates were shaped at
+    registration, so finding an identical view expression compares ids. *)
 
 open Mv_base
-module A = Mv_relalg.Analysis
 module Spjg = Mv_relalg.Spjg
 module Residual = Mv_relalg.Residual
 
@@ -14,40 +17,29 @@ let view_col (view : View.t) name = Expr.Col (Col.make view.View.name name)
    - a complex expression first looks for an identical view output
      expression (template + positional column equivalence), then falls back
      to computing it from routable source columns. *)
-let scalar (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) (e : Expr.t) :
-    Expr.t option =
+let scalar (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) (e : Expr.t)
+    (shape : Residual.shape) : Expr.t option =
   let view = router.Routing.view in
-  let route c = Routing.route router q_equiv c in
   match e with
   | Expr.Const _ -> Some e
-  | Expr.Col c -> Option.map (fun c' -> Expr.Col c') (route c)
+  | Expr.Col _ -> Routing.route_expr router q_equiv shape.Residual.ids.(0)
   | _ -> (
       let exact =
         List.find_opt
-          (fun (e', _) -> Residual.exprs_match q_equiv e e')
-          (A.scalar_outputs view.View.analysis)
+          (fun (s, _) -> Residual.shapes_match q_equiv shape s)
+          view.View.matching.View.expr_outs
       in
       match exact with
       | Some (_, name) -> Some (view_col view name)
-      | None -> Expr.map_cols_opt route e)
+      | None -> Expr.map_cols_opt (Routing.route router q_equiv) e)
 
-(* The view's count_big( * ) output column; aggregation views always have
-   one (Spjg.check_indexable). *)
-let count_col (view : View.t) : string option =
+(* The view's SUM output matching the shape under the query classes. *)
+let sum_col (view : View.t) (q_equiv : Mv_relalg.Equiv.t)
+    (shape : Residual.shape) : string option =
   List.find_map
-    (fun (a, name) ->
-      match a with Spjg.Count_star -> Some name | _ -> None)
-    (A.agg_outputs view.View.analysis)
-
-(* The view's SUM output matching expression [e] under the query classes. *)
-let sum_col (view : View.t) (q_equiv : Mv_relalg.Equiv.t) (e : Expr.t) :
-    string option =
-  List.find_map
-    (fun (a, name) ->
-      match a with
-      | Spjg.Sum e' when Residual.exprs_match q_equiv e e' -> Some name
-      | _ -> None)
-    (A.agg_outputs view.View.analysis)
+    (fun (s, name) ->
+      if Residual.shapes_match q_equiv shape s then Some name else None)
+    view.View.matching.View.sum_outs
 
 (* Rewrite one query output item over the view for the three aggregation
    situations:
@@ -62,25 +54,26 @@ let sum_col (view : View.t) (q_equiv : Mv_relalg.Equiv.t) (e : Expr.t) :
                        count -> SUM(cnt), SUM(E) -> SUM(sum_E),
                        AVG(E) -> SUM(sum_E)/SUM(cnt). *)
 let out_item (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) ~situation
-    (o : Spjg.out_item) : (Spjg.out_item, Reject.t) result =
+    (o : Spjg.out_item) (shape : Residual.shape) :
+    (Spjg.out_item, Reject.t) result =
   let view = router.Routing.view in
-  let fail fmt =
-    Fmt.kstr (fun s -> Error (Reject.Output_not_computable s)) fmt
-  in
+  let fail detail = Error (Reject.Output_not_computable detail) in
   let need_scalar e k =
-    match scalar router q_equiv e with
+    match scalar router q_equiv e shape with
     | Some e' -> k e'
-    | None -> fail "expression %s" (Expr.to_string e)
+    | None -> fail (fun () -> Fmt.str "expression %s" (Expr.to_string e))
   in
   let need_count k =
-    match count_col view with
+    match view.View.matching.View.count_out with
     | Some c -> k c
-    | None -> fail "view has no count column"
+    | None -> fail (Reject.detail "view has no count column")
   in
   let need_sum e k =
-    match sum_col view q_equiv e with
+    match sum_col view q_equiv shape with
     | Some c -> k c
-    | None -> fail "no view column for sum(%s)" (Expr.to_string e)
+    | None ->
+        fail (fun () ->
+            Fmt.str "no view column for sum(%s)" (Expr.to_string e))
   in
   let name = o.Spjg.name in
   match (o.Spjg.def, situation) with
@@ -114,18 +107,18 @@ let out_item (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) ~situation
                 (Spjg.aggregate name
                    (Spjg.Sum_div_sum (view_col view s, view_col view c)))))
   | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _), _ ->
-      fail "SUM/SUM and coalesced SUM are internal to substitutes"
+      fail (Reject.detail "SUM/SUM and coalesced SUM are internal to substitutes")
   | Spjg.Aggregate _, `Plain ->
       (* Spjg.make forbids aggregates without GROUP BY *)
       assert false
 
-let out_items router q_equiv ~situation (items : Spjg.out_item list) :
+let out_items router q_equiv ~situation items shapes :
     (Spjg.out_item list, Reject.t) result =
-  let rec go acc = function
+  let rec go acc i = function
     | [] -> Ok (List.rev acc)
     | o :: rest -> (
-        match out_item router q_equiv ~situation o with
-        | Ok o' -> go (o' :: acc) rest
+        match out_item router q_equiv ~situation o shapes.(i) with
+        | Ok o' -> go (o' :: acc) (i + 1) rest
         | Error _ as e -> e)
   in
-  go [] items
+  go [] 0 items

@@ -31,6 +31,26 @@ type snapshot = {
   snap_tree : Filter_tree.t;
 }
 
+(* The rule's instruments, resolved once per registry: a rule invocation
+   bumps them without a name lookup under the obs registry's lock. *)
+type rule_handles = {
+  h_invocations : unit -> Mv_obs.Instrument.counter;
+  h_candidates : unit -> Mv_obs.Instrument.counter;
+  h_matched : unit -> Mv_obs.Instrument.counter;
+  h_substitutes : unit -> Mv_obs.Instrument.counter;
+  h_time : unit -> Mv_obs.Instrument.timer;
+}
+
+let rule_handles obs =
+  let counter = Obs.resolver Obs.counter obs in
+  {
+    h_invocations = counter "rule.invocations";
+    h_candidates = counter "rule.candidates";
+    h_matched = counter "rule.matched";
+    h_substitutes = counter "rule.substitutes";
+    h_time = Obs.resolver Obs.timer obs "rule.time";
+  }
+
 type t = {
   schema : Mv_catalog.Schema.t;
   relaxed_nulls : bool;
@@ -39,6 +59,7 @@ type t = {
   mutable views : View.t list;  (** insertion order *)
   tree : Filter_tree.t;
   obs : Obs.t;
+  rule : rule_handles;
   health : Health.t;
   epoch : int Atomic.t;
       (** bumped by every effective add/drop; caches key their entries by
@@ -74,6 +95,7 @@ let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
            else Filter_tree.default_plan)
         ();
     obs;
+    rule = rule_handles obs;
     health = Health.create ();
     epoch = Atomic.make 0;
     snap = Atomic.make None;
@@ -272,7 +294,7 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
      counts and the traced stage replay all see the same registry state *)
   let s = current ?snap t in
   let span = Mv_obs.Instrument.enter () in
-  Mv_obs.Instrument.incr (Obs.counter t.obs "rule.invocations");
+  Mv_obs.Instrument.incr (t.rule.h_invocations ());
   let cands =
     Mv_obs.Span.wrap spans "filter" (fun sub ->
         let cands = candidates ~snap:s t q in
@@ -287,29 +309,32 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
         end;
         cands)
   in
-  Mv_obs.Instrument.add (Obs.counter t.obs "rule.candidates")
-    (List.length cands);
+  Mv_obs.Instrument.add (t.rule.h_candidates ()) (List.length cands);
   List.iter (fun v -> Health.record_candidate t.health v.View.name) cands;
+  let match_one v sub =
+    match
+      Matcher.match_view ~relaxed_nulls:t.relaxed_nulls ~backjoins:t.backjoins
+        ~fresh_only ?spans:sub ~query:q v
+    with
+    | Ok s -> Some s
+    | Error _ -> None
+  in
   let subs =
     List.filter_map
       (fun v ->
-        Mv_obs.Span.wrap spans ("match:" ^ v.View.name) (fun sub ->
-            match
-              Matcher.match_view ~relaxed_nulls:t.relaxed_nulls
-                ~backjoins:t.backjoins ~fresh_only ?spans:sub ~query:q v
-            with
-            | Ok s -> Some s
-            | Error _ -> None))
+        (* the span name is built only when a trace records it *)
+        match spans with
+        | None -> match_one v None
+        | Some _ -> Mv_obs.Span.wrap spans ("match:" ^ v.View.name) (match_one v))
       cands
   in
-  Mv_obs.Instrument.add (Obs.counter t.obs "rule.matched") (List.length subs);
-  Mv_obs.Instrument.add (Obs.counter t.obs "rule.substitutes")
-    (List.length subs);
+  Mv_obs.Instrument.add (t.rule.h_matched ()) (List.length subs);
+  Mv_obs.Instrument.add (t.rule.h_substitutes ()) (List.length subs);
   List.iter
     (fun (s : Substitute.t) ->
       Health.record_matched t.health s.Substitute.view.View.name)
     subs;
-  Mv_obs.Instrument.exit_into (Obs.timer t.obs "rule.time") span;
+  Mv_obs.Instrument.exit_into (t.rule.h_time ()) span;
   (cands, subs)
 
 let find_substitutes ?spans ?snap ?fresh_only t (q : A.t) :

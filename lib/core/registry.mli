@@ -30,6 +30,16 @@ type snapshot = {
   snap_tree : Filter_tree.t;  (** a private tree over [snap_views] *)
 }
 
+(** The rule's [rule.*] instruments, resolved on first use and then bumped
+    without a lookup ({!Mv_obs.Registry.resolver}). *)
+type rule_handles = {
+  h_invocations : unit -> Mv_obs.Instrument.counter;
+  h_candidates : unit -> Mv_obs.Instrument.counter;
+  h_matched : unit -> Mv_obs.Instrument.counter;
+  h_substitutes : unit -> Mv_obs.Instrument.counter;
+  h_time : unit -> Mv_obs.Instrument.timer;
+}
+
 type t = {
   schema : Mv_catalog.Schema.t;
   relaxed_nulls : bool;
@@ -42,6 +52,7 @@ type t = {
   mutable views : View.t list;
   tree : Filter_tree.t;
   obs : Mv_obs.Registry.t;
+  rule : rule_handles;  (** handles on [obs] *)
   health : Health.t;
       (** the per-view ledger: candidate/matched recorded here by the
           rule, staleness flips by {!mark_stale}; higher layers attribute

@@ -7,11 +7,15 @@
     one of its unique keys — the join is then 1:1 from view rows (or
     groups) to base rows, so neither cardinality nor group contents change.
 
+    Lookups go through the view's precomputed output tables
+    ({!View.output_for_id}), on column ids.
+
     A router collects the columns it failed to resolve; the matcher uses
     that to decide which tables a second, backjoining pass should add. *)
 
 open Mv_base
 module Equiv = Mv_relalg.Equiv
+module Intern = Mv_relalg.Intern
 
 type t = {
   view : View.t;
@@ -31,30 +35,36 @@ let missing_tables t =
   List.sort_uniq String.compare
     (List.map (fun (c : Col.t) -> c.Col.tbl) !(t.missing))
 
-(* Route [c] through [equiv] to a view output column; fall back to a
-   backjoined base table column equivalent to [c]. *)
-let route t (equiv : Equiv.t) (c : Col.t) : Col.t option =
-  match View.output_for_col t.view equiv c with
+(* Route column id [c] through [equiv] to a view output column; fall back
+   to the first (in column order) backjoined base column equivalent to
+   [c]. *)
+let route_id t (equiv : Equiv.t) c : Col.t option =
+  match View.output_for_id t.view equiv c with
   | Some name -> Some (Col.make t.view.View.name name)
   | None -> (
       let fallback =
-        Col.Set.fold
-          (fun c' acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                if List.mem c'.Col.tbl t.backjoins then Some c' else None)
-          (Equiv.class_of equiv c)
-          None
+        if t.backjoins = [] then None
+        else
+          Equiv.fold_class
+            (fun m acc ->
+              let cm = Intern.col_of_id m in
+              if not (List.mem cm.Col.tbl t.backjoins) then acc
+              else
+                match acc with
+                | Some best when Col.compare best cm <= 0 -> acc
+                | _ -> Some cm)
+            equiv c None
       in
       match fallback with
       | Some c' -> Some c'
       | None ->
-          record_missing t c;
+          record_missing t (Intern.col_of_id c);
           None)
 
-let route_expr t equiv (c : Col.t) : Expr.t option =
-  Option.map (fun c' -> Expr.Col c') (route t equiv c)
+let route t equiv (c : Col.t) = route_id t equiv (Intern.col c)
+
+let route_expr t equiv c : Expr.t option =
+  Option.map (fun c' -> Expr.Col c') (route_id t equiv c)
 
 (* Can [tbl] be backjoined? Some unique key of [tbl] must be fully
    available as view output columns, routed through the VIEW's own
@@ -79,7 +89,7 @@ let backjoin_preds (view : View.t) tbl : Pred.t list option =
               List.filter_map
                 (fun k ->
                   let kc = Col.make tbl k in
-                  match View.output_for_col view v_equiv kc with
+                  match View.output_for_id view v_equiv (Intern.col kc) with
                   | Some name ->
                       Some
                         (Pred.Cmp

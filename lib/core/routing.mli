@@ -18,11 +18,14 @@ val with_backjoins : View.t -> string list -> t
 val missing_tables : t -> string list
 (** Tables owning the columns no routing could resolve, sorted. *)
 
-val route : t -> Mv_relalg.Equiv.t -> Col.t -> Col.t option
-(** Resolve through [equiv] to a view output column, else to a backjoined
-    base column equivalent to it; records the miss otherwise. *)
+val route_id : t -> Mv_relalg.Equiv.t -> int -> Col.t option
+(** Resolve a column id through [equiv] to a view output column, else to a
+    backjoined base column equivalent to it; records the miss otherwise. *)
 
-val route_expr : t -> Mv_relalg.Equiv.t -> Col.t -> Expr.t option
+val route : t -> Mv_relalg.Equiv.t -> Col.t -> Col.t option
+(** {!route_id} on the column's id. *)
+
+val route_expr : t -> Mv_relalg.Equiv.t -> int -> Expr.t option
 
 val backjoin_preds : View.t -> string -> Pred.t list option
 (** Join predicates tying the view back to the table on a unique key the

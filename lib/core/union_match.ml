@@ -23,52 +23,26 @@ let single_range_gap ~relaxed_nulls (query : A.t) (view : View.t) :
   match Spj_match.align_tables ~relaxed_nulls query view with
   | Error _ -> None
   | Ok q_equiv -> (
-      let checks = Spj_match.check_components query view in
-      List.iter
-        (fun (a, b) -> Equiv.merge q_equiv a b)
-        checks.Mv_relalg.Classify.col_eqs;
+      let checks = view.View.matching.View.checks in
       match Spj_match.equijoin_test q_equiv view with
       | Error _ -> None
       | Ok _ -> (
           (* residuals must also pass: slicing only fixes ranges *)
-          match
-            Spj_match.residual_test q_equiv
-              ~check_residuals:checks.Mv_relalg.Classify.residuals query view
-          with
+          match Spj_match.residual_test q_equiv ~checks query view with
           | Error _ -> None
-          | Ok _ ->
-              let q_full =
-                Range.build q_equiv
-                  (query.A.classified.Mv_relalg.Classify.ranges
-                  @ checks.Mv_relalg.Classify.ranges)
-                  (query.A.classified.Mv_relalg.Classify.disj_ranges
-                  @ checks.Mv_relalg.Classify.disj_ranges)
-              in
-              let v_equiv = view.View.analysis.A.equiv in
-              let v_ranges = view.View.analysis.A.ranges in
-              let view_tables = (View.spjg view).Spjg.tables in
-              let failing =
-                List.filter_map
-                  (fun qcls ->
-                    let members = Col.Set.elements qcls in
-                    let rep = List.hd members in
-                    let q_set = Range.find q_equiv q_full rep in
-                    let v_set =
-                      List.fold_left
-                        (fun acc c ->
-                          if List.mem c.Col.tbl view_tables then
-                            Mv_relalg.Rset.inter acc
-                              (Range.find v_equiv v_ranges c)
-                          else acc)
-                        Mv_relalg.Rset.full members
-                    in
-                    if Mv_relalg.Rset.contains ~outer:v_set ~inner:q_set then
-                      None
-                    else Some rep)
-                  (Equiv.classes q_equiv)
-              in
-              (match failing with
-              | [ rep ] -> Some (rep, q_equiv)
+          | Ok _ -> (
+              match
+                List.filter
+                  (fun cr -> not (Spj_match.contained cr))
+                  (Spj_match.class_ranges q_equiv ~checks query view)
+              with
+              | [ cr ] ->
+                  let rep =
+                    Col.Set.min_elt
+                      (Equiv.to_colset
+                         (Equiv.class_ids q_equiv cr.Spj_match.root))
+                  in
+                  Some (rep, q_equiv)
               | _ -> None)))
 
 (* The view's effective range on the class of [rep] — the convex hull of

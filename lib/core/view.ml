@@ -1,7 +1,7 @@
 (** A materialized view: its SPJG definition plus the precomputed in-memory
-    description the paper keeps for fast filtering (section 4) — hub,
-    extended output/grouping column sets, residual and expression templates,
-    and range-constraint lists. *)
+    description the paper keeps — the filter-tree keys (section 4) and
+    everything the section 3 tests read from the view, both computed once
+    at registration. *)
 
 open Mv_base
 module Sset = Mv_util.Sset
@@ -25,22 +25,43 @@ type keys = {
       (** full range-constraint list for the strong post-check *)
 }
 
+(** The CHECK constraints of a view's tables (section 3.1.2), classified
+    and resolved to column ids. They hold on every base row, so the
+    matcher adds them to the query side of its implications. *)
+type checks = {
+  check_eqs : (int * int) list;
+  check_ranges : (int * Mv_relalg.Rset.t) list;
+      (** per column: the intersection of its CHECK ranges *)
+  check_residuals : Mv_relalg.Residual.t list;
+}
+
+(** Everything the section 3 tests read from the view, computed once at
+    registration: a rule invocation then does only query-dependent work.
+    Field order follows the tests. *)
+type matching = {
+  fk_edges : Fk_graph.edge list;
+      (** {!Fk_graph.equated_edges}: filtered by mode per match *)
+  checks : checks;
+  nontrivial : int array list;  (** the nontrivial classes, as ids *)
+  range_sets : Mv_relalg.Range.map;
+      (** the constrained classes' range sets, keyed by class root *)
+  out_cols : int array;
+      (** the column id of each bare-column output, in output order *)
+  out_col_names : string array;  (** their names *)
+  expr_outs : (Mv_relalg.Residual.shape * string) list;
+      (** the non-column scalar outputs *)
+  sum_outs : (Mv_relalg.Residual.shape * string) list;
+      (** the SUM outputs, by argument shape *)
+  count_out : string option;  (** the count_big( * ) output *)
+}
+
 type t = {
   name : string;
   analysis : Mv_relalg.Analysis.t;
+  matching : matching;
   hub : Sset.t;
   source_tables : Sset.t;
-  output_expr_templates : Sset.t;
-  extended_output_cols : Col.Set.t;
-  residual_templates : Sset.t;
-  reduced_range_cols : Sset.t;
-      (** range-constrained columns in trivial equivalence classes,
-          rendered as strings — the weak range condition key *)
-  range_classes : Col.Set.t list;
-      (** full range-constraint list: one class per constrained range *)
-  grouping_expr_templates : Sset.t;
-  extended_grouping_cols : Col.Set.t;
-  keys : keys;  (** interned bitset keys over the fields above *)
+  keys : keys;
   mutable row_count : int;  (** statistics for the cost model *)
   mutable indexes : string list list;
       (** secondary indexes over output columns (Example 1 creates one on
@@ -56,8 +77,94 @@ type t = {
           materialize/refresh — the provenance behind the staleness mark *)
 }
 
+(* CHECK components depend on the table set alone, so views over the same
+   tables share one record. Registration is not a hot path; a mutex keeps
+   the memo safe when registries are built from several domains. *)
+let checks_memo : (string list, Mv_catalog.Schema.t * checks) Hashtbl.t =
+  Hashtbl.create 16
+
+let checks_lock = Mutex.create ()
+
+let checks_for schema tables =
+  let compute () =
+    let cl =
+      Mv_relalg.Classify.classify
+        (List.concat_map Mv_relalg.Cnf.conjuncts
+           (Mv_catalog.Schema.checks_for schema tables))
+    in
+    let equiv = Mv_relalg.Equiv.create () in
+    let ranges =
+      Mv_relalg.Range.of_cols equiv
+        (Mv_relalg.Range.constraints cl.Mv_relalg.Classify.ranges
+           cl.Mv_relalg.Classify.disj_ranges)
+    in
+    {
+      check_eqs =
+        List.map
+          (fun (a, b) -> (Intern.col a, Intern.col b))
+          cl.Mv_relalg.Classify.col_eqs;
+      check_ranges = ranges;
+      check_residuals =
+        List.map Mv_relalg.Residual.of_pred cl.Mv_relalg.Classify.residuals;
+    }
+  in
+  Mutex.protect checks_lock (fun () ->
+      match Hashtbl.find_opt checks_memo tables with
+      | Some (s, c) when s == schema -> c
+      | _ ->
+          let c = compute () in
+          Hashtbl.replace checks_memo tables (schema, c);
+          c)
+
+let matching_of schema (a : Mv_relalg.Analysis.t) : matching =
+  let module A = Mv_relalg.Analysis in
+  let module S = Mv_relalg.Spjg in
+  let out = List.mapi (fun i o -> (o, a.A.out_shapes.(i))) a.A.spjg.S.out in
+  let bare =
+    List.filter_map
+      (fun ((o : S.out_item), (s : Mv_relalg.Residual.shape)) ->
+        match o.S.def with
+        | S.Scalar (Expr.Col _) -> Some (s.Mv_relalg.Residual.ids.(0), o.S.name)
+        | _ -> None)
+      out
+  in
+  let outs_where p =
+    List.filter_map
+      (fun ((o : S.out_item), s) ->
+        if p o.S.def then Some (s, o.S.name) else None)
+      out
+  in
+  {
+    fk_edges = Fk_graph.equated_edges a;
+    checks = checks_for schema a.A.spjg.S.tables;
+    nontrivial = Mv_relalg.Equiv.nontrivial_ids a.A.equiv;
+    range_sets =
+      List.filter (fun (_, s) -> not (Mv_relalg.Rset.is_full s)) a.A.ranges;
+    out_cols = Array.of_list (List.map fst bare);
+    out_col_names = Array.of_list (List.map snd bare);
+    expr_outs =
+      outs_where (function
+        | S.Scalar e -> A.is_template_expr e
+        | S.Aggregate _ -> false);
+    sum_outs = outs_where (function S.Aggregate (S.Sum _) -> true | _ -> false);
+    count_out =
+      List.find_map
+        (fun (o : S.out_item) ->
+          match o.S.def with
+          | S.Aggregate S.Count_star -> Some o.S.name
+          | _ -> None)
+        a.A.spjg.S.out;
+  }
+
 let cols_to_strings (s : Col.Set.t) =
   Col.Set.fold (fun c acc -> Sset.add (Col.to_string c) acc) s Sset.empty
+
+(* Range-constrained columns in trivial equivalence classes: the weak range
+   condition key (section 4.2.5). *)
+let reduced_range_ids (a : Mv_relalg.Analysis.t) =
+  List.filter
+    (Mv_relalg.Equiv.is_trivial a.Mv_relalg.Analysis.equiv)
+    (Mv_relalg.Range.constrained_roots a.Mv_relalg.Analysis.ranges)
 
 exception Rejected of string
 
@@ -80,55 +187,33 @@ let create ?(relaxed_nulls = false) ?(row_count = 0) ?(indexes = []) schema
         ix)
     indexes;
   let analysis = Mv_relalg.Analysis.analyze schema spjg in
+  let module A = Mv_relalg.Analysis in
   let mode = if relaxed_nulls then `Optimistic else `Strict in
-  let trivial c =
-    Col.Set.cardinal (Mv_relalg.Equiv.class_of analysis.Mv_relalg.Analysis.equiv c) = 1
-  in
-  let reduced_range_cols =
-    List.fold_left
-      (fun acc cls ->
-        match Col.Set.elements cls with
-        | [ c ] when trivial c -> Sset.add (Col.to_string c) acc
-        | _ -> acc)
-      Sset.empty
-      (Mv_relalg.Analysis.range_constrained_classes analysis)
-  in
   let hub = Fk_graph.hub ~mode analysis in
-  let extended_output_cols =
-    Mv_relalg.Analysis.extended_output_cols analysis
-  in
-  let range_classes =
-    Mv_relalg.Analysis.range_constrained_classes analysis
-  in
-  let extended_grouping_cols =
-    Mv_relalg.Analysis.extended_grouping_cols analysis
-  in
+  let akeys = analysis.A.keys in
+  let union = List.fold_left Bitset.union Bitset.empty in
   let keys =
     {
       hub = Intern.of_sset Intern.tables hub;
-      source_tables = analysis.Mv_relalg.Analysis.table_key;
-      output_exprs = Mv_relalg.Analysis.output_expr_template_key analysis;
-      output_cols = Intern.of_colset extended_output_cols;
-      residuals = Mv_relalg.Analysis.residual_template_key analysis;
-      range_cols = Intern.of_sset Intern.cols reduced_range_cols;
-      grouping_exprs =
-        Mv_relalg.Analysis.grouping_expr_template_key analysis;
-      grouping_cols = Intern.of_colset extended_grouping_cols;
-      range_classes = List.map Intern.of_colset range_classes;
+      source_tables = akeys.A.source_tables;
+      output_exprs = akeys.A.output_expr_templates;
+      output_cols = union akeys.A.output_classes;
+      residuals = akeys.A.residual_templates;
+      range_cols = Bitset.of_list (reduced_range_ids analysis);
+      grouping_exprs = akeys.A.grouping_expr_templates;
+      grouping_cols = union akeys.A.grouping_classes;
+      range_classes =
+        List.map
+          (Mv_relalg.Equiv.class_key analysis.A.equiv)
+          (Mv_relalg.Range.constrained_roots analysis.A.ranges);
     }
   in
   {
     name;
     analysis;
+    matching = matching_of schema analysis;
     hub;
-    source_tables = analysis.Mv_relalg.Analysis.table_set;
-    output_expr_templates = Mv_relalg.Analysis.output_expr_templates analysis;
-    extended_output_cols;
-    residual_templates = Mv_relalg.Analysis.residual_templates analysis;
-    reduced_range_cols;
-    range_classes;
-    grouping_expr_templates = Mv_relalg.Analysis.grouping_expr_templates analysis;
-    extended_grouping_cols;
+    source_tables = analysis.A.table_set;
     keys;
     row_count;
     indexes;
@@ -148,11 +233,44 @@ let mark_fresh ?epochs t =
 
 let is_aggregate t = Mv_relalg.Spjg.is_aggregate (spjg t)
 
-(* Output column of the view for a plain column reference [c], looked up
-   through [equiv] (the query's classes for range/residual/output routing,
-   the view's own classes for compensating equality predicates). *)
-let output_for_col t equiv c =
-  Mv_relalg.Analysis.output_for_col t.analysis equiv c
+(* Output column of the view for column id [c], looked up through
+   [equiv] (section 3.1.3): an output on [c] itself first, else the
+   earliest output on any column of [c]'s class — the query's classes for
+   range/residual/output routing, the view's own for compensating equality
+   predicates. *)
+let output_for_id t equiv c =
+  let m = t.matching in
+  let n = Array.length m.out_cols in
+  let rec find p i =
+    if i = n then None
+    else if p m.out_cols.(i) then Some m.out_col_names.(i)
+    else find p (i + 1)
+  in
+  match find (fun id -> id = c) 0 with
+  | Some _ as hit -> hit
+  | None -> find (fun id -> Mv_relalg.Equiv.same_id equiv id c) 0
+
+(* ---- the key sets as columns and strings, for diagnostics and the
+   reference filter of the tests ---- *)
+
+let output_expr_templates t = Mv_relalg.Analysis.output_expr_templates t.analysis
+
+let extended_output_cols t = Mv_relalg.Analysis.extended_output_cols t.analysis
+
+let residual_templates t = Mv_relalg.Analysis.residual_templates t.analysis
+
+let reduced_range_cols t =
+  List.fold_left
+    (fun acc c -> Sset.add (Col.to_string (Intern.col_of_id c)) acc)
+    Sset.empty (reduced_range_ids t.analysis)
+
+let range_classes t = Mv_relalg.Analysis.range_constrained_classes t.analysis
+
+let grouping_expr_templates t =
+  Mv_relalg.Analysis.grouping_expr_templates t.analysis
+
+let extended_grouping_cols t =
+  Mv_relalg.Analysis.extended_grouping_cols t.analysis
 
 (* The view exposed as a table definition so substitutes can be parsed,
    executed and costed like any base table. Output columns are nullable

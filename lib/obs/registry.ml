@@ -53,6 +53,19 @@ let histogram t name =
     ~make:(fun () -> Histogram (Instrument.histogram ()))
     ~cast:(function Histogram h -> Some h | _ -> None)
 
+(* Resolve an instrument on first use, then hand back the same handle
+   without the lock or the name lookup. Creation stays lazy, so an
+   instrument a code path never reaches never appears. *)
+let resolver get t name =
+  let slot = Atomic.make None in
+  fun () ->
+    match Atomic.get slot with
+    | Some i -> i
+    | None ->
+        let i = get t name in
+        Atomic.set slot (Some i);
+        i
+
 let find t name =
   Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.instruments name)
 

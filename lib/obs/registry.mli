@@ -29,6 +29,12 @@ val timer : t -> string -> Instrument.timer
 
 val histogram : t -> string -> Instrument.histogram
 
+val resolver : (t -> string -> 'a) -> t -> string -> unit -> 'a
+(** [resolver counter t name] returns a function that creates or finds the
+    instrument on its first call and returns that same handle, without a
+    lookup or the registry lock, on every later call: for hot paths that
+    bump a fixed instrument. Creation stays on first use. *)
+
 type instrument =
   | Counter of Instrument.counter
   | Timer of Instrument.timer

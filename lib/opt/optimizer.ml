@@ -273,19 +273,79 @@ let safe_preagg (qa : A.t) schema remaining =
         keys)
     remaining
 
+(* The optimizer's instruments on one obs registry, each resolved on first
+   use ({!Mv_obs.Registry.resolver}) so the per-block bumps skip the name
+   lookup and the registry lock. Cached for the last registry seen, as the
+   filter tree caches its level counters: a process optimizing against
+   one registry resolves each name once. *)
+type handles = {
+  h_obs : Mv_obs.Registry.t;
+  analyze_calls : unit -> Mv_obs.Instrument.counter;
+  memo_hits : unit -> Mv_obs.Instrument.counter;
+  subexpressions : unit -> Mv_obs.Instrument.counter;
+  considered : unit -> Mv_obs.Instrument.counter;
+  wins : unit -> Mv_obs.Instrument.counter;
+  losses : unit -> Mv_obs.Instrument.counter;
+  memo_groups : unit -> Mv_obs.Instrument.counter;
+  prune : unit -> Mv_obs.Instrument.counter;
+  phase_analyze : unit -> Mv_obs.Instrument.histogram;
+  phase_match : unit -> Mv_obs.Instrument.histogram;
+  phase_cost : unit -> Mv_obs.Instrument.histogram;
+  phase_total : unit -> Mv_obs.Instrument.histogram;
+  time : unit -> Mv_obs.Instrument.timer;
+  calls : unit -> Mv_obs.Instrument.counter;
+  using_views : unit -> Mv_obs.Instrument.counter;
+}
+
+let handles_cache : handles option Atomic.t = Atomic.make None
+
+let handles_for obs =
+  match Atomic.get handles_cache with
+  | Some h when h.h_obs == obs -> h
+  | _ ->
+      let counter name =
+        Mv_obs.Registry.resolver Mv_obs.Registry.counter obs ("optimizer." ^ name)
+      in
+      let phase name =
+        Mv_obs.Registry.resolver Mv_obs.Registry.histogram obs
+          ("optimizer.phase." ^ name)
+      in
+      let h =
+        {
+          h_obs = obs;
+          analyze_calls = counter "analyze.calls";
+          memo_hits = counter "analyze.memo_hits";
+          subexpressions = counter "subexpressions";
+          considered = counter "substitutes.considered";
+          wins = counter "substitutes.wins";
+          losses = counter "substitutes.losses";
+          memo_groups = counter "memo.groups";
+          prune =
+            Mv_obs.Registry.resolver Mv_obs.Registry.counter obs
+              "opt.prune.cost_bound";
+          phase_analyze = phase "analyze";
+          phase_match = phase "match";
+          phase_cost = phase "cost";
+          phase_total = phase "total";
+          time =
+            Mv_obs.Registry.resolver Mv_obs.Registry.timer obs "optimizer.time";
+          calls = counter "calls";
+          using_views = counter "plans.using_views";
+        }
+      in
+      Atomic.set handles_cache (Some h);
+      h
+
 let optimize_body ~(config : config) ?cache ?spans ?snap
     ?(fresh_only = false) (registry : Mv_core.Registry.t)
     (stats : Mv_catalog.Stats.t) (query : Spjg.t) : result =
   let schema = registry.Mv_core.Registry.schema in
-  let obs = registry.Mv_core.Registry.obs in
-  let octr name = Mv_obs.Registry.counter obs ("optimizer." ^ name) in
+  let h = handles_for registry.Mv_core.Registry.obs in
   (* Per-phase latency histograms (one sample per phase activity, wall
-     seconds) — resolved once per optimize call, read back by the bench
-     harness as p50/p90/p99 per phase. *)
-  let phase name = Mv_obs.Registry.histogram obs ("optimizer.phase." ^ name) in
-  let h_analyze = phase "analyze" in
-  let h_match = phase "match" in
-  let h_cost = phase "cost" in
+     seconds), read back by the bench harness as p50/p90/p99 per phase. *)
+  let h_analyze = h.phase_analyze () in
+  let h_match = h.phase_match () in
+  let h_cost = h.phase_cost () in
   let spj = Block.spj_part query in
   let tables = Array.of_list spj.Spjg.tables in
   let n = Array.length tables in
@@ -304,11 +364,11 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
   in
   let analyze block =
     Mv_obs.Instrument.time_hist h_analyze (fun () ->
-        Mv_obs.Instrument.incr (octr "analyze.calls");
+        Mv_obs.Instrument.incr (h.analyze_calls ());
         let key = (block.Spjg.tables, block.Spjg.where) in
         match Hashtbl.find_opt analyses key with
         | Some a ->
-            Mv_obs.Instrument.incr (octr "analyze.memo_hits");
+            Mv_obs.Instrument.incr (h.memo_hits ());
             if a.A.spjg == block then a else A.rebind a block
         | None ->
             Mv_obs.Span.wrap spans "analyze" (fun _ ->
@@ -331,13 +391,13 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
      and the [opt.prune.cost_bound] counter, distinct from matcher
      rejects. *)
   let pruned_acc = ref [] in
-  let prune_ctr = Mv_obs.Registry.counter obs "opt.prune.cost_bound" in
+  let prune_ctr = h.prune () in
   (* invoke the view-matching rule on a block; returns leaf plans.
      [bound] is sampled once on entry (the best complete plan so far, if
      any) and handed to substitute costing as a branch-and-bound upper
      bound. *)
   let rule_leaves ?(bound = fun () -> None) block =
-    Mv_obs.Instrument.incr (octr "subexpressions");
+    Mv_obs.Instrument.incr (h.subexpressions ());
     Mv_obs.Span.wrap spans "rule"
       ~attrs:(fun () ->
         [ ("tables", Mv_obs.Span.Str (String.concat "," block.Spjg.tables)) ])
@@ -370,10 +430,9 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
           | Some (Plan.Leaf { source = Plan.Via _; _ }) -> true
           | _ -> false
         in
-        Mv_obs.Instrument.add (octr "substitutes.considered")
-          (List.length vleaves);
-        if won then Mv_obs.Instrument.incr (octr "substitutes.wins");
-        Mv_obs.Instrument.add (octr "substitutes.losses")
+        Mv_obs.Instrument.add (h.considered ()) (List.length vleaves);
+        if won then Mv_obs.Instrument.incr (h.wins ());
+        Mv_obs.Instrument.add (h.losses ())
           (List.length vleaves - if won then 1 else 0)
   in
   for mask = 1 to full do
@@ -453,7 +512,7 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
       | None -> ()
     end
   done;
-  Mv_obs.Instrument.add (octr "memo.groups") (Hashtbl.length memo);
+  Mv_obs.Instrument.add (h.memo_groups ()) (Hashtbl.length memo);
   let spj_entry =
     match Hashtbl.find_opt memo full with
     | Some e -> e
@@ -659,9 +718,9 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
          baseline? *)
       if !agg_considered > 0 then begin
         let won = plan != baseline && Plan.uses_view plan in
-        Mv_obs.Instrument.add (octr "substitutes.considered") !agg_considered;
-        if won then Mv_obs.Instrument.incr (octr "substitutes.wins");
-        Mv_obs.Instrument.add (octr "substitutes.losses")
+        Mv_obs.Instrument.add (h.considered ()) !agg_considered;
+        if won then Mv_obs.Instrument.incr (h.wins ());
+        Mv_obs.Instrument.add (h.losses ())
           (!agg_considered - if won then 1 else 0)
       end;
       {
@@ -684,13 +743,11 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
      mode bypasses the cache entirely rather than risk serving a plan
      built over a view that has since gone stale *)
   let cache = if fresh_only then None else cache in
-  let obs = registry.Mv_core.Registry.obs in
+  let h = handles_for registry.Mv_core.Registry.obs in
   let r =
-    Mv_obs.Instrument.time
-      (Mv_obs.Registry.timer obs "optimizer.time")
+    Mv_obs.Instrument.time (h.time ())
       (fun () ->
-        Mv_obs.Instrument.time_hist
-          (Mv_obs.Registry.histogram obs "optimizer.phase.total")
+        Mv_obs.Instrument.time_hist (h.phase_total ())
           (fun () ->
             Mv_obs.Span.wrap spans "optimize"
               ~attrs:(fun () ->
@@ -748,7 +805,7 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
                     ]);
                 r)))
   in
-  Mv_obs.Instrument.incr (Mv_obs.Registry.counter obs "optimizer.calls");
+  Mv_obs.Instrument.incr (h.calls ());
   (* ledger attribution (DESIGN.md §14): every call logs the query it
      optimized; a winning plan credits each view leaf with "chosen" plus
      the estimated cost saved against computing the query directly. This
@@ -757,8 +814,7 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
   let health = registry.Mv_core.Registry.health in
   Mv_core.Health.record_query health query;
   if r.used_views then begin
-    Mv_obs.Instrument.incr
-      (Mv_obs.Registry.counter obs "optimizer.plans.using_views");
+    Mv_obs.Instrument.incr (h.using_views ());
     let vnames = Plan.views_used r.plan in
     let base = direct_cost stats query in
     let benefit =

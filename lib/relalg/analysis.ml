@@ -1,16 +1,21 @@
 (** Derived information about an SPJG block: the classified predicate
-    components, column equivalence classes, per-class ranges and residual
-    templates. This is computed once per query subexpression and once per
-    view (the paper's in-memory "view description"). *)
+    components, column equivalence classes, per-class ranges, residual
+    templates and the filter-tree search keys. This is computed once per
+    query subexpression and once per view (the paper's in-memory "view
+    description").
+
+    Everything the section 3 tests read is resolved to dense column ids
+    ({!Intern.cols}) here, once: the classes, the ranges keyed by class
+    root, the residuals' and the output/grouping expressions' templates
+    ({!Residual.shape}). The search keys come out of the same pass — a
+    class read as a bitset of ids is already a key. *)
 
 open Mv_base
 module Sset = Mv_util.Sset
 module Bitset = Mv_util.Bitset
 
 (** The query-side filter-tree search keys (section 4.2), interned into the
-    shared {!Intern} domains. Computed lazily, once per analysis — repeated
-    probes of the same analyzed expression (several index plans, re-probed
-    registries) pay the string rendering and interning exactly once. *)
+    shared {!Intern} domains. *)
 type keys = {
   source_tables : Bitset.t;
   output_expr_templates : Bitset.t;
@@ -33,8 +38,66 @@ type t = {
   equiv : Equiv.t;
   ranges : Range.map;
   residuals : Residual.t list;
-  mutable keys_memo : keys option;  (** built on first {!keys} call *)
+  out_shapes : Residual.shape array;
+      (** aligned with [spjg.out]: the shape of a scalar output, or of the
+          argument of a SUM/AVG; {!Residual.no_shape} for count *)
+  group_shapes : Residual.shape array;  (** aligned with [spjg.group_by] *)
+  keys : keys;
 }
+
+let keys (t : t) : keys = t.keys
+
+let out_shape (o : Spjg.out_item) =
+  match o.Spjg.def with
+  | Spjg.Scalar e -> Residual.expr_shape e
+  | Spjg.Aggregate (Spjg.Sum e | Spjg.Avg e) -> Residual.expr_shape e
+  | Spjg.Aggregate _ -> Residual.no_shape
+
+let is_template_expr = function Expr.Col _ | Expr.Const _ -> false | _ -> true
+
+(* The output- and grouping-dependent fields: shapes and their keys. The
+   table, residual and range keys depend on (tables, where) alone and are
+   passed through. *)
+let with_outputs (equiv : Equiv.t) (spjg : Spjg.t) (keys : keys) =
+  let out_shapes = Array.of_list (List.map out_shape spjg.Spjg.out) in
+  let gs = Option.value ~default:[] spjg.Spjg.group_by in
+  let group_shapes = Array.of_list (List.map Residual.expr_shape gs) in
+  (* the template key of the non-column expressions, and the class key of
+     each bare column, over (expression, shape) pairs *)
+  let template_key pairs =
+    List.fold_left
+      (fun acc (e, (s : Residual.shape)) ->
+        if is_template_expr e then Bitset.add acc s.Residual.tid else acc)
+      Bitset.empty pairs
+  in
+  let class_keys pairs =
+    List.filter_map
+      (fun (e, (s : Residual.shape)) ->
+        match e with
+        | Expr.Col _ -> Some (Equiv.class_key equiv s.Residual.ids.(0))
+        | _ -> None)
+      pairs
+  in
+  let scalars =
+    List.concat
+      (List.mapi
+         (fun i (o : Spjg.out_item) ->
+           match o.Spjg.def with
+           | Spjg.Scalar e -> [ (e, out_shapes.(i)) ]
+           | Spjg.Aggregate _ -> [])
+         spjg.Spjg.out)
+  in
+  let groups = List.mapi (fun i g -> (g, group_shapes.(i))) gs in
+  ( out_shapes,
+    group_shapes,
+    {
+      keys with
+      output_expr_templates = template_key scalars;
+      output_classes = class_keys scalars;
+      grouping_expr_templates = template_key groups;
+      grouping_classes = class_keys groups;
+      is_aggregate = Spjg.is_aggregate spjg;
+    } )
 
 let analyze (schema : Mv_catalog.Schema.t) (spjg : Spjg.t) : t =
   let classified = Classify.classify spjg.Spjg.where in
@@ -47,27 +110,51 @@ let analyze (schema : Mv_catalog.Schema.t) (spjg : Spjg.t) : t =
       classified.Classify.disj_ranges
   in
   let residuals = List.map Residual.of_pred classified.Classify.residuals in
+  let table_key = Bitset.of_list (List.map Intern.table spjg.Spjg.tables) in
+  let core_keys =
+    {
+      source_tables = table_key;
+      output_expr_templates = Bitset.empty;
+      output_classes = [];
+      residual_templates =
+        List.fold_left
+          (fun acc (r : Residual.t) ->
+            Bitset.add acc r.Residual.shape.Residual.tid)
+          Bitset.empty residuals;
+      extended_range_cols =
+        List.fold_left
+          (fun acc r -> Bitset.union acc (Equiv.class_key equiv r))
+          Bitset.empty
+          (Range.constrained_roots ranges);
+      grouping_expr_templates = Bitset.empty;
+      grouping_classes = [];
+      is_aggregate = false;
+    }
+  in
+  let out_shapes, group_shapes, keys = with_outputs equiv spjg core_keys in
   {
     spjg;
     schema;
     table_set = Sset.of_list spjg.Spjg.tables;
-    table_key =
-      Bitset.of_list (List.map Intern.table spjg.Spjg.tables);
+    table_key;
     classified;
     equiv;
     ranges;
     residuals;
-    keys_memo = None;
+    out_shapes;
+    group_shapes;
+    keys;
   }
 
 (* Re-attach a different SPJG to an existing analysis. Sound only when the
-   two expressions share tables and WHERE: every derived field (classified,
-   equiv, ranges, residuals, table set) depends on the block through
-   (tables, where) alone, never through its output or grouping lists. The
-   key memo does depend on them, so it is dropped. The optimizer uses this
-   to analyze each (tables, where) core once per optimization even though
-   it enumerates several blocks over it. *)
-let rebind (t : t) (spjg : Spjg.t) : t = { t with spjg; keys_memo = None }
+   two expressions share tables and WHERE: every derived field except the
+   output/grouping shapes and their keys depends on the block through
+   (tables, where) alone, and those are recomputed. The optimizer uses
+   this to analyze each (tables, where) core once per optimization even
+   though it enumerates several blocks over it. *)
+let rebind (t : t) (spjg : Spjg.t) : t =
+  let out_shapes, group_shapes, keys = with_outputs t.equiv spjg t.keys in
+  { t with spjg; out_shapes; group_shapes; keys }
 
 (* Outputs that are bare column references: column -> output name. *)
 let col_outputs (t : t) : (Col.t * string) list =
@@ -87,33 +174,16 @@ let scalar_outputs (t : t) : (Expr.t * string) list =
       | Spjg.Aggregate _ -> None)
     t.spjg.Spjg.out
 
-let agg_outputs (t : t) : (Spjg.agg * string) list =
-  List.filter_map
-    (fun (o : Spjg.out_item) ->
-      match o.Spjg.def with
-      | Spjg.Aggregate a -> Some (a, o.Spjg.name)
-      | Spjg.Scalar _ -> None)
-    t.spjg.Spjg.out
+(* ---- the key sets as columns and strings, for the view descriptor's
+   readable fields and the reference filter in the tests ---- *)
 
-(* Find a view output column for column [c], looking through the given
-   equivalence structure: any column equivalent to [c] that the block
-   outputs as a bare column qualifies (section 3.1.3). *)
-let output_for_col (t : t) (equiv : Equiv.t) (c : Col.t) : string option =
-  let outs = col_outputs t in
-  let rec go = function
-    | [] -> None
-    | (c', name) :: rest -> if Equiv.same equiv c c' then Some name else go rest
-  in
-  (* prefer an exact match for stable, readable substitutes *)
-  match List.assoc_opt c (List.map (fun (a, b) -> (a, b)) outs) with
-  | Some name -> Some name
-  | None -> go outs
+let class_cols (t : t) c = Equiv.class_of t.equiv c
 
 (* Extended output column list (section 4.2.3): every column equivalent to
    some bare-column output of the block, under the block's own classes. *)
 let extended_output_cols (t : t) : Col.Set.t =
   List.fold_left
-    (fun acc (c, _) -> Col.Set.union acc (Equiv.class_of t.equiv c))
+    (fun acc (c, _) -> Col.Set.union acc (class_cols t c))
     Col.Set.empty (col_outputs t)
 
 (* Grouping expressions that are bare columns, extended by equivalence
@@ -125,110 +195,34 @@ let extended_grouping_cols (t : t) : Col.Set.t =
       List.fold_left
         (fun acc g ->
           match g with
-          | Expr.Col c -> Col.Set.union acc (Equiv.class_of t.equiv c)
+          | Expr.Col c -> Col.Set.union acc (class_cols t c)
           | _ -> acc)
         Col.Set.empty gs
+
+let templates_of exprs =
+  List.fold_left
+    (fun acc e ->
+      if is_template_expr e then Sset.add (fst (Residual.expr_template e)) acc
+      else acc)
+    Sset.empty exprs
 
 (* Textual templates of non-column output expressions / grouping
    expressions / residual predicates, for the filter-tree set conditions
    (sections 4.2.6-4.2.8). *)
 let output_expr_templates (t : t) : Sset.t =
-  List.fold_left
-    (fun acc (e, _) ->
-      match e with
-      | Expr.Col _ | Expr.Const _ -> acc
-      | _ -> Sset.add (fst (Residual.expr_template e)) acc)
-    Sset.empty (scalar_outputs t)
+  templates_of (List.map fst (scalar_outputs t))
 
 let grouping_expr_templates (t : t) : Sset.t =
-  match t.spjg.Spjg.group_by with
-  | None -> Sset.empty
-  | Some gs ->
-      List.fold_left
-        (fun acc g ->
-          match g with
-          | Expr.Col _ | Expr.Const _ -> acc
-          | _ -> Sset.add (fst (Residual.expr_template g)) acc)
-        Sset.empty gs
+  templates_of (Option.value ~default:[] t.spjg.Spjg.group_by)
 
 let residual_templates (t : t) : Sset.t =
   List.fold_left
     (fun acc (r : Residual.t) -> Sset.add r.Residual.template acc)
     Sset.empty t.residuals
 
-(* Equivalence-class representatives with a constrained range, rendered as
-   column sets (section 4.2.5). *)
+(* One class per constrained range, rendered as column sets
+   (section 4.2.5). *)
 let range_constrained_classes (t : t) : Col.Set.t list =
-  List.map (Equiv.class_of t.equiv) (Range.constrained_reprs t.ranges)
-
-(* ---- interned key extraction (the filter-tree search keys) ----
-
-   Same template/column sets as above, but interned into the shared
-   {!Intern} domains and packed as bitsets, skipping the intermediate
-   string-set construction entirely. These run once per view at
-   registration and once per query per rule invocation, so they are on the
-   candidate-selection hot path. *)
-
-let output_expr_template_key (t : t) : Bitset.t =
-  List.fold_left
-    (fun acc (e, _) ->
-      match e with
-      | Expr.Col _ | Expr.Const _ -> acc
-      | _ ->
-          Bitset.add acc (Intern.template (fst (Residual.expr_template e))))
-    Bitset.empty (scalar_outputs t)
-
-let grouping_expr_template_key (t : t) : Bitset.t =
-  match t.spjg.Spjg.group_by with
-  | None -> Bitset.empty
-  | Some gs ->
-      List.fold_left
-        (fun acc g ->
-          match g with
-          | Expr.Col _ | Expr.Const _ -> acc
-          | _ ->
-              Bitset.add acc (Intern.template (fst (Residual.expr_template g))))
-        Bitset.empty gs
-
-let residual_template_key (t : t) : Bitset.t =
-  List.fold_left
-    (fun acc (r : Residual.t) ->
-      Bitset.add acc (Intern.template r.Residual.template))
-    Bitset.empty t.residuals
-
-(* All columns of every range-constrained class, interned — the query side
-   of the weak and strong range conditions. *)
-let extended_range_col_key (t : t) : Bitset.t =
-  List.fold_left
-    (fun acc cls -> Bitset.union acc (Intern.of_colset cls))
-    Bitset.empty
-    (range_constrained_classes t)
-
-let compute_keys (t : t) : keys =
-  let classes_of_cols cols =
-    List.map (fun c -> Intern.of_colset (Equiv.class_of t.equiv c)) cols
-  in
-  let grouping_cols =
-    match t.spjg.Spjg.group_by with
-    | None -> []
-    | Some gs ->
-        List.filter_map (function Expr.Col c -> Some c | _ -> None) gs
-  in
-  {
-    source_tables = t.table_key;
-    output_expr_templates = output_expr_template_key t;
-    output_classes = classes_of_cols (List.map fst (col_outputs t));
-    residual_templates = residual_template_key t;
-    extended_range_cols = extended_range_col_key t;
-    grouping_expr_templates = grouping_expr_template_key t;
-    grouping_classes = classes_of_cols grouping_cols;
-    is_aggregate = Spjg.is_aggregate t.spjg;
-  }
-
-let keys (t : t) : keys =
-  match t.keys_memo with
-  | Some k -> k
-  | None ->
-      let k = compute_keys t in
-      t.keys_memo <- Some k;
-      k
+  List.map
+    (fun r -> Equiv.to_colset (Equiv.class_ids t.equiv r))
+    (Range.constrained_roots t.ranges)

@@ -1,7 +1,9 @@
 (** Derived information about an SPJG block: classified predicate
-    components, column equivalence classes, per-class ranges and residual
-    templates — computed once per query subexpression and once per view
-    (the paper's in-memory "view description"). *)
+    components, column equivalence classes, per-class ranges, residual
+    templates and the filter-tree search keys — computed once per query
+    subexpression and once per view (the paper's in-memory "view
+    description"). Columns are resolved to dense {!Intern.cols} ids in the
+    same pass, so the section 3 tests never touch a string. *)
 
 open Mv_base
 module Sset = Mv_util.Sset
@@ -29,34 +31,36 @@ type t = {
   table_key : Bitset.t;  (** [table_set] interned in {!Intern.tables} *)
   classified : Classify.classified;
   equiv : Equiv.t;
-  ranges : Range.map;
+  ranges : Range.map;  (** keyed by class root in [equiv] *)
   residuals : Residual.t list;
-  mutable keys_memo : keys option;  (** built on first {!keys} call *)
+  out_shapes : Residual.shape array;
+      (** aligned with [spjg.out]: the shape of a scalar output, or of the
+          argument of a SUM/AVG; {!Residual.no_shape} for count *)
+  group_shapes : Residual.shape array;  (** aligned with [spjg.group_by] *)
+  keys : keys;  (** built with the rest of the analysis *)
 }
 
 val keys : t -> keys
-(** The interned search keys, computed once per analysis and memoized —
-    repeated probes (several index plans, re-probed registries) pay the
-    template rendering and interning exactly once. *)
+
+val is_template_expr : Expr.t -> bool
+(** Is the expression matched by its template (neither a bare column nor a
+    constant)? *)
 
 val analyze : Mv_catalog.Schema.t -> Spjg.t -> t
 
 val rebind : t -> Spjg.t -> t
 (** Re-attach a different SPJG sharing the analysis' tables and WHERE:
-    every derived field depends on the block through (tables, where) alone,
-    so the expensive analysis can be reused across the several blocks the
-    optimizer enumerates over one core. *)
+    only the output/grouping shapes and keys are recomputed, so the
+    analysis can be reused across the several blocks the optimizer
+    enumerates over one core. *)
 
 val col_outputs : t -> (Col.t * string) list
 (** Outputs that are bare column references: column -> output name. *)
 
-val scalar_outputs : t -> (Expr.t * string) list
+(** {2 Key sets as columns and strings}
 
-val agg_outputs : t -> (Spjg.agg * string) list
-
-val output_for_col : t -> Equiv.t -> Col.t -> string option
-(** An output column for [c], looked up through the given equivalence
-    structure (section 3.1.3's routing). *)
+    The sets behind {!keys}, uninterned: the view descriptor's readable
+    fields and the reference filter of the tests. *)
 
 val extended_output_cols : t -> Col.Set.t
 (** Every column equivalent to some bare-column output, under the block's
@@ -73,19 +77,3 @@ val residual_templates : t -> Sset.t
 
 val range_constrained_classes : t -> Col.Set.t list
 (** One class (as a column set) per constrained range (section 4.2.5). *)
-
-(** {2 Interned key extraction}
-
-    The same sets as above, interned into the shared {!Intern} domains and
-    packed as {!Mv_util.Bitset} keys — the filter-tree search keys, built
-    without intermediate string sets. *)
-
-val output_expr_template_key : t -> Bitset.t
-
-val grouping_expr_template_key : t -> Bitset.t
-
-val residual_template_key : t -> Bitset.t
-
-val extended_range_col_key : t -> Bitset.t
-(** All columns of every range-constrained class, interned in
-    {!Intern.cols}. *)

@@ -27,7 +27,29 @@ val table : string -> int
 (** Intern a table name into {!tables}. *)
 
 val col : Mv_base.Col.t -> int
-(** Intern a qualified column into {!cols} via [Col.to_string]. *)
+(** Intern a qualified column into {!cols} (as [Col.to_string]). These
+    are the dense ids {!Equiv} and the section 3 tests run on. No string
+    is built when the column's table went through {!table_cols} before. *)
+
+val col_of_id : int -> Mv_base.Col.t
+(** Inverse of {!col} for every id it returned. *)
+
+type 'a by_col
+(** An append-only table indexed by column id, readable from any domain
+    without locking. *)
+
+val by_col : 'a -> 'a by_col
+(** An empty table; unset slots read as the given value. *)
+
+val by_col_get : 'a by_col -> int -> 'a
+
+val by_col_set : 'a by_col -> int -> 'a -> unit
+(** Set a slot, growing the table (under its mutex) when needed. Two
+    domains may set one slot only to equal values. *)
+
+val table_cols : Mv_catalog.Table_def.t -> int array
+(** The ids of the table's columns in declaration order, interned on first
+    sight and cached by table name. Lock-free after the first call. *)
 
 val template : string -> int
 (** Intern a template string into {!templates}. *)
@@ -35,10 +57,6 @@ val template : string -> int
 val of_sset : Mv_util.Symbol.domain -> Mv_util.Sset.t -> Mv_util.Bitset.t
 (** Intern every member of a string set into [dom] and collect the ids as
     a bitset key. *)
-
-val of_colset : Mv_base.Col.Set.t -> Mv_util.Bitset.t
-(** Intern every column of the set into {!cols} and collect the ids as a
-    bitset key. *)
 
 val freeze : unit -> unit
 (** Freeze all three domains (see {!Mv_util.Symbol.freeze}): lookups of

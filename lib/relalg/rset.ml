@@ -69,9 +69,12 @@ let of_intervals = normalize
 
 let union (a : t) (b : t) : t = normalize (a @ b)
 
+(* The full set is the identity; skipping it keeps the common case of a
+   class constrained on one side only from allocating. *)
 let inter (a : t) (b : t) : t =
-  normalize
-    (List.concat_map (fun x -> List.map (Interval.intersect x) b) a)
+  if is_full a then b
+  else if is_full b then a
+  else normalize (List.concat_map (fun x -> List.map (Interval.intersect x) b) a)
 
 let mem v (t : t) = List.exists (Interval.mem v) t
 

@@ -23,7 +23,7 @@ let descriptor_invariants_prop =
       && (not (Sset.is_empty v.Mv_core.View.hub))
       (* the extended output set contains every bare-column output *)
       && List.for_all
-           (fun (c, _) -> Mv_base.Col.Set.mem c v.Mv_core.View.extended_output_cols)
+           (fun (c, _) -> Mv_base.Col.Set.mem c (Mv_core.View.extended_output_cols v))
            (Mv_relalg.Analysis.col_outputs v.Mv_core.View.analysis)
       (* reduced range columns are a subset of the full range classes *)
       && Sset.for_all
@@ -33,13 +33,13 @@ let descriptor_invariants_prop =
                  Mv_base.Col.Set.exists
                    (fun c -> Mv_base.Col.to_string c = s)
                    cls)
-               v.Mv_core.View.range_classes)
-           v.Mv_core.View.reduced_range_cols
+               (Mv_core.View.range_classes v))
+           (Mv_core.View.reduced_range_cols v)
       (* aggregation views have grouping keys; SPJ views none *)
       &&
       if Mv_core.View.is_aggregate v then true
-      else Sset.is_empty v.Mv_core.View.grouping_expr_templates
-           && Mv_base.Col.Set.is_empty v.Mv_core.View.extended_grouping_cols)
+      else Sset.is_empty (Mv_core.View.grouping_expr_templates v)
+           && Mv_base.Col.Set.is_empty (Mv_core.View.extended_grouping_cols v))
 
 let remove_restores_candidates_prop =
   QCheck.Test.make ~name:"registry: remove/re-add round-trips" ~count:100

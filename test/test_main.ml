@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "mview"
-    (Test_base.suite @ Test_relalg.suite @ Test_matching.suite
+    (Test_budget.suite @ Test_base.suite @ Test_relalg.suite @ Test_matching.suite
    @ Test_extra_tables.suite @ Test_aggregation.suite @ Test_sql.suite
    @ Test_lattice.suite @ Test_engine.suite @ Test_naive.suite
    @ Test_equivalence.suite
@@ -15,4 +15,5 @@ let () =
    @ Test_prop_equivalence.suite @ Test_prop_filter.suite
    @ Test_parallel.suite @ Test_dynamic.suite @ Test_cache.suite
    @ Test_serve.suite @ Test_stats.suite @ Test_adaptive.suite
-   @ Test_ivm.suite @ Test_advisor.suite @ Test_health.suite)
+   @ Test_ivm.suite @ Test_advisor.suite @ Test_health.suite
+   @ Test_golden.suite)

@@ -112,15 +112,15 @@ let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
     | FT.Hubs -> Sset.subset v.Mv_core.View.hub q_tables
     | FT.Source_tables -> Sset.subset q_tables v.Mv_core.View.source_tables
     | FT.Output_exprs ->
-        Sset.subset q_out_templates v.Mv_core.View.output_expr_templates
-    | FT.Output_cols -> covers q_out_classes v.Mv_core.View.extended_output_cols
+        Sset.subset q_out_templates (Mv_core.View.output_expr_templates v)
+    | FT.Output_cols -> covers q_out_classes (Mv_core.View.extended_output_cols v)
     | FT.Residuals ->
-        Sset.subset v.Mv_core.View.residual_templates q_res_templates
-    | FT.Range_cols -> Sset.subset v.Mv_core.View.reduced_range_cols q_range_cols
+        Sset.subset (Mv_core.View.residual_templates v) q_res_templates
+    | FT.Range_cols -> Sset.subset (Mv_core.View.reduced_range_cols v) q_range_cols
     | FT.Grouping_exprs ->
-        Sset.subset q_group_templates v.Mv_core.View.grouping_expr_templates
+        Sset.subset q_group_templates (Mv_core.View.grouping_expr_templates v)
     | FT.Grouping_cols ->
-        covers q_group_classes v.Mv_core.View.extended_grouping_cols
+        covers q_group_classes (Mv_core.View.extended_grouping_cols v)
   in
   let common =
     if backjoins then
@@ -141,7 +141,7 @@ let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
         not
           (Sset.is_empty
              (Sset.inter (Mv_core.View.cols_to_strings cls) q_range_cols)))
-      v.Mv_core.View.range_classes
+      (Mv_core.View.range_classes v)
   in
   List.filter
     (fun v ->

@@ -239,8 +239,115 @@ let test_check_indexable () =
   Alcotest.(check bool) "missing count rejected" true
     (Result.is_error (Mv_relalg.Spjg.check_indexable agg_no_count))
 
+(* ---- the interned classes against the string-keyed reference ----
+
+   A case picks a subset of the TPC-H tables and column equalities among
+   their columns, builds both structures, then copies them, registers more
+   tables in the copies and merges there. Both must agree on every read,
+   on the copies and on the originals, and the originals must not see the
+   copies' merges. Reads only touch registered columns: the reference's
+   [find] registers unknown keys, which would change its partition. *)
+
+let tpch = Mv_tpch.Schema.schema
+
+let all_tables =
+  List.map (fun (td : Mv_catalog.Table_def.t) -> td.Mv_catalog.Table_def.name)
+    tpch.Mv_catalog.Schema.tables
+
+let cols_of tables =
+  List.concat_map
+    (fun tbl ->
+      List.map (c tbl)
+        (Mv_catalog.Table_def.column_names
+           (Mv_catalog.Schema.table_exn tpch tbl)))
+    tables
+
+type equiv_case = {
+  tables : string list;
+  eqs : (int * int) list;  (** indexes into the columns of [tables] *)
+  more : string list;
+  copy_eqs : (int * int) list;  (** indexes into the columns of all tables *)
+  within : int list list;
+}
+
+let equiv_case_gen =
+  let open QCheck.Gen in
+  let subset =
+    map
+      (fun bits -> List.filteri (fun i _ -> bits land (1 lsl i) <> 0) all_tables)
+      (int_bound 255)
+  in
+  let pairs = list_size (int_range 0 8) (pair (int_bound 999) (int_bound 999)) in
+  map
+    (fun ((first, tables), (eqs, (more, copy_eqs)), within) ->
+      let tables =
+        if tables = [] then [ List.nth all_tables first ] else tables
+      in
+      { tables; eqs; more; copy_eqs; within })
+    (triple
+       (pair (int_bound 7) subset)
+       (pair pairs (pair subset pairs))
+       (list_size (int_range 0 4) (list_size (int_range 0 4) (int_bound 999))))
+
+let print_case k =
+  Printf.sprintf "tables=%s eqs=%s more=%s copy_eqs=%s"
+    (String.concat "," k.tables)
+    (String.concat ";"
+       (List.map (fun (a, b) -> Printf.sprintf "%d=%d" a b) k.eqs))
+    (String.concat "," k.more)
+    (String.concat ";"
+       (List.map (fun (a, b) -> Printf.sprintf "%d=%d" a b) k.copy_eqs))
+
+let sets_of_sets l = List.sort Col.Set.compare l
+
+let agree ~cols e r =
+  let same_sets a b =
+    List.equal Col.Set.equal (sets_of_sets a) (sets_of_sets b)
+  in
+  same_sets (Equiv.classes e) (Ref_equiv.classes r)
+  && same_sets (Equiv.nontrivial_classes e) (Ref_equiv.nontrivial_classes r)
+  && List.for_all
+       (fun x ->
+         Col.Set.equal (Equiv.class_of e x) (Ref_equiv.class_of r x)
+         && List.for_all (fun y -> Equiv.same e x y = Ref_equiv.same r x y) cols)
+       cols
+
+let equiv_model_prop =
+  QCheck.Test.make ~name:"equiv: interned classes agree with the reference"
+    ~count:(Helpers.qcheck_count 300)
+    (QCheck.make ~print:print_case equiv_case_gen)
+    (fun k ->
+      let cols = cols_of k.tables in
+      let pick l i = List.nth l (i mod List.length l) in
+      let col_eqs = List.map (fun (a, b) -> (pick cols a, pick cols b)) k.eqs in
+      let e = Equiv.build tpch ~tables:k.tables ~col_eqs in
+      let r = Ref_equiv.build tpch ~tables:k.tables ~col_eqs in
+      let before = sets_of_sets (Equiv.classes e) in
+      let e' = Equiv.copy e and r' = Ref_equiv.copy r in
+      let more = List.filter (fun t -> not (List.mem t k.tables)) k.more in
+      Equiv.add_tables tpch e' more;
+      Ref_equiv.add_tables tpch r' more;
+      let cols' = cols @ cols_of more in
+      List.iter
+        (fun (a, b) ->
+          let a = pick cols' a and b = pick cols' b in
+          Equiv.merge e' a b;
+          Ref_equiv.merge r' a b)
+        k.copy_eqs;
+      let within_ok eq rf cs =
+        List.for_all
+          (fun idx ->
+            let set = Col.Set.of_list (List.map (pick cs) idx) in
+            Equiv.class_within eq set = Ref_equiv.class_within rf set)
+          k.within
+      in
+      agree ~cols e r && agree ~cols:cols' e' r'
+      && within_ok e r cols && within_ok e' r' cols'
+      && List.equal Col.Set.equal before (sets_of_sets (Equiv.classes e)))
+
 let suite =
   [
+    ("prop_equiv", [ Helpers.qtest equiv_model_prop ]);
     ( "relalg",
       [
         Helpers.qtest cnf_equiv_prop;

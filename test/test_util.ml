@@ -1,6 +1,7 @@
-(** Utility tests: union-find properties and PRNG sanity. *)
+(** Utility tests: the reference union-find behind [Ref_equiv], and PRNG
+    sanity. *)
 
-module UF = Mv_util.Union_find.Make (Int)
+module UF = Ref_union_find.Make (Int)
 module Prng = Mv_util.Prng
 
 (* union-find must agree with a naive transitive closure *)

@@ -15,11 +15,16 @@ let all_rejects =
     (Reject.Missing_tables, "missing-tables");
     (Reject.Extra_tables_not_eliminable, "extra-tables");
     (Reject.Equijoin_subsumption_failed, "equijoin-subsumption");
-    (Reject.Range_subsumption_failed "l_quantity", "range-subsumption");
-    (Reject.Residual_subsumption_failed "p_name like ...", "residual-subsumption");
-    (Reject.Compensation_not_computable "no key", "compensation-not-computable");
-    (Reject.Output_not_computable "l_tax", "output-not-computable");
-    (Reject.Grouping_incompatible "finer", "grouping-incompatible");
+    ( Reject.Range_subsumption_failed (Reject.detail "l_quantity"),
+      "range-subsumption" );
+    ( Reject.Residual_subsumption_failed (Reject.detail "p_name like ..."),
+      "residual-subsumption" );
+    ( Reject.Compensation_not_computable (Reject.detail "no key"),
+      "compensation-not-computable" );
+    ( Reject.Output_not_computable (Reject.detail "l_tax"),
+      "output-not-computable" );
+    ( Reject.Grouping_incompatible (Reject.detail "finer"),
+      "grouping-incompatible" );
     (Reject.View_more_aggregated, "view-more-aggregated");
     (Reject.Stale, "stale");
   ]
@@ -34,7 +39,7 @@ let test_reject_labels () =
     (List.length (List.sort_uniq compare labels));
   (* payloads vary the message but never the aggregation key *)
   Alcotest.(check string) "label drops the payload" "range-subsumption"
-    (Reject.label (Reject.Range_subsumption_failed "other_col"))
+    (Reject.label (Reject.Range_subsumption_failed (Reject.detail "other_col")))
 
 let test_reject_to_string_and_pp () =
   List.iter
@@ -48,7 +53,8 @@ let test_reject_to_string_and_pp () =
   (* detail payloads surface in the message *)
   Alcotest.(check bool) "payload surfaces" true
     (Helpers.contains ~needle:"l_quantity"
-       (Reject.to_string (Reject.Range_subsumption_failed "l_quantity")));
+       (Reject.to_string
+          (Reject.Range_subsumption_failed (Reject.detail "l_quantity"))));
   let strings = List.map (fun (r, _) -> Reject.to_string r) all_rejects in
   Alcotest.(check int) "messages pairwise distinct" 10
     (List.length (List.sort_uniq compare strings))
