@@ -35,16 +35,17 @@ let arith op a b =
       eval_error "type error in arithmetic: %s %s %s" (Value.to_string a)
         (Expr.binop_to_string op) (Value.to_string b)
 
+let negate = function
+  | Value.Null -> Value.Null
+  | Value.Int i -> Value.Int (-i)
+  | Value.Float f -> Value.Float (-.f)
+  | v -> eval_error "cannot negate %s" (Value.to_string v)
+
 let rec expr env : Expr.t -> Value.t = function
   | Expr.Const v -> v
   | Expr.Col c -> env c
   | Expr.Binop (op, l, r) -> arith op (expr env l) (expr env r)
-  | Expr.Neg e -> (
-      match expr env e with
-      | Value.Null -> Value.Null
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> eval_error "cannot negate %s" (Value.to_string v))
+  | Expr.Neg e -> negate (expr env e)
   | Expr.Func (f, args) -> func f (List.map (expr env) args)
 
 and func name args =
@@ -74,13 +75,15 @@ let cmp3_truth op a b : Pred.truth =
         | Pred.Gt -> c > 0
         | Pred.Ge -> c >= 0)
 
+let like v pat =
+  match v with
+  | Value.Null -> Pred.Unknown
+  | Value.Str s -> Pred.truth_of_bool (Like.matches ~pattern:pat s)
+  | v -> eval_error "LIKE on non-string %s" (Value.to_string v)
+
 let rec pred env : Pred.t -> Pred.truth = function
   | Pred.Cmp (op, l, r) -> cmp3_truth op (expr env l) (expr env r)
-  | Pred.Like (e, pat) -> (
-      match expr env e with
-      | Value.Null -> Pred.Unknown
-      | Value.Str s -> Pred.truth_of_bool (Like.matches ~pattern:pat s)
-      | v -> eval_error "LIKE on non-string %s" (Value.to_string v))
+  | Pred.Like (e, pat) -> like (expr env e) pat
   | Pred.Is_null e -> Pred.truth_of_bool (Value.is_null (expr env e))
   | Pred.Not p -> Pred.truth_not (pred env p)
   | Pred.And (l, r) -> Pred.truth_and (pred env l) (pred env r)
@@ -89,3 +92,55 @@ let rec pred env : Pred.t -> Pred.truth = function
 
 (* WHERE-clause semantics: keep only rows where the predicate is True. *)
 let pred_holds env p = pred env p = Pred.True
+
+(* ---- slot compilation ---------------------------------------------------
+
+   The same semantics as [expr]/[pred], resolved once: each column becomes
+   a read of its slot in a [Value.t array] tuple, and the closures call the
+   same [arith], [negate], [func], [cmp3_truth] and [like] as the
+   interpreter. A column [slot] does not place raises [Eval_error] when
+   (and only when) the closure reads it, as an unbound column does under
+   [expr]. *)
+
+let unbound c = eval_error "unbound column %s" (Col.to_string c)
+
+let rec compile_expr slot : Expr.t -> Value.t array -> Value.t = function
+  | Expr.Const v -> fun _ -> v
+  | Expr.Col c -> (
+      match slot c with Some i -> fun t -> t.(i) | None -> fun _ -> unbound c)
+  | Expr.Binop (op, l, r) ->
+      let l = compile_expr slot l and r = compile_expr slot r in
+      fun t -> arith op (l t) (r t)
+  | Expr.Neg e ->
+      let e = compile_expr slot e in
+      fun t -> negate (e t)
+  | Expr.Func (f, args) ->
+      let args = List.map (compile_expr slot) args in
+      fun t -> func f (List.map (fun a -> a t) args)
+
+let rec compile_pred slot : Pred.t -> Value.t array -> Pred.truth = function
+  | Pred.Cmp (op, l, r) ->
+      let l = compile_expr slot l and r = compile_expr slot r in
+      fun t -> cmp3_truth op (l t) (r t)
+  | Pred.Like (e, pat) ->
+      let e = compile_expr slot e in
+      fun t -> like (e t) pat
+  | Pred.Is_null e ->
+      let e = compile_expr slot e in
+      fun t -> Pred.truth_of_bool (Value.is_null (e t))
+  | Pred.Not p ->
+      let p = compile_pred slot p in
+      fun t -> Pred.truth_not (p t)
+  | Pred.And (l, r) ->
+      let l = compile_pred slot l and r = compile_pred slot r in
+      fun t -> Pred.truth_and (l t) (r t)
+  | Pred.Or (l, r) ->
+      let l = compile_pred slot l and r = compile_pred slot r in
+      fun t -> Pred.truth_or (l t) (r t)
+  | Pred.Bool b ->
+      let v = Pred.truth_of_bool b in
+      fun _ -> v
+
+let compile_holds slot p =
+  let p = compile_pred slot p in
+  fun t -> p t = Pred.True

@@ -2,100 +2,298 @@
     pipeline behind direct execution, plan execution, materialization and
     incremental maintenance.
 
+    A block compiles once per execution (once per view for IVM delta
+    terms) into a slot layout: one slot per column it references, table by
+    table in FROM order and column by column in definition order, so the
+    layout does not depend on the join order picked at run time. Tuples
+    are [Value.t array]s in that layout; conjuncts, outputs, grouping keys
+    and aggregates are closures over slots ([Mv_base.Eval.compile_*]).
+
     The executor orders the join (by estimated intermediate cardinality
     when statistics are given, by connectivity otherwise), joins each
     table through a declared index when the probe side is small and by a
-    hash join otherwise, applies each conjunct as soon as all its columns
-    are bound, then groups and projects. Strategy picks and estimation
-    error are recorded on the global registry. *)
+    hash join keyed on the stored rows' column positions otherwise, copies
+    a stored row's referenced columns into a tuple only when it matches,
+    applies each conjunct as soon as all its columns are bound, then
+    groups and projects. Strategy picks and estimation error are recorded
+    on the global registry. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
 module Stats = Mv_catalog.Stats
 
-type bindings = Value.t Col.Map.t
+(* Row counters per operator kind ([exec.rows.<kind>]), join strategy
+   counters ([exec.join.strategy.hash|inlj]) and the per-join q-error
+   histogram (max(est/actual, actual/est), recorded only when both sides
+   are positive). They live on the process-wide [Mv_obs.Registry.global]:
+   execution has no per-query context object to scope them to. Each
+   handle is resolved on first use and bumped without a lookup after. *)
+let counter =
+  Mv_obs.Registry.resolver Mv_obs.Registry.counter Mv_obs.Registry.global
 
-(* Per-operator-kind row counters ([exec.rows.<kind>]). They live on the
-   process-wide [Mv_obs.Registry.global]: execution has no per-query
-   context object to scope them to, and the executor exists for ground
-   truth, not for concurrent serving. *)
-let count_rows kind n =
-  Mv_obs.Instrument.add
-    (Mv_obs.Registry.counter Mv_obs.Registry.global ("exec.rows." ^ kind))
-    n
-
-(* Join strategy counters ([exec.join.strategy.hash|inlj]) and the
-   per-join q-error histogram (max(est/actual, actual/est); only recorded
-   when both sides are positive). *)
-let count_strategy kind =
-  Mv_obs.Instrument.incr
-    (Mv_obs.Registry.counter Mv_obs.Registry.global
-       ("exec.join.strategy." ^ kind))
+let rows_scan = counter "exec.rows.scan"
+let rows_join = counter "exec.rows.join"
+let rows_filter = counter "exec.rows.filter"
+let rows_group = counter "exec.rows.group"
+let rows_output = counter "exec.rows.output"
+let strategy_hash = counter "exec.join.strategy.hash"
+let strategy_inlj = counter "exec.join.strategy.inlj"
+let count c n = Mv_obs.Instrument.add (c ()) n
 
 let qerror_hist =
-  lazy
-    (Mv_obs.Registry.histogram Mv_obs.Registry.global "exec.estimation.qerror")
+  Mv_obs.Registry.resolver Mv_obs.Registry.histogram Mv_obs.Registry.global
+    "exec.estimation.qerror"
 
 let observe_qerror ~est ~actual =
   if est > 0.0 && actual > 0 then
     let a = float_of_int actual in
-    Mv_obs.Instrument.observe (Lazy.force qerror_hist)
-      (Float.max (est /. a) (a /. est))
+    Mv_obs.Instrument.observe (qerror_hist ()) (Float.max (est /. a) (a /. est))
 
 (* The probe-side bound for preferring an index lookup over a hash join
    (and the build-side size above which the lookup pays). *)
 let nlj_threshold = 64
 
-let env_of (b : bindings) (c : Col.t) =
-  match Col.Map.find_opt c b with
-  | Some v -> v
-  | None ->
-      raise
-        (Eval.Eval_error ("unbound column " ^ Col.to_string c))
+type tuple = Value.t array
 
-let merge tup b = Col.Map.union (fun _ x _ -> Some x) tup b
-let key_of cols b = Array.map (fun c -> Col.Map.find c b) cols
+let unbound c = raise (Eval.Eval_error ("unbound column " ^ Col.to_string c))
 let has_null = Array.exists Value.is_null
 
-(* Bindings for one row of one table. *)
-let bind_row (tbl : Table.t) (row : Value.t array) : bindings =
-  let tname = Table.name tbl in
-  List.fold_left
-    (fun (i, acc) (c : Mv_catalog.Column.t) ->
-      (i + 1, Col.Map.add (Col.make tname c.Mv_catalog.Column.name) row.(i) acc))
-    (0, Col.Map.empty)
-    tbl.Table.def.Mv_catalog.Table_def.columns
-  |> snd
+(* ---- compiled blocks --------------------------------------------------- *)
 
-(* A conjunct is applicable once every column it references is bound. *)
-let applicable bound_tables p =
-  List.for_all (fun (c : Col.t) -> List.mem c.Col.tbl bound_tables)
-    (Pred.columns p)
+(* One FROM table: the stored positions of the columns the block
+   references, ascending, copied to the slots from [off] on. *)
+type source = {
+  name : string;
+  pos : int array;
+  off : int;
+  local : Pred.t list;  (** conjuncts over this table alone *)
+  ranges : (Col.t * Pred.cmp * Value.t) list;  (** [local]'s column ranges *)
+}
 
-let apply_preds preds (rows : bindings list) =
-  if preds = [] then rows
+type conj = { tables : string list; holds : tuple -> bool }
+
+(* An equality of two resolved columns: a join key once one side's table
+   is bound and the other's is next. *)
+type equi = {
+  a : Col.t;
+  a_pos : int;
+  a_slot : int;
+  b : Col.t;
+  b_pos : int;
+  b_slot : int;
+}
+
+type item = Scalar of (tuple -> Value.t) | Agg of (tuple list -> Value.t)
+
+type block = {
+  spjg : Spjg.t;
+  width : int;
+  slots : int Col.Map.t;
+  sources : source list;  (** FROM order *)
+  conjs : conj list;  (** WHERE order *)
+  equis : equi list;
+  edges : (string * string) list;  (** tables an equality of columns joins *)
+  group : (tuple -> Value.t) array option;
+  items : item array;
+}
+
+let add_value a b =
+  match (a, b) with
+  | Value.Null, v | v, Value.Null -> v
+  | Value.Int x, Value.Int y -> Value.Int (x + y)
+  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) -> (
+      match (Value.as_float a, Value.as_float b) with
+      | Some x, Some y -> Value.Float (x +. y)
+      | _ -> assert false)
+  | _ -> raise (Eval.Eval_error "sum of non-numeric values")
+
+(* An aggregate over the tuples of one group (newest first), NULLs
+   skipped. *)
+let compile_agg slot : Spjg.agg -> tuple list -> Value.t =
+  let sum_of f rows =
+    List.fold_left
+      (fun acc t -> match f t with Value.Null -> acc | v -> add_value acc v)
+      Value.Null rows
+  in
+  function
+  | Spjg.Count_star -> fun rows -> Value.Int (List.length rows)
+  | Spjg.Sum e ->
+      let f = Eval.compile_expr slot e in
+      sum_of f
+  | Spjg.Sum0 e -> (
+      let f = Eval.compile_expr slot e in
+      fun rows -> match sum_of f rows with Value.Null -> Value.Int 0 | v -> v)
+  | Spjg.Avg e ->
+      let f = Eval.compile_expr slot e in
+      fun rows ->
+        let n =
+          List.fold_left
+            (fun n t -> if Value.is_null (f t) then n else n + 1)
+            0 rows
+        in
+        if n = 0 then Value.Null
+        else Eval.arith Expr.Div (sum_of f rows) (Value.Int n)
+  | Spjg.Sum_div_sum (num, den) ->
+      let fn = Eval.compile_expr slot num and fd = Eval.compile_expr slot den in
+      fun rows -> Eval.arith Expr.Div (sum_of fn rows) (sum_of fd rows)
+
+let compile_item slot (o : Spjg.out_item) =
+  match o.Spjg.def with
+  | Spjg.Scalar e -> Scalar (Eval.compile_expr slot e)
+  | Spjg.Aggregate a -> Agg (compile_agg slot a)
+
+let compile db (sp : Spjg.t) : block =
+  let refs = Spjg.referenced_columns sp in
+  (* a table's referenced columns with their stored positions *)
+  let referenced name =
+    (Table.def_of (Database.table_exn db name)).Mv_catalog.Table_def.columns
+    |> List.mapi (fun i (c : Mv_catalog.Column.t) ->
+           (Col.make name c.Mv_catalog.Column.name, i))
+    |> List.filter (fun (col, _) -> Col.Set.mem col refs)
+  in
+  let placed, sources, width =
+    List.fold_left
+      (fun (placed, sources, off) name ->
+        let cols = referenced name in
+        let placed =
+          List.fold_left
+            (fun (m, slot) (col, pos) -> (Col.Map.add col (slot, pos) m, slot + 1))
+            (placed, off) cols
+          |> fst
+        in
+        let local =
+          List.filter
+            (fun p ->
+              let cols = Pred.columns p in
+              cols <> [] && List.for_all (fun (c : Col.t) -> c.Col.tbl = name) cols)
+            sp.Spjg.where
+        in
+        let s =
+          {
+            name;
+            pos = Array.of_list (List.map snd cols);
+            off;
+            local;
+            ranges = (Mv_relalg.Classify.classify local).Mv_relalg.Classify.ranges;
+          }
+        in
+        (placed, s :: sources, off + List.length cols))
+      (Col.Map.empty, [], 0) sp.Spjg.tables
+  in
+  let slots = Col.Map.map fst placed in
+  let slot c = Col.Map.find_opt c slots in
+  let col_eqs =
+    List.filter_map
+      (function
+        | Pred.Cmp (Pred.Eq, Expr.Col a, Expr.Col b) -> Some (a, b) | _ -> None)
+      sp.Spjg.where
+  in
+  {
+    spjg = sp;
+    width;
+    slots;
+    sources = List.rev sources;
+    conjs =
+      List.map
+        (fun p ->
+          {
+            tables =
+              List.sort_uniq String.compare
+                (List.map (fun (c : Col.t) -> c.Col.tbl) (Pred.columns p));
+            holds = Eval.compile_holds slot p;
+          })
+        sp.Spjg.where;
+    equis =
+      List.filter_map
+        (fun (a, b) ->
+          match (Col.Map.find_opt a placed, Col.Map.find_opt b placed) with
+          | Some (a_slot, a_pos), Some (b_slot, b_pos) ->
+              Some { a; a_pos; a_slot; b; b_pos; b_slot }
+          | _ -> None)
+        col_eqs;
+    edges =
+      List.map
+        (fun ((a : Col.t), (b : Col.t)) -> (a.Col.tbl, b.Col.tbl))
+        col_eqs;
+    group =
+      Option.map
+        (fun gs -> Array.of_list (List.map (Eval.compile_expr slot) gs))
+        sp.Spjg.group_by;
+    items = Array.of_list (List.map (compile_item slot) sp.Spjg.out);
+  }
+
+let expr blk e = Eval.compile_expr (fun c -> Col.Map.find_opt c blk.slots) e
+
+(* ---- operators --------------------------------------------------------- *)
+
+(* Equijoin of [probe] tuples with [build] rows: [probe_key] names slots
+   of a probe tuple, [build_key] the positions of a build row that must
+   equal them, and [emit] makes the output tuple of one matching pair. A
+   hash table over [build], probed by each tuple in turn; keys compare as
+   exact tuples ([Value.Key]) and a NULL key never joins; no keys is a
+   cross product. *)
+let hash_join ~probe_key ~build_key ~emit probe build =
+  if Array.length probe_key = 0 then
+    List.concat_map (fun tup -> List.map (emit tup) build) probe
   else begin
-    let kept =
-      List.filter
-        (fun b -> List.for_all (Eval.pred_holds (env_of b)) preds)
-        rows
-    in
-    count_rows "filter" (List.length kept);
-    kept
+    count strategy_hash 1;
+    let table = Value.Key.create 256 in
+    List.iter
+      (fun row ->
+        let kv = Array.map (fun p -> row.(p)) build_key in
+        if not (has_null kv) then Value.Key.add table kv row)
+      build;
+    List.concat_map
+      (fun tup ->
+        let kv = Array.map (fun s -> tup.(s)) probe_key in
+        if has_null kv then []
+        else List.map (emit tup) (Value.Key.find_all table kv))
+      probe
   end
 
-(* Equijoin keys between the next table and the already-bound tables. *)
-let join_keys conjuncts ~bound ~next =
-  List.filter_map
-    (fun p ->
-      match p with
-      | Pred.Cmp (Pred.Eq, Expr.Col a, Expr.Col b) ->
-          if a.Col.tbl = next && List.mem b.Col.tbl bound then Some (a, b)
-          else if b.Col.tbl = next && List.mem a.Col.tbl bound then
-            Some (b, a)
-          else None
-      | _ -> None)
-    conjuncts
+let apply_preds (conjs : conj list) tuples =
+  match conjs with
+  | [] -> tuples
+  | _ ->
+      let kept =
+        List.filter (fun t -> List.for_all (fun c -> c.holds t) conjs) tuples
+      in
+      count rows_filter (List.length kept);
+      kept
+
+(* Group the tuples by [keys] and evaluate [items] per group, groups in
+   first-seen order. Zero tuples with no grouping keys yield one row (count
+   0, sums NULL); with grouping keys, none. *)
+let aggregate keys items tuples =
+  let groups = Value.Key.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun t ->
+      let k = Array.map (fun g -> g t) keys in
+      match Value.Key.find_opt groups k with
+      | Some rows -> rows := t :: !rows
+      | None ->
+          let rows = ref [ t ] in
+          order := rows :: !order;
+          Value.Key.add groups k rows)
+    tuples;
+  let groups =
+    if tuples = [] && keys = [||] then [ [] ]
+    else List.rev_map (fun rows -> !rows) !order
+  in
+  let rows =
+    List.map
+      (fun group_rows ->
+        Array.map
+          (function
+            | Scalar f -> (
+                match group_rows with t :: _ -> f t | [] -> Value.Null)
+            | Agg f -> f group_rows)
+          items)
+      groups
+  in
+  count rows_group (List.length rows);
+  rows
 
 (* ---- cardinality estimation (with statistics) ------------------------- *)
 
@@ -103,15 +301,7 @@ let join_keys conjuncts ~bound ~next =
    (the engine cannot depend on the optimizer): histograms/MCVs through
    [Stats.range_selectivity], 1/max-ndv for same-table column equality,
    fixed guesses for the rest. Only used to pick join orders. *)
-let est_local_rows stats conjuncts tname =
-  let local =
-    List.filter
-      (fun p ->
-        let cols = Pred.columns p in
-        cols <> []
-        && List.for_all (fun (c : Col.t) -> c.Col.tbl = tname) cols)
-      conjuncts
-  in
+let est_local_rows stats (s : source) =
   let sel =
     List.fold_left
       (fun acc p ->
@@ -124,41 +314,51 @@ let est_local_rows stats conjuncts tname =
         | `Disj_range (_, ivs) ->
             Float.min 1.0 (0.33 *. float_of_int (List.length ivs))
         | `Residual _ -> 0.25)
-      1.0 local
+      1.0 s.local
   in
-  Float.max 1.0 (float_of_int (Stats.row_count stats tname) *. sel)
+  Float.max 1.0 (float_of_int (Stats.row_count stats s.name) *. sel)
+
+(* A join key of [next] against the bound tables: [col] of [next] at
+   stored position [pos], equal to [other] of a bound table at slot
+   [slot]. *)
+type key = { col : Col.t; pos : int; other : Col.t; slot : int }
+
+let join_keys blk ~bound ~next =
+  List.filter_map
+    (fun e ->
+      if e.a.Col.tbl = next && List.mem e.b.Col.tbl bound then
+        Some { col = e.a; pos = e.a_pos; other = e.b; slot = e.b_slot }
+      else if e.b.Col.tbl = next && List.mem e.a.Col.tbl bound then
+        Some { col = e.b; pos = e.b_pos; other = e.a; slot = e.a_slot }
+      else None)
+    blk.equis
 
 (* Selectivity of the equijoin between [next] and the bound set: containment
    assumption, one term per key. 1.0 when unconnected (cross product). *)
-let join_selectivity stats conjuncts ~bound ~next =
+let join_selectivity stats blk ~bound ~next =
   List.fold_left
-    (fun acc (tc, oc) ->
-      acc /. float_of_int (max (Stats.ndv stats tc) (Stats.ndv stats oc)))
+    (fun acc k ->
+      acc /. float_of_int (max (Stats.ndv stats k.col) (Stats.ndv stats k.other)))
     1.0
-    (join_keys conjuncts ~bound ~next)
+    (join_keys blk ~bound ~next)
 
-let table_connected conjuncts bound t =
+let table_connected blk bound t =
   List.exists
-    (fun p ->
-      match p with
-      | Pred.Cmp (Pred.Eq, Expr.Col a, Expr.Col b) ->
-          (a.Col.tbl = t && List.mem b.Col.tbl bound)
-          || (b.Col.tbl = t && List.mem a.Col.tbl bound)
-      | _ -> false)
-    conjuncts
+    (fun (x, y) -> (x = t && List.mem y bound) || (y = t && List.mem x bound))
+    blk.edges
 
 (* Greedy order by estimated intermediate cardinality: start at the table
    with the fewest estimated post-filter rows, then repeatedly take the
    connected table minimizing the estimated result of the next join
    (falling back to any table when nothing connects). Returns the order and
    the running estimate after each step. *)
-let order_tables_est stats conjuncts tables =
-  match tables with
+let order_tables_est stats blk =
+  match blk.sources with
   | [] | [ _ ] ->
       (* nothing to order and no join to instrument: skip estimation *)
-      (tables, [])
-  | _ ->
-      let base = List.map (fun t -> (t, est_local_rows stats conjuncts t)) tables in
+      (blk.sources, [])
+  | sources ->
+      let base = List.map (fun s -> (s, est_local_rows stats s)) sources in
       let argmin f = function
         | [] -> invalid_arg "argmin"
         | x :: xs ->
@@ -169,55 +369,65 @@ let order_tables_est stats conjuncts tables =
         | [] -> (List.rev order, List.rev ests)
         | _ ->
             let connected =
-              List.filter (fun (t, _) -> table_connected conjuncts bound t)
+              List.filter (fun (s, _) -> table_connected blk bound s.name)
                 remaining
             in
             let pool =
               if bound = [] || connected = [] then remaining else connected
             in
-            let score (t, b) =
+            let score (s, b) =
               if bound = [] then b
-              else cur *. b *. join_selectivity stats conjuncts ~bound ~next:t
+              else cur *. b *. join_selectivity stats blk ~bound ~next:s.name
             in
-            let ((t, _) as pick) = argmin score pool in
+            let ((s, _) as pick) = argmin score pool in
             let cur' = score pick in
-            go (t :: bound)
+            go (s.name :: bound)
               (Float.max 1.0 cur')
-              (List.filter (fun (u, _) -> u <> t) remaining)
-              (t :: order) (cur' :: ests)
+              (List.filter (fun (u, _) -> u != s) remaining)
+              (s :: order) (cur' :: ests)
       in
       go [] 1.0 base [] []
 
-(* Candidate rows of [tname], narrowed through a declared index when one
+(* Greedy join order: start anywhere, prefer tables connected to the bound
+   set by a column-equality predicate. *)
+let order_tables blk =
+  let rec go bound remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | _ ->
+        let next =
+          match
+            List.find_opt (fun s -> table_connected blk bound s.name) remaining
+          with
+          | Some s -> s
+          | None -> List.hd remaining
+        in
+        go (next.name :: bound) (List.filter (( != ) next) remaining) (next :: acc)
+  in
+  go [] blk.sources []
+
+(* ---- the SPJ pipeline ------------------------------------------------- *)
+
+(* Candidate rows of a table, narrowed through a declared index when one
    matches the table-local predicates: equality on an index prefix, or a
    range on the leading index column. All local predicates are re-applied
    by the caller, so the index only has to return a superset filtered by
    the conditions it used. *)
-let table_source db conjuncts tname : Value.t array list =
-  let tbl = Database.table_exn db tname in
-  let local =
-    List.filter
-      (fun p ->
-        let cols = Pred.columns p in
-        cols <> []
-        && List.for_all (fun (c : Col.t) -> c.Col.tbl = tname) cols)
-      conjuncts
-  in
-  let classified = Mv_relalg.Classify.classify local in
+let table_source db (s : source) : Value.t array list =
+  let tbl = Database.table_exn db s.name in
   let eq_cols, range_cols =
     List.fold_left
       (fun (eqs, rngs) (c, op, _) ->
         match op with
         | Pred.Eq -> (c.Col.col :: eqs, rngs)
         | _ -> (eqs, c.Col.col :: rngs))
-      ([], [])
-      classified.Mv_relalg.Classify.ranges
+      ([], []) s.ranges
   in
   let eq_value col =
     List.find_map
       (fun (c, op, v) ->
         if c.Col.col = col && op = Pred.Eq then Some v else None)
-      classified.Mv_relalg.Classify.ranges
+      s.ranges
   in
   let interval_of col =
     List.fold_left
@@ -225,11 +435,10 @@ let table_source db conjuncts tname : Value.t array list =
         if c.Col.col = col && op <> Pred.Eq then
           Mv_relalg.Interval.intersect acc (Mv_relalg.Interval.of_cmp op v)
         else acc)
-      Mv_relalg.Interval.full
-      classified.Mv_relalg.Classify.ranges
+      Mv_relalg.Interval.full s.ranges
   in
   let try_index cols =
-    match Database.index db ~table:tname ~cols with
+    match Database.index db ~table:s.name ~cols with
     | None -> None
     | Some ix -> (
         match Index.usable_for ix ~eq_cols ~range_cols with
@@ -239,53 +448,32 @@ let table_source db conjuncts tname : Value.t array list =
               |> List.map (fun c -> Option.get (eq_value c))
             in
             Some (Index.prefix_lookup ix key)
-        | Some `Range ->
-            Some (Index.range_scan ix (interval_of (List.hd cols)))
+        | Some `Range -> Some (Index.range_scan ix (interval_of (List.hd cols)))
         | None -> None)
   in
-  let best =
-    List.find_map try_index (Database.declared_indexes db tname)
+  let rows =
+    match List.find_map try_index (Database.declared_indexes db s.name) with
+    | Some rows -> rows
+    | None -> tbl.Table.rows
   in
-  let rows = match best with Some rows -> rows | None -> tbl.Table.rows in
-  count_rows "scan" (List.length rows);
+  count rows_scan (List.length rows);
   rows
 
-(* Equijoin of two bags of tuples on [keys], (probe column, build column)
-   pairs: a hash table over [build], probed by each [probe] tuple in turn.
-   Keys compare as exact tuples ([Value.Key]) and a NULL key never joins;
-   no keys is a cross product. *)
-let hash_join keys ~(probe : bindings list) ~(build : bindings list) :
-    bindings list =
-  match keys with
-  | [] -> List.concat_map (fun tup -> List.map (merge tup) build) probe
-  | _ ->
-      count_strategy "hash";
-      let probe_cols = Array.of_list (List.map fst keys) in
-      let build_cols = Array.of_list (List.map snd keys) in
-      let table = Value.Key.create 256 in
-      List.iter
-        (fun b ->
-          let kv = key_of build_cols b in
-          if not (has_null kv) then Value.Key.add table kv b)
-        build;
-      List.concat_map
-        (fun tup ->
-          let kv = key_of probe_cols tup in
-          if has_null kv then []
-          else List.map (merge tup) (Value.Key.find_all table kv))
-        probe
-
-(* Join [tname] into the current tuples: an index nested loop when a
+(* Join table [s] into the current tuples: an index nested loop when a
    declared index leads with a join key, the probe side has at most
    [nlj_threshold] tuples and the table more rows than that (building a
    hash table over the whole table would dominate), a hash join built on
-   the table otherwise. Both compare full key tuples exactly, so they
-   produce identical bags. *)
-let join_table db conjuncts ~bound (tuples : bindings list) tname :
-    string list * bindings list =
-  let tbl = Database.table_exn db tname in
-  let source_rows = table_source db conjuncts tname in
-  let keys = join_keys conjuncts ~bound ~next:tname in
+   the table's stored rows otherwise. Both compare full key tuples exactly,
+   so they produce identical bags, and both copy a stored row into a tuple
+   only when it matches. *)
+let join_source db blk ~bound tuples (s : source) =
+  let source_rows = table_source db s in
+  let keys = join_keys blk ~bound ~next:s.name in
+  let extend tup row =
+    let out = Array.copy tup in
+    Array.iteri (fun j p -> out.(s.off + j) <- row.(p)) s.pos;
+    out
+  in
   (* The index serves the full table, possibly wider than the narrowed
      [source_rows]: harmless, since the caller re-applies every local
      predicate once the table is bound. *)
@@ -294,34 +482,32 @@ let join_table db conjuncts ~bound (tuples : bindings list) tname :
       (fun cols ->
         match cols with
         | lead :: _ -> (
-            match
-              List.find_opt (fun ((tc : Col.t), _) -> tc.Col.col = lead) keys
-            with
-            | Some (_, oc) ->
+            match List.find_opt (fun k -> k.col.Col.col = lead) keys with
+            | Some k ->
                 Option.map
-                  (fun ix -> (ix, oc))
-                  (Database.index db ~table:tname ~cols)
+                  (fun ix -> (ix, k))
+                  (Database.index db ~table:s.name ~cols)
             | None -> None)
         | [] -> None)
-      (Database.declared_indexes db tname)
+      (Database.declared_indexes db s.name)
   in
-  let indexed_loop ix oc0 =
-    count_strategy "inlj";
-    let build_cols = Array.of_list (List.map fst keys) in
-    let probe_cols = Array.of_list (List.map snd keys) in
+  let indexed_loop ix k0 =
+    count strategy_inlj 1;
     List.concat_map
       (fun tup ->
-        let k = key_of probe_cols tup in
-        if has_null k then []
+        if List.exists (fun k -> Value.is_null tup.(k.slot)) keys then []
         else
           List.filter_map
             (fun row ->
-              let b = bind_row tbl row in
-              let bk = key_of build_cols b in
-              if (not (has_null bk)) && Array.for_all2 Value.equal bk k then
-                Some (merge tup b)
+              if
+                List.for_all
+                  (fun k ->
+                    (not (Value.is_null row.(k.pos)))
+                    && Value.equal row.(k.pos) tup.(k.slot))
+                  keys
+              then Some (extend tup row)
               else None)
-            (Index.prefix_lookup ix [ Col.Map.find oc0 tup ]))
+            (Index.prefix_lookup ix [ tup.(k0.slot) ]))
       tuples
   in
   let small_probe () =
@@ -333,51 +519,34 @@ let join_table db conjuncts ~bound (tuples : bindings list) tname :
     else
       (* the index is looked up (and built) only when it would be used *)
       match if small_probe () then join_index () else None with
-      | Some (ix, oc0) -> indexed_loop ix oc0
+      | Some (ix, k0) -> indexed_loop ix k0
       | None ->
           hash_join
-            (List.map (fun (tc, oc) -> (oc, tc)) keys)
-            ~probe:tuples
-            ~build:(List.map (bind_row tbl) source_rows)
+            ~probe_key:(Array.of_list (List.map (fun k -> k.slot) keys))
+            ~build_key:(Array.of_list (List.map (fun k -> k.pos) keys))
+            ~emit:extend tuples source_rows
   in
-  count_rows "join" (List.length joined);
-  (tname :: bound, joined)
-
-(* Greedy join order: start anywhere, prefer tables connected to the bound
-   set by a column-equality predicate. *)
-let order_tables conjuncts tables =
-  let rec go bound remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-        let next =
-          match List.find_opt (table_connected conjuncts bound) remaining with
-          | Some t -> t
-          | None -> List.hd remaining
-        in
-        go (next :: bound) (List.filter (( <> ) next) remaining) (next :: acc)
-  in
-  go [] tables []
+  count rows_join (List.length joined);
+  (s.name :: bound, joined)
 
 (* The SPJ part: the bag of fully-joined, fully-filtered tuples. *)
-let spj_tuples ?stats db (block : Spjg.t) : bindings list =
-  let conjuncts = block.Spjg.where in
+let tuples ?stats db blk : tuple list =
   let order, ests =
     match stats with
-    | Some st -> order_tables_est st conjuncts block.Spjg.tables
-    | None -> (order_tables conjuncts block.Spjg.tables, [])
+    | Some st -> order_tables_est st blk
+    | None -> (order_tables blk, [])
   in
-  let rec go i bound applied tuples = function
+  let rec go i bound pending tuples = function
     | [] ->
-        (* any conjunct never applied (e.g. constant-only) runs here *)
-        let rest = List.filter (fun p -> not (List.memq p applied)) conjuncts in
-        apply_preds rest tuples
-    | t :: rest ->
-        let bound', tuples' = join_table db conjuncts ~bound tuples t in
-        let ready =
-          List.filter
-            (fun p -> (not (List.memq p applied)) && applicable bound' p)
-            conjuncts
+        (* any conjunct never applied (e.g. over a table outside the FROM
+           list) runs here *)
+        apply_preds pending tuples
+    | s :: rest ->
+        let bound', tuples' = join_source db blk ~bound tuples s in
+        let ready, pending =
+          List.partition
+            (fun c -> List.for_all (fun t -> List.mem t bound') c.tables)
+            pending
         in
         let filtered = apply_preds ready tuples' in
         (* estimation-error instrument: running estimate vs. the actual
@@ -386,108 +555,95 @@ let spj_tuples ?stats db (block : Spjg.t) : bindings list =
            match List.nth_opt ests i with
            | Some est -> observe_qerror ~est ~actual:(List.length filtered)
            | None -> ());
-        go (i + 1) bound' (ready @ applied) filtered rest
+        go (i + 1) bound' pending filtered rest
   in
-  go 0 [] [] [ Col.Map.empty ] order
+  go 0 [] blk.conjs [ Array.make blk.width Value.Null ] order
 
-(* ---- aggregation ---- *)
-
-let add_value a b =
-  match (a, b) with
-  | Value.Null, v | v, Value.Null -> v
-  | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) -> (
-      match (Value.as_float a, Value.as_float b) with
-      | Some x, Some y -> Value.Float (x +. y)
-      | _ -> assert false)
-  | _ -> raise (Eval.Eval_error "sum of non-numeric values")
-
-(* Aggregate evaluation per output item over the rows of one group. *)
-let eval_agg (rows : bindings list) (a : Spjg.agg) : Value.t =
-  let sum_of e =
-    List.fold_left
-      (fun acc b ->
-        match Eval.expr (env_of b) e with
-        | Value.Null -> acc
-        | v -> add_value acc v)
-      Value.Null rows
-  in
-  match a with
-  | Spjg.Count_star -> Value.Int (List.length rows)
-  | Spjg.Sum e -> sum_of e
-  | Spjg.Sum0 e -> (
-      match sum_of e with Value.Null -> Value.Int 0 | v -> v)
-  | Spjg.Avg e ->
-      let non_null =
-        List.filter
-          (fun b -> not (Value.is_null (Eval.expr (env_of b) e)))
-          rows
-      in
-      if non_null = [] then Value.Null
-      else Eval.arith Expr.Div (sum_of e) (Value.Int (List.length non_null))
-  | Spjg.Sum_div_sum (num, den) -> Eval.arith Expr.Div (sum_of num) (sum_of den)
-
-let aggregate gexprs (out : Spjg.out_item list) (tuples : bindings list) :
-    Value.t array list =
-  let groups = Value.Key.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun b ->
-      let k =
-        Array.of_list (List.map (fun g -> Eval.expr (env_of b) g) gexprs)
-      in
-      match Value.Key.find_opt groups k with
-      | Some rows -> Value.Key.replace groups k (b :: rows)
-      | None ->
-          order := k :: !order;
-          Value.Key.add groups k [ b ])
-    tuples;
-  (* SQL: zero input rows with an empty grouping list yields one row
-     (count = 0, sums NULL); with a non-empty grouping list it yields
-     none. *)
-  let keys =
-    if tuples = [] && gexprs = [] then [ `Empty ]
-    else List.rev_map (fun k -> `Group k) !order
-  in
+let run ?stats db blk : Relation.t =
+  let tuples = tuples ?stats db blk in
   let rows =
-    List.map
-      (fun key ->
-        let group_rows =
-          match key with `Empty -> [] | `Group k -> Value.Key.find groups k
-        in
-        let witness = match group_rows with b :: _ -> Some b | [] -> None in
-        Array.of_list
-          (List.map
-             (fun (o : Spjg.out_item) ->
-               match (o.Spjg.def, witness) with
-               | Spjg.Scalar e, Some b -> Eval.expr (env_of b) e
-               | Spjg.Scalar _, None -> Value.Null
-               | Spjg.Aggregate a, _ -> eval_agg group_rows a)
-             out))
-      keys
-  in
-  count_rows "group" (List.length rows);
-  rows
-
-let execute ?stats db (block : Spjg.t) : Relation.t =
-  let tuples = spj_tuples ?stats db block in
-  let rows =
-    match block.Spjg.group_by with
+    match blk.group with
     | None ->
-        List.map
-          (fun b ->
-            Array.of_list
-              (List.map
-                 (fun (o : Spjg.out_item) ->
-                   match o.Spjg.def with
-                   | Spjg.Scalar e -> Eval.expr (env_of b) e
-                   | Spjg.Aggregate _ -> assert false)
-                 block.Spjg.out))
-          tuples
-    | Some gexprs -> aggregate gexprs block.Spjg.out tuples
+        let project =
+          Array.map
+            (function
+              | Scalar f -> f
+              | Agg _ ->
+                  fun _ ->
+                    raise (Eval.Eval_error "aggregate output without GROUP BY"))
+            blk.items
+        in
+        List.map (fun t -> Array.map (fun f -> f t) project) tuples
+    | Some keys -> aggregate keys blk.items tuples
   in
-  count_rows "output" (List.length rows);
-  { Relation.cols = Spjg.out_names block; rows }
+  count rows_output (List.length rows);
+  { Relation.cols = Spjg.out_names blk.spjg; rows }
+
+let execute ?stats db (sp : Spjg.t) : Relation.t = run ?stats db (compile db sp)
+
+(* ---- bags: plan node results ----------------------------------------- *)
+
+module Bag = struct
+  (* Each row lays out its columns side by side; [scope] resolves a bound
+     column to its position. *)
+  type t = { scope : int Col.Map.t; width : int; rows : tuple list }
+
+  let scope_of binds =
+    List.fold_left
+      (fun (i, m) c -> (i + 1, Col.Map.add c i m))
+      (0, Col.Map.empty) binds
+    |> snd
+
+  let of_relation ~binds (rel : Relation.t) =
+    { scope = scope_of binds; width = List.length binds; rows = rel.Relation.rows }
+
+  let resolve b c = Col.Map.find_opt c b.scope
+  let binds b c = Col.Map.mem c b.scope
+  let cardinality b = List.length b.rows
+
+  let position b c = match resolve b c with Some i -> i | None -> unbound c
+
+  (* A joined row is the left row followed by the right one; where both
+     sides bind a column, the left side's value is the one read. *)
+  let join ~keys ~post l r =
+    let scope =
+      Col.Map.union
+        (fun _ x _ -> Some x)
+        l.scope
+        (Col.Map.map (( + ) l.width) r.scope)
+    in
+    let joined =
+      hash_join
+        ~probe_key:(Array.of_list (List.map (fun (a, _) -> position l a) keys))
+        ~build_key:(Array.of_list (List.map (fun (_, b) -> position r b) keys))
+        ~emit:Array.append l.rows r.rows
+    in
+    let rows =
+      match post with
+      | [] -> joined
+      | _ ->
+          let slot c = Col.Map.find_opt c scope in
+          let holds = List.map (Eval.compile_holds slot) post in
+          List.filter (fun t -> List.for_all (fun h -> h t) holds) joined
+    in
+    { scope; width = l.width + r.width; rows }
+
+  let group ~by ~out ~binds b =
+    let slot = resolve b in
+    let keys = Array.of_list (List.map (Eval.compile_expr slot) by) in
+    let items = Array.of_list (List.map (compile_item slot) out) in
+    {
+      scope = scope_of binds;
+      width = List.length binds;
+      rows = aggregate keys items b.rows;
+    }
+
+  let project exprs b =
+    let fs = Array.of_list (List.map (Eval.compile_expr (resolve b)) exprs) in
+    List.map (fun t -> Array.map (fun f -> f t) fs) b.rows
+end
+
+(* ---- views ------------------------------------------------------------- *)
 
 (* Materialize a view's contents as a table registered in the database. *)
 let materialize db (view : Mv_core.View.t) : Table.t =

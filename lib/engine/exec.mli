@@ -3,53 +3,89 @@
     materialization and both {!Ivm} paths (attach and delta terms) run
     through it.
 
+    A block is compiled before it runs: one slot per column it references,
+    in an order fixed by the FROM list and the table definitions (not by
+    the join order), with conjuncts, outputs, grouping keys and aggregates
+    compiled to closures over slots. Tuples are value arrays in that
+    layout; the layout itself is private to this module.
+
     Tables join in estimated-cardinality order when [~stats] is given and
     in connectivity order otherwise. Each join probes a declared index
     whose leading column is a join key when the probe side has at most 64
-    tuples and the table more rows than that, and is a hash join built on
-    the table otherwise; both compare full key tuples exactly and never
-    join NULL keys. Each conjunct applies as soon as its columns are
-    bound, then rows are grouped and projected. Strategy picks are counted
-    as [exec.join.strategy.hash|inlj] and per-join estimation error (the
-    q-error [max(est/actual, actual/est)], with [~stats] only) is observed
-    as [exec.estimation.qerror], both on [Mv_obs.Registry.global]. *)
+    tuples and the table more rows than that, and is a hash join keyed on
+    the stored rows' column positions otherwise; both compare full key
+    tuples exactly and never join NULL keys. Each conjunct applies as soon
+    as its columns are bound, then rows are grouped and projected.
+    Strategy picks are counted as [exec.join.strategy.hash|inlj], rows per
+    operator as [exec.rows.scan|join|filter|group|output], and per-join
+    estimation error (the q-error [max(est/actual, actual/est)], with
+    [~stats] only) is observed as [exec.estimation.qerror], all on
+    [Mv_obs.Registry.global]. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
-
-type bindings = Value.t Col.Map.t
 
 val observe_qerror : est:float -> actual:int -> unit
 (** Record [max(est/actual, actual/est)] in the [exec.estimation.qerror]
     histogram (skipped unless both sides are positive). *)
 
-val env_of : bindings -> Col.t -> Value.t
-(** @raise Eval.Eval_error on unbound columns. *)
+type tuple
+(** One joined, filtered tuple of a compiled block. *)
 
-val hash_join :
-  (Col.t * Col.t) list ->
-  probe:bindings list ->
-  build:bindings list ->
-  bindings list
-(** The join of every SPJ block: [keys] are (probe column, build column)
-    equijoin pairs; a hash table over [build] is probed by each [probe]
-    tuple in turn. A NULL key never joins; no keys is a cross product.
-    {!Mv_opt.Plan_exec}'s join nodes call it directly. *)
+type block
+(** An SPJG block compiled against table definitions. It depends only on
+    the block and the column lists of its tables, so it runs against any
+    database whose tables of those names have the same definitions. *)
 
-val aggregate :
-  Expr.t list -> Spjg.out_item list -> bindings list -> Value.t array list
-(** Group the tuples by the grouping expressions and evaluate the output
-    items per group, groups in first-seen order. Aggregates skip NULLs and
-    an empty sum is NULL (except [Sum0], which coalesces to 0). Zero
-    tuples with no grouping expressions yield one row; with grouping
-    expressions, none. {!Mv_opt.Plan_exec}'s aggregate nodes call it
-    directly. *)
+val compile : Database.t -> Spjg.t -> block
+(** @raise Invalid_argument when a FROM table is not in the database. *)
 
-val spj_tuples :
-  ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> bindings list
+val expr : block -> Expr.t -> tuple -> Value.t
+(** An expression compiled against the block's layout.
+    @raise Eval.Eval_error when applied, if it reads a column the block
+    does not reference. *)
+
+val tuples : ?stats:Mv_catalog.Stats.t -> Database.t -> block -> tuple list
 (** The fully-joined, fully-filtered bag of tuples of the SPJ part. *)
 
 val execute : ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> Relation.t
+(** Compile the block, then group (if it aggregates) and project its
+    {!tuples}. Aggregates skip NULLs and an empty sum is NULL (except
+    [Sum0], which coalesces to 0). Zero tuples with no grouping
+    expressions yield one row; with grouping expressions, none. Groups
+    come out in first-seen order. *)
+
+(** The results of plan nodes: bags of rows whose columns are bound to
+    {!Col.t}s. Joins and grouping compile their keys, predicates and
+    aggregates against the bound columns and run the operators
+    {!execute} runs. *)
+module Bag : sig
+  type t
+
+  val of_relation : binds:Col.t list -> Relation.t -> t
+  (** Column [i] of every row bound to the [i]-th of [binds] (a column
+      bound twice reads the later position). The rows are shared, not
+      copied. *)
+
+  val join : keys:(Col.t * Col.t) list -> post:Pred.t list -> t -> t -> t
+  (** The hash join of {!execute} with the left bag probing: [keys] are
+      (left column, right column) equijoin pairs, a NULL key never joins,
+      no keys is a cross product. [post] filters the joined rows. A column
+      both sides bind reads the left side's value.
+      @raise Eval.Eval_error when a key column is not bound. *)
+
+  val group : by:Expr.t list -> out:Spjg.out_item list -> binds:Col.t list -> t -> t
+  (** The grouping of {!execute}; output item [i] is bound to the [i]-th
+      of [binds]. *)
+
+  val binds : t -> Col.t -> bool
+  val cardinality : t -> int
+
+  val project : Expr.t list -> t -> Value.t array list
+  (** One row per tuple, one value per expression.
+      @raise Eval.Eval_error on a row, if an expression reads an unbound
+      column. *)
+end
 
 val materialize : Database.t -> Mv_core.View.t -> Table.t
 (** Compute the view's contents, register them as a table in the database,

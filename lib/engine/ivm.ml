@@ -3,7 +3,8 @@
 
       ΔQ = Σᵢ  T1ⁿᵉʷ ⋈ … ⋈ Tᵢ₋₁ⁿᵉʷ ⋈ ΔTᵢ ⋈ Tᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Tnᵒˡᵈ
 
-    — and each term runs through the ordinary executor against a scratch
+    — and each term runs the view's block, compiled once at attach, through
+    the ordinary executor against a scratch
     database holding the right old/delta/new slice per table, with
     synthetic statistics that make the (tiny) delta table the cheapest so
     the estimated join order starts there; slices that are the live
@@ -37,15 +38,32 @@ exception Unsupported of string
 
 exception Inconsistent of string
 
-let counter name = Mv_obs.Registry.counter Mv_obs.Registry.global ("ivm." ^ name)
+exception Invalid_batch of string
 
-let bump name n = if n <> 0 then Mv_obs.Instrument.add (counter name) n
+let invalid_batch fmt =
+  Fmt.kstr (fun s -> raise (Invalid_batch ("Ivm.apply: " ^ s))) fmt
 
-let tick name = Mv_obs.Instrument.incr (counter name)
+(* Progress counters on [Mv_obs.Registry.global], each resolved on first
+   use and bumped without a lookup after. *)
+let counter name =
+  Mv_obs.Registry.resolver Mv_obs.Registry.counter Mv_obs.Registry.global
+    ("ivm." ^ name)
+
+let batches = counter "batches"
+let views_updated = counter "views.updated"
+let rows_plus = counter "rows.plus"
+let rows_minus = counter "rows.minus"
+let groups_born = counter "groups.born"
+let groups_died = counter "groups.died"
+let bump c n = if n <> 0 then Mv_obs.Instrument.add (c ()) n
+let tick c = Mv_obs.Instrument.incr (c ())
 
 (* ---- aggregate view shape -------------------------------------------- *)
 
-type sum_spec = { s_expr : Expr.t; s_zero : bool  (** Sum0: render 0 *) }
+type sum_spec = {
+  s_eval : Exec.tuple -> Value.t;
+  s_zero : bool;  (** Sum0: render 0 *)
+}
 
 (* Where each output column of an aggregation view comes from. *)
 type slot =
@@ -54,7 +72,7 @@ type slot =
   | Sum_slot of int
 
 type agg_shape = {
-  scalars : Expr.t list;  (** grouping outputs, in output order *)
+  scalars : (Exec.tuple -> Value.t) array;  (** grouping outputs, in output order *)
   sums : sum_spec array;
   layout : slot array;  (** one per output column *)
   key_cols : int array;  (** column position of each grouping output *)
@@ -64,22 +82,23 @@ type agg_shape = {
 (* Indexable aggregation views ([View.create] enforces [check_indexable])
    output every grouping expression and a count column and never AVG, so
    the scalar outputs determine the group and counts/sums are foldable —
-   exactly the property that makes them maintainable. *)
-let shape_of (name : string) (sp : Spjg.t) : agg_shape =
+   exactly the property that makes them maintainable. Every expression
+   compiles against the view block's layout. *)
+let shape_of (name : string) (sp : Spjg.t) block : agg_shape =
   let scalars = ref [] and sums = ref [] in
   let layout =
     List.map
       (fun (o : Spjg.out_item) ->
         match o.Spjg.def with
         | Spjg.Scalar e ->
-            scalars := e :: !scalars;
+            scalars := Exec.expr block e :: !scalars;
             Key (List.length !scalars - 1)
         | Spjg.Aggregate Spjg.Count_star -> Count_slot
         | Spjg.Aggregate (Spjg.Sum e) ->
-            sums := { s_expr = e; s_zero = false } :: !sums;
+            sums := { s_eval = Exec.expr block e; s_zero = false } :: !sums;
             Sum_slot (List.length !sums - 1)
         | Spjg.Aggregate (Spjg.Sum0 e) ->
-            sums := { s_expr = e; s_zero = true } :: !sums;
+            sums := { s_eval = Exec.expr block e; s_zero = true } :: !sums;
             Sum_slot (List.length !sums - 1)
         | Spjg.Aggregate (Spjg.Avg _ | Spjg.Sum_div_sum _) ->
             raise
@@ -96,7 +115,7 @@ let shape_of (name : string) (sp : Spjg.t) : agg_shape =
     |> Array.of_list
   in
   {
-    scalars = List.rev !scalars;
+    scalars = Array.of_list (List.rev !scalars);
     sums = Array.of_list (List.rev !sums);
     layout;
     key_cols;
@@ -114,7 +133,11 @@ type group = {
   g_nn : int array;
 }
 
-type vstate = Spj_state | Agg_state of agg_shape * group Value.Key.t
+(* A view's delta consumer: the SPJ outputs, or the aggregate shape and
+   its group sidecar. *)
+type vstate =
+  | Spj_state of (Exec.tuple -> Value.t) array
+  | Agg_state of agg_shape * group Value.Key.t
 
 (* One column of a view's stored rows: its non-null values, ascending by
    [Stats.sort_order], in the first [len] slots of [vals]; the spare slots
@@ -123,6 +146,7 @@ type sorted = { mutable vals : Value.t array; mutable len : int }
 
 type entry = {
   view : View.t;
+  block : Exec.block;  (** the view's block, compiled at attach *)
   state : vstate;
   cols : sorted array;  (** one per view column *)
   mutable dirty : bool;
@@ -174,8 +198,6 @@ let is_zero = function
   | Value.Float f -> f = 0.
   | _ -> false
 
-let eval b e = Eval.expr (Exec.env_of b) e
-
 (* Fold one signed SPJ tuple into a group table (sidecar at attach time,
    sign +1 only; batch-delta accumulator during apply, either sign). *)
 let empty_group shape key =
@@ -187,7 +209,7 @@ let empty_group shape key =
   }
 
 let fold_signed shape (groups : group Value.Key.t) b sign =
-  let key = Array.of_list (List.map (eval b) shape.scalars) in
+  let key = Array.map (fun f -> f b) shape.scalars in
   let g =
     match Value.Key.find_opt groups key with
     | Some g -> g
@@ -199,7 +221,7 @@ let fold_signed shape (groups : group Value.Key.t) b sign =
   g.g_count <- g.g_count + sign;
   Array.iteri
     (fun j spec ->
-      let v = eval b spec.s_expr in
+      let v = spec.s_eval b in
       if not (Value.is_null v) then begin
         g.g_nn.(j) <- g.g_nn.(j) + sign;
         g.g_sums.(j) <- add g.g_sums.(j) (if sign < 0 then neg v else v)
@@ -312,19 +334,28 @@ let attach t (view : View.t) =
     | None -> invalid_arg ("Ivm.attach: view " ^ name ^ " is not materialized")
   in
   let sp = View.spjg view in
+  let block = Exec.compile t.db sp in
   let state =
     if Spjg.is_aggregate sp then begin
-      let shape = shape_of name sp in
+      let shape = shape_of name sp block in
       let groups = Value.Key.create 64 in
       List.iter
         (fun b -> fold_signed shape groups b 1)
-        (Exec.spj_tuples t.db sp);
+        (Exec.tuples t.db block);
       (* a scalar aggregate's single row exists even over empty input *)
       if shape.scalar_only && Value.Key.length groups = 0 then
         Value.Key.replace groups [||] (empty_group shape [||]);
       Agg_state (shape, groups)
     end
-    else Spj_state
+    else
+      Spj_state
+        (Array.of_list
+           (List.map
+              (fun (o : Spjg.out_item) ->
+                match o.Spjg.def with
+                | Spjg.Scalar e -> Exec.expr block e
+                | Spjg.Aggregate _ -> assert false (* SPJ block *))
+              sp.Spjg.out))
   in
   let cols =
     Array.of_list
@@ -335,7 +366,7 @@ let attach t (view : View.t) =
          (Table.def_of tbl).Mv_catalog.Table_def.columns)
   in
   record_fresh t view;
-  t.entries <- t.entries @ [ { view; state; cols; dirty = false } ]
+  t.entries <- t.entries @ [ { view; block; state; cols; dirty = false } ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
 
@@ -352,11 +383,10 @@ let attach t (view : View.t) =
    row list (every unwritten table, and written ones before the delta
    position): an index over the live rows would serve the wrong rows to a
    delta or an old slice. *)
-let signed_tuples t (view : View.t) (batch : batch)
+let signed_tuples t (entry : entry) (batch : batch)
     (old_rows : (string * Value.t array list) list) :
-    (Exec.bindings * int) list =
-  let sp = View.spjg view in
-  let tables = sp.Spjg.tables in
+    (Exec.tuple * int) list =
+  let tables = (View.spjg entry.view).Spjg.tables in
   let live v = (Database.table_exn t.db v).Table.rows in
   let old_of v =
     match List.assoc_opt v old_rows with Some rows -> rows | None -> live v
@@ -390,7 +420,7 @@ let signed_tuples t (view : View.t) (batch : batch)
               in
               List.iter
                 (fun b -> acc := (b, sign) :: !acc)
-                (Exec.spj_tuples ~stats scratch sp)
+                (Exec.tuples ~stats scratch entry.block)
             end
           in
           term d.ins 1;
@@ -402,20 +432,11 @@ let signed_tuples t (view : View.t) (batch : batch)
 
 (* Each of these returns the exact stored rows the view lost and the rows
    it gained. *)
-let apply_spj t (entry : entry) signed =
-  let sp = View.spjg entry.view in
-  let scalars =
-    List.map
-      (fun (o : Spjg.out_item) ->
-        match o.Spjg.def with
-        | Spjg.Scalar e -> e
-        | Spjg.Aggregate _ -> assert false (* SPJ block *))
-      sp.Spjg.out
-  in
+let apply_spj t (entry : entry) project signed =
   let plus = ref [] and minus = Value.Key.create 16 and n_minus = ref 0 in
   List.iter
     (fun (b, sign) ->
-      let row = Array.of_list (List.map (eval b) scalars) in
+      let row = Array.map (fun f -> f b) project in
       if sign > 0 then plus := row :: !plus
       else begin
         let n = Option.value ~default:0 (Value.Key.find_opt minus row) in
@@ -449,8 +470,8 @@ let apply_spj t (entry : entry) signed =
            (entry.view.View.name
           ^ ": delta deletes a row the view does not contain"));
     tbl.Table.rows <- List.rev_append !plus rows';
-    bump "rows.plus" (List.length !plus);
-    bump "rows.minus" !n_minus;
+    bump rows_plus (List.length !plus);
+    bump rows_minus !n_minus;
     (!removed, !plus)
   end
 
@@ -536,41 +557,81 @@ let apply_agg t (entry : entry) shape groups signed =
         (Inconsistent (name ^ ": stored rows diverged from the group sidecar"));
     let born_rows = List.rev_map (row_of_group shape) !born in
     tbl.Table.rows <- rows' @ born_rows;
-    bump "rows.plus" (List.length !born);
-    bump "rows.minus" n_died;
-    bump "groups.born" (List.length !born);
-    bump "groups.died" n_died;
+    bump rows_plus (List.length !born);
+    bump rows_minus n_died;
+    bump groups_born (List.length !born);
+    bump groups_died n_died;
     (!removed, List.rev_append born_rows !added)
   end
 
 (* ---- the batch entry point ------------------------------------------- *)
 
+(* [rows] without its first instance structurally equal to [row], as
+   [Table.delete] removes it; [None] when there is none. *)
+let remove_first row rows =
+  let rec go acc = function
+    | [] -> None
+    | r :: rest ->
+        if r = row then Some (List.rev_append acc rest) else go (r :: acc) rest
+  in
+  go [] rows
+
+(* The contents every written table would have after the batch — each
+   delta's inserts, then its deletes, in batch order, exactly as
+   [Database.insert] and [Database.delete] would leave them — computed
+   without writing anything, so a batch that cannot apply is rejected
+   whole. *)
+let post_batch_rows t (batch : batch) =
+  List.iter
+    (fun (name, d) ->
+      if List.exists (fun e -> e.view.View.name = name) t.entries then
+        invalid_batch "%s is an attached view's table" name;
+      match Database.table t.db name with
+      | None -> invalid_batch "unknown table %s" name
+      | Some tbl ->
+          let arity = List.length (Table.def_of tbl).Mv_catalog.Table_def.columns in
+          if List.exists (fun r -> Array.length r <> arity) (d.ins @ d.del) then
+            invalid_batch "row arity mismatch for %s" name)
+    batch;
+  List.fold_left
+    (fun acc (name, d) ->
+      let rows =
+        match List.assoc_opt name acc with
+        | Some rows -> rows
+        | None -> (Database.table_exn t.db name).Table.rows
+      in
+      let rows = List.fold_left (fun rows r -> r :: rows) rows d.ins in
+      let rows =
+        List.fold_left
+          (fun rows r ->
+            match remove_first r rows with
+            | Some rows -> rows
+            | None ->
+                invalid_batch "a delete names a row %s does not hold" name)
+          rows d.del
+      in
+      (name, rows) :: List.remove_assoc name acc)
+    [] batch
+
 let apply t (batch : batch) =
   if batch <> [] then begin
-    List.iter
-      (fun (name, d) ->
-        if List.exists (fun e -> e.view.View.name = name) t.entries then
-          invalid_arg ("Ivm.apply: " ^ name ^ " is an attached view's table");
-        let td = Table.def_of (Database.table_exn t.db name) in
-        let arity = List.length td.Mv_catalog.Table_def.columns in
-        List.iter
-          (fun r ->
-            if Array.length r <> arity then
-              invalid_arg ("Ivm.apply: row arity mismatch for " ^ name))
-          (d.ins @ d.del))
-      batch;
+    let after = post_batch_rows t batch in
     let old_rows =
       List.map
         (fun (name, _) -> (name, (Database.table_exn t.db name).Table.rows))
         batch
     in
     List.iter
-      (fun (name, d) ->
-        List.iter (fun r -> Database.insert t.db name r) d.ins;
-        List.iter (fun r -> Database.delete t.db name r) d.del)
-      batch;
+      (fun (name, rows) ->
+        let tbl = Database.table_exn t.db name in
+        (* a delta with no rows writes nothing *)
+        if rows != tbl.Table.rows then begin
+          tbl.Table.rows <- rows;
+          Database.touch t.db name
+        end)
+      (List.rev after);
     let written = List.map fst batch in
-    tick "batches";
+    tick batches;
     List.iter
       (fun entry ->
         let affected =
@@ -580,10 +641,10 @@ let apply t (batch : batch) =
         in
         if affected then begin
           let t0 = Mv_obs.Instrument.now_wall () in
-          let signed = signed_tuples t entry.view batch old_rows in
+          let signed = signed_tuples t entry batch old_rows in
           let removed, added =
             match entry.state with
-            | Spj_state -> apply_spj t entry signed
+            | Spj_state project -> apply_spj t entry project signed
             | Agg_state (shape, groups) -> apply_agg t entry shape groups signed
           in
           if removed <> [] || added <> [] then begin
@@ -593,7 +654,7 @@ let apply t (batch : batch) =
               Database.row_count t.db entry.view.View.name;
             entry.dirty <- true
           end;
-          tick "views.updated";
+          tick views_updated;
           record_fresh t entry.view;
           match t.health with
           | Some h ->

@@ -8,7 +8,8 @@
     {v ΔQ = Σᵢ  T1ⁿᵉʷ ⋈ … ⋈ Tᵢ₋₁ⁿᵉʷ ⋈ ΔTᵢ ⋈ Tᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Tnᵒˡᵈ v}
 
     where [ΔTᵢ = inserts − deletes] as a signed bag. Each term is
-    evaluated by the ordinary executor against a scratch database with the
+    evaluated by the ordinary executor, running the view's block as
+    {!Exec.compile}d once at {!attach}, against a scratch database with the
     delta part substituted for table [i] (insert and delete parts run
     separately; the sign multiplies through). A slice that is physically
     the live table's row list keeps the live database's declared and built
@@ -62,6 +63,13 @@ exception Inconsistent of string
     delete of a row the view does not contain): the batch contradicts the
     database contents the view was attached over. *)
 
+exception Invalid_batch of string
+(** The batch cannot apply: it writes an unknown table or an attached
+    view's own table, a row has the wrong arity, or a delete names a row
+    the table does not hold as many times as the batch deletes it (after
+    the batch's own earlier inserts and deletes). Raised before anything
+    is written. *)
+
 type t
 (** A maintenance engine bound to one database: the set of attached views
     plus their aggregate sidecars. *)
@@ -93,17 +101,21 @@ val attached : t -> Mv_core.View.t list
 (** Attachment order. *)
 
 val apply : t -> batch -> unit
-(** Apply the batch to the base tables, then propagate deltas into every
+(** Validate the whole batch, apply it to the base tables (per delta, its
+    inserts and then its deletes, in batch order; one write epoch per
+    table a non-empty delta writes), then propagate deltas into every
     attached view whose sources intersect the written tables: rewrite
     their materialized rows in place, update each column's sorted values
     from the exact rows removed and added, update
     {!Mv_core.View.row_count}, bump the view tables' write epochs
     (invalidating built indexes) and re-stamp freshness
     ({!Mv_core.View.mark_fresh} with the new base epochs). Views sourcing
-    none of the written tables are untouched.
-    @raise Invalid_argument when a batch table is unknown, is an attached
-    view's own table, a row has the wrong arity, or a delete names a row
-    the base table does not contain.
+    none of the written tables are untouched. The delta consumers (group
+    keys, sums, projected outputs) are the closures compiled at
+    {!attach}.
+    @raise Invalid_batch when the batch cannot apply; nothing is written:
+    base rows, view rows, statistics, write epochs and freshness are as
+    before the call.
     @raise Inconsistent when propagation contradicts the attached state,
     including a removed row holding a value its column's sorted values
     lack. *)

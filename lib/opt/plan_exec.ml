@@ -2,10 +2,11 @@
     validating that every plan the optimizer emits (with or without views)
     computes the same relation as direct execution of the query.
 
-    Leaves execute through [Mv_engine.Exec]; join nodes call its hash join
-    and aggregate nodes its grouping, so a plan runs on the same operators
-    as direct execution. Per-node estimated-vs-actual row counts can be
-    collected with {!execute_report}. *)
+    Leaves execute through [Mv_engine.Exec]; join and aggregate nodes run
+    its hash join and grouping over [Exec.Bag]s, compiled against the
+    columns each node binds, so a plan runs on the same operators and the
+    same compiled form as direct execution. Per-node estimated-vs-actual
+    row counts can be collected with {!execute_report}. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -19,9 +20,10 @@ type node_report = {
 }
 
 (* Views used by the plan must be materialized in [db] beforehand. *)
-let rec run ?stats ?record db (plan : Plan.t) : Exec.bindings list =
+let rec run ?stats ?record db (plan : Plan.t) : Exec.Bag.t =
   let rerun p = run ?stats ?record db p in
-  let report label strategy est actual =
+  let report label strategy est (bag : Exec.Bag.t) =
+    let actual = Exec.Bag.cardinality bag in
     Exec.observe_qerror ~est ~actual;
     match record with
     | Some f -> f { nr_label = label; nr_strategy = strategy; nr_est = est; nr_actual = actual }
@@ -42,28 +44,22 @@ let rec run ?stats ?record db (plan : Plan.t) : Exec.bindings list =
             ( "ViewScan[" ^ s.Mv_core.Substitute.view.Mv_core.View.name ^ "]",
               "view" )
       in
-      report label kind est_rows (List.length rel.Mv_engine.Relation.rows);
-      let keys =
-        List.map
-          (fun name ->
-            match List.assoc_opt name binds with
-            | Some c -> c
-            | None -> Col.make "#agg" name)
-          rel.Mv_engine.Relation.cols
+      let bag =
+        Exec.Bag.of_relation
+          ~binds:
+            (List.map
+               (fun name ->
+                 match List.assoc_opt name binds with
+                 | Some c -> c
+                 | None -> Col.make "#agg" name)
+               rel.Mv_engine.Relation.cols)
+          rel
       in
-      List.map
-        (fun row ->
-          List.fold_left2
-            (fun acc c v -> Col.Map.add c v acc)
-            Col.Map.empty keys (Array.to_list row))
-        rel.Mv_engine.Relation.rows
+      report label kind est_rows bag;
+      bag
   | Plan.Join { left; right; keys; post; est_rows; _ } ->
       let ls = rerun left and rs = rerun right in
-      let out =
-        List.filter
-          (fun b -> List.for_all (Eval.pred_holds (Exec.env_of b)) post)
-          (Exec.hash_join keys ~probe:ls ~build:rs)
-      in
+      let out = Exec.Bag.join ~keys ~post ls rs in
       report
         ("Join on "
         ^ String.concat ", "
@@ -71,19 +67,18 @@ let rec run ?stats ?record db (plan : Plan.t) : Exec.bindings list =
                (fun (a, b) -> Col.to_string a ^ "=" ^ Col.to_string b)
                keys))
         (if keys = [] then "cross" else "hash")
-        est_rows (List.length out);
+        est_rows out;
       out
   | Plan.Aggregate { input; group_by; out; est_rows; _ } ->
       let result =
-        List.map
-          (fun row ->
-            List.fold_left2
-              (fun acc (o : Spjg.out_item) v ->
-                Col.Map.add (Col.make "#out" o.Spjg.name) v acc)
-              Col.Map.empty out (Array.to_list row))
-          (Exec.aggregate group_by out (rerun input))
+        Exec.Bag.group ~by:group_by ~out
+          ~binds:
+            (List.map
+               (fun (o : Spjg.out_item) -> Col.make "#out" o.Spjg.name)
+               out)
+          (rerun input)
       in
-      report "GroupAggregate" "aggregate" est_rows (List.length result);
+      report "GroupAggregate" "aggregate" est_rows result;
       result
 
 (* Materialize every view the plan reads. *)
@@ -100,29 +95,25 @@ let prepare db (plan : Plan.t) =
         ignore (Exec.materialize db v))
     (views plan)
 
-(* Produce the final relation with the query's output names. *)
+(* Produce the final relation with the query's output names: aggregation
+   plans bind final outputs to #out, leaf-only plans bind computed outputs
+   to #agg, and the rest evaluate over base columns. *)
 let execute_common ?stats ?record db (query : Spjg.t) (plan : Plan.t) :
     Mv_engine.Relation.t =
   prepare db plan;
-  let cols = Spjg.out_names query in
-  let rows = run ?stats ?record db plan in
-  let final b (o : Spjg.out_item) : Value.t =
-    (* aggregation plans bind final outputs to #out; leaf-only plans bind
-       computed outputs to #agg; otherwise evaluate over base columns *)
-    match Col.Map.find_opt (Col.make "#out" o.Spjg.name) b with
-    | Some v -> v
-    | None -> (
-        match Col.Map.find_opt (Col.make "#agg" o.Spjg.name) b with
-        | Some v -> v
-        | None -> (
-            match o.Spjg.def with
-            | Spjg.Scalar e -> Eval.expr (Exec.env_of b) e
-            | Spjg.Aggregate _ ->
-                raise (Eval.Eval_error "unbound aggregate output")))
+  let bag = run ?stats ?record db plan in
+  let final (o : Spjg.out_item) =
+    let out = Col.make "#out" o.Spjg.name and agg = Col.make "#agg" o.Spjg.name in
+    if Exec.Bag.binds bag out then Expr.Col out
+    else if Exec.Bag.binds bag agg then Expr.Col agg
+    else
+      match o.Spjg.def with
+      | Spjg.Scalar e -> e
+      | Spjg.Aggregate _ -> Expr.Col out (* unbound: raises per row *)
   in
   {
-    Mv_engine.Relation.cols;
-    rows = List.map (fun b -> Array.of_list (List.map (final b) query.Spjg.out)) rows;
+    Mv_engine.Relation.cols = Spjg.out_names query;
+    rows = Exec.Bag.project (List.map final query.Spjg.out) bag;
   }
 
 let execute ?adaptive:_ ?stats db query plan =

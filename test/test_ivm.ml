@@ -447,17 +447,35 @@ let test_errors () =
     (Invalid_argument "Ivm.attach: view iv_err already attached") (fun () ->
       Ivm.attach ivm view);
   Alcotest.check_raises "a view's own table cannot be written"
-    (Invalid_argument "Ivm.apply: iv_err is an attached view's table")
+    (Ivm.Invalid_batch "Ivm.apply: iv_err is an attached view's table")
     (fun () -> Ivm.apply ivm [ ("iv_err", ins [ [||] ]) ]);
+  Alcotest.check_raises "an unknown table cannot be written"
+    (Ivm.Invalid_batch "Ivm.apply: unknown table nosuch") (fun () ->
+      Ivm.apply ivm [ ("nosuch", ins [ [| V.Int 1 |] ]) ]);
   Alcotest.check_raises "arity is validated before any write"
-    (Invalid_argument "Ivm.apply: row arity mismatch for fact") (fun () ->
+    (Ivm.Invalid_batch "Ivm.apply: row arity mismatch for fact") (fun () ->
       Ivm.apply ivm [ ("fact", ins [ [| V.Int 1 |] ]) ]);
-  (match
-     Ivm.apply ivm
-       [ ("fact", del [ [| V.Int 99; V.Int 1; V.Null; V.Int 1 |] ]) ]
-   with
-  | () -> Alcotest.fail "deleting an absent row must raise"
-  | exception Invalid_argument _ -> ());
+  (* an insert followed by the delete of an absent row: nothing is
+     written, not even the insert *)
+  let rows0 = view_rows dba "fact" and epoch0 = DB.table_epoch dba "fact" in
+  Alcotest.check_raises "deleting an absent row is rejected whole"
+    (Ivm.Invalid_batch "Ivm.apply: a delete names a row fact does not hold")
+    (fun () ->
+      Ivm.apply ivm
+        [
+          ( "fact",
+            {
+              Ivm.ins = [ [| V.Int 5; V.Int 1; V.Int 1; V.Int 1 |] ];
+              del = [ [| V.Int 99; V.Int 1; V.Null; V.Int 1 |] ];
+            } );
+        ]);
+  Alcotest.(check bool) "the rejected insert left fact as it was" true
+    (view_rows dba "fact" == rows0 && DB.table_epoch dba "fact" = epoch0);
+  Alcotest.check_raises "a row deleted more often than held is rejected"
+    (Ivm.Invalid_batch "Ivm.apply: a delete names a row fact does not hold")
+    (fun () ->
+      let r = List.hd fact_rows in
+      Ivm.apply ivm [ ("fact", del [ r; r ]) ]);
   Ivm.detach ivm "iv_err";
   Alcotest.(check int) "detached" 0 (List.length (Ivm.attached ivm))
 
@@ -618,6 +636,98 @@ let updates_prop =
     arb
     (maintained_matches random_update_batch)
 
+(* ---- an invalid batch changes nothing ---- *)
+
+(* [batch] made invalid: [over] adds deletes of one of the table's rows
+   until they exceed its multiplicity (the batch's own inserts of it
+   included), otherwise it adds one delete of a row the table does not
+   hold. Either delete lands at a random place among the others. *)
+let invalidate prng db tn (d : Ivm.delta) ~over =
+  let rows = (DB.table_exn db tn).Table.rows in
+  let held r = List.length (List.filter (( = ) r) (rows @ d.Ivm.ins)) in
+  let bad =
+    if over then begin
+      let r = List.nth rows (Mv_util.Prng.int prng (List.length rows)) in
+      List.init (held r + 1) (fun _ -> r)
+    end
+    else begin
+      let r = Array.copy (List.hd rows) in
+      r.(0) <- V.Int (-1 - Mv_util.Prng.int prng 1000);
+      assert (held r = 0);
+      [ r ]
+    end
+  in
+  let del =
+    List.filter (fun r -> not (List.mem r bad)) d.Ivm.del
+    |> List.fold_left
+         (fun acc r ->
+           let i = Mv_util.Prng.int prng (List.length acc + 1) in
+           List.filteri (fun j _ -> j < i) acc
+           @ (r :: List.filteri (fun j _ -> j >= i) acc))
+         bad
+  in
+  { d with Ivm.del }
+
+(* Twin databases take the same valid batch; one then takes an invalid
+   batch, which must raise [Invalid_batch] and leave it equal to its twin:
+   base and view rows, write epochs of every table, the statistics
+   [refresh_stats] derives, the dirty set, and each view's freshness
+   stamp. *)
+let invalid_batch_unchanged (pick, db_seed, batch_seed, over) =
+  let views = Lazy.force gen_views in
+  let v0 = List.nth views (pick mod List.length views) in
+  let db0 = Mv_tpch.Datagen.generate ~seed:db_seed ~scale:1 () in
+  List.iter (fun (table, cols) -> DB.declare_index db0 ~table ~cols) tpch_indexes;
+  let arm () =
+    let db = DB.copy db0 in
+    let v =
+      Mv_core.View.create tpch_schema ~name:v0.Mv_core.View.name
+        (Mv_core.View.spjg v0)
+    in
+    ignore (Exec.materialize db v);
+    let ivm = Ivm.create db in
+    Ivm.attach ivm v;
+    (db, v, ivm)
+  in
+  let dba, va, ia = arm () and dbb, vb, ib = arm () in
+  let stats = DB.stats dba in
+  let prng = Mv_util.Prng.create batch_seed in
+  let valid = random_batch prng dba va in
+  Ivm.apply ia valid;
+  Ivm.apply ib valid;
+  let tn, d =
+    match random_batch prng dba va with
+    | [ (tn, d) ] -> (tn, d)
+    | _ ->
+        let tn = Mv_util.Sset.min_elt va.Mv_core.View.source_tables in
+        (tn, { Ivm.ins = []; del = [] })
+  in
+  match Ivm.apply ia [ (tn, invalidate prng dba tn d ~over) ] with
+  | () -> false
+  | exception Ivm.Invalid_batch _ ->
+      let tables db =
+        Hashtbl.fold
+          (fun name (tbl : Table.t) acc ->
+            (name, tbl.Table.rows, DB.table_epoch db name) :: acc)
+          db.DB.tables []
+        |> List.sort compare
+      in
+      let stamp (v : Mv_core.View.t) =
+        ( v.Mv_core.View.base_epochs,
+          Mv_core.View.is_stale v,
+          v.Mv_core.View.row_count )
+      in
+      tables dba = tables dbb
+      && Ivm.dirty_views ia = Ivm.dirty_views ib
+      && stamp va = stamp vb
+      && Ivm.refresh_stats ia stats = Ivm.refresh_stats ib stats
+
+let invalid_batch_prop =
+  QCheck.Test.make ~name:"an invalid batch changes nothing"
+    ~count:(Helpers.qcheck_count (if quick then 10 else 30))
+    QCheck.(quad (int_bound 1_000_000) (int_range 1 3) (int_bound 1_000_000) bool)
+    invalid_batch_unchanged
+
 (* The property as an Alcotest case, preceded by one fixed case that must
    probe a shared live index: a generator view joining lineitem to orders
    and a batch inserting two lineitem rows, whose insert term reaches the
@@ -671,5 +781,9 @@ let suite =
         Alcotest.test_case "error paths" `Quick test_errors;
       ] );
     ( "ivm_diff",
-      [ probing_qtest differential_prop; probing_qtest updates_prop ] );
+      [
+        probing_qtest differential_prop;
+        probing_qtest updates_prop;
+        Helpers.qtest invalid_batch_prop;
+      ] );
   ]
