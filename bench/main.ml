@@ -340,7 +340,7 @@ let () =
         in
         let col = Mv_obs.Span.create () in
         ignore
-          (Mv_experiments.Serve.submit_traced f ~spans:(Mv_obs.Span.root col)
+          (Mv_experiments.Serve.submit ~spans:(Mv_obs.Span.root col) f
              (List.hd w.Mv_experiments.Harness.queries));
         Mv_experiments.Report.write_json file
           (Mv_obs.Span.to_trace_event_json col);

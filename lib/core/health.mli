@@ -8,7 +8,7 @@
     domain concurrently, with no lost updates.
 
     Attribution points (DESIGN.md §14): candidate/matched in the
-    view-matching rule ({!Registry.match_with_candidates}), chosen and
+    view-matching rule ({!Registry.find_substitutes}), chosen and
     estimated benefit at the optimizer's win site, staleness flips in
     {!Registry.mark_stale}, maintenance wall time in [Mv_engine.Ivm],
     cache hits in the serving front end. *)

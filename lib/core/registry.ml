@@ -62,9 +62,9 @@ type t = {
   rule : rule_handles;
   health : Health.t;
   epoch : int Atomic.t;
-      (** bumped by every effective add/drop; caches key their entries by
-          it (see [Mv_opt.Match_cache]). Atomic so reader domains see a
-          fresh value without a lock. *)
+      (** bumped by every effective add/drop; the serving front's plan
+          table stamps its entries with it (see [Mv_experiments.Serve]).
+          Atomic so reader domains see a fresh value without a lock. *)
   snap : snapshot option Atomic.t;
       (** RCU publication slot, [None] until {!snapshot} first activates
           it (DESIGN.md §10). Once active, every effective mutation
@@ -187,7 +187,7 @@ let add_prebuilt t (view : View.t) =
       republish t)
 
 (* Drop a view: filter-tree removal prunes lattice keys in place (no
-   rebuild), and the epoch bump lazily invalidates every cache entry
+   rebuild), and the epoch bump lazily invalidates every serving plan
    computed against the old population. A missing name is a no-op and
    does NOT advance the epoch (or republish). *)
 let remove_view t name =
@@ -285,11 +285,9 @@ let record_stage_notes snap sub (q : A.t) =
     (Filter_tree.stages snap.snap_tree)
 
 (* The view-matching rule body: find all views that can compute [q] and
-   build one substitute per view. Returns the candidate set alongside the
-   substitutes so the match cache can store both (the candidates are what
-   the model-based tests compare against a from-scratch rebuild). *)
-let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
-    View.t list * Substitute.t list =
+   build one substitute per view. *)
+let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
+    Substitute.t list =
   (* one snapshot per invocation: the candidate search, the population
      counts and the traced stage replay all see the same registry state *)
   let s = current ?snap t in
@@ -335,11 +333,7 @@ let match_with_candidates ?spans ?snap ?(fresh_only = false) t (q : A.t) :
       Health.record_matched t.health s.Substitute.view.View.name)
     subs;
   Mv_obs.Instrument.exit_into (t.rule.h_time ()) span;
-  (cands, subs)
-
-let find_substitutes ?spans ?snap ?fresh_only t (q : A.t) :
-    Substitute.t list =
-  snd (match_with_candidates ?spans ?snap ?fresh_only t q)
+  subs
 
 (* ---- freshness (DESIGN.md §12) ----
 

@@ -61,10 +61,10 @@ type t = {
           survive churn and republication. *)
   epoch : int Atomic.t;
       (** registry epoch: bumped by every effective {!add_view} /
-          {!add_prebuilt} / {!remove_view}. Caches stamp their entries with
-          it and treat a mismatch as stale, so an add/drop invalidates
-          without a global rebuild ({!Mv_opt.Match_cache}, DESIGN.md §8).
-          Read through {!val-epoch}. *)
+          {!add_prebuilt} / {!remove_view}. The serving front's plan table
+          ([Mv_experiments.Serve]) stamps its entries with it and treats a
+          mismatch as stale, so an add/drop invalidates without a global
+          flush (DESIGN.md §8). Read through {!val-epoch}. *)
   snap : snapshot option Atomic.t;
       (** the published snapshot; [None] until {!val-snapshot} first
           activates RCU publication. Internal — read through
@@ -137,23 +137,6 @@ val mark_stale : t -> tables:string list -> int
     [fresh_only]. Clear per view with {!View.mark_fresh} after a refresh
     (see [Mv_engine.Ivm]). *)
 
-val match_with_candidates :
-  ?spans:Mv_obs.Span.scope ->
-  ?snap:snapshot ->
-  ?fresh_only:bool ->
-  t ->
-  Mv_relalg.Analysis.t ->
-  View.t list * Substitute.t list
-(** {!find_substitutes} returning the surviving candidate set too — what
-    the match cache stores per query signature.
-
-    With [spans], records a ["filter"] child span (population / candidate
-    counts plus one ["stage:<name>"] instant per filter-tree stage with
-    entered/pruned/out counts and the pruned view names, capped) and one
-    ["match:<view>"] span per candidate carrying the matcher's phase spans
-    and outcome attributes. The traced replay never touches the indexed
-    search; untraced invocations are unchanged. *)
-
 val find_substitutes :
   ?spans:Mv_obs.Span.scope ->
   ?snap:snapshot ->
@@ -163,6 +146,13 @@ val find_substitutes :
   Substitute.t list
 (** The view-matching rule body: filter, test every candidate, build one
     substitute per matching view. Updates {!stats}.
+
+    With [spans], records a ["filter"] child span (population / candidate
+    counts plus one ["stage:<name>"] instant per filter-tree stage with
+    entered/pruned/out counts and the pruned view names, capped) and one
+    ["match:<view>"] span per candidate carrying the matcher's phase spans
+    and outcome attributes. The traced replay never touches the indexed
+    search; untraced invocations are unchanged.
 
     Without [snap], each invocation runs against {!val-snapshot}'s current
     value (or the master state before activation); with it, against

@@ -589,9 +589,32 @@ let post_batch_rows t (batch : batch) =
       match Database.table t.db name with
       | None -> invalid_batch "unknown table %s" name
       | Some tbl ->
-          let arity = List.length (Table.def_of tbl).Mv_catalog.Table_def.columns in
+          let cols =
+            Array.of_list (Table.def_of tbl).Mv_catalog.Table_def.columns
+          in
+          let arity = Array.length cols in
           if List.exists (fun r -> Array.length r <> arity) (d.ins @ d.del) then
-            invalid_batch "row arity mismatch for %s" name)
+            invalid_batch "row arity mismatch for %s" name;
+          (* every inserted value fits its column: NULL only where the
+             column is nullable (the matcher relies on NOT NULL), anything
+             else of the column's type, an Int also in a Float column *)
+          List.iter
+            (Array.iteri (fun i v ->
+                 let { Mv_catalog.Column.name = col; dtype; nullable } =
+                   cols.(i)
+                 in
+                 let fits =
+                   match Value.dtype_of v with
+                   | None -> nullable
+                   | Some Dtype.Int when Dtype.equal dtype Dtype.Float -> true
+                   | Some d -> Dtype.equal d dtype
+                 in
+                 if not fits then
+                   invalid_batch "%s does not fit %s%s column %s.%s"
+                     (Value.to_string v)
+                     (if nullable then "" else "NOT NULL ")
+                     (Dtype.to_string dtype) name col))
+            d.ins)
     batch;
   List.fold_left
     (fun acc (name, d) ->

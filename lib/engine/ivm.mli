@@ -65,10 +65,13 @@ exception Inconsistent of string
 
 exception Invalid_batch of string
 (** The batch cannot apply: it writes an unknown table or an attached
-    view's own table, a row has the wrong arity, or a delete names a row
-    the table does not hold as many times as the batch deletes it (after
-    the batch's own earlier inserts and deletes). Raised before anything
-    is written. *)
+    view's own table, a row has the wrong arity, an inserted value does
+    not fit its column (a NULL in a NOT NULL column, or a value of another
+    type than the column's — an Int fits a Float column), or a delete
+    names a row the table does not hold as many times as the batch
+    deletes it (after the batch's own earlier inserts and deletes). The
+    message names the table, and the column for a misfit value. Raised
+    before anything is written. *)
 
 type t
 (** A maintenance engine bound to one database: the set of attached views

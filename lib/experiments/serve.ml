@@ -1,29 +1,31 @@
 (** The serving front end (DESIGN.md §10): an open-loop query stream over
     OCaml 5 domains against one shared registry under add/drop churn.
 
-    Layering of one [submit], hot to cold:
+    One [submit] pins the registry snapshot ([Registry.snapshot], one
+    [Atomic.get] — no reader-side mutex), then makes one decision under
+    the front's one mutex:
 
-    - a probe of the shared plan layer ({!Mv_opt.Match_cache.peek_plan} —
-      one shard mutex, no compute), valid only at the pinned snapshot's
-      epoch;
-    - single-flight dedup: concurrent identical cold queries elect one
-      leader that optimizes while the rest wait on a condvar, so a herd of
-      K identical requests runs the optimizer exactly once;
-    - the leader runs {!Mv_opt.Optimizer.optimize} with the snapshot
-      pinned, so the whole optimization (every enumerated subexpression)
-      sees one registry state regardless of concurrent churn.
+    - a plan stamped with the pinned epoch is a hit;
+    - a plan stamped with another epoch is dropped (an invalidation);
+    - an identical query already in flight is joined: the submitter waits
+      for its leader's result, so a herd of K identical cold requests runs
+      the optimizer exactly once;
+    - otherwise the submitter registers a flight and leads it: it runs
+      {!Mv_opt.Optimizer.optimize} with the snapshot pinned (every
+      enumerated subexpression sees one registry state regardless of
+      concurrent churn), then, in one critical section, stores the plan
+      stamped with the pinned epoch and retires the flight before waking
+      the waiters.
 
-    The registry snapshot is taken once per submit ([Registry.snapshot],
-    one [Atomic.get] on the hot path — no reader-side mutex), and the
-    (epoch, result) pair a submit returns is the linearizability
+    The (epoch, result) pair a submit returns is the linearizability
     observation test/test_serve.ml replays against sequential
     optimization. *)
 
 module R = Mv_core.Registry
-module MC = Mv_opt.Match_cache
 module Opt = Mv_opt.Optimizer
 module Plan = Mv_opt.Plan
 module Spjg = Mv_relalg.Spjg
+module Lru = Mv_util.Lru
 module Prng = Mv_util.Prng
 module I = Mv_obs.Instrument
 module Obs = Mv_obs.Registry
@@ -31,170 +33,133 @@ module J = Mv_obs.Json
 
 (* ---- the front ---- *)
 
+(* One in-flight optimization. [fl_out] is set, and [fl_done] broadcast,
+   under the front's lock when the leader retires the flight. *)
 type flight = {
-  fl_lock : Mutex.t;
-  fl_cond : Condition.t;
-  mutable fl_out : (int * MC.plan_entry, exn) result option;
+  fl_done : Condition.t;
+  mutable fl_out : (int * Opt.result, exn) result option;
 }
 
 type front = {
   f_registry : R.t;
   f_stats : Mv_catalog.Stats.t;
-  f_cache : MC.t;
+  f_lock : Mutex.t;  (** guards [f_plans] and [f_flights] *)
+  f_plans : (Spjg.t, int * Opt.result) Lru.t;
+      (** the plan table: each plan stamped with the epoch it was
+          optimized at *)
   f_flights : (Spjg.t, flight) Hashtbl.t;
-  f_flights_lock : Mutex.t;
   (* counters are atomic ({!Mv_obs.Instrument.counter}), so they sum
      exactly across domains — the lost-update qcheck in test_serve.ml
      holds plan hits + leaders + waits to the submission count *)
+  c_hits : I.counter;
+  c_misses : I.counter;
+  c_invalidations : I.counter;
+  c_evictions : I.counter;
   c_leaders : I.counter;
   c_waits : I.counter;
   h_latency : I.histogram;  (** open-loop: completion - scheduled arrival *)
   h_service : I.histogram;  (** submit call duration alone *)
 }
 
-let front registry stats =
+let front ?(capacity = 4096) registry stats =
   let obs = registry.R.obs in
+  let c = Obs.counter obs in
   {
     f_registry = registry;
     f_stats = stats;
-    f_cache = MC.create ~capacity:4096 registry;
+    f_lock = Mutex.create ();
+    f_plans = Lru.create ~capacity;
     f_flights = Hashtbl.create 64;
-    f_flights_lock = Mutex.create ();
-    c_leaders = Obs.counter obs "serve.flight.leaders";
-    c_waits = Obs.counter obs "serve.flight.waits";
+    c_hits = c "cache.plan.hits";
+    c_misses = c "cache.plan.misses";
+    c_invalidations = c "cache.plan.invalidations";
+    c_evictions = c "cache.plan.evictions";
+    c_leaders = c "serve.flight.leaders";
+    c_waits = c "serve.flight.waits";
     h_latency = Obs.histogram obs "serve.latency";
     h_service = Obs.histogram obs "serve.service";
   }
 
-let registry t = t.f_registry
-let cache t = t.f_cache
+(* The one probe of a submit, under the front's lock: a plan at the
+   pinned epoch, else the flight to join (waited on right here — the wait
+   releases the lock), else a new flight this submitter leads. *)
+let probe t ep q =
+  Mutex.protect t.f_lock (fun () ->
+      match Lru.find t.f_plans q with
+      | Some (e, r) when e = ep ->
+          I.incr t.c_hits;
+          `Hit r
+      | cached -> (
+          I.incr t.c_misses;
+          if Option.is_some cached then begin
+            I.incr t.c_invalidations;
+            ignore (Lru.remove t.f_plans q)
+          end;
+          match Hashtbl.find_opt t.f_flights q with
+          | Some fl ->
+              I.incr t.c_waits;
+              while Option.is_none fl.fl_out do
+                Condition.wait fl.fl_done t.f_lock
+              done;
+              `Joined (Option.get fl.fl_out)
+          | None ->
+              let fl = { fl_done = Condition.create (); fl_out = None } in
+              Hashtbl.add t.f_flights q fl;
+              `Lead fl))
 
-let result_of_entry (e : MC.plan_entry) : Opt.result =
-  {
-    Opt.plan = e.MC.plan;
-    cost = e.MC.cost;
-    rows = e.MC.rows;
-    used_views = e.MC.used_views;
-    (* prune provenance is per-exploration and not cached *)
-    pruned_views = [];
-  }
-
-(* Wait on a published flight; returns the leader's (epoch, entry). *)
-let await_flight fl =
-  Mutex.protect fl.fl_lock (fun () ->
-      while fl.fl_out = None do
-        Condition.wait fl.fl_cond fl.fl_lock
-      done;
-      Option.get fl.fl_out)
-
-(* Lead one flight: optimize with the snapshot pinned, publish the outcome
-   (wake every waiter), then retire the flight. The publication order
-   matters twice over: the plan layer is warm BEFORE the flight leaves the
-   table (a latecomer that missed the flight re-probes under the table
-   lock and hits), and the flight is published before removal (a waiter
-   never blocks on a retired flight). *)
-let lead t snap fl q =
+(* Lead one flight: optimize with the snapshot pinned, then store the plan
+   stamped with the pinned epoch and retire the flight in one critical
+   section, so every later submitter finds either the flight or the
+   plan; only then are the waiters woken. *)
+let lead ?spans t snap fl q =
   I.incr t.c_leaders;
   let out =
-    match
-      Opt.optimize ~cache:t.f_cache ~snap t.f_registry t.f_stats q
-    with
-    | r ->
-        Ok
-          ( snap.R.snap_epoch,
-            {
-              MC.plan = r.Opt.plan;
-              cost = r.Opt.cost;
-              rows = r.Opt.rows;
-              used_views = r.Opt.used_views;
-            } )
+    match Opt.optimize ?spans ~snap t.f_registry t.f_stats q with
+    | r -> Ok (snap.R.snap_epoch, r)
     | exception e -> Error e
   in
-  Mutex.protect fl.fl_lock (fun () ->
+  Mutex.protect t.f_lock (fun () ->
+      (match out with
+      | Ok entry -> (
+          match Lru.set t.f_plans q entry with
+          | Some _ -> I.incr t.c_evictions
+          | None -> ())
+      | Error _ -> ());
+      Hashtbl.remove t.f_flights q;
       fl.fl_out <- Some out;
-      Condition.broadcast fl.fl_cond);
-  Mutex.protect t.f_flights_lock (fun () -> Hashtbl.remove t.f_flights q);
-  out
-
-(* Join or create the flight for [q]. The double probe of the plan layer
-   under the table lock closes the last race: a leader stores the plan
-   (shard lock) strictly before retiring its flight (table lock), so a
-   submitter that peeked too early and then finds no flight is guaranteed
-   to hit on the re-probe — a cold herd elects exactly one leader. *)
-let fly t snap q =
-  let ep = snap.R.snap_epoch in
-  let role =
-    Mutex.protect t.f_flights_lock (fun () ->
-        match Hashtbl.find_opt t.f_flights q with
-        | Some fl -> `Wait fl
-        | None -> (
-            match MC.peek_plan ~epoch:ep t.f_cache q with
-            | Some e -> `Hit e
-            | None ->
-                let fl =
-                  {
-                    fl_lock = Mutex.create ();
-                    fl_cond = Condition.create ();
-                    fl_out = None;
-                  }
-                in
-                Hashtbl.add t.f_flights q fl;
-                `Lead fl))
-  in
-  match role with
-  | `Hit e -> (ep, e, false)
-  | `Lead fl -> (
-      match lead t snap fl q with
-      | Ok (oep, e) -> (oep, e, true)
-      | Error e -> raise e)
-  | `Wait fl -> (
-      I.incr t.c_waits;
-      match await_flight fl with
-      | Ok (oep, e) -> (oep, e, false)
-      | Error e -> raise e)
+      Condition.broadcast fl.fl_done);
+  match out with Ok entry -> entry | Error e -> raise e
 
 (* Ledger attribution for a submission served WITHOUT optimizing (a
-   plan-layer hit, or a waiter handed the leader's result): the optimizer
-   records the query and the chosen views itself on the cold path, so
-   these are the complementary paths — one [record_query] per submission
-   either way, and the served plan's views earn a cache hit. *)
-let record_served t q (entry : MC.plan_entry) =
+   plan-table hit, or a waiter handed the leader's result): the optimizer
+   records the query and the chosen views itself for a leader, so these
+   are the complementary paths — one [record_query] per submission either
+   way, and the served plan's views earn a cache hit. *)
+let record_served t q (r : Opt.result) =
   let h = t.f_registry.R.health in
   Mv_core.Health.record_query h q;
-  if entry.MC.used_views then
-    List.iter
-      (Mv_core.Health.record_cache_hit h)
-      (Plan.views_used entry.MC.plan)
+  if r.Opt.used_views then
+    List.iter (Mv_core.Health.record_cache_hit h) (Plan.views_used r.Opt.plan)
 
-let submit t (q : Spjg.t) : int * Opt.result =
+let submit ?spans t (q : Spjg.t) : int * Opt.result =
   let snap = R.snapshot t.f_registry in
   let ep = snap.R.snap_epoch in
-  let oep, entry =
-    match MC.peek_plan ~epoch:ep t.f_cache q with
-    | Some e ->
-        record_served t q e;
-        (ep, e)
-    | None ->
-        let oep, entry, led = fly t snap q in
-        if not led then record_served t q entry;
-        (oep, entry)
-  in
-  (oep, result_of_entry entry)
-
-(* One traced submission through the shared cache (for the Perfetto
-   artifact): the spans show the plan-layer lookup and, when cold, the
-   pinned optimization. *)
-let submit_traced t ~spans (q : Spjg.t) : int * Opt.result =
-  let snap = R.snapshot t.f_registry in
-  Mv_obs.Span.wrap (Some spans) "serve"
-    ~attrs:(fun () ->
-      [ ("epoch", Mv_obs.Span.Int snap.R.snap_epoch) ])
-    (fun sub ->
-      let r =
-        Opt.optimize ~cache:t.f_cache ~snap ?spans:sub t.f_registry t.f_stats
-          q
-      in
-      (snap.R.snap_epoch, r))
+  Mv_obs.Span.wrap spans "serve"
+    ~attrs:(fun () -> [ ("epoch", Mv_obs.Span.Int ep) ])
+    (fun spans ->
+      let role = probe t ep q in
+      Mv_obs.Span.note spans
+        (match role with `Hit _ -> "cache.plan.hit" | _ -> "cache.plan.miss")
+        (fun () -> []);
+      match role with
+      | `Hit r ->
+          record_served t q r;
+          (ep, r)
+      | `Joined (Ok ((_, r) as out)) ->
+          record_served t q r;
+          out
+      | `Joined (Error e) -> raise e
+      | `Lead fl -> lead ?spans t snap fl q)
 
 (* ---- the open-loop driver ---- *)
 
@@ -437,7 +402,7 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
       (fun n -> (n, cval n))
       [
         "serve.flight.leaders"; "serve.flight.waits"; "cache.plan.hits";
-        "cache.plan.misses"; "cache.match.hits"; "cache.match.misses";
+        "cache.plan.misses";
       ]
   in
   let mlog = ref [] (* newest first; only the mutator writes *) in
@@ -595,8 +560,6 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
         ("cache.flight_waits", d "serve.flight.waits");
         ("cache.plan_hits", d "cache.plan.hits");
         ("cache.plan_misses", d "cache.plan.misses");
-        ("cache.match_hits", d "cache.match.hits");
-        ("cache.match_misses", d "cache.match.misses");
         ("churn.mutations", J.Int (List.length ops));
         ("churn.maint_batches", J.Int !maint_batches);
         ("churn.epoch_lo", J.Int epoch0);

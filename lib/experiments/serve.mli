@@ -1,12 +1,12 @@
 (** High-throughput serving front end over the RCU registry snapshots
-    (DESIGN.md §10): the shared epoch-validated match/plan cache,
-    single-flight dedup of identical in-flight optimizations, and an
-    open-loop Poisson driver that sustains a query stream across OCaml 5
-    domains while views churn.
+    (DESIGN.md §10): the epoch-stamped plan table, single-flight dedup of
+    identical in-flight optimizations, and an open-loop Poisson driver
+    that sustains a query stream across OCaml 5 domains while views
+    churn.
 
     Every {!submit} pins one {!Mv_core.Registry.snapshot} (wait-free — a
-    single [Atomic.get], no reader-side mutex) and optimizes against
-    exactly that registry state; the returned (epoch, result) pair is the
+    single [Atomic.get], no reader-side mutex) and is served at exactly
+    that registry state; the returned (epoch, result) pair is the
     observation the linearizability suite (test/test_serve.ml) replays
     against sequential optimization at that epoch. *)
 
@@ -14,38 +14,40 @@
 
 type front
 
-val front : Mv_core.Registry.t -> Mv_catalog.Stats.t -> front
-(** A serving front over one registry: a shared {!Mv_opt.Match_cache} of
-    capacity 4096 and the single-flight table. Counters go to the
-    registry's obs instance: [serve.flight.leaders|waits] (atomic, shared
-    by every domain without loss) next to the cache's own [cache.*], and
-    the [serve.latency] / [serve.service] histograms fed by {!run}. *)
+val front : ?capacity:int -> Mv_core.Registry.t -> Mv_catalog.Stats.t -> front
+(** A serving front over one registry: one mutex over the plan table (an
+    {!Mv_util.Lru} of [capacity] plans, default 4096, each stamped with
+    the registry epoch it was optimized at) and the single-flight table.
+    Counters go to the registry's obs instance:
+    [cache.plan.hits|misses|invalidations|evictions] and
+    [serve.flight.leaders|waits] (atomic, shared by every domain without
+    loss; hits + leaders + waits = submissions, misses = leaders +
+    waits), and the [serve.latency] / [serve.service] histograms fed by
+    {!run}.
+    @raise Invalid_argument when [capacity < 1]. *)
 
-val registry : front -> Mv_core.Registry.t
-
-val cache : front -> Mv_opt.Match_cache.t
-
-val submit : front -> Mv_relalg.Spjg.t -> int * Mv_opt.Optimizer.result
-(** Serve one query: pin the current snapshot, probe the shared plan
-    layer (hit iff stamped with the pinned epoch), then join-or-lead the
-    query's flight — the leader runs
-    {!Mv_opt.Optimizer.optimize} with the snapshot pinned while
-    concurrent identical submits wait on its condvar, so a cold herd of K
-    identical queries runs the optimizer exactly once (the [rule.*]
-    counters advance as for one optimization; asserted by the
-    single-flight stress test). Returns the epoch the result was computed
-    at — a waiter reports its leader's epoch, which can lag its own
-    snapshot by an in-flight mutation and is still a valid observation at
-    that epoch. *)
-
-val submit_traced :
+val submit :
+  ?spans:Mv_obs.Span.scope ->
   front ->
-  spans:Mv_obs.Span.scope ->
   Mv_relalg.Spjg.t ->
   int * Mv_opt.Optimizer.result
-(** One span-recorded submission through the shared cache (the trace
-    shows the lookup and, cold, the pinned optimization). For the
-    Perfetto serve-trace artifact; not part of the measured hot path. *)
+(** Serve one query: pin the current snapshot, then probe once under the
+    front's lock. A plan stamped with the pinned epoch is a hit; one
+    stamped with another epoch is dropped (an invalidation); an identical
+    query in flight is joined; otherwise the submitter leads a flight: it
+    runs {!Mv_opt.Optimizer.optimize} with the snapshot pinned, then
+    stores the plan and retires the flight in one critical section and
+    wakes the waiters. A cold herd of K identical queries therefore runs
+    the optimizer exactly once (the [rule.*] counters advance as for one
+    optimization; asserted by the single-flight stress test). Returns the
+    epoch the result was computed at — a waiter reports its leader's
+    epoch, which can lag its own snapshot by an in-flight mutation and is
+    still a valid observation at that epoch. A hit or a waiter returns the
+    leader's result, [pruned_views] included.
+
+    With [spans], the submission is recorded as a ["serve"] span carrying
+    the pinned epoch, with a [cache.plan.hit] or [cache.plan.miss]
+    instant and, for a leader, the traced optimization. *)
 
 (** {1 The open-loop driver} *)
 
@@ -57,7 +59,7 @@ type cfg = {
           split evenly, with exponential (Poisson) inter-arrivals; [0.] =
           closed loop (back-to-back submission) *)
   duration : float;  (** timed-window seconds *)
-  warmup : bool;  (** one sequential cache-filling pass before the clock *)
+  warmup : bool;  (** one sequential plan-table-filling pass before the clock *)
   churn_period : float;  (** seconds between mutations; [0.] = no churn *)
   churn_pool : int;  (** tail views the mutator alternately drops/re-adds *)
   sample : int;  (** observations kept per domain for the replay check *)
@@ -90,7 +92,7 @@ val default_cfg : cfg
 
 val run : ?cfg:cfg -> Harness.workload -> Measure.t
 (** Build a registry over the first [cfg.nviews] workload views, activate
-    snapshot publication, optionally warm the shared cache, then run
+    snapshot publication, optionally warm the plan table, then run
     [cfg.domains] open-loop serving domains plus one churn-mutator domain
     for [cfg.duration] seconds and replay the sampled observations. The
     arrival schedules and the mutation sequence are deterministic given

@@ -336,8 +336,8 @@ let handles_for obs =
       Atomic.set handles_cache (Some h);
       h
 
-let optimize_body ~(config : config) ?cache ?spans ?snap
-    ?(fresh_only = false) (registry : Mv_core.Registry.t)
+let optimize_body ~(config : config) ?spans ?snap ~fresh_only
+    (registry : Mv_core.Registry.t)
     (stats : Mv_catalog.Stats.t) (query : Spjg.t) : result =
   let schema = registry.Mv_core.Registry.schema in
   let h = handles_for registry.Mv_core.Registry.obs in
@@ -376,16 +376,13 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
                 Hashtbl.add analyses key a;
                 a))
   in
-  (* the view-matching rule, through the match cache when serving; the
-     pinned snapshot (if any) rides along into every rule invocation, so
-     all subexpressions of this optimization see one registry state *)
+  (* the view-matching rule; the pinned snapshot (if any) rides along into
+     every rule invocation, so all subexpressions of this optimization see
+     one registry state *)
   let find_subs ?spans qa =
     Mv_obs.Instrument.time_hist h_match (fun () ->
-        match cache with
-        | Some c -> Match_cache.find_substitutes ?spans ?snap c qa
-        | None ->
-            Mv_core.Registry.find_substitutes ?spans ?snap ~fresh_only
-              registry qa)
+        Mv_core.Registry.find_substitutes ?spans ?snap ~fresh_only registry
+          qa)
   in
   (* Branch-and-bound accounting: pruned candidate names (for provenance)
      and the [opt.prune.cost_bound] counter, distinct from matcher
@@ -731,18 +728,9 @@ let optimize_body ~(config : config) ?cache ?spans ?snap
         pruned_views = List.rev !pruned_acc;
       }
 
-let optimize ?(config = default_config) ?cache ?spans ?snap
-    ?(fresh_only = false) (registry : Mv_core.Registry.t)
-    (stats : Mv_catalog.Stats.t) (query : Spjg.t) : result =
-  (match cache with
-  | Some c when Match_cache.registry c != registry ->
-      invalid_arg "Optimizer.optimize: cache belongs to another registry"
-  | _ -> ());
-  (* cached candidates/plans were computed without the freshness gate (a
-     staleness mark does not bump the registry epoch), so the fresh-only
-     mode bypasses the cache entirely rather than risk serving a plan
-     built over a view that has since gone stale *)
-  let cache = if fresh_only then None else cache in
+let optimize ?(config = default_config) ?spans ?snap ?(fresh_only = false)
+    (registry : Mv_core.Registry.t) (stats : Mv_catalog.Stats.t)
+    (query : Spjg.t) : result =
   let h = handles_for registry.Mv_core.Registry.obs in
   let r =
     Mv_obs.Instrument.time (h.time ())
@@ -758,45 +746,8 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
                 ])
               (fun spans ->
                 let r =
-                  match cache with
-                  | None ->
-                      optimize_body ~config ?spans ?snap ~fresh_only registry
-                        stats query
-                  | Some c ->
-                      (* plan layer: a warm hit skips enumeration and
-                         matching entirely; a miss runs the normal
-                         exploration with the rule routed through the match
-                         layer. A pinned snapshot also pins the plan
-                         layer's validation epoch. Prune provenance is not
-                         cached: warm hits report none. *)
-                      let pruned = ref [] in
-                      let e =
-                        Match_cache.with_plan ?spans
-                          ?epoch:
-                            (Option.map
-                               (fun s -> s.Mv_core.Registry.snap_epoch)
-                               snap)
-                          c query
-                          (fun () ->
-                            let r =
-                              optimize_body ~config ~cache:c ?spans ?snap
-                                registry stats query
-                            in
-                            pruned := r.pruned_views;
-                            {
-                              Match_cache.plan = r.plan;
-                              cost = r.cost;
-                              rows = r.rows;
-                              used_views = r.used_views;
-                            })
-                      in
-                      {
-                        plan = e.Match_cache.plan;
-                        cost = e.Match_cache.cost;
-                        rows = e.Match_cache.rows;
-                        used_views = e.Match_cache.used_views;
-                        pruned_views = !pruned;
-                      }
+                  optimize_body ~config ?spans ?snap ~fresh_only registry
+                    stats query
                 in
                 Mv_obs.Span.annotate spans (fun () ->
                     [
@@ -808,9 +759,9 @@ let optimize ?(config = default_config) ?cache ?spans ?snap
   Mv_obs.Instrument.incr (h.calls ());
   (* ledger attribution (DESIGN.md §14): every call logs the query it
      optimized; a winning plan credits each view leaf with "chosen" plus
-     the estimated cost saved against computing the query directly. This
-     counts every final plan, warm plan-cache hits included — serving-side
-     plan-layer peeks are attributed separately as cache hits. *)
+     the estimated cost saved against computing the query directly.
+     Serving-side plan-table hits are attributed separately as cache
+     hits. *)
   let health = registry.Mv_core.Registry.health in
   Mv_core.Health.record_query health query;
   if r.used_views then begin

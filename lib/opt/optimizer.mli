@@ -31,8 +31,7 @@ type result = {
           of nonnegative cost terms against the best complete plan, strict
           [>] — so the chosen plan is identical to an unbounded search.
           Each prune bumps [opt.prune.cost_bound] on the registry's obs
-          and emits a [prune.cost_bound] span instant. Empty when the
-          result came from a warm plan-cache hit. *)
+          and emits a [prune.cost_bound] span instant. *)
 }
 
 val enumerate_blocks : Mv_relalg.Spjg.t -> Mv_relalg.Spjg.t list
@@ -59,7 +58,6 @@ val direct_cost : Mv_catalog.Stats.t -> Mv_relalg.Spjg.t -> float
 
 val optimize :
   ?config:config ->
-  ?cache:Match_cache.t ->
   ?spans:Mv_obs.Span.scope ->
   ?snap:Mv_core.Registry.snapshot ->
   ?fresh_only:bool ->
@@ -67,36 +65,29 @@ val optimize :
   Mv_catalog.Stats.t ->
   Mv_relalg.Spjg.t ->
   result
-(** With [cache] (which must belong to [registry] — checked by physical
-    equality), the final plan is served from the epoch-validated plan
-    layer when warm, and on a cold pass the view-matching rule runs
-    through the match layer, so repeated queries skip both enumeration
-    and matching. Identical results either way, except that cache hits do
-    not advance the [rule.*] / [optimizer.*] exploration counters
-    ([optimizer.calls] and [optimizer.plans.using_views] always move).
+(** The result depends only on the registry state (or [snap]), the
+    statistics and the query: nothing is cached across calls. Plan reuse
+    belongs to the serving front ([Mv_experiments.Serve]).
 
     With [spans], the whole call is recorded as an ["optimize"] span
     (table set, aggregate flag, final cost, [used_views]); under it, one
     ["rule"] span per enumerated subexpression carrying the candidate
     filtering and per-view match spans (see
-    {!Mv_core.Registry.match_with_candidates}), ["analyze"] spans for
-    fresh analyses, ["cost"] spans for substitute leaf construction, and
-    cache hit/miss instants when [cache] is in play.
+    {!Mv_core.Registry.find_substitutes}), ["analyze"] spans for fresh
+    analyses and ["cost"] spans for substitute leaf construction.
 
     Every call also feeds the [optimizer.phase.{analyze,match,cost,total}]
     latency histograms on the registry's obs instance (one wall-clock
     sample per phase activity), traced or not.
 
     With [snap] (a pinned {!Mv_core.Registry.snapshot} of [registry]),
-    every rule invocation across all enumerated subexpressions — and the
-    cache layers' epoch validation — runs against exactly that registry
-    state, so one optimization is atomic with respect to concurrent
-    add/drop churn: the result is what sequential optimization at the
-    snapshot's epoch would produce (the serving layer's linearizability
-    property, proved by test/test_serve.ml).
+    every rule invocation across all enumerated subexpressions runs
+    against exactly that registry state, so one optimization is atomic
+    with respect to concurrent add/drop churn: the result is what
+    sequential optimization at the snapshot's epoch would produce (the
+    serving layer's linearizability property, proved by
+    test/test_serve.ml).
 
     With [fresh_only] (default [false]), every rule invocation rejects
     stale views with {!Mv_core.Reject.Stale} (freshness-aware mode,
-    DESIGN.md §12). Staleness marks do not bump the registry epoch, so
-    [cache] is bypassed in this mode rather than risk serving a plan
-    built over a view that has since gone stale. *)
+    DESIGN.md §12). *)

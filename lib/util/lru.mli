@@ -3,8 +3,8 @@
     used binding and returns it, so the caller can count evictions.
 
     Not synchronized: callers that share a cache across OCaml domains must
-    wrap operations in their own lock (the match/plan cache shards one
-    [Lru.t] per mutex — see [Mv_opt.Match_cache]). Keys are compared with
+    wrap operations in their own lock (the serving front's plan table sits
+    behind the front's one mutex — see [Mv_experiments.Serve]). Keys are compared with
     polymorphic equality and hashed with [Hashtbl.hash], like the stdlib's
     polymorphic hash tables. *)
 

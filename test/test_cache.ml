@@ -1,23 +1,25 @@
-(** Match/plan cache tests.
+(** Plan-table tests: the serving front's one cache ({!Mv_experiments.Serve}).
 
     The differential suite ([par_cache], picked up by the @runtest-quick
     alias alongside the parallel harness smoke) drives a 200-query workload
-    through the optimizer with the cache on and off, sequentially and
+    through a front and straight through the optimizer, sequentially and
     sharded over domains: the plans must be byte-identical in every
     configuration. MVIEW_PAR_QUICK shrinks the workload and the domain
     grid.
 
-    The unit suite ([cache]) covers the layers directly: match-layer
-    hit/miss accounting, epoch invalidation after a drop (never a stale
-    candidate set), eviction under a tiny capacity, and the
-    cache/registry-pairing guard. *)
+    The unit suite ([cache]) covers epoch invalidation after a drop (never
+    a stale plan), eviction under a tiny capacity, and a model-based
+    property: random add/drop/stale/fresh/submit sequences, every serve
+    (plan and pruned views) equal to uncached optimization against the
+    registry at that moment. *)
 
 module H = Mv_experiments.Harness
 module Pool = Mv_experiments.Pool
+module S = Mv_experiments.Serve
 module R = Mv_core.Registry
-module MC = Mv_opt.Match_cache
+module V = Mv_core.View
 module Opt = Mv_opt.Optimizer
-module A = Mv_relalg.Analysis
+module Plan = Mv_opt.Plan
 
 let quick = Sys.getenv_opt "MVIEW_PAR_QUICK" <> None
 
@@ -29,139 +31,183 @@ let big =
 (* A small private workload for the unit tests. *)
 let small = lazy (H.make_workload ~nviews:40 ~nqueries:12 ())
 
-let setup ?shards ?capacity (w : H.workload) ~nviews =
+let setup ?capacity (w : H.workload) ~nviews =
   let reg = R.create w.H.schema in
   List.iter (R.add_prebuilt reg) (H.take nviews w.H.views);
   Mv_relalg.Intern.freeze ();
-  (reg, MC.create ?shards ?capacity reg)
+  (reg, S.front ?capacity reg w.H.stats)
 
-let pass ?cache ?(domains = 1) reg (w : H.workload) =
+(* One pass over the workload, through the front when given, else
+   straight through the optimizer. *)
+let pass ?front ?(domains = 1) reg (w : H.workload) =
   let queries = Array.of_list w.H.queries in
   Pool.map_chunked ~domains (Array.length queries) (fun i ->
-      let r = Opt.optimize ?cache reg w.H.stats queries.(i) in
-      ( Mv_opt.Plan.to_string r.Opt.plan,
-        Mv_opt.Plan.views_used r.Opt.plan ))
+      let r =
+        match front with
+        | Some f -> snd (S.submit f queries.(i))
+        | None -> Opt.optimize reg w.H.stats queries.(i)
+      in
+      (Plan.to_string r.Opt.plan, Plan.views_used r.Opt.plan))
 
-let counter cache name =
-  match List.assoc_opt name (MC.stats cache) with Some n -> n | None -> 0
+let counter reg name = Mv_obs.Registry.counter_value reg.R.obs name
 
 (* ---------------------------------------------------------------- *)
-(* Differential: cached == uncached, at 1 and 4 domains             *)
+(* Differential: served == optimized, at 1 and 4 domains            *)
 (* ---------------------------------------------------------------- *)
 
 let test_differential () =
   let w = Lazy.force big in
-  let reg, cache = setup w ~nviews:100 in
+  let reg, front = setup w ~nviews:100 in
   let baseline = pass reg w in
   Alcotest.(check bool) "workload exercises the views" true
     (List.exists (fun (_, used) -> used <> []) baseline);
   List.iter
     (fun domains ->
       let label what = Printf.sprintf "%s (%d domains)" what domains in
-      let cold = pass ~cache ~domains reg w in
-      let warm = pass ~cache ~domains reg w in
+      let cold = pass ~front ~domains reg w in
+      let warm = pass ~front ~domains reg w in
       Alcotest.(check bool)
-        (label "cold cached pass == uncached") true (cold = baseline);
+        (label "cold served pass == optimized") true (cold = baseline);
       Alcotest.(check bool)
-        (label "warm cached pass == uncached") true (warm = baseline))
+        (label "warm served pass == optimized") true (warm = baseline))
     (if quick then [ 1; 2 ] else [ 1; 4 ]);
   Alcotest.(check bool) "the warm passes actually hit" true
-    (counter cache "cache.plan.hits" > 0)
+    (counter reg "cache.plan.hits" > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Unit tests                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let test_match_layer_accounting () =
-  let w = Lazy.force small in
-  let reg, cache = setup w ~nviews:40 in
-  let qa = A.analyze w.H.schema (List.hd w.H.queries) in
-  Alcotest.(check bool) "nothing cached yet" true
-    (MC.cached_candidates cache qa = None);
-  let subs1 = MC.find_substitutes cache qa in
-  Alcotest.(check int) "first lookup misses" 1
-    (counter cache "cache.match.misses");
-  let subs2 = MC.find_substitutes cache qa in
-  Alcotest.(check int) "second lookup hits" 1
-    (counter cache "cache.match.hits");
-  let sql = List.map Mv_core.Substitute.to_sql in
-  Alcotest.(check (list string)) "hit serves the stored substitutes"
-    (sql subs1) (sql subs2);
-  match MC.cached_candidates cache qa with
-  | None -> Alcotest.fail "candidate set not cached"
-  | Some cands ->
-      let names vs =
-        List.sort compare (List.map (fun v -> v.Mv_core.View.name) vs)
-      in
-      Alcotest.(check (list string))
-        "cached candidate set == the rule's"
-        (names (R.candidates reg qa))
-        (names cands)
-
-(* A drop between passes must invalidate (counters move) and the next
-   cached pass must agree with uncached optimization against the mutated
-   registry — in particular, no plan may still use the dropped view. *)
+(* A drop between passes must invalidate (the counter moves) and the next
+   served pass must agree with optimization against the mutated registry
+   — in particular, no plan may still use the dropped view. *)
 let test_drop_invalidates_never_stale () =
   let w = Lazy.force small in
-  let reg, cache = setup w ~nviews:40 in
-  let cold = pass ~cache reg w in
+  let reg, front = setup w ~nviews:40 in
+  let cold = pass ~front reg w in
   let dropped =
     match List.concat_map (fun (_, used) -> used) cold with
     | name :: _ -> name
     | [] -> Alcotest.fail "workload never used a view; test is vacuous"
   in
-  let inval () =
-    counter cache "cache.plan.invalidations"
-    + counter cache "cache.match.invalidations"
-  in
-  let before = inval () in
+  let before = counter reg "cache.plan.invalidations" in
   R.remove_view reg dropped;
-  let cached = pass ~cache reg w in
+  let served = pass ~front reg w in
   let direct = pass reg w in
-  Alcotest.(check bool) "post-drop cached pass == uncached" true
-    (cached = direct);
+  Alcotest.(check bool) "post-drop served pass == optimized" true
+    (served = direct);
   Alcotest.(check bool) "the drop invalidated entries" true
-    (inval () > before);
+    (counter reg "cache.plan.invalidations" > before);
   List.iter
     (fun (_, used) ->
       Alcotest.(check bool)
         (Printf.sprintf "no plan still uses %s" dropped)
         false
         (List.mem dropped used))
-    cached
+    served
 
 let test_eviction_under_tiny_capacity () =
   let w = Lazy.force small in
-  let reg, cache = setup ~shards:1 ~capacity:2 w ~nviews:40 in
+  let reg, front = setup ~capacity:2 w ~nviews:40 in
   let baseline = pass reg w in
-  let first = pass ~cache reg w in
-  let second = pass ~cache reg w in
-  (* 12 distinct queries through a 2-entry cache must evict... *)
+  let first = pass ~front reg w in
+  let second = pass ~front reg w in
+  (* 12 distinct queries through a 2-entry table must evict... *)
   Alcotest.(check bool) "evictions happened" true
-    (counter cache "cache.plan.evictions" > 0);
+    (counter reg "cache.plan.evictions" > 0);
   (* ...and never change an answer *)
   Alcotest.(check bool) "first pass correct under thrash" true
     (first = baseline);
   Alcotest.(check bool) "second pass correct under thrash" true
     (second = baseline)
 
-let test_cache_registry_pairing () =
-  let w = Lazy.force small in
-  let _, cache = setup w ~nviews:10 in
-  let other = R.create w.H.schema in
-  Alcotest.check_raises "cache from another registry is rejected"
-    (Invalid_argument "Optimizer.optimize: cache belongs to another registry")
-    (fun () ->
-      ignore (Opt.optimize ~cache other w.H.stats (List.hd w.H.queries)))
+(* ---------------------------------------------------------------- *)
+(* Model: every serve equals uncached optimization at that moment   *)
+(* ---------------------------------------------------------------- *)
 
-let test_clear () =
-  let w = Lazy.force small in
-  let _, cache = setup w ~nviews:10 in
-  let qa = A.analyze w.H.schema (List.hd w.H.queries) in
-  ignore (MC.find_substitutes cache qa);
-  Alcotest.(check bool) "cached" true (MC.cached_candidates cache qa <> None);
-  MC.clear cache;
-  Alcotest.(check bool) "cleared" true (MC.cached_candidates cache qa = None)
+type op = Submit of int | Add of int | Drop of int | Stale of int | Fresh of int
+
+let show_op = function
+  | Submit i -> Printf.sprintf "submit %d" i
+  | Add i -> Printf.sprintf "add %d" i
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Stale i -> Printf.sprintf "stale %d" i
+  | Fresh i -> Printf.sprintf "fresh %d" i
+
+let arb_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun i -> Submit i) nat);
+        (2, map (fun i -> Add i) nat);
+        (2, map (fun i -> Drop i) nat);
+        (1, map (fun i -> Stale i) nat);
+        (1, map (fun i -> Fresh i) nat);
+      ]
+  in
+  QCheck.pair QCheck.bool
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list
+       (list_size (int_range 1 40) op))
+
+(* The views some query's plan uses over the full population: adding and
+   dropping only these makes every drop able to stale a stored plan. *)
+let churn_pool =
+  lazy
+    (let w = Lazy.force small in
+     let reg, _ = setup w ~nviews:40 in
+     let used = List.concat_map snd (pass reg w) in
+     List.filter (fun v -> List.mem v.V.name used) w.H.views)
+
+let model_prop =
+  QCheck.Test.make
+    ~name:"plan table: every serve equals uncached optimization"
+    ~count:(Helpers.qcheck_count 30) arb_ops
+    (fun (tiny, ops) ->
+      let w = Lazy.force small in
+      let pool = Lazy.force churn_pool in
+      let reg, front = setup ~capacity:(if tiny then 2 else 4096) w ~nviews:40 in
+      let queries = Array.of_list w.H.queries in
+      let tables = [| "lineitem"; "orders"; "customer"; "part" |] in
+      let nth l i = List.nth l (i mod List.length l) in
+      let registered v = R.find_view reg v.V.name <> None in
+      let submits = ref 0 in
+      let step = function
+        | Submit i ->
+            incr submits;
+            let q = queries.(i mod Array.length queries) in
+            let ep, r = S.submit front q in
+            let fresh = Opt.optimize reg w.H.stats q in
+            ep = R.epoch reg
+            && String.equal
+                 (Plan.to_string r.Opt.plan)
+                 (Plan.to_string fresh.Opt.plan)
+            && r.Opt.pruned_views = fresh.Opt.pruned_views
+        | Add i ->
+            (match List.filter (fun v -> not (registered v)) pool with
+            | [] -> ()
+            | vs -> R.add_prebuilt reg (nth vs i));
+            true
+        | Drop i ->
+            (match List.filter registered pool with
+            | [] -> ()
+            | vs -> R.remove_view reg (nth vs i).V.name);
+            true
+        | Stale i ->
+            ignore (R.mark_stale reg ~tables:[ tables.(i mod 4) ]);
+            true
+        | Fresh i ->
+            V.mark_fresh (nth w.H.views i);
+            true
+      in
+      let ok = List.for_all step ops in
+      (* the descriptors are shared with the other cases *)
+      List.iter (fun v -> V.mark_fresh v) w.H.views;
+      ok
+      && counter reg "cache.plan.hits" + counter reg "serve.flight.leaders"
+         = !submits)
 
 let suite =
   [
@@ -172,14 +218,10 @@ let suite =
       ] );
     ( "cache",
       [
-        Alcotest.test_case "match layer hit/miss accounting" `Quick
-          test_match_layer_accounting;
         Alcotest.test_case "drop invalidates; nothing stale" `Quick
           test_drop_invalidates_never_stale;
         Alcotest.test_case "eviction under capacity 2" `Quick
           test_eviction_under_tiny_capacity;
-        Alcotest.test_case "cache must belong to the registry" `Quick
-          test_cache_registry_pairing;
-        Alcotest.test_case "clear empties the shards" `Quick test_clear;
+        Helpers.qtest model_prop;
       ] );
   ]

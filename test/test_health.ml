@@ -216,7 +216,7 @@ let test_stale_flip_attribution () =
 
 (* N domains submit through one front while a mutator drops/re-adds the
    tail view. Submissions route through every serving path — flight
-   leaders (optimizer records chosen), waiters and plan-layer hits
+   leaders (optimizer records chosen), waiters and plan-table hits
    (record_served records cache hits) — so the per-view identity
    [chosen + cache_hits = plan occurrences] and the per-submission
    identity [queries_total = submissions] only hold if no update is

@@ -476,6 +476,28 @@ let test_errors () =
     (fun () ->
       let r = List.hd fact_rows in
       Ivm.apply ivm [ ("fact", del [ r; r ]) ]);
+  (* an inserted value that does not fit its column: nothing is written,
+     neither the base table nor the view, and no epoch or freshness stamp
+     moves *)
+  let view0 = view_rows dba "iv_err" and stamp0 = view.Mv_core.View.base_epochs in
+  List.iter
+    (fun (what, row, msg) ->
+      Alcotest.check_raises what (Ivm.Invalid_batch ("Ivm.apply: " ^ msg))
+        (fun () -> Ivm.apply ivm [ ("fact", ins [ row ]) ]);
+      Alcotest.(check bool) (what ^ ": nothing written") true
+        (view_rows dba "fact" == rows0
+        && view_rows dba "iv_err" == view0
+        && DB.table_epoch dba "fact" = epoch0
+        && view.Mv_core.View.base_epochs = stamp0
+        && not (Mv_core.View.is_stale view)))
+    [
+      ( "a mistyped value is rejected",
+        [| V.Int 5; V.Int 1; V.Int 1; V.Str "x" |],
+        "'x' does not fit NOT NULL integer column fact.f_qty" );
+      ( "a NULL in a NOT NULL column is rejected",
+        [| V.Null; V.Int 1; V.Int 1; V.Int 1 |],
+        "NULL does not fit NOT NULL integer column fact.f_id" );
+    ];
   Ivm.detach ivm "iv_err";
   Alcotest.(check int) "detached" 0 (List.length (Ivm.attached ivm))
 
@@ -638,42 +660,64 @@ let updates_prop =
 
 (* ---- an invalid batch changes nothing ---- *)
 
-(* [batch] made invalid: [over] adds deletes of one of the table's rows
-   until they exceed its multiplicity (the batch's own inserts of it
-   included), otherwise it adds one delete of a row the table does not
-   hold. Either delete lands at a random place among the others. *)
-let invalidate prng db tn (d : Ivm.delta) ~over =
-  let rows = (DB.table_exn db tn).Table.rows in
+(* [rows] with each of [extra] placed at a random position. *)
+let scatter prng extra rows =
+  List.fold_left
+    (fun acc r ->
+      let i = Mv_util.Prng.int prng (List.length acc + 1) in
+      List.filteri (fun j _ -> j < i) acc
+      @ (r :: List.filteri (fun j _ -> j >= i) acc))
+    rows extra
+
+(* [batch] made invalid in one of four ways, by [kind]: 0 adds one delete
+   of a row the table does not hold; 1 adds deletes of one of the table's
+   rows until they exceed its multiplicity (the batch's own inserts of it
+   included); 2 inserts a copy of a row with one value of another type
+   than its column's; 3 inserts a copy with a NULL in a NOT NULL column.
+   The bad row lands at a random place among the others. *)
+let invalidate prng db tn (d : Ivm.delta) ~kind =
+  let tbl = DB.table_exn db tn in
+  let rows = tbl.Table.rows in
   let held r = List.length (List.filter (( = ) r) (rows @ d.Ivm.ins)) in
-  let bad =
-    if over then begin
-      let r = List.nth rows (Mv_util.Prng.int prng (List.length rows)) in
-      List.init (held r + 1) (fun _ -> r)
-    end
-    else begin
-      let r = Array.copy (List.hd rows) in
-      r.(0) <- V.Int (-1 - Mv_util.Prng.int prng 1000);
-      assert (held r = 0);
-      [ r ]
-    end
-  in
-  let del =
-    List.filter (fun r -> not (List.mem r bad)) d.Ivm.del
-    |> List.fold_left
-         (fun acc r ->
-           let i = Mv_util.Prng.int prng (List.length acc + 1) in
-           List.filteri (fun j _ -> j < i) acc
-           @ (r :: List.filteri (fun j _ -> j >= i) acc))
-         bad
-  in
-  { d with Ivm.del }
+  let any_row () = List.nth rows (Mv_util.Prng.int prng (List.length rows)) in
+  match kind with
+  | 0 | 1 ->
+      let bad =
+        if kind = 1 then begin
+          let r = any_row () in
+          List.init (held r + 1) (fun _ -> r)
+        end
+        else begin
+          let r = Array.copy (List.hd rows) in
+          r.(0) <- V.Int (-1 - Mv_util.Prng.int prng 1000);
+          assert (held r = 0);
+          [ r ]
+        end
+      in
+      let others = List.filter (fun r -> not (List.mem r bad)) d.Ivm.del in
+      { d with Ivm.del = scatter prng bad others }
+  | _ ->
+      let cols =
+        List.mapi
+          (fun i (c : Mv_catalog.Column.t) -> (i, c))
+          tbl.Table.def.Mv_catalog.Table_def.columns
+        |> List.filter (fun (_, (c : Mv_catalog.Column.t)) ->
+               kind = 2 || not c.Mv_catalog.Column.nullable)
+      in
+      let i, c = Mv_util.Prng.pick prng cols in
+      let r = Array.copy (any_row ()) in
+      r.(i) <-
+        (if kind = 3 then V.Null
+         else if c.Mv_catalog.Column.dtype = Mv_base.Dtype.Str then V.Int 1
+         else V.Str "x");
+      { d with Ivm.ins = scatter prng [ r ] d.Ivm.ins }
 
 (* Twin databases take the same valid batch; one then takes an invalid
    batch, which must raise [Invalid_batch] and leave it equal to its twin:
    base and view rows, write epochs of every table, the statistics
    [refresh_stats] derives, the dirty set, and each view's freshness
    stamp. *)
-let invalid_batch_unchanged (pick, db_seed, batch_seed, over) =
+let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
   let views = Lazy.force gen_views in
   let v0 = List.nth views (pick mod List.length views) in
   let db0 = Mv_tpch.Datagen.generate ~seed:db_seed ~scale:1 () in
@@ -702,7 +746,7 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, over) =
         let tn = Mv_util.Sset.min_elt va.Mv_core.View.source_tables in
         (tn, { Ivm.ins = []; del = [] })
   in
-  match Ivm.apply ia [ (tn, invalidate prng dba tn d ~over) ] with
+  match Ivm.apply ia [ (tn, invalidate prng dba tn d ~kind) ] with
   | () -> false
   | exception Ivm.Invalid_batch _ ->
       let tables db =
@@ -725,7 +769,9 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, over) =
 let invalid_batch_prop =
   QCheck.Test.make ~name:"an invalid batch changes nothing"
     ~count:(Helpers.qcheck_count (if quick then 10 else 30))
-    QCheck.(quad (int_bound 1_000_000) (int_range 1 3) (int_bound 1_000_000) bool)
+    QCheck.(
+      quad (int_bound 1_000_000) (int_range 1 3) (int_bound 1_000_000)
+        (int_range 0 3))
     invalid_batch_unchanged
 
 (* The property as an Alcotest case, preceded by one fixed case that must

@@ -2,7 +2,7 @@
     linearizability-style model test over RCU registry snapshots under
     add/drop churn, a single-flight stress herd, a qcheck differential
     against sequential optimization, the lost-update property for the
-    plan-layer and flight counters, registry JSON snapshots under
+    plan-table and flight counters, registry JSON snapshots under
     concurrent phase histograms, and the open-loop driver's arrival
     pacing.
 
@@ -133,7 +133,7 @@ let test_serve_under_writes () =
         true
         (M.verdict m "churn.consistent");
       (* single-flight accounting identity over the whole run: every
-         submit resolves exactly one way — plan-layer hit, flight leader,
+         submit resolves exactly one way — plan-table hit, flight leader,
          or flight waiter *)
       Alcotest.(check int)
         (lbl "plan hits + leaders + waits = submissions")
@@ -180,8 +180,7 @@ let test_single_flight () =
   Alcotest.(check int) "exactly one optimization led" 1
     (d "serve.flight.leaders");
   (* accounting identity: each submit resolves exactly one way — led the
-     flight, waited on it, or hit the plan layer the leader had already
-     warmed (outer peek or the re-probe under the flights lock) *)
+     flight, waited on it, or hit the plan the leader had already stored *)
   Alcotest.(check int) "leaders + waits + plan hits = herd size" k
     (d "serve.flight.leaders" + d "serve.flight.waits" + d "cache.plan.hits");
   (* all callers got the same epoch and byte-identical plans *)
@@ -249,10 +248,10 @@ let diff_prop =
         observations)
 
 (* ---------------------------------------------------------------- *)
-(* Obs: the plan-layer and flight counters lose no updates          *)
+(* Obs: the plan-table and flight counters lose no updates          *)
 (* ---------------------------------------------------------------- *)
 
-(* The plan-layer and flight counters are shared atomics: across any
+(* The plan-table and flight counters are shared atomics: across any
    interleaving, every submit lands in exactly one of them. *)
 let submit_counter_prop =
   QCheck.Test.make
