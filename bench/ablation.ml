@@ -32,9 +32,8 @@ let run (w : H.workload) _nviews_list =
     List.iter (fun q -> acc := !acc + List.length (f q)) queries;
     (Sys.time () -. t0, !acc)
   in
-  let t_tree, c_tree =
-    time (fun q -> Mv_core.Filter_tree.candidates registry.Mv_core.Registry.tree q)
-  in
+  let tree = (Mv_core.Registry.snapshot registry).Mv_core.Registry.snap_tree in
+  let t_tree, c_tree = time (Mv_core.Filter_tree.candidates tree) in
   let t_lin, c_lin = time (linear_candidates w.H.views) in
   let nq = List.length queries in
   pr "filter tree : %8.4fs, %7.2f candidates/query\n" t_tree

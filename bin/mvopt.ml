@@ -143,7 +143,7 @@ let match_cmd =
         | Error r ->
             Printf.printf "view %s: rejected (%s)\n\n" view.Mv_core.View.name
               (Mv_core.Reject.to_string r))
-      registry.Mv_core.Registry.views;
+      (Mv_core.Registry.snapshot registry).Mv_core.Registry.snap_views;
     if (not !any) && union then (
       match Mv_core.Registry.find_union_substitutes registry qa with
       | Some u ->
@@ -330,7 +330,8 @@ let whynot_cmd =
         (String.concat ", "
            (List.map
               (fun v -> v.Mv_core.View.name)
-              registry.Mv_core.Registry.views));
+              (Mv_core.Registry.snapshot registry)
+                .Mv_core.Registry.snap_views));
       exit 1
     end;
     let q = Mv_sql.Parser.parse_query schema (read_arg query) in

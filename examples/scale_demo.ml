@@ -19,7 +19,8 @@ let () =
     (Mv_workload.Generator.views schema stats 1000);
   Printf.printf "Registry: %d views, %d lattice nodes across the filter tree\n\n"
     (Mv_core.Registry.view_count registry)
-    (Mv_core.Filter_tree.stats registry.Mv_core.Registry.tree);
+    (Mv_core.Filter_tree.stats
+       (Mv_core.Registry.snapshot registry).Mv_core.Registry.snap_tree);
 
   let queries = Mv_workload.Generator.queries schema stats 100 in
   let t0 = Sys.time () in

@@ -61,27 +61,27 @@ let backjoin_plan =
     (P_split (P_bucket, agg))
 
 type node =
-  | Bucket of { mutable views : View.t list }
+  | Bucket of View.t list
   | Agg_split of { spj : node; agg : node }
   | Level of {
       level : level;
       rest : plan;
       lattice : node Lattice.t;
-      mutable nviews : int;
+      nviews : int;
           (** views in this subtree — lets a search report how many
               candidates each level received and passed on without ever
               enumerating them *)
     }
 
 let rec new_node = function
-  | P_bucket -> Bucket { views = [] }
+  | P_bucket -> Bucket []
   | P_split (ps, pa) -> Agg_split { spj = new_node ps; agg = new_node pa }
   | P_level (level, rest) ->
-      Level { level; rest; lattice = Lattice.create (); nviews = 0 }
+      Level { level; rest; lattice = Lattice.empty; nviews = 0 }
 
 (* Views under a node: O(1) at levels, O(bucket size) at the leaves. *)
 let rec views_under = function
-  | Bucket b -> List.length b.views
+  | Bucket views -> List.length views
   | Agg_split s -> views_under s.spj + views_under s.agg
   | Level l -> l.nviews
 
@@ -99,6 +99,8 @@ type obs_handles = {
   h_strong_out : Mv_obs.Instrument.counter;
 }
 
+(* [handles] is the one mutable cell; {!insert} and {!remove} pass it on,
+   so every version of a tree shares one handle cache. *)
 type t = { plan : plan; root : node; handles : obs_handles option Atomic.t }
 
 let create ?(plan = default_plan) () =
@@ -191,54 +193,54 @@ let strong_range_ok (qi : query_info) (v : View.t) =
     (fun cls -> not (Bitset.inter_empty cls qi.extended_range_cols))
     v.View.keys.View.range_classes
 
-(* ---- insertion ---- *)
+(* ---- insertion and removal ----
+
+   Both copy the nodes on the view's path and share everything else; a
+   tree that has been returned is never written. *)
 
 let rec insert_node node (v : View.t) =
   match node with
-  | Bucket b -> b.views <- v :: b.views
+  | Bucket views -> Bucket (v :: views)
   | Agg_split s ->
-      insert_node (if View.is_aggregate v then s.agg else s.spj) v
+      if View.is_aggregate v then Agg_split { s with agg = insert_node s.agg v }
+      else Agg_split { s with spj = insert_node s.spj v }
   | Level l ->
-      l.nviews <- l.nviews + 1;
-      let key = view_key l.level v in
-      let ln = Lattice.insert l.lattice key in
-      let child =
-        match ln.Lattice.payload with
-        | Some c -> c
-        | None ->
-            let c = new_node l.rest in
-            ln.Lattice.payload <- Some c;
-            c
+      let lattice =
+        Lattice.update l.lattice (view_key l.level v) (fun child ->
+            let child =
+              match child with Some c -> c | None -> new_node l.rest
+            in
+            Some (insert_node child v))
       in
-      insert_node child v
+      Level { l with lattice; nviews = l.nviews + 1 }
 
-let insert t v = insert_node t.root v
+let insert t v = { t with root = insert_node t.root v }
 
-(* Removal is fully in place: the view leaves its bucket, every level on
-   its path decrements its subtree count, and a lattice key whose subtree
-   just emptied is deleted ({!Lattice.delete} relinks subset/superset
-   edges around it) — so a long-lived registry that churns views never
-   accumulates dead index nodes and never needs a rebuild. *)
+(* A lattice key whose subtree empties is removed ({!Lattice.update}
+   unlinks it), so a long-lived registry that churns views never
+   accumulates dead index nodes. *)
 let rec remove_node node (v : View.t) =
   match node with
-  | Bucket b ->
-      b.views <- List.filter (fun x -> x.View.name <> v.View.name) b.views
-  | Agg_split s -> remove_node (if View.is_aggregate v then s.agg else s.spj) v
+  | Bucket views ->
+      Bucket (List.filter (fun x -> x.View.name <> v.View.name) views)
+  | Agg_split s ->
+      if View.is_aggregate v then Agg_split { s with agg = remove_node s.agg v }
+      else Agg_split { s with spj = remove_node s.spj v }
   | Level l -> (
       let key = view_key l.level v in
-      match Lattice.find_exact l.lattice key with
-      | None -> ()
-      | Some ln -> (
-          match ln.Lattice.payload with
-          | None -> ()
-          | Some child ->
-              let before = views_under child in
-              remove_node child v;
-              let after = views_under child in
-              l.nviews <- l.nviews - (before - after);
-              if after = 0 then Lattice.delete l.lattice key))
+      match Lattice.find l.lattice key with
+      | None -> node
+      | Some child ->
+          let child' = remove_node child v in
+          let left = views_under child' in
+          let lattice =
+            Lattice.update l.lattice key (fun _ ->
+                if left = 0 then None else Some child')
+          in
+          Level
+            { l with lattice; nviews = l.nviews - (views_under child - left) })
 
-let remove t v = remove_node t.root v
+let remove t v = { t with root = remove_node t.root v }
 
 (* ---- search ---- *)
 
@@ -248,7 +250,7 @@ let remove t v = remove_node t.root v
    pruning breakdown (Figures 6-7). *)
 let rec search_node ?record node (qi : query_info) acc =
   match node with
-  | Bucket b -> List.rev_append b.views acc
+  | Bucket views -> List.rev_append views acc
   | Agg_split s ->
       let acc = search_node ?record s.spj qi acc in
       if qi.is_aggregate then search_node ?record s.agg qi acc else acc
@@ -259,19 +261,11 @@ let rec search_node ?record node (qi : query_info) acc =
       | None -> ()
       | Some f ->
           let out =
-            List.fold_left
-              (fun n (ln : node Lattice.node) ->
-                match ln.Lattice.payload with
-                | Some child -> n + views_under child
-                | None -> n)
-              0 hits
+            List.fold_left (fun n child -> n + views_under child) 0 hits
           in
           f l.level ~in_:l.nviews ~out);
       List.fold_left
-        (fun acc (ln : node Lattice.node) ->
-          match ln.Lattice.payload with
-          | Some child -> search_node ?record child qi acc
-          | None -> acc)
+        (fun acc child -> search_node ?record child qi acc)
         acc hits
 
 let level_counter obs level suffix =
@@ -397,12 +391,8 @@ let rec node_count = function
   | Bucket _ -> 0
   | Agg_split s -> node_count s.spj + node_count s.agg
   | Level l ->
-      List.fold_left
-        (fun acc (ln : node Lattice.node) ->
-          acc
-          + match ln.Lattice.payload with Some c -> node_count c | None -> 0)
-        (Lattice.size l.lattice)
-        (Lattice.nodes l.lattice)
+      Lattice.fold
+        (fun _ child acc -> acc + node_count child)
+        l.lattice (Lattice.size l.lattice)
 
 let stats t = node_count t.root
-let plan t = t.plan

@@ -6,7 +6,11 @@
     output expressions, output columns, residual predicates, range
     constraints; aggregation views get two more levels (grouping
     expressions, grouping columns) while SPJ views terminate early, since
-    an aggregation view can never answer an SPJ query. *)
+    an aggregation view can never answer an SPJ query.
+
+    A tree is persistent: {!insert} and {!remove} return a new tree and
+    never write the one passed in, so a tree may be searched from any
+    number of domains while newer versions are built. *)
 
 type level =
   | Hubs
@@ -35,6 +39,7 @@ val backjoin_plan : plan
 type t
 
 val create : ?plan:plan -> unit -> t
+(** An empty tree. *)
 
 type query_info = {
   source_tables : Mv_util.Bitset.t;
@@ -59,15 +64,15 @@ val strong_range_ok : query_info -> View.t -> bool
 (** The full range-constraint condition of section 4.2.5, applied per
     candidate after the tree navigates by the weak condition. *)
 
-val insert : t -> View.t -> unit
-(** In-place: new lattice keys are linked into the level DAGs as needed
-    (interner growth takes the mutex slow path after a freeze). Requires
-    exclusive access — quiesce concurrent searches first. *)
+val insert : t -> View.t -> t
+(** The tree with the view added. Each level on the view's path gets a
+    new lattice ({!Lattice.update}); every lattice off the path is
+    shared. *)
 
-val remove : t -> View.t -> unit
-(** In-place: decrements subtree counts along the view's path and deletes
-    lattice keys whose subtree emptied, so churn never accumulates dead
-    nodes. Requires exclusive access, like {!insert}. *)
+val remove : t -> View.t -> t
+(** The tree with the view dropped: subtree counts along its path
+    decrease and lattice keys whose subtree emptied are removed, so churn
+    never accumulates dead nodes. Shares what {!insert} shares. *)
 
 val candidates :
   ?obs:Mv_obs.Registry.t -> t -> Mv_relalg.Analysis.t -> View.t list
@@ -79,11 +84,6 @@ val candidates :
 
 val stats : t -> int
 (** Total lattice nodes across all levels. *)
-
-val plan : t -> plan
-(** The navigation plan this tree was created with — what a from-scratch
-    rebuild of the same population must use to index identically (the
-    registry's snapshot publication relies on this). *)
 
 (** {1 Rejection provenance ("why-not")}
 

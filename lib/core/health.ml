@@ -1,7 +1,7 @@
 (* The per-view health ledger: runtime accounts of what each registered
-   view cost and earned, keyed by view NAME so an account survives RCU
-   snapshot republication and add/drop churn (the descriptors are
-   rebuilt; the name is the stable identity — same reasoning as the
+   view cost and earned, keyed by view NAME so an account survives
+   add/drop churn (a view dropped and defined again gets a new
+   descriptor; the name is the stable identity — same reasoning as the
    staleness bit in DESIGN.md §12).
 
    Counts are atomic ints (no lock, no lost updates under multi-domain

@@ -2,8 +2,8 @@
     view cost and earned, plus the observed query workload.
 
     Accounts are keyed by view {e name}, the stable identity that
-    survives RCU snapshot republication and add/drop churn (descriptors
-    are rebuilt; names are not). Counts are atomic, float accumulators
+    survives add/drop churn (a view dropped and defined again gets a new
+    descriptor; its name stays). Counts are atomic, float accumulators
     sit behind a per-account mutex — safe to record from every serving
     domain concurrently, with no lost updates.
 

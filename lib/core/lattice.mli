@@ -1,56 +1,54 @@
 (** The lattice index of section 4.1: keys are sets organized in a DAG by
     the subset partial order, supporting pruned subset/superset search and
     any monotone predicate traversal. Keys are interned bitsets
-    ({!Mv_util.Bitset}); exact lookup hashes the key words directly.
+    ({!Mv_util.Bitset}).
 
-    Searches are read-only and deduplicate visited nodes with per-search
-    scratch state (pooled per OCaml domain), so concurrent searches of one
-    lattice from many domains are safe, as are reentrant searches (a
-    predicate re-entering the lattice). Mutations ([insert]/[delete])
-    require exclusive access. *)
+    Persistent: {!update} returns a new lattice and never writes the one
+    passed in, so any number of versions can be read at once. Searches
+    deduplicate visited nodes with per-search scratch state (pooled per
+    OCaml domain), so concurrent searches of one lattice from many domains
+    are safe, as are reentrant searches (a predicate re-entering the
+    lattice). *)
 
 module Bitset = Mv_util.Bitset
 
-module Index : Hashtbl.S with type key = Bitset.t
+type 'a t
+(** A set of keys, each with one payload. *)
 
-type 'a node = {
-  id : int;
-  key : Bitset.t;
-  mutable payload : 'a option;
-  mutable supers : 'a node list;  (** minimal strict supersets *)
-  mutable subs : 'a node list;  (** maximal strict subsets *)
-}
-
-type 'a t = {
-  mutable tops : 'a node list;  (** nodes without supersets *)
-  mutable roots : 'a node list;  (** nodes without subsets *)
-  index : 'a node Index.t;
-  mutable next_id : int;
-}
-
-val create : unit -> 'a t
+val empty : 'a t
 
 val size : 'a t -> int
+(** Number of keys. *)
 
-val nodes : 'a t -> 'a node list
+val find : 'a t -> Bitset.t -> 'a option
+(** The payload under exactly this key. *)
 
-val find_exact : 'a t -> Bitset.t -> 'a node option
+val update : 'a t -> Bitset.t -> ('a option -> 'a option) -> 'a t
+(** [update t key f] is [t] with [key]'s payload replaced by
+    [f (find t key)]; [None] removes the key. A new payload under a
+    present key copies only the payload array and shares the DAG; a new
+    or vanished key copies the DAG once, with node ids renumbered densely
+    over the live keys. Returns [t] itself when [f] leaves an absent key
+    absent. *)
 
 val search :
-  'a t -> dir:[ `Down | `Up ] -> pred:(Bitset.t -> bool) -> 'a node list
-(** Pruned traversal. [`Down] starts at the tops and follows subset
-    pointers — correct when [pred] failing on a key implies it fails on
-    every subset. [`Up] starts at the roots and follows superset pointers —
-    correct when failure propagates to supersets. *)
+  'a t -> dir:[ `Down | `Up ] -> pred:(Bitset.t -> bool) -> 'a list
+(** Pruned traversal, returning the payloads of the keys that satisfy
+    [pred]. [`Down] starts at the tops and follows subset pointers —
+    correct when [pred] failing on a key implies it fails on every subset.
+    [`Up] starts at the roots and follows superset pointers — correct when
+    failure propagates to supersets. *)
 
-val supersets_of : 'a t -> Bitset.t -> 'a node list
+val fold : (Bitset.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Every key with its payload. *)
 
-val subsets_of : 'a t -> Bitset.t -> 'a node list
+type shape = {
+  links : (Bitset.t * Bitset.t list * Bitset.t list) list;
+      (** each key with its minimal strict supersets and its maximal
+          strict subsets *)
+  tops : Bitset.t list;  (** keys without supersets *)
+  roots : Bitset.t list;  (** keys without subsets *)
+}
 
-val insert : 'a t -> Bitset.t -> 'a node
-(** Insert (or return the existing node), relinking minimal-superset /
-    maximal-subset edges and removing those made transitive. *)
-
-val delete : 'a t -> Bitset.t -> unit
-(** Remove a key, reconnecting its subsets to its supersets where no other
-    path exists. *)
+val shape : 'a t -> shape
+(** The DAG as plain data, for invariant checks. *)

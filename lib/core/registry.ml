@@ -55,26 +55,14 @@ type t = {
   schema : Mv_catalog.Schema.t;
   relaxed_nulls : bool;
   backjoins : bool;
-  mutable use_filter : bool;
-  mutable views : View.t list;  (** insertion order *)
-  tree : Filter_tree.t;
+  use_filter : bool;
   obs : Obs.t;
   rule : rule_handles;
   health : Health.t;
-  epoch : int Atomic.t;
-      (** bumped by every effective add/drop; the serving front's plan
-          table stamps its entries with it (see [Mv_experiments.Serve]).
-          Atomic so reader domains see a fresh value without a lock. *)
-  snap : snapshot option Atomic.t;
-      (** RCU publication slot, [None] until {!snapshot} first activates
-          it (DESIGN.md §10). Once active, every effective mutation
-          republishes a freshly built (epoch, views, tree) triple with one
-          [Atomic.set] — readers that pin a snapshot see an internally
-          consistent registry state with a single [Atomic.get] and never
-          touch a mutex. *)
-  write : Mutex.t;
-      (** serializes mutations (and the first snapshot publication); never
-          taken on any read path. *)
+  state : snapshot Atomic.t;
+      (** replaced under [write] by every effective add or drop
+          (DESIGN.md §10) *)
+  write : Mutex.t;  (** serializes mutations; never taken on a read path *)
 }
 
 exception Duplicate_view of string
@@ -82,68 +70,30 @@ exception Duplicate_view of string
 let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
     ?obs schema =
   let obs = match obs with Some o -> o | None -> Obs.create () in
+  let plan =
+    if backjoins then Filter_tree.backjoin_plan else Filter_tree.default_plan
+  in
   {
     schema;
     relaxed_nulls;
     backjoins;
     use_filter;
-    views = [];
-    tree =
-      Filter_tree.create
-        ~plan:
-          (if backjoins then Filter_tree.backjoin_plan
-           else Filter_tree.default_plan)
-        ();
     obs;
     rule = rule_handles obs;
     health = Health.create ();
-    epoch = Atomic.make 0;
-    snap = Atomic.make None;
+    state =
+      Atomic.make
+        {
+          snap_epoch = 0;
+          snap_views = [];
+          snap_tree = Filter_tree.create ~plan ();
+        };
     write = Mutex.create ();
   }
 
-let epoch t = Atomic.get t.epoch
+let snapshot t = Atomic.get t.state
 
-(* ---- RCU snapshot publication (DESIGN.md §10) ----
-
-   The master [views]/[tree] stay mutated in place (cheap O(delta) under
-   bulk construction); the published snapshot is a from-scratch rebuild of
-   the current population into a FRESH tree, so nothing a reader pinned
-   can ever be mutated under it. Publication is one [Atomic.set] of the
-   whole (epoch, views, tree) record — the triple is always internally
-   consistent. Writers pay the rebuild (classic RCU writer-pays); readers
-   pay one [Atomic.get]. The slot stays [None] (and mutations skip the
-   rebuild entirely) until the first [snapshot] call activates it, so
-   registries that never serve concurrently keep O(delta) mutations. *)
-
-let build_snapshot t =
-  let tree = Filter_tree.create ~plan:(Filter_tree.plan t.tree) () in
-  List.iter (Filter_tree.insert tree) t.views;
-  (* extend the interners' published lock-free snapshot over any symbols
-     the new views introduced, so reader-side key building after this
-     publication stays on the frozen fast path *)
-  Mv_relalg.Intern.freeze ();
-  { snap_epoch = Atomic.get t.epoch; snap_views = t.views; snap_tree = tree }
-
-(* Call with [t.write] held, after the master state reached its new
-   epoch. A no-op until the slot is activated. *)
-let republish t =
-  if Atomic.get t.snap <> None then Atomic.set t.snap (Some (build_snapshot t))
-
-let snapshot t =
-  match Atomic.get t.snap with
-  | Some s -> s
-  | None ->
-      (* first call: activate the slot under the write lock (competing
-         mutations quiesce; competing first-snapshot calls publish twice,
-         last wins, both results are current) *)
-      Mutex.protect t.write (fun () ->
-          match Atomic.get t.snap with
-          | Some s -> s
-          | None ->
-              let s = build_snapshot t in
-              Atomic.set t.snap (Some s);
-              s)
+let epoch t = (snapshot t).snap_epoch
 
 let stats t =
   {
@@ -154,68 +104,55 @@ let stats t =
     rule_time = Mv_obs.Instrument.cpu (Obs.timer t.obs "rule.time");
   }
 
-let view_count t = List.length t.views
+let view_count t = List.length (snapshot t).snap_views
 
-let find_view t name = List.find_opt (fun v -> v.View.name = name) t.views
+let find_view t name =
+  List.find_opt (fun v -> v.View.name = name) (snapshot t).snap_views
 
-(* Define (and index) a materialized view. The duplicate check, the master
-   mutation, the epoch bump and the republication all happen under the
-   write lock, so concurrent writers serialize and an exception
-   (Duplicate_view, View.Rejected) leaves the registry untouched. *)
-let add_view t ?(row_count = 0) ?(indexes = []) ~name spjg : View.t =
+(* Call with [t.write] held. The interners are frozen before the
+   publication, so reader-side key building over the symbols a new view
+   introduced stays on their lock-free path. *)
+let publish t (s : snapshot) ~views ~tree =
+  Mv_relalg.Intern.freeze ();
+  Atomic.set t.state
+    { snap_epoch = s.snap_epoch + 1; snap_views = views; snap_tree = tree }
+
+(* [make] runs under the write lock after the duplicate check, so an
+   exception (Duplicate_view, View.Rejected) publishes nothing. *)
+let add t ~name make =
   Mutex.protect t.write (fun () ->
-      if find_view t name <> None then raise (Duplicate_view name);
-      let view =
-        View.create ~relaxed_nulls:t.relaxed_nulls ~row_count ~indexes
-          t.schema ~name spjg
-      in
-      t.views <- t.views @ [ view ];
-      Filter_tree.insert t.tree view;
-      Atomic.incr t.epoch;
-      republish t;
+      let s = Atomic.get t.state in
+      if List.exists (fun v -> v.View.name = name) s.snap_views then
+        raise (Duplicate_view name);
+      let view = make () in
+      publish t s ~views:(s.snap_views @ [ view ])
+        ~tree:(Filter_tree.insert s.snap_tree view);
       view)
+
+let add_view t ?(row_count = 0) ?(indexes = []) ~name spjg : View.t =
+  add t ~name (fun () ->
+      View.create ~relaxed_nulls:t.relaxed_nulls ~row_count ~indexes t.schema
+        ~name spjg)
 
 (* Register an already-created view descriptor (lets experiment sweeps
    share one descriptor across many registries instead of re-analyzing). *)
 let add_prebuilt t (view : View.t) =
-  Mutex.protect t.write (fun () ->
-      if find_view t view.View.name <> None then
-        raise (Duplicate_view view.View.name);
-      t.views <- t.views @ [ view ];
-      Filter_tree.insert t.tree view;
-      Atomic.incr t.epoch;
-      republish t)
+  ignore (add t ~name:view.View.name (fun () -> view))
 
-(* Drop a view: filter-tree removal prunes lattice keys in place (no
-   rebuild), and the epoch bump lazily invalidates every serving plan
-   computed against the old population. A missing name is a no-op and
-   does NOT advance the epoch (or republish). *)
+(* A missing name publishes nothing, so the epoch stays. *)
 let remove_view t name =
   Mutex.protect t.write (fun () ->
-      match find_view t name with
+      let s = Atomic.get t.state in
+      match List.find_opt (fun v -> v.View.name = name) s.snap_views with
       | None -> ()
       | Some v ->
-          t.views <- List.filter (fun x -> x.View.name <> name) t.views;
-          Filter_tree.remove t.tree v;
-          Atomic.incr t.epoch;
-          republish t)
+          publish t s
+            ~views:(List.filter (fun x -> x.View.name <> name) s.snap_views)
+            ~tree:(Filter_tree.remove s.snap_tree v))
 
-(* The registry state a read runs against: the caller's pinned snapshot,
-   the published one, or (pre-activation) an ephemeral view of the master
-   — same fields, zero copies, so unactivated registries behave exactly
-   as before. *)
-let current ?snap t =
-  match snap with
-  | Some s -> s
-  | None -> (
-      match Atomic.get t.snap with
-      | Some s -> s
-      | None ->
-          {
-            snap_epoch = Atomic.get t.epoch;
-            snap_views = t.views;
-            snap_tree = t.tree;
-          })
+(* The registry state a read runs against: the caller's pinned snapshot
+   or the published one. *)
+let current ?snap t = match snap with Some s -> s | None -> snapshot t
 
 (* Candidate views for a query expression: via the filter tree, or a
    linear scan when the tree is disabled (the paper's "No Filter"
@@ -338,7 +275,7 @@ let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
 (* ---- freshness (DESIGN.md §12) ----
 
    Staleness marks live on the shared [View.t] descriptors (an atomic
-   bool), so marking needs no epoch bump or republication: snapshots share
+   bool), so marking needs no epoch bump or publication: snapshots share
    the descriptors and the population did not change. Matching behavior is
    unchanged unless a caller opts into [fresh_only]. *)
 
@@ -354,7 +291,7 @@ let mark_stale t ~tables : int =
         n + 1
       end
       else n)
-    0 t.views
+    0 (snapshot t).snap_views
 
 (* ---- why-not ---- *)
 

@@ -18,16 +18,18 @@ type stats = {
           is on the [rule.time] timer *)
 }
 
-(** An immutable, epoch-stamped view of the registry: the population and
-    a filter tree indexing exactly that population, consistent with each
-    other by construction (published together with one [Atomic.set]).
-    Nothing reachable from a snapshot is ever mutated — add/drop build and
-    publish a fresh one — so a reader may hold it across an arbitrary
-    amount of work with no lock (DESIGN.md §10). *)
+(** An immutable, epoch-stamped state of the registry: the population and
+    a filter tree indexing exactly that population, published together
+    with one [Atomic.set]. Nothing reachable from a snapshot is ever
+    written — an add or drop builds the next one, sharing the tree off the
+    view's path — so a reader may hold it across an arbitrary amount of
+    work with no lock (DESIGN.md §10). *)
 type snapshot = {
-  snap_epoch : int;  (** the registry epoch this state corresponds to *)
-  snap_views : View.t list;  (** insertion order, like [views] *)
-  snap_tree : Filter_tree.t;  (** a private tree over [snap_views] *)
+  snap_epoch : int;
+      (** the registry epoch: 0 for an empty registry, bumped once by
+          every effective add or drop *)
+  snap_views : View.t list;  (** insertion order *)
+  snap_tree : Filter_tree.t;  (** indexes exactly [snap_views] *)
 }
 
 (** The rule's [rule.*] instruments, resolved on first use and then bumped
@@ -46,11 +48,9 @@ type t = {
   backjoins : bool;
       (** enable the section 7 base-table backjoin extension; also switches
           the filter tree to {!Filter_tree.backjoin_plan} *)
-  mutable use_filter : bool;
+  use_filter : bool;
       (** [false] = the paper's "No Filter" configuration: candidates are
           all views, tested linearly *)
-  mutable views : View.t list;
-  tree : Filter_tree.t;
   obs : Mv_obs.Registry.t;
   rule : rule_handles;  (** handles on [obs] *)
   health : Health.t;
@@ -58,17 +58,13 @@ type t = {
           rule, staleness flips by {!mark_stale}; higher layers attribute
           chosen/benefit (optimizer), maintenance ([Mv_engine.Ivm]) and
           cache hits (serving front end). Keyed by view name, so accounts
-          survive churn and republication. *)
-  epoch : int Atomic.t;
-      (** registry epoch: bumped by every effective {!add_view} /
-          {!add_prebuilt} / {!remove_view}. The serving front's plan table
-          ([Mv_experiments.Serve]) stamps its entries with it and treats a
-          mismatch as stale, so an add/drop invalidates without a global
-          flush (DESIGN.md §8). Read through {!val-epoch}. *)
-  snap : snapshot option Atomic.t;
-      (** the published snapshot; [None] until {!val-snapshot} first
-          activates RCU publication. Internal — read through
-          {!val-snapshot}. *)
+          survive churn. *)
+  state : snapshot Atomic.t;
+      (** the published state. Internal — read through {!val-snapshot};
+          the serving front's plan table ([Mv_experiments.Serve]) stamps
+          its entries with the snapshot's epoch and treats a mismatch as
+          stale, so an add/drop invalidates without a global flush
+          (DESIGN.md §8). *)
   write : Mutex.t;
       (** serializes mutations; no read path ever takes it *)
 }
@@ -87,17 +83,14 @@ val stats : t -> stats
 (** Snapshot of the paper's counters, read from the instruments. *)
 
 val epoch : t -> int
-(** The current registry epoch (0 for an empty registry). Monotonically
-    increasing; changes exactly when the view population changes. *)
+(** [(snapshot t).snap_epoch]. Monotonically increasing; changes exactly
+    when the view population changes. *)
 
 val snapshot : t -> snapshot
-(** The current published snapshot — wait-free (one [Atomic.get]) on the
-    hot path. The first call activates RCU publication: it builds the
-    initial snapshot under the write lock, and from then on every
-    effective mutation rebuilds and republishes (writers pay the O(views)
-    rebuild, readers never block — DESIGN.md §10). Until that first call,
-    mutations stay O(delta) and reads run against the master state, so
-    purely sequential users pay nothing.
+(** The current published snapshot: one [Atomic.get], wait-free. Every
+    registry publishes from {!create} on, and every effective add or drop
+    publishes the next snapshot, so any domain may read while another
+    mutates.
 
     Pinning the result and passing it as [?snap] to the read operations
     below runs them all against one registry state, regardless of
@@ -114,7 +107,8 @@ val add_view :
   name:string ->
   Mv_relalg.Spjg.t ->
   View.t
-(** Define and index a materialized view.
+(** Define and index a materialized view, publishing a snapshot at the
+    next epoch. On an exception nothing is published.
     @raise Duplicate_view on name collision.
     @raise View.Rejected when the definition is not indexable. *)
 
@@ -123,17 +117,18 @@ val add_prebuilt : t -> View.t -> unit
     the experiment sweeps). *)
 
 val remove_view : t -> string -> unit
-(** Drop a view by name: in-place filter-tree removal (empty lattice keys
-    are deleted, no rebuild) plus an epoch bump. Unknown names are a no-op
-    and do not advance the epoch (and do not republish). *)
+(** Drop a view by name: publishes a snapshot whose tree is the old one
+    with the view removed ({!Filter_tree.remove}: emptied lattice keys
+    are unlinked, nothing is rebuilt), at the next epoch. An unknown name
+    publishes nothing and keeps the epoch. *)
 
 val candidates : ?snap:snapshot -> t -> Mv_relalg.Analysis.t -> View.t list
 
 val mark_stale : t -> tables:string list -> int
 (** Set the staleness mark on every registered view sourcing one of
     [tables]; returns how many views newly became stale. Marks live on the
-    shared descriptors (an atomic bool), so no epoch bump or snapshot
-    republication happens — matching is unchanged unless a caller passes
+    shared descriptors (an atomic bool), so nothing is published and the
+    epoch stays — matching is unchanged unless a caller passes
     [fresh_only]. Clear per view with {!View.mark_fresh} after a refresh
     (see [Mv_engine.Ivm]). *)
 
@@ -155,9 +150,8 @@ val find_substitutes :
     search; untraced invocations are unchanged.
 
     Without [snap], each invocation runs against {!val-snapshot}'s current
-    value (or the master state before activation); with it, against
-    exactly the pinned state — what lets a whole optimization see one
-    consistent registry under concurrent churn.
+    value; with it, against exactly the pinned state — what lets a whole
+    optimization see one consistent registry under concurrent churn.
 
     [fresh_only] (default [false]) additionally rejects stale views with
     {!Reject.Stale} — the freshness-aware matcher mode of DESIGN.md §12. *)
@@ -199,5 +193,5 @@ val find_union_substitutes :
     drops stale views from the pool. *)
 
 val reset_stats : t -> unit
-(** Zero every instrument on {!field-obs} (including the filter-tree
-    counters) and clear the trace. *)
+(** Zero every instrument on {!field-obs}, the filter-tree counters
+    included. *)

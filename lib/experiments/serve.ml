@@ -386,9 +386,6 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
   let views = base_views @ advised in
   Mv_relalg.Intern.freeze ();
   let t = front registry w.Harness.stats in
-  (* activate RCU publication before the clock starts: from here on,
-     readers are wait-free and every mutation republishes *)
-  ignore (R.snapshot registry);
   let queries = Array.of_list w.Harness.queries in
   let nq = Array.length queries in
   if nq = 0 then invalid_arg "Serve.run: empty workload";
@@ -457,7 +454,7 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
                 (* staleness flips on the LIVE registry ride along: the
                    default matcher ignores the stale bit, so serving
                    plans — and the replay — cannot change. The epoch does
-                   not move either (only add/drop republishes). *)
+                   not move either (only add/drop publishes). *)
                 let tn = fst (List.hd batch) in
                 if !maint_batches mod 2 = 0 then
                   ignore (R.mark_stale registry ~tables:[ tn ])

@@ -91,12 +91,12 @@ val default_cfg : cfg
     over an 8-view pool — the [bench --serve] acceptance configuration. *)
 
 val run : ?cfg:cfg -> Harness.workload -> Measure.t
-(** Build a registry over the first [cfg.nviews] workload views, activate
-    snapshot publication, optionally warm the plan table, then run
-    [cfg.domains] open-loop serving domains plus one churn-mutator domain
-    for [cfg.duration] seconds and replay the sampled observations. The
-    arrival schedules and the mutation sequence are deterministic given
-    [cfg]; the interleaving (and so the counters and latencies) is not.
+(** Build a registry over the first [cfg.nviews] workload views,
+    optionally warm the plan table, then run [cfg.domains] open-loop
+    serving domains plus one churn-mutator domain for [cfg.duration]
+    seconds and replay the sampled observations. The arrival schedules
+    and the mutation sequence are deterministic given [cfg]; the
+    interleaving (and so the counters and latencies) is not.
 
     The [serving_throughput] section: [queries] completed in the window
     ([duration_s]) and [qps]; [latency] (completion minus {e scheduled}

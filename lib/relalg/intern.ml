@@ -117,7 +117,7 @@ let of_sset dom s =
 (* Freeze all three domains (see {!Mv_util.Symbol.freeze}): lookups of the
    registered vocabulary become lock-free, which is what query-side key
    construction from concurrently running domains hits almost exclusively.
-   Call after registry construction; genuinely new strings (a query
+   Every registry publication calls it; genuinely new strings (a query
    template no view ever used) still intern correctly via the mutex. *)
 let freeze () =
   Symbol.freeze tables;

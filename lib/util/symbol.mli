@@ -29,7 +29,8 @@ val freeze : domain -> unit
 (** Publish an immutable snapshot of the table: lookups that hit the
     snapshot stop taking the lock. Interning genuinely new strings keeps
     working (mutex-guarded); call again after further growth to extend the
-    lock-free set. Typically called once registry construction is done. *)
+    lock-free set. A call after no growth returns at once, so a caller
+    may freeze after every small batch of growth. *)
 
 val is_frozen : domain -> bool
 

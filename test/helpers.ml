@@ -78,3 +78,94 @@ let qcheck_count default =
   match Sys.getenv_opt "MVIEW_QCHECK_COUNT" with
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
+
+(* ---- the filter tree's reference ----
+
+   The level conditions of section 4.2 evaluated directly with
+   string/column-set operations on the views' un-interned descriptor
+   fields — the pre-interning semantics. A view reaches a bucket iff every
+   level condition on its path holds (each level partitions by key and
+   applies its predicate to the key alone), so a filter tree over [views]
+   must return exactly this set, in both plans. *)
+
+module A = Mv_relalg.Analysis
+module FT = Mv_core.Filter_tree
+module Sset = Mv_util.Sset
+
+let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
+  let q_tables = qa.A.table_set in
+  let q_out_templates = A.output_expr_templates qa in
+  let q_out_classes =
+    List.map
+      (fun (c, _) -> Mv_relalg.Equiv.class_of qa.A.equiv c)
+      (A.col_outputs qa)
+  in
+  let q_res_templates = A.residual_templates qa in
+  let q_range_cols =
+    List.fold_left
+      (fun acc cls -> Sset.union acc (Mv_core.View.cols_to_strings cls))
+      Sset.empty
+      (A.range_constrained_classes qa)
+  in
+  let q_group_templates = A.grouping_expr_templates qa in
+  let q_group_classes =
+    match qa.A.spjg.Mv_relalg.Spjg.group_by with
+    | None -> []
+    | Some gs ->
+        List.filter_map
+          (function
+            | Expr.Col c -> Some (Mv_relalg.Equiv.class_of qa.A.equiv c)
+            | _ -> None)
+          gs
+  in
+  let q_is_agg = Mv_relalg.Spjg.is_aggregate qa.A.spjg in
+  let covers classes view_cols =
+    List.for_all
+      (fun cls -> not (Col.Set.is_empty (Col.Set.inter cls view_cols)))
+      classes
+  in
+  let level_ok (v : Mv_core.View.t) = function
+    | FT.Hubs -> Sset.subset v.Mv_core.View.hub q_tables
+    | FT.Source_tables -> Sset.subset q_tables v.Mv_core.View.source_tables
+    | FT.Output_exprs ->
+        Sset.subset q_out_templates (Mv_core.View.output_expr_templates v)
+    | FT.Output_cols -> covers q_out_classes (Mv_core.View.extended_output_cols v)
+    | FT.Residuals ->
+        Sset.subset (Mv_core.View.residual_templates v) q_res_templates
+    | FT.Range_cols -> Sset.subset (Mv_core.View.reduced_range_cols v) q_range_cols
+    | FT.Grouping_exprs ->
+        Sset.subset q_group_templates (Mv_core.View.grouping_expr_templates v)
+    | FT.Grouping_cols ->
+        covers q_group_classes (Mv_core.View.extended_grouping_cols v)
+  in
+  let common =
+    if backjoins then
+      [ FT.Hubs; FT.Source_tables; FT.Residuals; FT.Range_cols ]
+    else
+      [
+        FT.Hubs;
+        FT.Source_tables;
+        FT.Output_exprs;
+        FT.Output_cols;
+        FT.Residuals;
+        FT.Range_cols;
+      ]
+  in
+  let strong_ok v =
+    List.for_all
+      (fun cls ->
+        not
+          (Sset.is_empty
+             (Sset.inter (Mv_core.View.cols_to_strings cls) q_range_cols)))
+      (Mv_core.View.range_classes v)
+  in
+  List.filter
+    (fun v ->
+      List.for_all (level_ok v) common
+      && (if Mv_core.View.is_aggregate v then
+            q_is_agg
+            && List.for_all (level_ok v) [ FT.Grouping_exprs; FT.Grouping_cols ]
+          else true)
+      && strong_ok v)
+    views
+

@@ -1,7 +1,8 @@
 (** Allocation budgets: minor words per optimization over a fixed section 5
     slice at 1000 views (the first 100 queries of the harness population),
     per executed read and per maintained write over a fixed small TPC-H
-    instance, each one warm, uncached, single-domain pass. Words per
+    instance, each one warm, uncached, single-domain pass; and minor words
+    to register the 1000 views and per registry write among them. Words per
     operation repeat across processes to far better than the tolerance, so
     unlike wall time they can gate a regression in CI. *)
 
@@ -18,6 +19,17 @@ let budget = 161_944.
    passes took 68,450 words per read and 67,659 per write. *)
 let read_budget = 18_030.
 let write_budget = 25_655.
+
+(* Measured on the section 5 views (1000): minor words to register them
+   all into a fresh registry, and per registry write in serve-churn's
+   pattern, a drop or re-add of one of the last 8 views. Before every add
+   and drop published a path-copied tree, a registry read its master tree
+   until the first [Registry.snapshot] and rebuilt the tree from scratch
+   on every write after it: registration took 2,686,507 words, the first
+   snapshot 1,176,499 more (the registration budget must stay under their
+   sum, 3,863,006), and a write 1,179,714. *)
+let register_budget = 3_251_974.
+let mutation_budget = 5_087.
 
 let tolerance = 0.03
 
@@ -38,6 +50,28 @@ let words_per_optimization () =
   in
   pass ();
   words pass /. float_of_int (List.length w.H.queries)
+
+let section5_views = lazy (H.make_workload ~nqueries:1 ()).H.views
+
+let words_to_register () =
+  let views = Lazy.force section5_views in
+  let registry = Mv_core.Registry.create Mv_tpch.Schema.schema in
+  words (fun () -> List.iter (Mv_core.Registry.add_prebuilt registry) views)
+
+let words_per_mutation () =
+  let views = Lazy.force section5_views in
+  let registry = Mv_core.Registry.create Mv_tpch.Schema.schema in
+  List.iter (Mv_core.Registry.add_prebuilt registry) views;
+  let tail = List.filteri (fun i _ -> i >= List.length views - 8) views in
+  let churn () =
+    List.iter
+      (fun (v : Mv_core.View.t) ->
+        Mv_core.Registry.remove_view registry v.Mv_core.View.name;
+        Mv_core.Registry.add_prebuilt registry v)
+      tail
+  in
+  churn ();
+  words churn /. 16.
 
 (* bench --exec's views and queries: three views, four queries they
    answer, two joins over base tables only. *)
@@ -158,5 +192,10 @@ let suite =
             check "read" (words_per_read ()) read_budget);
         Alcotest.test_case "minor words per maintained write" `Quick
           (fun () -> check "write" (words_per_write ()) write_budget);
+        Alcotest.test_case "minor words to register 1000 views" `Quick
+          (fun () ->
+            check "registration" (words_to_register ()) register_budget);
+        Alcotest.test_case "minor words per registry write" `Quick (fun () ->
+            check "registry write" (words_per_mutation ()) mutation_budget);
       ] );
   ]

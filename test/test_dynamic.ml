@@ -1,7 +1,9 @@
-(** Dynamic-registry tests: the epoch protocol and the model-based sweep.
+(** Dynamic-registry tests: the epoch protocol, the model-based sweep and
+    the persistence of published snapshots (sequentially, and read from a
+    second domain while the first mutates).
 
-    The model: a registry mutated in place by interleaved add/drop ops must
-    be indistinguishable — identical candidate sets and substitutes — from
+    The model: a registry mutated by interleaved add/drop ops must be
+    indistinguishable — identical candidate sets and substitutes — from
     a registry rebuilt from scratch over the currently-live views after
     every step. qcheck generates the op sequences and shrinks failures to a
     minimal interleaving.
@@ -148,28 +150,38 @@ let test_duplicate_add_raises () =
   let reg = R.create w.H.schema in
   let v = List.hd w.H.views in
   R.add_prebuilt reg v;
-  let epoch_before = R.epoch reg in
+  let before = R.snapshot reg in
   Alcotest.check_raises "duplicate add"
     (R.Duplicate_view (view_name v))
     (fun () -> R.add_prebuilt reg v);
-  Alcotest.(check int) "failed add leaves the epoch alone" epoch_before
-    (R.epoch reg)
+  Alcotest.(check int) "failed add leaves the epoch alone" before.R.snap_epoch
+    (R.epoch reg);
+  (* a definition the view layer rejects publishes nothing either *)
+  Alcotest.(check bool) "unindexable definition rejected" true
+    (match
+       R.add_view reg ~indexes:[ [ "no_such_col" ] ] ~name:"unindexable"
+         (Mv_core.View.spjg v)
+     with
+    | _ -> false
+    | exception Mv_core.View.Rejected _ -> true);
+  Alcotest.(check bool) "failed adds publish nothing" true
+    (R.snapshot reg == before)
 
 (* Removing every view must return the filter tree to its empty-tree node
-   count: emptied lattice keys are deleted in place, so churn never
-   accumulates dead index nodes. *)
+   count: emptied lattice keys are removed, so churn never accumulates
+   dead index nodes. *)
 let test_tree_prunes_to_baseline () =
   let w = Lazy.force wl in
   let reg = R.create w.H.schema in
   let views = H.take 20 w.H.views in
-  let baseline = FT.stats reg.R.tree in
+  let nodes () = FT.stats (R.snapshot reg).R.snap_tree in
+  let baseline = nodes () in
   List.iter (R.add_prebuilt reg) views;
-  Alcotest.(check bool) "indexing grew the tree" true
-    (FT.stats reg.R.tree > baseline);
+  Alcotest.(check bool) "indexing grew the tree" true (nodes () > baseline);
   List.iter (fun v -> R.remove_view reg (view_name v)) views;
   Alcotest.(check int) "all views gone" 0 (R.view_count reg);
   Alcotest.(check int) "lattice nodes pruned back to baseline" baseline
-    (FT.stats reg.R.tree);
+    (nodes ());
   (* and the emptied tree yields no candidates *)
   List.iter
     (fun qa ->
@@ -177,11 +189,179 @@ let test_tree_prunes_to_baseline () =
         (List.length (R.candidates reg qa)))
     (Lazy.force analyses)
 
+(* ---------------------------------------------------------------- *)
+(* Persistence: every published snapshot stays what it was          *)
+(* ---------------------------------------------------------------- *)
+
+(* The model property's ops (a [Query] publishes nothing here), then a
+   drop of every view, so each case also ends on an empty registry. *)
+let mutations pairs =
+  List.map op_of_pair pairs @ List.init nviews (fun i -> Drop i)
+
+let live_in views v = List.exists (fun u -> view_name u = view_name v) views
+
+(* The population at every epoch along [ops]: index e holds the views of
+   the snapshot published at epoch e, in insertion order. A re-add of a
+   live view or a drop of an absent one publishes nothing. *)
+let populations ops =
+  let step (live, acc) = function
+    | Add i when not (live_in live (nth_view i)) ->
+        let live = live @ [ nth_view i ] in
+        (live, live :: acc)
+    | Drop i when live_in live (nth_view i) ->
+        let name = view_name (nth_view i) in
+        let live = List.filter (fun u -> view_name u <> name) live in
+        (live, live :: acc)
+    | Add _ | Drop _ | Query _ -> (live, acc)
+  in
+  Array.of_list (List.rev (snd (List.fold_left step ([], [ [] ]) ops)))
+
+let apply reg = function
+  | Add i -> (
+      try R.add_prebuilt reg (nth_view i) with R.Duplicate_view _ -> ())
+  | Drop i -> R.remove_view reg (view_name (nth_view i))
+  | Query _ -> ()
+
+let mutations_arb =
+  QCheck.make
+    ~print:(fun pairs ->
+      String.concat ";" (List.map (fun p -> show_op (op_of_pair p)) pairs))
+    QCheck.Gen.(list_size (int_range 0 40) (pair small_nat small_nat))
+
+let plan_name backjoins = if backjoins then "backjoin_plan" else "default_plan"
+
+(* The linear reference's candidate names over one population, memoized
+   per (epoch, query). *)
+let reference_at ~backjoins pops =
+  let qas = Array.of_list (Lazy.force analyses) in
+  let memo = Hashtbl.create 64 in
+  fun e qi ->
+    match Hashtbl.find_opt memo (e, qi) with
+    | Some names -> names
+    | None ->
+        let names =
+          List.sort compare
+            (List.map view_name
+               (Helpers.reference_candidates ~backjoins pops.(e) qas.(qi)))
+        in
+        Hashtbl.add memo (e, qi) names;
+        names
+
+(* Apply the sequence, keeping every snapshot published along the way.
+   Only after the whole sequence — the final drop of every view included —
+   is each kept snapshot checked: its population must be the model's at
+   its epoch, and its candidates must equal the linear reference over
+   that population. The emptied tree is back at the empty-tree node
+   count. *)
+let check_snapshots pairs =
+  let muts = mutations pairs in
+  let pops = populations muts in
+  let w = Lazy.force wl in
+  List.iter
+    (fun backjoins ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg ->
+            QCheck.Test.fail_reportf "%s: %s" (plan_name backjoins) msg)
+          fmt
+      in
+      let reg = R.create ~backjoins w.H.schema in
+      let empty_nodes = FT.stats (R.snapshot reg).R.snap_tree in
+      let kept = ref [ R.snapshot reg ] in
+      List.iter
+        (fun m ->
+          apply reg m;
+          let s = R.snapshot reg in
+          if s != List.hd !kept then kept := s :: !kept)
+        muts;
+      if List.length !kept <> Array.length pops then
+        fail "%d snapshots published, the model has %d epochs"
+          (List.length !kept) (Array.length pops);
+      let reference = reference_at ~backjoins pops in
+      List.iter
+        (fun (s : R.snapshot) ->
+          let e = s.R.snap_epoch in
+          if List.map view_name s.R.snap_views <> List.map view_name pops.(e)
+          then fail "snapshot at epoch %d holds another population" e;
+          List.iteri
+            (fun qi qa ->
+              let got =
+                List.sort compare
+                  (List.map view_name (R.candidates ~snap:s reg qa))
+              in
+              if got <> reference e qi then
+                fail "epoch %d, query %d: candidates {%s} <> reference {%s}"
+                  e qi (String.concat "," got)
+                  (String.concat "," (reference e qi)))
+            (Lazy.force analyses))
+        !kept;
+      let nodes = FT.stats (R.snapshot reg).R.snap_tree in
+      if nodes <> empty_nodes then
+        fail "%d lattice nodes after dropping every view, empty tree has %d"
+          nodes empty_nodes)
+    [ false; true ];
+  true
+
+let snapshots_prop =
+  QCheck.Test.make
+    ~name:"persistence: every kept snapshot equals the reference (both plans)"
+    ~count:(Helpers.qcheck_count 25) mutations_arb check_snapshots
+
+(* One domain applies the sequence while this one reads without [?snap]:
+   each read must equal the reference over the population at some epoch
+   between the epochs read just before and just after it. *)
+let check_concurrent_reads pairs =
+  let muts = mutations pairs in
+  let pops = populations muts in
+  let w = Lazy.force wl in
+  let qas = Array.of_list (Lazy.force analyses) in
+  List.iter
+    (fun backjoins ->
+      let reg = R.create ~backjoins w.H.schema in
+      let finished = Atomic.make false in
+      let mutator =
+        Domain.spawn (fun () ->
+            List.iter (apply reg) muts;
+            Atomic.set finished true)
+      in
+      let reads = ref [] and i = ref 0 in
+      while (not (Atomic.get finished)) || !i < Array.length qas do
+        let qi = !i mod Array.length qas in
+        let before = R.epoch reg in
+        let got =
+          List.sort compare (List.map view_name (R.candidates reg qas.(qi)))
+        in
+        reads := (before, R.epoch reg, qi, got) :: !reads;
+        incr i
+      done;
+      Domain.join mutator;
+      let reference = reference_at ~backjoins pops in
+      List.iter
+        (fun (before, after, qi, got) ->
+          let rec explained e =
+            e <= after && (reference e qi = got || explained (e + 1))
+          in
+          if not (explained before) then
+            QCheck.Test.fail_reportf
+              "%s: query %d read {%s} between epochs %d and %d, which no \
+               population in that range explains"
+              (plan_name backjoins) qi (String.concat "," got) before after)
+        !reads)
+    [ false; true ];
+  true
+
+let concurrent_prop =
+  QCheck.Test.make
+    ~name:"persistence: reads during mutation from another domain"
+    ~count:(Helpers.qcheck_count 25) mutations_arb check_concurrent_reads
+
 let suite =
   [
     ( "prop_dynamic",
       [
         Helpers.qtest model_prop;
+        Helpers.qtest snapshots_prop;
+        Helpers.qtest concurrent_prop;
         Alcotest.test_case "epoch protocol" `Quick test_epoch_protocol;
         Alcotest.test_case "duplicate add raises, no epoch bump" `Quick
           test_duplicate_add_raises;

@@ -1,6 +1,8 @@
 (** Property tests for the lattice index of section 4.1, over interned
     bitset keys: searches must agree with brute force over random families
-    of sets, through arbitrary interleavings of insertions and deletions. *)
+    of sets, through arbitrary interleavings of insertions and deletions,
+    and every version a sequence of updates produced must keep its keys,
+    payloads and invariants. *)
 
 module Bitset = Mv_util.Bitset
 module Lattice = Mv_core.Lattice
@@ -31,27 +33,36 @@ let ops_arb =
            ops))
     ops_gen
 
-(* apply ops to both the lattice and a reference list *)
-let build ops =
-  let t = Lattice.create () in
-  let reference = ref [] in
-  List.iter
-    (fun (op, n) ->
-      let key = set_of_int n in
-      match op with
-      | `Insert ->
-          ignore (Lattice.insert t key);
-          if not (List.exists (Bitset.equal key) !reference) then
-            reference := key :: !reference
-      | `Delete ->
-          Lattice.delete t key;
-          reference :=
-            List.filter (fun k -> not (Bitset.equal k key)) !reference)
-    ops;
-  (t, !reference)
+(* Apply ops through [update]: an insert bumps the key's payload, the pair
+   of the key and its insert count; a delete removes the key. Returns
+   every version, oldest first, each with the reference it must hold: an
+   association list from the key's int encoding to its count. *)
+let versions ops =
+  let step (t, reference) (op, n) =
+    let key = set_of_int n in
+    match op with
+    | `Insert ->
+        let count =
+          1 + Option.value (List.assoc_opt n reference) ~default:0
+        in
+        ( Lattice.update t key (fun p ->
+              Some (key, 1 + Option.fold ~none:0 ~some:snd p)),
+          (n, count) :: List.remove_assoc n reference )
+    | `Delete ->
+        (Lattice.update t key (fun _ -> None), List.remove_assoc n reference)
+  in
+  List.rev
+    (List.fold_left
+       (fun acc op -> step (List.hd acc) op :: acc)
+       [ (Lattice.empty, []) ]
+       ops)
 
-let keys_of nodes =
-  List.sort compare (List.map (fun n -> Bitset.elements n.Lattice.key) nodes)
+let build ops =
+  let t, reference = List.nth (versions ops) (List.length ops) in
+  (t, List.map (fun (n, _) -> set_of_int n) reference)
+
+let keys_of payloads =
+  List.sort compare (List.map (fun (k, _) -> Bitset.elements k) payloads)
 
 let subsets_prop =
   QCheck.Test.make ~name:"lattice: subsets_of agrees with brute force"
@@ -64,7 +75,9 @@ let subsets_prop =
         List.filter (fun k -> Bitset.subset k key) reference
         |> List.map Bitset.elements |> List.sort compare
       in
-      keys_of (Lattice.subsets_of t key) = expected)
+      keys_of
+        (Lattice.search t ~dir:`Up ~pred:(fun k -> Bitset.subset k key))
+      = expected)
 
 let supersets_prop =
   QCheck.Test.make ~name:"lattice: supersets_of agrees with brute force"
@@ -77,41 +90,60 @@ let supersets_prop =
         List.filter (fun k -> Bitset.subset key k) reference
         |> List.map Bitset.elements |> List.sort compare
       in
-      keys_of (Lattice.supersets_of t key) = expected)
+      keys_of (Lattice.search t ~dir:`Down ~pred:(Bitset.subset key))
+      = expected)
 
-(* structural invariants: supers are minimal strict supersets, subs maximal
-   strict subsets, tops have no supers, roots no subs *)
+(* One version against its reference: exactly its keys and payloads, supers
+   are minimal strict supersets, subs strict subsets, the two link
+   directions agree, and tops/roots are exactly the keys without
+   supers/subs. *)
+let version_ok (t, reference) =
+  let keys = List.map (fun (n, _) -> set_of_int n) reference in
+  let contents =
+    Lattice.fold
+      (fun k (pk, c) acc -> (Bitset.equal k pk, Bitset.elements k, c) :: acc)
+      t []
+  in
+  let { Lattice.links; tops; roots } = Lattice.shape t in
+  let strictly_below a b = Bitset.subset a b && not (Bitset.equal a b) in
+  let mem k = List.exists (Bitset.equal k) in
+  let supers_of k =
+    List.find_map
+      (fun (k', supers, _) -> if Bitset.equal k k' then Some supers else None)
+      links
+  in
+  Lattice.size t = List.length reference
+  && List.sort compare contents
+     = List.sort compare
+         (List.map
+            (fun (n, c) -> (true, Bitset.elements (set_of_int n), c))
+            reference)
+  && List.for_all
+       (fun (k, supers, subs) ->
+         List.for_all
+           (fun s ->
+             strictly_below k s
+             && not
+                  (List.exists
+                     (fun mid -> strictly_below k mid && strictly_below mid s)
+                     keys))
+           supers
+         && List.for_all
+              (fun b ->
+                strictly_below b k
+                && Option.fold ~none:false ~some:(mem k) (supers_of b))
+              subs
+         && mem k tops = (supers = [])
+         && mem k roots = (subs = []))
+       links
+
+(* Every version along a sequence of updates, checked after the whole
+   sequence ran: an update must never write what an earlier version can
+   reach. *)
 let invariants_prop =
-  QCheck.Test.make ~name:"lattice: structural invariants" ~count:300 ops_arb
-    (fun ops ->
-      let t, reference = build ops in
-      let nodes = Lattice.nodes t in
-      List.length nodes = List.length reference
-      && List.for_all
-           (fun n ->
-             let k = n.Lattice.key in
-             (* supers: strict supersets with nothing in between *)
-             List.for_all
-               (fun s ->
-                 Bitset.subset k s.Lattice.key
-                 && (not (Bitset.equal k s.Lattice.key))
-                 && not
-                      (List.exists
-                         (fun mid ->
-                           (not (Bitset.equal mid k))
-                           && (not (Bitset.equal mid s.Lattice.key))
-                           && Bitset.subset k mid
-                           && Bitset.subset mid s.Lattice.key)
-                         reference))
-               n.Lattice.supers
-             && List.for_all
-                  (fun b ->
-                    Bitset.subset b.Lattice.key k
-                    && not (Bitset.equal b.Lattice.key k))
-                  n.Lattice.subs)
-           nodes
-      && List.for_all (fun n -> n.Lattice.supers = []) t.Lattice.tops
-      && List.for_all (fun n -> n.Lattice.subs = []) t.Lattice.roots)
+  QCheck.Test.make
+    ~name:"lattice: structural invariants hold in every version" ~count:300
+    ops_arb (fun ops -> List.for_all version_ok (versions ops))
 
 (* monotone predicate search: the generic traversal must equal brute force
    for an intersection-nonempty condition (the output-column condition of
@@ -136,13 +168,25 @@ let custom_search_prop =
       in
       got = expected)
 
-let test_insert_idempotent () =
-  let t = Lattice.create () in
+let test_update_present_key () =
   let k = set_of_int 5 in
-  let n1 = Lattice.insert t k in
-  let n2 = Lattice.insert t k in
-  Alcotest.(check bool) "same node" true (n1 == n2);
-  Alcotest.(check int) "size 1" 1 (Lattice.size t)
+  let t1 = Lattice.update Lattice.empty k (fun _ -> Some 1) in
+  let t2 = Lattice.update t1 k (fun p -> Option.map succ p) in
+  Alcotest.(check int) "size 1" 1 (Lattice.size t2);
+  Alcotest.(check (option int)) "new payload" (Some 2) (Lattice.find t2 k);
+  Alcotest.(check (option int))
+    "the earlier version keeps its payload" (Some 1) (Lattice.find t1 k);
+  Alcotest.(check bool)
+    "removing an absent key returns the lattice" true
+    (Lattice.update t2 (set_of_int 7) (fun _ -> None) == t2)
+
+(* A lattice whose payload is each key itself. *)
+let of_keys keys =
+  List.fold_left
+    (fun t k -> Lattice.update t k (fun _ -> Some k))
+    Lattice.empty keys
+
+let sorted_keys ks = List.sort compare (List.map Bitset.elements ks)
 
 let test_reentrant_search () =
   (* a predicate that re-enters the lattice with a full search of its own
@@ -152,15 +196,12 @@ let test_reentrant_search () =
      its second root and emitted it twice (or, reading the live stamp,
      skipped nodes entirely). Per-search scratch state keeps the two
      traversals independent. *)
-  let t = Lattice.create () in
-  List.iter
-    (fun n -> ignore (Lattice.insert t (set_of_int n)))
-    [ 1; 2; 3 ];
+  let t = of_keys (List.map set_of_int [ 1; 2; 3 ]) in
   let pred _k =
     ignore (Lattice.search t ~dir:`Down ~pred:(fun _ -> true));
     true
   in
-  let got = keys_of (Lattice.search t ~dir:`Up ~pred) in
+  let got = sorted_keys (Lattice.search t ~dir:`Up ~pred) in
   Alcotest.(check (list (list int)))
     "each node exactly once"
     [ [ 0 ]; [ 0; 1 ]; [ 1 ] ]
@@ -169,29 +210,33 @@ let test_reentrant_search () =
 let test_paper_figure1 () =
   (* the eight key sets of Figure 1: A, B, D, AB, BE, ABC, ABF, BCDE —
      letters interned as bits A=0, B=1, ... *)
-  let t = Lattice.create () in
   let mk s =
     Bitset.of_list
       (List.init (String.length s) (fun i -> Char.code s.[i] - Char.code 'A'))
   in
-  List.iter
-    (fun s -> ignore (Lattice.insert t (mk s)))
-    [ "A"; "B"; "D"; "AB"; "BE"; "ABC"; "ABF"; "BCDE" ];
+  let t =
+    of_keys
+      (List.map mk [ "A"; "B"; "D"; "AB"; "BE"; "ABC"; "ABF"; "BCDE" ])
+  in
   (* search supersets of AB: AB, ABC, ABF (the paper's worked example) *)
-  let got = keys_of (Lattice.supersets_of t (mk "AB")) in
+  let got =
+    sorted_keys (Lattice.search t ~dir:`Down ~pred:(Bitset.subset (mk "AB")))
+  in
   Alcotest.(check (list (list int)))
     "supersets of AB"
     [ [ 0; 1 ]; [ 0; 1; 2 ]; [ 0; 1; 5 ] ]
     got;
   (* tops and roots per Figure 1 *)
-  Alcotest.(check int) "3 tops" 3 (List.length t.Lattice.tops);
-  Alcotest.(check int) "3 roots" 3 (List.length t.Lattice.roots)
+  let shape = Lattice.shape t in
+  Alcotest.(check int) "3 tops" 3 (List.length shape.Lattice.tops);
+  Alcotest.(check int) "3 roots" 3 (List.length shape.Lattice.roots)
 
 let suite =
   [
     ( "lattice",
       [
-        Alcotest.test_case "insert idempotent" `Quick test_insert_idempotent;
+        Alcotest.test_case "update under a present key" `Quick
+          test_update_present_key;
         Alcotest.test_case "paper figure 1" `Quick test_paper_figure1;
         Alcotest.test_case "reentrant search keeps dedup" `Quick
           test_reentrant_search;

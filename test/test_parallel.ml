@@ -291,7 +291,6 @@ let test_json_during_updates () =
 let test_concurrent_lattice_search () =
   let module Bitset = Mv_util.Bitset in
   let module Lattice = Mv_core.Lattice in
-  let t = Lattice.create () in
   (* all 6-bit sets with 1-3 elements: a dense DAG with many diamonds *)
   let sets =
     List.init 64 (fun n ->
@@ -304,7 +303,11 @@ let test_concurrent_lattice_search () =
            let c = List.length (Bitset.elements s) in
            c >= 1 && c <= 3)
   in
-  List.iter (fun s -> ignore (Lattice.insert t s)) sets;
+  let t =
+    List.fold_left
+      (fun t s -> Lattice.update t s (fun _ -> Some s))
+      Lattice.empty sets
+  in
   let probes = List.init 64 (fun n -> n) in
   let results_of probe =
     let key =
@@ -315,9 +318,8 @@ let test_concurrent_lattice_search () =
       bits 0 Bitset.empty
     in
     List.sort compare
-      (List.map
-         (fun n -> Bitset.elements n.Lattice.key)
-         (Lattice.subsets_of t key))
+      (List.map Bitset.elements
+         (Lattice.search t ~dir:`Up ~pred:(fun k -> Bitset.subset k key)))
   in
   let seq = List.map results_of probes in
   List.iter

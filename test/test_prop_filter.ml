@@ -65,93 +65,12 @@ let soundness_prop =
 
 (* ---- interning equivalence ----
 
-   The tree navigates by interned bitset keys; this reference evaluates the
-   same level conditions directly with string/column-set operations on the
-   views' un-interned descriptor fields — the pre-interning semantics. A
-   view reaches a bucket iff every level condition on its path holds (each
-   level partitions by key and applies its predicate to the key alone), so
-   the tree must return exactly this set, in both plans. *)
+   The tree navigates by interned bitset keys; {!Helpers.reference_candidates}
+   evaluates the same level conditions directly with string/column-set
+   operations on the views' un-interned descriptor fields, so the tree must
+   return exactly its set, in both plans. *)
 
-module A = Mv_relalg.Analysis
 module FT = Mv_core.Filter_tree
-open Mv_base
-
-let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
-  let q_tables = qa.A.table_set in
-  let q_out_templates = A.output_expr_templates qa in
-  let q_out_classes =
-    List.map
-      (fun (c, _) -> Mv_relalg.Equiv.class_of qa.A.equiv c)
-      (A.col_outputs qa)
-  in
-  let q_res_templates = A.residual_templates qa in
-  let q_range_cols =
-    List.fold_left
-      (fun acc cls -> Sset.union acc (Mv_core.View.cols_to_strings cls))
-      Sset.empty
-      (A.range_constrained_classes qa)
-  in
-  let q_group_templates = A.grouping_expr_templates qa in
-  let q_group_classes =
-    match qa.A.spjg.Mv_relalg.Spjg.group_by with
-    | None -> []
-    | Some gs ->
-        List.filter_map
-          (function
-            | Expr.Col c -> Some (Mv_relalg.Equiv.class_of qa.A.equiv c)
-            | _ -> None)
-          gs
-  in
-  let q_is_agg = Mv_relalg.Spjg.is_aggregate qa.A.spjg in
-  let covers classes view_cols =
-    List.for_all
-      (fun cls -> not (Col.Set.is_empty (Col.Set.inter cls view_cols)))
-      classes
-  in
-  let level_ok (v : Mv_core.View.t) = function
-    | FT.Hubs -> Sset.subset v.Mv_core.View.hub q_tables
-    | FT.Source_tables -> Sset.subset q_tables v.Mv_core.View.source_tables
-    | FT.Output_exprs ->
-        Sset.subset q_out_templates (Mv_core.View.output_expr_templates v)
-    | FT.Output_cols -> covers q_out_classes (Mv_core.View.extended_output_cols v)
-    | FT.Residuals ->
-        Sset.subset (Mv_core.View.residual_templates v) q_res_templates
-    | FT.Range_cols -> Sset.subset (Mv_core.View.reduced_range_cols v) q_range_cols
-    | FT.Grouping_exprs ->
-        Sset.subset q_group_templates (Mv_core.View.grouping_expr_templates v)
-    | FT.Grouping_cols ->
-        covers q_group_classes (Mv_core.View.extended_grouping_cols v)
-  in
-  let common =
-    if backjoins then
-      [ FT.Hubs; FT.Source_tables; FT.Residuals; FT.Range_cols ]
-    else
-      [
-        FT.Hubs;
-        FT.Source_tables;
-        FT.Output_exprs;
-        FT.Output_cols;
-        FT.Residuals;
-        FT.Range_cols;
-      ]
-  in
-  let strong_ok v =
-    List.for_all
-      (fun cls ->
-        not
-          (Sset.is_empty
-             (Sset.inter (Mv_core.View.cols_to_strings cls) q_range_cols)))
-      (Mv_core.View.range_classes v)
-  in
-  List.filter
-    (fun v ->
-      List.for_all (level_ok v) common
-      && (if Mv_core.View.is_aggregate v then
-            q_is_agg
-            && List.for_all (level_ok v) [ FT.Grouping_exprs; FT.Grouping_cols ]
-          else true)
-      && strong_ok v)
-    views
 
 let names vs =
   List.sort compare (List.map (fun v -> v.Mv_core.View.name) vs)
@@ -169,13 +88,14 @@ let check_equivalence_seed seed =
   List.iter
     (fun backjoins ->
       let plan = if backjoins then FT.backjoin_plan else FT.default_plan in
-      let tree = FT.create ~plan () in
-      List.iter (FT.insert tree) views;
+      let tree = List.fold_left FT.insert (FT.create ~plan ()) views in
       List.iter
         (fun q ->
           let qa = Mv_relalg.Analysis.analyze schema q in
           let got = names (FT.candidates tree qa) in
-          let expected = names (reference_candidates ~backjoins views qa) in
+          let expected =
+            names (Helpers.reference_candidates ~backjoins views qa)
+          in
           if got <> expected then
             QCheck.Test.fail_reportf
               "%s: interned candidates {%s} <> string-set reference {%s}@.%s"
