@@ -13,20 +13,16 @@
     dominated by warmup noise. *)
 
 module H = Mv_experiments.Harness
+module M = Mv_experiments.Measure
 module J = Mv_obs.Json
 
 let timed_passes = 5
 
-type plan_result = {
-  plan_name : string;
-  searches : int;
-  candidates : int;  (** final candidates summed over all queries *)
-  wall_time_s : float;  (** per-pass average over [timed_passes] *)
-  levels : H.level_flow list;
-}
-
+(* One plan at one population: the [plans.<plan>.*] metrics (searches,
+   final candidates summed over all queries, per-pass wall time) and the
+   [plans.<plan>.levels] sub-list. *)
 let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
-    (queries : Mv_relalg.Analysis.t list) : plan_result =
+    (queries : Mv_relalg.Analysis.t list) =
   let registry =
     Mv_core.Registry.create ~use_filter:true ~backjoins w.H.schema
   in
@@ -46,7 +42,7 @@ let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
     Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs
       "filter_tree.searches"
   in
-  let levels = H.level_flow_of registry in
+  let levels = H.levels registry in
   (* timed passes *)
   let span = Mv_obs.Instrument.enter () in
   for _ = 1 to timed_passes do
@@ -56,82 +52,47 @@ let run_plan ?(domains = 1) ~backjoins ~nviews (w : H.workload)
          queries)
   done;
   let wall, _ = Mv_obs.Instrument.elapsed span in
-  {
-    plan_name = (if backjoins then "backjoin_plan" else "default_plan");
-    searches;
-    candidates;
-    wall_time_s = wall /. float_of_int timed_passes;
-    levels;
-  }
+  let key k =
+    "plans." ^ (if backjoins then "backjoin_plan" else "default_plan") ^ "."
+    ^ k
+  in
+  ( [
+      (key "searches", J.Int searches);
+      (key "candidates", J.Int candidates);
+      (key "wall_time_s", J.Float (wall /. float_of_int timed_passes));
+    ],
+    (key "levels", levels) )
 
-let print_result ~nviews (r : plan_result) =
-  Printf.printf "\n%4d views, %s: %d searches, %d candidates total, %.5fs\n"
-    nviews r.plan_name r.searches r.candidates r.wall_time_s;
-  Printf.printf "  %-28s %12s %12s %9s\n" "level" "entered" "passed" "kept";
-  List.iter
-    (fun (f : H.level_flow) ->
-      Printf.printf "  %-28s %12d %12d %8.1f%%\n" f.H.level f.H.entered
-        f.H.passed
-        (100.0 *. float_of_int f.H.passed
-         /. float_of_int (max 1 f.H.entered)))
-    r.levels
-
-let to_json (r : plan_result) =
-  J.Obj
-    [
-      ("searches", J.Int r.searches);
-      ("candidates", J.Int r.candidates);
-      ("wall_time_s", J.Float r.wall_time_s);
-      ("levels", Mv_experiments.Report.level_flow_json r.levels);
-    ]
-
-let plans_json results =
-  J.Obj (List.map (fun r -> (r.plan_name, to_json r)) results)
-
-(* Both plans at every population size in [nviews_list]; returns the JSON
-   section for the bench trajectory file. [plans] carries the full
-   population (backward-compatible with earlier trajectories), [sweep] one
-   entry per size. *)
-let run ?(domains = 1) (w : H.workload) (nviews_list : int list) : J.t =
-  print_endline
-    "\n== Filter tree: per-level candidate flow (default vs backjoin plan) ==";
+(* Both plans at every population size in [nviews_list]: the
+   [filter_tree] section of the bench trajectory. Its [plans] carry the
+   full population (backward-compatible with earlier trajectories),
+   [sweep] one point per size. *)
+let run ?(domains = 1) (w : H.workload) (nviews_list : int list) : M.t =
   let total = List.length w.H.views in
-  Printf.printf "%d views, %d queries, populations %s%s.\n" total
-    (List.length w.H.queries)
-    (String.concat "," (List.map string_of_int nviews_list))
-    (if domains > 1 then Printf.sprintf ", %d domains" domains else "");
   let queries = List.map (Mv_relalg.Analysis.analyze w.H.schema) w.H.queries in
   (* discarded warmup so the first sweep point doesn't pay one-time costs *)
   ignore (run_plan ~domains ~backjoins:false ~nviews:(min 100 total) w queries);
-  let sweep =
-    List.map
-      (fun nviews ->
-        let results =
-          [
-            run_plan ~domains ~backjoins:false ~nviews w queries;
-            run_plan ~domains ~backjoins:true ~nviews w queries;
-          ]
-        in
-        List.iter (print_result ~nviews) results;
-        (nviews, results))
-      nviews_list
+  let point nviews =
+    let metrics, subs =
+      List.split
+        (List.map
+           (fun backjoins -> run_plan ~domains ~backjoins ~nviews w queries)
+           [ false; true ])
+    in
+    M.make "point"
+      ~params:[ ("nviews", J.Int nviews) ]
+      ~metrics:(List.concat metrics) ~subs
   in
+  let sweep = List.map point nviews_list in
   let full =
-    match List.rev sweep with
-    | (_, results) :: _ -> results
-    | [] -> []
+    match List.rev sweep with m :: _ -> m | [] -> M.make "point"
   in
-  J.Obj
-    [
-      ("nviews", J.Int total);
-      ("queries", J.Int (List.length w.H.queries));
-      ("timed_passes", J.Int timed_passes);
-      ("plans", plans_json full);
-      ( "sweep",
-        J.List
-          (List.map
-             (fun (nviews, results) ->
-               J.Obj
-                 [ ("nviews", J.Int nviews); ("plans", plans_json results) ])
-             sweep) );
-    ]
+  M.make "filter_tree"
+    ~params:
+      [
+        ("nviews", J.Int total);
+        ("queries", J.Int (List.length w.H.queries));
+        ("timed_passes", J.Int timed_passes);
+      ]
+    ~metrics:full.M.metrics
+    ~subs:(full.M.subs @ [ ("sweep", sweep) ])

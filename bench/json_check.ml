@@ -16,8 +16,9 @@
     [health] observability exports) without regenerating it.
 
     [--compare] walks every key path of BASELINE and requires it in FRESH
-    with the same JSON kind (lists are sampled by their first element, so a
-    shorter sweep still type-checks against a full baseline). Unless
+    with the same JSON kind. Lists are compared element by element over
+    the indices both have, so every grid cell is checked and a shorter
+    sweep still type-checks against a full baseline. Unless
     [--structure-only], numeric [wall_time_s] leaves are also compared:
     fresh must not exceed baseline by more than the relative tolerance
     (default 0.5, i.e. +50%), with a 1ms absolute slack so micro-timings
@@ -73,11 +74,11 @@ let num = function
   | _ -> None
 
 (* Walk baseline, requiring each of its key paths in fresh with the same
-   kind. Lists are compared through their first element: the baseline's
-   element shape must be producible by the fresh run, but the sweeps may
-   differ in length. Numeric [wall_time_s] leaves are timing-checked unless
-   [structure_only]. Returns failure messages (empty = pass) and the number
-   of paths visited. *)
+   kind. Lists are compared at every index both have: each baseline
+   element's shape must be producible by the fresh run, but the sweeps
+   may differ in length. Numeric [wall_time_s] leaves are timing-checked
+   unless [structure_only]. Returns failure messages (empty = pass) and
+   the number of paths visited. *)
 let compare_trees ~structure_only ~tolerance ~percentile_tolerance ~ignored
     fresh baseline =
   let errors = ref [] in
@@ -122,9 +123,16 @@ let compare_trees ~structure_only ~tolerance ~percentile_tolerance ~ignored
                 | _ -> ());
                 go p bv fv)
           bfields
-    | J.List (b0 :: _), J.List (f0 :: _) -> go (path ^ ".0") b0 f0
     | J.List (_ :: _), J.List [] -> err path "list is empty in fresh run"
-    | J.List _, J.List _ | J.Null, _ -> ()
+    | J.List bs, J.List fs ->
+        let rec pairs i = function
+          | b :: bs, f :: fs ->
+              go (Printf.sprintf "%s.%d" path i) b f;
+              pairs (i + 1) (bs, fs)
+          | _ -> ()
+        in
+        pairs 0 (bs, fs)
+    | J.Null, _ -> ()
     | _ ->
         if kind b <> kind f then
           err path "kind mismatch: fresh %s vs baseline %s" (kind f) (kind b)

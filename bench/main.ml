@@ -14,10 +14,11 @@
     JSON document — the BENCH_*.json perf trajectory. With [--json] and no
     explicit selection the slow micro/ablation benches are skipped.
 
-    Every section but the paper's sweep is a {!Mv_experiments.Measure.t}.
-    Once all selected sections have run (and the JSON is written), the
-    driver exits 3 if any of their verdicts is false, naming each one by
-    its JSON path.
+    Every section of the JSON document is one
+    {!Mv_experiments.Measure.t} or a list of them (the paper's sweep is
+    its list of grid cells). Once all selected sections have run (and the
+    JSON is written), main.exe exits 3 if any of their verdicts is false,
+    naming each one by its JSON path.
 
     See EXPERIMENTS.md for paper-vs-measured discussion and the schema. *)
 
@@ -244,11 +245,10 @@ let () =
   let module M = Mv_experiments.Measure in
   let json_sections = ref [] in
   let failed = ref [] in
-  let add_section name j = json_sections := (name, j) :: !json_sections in
-  (* one Measure section, or a list of them under one key: print, add the
-     JSON, and collect the false verdicts as JSON paths *)
+  (* one Measure section, or a list of them under one key: add the JSON
+     and collect the false verdicts as JSON paths *)
   let record key json fails =
-    add_section key json;
+    json_sections := (key, json) :: !json_sections;
     failed := !failed @ List.map (fun f -> key ^ "." ^ f) fails
   in
   let one (m : M.t) =
@@ -298,7 +298,8 @@ let () =
     if what.stats then Mv_experiments.Report.stats_table ms nviews_list;
     if what.levels then Mv_experiments.Report.level_table ms nviews_list;
     if what.ablation then Ablation.run w nviews_list;
-    add_section "measurements" (Mv_experiments.Report.measurements_json ms)
+    (* the cells print as the paper's figures and tables above *)
+    record "measurements" (J.List (List.map M.to_json ms)) []
   end;
   if what.scaling then
     (* the multicore sweep: 1/2/4 domains (plus --domains N if beyond),
@@ -396,8 +397,7 @@ let () =
              ~candidates ~nqueries:(max 16 (candidates / 8)) ())
          !advise_candidates);
   if what.filtertree then
-    add_section "filter_tree"
-      (Filtertree.run ~domains:!domains (Option.get w) nviews_list);
+    one (Filtertree.run ~domains:!domains (Option.get w) nviews_list);
   if what.micro then Micro.run ();
   (match !json_file with
   | None -> ()

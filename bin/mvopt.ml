@@ -645,7 +645,7 @@ let ledger_run ~views ~queries ~passes =
     (Mv_core.Registry.add_prebuilt registry)
     w.Mv_experiments.Harness.views;
   let obs = registry.Mv_core.Registry.obs in
-  let tl = Mv_obs.Timeline.create ~capacity:240 obs in
+  let tl = Mv_obs.Timeline.create obs in
   let sampler = Mv_obs.Timeline.start ~period:0.02 tl in
   for _ = 1 to max 1 passes do
     List.iter
@@ -840,16 +840,11 @@ let refresh_cmd =
     let span = Mv_obs.Instrument.enter () in
     for _ = 1 to max 1 batches do
       let rows = (Mv_engine.Database.table_exn db "lineitem").Mv_engine.Table.rows in
-      let n = List.length rows in
-      let n_ins = max 1 (batch_rows / 2) in
-      let n_del = min (max 0 (batch_rows - n_ins)) (n / 2) in
-      let ins =
-        List.init n_ins (fun _ -> List.nth rows (Mv_util.Prng.int rng n))
-      in
-      let del =
-        List.filteri (fun i _ -> i < n_del) (Mv_util.Prng.shuffle rng rows)
-      in
-      Mv_engine.Ivm.apply ivm [ ("lineitem", { Mv_engine.Ivm.ins; del }) ]
+      Mv_engine.Ivm.apply ivm
+        [
+          ( "lineitem",
+            Mv_experiments.Harness.random_delta rng rows ~nrows:batch_rows );
+        ]
     done;
     let wall, _ = Mv_obs.Instrument.elapsed span in
     Printf.printf

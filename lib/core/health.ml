@@ -160,12 +160,6 @@ let rows t =
          | 0 -> String.compare a.r_view b.r_view
          | c -> c)
 
-let reset t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.accounts;
-      Hashtbl.reset t.queries);
-  Atomic.set t.q_total 0
-
 let row_json r =
   J.Obj
     [

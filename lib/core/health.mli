@@ -70,8 +70,6 @@ val query_frequencies : t -> (Mv_relalg.Spjg.t * int) list
 (** Distinct observed queries with occurrence counts, most frequent
     first. *)
 
-val reset : t -> unit
-
 (** {2 Surfaces} *)
 
 val row_json : row -> Mv_obs.Json.t

@@ -8,22 +8,10 @@
     [rule.*] counters and the [rule.time] wall+CPU timer, the filter tree
     contributes its per-level [filter_tree.*] counters. A per-invocation
     record (tables, candidates, match verdicts, wall time) is the [rule]
-    span of a traced optimization ({!Mv_obs.Span}). The historical [stats]
-    record survives as a read-only façade computed from the instruments. *)
+    span of a traced optimization ({!Mv_obs.Span}). *)
 
 module A = Mv_relalg.Analysis
 module Obs = Mv_obs.Registry
-
-type stats = {
-  invocations : int;
-  candidates : int;  (** views surviving the filter tree *)
-  matched : int;  (** candidates that produced a substitute *)
-  substitutes : int;
-  rule_time : float;
-      (** cumulative CPU seconds spent inside the view-matching rule
-          (filtering + per-view tests + substitute construction); wall time
-          is on the [rule.time] timer of {!field-obs} *)
-}
 
 type snapshot = {
   snap_epoch : int;
@@ -94,15 +82,6 @@ let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
 let snapshot t = Atomic.get t.state
 
 let epoch t = (snapshot t).snap_epoch
-
-let stats t =
-  {
-    invocations = Obs.counter_value t.obs "rule.invocations";
-    candidates = Obs.counter_value t.obs "rule.candidates";
-    matched = Obs.counter_value t.obs "rule.matched";
-    substitutes = Obs.counter_value t.obs "rule.substitutes";
-    rule_time = Mv_obs.Instrument.cpu (Obs.timer t.obs "rule.time");
-  }
 
 let view_count t = List.length (snapshot t).snap_views
 

@@ -4,19 +4,11 @@
 
     Measurement runs through {!field-obs} (an [Mv_obs] registry, scoped to
     this view registry unless one is passed in): [rule.invocations],
-    [rule.candidates], [rule.matched], [rule.substitutes], the [rule.time]
-    wall+CPU timer, and the filter tree's [filter_tree.*] per-level
-    counters. {!stats} derives the historical record from them. *)
-
-type stats = {
-  invocations : int;
-  candidates : int;  (** views surviving the filter tree *)
-  matched : int;  (** candidates that produced a substitute *)
-  substitutes : int;
-  rule_time : float;
-      (** cumulative CPU seconds inside the view-matching rule; wall time
-          is on the [rule.time] timer *)
-}
+    [rule.candidates] (views surviving the filter tree), [rule.matched]
+    (candidates that produced a substitute), [rule.substitutes], the
+    [rule.time] wall+CPU timer (filtering, per-view tests and substitute
+    construction), and the filter tree's [filter_tree.*] per-level
+    counters. *)
 
 (** An immutable, epoch-stamped state of the registry: the population and
     a filter tree indexing exactly that population, published together
@@ -79,9 +71,6 @@ val create :
   Mv_catalog.Schema.t ->
   t
 
-val stats : t -> stats
-(** Snapshot of the paper's counters, read from the instruments. *)
-
 val epoch : t -> int
 (** [(snapshot t).snap_epoch]. Monotonically increasing; changes exactly
     when the view population changes. *)
@@ -140,7 +129,7 @@ val find_substitutes :
   Mv_relalg.Analysis.t ->
   Substitute.t list
 (** The view-matching rule body: filter, test every candidate, build one
-    substitute per matching view. Updates {!stats}.
+    substitute per matching view. Bumps the [rule.*] instruments.
 
     With [spans], records a ["filter"] child span (population / candidate
     counts plus one ["stage:<name>"] instant per filter-tree stage with

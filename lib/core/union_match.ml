@@ -101,10 +101,13 @@ let narrowed (query : A.t) (col : Col.t) (slice : Interval.t) : Spjg.t =
     ~where:(q.Spjg.where @ Interval.to_preds (Expr.Col col) slice)
     ~group_by:q.Spjg.group_by ~out:q.Spjg.out
 
+(* A union substitute has at most this many parts. *)
+let max_parts = 4
+
 (* Greedy interval cover: repeatedly take, among the views whose range
    starts at or below the uncovered point, the one reaching farthest. *)
-let find ?(relaxed_nulls = false) ?(backjoins = false) ?(max_parts = 4)
-    (query : A.t) (views : View.t list) : Union_substitute.t option =
+let find ?(relaxed_nulls = false) ?(backjoins = false) (query : A.t)
+    (views : View.t list) : Union_substitute.t option =
   if Spjg.is_aggregate query.A.spjg then None
   else
     (* group the sliceable views by the representative of their failing

@@ -117,14 +117,14 @@ let copy (t : t) : t =
   c
 
 (* Per-column statistics of one table's actual contents. *)
-let table_stats ?buckets (t : t) name : Mv_catalog.Stats.table_stats =
+let table_stats (t : t) name : Mv_catalog.Stats.table_stats =
   let tbl = table_exn t name in
   let cols = tbl.Table.def.Mv_catalog.Table_def.columns in
   let col_stats =
     List.mapi
       (fun i (c : Mv_catalog.Column.t) ->
         let values = List.map (fun row -> row.(i)) tbl.Table.rows in
-        (c.Mv_catalog.Column.name, Mv_catalog.Stats.build_column ?buckets values))
+        (c.Mv_catalog.Column.name, Mv_catalog.Stats.build_column values))
       cols
   in
   { Mv_catalog.Stats.row_count = Table.row_count tbl; columns = col_stats }
@@ -132,7 +132,7 @@ let table_stats ?buckets (t : t) name : Mv_catalog.Stats.table_stats =
 (* Compute per-table, per-column statistics from the actual contents,
    including equi-depth histograms and exhaustive MCV lists for low-NDV
    columns (Stats.build_column) — the one-pass [Stats.of_database] hook. *)
-let stats ?buckets (t : t) : Mv_catalog.Stats.t =
+let stats (t : t) : Mv_catalog.Stats.t =
   Hashtbl.fold
-    (fun name (_ : Table.t) acc -> (name, table_stats ?buckets t name) :: acc)
+    (fun name (_ : Table.t) acc -> (name, table_stats t name) :: acc)
     t.tables []

@@ -55,14 +55,14 @@ val index : t -> table:string -> cols:string list -> Index.t option
 
 val row_count : t -> string -> int
 
-val table_stats : ?buckets:int -> t -> string -> Mv_catalog.Stats.table_stats
+val table_stats : t -> string -> Mv_catalog.Stats.table_stats
 (** One table's statistics from its actual contents — what {!stats} runs
     per table, exposed so a single view's entry can be built without
     rescanning the whole database ({!Exec.materialize_stats}). Every entry
     [Ivm.refresh_stats] derives must equal it. *)
 
-val stats : ?buckets:int -> t -> Mv_catalog.Stats.t
+val stats : t -> Mv_catalog.Stats.t
 (** Per-table, per-column statistics computed from the actual contents in
-    one pass: min/max/ndv plus equi-depth histograms (at most [buckets]
-    buckets, default 16) and exhaustive MCV lists for low-NDV columns — see
-    {!Mv_catalog.Stats.build_column}. *)
+    one pass: min/max/ndv plus equi-depth histograms ({!Mv_catalog.Stats}'s
+    default bucket count) and exhaustive MCV lists for low-NDV columns —
+    see {!Mv_catalog.Stats.build_column}. *)

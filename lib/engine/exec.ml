@@ -645,6 +645,14 @@ end
 
 (* ---- views ------------------------------------------------------------- *)
 
+let mark_fresh db (view : Mv_core.View.t) =
+  Mv_core.View.mark_fresh
+    ~epochs:
+      (List.map
+         (fun tn -> (tn, Database.table_epoch db tn))
+         (Mv_util.Sset.elements view.Mv_core.View.source_tables))
+    view
+
 (* Materialize a view's contents as a table registered in the database. *)
 let materialize db (view : Mv_core.View.t) : Table.t =
   let rel = execute db (Mv_core.View.spjg view) in
@@ -652,12 +660,7 @@ let materialize db (view : Mv_core.View.t) : Table.t =
   let tbl = Table.of_rows def rel.Relation.rows in
   Database.add_table db tbl;
   view.Mv_core.View.row_count <- List.length rel.Relation.rows;
-  Mv_core.View.mark_fresh
-    ~epochs:
-      (List.map
-         (fun tn -> (tn, Database.table_epoch db tn))
-         (Mv_util.Sset.elements view.Mv_core.View.source_tables))
-    view;
+  mark_fresh db view;
   List.iter
     (fun cols ->
       Database.declare_index db ~table:view.Mv_core.View.name ~cols)
@@ -669,10 +672,10 @@ let materialize db (view : Mv_core.View.t) : Table.t =
    substitute costing see measured numbers instead of the analytic
    estimate (ROADMAP item 4: view-level statistics for unmaintained
    views; maintained ones go through Ivm.refresh_stats). *)
-let materialize_stats ?buckets db (view : Mv_core.View.t) stats :
+let materialize_stats db (view : Mv_core.View.t) stats :
     Table.t * Mv_catalog.Stats.t =
   let tbl = materialize db view in
-  let ts = Database.table_stats ?buckets db view.Mv_core.View.name in
+  let ts = Database.table_stats db view.Mv_core.View.name in
   (tbl, (view.Mv_core.View.name, ts) :: stats)
 
 (* Execute a substitute: its block references the view's materialized

@@ -87,13 +87,16 @@ module Bag : sig
       column. *)
 end
 
+val mark_fresh : Database.t -> Mv_core.View.t -> unit
+(** {!Mv_core.View.mark_fresh} at the current write epochs of the view's
+    base tables: its contents now correspond to them. *)
+
 val materialize : Database.t -> Mv_core.View.t -> Table.t
 (** Compute the view's contents, register them as a table in the database,
     and record the row count on the view descriptor — which is also marked
     fresh at the base tables' current write epochs (DESIGN.md §12). *)
 
 val materialize_stats :
-  ?buckets:int ->
   Database.t ->
   Mv_core.View.t ->
   Mv_catalog.Stats.t ->

@@ -316,14 +316,6 @@ let update_columns name cols ~removed ~added =
 
 (* ---- attach ----------------------------------------------------------- *)
 
-let record_fresh t (view : View.t) =
-  let epochs =
-    List.map
-      (fun tn -> (tn, Database.table_epoch t.db tn))
-      (Sset.elements view.View.source_tables)
-  in
-  View.mark_fresh ~epochs view
-
 let attach t (view : View.t) =
   let name = view.View.name in
   if List.exists (fun e -> e.view.View.name = name) t.entries then
@@ -365,7 +357,7 @@ let attach t (view : View.t) =
            { vals; len = Array.length vals })
          (Table.def_of tbl).Mv_catalog.Table_def.columns)
   in
-  record_fresh t view;
+  Exec.mark_fresh t.db view;
   t.entries <- t.entries @ [ { view; block; state; cols; dirty = false } ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
@@ -678,7 +670,7 @@ let apply t (batch : batch) =
             entry.dirty <- true
           end;
           tick views_updated;
-          record_fresh t entry.view;
+          Exec.mark_fresh t.db entry.view;
           match t.health with
           | Some h ->
               Mv_core.Health.record_maintenance h
@@ -691,7 +683,7 @@ let apply t (batch : batch) =
 
 (* A view's statistics from its maintained sorted columns: what
    [Database.table_stats] computes, without the sort. *)
-let entry_stats ?buckets t e : Stats.table_stats =
+let entry_stats t e : Stats.table_stats =
   let tbl = Database.table_exn t.db e.view.View.name in
   {
     Stats.row_count = Table.row_count tbl;
@@ -699,17 +691,17 @@ let entry_stats ?buckets t e : Stats.table_stats =
       List.mapi
         (fun c (col : Mv_catalog.Column.t) ->
           ( col.Mv_catalog.Column.name,
-            Stats.of_sorted ?buckets e.cols.(c).vals e.cols.(c).len ))
+            Stats.of_sorted e.cols.(c).vals e.cols.(c).len ))
         (Table.def_of tbl).Mv_catalog.Table_def.columns;
   }
 
-let refresh_stats ?buckets t (stats : Stats.t) : Stats.t =
+let refresh_stats t (stats : Stats.t) : Stats.t =
   let dirty = List.filter (fun e -> e.dirty) t.entries in
   let stats' =
     List.fold_left
       (fun acc e ->
         let name = e.view.View.name in
-        (name, entry_stats ?buckets t e) :: List.remove_assoc name acc)
+        (name, entry_stats t e) :: List.remove_assoc name acc)
       stats dirty
   in
   List.iter (fun e -> e.dirty <- false) dirty;

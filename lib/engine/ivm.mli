@@ -123,8 +123,7 @@ val apply : t -> batch -> unit
     including a removed row holding a value its column's sorted values
     lack. *)
 
-val refresh_stats :
-  ?buckets:int -> t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
+val refresh_stats : t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
 (** Return [stats] with the entry of every view updated by {!apply} since
     the last call derived from its maintained sorted columns
     ({!Mv_catalog.Stats.of_sorted}, no sort), leaving every other entry

@@ -20,44 +20,6 @@ let all_configs =
     { alt = false; filter = false };
   ]
 
-type level_flow = { level : string; entered : int; passed : int }
-
-type phase_stats = {
-  phase : string;
-  calls : int;
-  p50 : float;
-  p90 : float;
-  p99 : float;  (** interpolated quantiles of per-call wall seconds *)
-}
-
-type measurement = {
-  nviews : int;
-  config : config;
-  queries : int;
-  domains : int;
-      (** OCaml domains the query batch was sharded over (1 = sequential) *)
-  wall_time : float;
-      (** elapsed seconds for the whole query batch — what the paper's
-          figures report *)
-  cpu_time : float;  (** CPU seconds for the same batch *)
-  rule_wall_time : float;  (** elapsed seconds inside the view-matching rule *)
-  rule_cpu_time : float;
-  invocations : int;
-  candidates : int;
-  matched : int;
-  substitutes : int;
-  plans_using_views : int;
-  cost_bound_prunes : int;
-      (** substitute leaves abandoned by branch-and-bound cost-bound
-          pruning ([opt.prune.cost_bound]), summed over the batch *)
-  level_flow : level_flow list;
-      (** candidates entering/surviving each filter-tree level, summed over
-          the batch (empty in the NoFilter configurations) *)
-  phases : phase_stats list;
-      (** per-phase optimizer latency percentiles over the batch, from the
-          [optimizer.phase.*] histograms *)
-}
-
 type workload = {
   schema : Mv_catalog.Schema.t;
   stats : Mv_catalog.Stats.t;
@@ -83,71 +45,42 @@ let make_workload ?(view_seed = 1001) ?(query_seed = 2002) ?(nviews = 1000)
 
 let take n xs = List.filteri (fun i _ -> i < n) xs
 
-(* The per-level candidate flow recorded by the registry's filter tree,
-   in the navigation order of the registry's plan. *)
-let level_flow_of (registry : Mv_core.Registry.t) : level_flow list =
-  let obs = registry.Mv_core.Registry.obs in
+(* The per-level candidate flow recorded by the registry's filter tree:
+   one "level" measure (candidates in, out) per level that saw any, in the
+   navigation order of the registry's plan, the strong-range check last. *)
+let levels (registry : Mv_core.Registry.t) : Measure.t list =
+  let count = Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs in
   let plan =
     if registry.Mv_core.Registry.backjoins then
       Mv_core.Filter_tree.backjoin_plan
     else Mv_core.Filter_tree.default_plan
   in
-  let flows =
-    List.map
-      (fun level ->
-        let name = Mv_core.Filter_tree.level_name level in
-        {
-          level = name;
-          entered =
-            Mv_obs.Registry.counter_value obs
-              ("filter_tree.level." ^ name ^ ".in");
-          passed =
-            Mv_obs.Registry.counter_value obs
-              ("filter_tree.level." ^ name ^ ".out");
-        })
-      (Mv_core.Filter_tree.plan_levels plan)
-  in
-  let strong =
-    {
-      level = "strong-range";
-      entered = Mv_obs.Registry.counter_value obs "filter_tree.strong_range.in";
-      passed = Mv_obs.Registry.counter_value obs "filter_tree.strong_range.out";
-    }
-  in
-  List.filter (fun f -> f.entered > 0 || f.passed > 0) (flows @ [ strong ])
+  List.filter_map
+    (fun (level, key) ->
+      match (count (key ^ ".in"), count (key ^ ".out")) with
+      | 0, 0 -> None
+      | entered, passed ->
+          Some
+            (Measure.make "level"
+               ~params:[ ("level", J.String level) ]
+               ~metrics:[ ("in", J.Int entered); ("out", J.Int passed) ]))
+    (List.map
+       (fun level ->
+         let name = Mv_core.Filter_tree.level_name level in
+         (name, "filter_tree.level." ^ name))
+       (Mv_core.Filter_tree.plan_levels plan)
+    @ [ ("strong-range", "filter_tree.strong_range") ])
 
-let phase_names = [ "analyze"; "match"; "cost"; "total" ]
-
-(* The per-phase optimizer latency percentiles, read from the
-   [optimizer.phase.*] histograms the optimizer feeds on every call. The
-   histogram lookup is get-or-create, so a phase that never ran still
-   yields a (zero) row — the JSON shape stays stable across every
-   measurement cell, including nviews = 0. *)
-let phases_of (registry : Mv_core.Registry.t) : phase_stats list =
-  let obs = registry.Mv_core.Registry.obs in
-  List.map
-    (fun name ->
-      let h = Mv_obs.Registry.histogram obs ("optimizer.phase." ^ name) in
-      {
-        phase = name;
-        calls = Mv_obs.Instrument.count h;
-        p50 = Mv_obs.Instrument.quantile h 0.5;
-        p90 = Mv_obs.Instrument.quantile h 0.9;
-        p99 = Mv_obs.Instrument.quantile h 0.99;
-      })
-    phase_names
-
-(* One measurement: first [nviews] views, one configuration. With
+(* One grid cell: first [nviews] views, one configuration. With
    [domains > 1] the query batch is sharded over that many OCaml domains
    ({!Pool.map_chunked}) against ONE shared registry/filter tree: every
    query is optimized by exactly one domain, the interners are frozen after
    registry construction so query-side key building is lock-free, lattice
    searches carry per-search visit state, and the obs counters the
-   measurement reads are atomic — so the counter totals and candidate sets
+   cell reads are atomic — so the counter totals and candidate sets
    are identical to the sequential run by construction (asserted by
    test/test_parallel.ml). *)
-let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : measurement
-    =
+let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : Measure.t =
   let registry = Mv_core.Registry.create ~use_filter:config.filter w.schema in
   List.iter (Mv_core.Registry.add_prebuilt registry) (take nviews w.views);
   Mv_relalg.Intern.freeze ();
@@ -165,33 +98,46 @@ let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : measurement
         r.Mv_opt.Optimizer.used_views)
   in
   let wall_time, cpu_time = Mv_obs.Instrument.elapsed span in
-  let plans_using_views =
-    List.fold_left (fun n u -> if u then n + 1 else n) 0 used
+  let obs = registry.Mv_core.Registry.obs in
+  let count name = J.Int (Mv_obs.Registry.counter_value obs name) in
+  let rule_timer = Mv_obs.Registry.timer obs "rule.time" in
+  (* the histogram lookup is get-or-create, so a phase that never ran
+     still yields a (zero) block: the JSON shape is the same in every
+     cell, nviews = 0 included *)
+  let phases =
+    List.map
+      (fun p -> (p, Mv_obs.Registry.histogram obs ("optimizer.phase." ^ p)))
+      [ "analyze"; "match"; "cost"; "total" ]
   in
-  let s = Mv_core.Registry.stats registry in
-  let rule_timer =
-    Mv_obs.Registry.timer registry.Mv_core.Registry.obs "rule.time"
-  in
-  {
-    nviews;
-    config;
-    queries = List.length w.queries;
-    domains = max 1 domains;
-    wall_time;
-    cpu_time;
-    rule_wall_time = Mv_obs.Instrument.wall rule_timer;
-    rule_cpu_time = Mv_obs.Instrument.cpu rule_timer;
-    invocations = s.Mv_core.Registry.invocations;
-    candidates = s.Mv_core.Registry.candidates;
-    matched = s.Mv_core.Registry.matched;
-    substitutes = s.Mv_core.Registry.substitutes;
-    plans_using_views;
-    cost_bound_prunes =
-      Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs
-        "opt.prune.cost_bound";
-    level_flow = level_flow_of registry;
-    phases = phases_of registry;
-  }
+  Measure.make "cell"
+    ~params:
+      [
+        ("config", J.String (config_name config));
+        ("alt", J.Bool config.alt);
+        ("filter", J.Bool config.filter);
+        ("nviews", J.Int nviews);
+        ("queries", J.Int (List.length w.queries));
+        ("domains", J.Int (max 1 domains));
+      ]
+    ~metrics:
+      ([
+         ("wall_time_s", J.Float wall_time);
+         ("cpu_time_s", J.Float cpu_time);
+         ("rule_wall_time_s", J.Float (Mv_obs.Instrument.wall rule_timer));
+         ("rule_cpu_time_s", J.Float (Mv_obs.Instrument.cpu rule_timer));
+         ("invocations", count "rule.invocations");
+         ("candidates", count "rule.candidates");
+         ("matched", count "rule.matched");
+         ("substitutes", count "rule.substitutes");
+         ("plans_using_views", J.Int (List.length (List.filter Fun.id used)));
+         ("cost_bound_prunes", count "opt.prune.cost_bound");
+       ]
+      @ List.map
+          (fun (p, h) ->
+            ("phases." ^ p ^ ".calls", J.Int (Mv_obs.Instrument.count h)))
+          phases)
+    ~pcts:(List.map (fun (p, h) -> ("phases." ^ p, Measure.pct_of h)) phases)
+    ~subs:[ ("levels", levels registry) ]
 
 (* ---- why-not aggregation ---- *)
 
@@ -453,13 +399,24 @@ let bag_close rows_a rows_b =
        (List.sort Mv_engine.Relation.row_order rows_a)
        (List.sort Mv_engine.Relation.row_order rows_b)
 
+(* A random write to a non-empty table: duplicate-reinserts of existing
+   rows (foreign keys keep holding, join deltas fire), then deletes of
+   distinct existing row instances. The draw order is part of the
+   contract: a seed fixes every bench and CLI write sequence. *)
+let random_delta rng rows ~nrows : Mv_engine.Ivm.delta =
+  let n = List.length rows in
+  let n_ins = max 1 (nrows / 2) in
+  let n_del = min (max 0 (nrows - n_ins)) (n / 2) in
+  let ins = List.init n_ins (fun _ -> List.nth rows (Mv_util.Prng.int rng n)) in
+  let del = take n_del (Mv_util.Prng.shuffle rng rows) in
+  { Mv_engine.Ivm.ins; del }
+
 (* One (nviews, batch size) cell: materialize the first [nviews] pool
    views over two copies of the generated database, then push the same
-   write batches through incremental maintenance on one copy and through
-   full rematerialization of the affected views on the other, timing each
-   batch in both arms. Batches duplicate randomly picked existing rows
-   (foreign keys keep holding, join deltas fire) and delete randomly
-   picked distinct row instances of one randomly chosen source table. *)
+   write batches ({!random_delta} of one randomly chosen source table)
+   through incremental maintenance on one copy and through full
+   rematerialization of the affected views on the other, timing each
+   batch in both arms. *)
 let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
     : Measure.t =
   let views = take nviews pool in
@@ -483,18 +440,13 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
   for _ = 1 to batches do
     if sources <> [] then begin
       let tn = Mv_util.Prng.pick rng sources in
-      let tbl = Mv_engine.Database.table_exn dba tn in
-      let rows = tbl.Mv_engine.Table.rows in
-      let n = List.length rows in
-      if n > 0 then begin
-        let n_ins = max 1 (batch_rows / 2) in
-        let n_del = min (max 0 (batch_rows - n_ins)) (n / 2) in
-        let ins =
-          List.init n_ins (fun _ -> List.nth rows (Mv_util.Prng.int rng n))
+      let rows = (Mv_engine.Database.table_exn dba tn).Mv_engine.Table.rows in
+      if rows <> [] then begin
+        let ({ Mv_engine.Ivm.ins; del } as delta) =
+          random_delta rng rows ~nrows:batch_rows
         in
-        let del = take n_del (Mv_util.Prng.shuffle rng rows) in
-        let batch = [ (tn, { Mv_engine.Ivm.ins; del }) ] in
-        rows_written := !rows_written + n_ins + n_del;
+        let written = List.length ins + List.length del in
+        rows_written := !rows_written + written;
         (* observe both into the cell-local histograms (per-cell stats)
            and, when given, a shared obs registry the timeline sampler
            windows over *)
@@ -514,10 +466,10 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
               (Mv_obs.Registry.counter o "maintain.batches");
             Mv_obs.Instrument.add
               (Mv_obs.Registry.counter o "maintain.rows_written")
-              (n_ins + n_del)
+              written
         | None -> ());
         timed delta_h "maintain.delta" (fun () ->
-            Mv_engine.Ivm.apply ivm batch);
+            Mv_engine.Ivm.apply ivm [ (tn, delta) ]);
         timed remat_h "maintain.remat" (fun () ->
             List.iter (fun r -> Mv_engine.Database.insert dbb tn r) ins;
             List.iter (fun r -> Mv_engine.Database.delete dbb tn r) del;
@@ -591,7 +543,7 @@ let maintain ?(seed = 42) ?(batches = 12) ?(scale = 1) ~nviews_list
   (* the maintenance timeline: a scoped obs registry every cell reports
      into, windowed by a dedicated sampler domain across the whole grid *)
   let obs = Mv_obs.Registry.create () in
-  let tl = Mv_obs.Timeline.create ~capacity:240 obs in
+  let tl = Mv_obs.Timeline.create obs in
   let sampler = Mv_obs.Timeline.start ~period:0.05 tl in
   let cells =
     List.concat_map
@@ -619,9 +571,9 @@ let maintain ?(seed = 42) ?(batches = 12) ?(scale = 1) ~nviews_list
     ~subs:[ ("cells", cells) ]
 
 (* The full grid for the figures. A discarded warmup run first: the very
-   first measurement otherwise pays one-time allocation/GC costs. *)
-let sweep ?(domains = 1) (w : workload) ~nviews_list ~configs :
-    measurement list =
+   first cell otherwise pays one-time allocation/GC costs. *)
+let sweep ?(domains = 1) (w : workload) ~nviews_list ~configs : Measure.t list
+    =
   (match configs with
   | c :: _ -> ignore (run w ~nviews:0 ~config:c)
   | [] -> ());
@@ -631,19 +583,16 @@ let sweep ?(domains = 1) (w : workload) ~nviews_list ~configs :
     nviews_list
 
 (* The counters that must not move with the domain count: only the
-   timings may differ between rows of one scaling sweep. *)
-let counters_agree (ms : measurement list) =
-  match ms with
+   timings may differ between cells of one scaling sweep. *)
+let counters_agree (cells : Measure.t list) =
+  let counters m =
+    ( List.map (Measure.int m)
+        [ "candidates"; "matched"; "substitutes"; "plans_using_views" ],
+      List.assoc "levels" m.Measure.subs )
+  in
+  match cells with
   | [] -> true
-  | m0 :: rest ->
-      List.for_all
-        (fun m ->
-          m.candidates = m0.candidates
-          && m.matched = m0.matched
-          && m.substitutes = m0.substitutes
-          && m.plans_using_views = m0.plans_using_views
-          && m.level_flow = m0.level_flow)
-        rest
+  | m0 :: rest -> List.for_all (fun m -> counters m = counters m0) rest
 
 (* Domain-scaling sweep: the same (nviews, Alt&Filter) cell measured at
    each domain count, after one discarded warmup; speedup is
@@ -651,37 +600,37 @@ let counters_agree (ms : measurement list) =
 let scaling (w : workload) ~nviews ~domains_list : Measure.t =
   let config = { alt = true; filter = true } in
   ignore (run w ~nviews ~config);
-  let ms =
+  let cells =
     List.map (fun domains -> run w ~domains ~nviews ~config) domains_list
   in
-  let base = List.find_opt (fun m -> m.domains = 1) ms in
+  let wall m = Measure.float m "wall_time_s" in
+  let base = List.find_opt (fun m -> Measure.int m "domains" = 1) cells in
   let speedup m =
-    match base with
-    | Some b when m.wall_time > 0.0 -> b.wall_time /. m.wall_time
-    | _ -> 1.0
+    match base with Some b when wall m > 0.0 -> wall b /. wall m | _ -> 1.0
   in
   Measure.make "scaling"
     ~params:
       [ ("nviews", J.Int nviews); ("queries", J.Int (List.length w.queries)) ]
-    ~verdicts:[ ("counters_agree", counters_agree ms) ]
+    ~verdicts:[ ("counters_agree", counters_agree cells) ]
     ~subs:
       [
         ( "rows",
           List.map
             (fun m ->
+              let metric k = (k, List.assoc k m.Measure.metrics) in
               Measure.make "row"
-                ~params:[ ("domains", J.Int m.domains) ]
+                ~params:[ ("domains", J.Int (Measure.int m "domains")) ]
                 ~metrics:
                   [
-                    ("wall_time_s", J.Float m.wall_time);
-                    ("cpu_time_s", J.Float m.cpu_time);
+                    metric "wall_time_s";
+                    metric "cpu_time_s";
                     ("speedup", J.Float (speedup m));
-                    ("candidates", J.Int m.candidates);
-                    ("matched", J.Int m.matched);
-                    ("substitutes", J.Int m.substitutes);
-                    ("plans_using_views", J.Int m.plans_using_views);
+                    metric "candidates";
+                    metric "matched";
+                    metric "substitutes";
+                    metric "plans_using_views";
                   ])
-            ms );
+            cells );
       ]
 
 (* ---- the view-advisor benchmark (bench --advise) ---- *)

@@ -1,6 +1,9 @@
 (** The measurement harness behind section 5's experiments: optimize a
     fixed query batch against the first N of a fixed view population under
-    the four configurations, collecting the paper's counters. *)
+    the four configurations, collecting the paper's counters as one
+    {!Measure.t} cell per grid point. The other bench sections (scaling,
+    why-not, exec, maintenance, advise) are built here too, each a
+    {!Measure.t}. *)
 
 module Spjg = Mv_relalg.Spjg
 
@@ -9,52 +12,8 @@ type config = { alt : bool; filter : bool }
 val config_name : config -> string
 
 val all_configs : config list
-
-type level_flow = { level : string; entered : int; passed : int }
-
-(** Per-phase optimizer latency percentiles over one measurement's query
-    batch, from the [optimizer.phase.*] histograms (interpolated
-    quantiles of per-call wall seconds). *)
-type phase_stats = {
-  phase : string;  (** "analyze" | "match" | "cost" | "total" *)
-  calls : int;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
-
-type measurement = {
-  nviews : int;
-  config : config;
-  queries : int;
-  domains : int;
-      (** OCaml domains the query batch was sharded over (1 = sequential) *)
-  wall_time : float;
-      (** elapsed seconds for the whole query batch — the paper reports
-          elapsed optimization time, so this is what the figures print *)
-  cpu_time : float;  (** CPU seconds for the same batch *)
-  rule_wall_time : float;
-  rule_cpu_time : float;
-  invocations : int;
-  candidates : int;
-  matched : int;
-  substitutes : int;
-  plans_using_views : int;
-  cost_bound_prunes : int;
-      (** substitute leaves abandoned by branch-and-bound cost-bound
-          pruning ([opt.prune.cost_bound]), summed over the batch — plan
-          choices are provably unaffected (strict [>] against the best
-          complete plan) *)
-  level_flow : level_flow list;
-      (** per-filter-tree-level candidates in/out, summed over the batch *)
-  phases : phase_stats list;
-      (** one row per phase, always all four, zeros when a phase never
-          ran — the JSON shape stays stable across measurement cells *)
-}
-
-val level_flow_of : Mv_core.Registry.t -> level_flow list
-
-val phases_of : Mv_core.Registry.t -> phase_stats list
+(** The four configurations in the paper's column order: Alt&Filter,
+    NoAlt&Filter, Alt&NoFilter, NoAlt&NoFilter. *)
 
 type workload = {
   schema : Mv_catalog.Schema.t;
@@ -73,24 +32,44 @@ val make_workload :
 
 val take : int -> 'a list -> 'a list
 
-val run : ?domains:int -> workload -> nviews:int -> config:config -> measurement
-(** One measurement. [domains > 1] shards the query batch over that many
-    OCaml domains against one shared registry ({!Pool.map_chunked});
-    counter totals and candidate sets are identical to the sequential run,
-    only the timings differ. Freezes the intern domains after registry
-    construction. *)
+val levels : Mv_core.Registry.t -> Measure.t list
+(** The registry filter tree's per-level candidate flow, read from its
+    [filter_tree.level.*] and [filter_tree.strong_range] counters: one
+    ["level"] measure (param [level], metrics [in] and [out]) per level
+    that saw any candidate, in the navigation order of the registry's
+    plan, strong-range last. *)
+
+val run : ?domains:int -> workload -> nviews:int -> config:config -> Measure.t
+(** One grid cell, a ["cell"] measure. Params: [config], [alt], [filter],
+    [nviews], [queries], [domains]. Metrics: [wall_time_s] and
+    [cpu_time_s] for the whole batch (the paper reports elapsed time, so
+    the figures print wall time); [rule_wall_time_s] and
+    [rule_cpu_time_s] from the [rule.time] timer; [invocations],
+    [candidates], [matched] and [substitutes] from the [rule.*] counters;
+    [plans_using_views]; [cost_bound_prunes] from [opt.prune.cost_bound]
+    (substitute leaves abandoned by branch-and-bound, which provably never
+    changes a plan choice); and one [phases.<phase>] block per optimizer
+    phase ([analyze], [match], [cost], [total]: [calls] and interpolated
+    p50/p90/p99 of per-call wall seconds from [optimizer.phase.*]; zeros
+    when a phase never ran, so every cell has the same shape). The
+    [levels] sub-list is {!levels} (empty without views or filter tree).
+
+    [domains > 1] shards the query batch over that many OCaml domains
+    against one shared registry ({!Pool.map_chunked}); counter totals and
+    candidate sets are identical to the sequential run, only the timings
+    differ. Freezes the intern domains after registry construction. *)
 
 val sweep :
   ?domains:int ->
   workload ->
   nviews_list:int list ->
   configs:config list ->
-  measurement list
-(** The full grid, with one discarded warmup run first. *)
+  Measure.t list
+(** The full grid of {!run} cells, with one discarded warmup run first. *)
 
-val counters_agree : measurement list -> bool
-(** Candidates, matched, substitutes, plans using views and the level flow
-    are equal across the rows — what a domain-scaling sweep must hold. *)
+val counters_agree : Measure.t list -> bool
+(** Candidates, matched, substitutes, plans using views and the levels are
+    equal across the cells — what a domain-scaling sweep must hold. *)
 
 val scaling : workload -> nviews:int -> domains_list:int list -> Measure.t
 (** The same (nviews, Alt&Filter) cell at each domain count, one warmup
@@ -120,6 +99,18 @@ val bag_close :
     relative tolerance (incremental SUM maintenance reorders float
     additions and may drift by rounding from a from-scratch fold —
     DESIGN.md §12); everything else is exact. *)
+
+val random_delta :
+  Mv_util.Prng.t ->
+  Mv_base.Value.t array list ->
+  nrows:int ->
+  Mv_engine.Ivm.delta
+(** A random write of about [nrows] rows to a table whose current contents
+    are [rows] (non-empty): re-insert [max 1 (nrows / 2)] existing rows
+    drawn with replacement (foreign keys keep holding, join deltas fire),
+    then delete the rest as distinct existing row instances, at most half
+    the table. Draws in that order from the generator, so a seed fixes the
+    write. *)
 
 val maintain :
   ?seed:int ->

@@ -21,41 +21,51 @@ let pct_of h =
   let q = Mv_obs.Instrument.quantile h in
   { p50_s = q 0.5; p90_s = q 0.9; p99_s = q 0.99 }
 
-let int m k =
-  match List.assoc k (m.params @ m.metrics) with
-  | J.Int i -> i
-  | _ -> raise Not_found
+let field m k = List.assoc k (m.params @ m.metrics)
+
+let int m k = match field m k with J.Int i -> i | _ -> raise Not_found
+
+let float m k = match field m k with J.Float f -> f | _ -> raise Not_found
+
+let string m k = match field m k with J.String s -> s | _ -> raise Not_found
 
 let verdict m k = List.assoc k m.verdicts
 
 (* ---- JSON ---- *)
 
-let split k =
-  match String.index_opt k '.' with
-  | None -> (k, None)
-  | Some i ->
-      (String.sub k 0 i, Some (String.sub k (i + 1) (String.length k - i - 1)))
-
-(* Group dotted keys by their first segment, in first-appearance order:
-   a head with one undotted key is a leaf, any other head an object of
-   the remainders. *)
-let rec nest fields =
-  let fields = List.map (fun (k, v) -> (split k, v)) fields in
+(* Nest (path, value) fields into object fields, grouping paths by their
+   first segment in first-appearance order. A head holding one value is a
+   leaf, kept as is (an object's own field names are never split). An
+   object-valued leaf merges its fields with the other paths under its
+   head; any other collision would drop a value, so it raises. *)
+let rec nest prefix fields =
   let heads =
     List.fold_left
-      (fun acc ((h, _), _) -> if List.mem h acc then acc else h :: acc)
+      (fun acc (p, _) ->
+        let h = List.hd p in
+        if List.mem h acc then acc else h :: acc)
       [] fields
   in
   List.rev_map
     (fun h ->
-      match List.filter (fun ((h', _), _) -> h' = h) fields with
-      | [ ((_, None), v) ] -> (h, v)
+      match
+        List.filter_map
+          (function h' :: rest, v when h' = h -> Some (rest, v) | _ -> None)
+          fields
+      with
+      | [ ([], v) ] -> (h, v)
       | group ->
+          let key = prefix ^ h in
           ( h,
             J.Obj
-              (nest
-                 (List.filter_map
-                    (fun ((_, rest), v) -> Option.map (fun r -> (r, v)) rest)
+              (nest (key ^ ".")
+                 (List.concat_map
+                    (function
+                      | [], J.Obj kvs -> List.map (fun (k, v) -> ([ k ], v)) kvs
+                      | [], _ ->
+                          invalid_arg
+                            ("Measure.to_json: colliding values at " ^ key)
+                      | field -> [ field ])
                     group)) ))
     heads
 
@@ -68,11 +78,14 @@ let pct_fields p =
 
 let rec to_json m =
   J.Obj
-    (nest
-       (m.params @ m.metrics
-       @ List.map (fun (k, p) -> (k, J.Obj (pct_fields p))) m.pcts
-       @ List.map (fun (k, b) -> (k, J.Bool b)) m.verdicts
-       @ List.map (fun (k, ms) -> (k, J.List (List.map to_json ms))) m.subs))
+    (nest ""
+       (List.map
+          (fun (k, v) -> (String.split_on_char '.' k, v))
+          (m.params @ m.metrics
+          @ List.map (fun (k, p) -> (k, J.Obj (pct_fields p))) m.pcts
+          @ List.map (fun (k, b) -> (k, J.Bool b)) m.verdicts
+          @ List.map (fun (k, ms) -> (k, J.List (List.map to_json ms))) m.subs
+          )))
 
 let rec failures m =
   List.filter_map (fun (k, ok) -> if ok then None else Some k) m.verdicts
@@ -152,21 +165,36 @@ let table b ms =
       line cols;
       List.iter line rows
 
+let params_text m =
+  String.concat " "
+    (List.filter_map
+       (fun (k, v) -> if printable v then Some (k ^ "=" ^ text v) else None)
+       m.params)
+
+(* Every sub-measure list as a table, then the lists nested in its
+   elements, each titled by its path and its element's params. *)
+let rec tables b path m =
+  List.iter
+    (fun (name, ms) ->
+      Printf.bprintf b "  %s%s (%d):\n" path name (List.length ms);
+      table b ms;
+      List.iteri
+        (fun i s ->
+          let ps = params_text s in
+          tables b
+            (Printf.sprintf "%s%s.%d%s " path name i
+               (if ps = "" then "" else " " ^ ps))
+            s)
+        ms)
+    m.subs
+
 let render m =
   let b = Buffer.create 1024 in
   Printf.bprintf b "\n== %s ==\n" m.section;
-  let params =
-    List.filter_map
-      (fun (k, v) -> if printable v then Some (k ^ "=" ^ text v) else None)
-      m.params
-  in
-  if params <> [] then Printf.bprintf b "(%s)\n" (String.concat " " params);
+  let params = params_text m in
+  if params <> "" then Printf.bprintf b "(%s)\n" params;
   let kv = row { m with params = [] } in
   let width = List.fold_left (fun w (k, _) -> max w (String.length k)) 0 kv in
   List.iter (fun (k, v) -> Printf.bprintf b "  %-*s  %s\n" width k v) kv;
-  List.iter
-    (fun (name, ms) ->
-      Printf.bprintf b "  %s (%d):\n" name (List.length ms);
-      table b ms)
-    m.subs;
+  tables b "" m;
   Buffer.contents b

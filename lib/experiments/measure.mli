@@ -7,7 +7,9 @@
 
     Keys may be dotted: ["cache.plan_hits"] and ["churn.consistent"] land
     in one ["cache"] / ["churn"] object of the JSON, merged with every
-    other key under the same head. The unit stays in the key suffix
+    other key under the same head; a percentile block or sub-measure list
+    may sit under a dotted key too (["phases.total"],
+    ["plans.default_plan.levels"]). The unit stays in the key suffix
     ([wall_s], [est_rows], [rate_qps]). *)
 
 type pct = { p50_s : float; p90_s : float; p99_s : float }
@@ -39,12 +41,23 @@ val int : t -> string -> int
 (** An integer param or metric. Raises [Not_found] when absent or not an
     integer. *)
 
+val float : t -> string -> float
+(** A float param or metric, as {!int}. *)
+
+val string : t -> string -> string
+(** A string param or metric, as {!int}. *)
+
 val verdict : t -> string -> bool
 (** Raises [Not_found] when absent. *)
 
 val to_json : t -> Mv_obs.Json.t
 (** Params, metrics, percentile blocks ([{"p50_s", "p90_s", "p99_s"}]),
-    verdicts and sub-measure lists as one object, dotted keys nested. *)
+    verdicts and sub-measure lists as one object, dotted keys nested. An
+    object-valued entry (a percentile block, an exported object) merges
+    with the dotted keys under the same key: ["phases.total.calls"] and
+    the ["phases.total"] block make one object.
+    @raise Invalid_argument naming the key when two entries would land on
+    one key otherwise (["a"] and ["a.b"], or ["x"] twice). *)
 
 val failures : t -> string list
 (** Every false verdict, sub-measures included, as its JSON path relative
@@ -53,4 +66,5 @@ val failures : t -> string list
 val render : t -> string
 (** The section as text: a title line with the params, one line per
     metric, percentile and verdict, then one table per sub-measure list
-    (columns taken from its first element). *)
+    (columns taken from its first element), each followed by the lists
+    nested in its elements, titled by path and the element's params. *)

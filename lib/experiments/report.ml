@@ -1,25 +1,20 @@
-(** Formatting of the paper's figures and in-text statistics from sweep
-    measurements. Every printer states what the paper reported so the
+(** Formatting of the paper's figures and in-text statistics from the
+    sweep's cells. Every printer states what the paper reported so the
     output reads as paper-vs-measured. *)
 
 let pr fmt = Printf.printf fmt
 
 let find ms ~nviews ~config =
   List.find_opt
-    (fun (m : Harness.measurement) ->
-      m.Harness.nviews = nviews && m.Harness.config = config)
+    (fun m ->
+      Measure.int m "nviews" = nviews
+      && Measure.string m "config" = Harness.config_name config)
     ms
 
-let configs_ordered =
-  [
-    { Harness.alt = true; filter = true };
-    { Harness.alt = false; filter = true };
-    { Harness.alt = true; filter = false };
-    { Harness.alt = false; filter = false };
-  ]
+let wall m = Measure.float m "wall_time_s"
 
 (* Figure 2: total optimization time vs number of views, four curves. *)
-let figure2 (ms : Harness.measurement list) nviews_list =
+let figure2 (ms : Measure.t list) nviews_list =
   pr "\n== Figure 2: optimization time vs number of views ==\n";
   pr "paper: optimization time grows linearly; with the filter tree the\n";
   pr "increase at 1000 views is ~60%%, without it ~110%%.\n\n";
@@ -27,7 +22,7 @@ let figure2 (ms : Harness.measurement list) nviews_list =
   pr "%8s" "views";
   List.iter
     (fun c -> pr " %14s" (Harness.config_name c))
-    configs_ordered;
+    Harness.all_configs;
   pr "\n";
   List.iter
     (fun n ->
@@ -35,9 +30,9 @@ let figure2 (ms : Harness.measurement list) nviews_list =
       List.iter
         (fun c ->
           match find ms ~nviews:n ~config:c with
-          | Some m -> pr " %13.3fs" m.Harness.wall_time
+          | Some m -> pr " %13.3fs" (wall m)
           | None -> pr " %14s" "-")
-        configs_ordered;
+        Harness.all_configs;
       pr "\n")
     nviews_list;
   (* headline ratios *)
@@ -45,10 +40,8 @@ let figure2 (ms : Harness.measurement list) nviews_list =
   let last c = find ms ~nviews:(List.fold_left max 0 nviews_list) ~config:c in
   let incr c =
     match (base c, last c) with
-    | Some b, Some l when b.Harness.wall_time > 0.0 ->
-        Some
-          ((l.Harness.wall_time -. b.Harness.wall_time)
-           /. b.Harness.wall_time *. 100.0)
+    | Some b, Some l when wall b > 0.0 ->
+        Some ((wall l -. wall b) /. wall b *. 100.0)
     | _ -> None
   in
   (match incr { Harness.alt = true; filter = true } with
@@ -60,7 +53,7 @@ let figure2 (ms : Harness.measurement list) nviews_list =
 
 (* Figure 3: total increase in optimization time vs time spent inside the
    view-matching rule (filter tree enabled, substitutes produced). *)
-let figure3 (ms : Harness.measurement list) nviews_list =
+let figure3 (ms : Measure.t list) nviews_list =
   pr "\n== Figure 3: increase in optimization time vs view-matching time ==\n";
   pr "paper: at 1000 views about half of the increase is spent inside the\n";
   pr "view-matching rule; with few views almost all of it is.\n\n";
@@ -73,13 +66,13 @@ let figure3 (ms : Harness.measurement list) nviews_list =
       match (find ms ~nviews:n ~config:cfg, base) with
       | Some m, Some b ->
           pr "%8d %15.3fs %17.3fs\n" n
-            (m.Harness.wall_time -. b.Harness.wall_time)
-            m.Harness.rule_wall_time
+            (wall m -. wall b)
+            (Measure.float m "rule_wall_time_s")
       | _ -> ())
     nviews_list
 
 (* Figure 4: number of final plans using materialized views. *)
-let figure4 (ms : Harness.measurement list) nviews_list =
+let figure4 (ms : Measure.t list) nviews_list =
   pr "\n== Figure 4: final plans using materialized views ==\n";
   pr "paper: ~60%% of queries use a view at 200 views, ~87%% at 1000.\n\n";
   let cfg = { Harness.alt = true; filter = true } in
@@ -88,14 +81,15 @@ let figure4 (ms : Harness.measurement list) nviews_list =
     (fun n ->
       match find ms ~nviews:n ~config:cfg with
       | Some m ->
-          pr "%8d %12d %9.0f%%\n" n m.Harness.plans_using_views
-            (100.0 *. float_of_int m.Harness.plans_using_views
-             /. float_of_int (max 1 m.Harness.queries))
+          let plans = Measure.int m "plans_using_views" in
+          pr "%8d %12d %9.0f%%\n" n plans
+            (100.0 *. float_of_int plans
+             /. float_of_int (max 1 (Measure.int m "queries")))
       | None -> ())
     nviews_list
 
 (* The in-text statistics of section 5 (T1-T5 in DESIGN.md). *)
-let stats_table (ms : Harness.measurement list) nviews_list =
+let stats_table (ms : Measure.t list) nviews_list =
   pr "\n== In-text statistics (section 5) ==\n";
   pr "paper: candidate set < 0.4%% of views (0.29%% @100, 0.36%% @1000);\n";
   pr "15-20%% of candidates pass full matching; substitutes/invocation\n";
@@ -110,22 +104,23 @@ let stats_table (ms : Harness.measurement list) nviews_list =
         match find ms ~nviews:n ~config:cfg with
         | Some m ->
             let fi = float_of_int in
+            let at_least_1 k = fi (max 1 (Measure.int m k)) in
+            let substitutes = fi (Measure.int m "substitutes") in
             pr "%8d %9.2f%% %11.1f%% %10.2f %12.1f %12.2f\n" n
-              (100.0 *. fi m.Harness.candidates
-               /. fi (max 1 m.Harness.invocations)
-               /. fi n)
-              (100.0 *. fi m.Harness.matched
-               /. fi (max 1 m.Harness.candidates))
-              (fi m.Harness.substitutes /. fi (max 1 m.Harness.invocations))
-              (fi m.Harness.invocations /. fi (max 1 m.Harness.queries))
-              (fi m.Harness.substitutes /. fi (max 1 m.Harness.queries))
+              (100.0 *. fi (Measure.int m "candidates")
+               /. at_least_1 "invocations" /. fi n)
+              (100.0 *. fi (Measure.int m "matched")
+               /. at_least_1 "candidates")
+              (substitutes /. at_least_1 "invocations")
+              (fi (Measure.int m "invocations") /. at_least_1 "queries")
+              (substitutes /. at_least_1 "queries")
         | None -> ())
     nviews_list
 
 (* The per-level pruning breakdown behind the in-text candidate fraction:
    how many candidate views entered each filter-tree level and how many
    survived it, summed over the batch (Alt&Filter configuration). *)
-let level_table (ms : Harness.measurement list) nviews_list =
+let level_table (ms : Measure.t list) nviews_list =
   pr "\n== Filter-tree pruning per level ==\n";
   pr "paper: each level is a necessary condition; the candidate set after\n";
   pr "all levels stays below 0.4%% of the view population.\n";
@@ -134,79 +129,23 @@ let level_table (ms : Harness.measurement list) nviews_list =
     (fun n ->
       if n > 0 then
         match find ms ~nviews:n ~config:cfg with
-        | Some m when m.Harness.level_flow <> [] ->
+        | Some { Measure.subs; _ } when List.assoc "levels" subs <> [] ->
             pr "\n%d views:\n" n;
             pr "  %-28s %12s %12s %9s\n" "level" "entered" "passed" "kept";
             List.iter
-              (fun (f : Harness.level_flow) ->
-                pr "  %-28s %12d %12d %8.1f%%\n" f.Harness.level
-                  f.Harness.entered f.Harness.passed
-                  (100.0 *. float_of_int f.Harness.passed
-                   /. float_of_int (max 1 f.Harness.entered)))
-              m.Harness.level_flow
+              (fun l ->
+                let entered = Measure.int l "in"
+                and passed = Measure.int l "out" in
+                pr "  %-28s %12d %12d %8.1f%%\n" (Measure.string l "level")
+                  entered passed
+                  (100.0 *. float_of_int passed
+                   /. float_of_int (max 1 entered)))
+              (List.assoc "levels" subs)
         | _ -> ())
     nviews_list
 
-(* ---- machine-readable output (the BENCH_*.json trajectory) ---- *)
-
-module J = Mv_obs.Json
-
-let level_flow_json (fs : Harness.level_flow list) =
-  J.List
-    (List.map
-       (fun (f : Harness.level_flow) ->
-         J.Obj
-           [
-             ("level", J.String f.Harness.level);
-             ("in", J.Int f.Harness.entered);
-             ("out", J.Int f.Harness.passed);
-           ])
-       fs)
-
-(* One object per phase, keyed by phase name: the percentile leaves carry
-   the [_s] suffix json_check's percentile-tolerance compare keys on. *)
-let phases_json (ps : Harness.phase_stats list) =
-  J.Obj
-    (List.map
-       (fun (p : Harness.phase_stats) ->
-         ( p.Harness.phase,
-           J.Obj
-             [
-               ("calls", J.Int p.Harness.calls);
-               ("p50_s", J.Float p.Harness.p50);
-               ("p90_s", J.Float p.Harness.p90);
-               ("p99_s", J.Float p.Harness.p99);
-             ] ))
-       ps)
-
-let measurement_json (m : Harness.measurement) =
-  J.Obj
-    [
-      ("config", J.String (Harness.config_name m.Harness.config));
-      ("alt", J.Bool m.Harness.config.Harness.alt);
-      ("filter", J.Bool m.Harness.config.Harness.filter);
-      ("nviews", J.Int m.Harness.nviews);
-      ("queries", J.Int m.Harness.queries);
-      ("domains", J.Int m.Harness.domains);
-      ("wall_time_s", J.Float m.Harness.wall_time);
-      ("cpu_time_s", J.Float m.Harness.cpu_time);
-      ("rule_wall_time_s", J.Float m.Harness.rule_wall_time);
-      ("rule_cpu_time_s", J.Float m.Harness.rule_cpu_time);
-      ("invocations", J.Int m.Harness.invocations);
-      ("candidates", J.Int m.Harness.candidates);
-      ("matched", J.Int m.Harness.matched);
-      ("substitutes", J.Int m.Harness.substitutes);
-      ("plans_using_views", J.Int m.Harness.plans_using_views);
-      ("cost_bound_prunes", J.Int m.Harness.cost_bound_prunes);
-      ("levels", level_flow_json m.Harness.level_flow);
-      ("phases", phases_json m.Harness.phases);
-    ]
-
-let measurements_json (ms : Harness.measurement list) =
-  J.List (List.map measurement_json ms)
-
-let write_json file (j : J.t) =
+let write_json file (j : Mv_obs.Json.t) =
   let oc = open_out file in
-  output_string oc (J.to_string j);
+  output_string oc (Mv_obs.Json.to_string j);
   output_char oc '\n';
   close_out oc

@@ -259,9 +259,8 @@ let maint_fixture (w : Harness.workload) views cfg =
     else Some { mt_db = db; mt_ivm = ivm; mt_views = attached }
   end
 
-(* One random batch over a random source table of the maintained clones:
-   duplicate-reinserts of existing rows (foreign keys keep holding, so
-   join deltas fire) plus deletes of distinct existing instances. *)
+(* One random batch ({!Harness.random_delta}) over a random source table
+   of the maintained clones. *)
 let maint_batch prng mt nrows : Mv_engine.Ivm.batch =
   let tables =
     Mv_util.Sset.elements
@@ -274,17 +273,9 @@ let maint_batch prng mt nrows : Mv_engine.Ivm.batch =
   | [] -> []
   | _ -> (
       let tn = Prng.pick prng tables in
-      let rows = (Mv_engine.Database.table_exn mt.mt_db tn).Mv_engine.Table.rows in
-      let n = List.length rows in
-      if n = 0 then []
-      else
-        let n_ins = max 1 (nrows / 2) in
-        let ins = List.init n_ins (fun _ -> List.nth rows (Prng.int prng n)) in
-        let n_del = min (max 0 (nrows - n_ins)) (n / 2) in
-        let del =
-          List.filteri (fun i _ -> i < n_del) (Prng.shuffle prng rows)
-        in
-        [ (tn, { Mv_engine.Ivm.ins; del }) ])
+      match (Mv_engine.Database.table_exn mt.mt_db tn).Mv_engine.Table.rows with
+      | [] -> []
+      | rows -> [ (tn, Harness.random_delta prng rows ~nrows) ])
 
 let maint_consistent = function
   | None -> true
@@ -408,7 +399,7 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
   (* timeline sampler: a dedicated domain snapshotting the shared obs
      registry every [timeline_period]; started after warmup so the
      windows cover exactly the measured interval *)
-  let tl = Mv_obs.Timeline.create ~capacity:240 obs in
+  let tl = Mv_obs.Timeline.create obs in
   let sampler =
     if cfg.timeline_period > 0.0 then
       Some (Mv_obs.Timeline.start ~period:cfg.timeline_period tl)

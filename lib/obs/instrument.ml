@@ -111,39 +111,36 @@ let min_value h = Mutex.protect h.h_lock (fun () -> h.h_min)
 
 let max_value h = Mutex.protect h.h_lock (fun () -> h.h_max)
 
-(* Shared quantile walk: find the bucket holding the q-quantile
-   observation, then either report its upper bound (the historical coarse
-   estimate) or interpolate linearly within it from the rank's position
-   among the bucket's observations, clamped to the exact min/max. *)
-let quantile_impl ~interpolate h q =
+(* The one quantile estimator, over a histogram's state or a snapshot's:
+   find the bucket holding the q-quantile observation, then interpolate
+   linearly within it from the rank's position among the bucket's
+   observations, clamped to the exact min/max. *)
+let quantile_of ~count ~min_v ~max_v bs q =
+  if count = 0 then 0.0
+  else begin
+    let rank =
+      let r = int_of_float (Float.of_int count *. q) in
+      max 0 (min (count - 1) r)
+    in
+    let rec go i seen =
+      if i >= buckets then max_v
+      else
+        let c = bs.(i) in
+        let seen' = seen + c in
+        if seen' > rank then begin
+          let lower = bucket_lower i and upper = bucket_upper i in
+          let frac = float_of_int (rank - seen + 1) /. float_of_int c in
+          let v = lower +. ((upper -. lower) *. frac) in
+          Float.max min_v (Float.min max_v v)
+        end
+        else go (i + 1) seen'
+    in
+    go 0 0
+  end
+
+let quantile h q =
   Mutex.protect h.h_lock (fun () ->
-      if h.h_count = 0 then 0.0
-      else begin
-        let rank =
-          let r = int_of_float (Float.of_int h.h_count *. q) in
-          max 0 (min (h.h_count - 1) r)
-        in
-        let rec go i seen =
-          if i >= buckets then h.h_max
-          else
-            let c = h.h_buckets.(i) in
-            let seen' = seen + c in
-            if seen' > rank then
-              if not interpolate then bucket_upper i
-              else begin
-                let lower = bucket_lower i and upper = bucket_upper i in
-                let frac = float_of_int (rank - seen + 1) /. float_of_int c in
-                let v = lower +. ((upper -. lower) *. frac) in
-                Float.max h.h_min (Float.min h.h_max v)
-              end
-            else go (i + 1) seen'
-        in
-        go 0 0
-      end)
-
-let quantile h q = quantile_impl ~interpolate:true h q
-
-let quantile_upper h q = quantile_impl ~interpolate:false h q
+      quantile_of ~count:h.h_count ~min_v:h.h_min ~max_v:h.h_max h.h_buckets q)
 
 (* ---- merge: fold per-domain instruments into one ---- *)
 
@@ -234,27 +231,7 @@ let hsnap_diff ~prev cur =
   }
 
 let hsnap_quantile s q =
-  if s.hs_count = 0 then 0.0
-  else begin
-    let rank =
-      let r = int_of_float (Float.of_int s.hs_count *. q) in
-      max 0 (min (s.hs_count - 1) r)
-    in
-    let rec go i seen =
-      if i >= buckets then s.hs_max
-      else
-        let c = s.hs_buckets.(i) in
-        let seen' = seen + c in
-        if seen' > rank then begin
-          let lower = bucket_lower i and upper = bucket_upper i in
-          let frac = float_of_int (rank - seen + 1) /. float_of_int c in
-          let v = lower +. ((upper -. lower) *. frac) in
-          Float.max s.hs_min (Float.min s.hs_max v)
-        end
-        else go (i + 1) seen'
-    in
-    go 0 0
-  end
+  quantile_of ~count:s.hs_count ~min_v:s.hs_min ~max_v:s.hs_max s.hs_buckets q
 
 let reset_histogram h =
   Mutex.protect h.h_lock (fun () ->

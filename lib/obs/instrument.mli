@@ -71,11 +71,6 @@ val quantile : histogram -> float -> float
     reporting estimate, not exact statistics — but far tighter than the
     bucket upper bound for mid-bucket ranks. *)
 
-val quantile_upper : histogram -> float -> float
-(** The historical coarse estimate: the upper bound of the power-of-two
-    bucket holding the q-quantile observation; 0 when empty. Kept for
-    tests and for callers that want a guaranteed overestimate. *)
-
 val reset_histogram : histogram -> unit
 
 (** {2 Bucket geometry}

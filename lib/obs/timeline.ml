@@ -33,12 +33,11 @@ type t = {
   mutable prev_ts : float;
 }
 
-let create ?(capacity = 120) reg =
-  let capacity = max 1 capacity in
+let create reg =
   {
     lock = Mutex.create ();
     reg;
-    ring = Array.make capacity None;
+    ring = Array.make 240 None;
     next = 0;
     total = 0;
     prev_counters = Hashtbl.create 32;

@@ -26,8 +26,8 @@ type sample = {
   histograms : (string * hwindow) list;
 }
 
-val create : ?capacity:int -> Registry.t -> t
-(** Ring of at most [capacity] samples (default 120); older samples are
+val create : Registry.t -> t
+(** Ring of at most 240 samples ({!capacity}); older samples are
     overwritten. *)
 
 val tick : t -> unit

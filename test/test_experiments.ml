@@ -4,6 +4,8 @@
     enough to catch a broken filter tree or a dead view-matching rule. *)
 
 module H = Mv_experiments.Harness
+module M = Mv_experiments.Measure
+module J = Mv_obs.Json
 
 let mini =
   lazy (H.make_workload ~nviews:150 ~nqueries:25 ())
@@ -13,34 +15,41 @@ let test_workload_shape () =
   Alcotest.(check int) "views" 150 (List.length w.H.views);
   Alcotest.(check int) "queries" 25 (List.length w.H.queries)
 
+let levels m = List.assoc "levels" m.M.subs
+
 let test_counters_consistent () =
   let w = Lazy.force mini in
   let m = H.run w ~nviews:150 ~config:{ H.alt = true; filter = true } in
-  Alcotest.(check bool) "invocations happen" true (m.H.invocations > 0);
+  let n = M.int m and t = M.float m in
+  Alcotest.(check bool) "invocations happen" true (n "invocations" > 0);
   Alcotest.(check bool) "invocations >= queries" true
-    (m.H.invocations >= m.H.queries);
+    (n "invocations" >= n "queries");
   Alcotest.(check bool) "matched <= candidates" true
-    (m.H.matched <= m.H.candidates);
+    (n "matched" <= n "candidates");
   Alcotest.(check bool) "substitutes = matched (one per view)" true
-    (m.H.substitutes = m.H.matched);
+    (n "substitutes" = n "matched");
   Alcotest.(check bool) "rule wall time positive" true
-    (m.H.rule_wall_time > 0.0);
+    (t "rule_wall_time_s" > 0.0);
   Alcotest.(check bool) "rule wall time <= total wall" true
-    (m.H.rule_wall_time <= m.H.wall_time +. 0.05);
+    (t "rule_wall_time_s" <= t "wall_time_s" +. 0.05);
   Alcotest.(check bool) "rule cpu time <= total cpu" true
-    (m.H.rule_cpu_time <= m.H.cpu_time +. 0.05);
+    (t "rule_cpu_time_s" <= t "cpu_time_s" +. 0.05);
   (* CPU can exceed wall only through parallelism; this harness is
      single-threaded, so wall bounds cpu (modulo clock noise) *)
   Alcotest.(check bool) "cpu <= wall + noise" true
-    (m.H.cpu_time <= m.H.wall_time +. 0.1);
+    (t "cpu_time_s" <= t "wall_time_s" +. 0.1);
+  (* every optimization ran each phase's histogram; total once per query *)
+  Alcotest.(check int) "phases.total.calls" (n "queries")
+    (n "phases.total.calls");
   (* the Filter configuration must report a per-level breakdown *)
-  Alcotest.(check bool) "level flow present" true (m.H.level_flow <> []);
+  Alcotest.(check bool) "level flow present" true (levels m <> []);
   List.iter
-    (fun (f : H.level_flow) ->
+    (fun l ->
       Alcotest.(check bool)
-        (Printf.sprintf "level %s passes <= entered" f.H.level)
-        true (f.H.passed <= f.H.entered))
-    m.H.level_flow
+        (Printf.sprintf "level %s passes <= entered" (M.string l "level"))
+        true
+        (M.int l "out" <= M.int l "in"))
+    (levels m)
 
 let test_noalt_same_invocations_no_plans () =
   let w = Lazy.force mini in
@@ -48,62 +57,89 @@ let test_noalt_same_invocations_no_plans () =
   let noalt = H.run w ~nviews:150 ~config:{ H.alt = false; filter = true } in
   (* the rule runs either way; only plan usage differs *)
   Alcotest.(check bool) "noalt never uses views" true
-    (noalt.H.plans_using_views = 0);
-  Alcotest.(check bool) "alt uses some views" true (alt.H.plans_using_views > 0);
+    (M.int noalt "plans_using_views" = 0);
+  Alcotest.(check bool) "alt uses some views" true
+    (M.int alt "plans_using_views" > 0);
   (* NoAlt skips the exploration of substitute-derived alternatives, so it
      can only have fewer or equal invocations *)
   Alcotest.(check bool) "invocation counts comparable" true
-    (abs (alt.H.invocations - noalt.H.invocations)
-    <= alt.H.invocations / 2)
+    (abs (M.int alt "invocations" - M.int noalt "invocations")
+    <= M.int alt "invocations" / 2)
 
 let test_filter_reduces_candidates () =
   let w = Lazy.force mini in
   let filtered = H.run w ~nviews:150 ~config:{ H.alt = true; filter = true } in
   let linear = H.run w ~nviews:150 ~config:{ H.alt = true; filter = false } in
   (* identical matches... *)
-  Alcotest.(check int) "same substitutes" linear.H.substitutes
-    filtered.H.substitutes;
-  Alcotest.(check int) "same plans" linear.H.plans_using_views
-    filtered.H.plans_using_views;
+  Alcotest.(check int) "same substitutes" (M.int linear "substitutes")
+    (M.int filtered "substitutes");
+  Alcotest.(check int) "same plans" (M.int linear "plans_using_views")
+    (M.int filtered "plans_using_views");
   (* ...from far fewer candidates *)
+  let fc = M.int filtered "candidates" and lc = M.int linear "candidates" in
   Alcotest.(check bool)
-    (Printf.sprintf "filtered %d << linear %d" filtered.H.candidates
-       linear.H.candidates)
-    true
-    (filtered.H.candidates * 5 < linear.H.candidates)
+    (Printf.sprintf "filtered %d << linear %d" fc lc)
+    true (fc * 5 < lc);
+  Alcotest.(check bool) "no levels without the filter tree" true
+    (levels linear = [])
 
 let test_more_views_more_plans () =
   let w = Lazy.force mini in
   let at n = H.run w ~nviews:n ~config:{ H.alt = true; filter = true } in
   let m0 = at 0 and m150 = at 150 in
-  Alcotest.(check int) "no views, no view plans" 0 m0.H.plans_using_views;
-  Alcotest.(check bool) "views get used" true (m150.H.plans_using_views > 0);
+  Alcotest.(check int) "no views, no view plans" 0
+    (M.int m0 "plans_using_views");
+  Alcotest.(check bool) "views get used" true
+    (M.int m150 "plans_using_views" > 0);
   Alcotest.(check bool) "candidate counts grow" true
-    (m150.H.candidates >= m0.H.candidates)
+    (M.int m150 "candidates" >= M.int m0 "candidates")
 
+(* The grid in order, and every cell's JSON carrying the trajectory's key
+   paths: a percentile block and a call count in the same phase object. *)
 let test_sweep_covers_grid () =
   let w = Lazy.force mini in
-  let ms =
-    H.sweep w ~nviews_list:[ 0; 150 ]
-      ~configs:[ { H.alt = true; filter = true }; { H.alt = true; filter = false } ]
+  let configs =
+    [ { H.alt = true; filter = true }; { H.alt = true; filter = false } ]
   in
-  Alcotest.(check int) "grid size" 4 (List.length ms)
+  let ms = H.sweep w ~nviews_list:[ 0; 150 ] ~configs in
+  Alcotest.(check (list (pair int string)))
+    "grid order"
+    [ (0, "Alt&Filter"); (0, "Alt&NoFilter"); (150, "Alt&Filter");
+      (150, "Alt&NoFilter") ]
+    (List.map (fun m -> (M.int m "nviews", M.string m "config")) ms);
+  List.iter
+    (fun m ->
+      let j = M.to_json m in
+      List.iter
+        (fun path ->
+          Alcotest.(check bool) path true
+            (J.path (String.split_on_char '.' path) j <> None))
+        [ "config"; "alt"; "filter"; "domains"; "wall_time_s";
+          "cost_bound_prunes"; "levels"; "phases.analyze.calls";
+          "phases.match.p50_s"; "phases.cost.p90_s"; "phases.total.p99_s" ])
+    ms
 
-(* The scaling sweep's counters_agree verdict: rows may differ in their
+(* The scaling sweep's counters_agree verdict: cells may differ in their
    timings only. *)
 let test_counters_agree () =
   let w = Lazy.force mini in
   let m = H.run w ~nviews:150 ~config:{ H.alt = true; filter = true } in
-  let slower = { m with H.domains = 2; wall_time = m.H.wall_time *. 2.0 } in
-  Alcotest.(check bool) "timings may differ" true
-    (H.counters_agree [ m; slower ]);
+  let set k v (m : M.t) =
+    let put = List.map (fun (k', v') -> (k', if k' = k then v else v')) in
+    { m with M.params = put m.M.params; metrics = put m.M.metrics }
+  in
+  let slower =
+    set "domains" (J.Int 2)
+      (set "wall_time_s" (J.Float (M.float m "wall_time_s" *. 2.0)) m)
+  in
+  Alcotest.(check bool) "timings may differ" true (H.counters_agree [ m; slower ]);
   Alcotest.(check bool) "candidates may not" false
-    (H.counters_agree [ m; { m with H.candidates = m.H.candidates + 1 } ])
+    (H.counters_agree
+       [ m; set "candidates" (J.Int (M.int m "candidates" + 1)) m ]);
+  Alcotest.(check bool) "levels may not" false
+    (H.counters_agree [ m; { m with M.subs = [ ("levels", []) ] } ])
 
 (* ---- Measure: one record, one encoder, one failure collector ---- *)
-
-module M = Mv_experiments.Measure
-module J = Mv_obs.Json
 
 let exec_section = lazy (H.exec_bench ~reps:1 ~scale:1 ())
 
@@ -148,6 +184,59 @@ let test_measure_render_empty () =
   Alcotest.(check bool) "renders" true (String.length (M.render m) > 0);
   Alcotest.(check bool) "empty list in JSON" true
     (J.member "causes" (M.to_json m) = Some (J.List []))
+
+(* Two entries on one JSON key: an object-valued one (a percentile block)
+   merges with the dotted keys under it; any other pair would drop a
+   value, so the encoder raises naming the key. *)
+let test_measure_key_collisions () =
+  let pct = { M.p50_s = 1.0; p90_s = 2.0; p99_s = 3.0 } in
+  Alcotest.(check bool) "block and dotted count share one object" true
+    (M.to_json
+       (M.make "cell"
+          ~metrics:[ ("phases.total.calls", J.Int 4) ]
+          ~pcts:[ ("phases.total", pct) ])
+    = J.Obj
+        [
+          ( "phases",
+            J.Obj
+              [
+                ( "total",
+                  J.Obj
+                    [
+                      ("calls", J.Int 4);
+                      ("p50_s", J.Float 1.0);
+                      ("p90_s", J.Float 2.0);
+                      ("p99_s", J.Float 3.0);
+                    ] );
+              ] );
+        ]);
+  let collides key metrics =
+    Alcotest.check_raises key
+      (Invalid_argument ("Measure.to_json: colliding values at " ^ key))
+      (fun () -> ignore (M.to_json (M.make "s" ~metrics)))
+  in
+  collides "a" [ ("a", J.Int 1); ("a.b", J.Int 2) ];
+  collides "x" [ ("x", J.Int 1); ("x", J.Int 2) ];
+  collides "p.q" [ ("p.q", J.Int 1); ("p.r", J.Int 2); ("p.q", J.Int 3) ]
+
+(* Lists nested in list elements render too, titled by path and params. *)
+let test_measure_render_nested () =
+  let level =
+    M.make "level"
+      ~params:[ ("level", J.String "hubs") ]
+      ~metrics:[ ("in", J.Int 7); ("out", J.Int 3) ]
+  in
+  let point n =
+    M.make "point"
+      ~params:[ ("nviews", J.Int n) ]
+      ~subs:[ ("plans.default_plan.levels", [ level ]) ]
+  in
+  let text = M.render (M.make "filter_tree" ~subs:[ ("sweep", [ point 0; point 200 ]) ]) in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) needle true (Helpers.contains ~needle text))
+    [ "sweep (2):"; "sweep.1 nviews=200 plans.default_plan.levels (1):";
+      "hubs  7  3" ]
 
 (* ---- Pool.chunk_bounds edge cases ---- *)
 
@@ -231,6 +320,10 @@ let suite =
           test_measure_failures;
         Alcotest.test_case "Measure renders a section with no cells" `Quick
           test_measure_render_empty;
+        Alcotest.test_case "Measure merges or rejects colliding keys" `Quick
+          test_measure_key_collisions;
+        Alcotest.test_case "Measure renders lists nested in lists" `Quick
+          test_measure_render_nested;
         Alcotest.test_case "chunk_bounds edge cases" `Quick
           test_chunk_bounds_edges;
         Alcotest.test_case "chunk_bounds invariants over a grid" `Quick

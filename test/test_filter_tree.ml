@@ -142,11 +142,14 @@ let test_stats_counters () =
   in
   ignore (Mv_core.Registry.find_substitutes_spjg r q);
   ignore (Mv_core.Registry.find_substitutes_spjg r q);
-  let s = Mv_core.Registry.stats r in
-  Alcotest.(check int) "invocations" 2 s.Mv_core.Registry.invocations;
-  Alcotest.(check int) "substitutes" 2 s.Mv_core.Registry.substitutes;
+  let count = Mv_obs.Registry.counter_value r.Mv_core.Registry.obs in
+  Alcotest.(check int) "invocations" 2 (count "rule.invocations");
+  Alcotest.(check int) "substitutes" 2 (count "rule.substitutes");
+  Alcotest.(check bool) "searches recorded" true
+    (count "filter_tree.searches" > 0);
   Mv_core.Registry.reset_stats r;
-  Alcotest.(check int) "reset" 0 (Mv_core.Registry.stats r).Mv_core.Registry.invocations
+  Alcotest.(check int) "reset" 0 (count "rule.invocations");
+  Alcotest.(check int) "reset filter tree" 0 (count "filter_tree.searches")
 
 let suite =
   [

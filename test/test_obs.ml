@@ -1,6 +1,5 @@
 (** The observability layer itself: instrument arithmetic, scoped-registry
-    isolation, JSON snapshot round-trips, and the [Registry.stats] façade
-    agreeing with the underlying instruments. *)
+    isolation, JSON snapshot round-trips and the timeline ring. *)
 
 module Obs = Mv_obs.Registry
 module I = Mv_obs.Instrument
@@ -115,56 +114,6 @@ let test_json_parser () =
   match J.of_string (J.to_string (J.Float 2.0)) with
   | J.Float f -> Alcotest.(check (float 0.0)) "2.0 stays float" 2.0 f
   | _ -> Alcotest.fail "Float 2.0 must not reparse as Int"
-
-(* The compatibility façade: after a real matching run, [Registry.stats]
-   must report exactly what the instruments hold. *)
-let test_stats_facade () =
-  let r = Mv_core.Registry.create Helpers.schema in
-  let _, spjg =
-    Mv_sql.Parser.parse_view Helpers.schema
-      {| create view obs_v with schemabinding as
-         select l_orderkey, l_quantity from dbo.lineitem
-         where l_quantity >= 5 |}
-  in
-  ignore (Mv_core.Registry.add_view r ~name:"obs_v" spjg);
-  let q =
-    Mv_sql.Parser.parse_query Helpers.schema
-      "select l_orderkey from lineitem where l_quantity >= 10"
-  in
-  ignore (Mv_core.Registry.find_substitutes_spjg r q);
-  ignore (Mv_core.Registry.find_substitutes_spjg r q);
-  ignore
-    (Mv_core.Registry.find_substitutes_spjg r
-       (Mv_sql.Parser.parse_query Helpers.schema
-          "select s_name from supplier where s_acctbal >= 100"));
-  let s = Mv_core.Registry.stats r in
-  let obs = r.Mv_core.Registry.obs in
-  Alcotest.(check int) "invocations" (Obs.counter_value obs "rule.invocations")
-    s.Mv_core.Registry.invocations;
-  Alcotest.(check int) "invocations value" 3 s.Mv_core.Registry.invocations;
-  Alcotest.(check int) "candidates" (Obs.counter_value obs "rule.candidates")
-    s.Mv_core.Registry.candidates;
-  Alcotest.(check int) "matched" (Obs.counter_value obs "rule.matched")
-    s.Mv_core.Registry.matched;
-  Alcotest.(check int) "substitutes" (Obs.counter_value obs "rule.substitutes")
-    s.Mv_core.Registry.substitutes;
-  Alcotest.(check (float 1e-12)) "rule_time is the timer's cpu"
-    (I.cpu (Obs.timer obs "rule.time"))
-    s.Mv_core.Registry.rule_time;
-  (* filter-tree level counters flowed into the same registry, and every
-     level's out is bounded by its in *)
-  Alcotest.(check bool) "searches recorded" true
-    (Obs.counter_value obs "filter_tree.searches" > 0);
-  List.iter
-    (fun (f : Mv_experiments.Harness.level_flow) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: passed <= entered" f.Mv_experiments.Harness.level)
-        true
-        (f.Mv_experiments.Harness.passed <= f.Mv_experiments.Harness.entered))
-    (Mv_experiments.Harness.level_flow_of r);
-  Mv_core.Registry.reset_stats r;
-  Alcotest.(check int) "reset façade" 0
-    (Mv_core.Registry.stats r).Mv_core.Registry.invocations
 
 let test_render () =
   let r = Obs.create () in
@@ -332,6 +281,67 @@ let test_reset_registry_surfaces () =
         (Helpers.contains ~needle table))
     [ "c"; "h"; "t" ]
 
+(* ---- Timeline: the window ring, driven by manual ticks ---- *)
+
+module Tl = Mv_obs.Timeline
+
+let deltas name samples = List.map (fun s -> List.assoc name s.Tl.counters) samples
+
+(* Tick i moves the counter by i, so each window names its tick. *)
+let test_timeline_ring () =
+  let r = Obs.create () in
+  let c = Obs.counter r "c" in
+  let tl = Tl.create r in
+  let cap = Tl.capacity tl and extra = 7 in
+  for i = 1 to cap + extra do
+    I.add c i;
+    Tl.tick tl
+  done;
+  let ss = Tl.samples tl in
+  Alcotest.(check int) "total counts every tick" (cap + extra) (Tl.total tl);
+  Alcotest.(check (list int)) "newest capacity windows, oldest first"
+    (List.init cap (fun j -> extra + 1 + j))
+    (deltas "c" ss);
+  Alcotest.(check bool) "timestamps ascend" true
+    (List.for_all2 (fun a b -> a.Tl.ts <= b.Tl.ts)
+       (List.filteri (fun i _ -> i < cap - 1) ss)
+       (List.tl ss))
+
+(* Before the ring wraps, the windows partition the run: counter deltas
+   and histogram window counts add up to the cumulative instruments. *)
+let test_timeline_windows_sum () =
+  let r = Obs.create () in
+  let c = Obs.counter r "c" and h = Obs.histogram r "h" in
+  let tl = Tl.create r in
+  List.iter
+    (fun (n, obs) ->
+      I.add c n;
+      List.iter (I.observe h) obs;
+      Tl.tick tl)
+    [ (3, [ 0.5; 2.0 ]); (0, []); (11, [ 1e-3 ]); (4, [ 8.0; 8.0; 0.25 ]) ];
+  let ss = Tl.samples tl in
+  Alcotest.(check int) "no window overwritten" (Tl.total tl) (List.length ss);
+  Alcotest.(check int) "counter deltas sum to the counter" (I.value c)
+    (List.fold_left ( + ) 0 (deltas "c" ss));
+  Alcotest.(check int) "window counts sum to the histogram's" (I.count h)
+    (List.fold_left
+       (fun n s -> n + (List.assoc "h" s.Tl.histograms).Tl.w_count)
+       0 ss)
+
+(* A sampler sleeping through its whole run still ends with the tail
+   window: [stop] ticks once after joining the domain. *)
+let test_timeline_stop_ticks () =
+  let r = Obs.create () in
+  let c = Obs.counter r "c" in
+  let tl = Tl.create r in
+  let sampler = Tl.start ~period:0.5 tl in
+  I.add c 5;
+  let before = Tl.total tl in
+  Tl.stop sampler;
+  Alcotest.(check int) "one final tick" (before + 1) (Tl.total tl);
+  Alcotest.(check int) "tail window captured" 5
+    (List.fold_left ( + ) 0 (deltas "c" (Tl.samples tl)))
+
 let suite =
   [
     ( "obs",
@@ -345,8 +355,6 @@ let suite =
         Alcotest.test_case "JSON snapshot round-trips" `Quick
           test_json_roundtrip;
         Alcotest.test_case "JSON parser" `Quick test_json_parser;
-        Alcotest.test_case "stats façade = instruments" `Quick
-          test_stats_facade;
         Alcotest.test_case "table rendering" `Quick test_render;
       ] );
     ( "obs_merge",
@@ -365,5 +373,14 @@ let suite =
           test_empty_histogram_surfaces;
         Alcotest.test_case "freshly-reset registry surfaces" `Quick
           test_reset_registry_surfaces;
+      ] );
+    ( "obs_timeline",
+      [
+        Alcotest.test_case "ring keeps the newest windows" `Quick
+          test_timeline_ring;
+        Alcotest.test_case "windows sum to the instruments" `Quick
+          test_timeline_windows_sum;
+        Alcotest.test_case "stop takes one final tick" `Quick
+          test_timeline_stop_ticks;
       ] );
   ]

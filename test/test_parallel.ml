@@ -11,6 +11,7 @@
     2-domain smoke. *)
 
 module H = Mv_experiments.Harness
+module M = Mv_experiments.Measure
 module Pool = Mv_experiments.Pool
 module Symbol = Mv_util.Symbol
 module Obs = Mv_obs
@@ -26,22 +27,20 @@ let wl = lazy (H.make_workload ~nviews:120 ~nqueries:(if quick then 10 else 16) 
 (* Differential: parallel harness == sequential harness             *)
 (* ---------------------------------------------------------------- *)
 
-let check_equal_measurements ~label (seq : H.measurement) (par : H.measurement)
-    =
-  let chk what a b =
-    Alcotest.(check int) (Printf.sprintf "%s: %s" label what) a b
-  in
-  chk "queries" seq.H.queries par.H.queries;
-  chk "invocations" seq.H.invocations par.H.invocations;
-  chk "candidates" seq.H.candidates par.H.candidates;
-  chk "matched" seq.H.matched par.H.matched;
-  chk "substitutes" seq.H.substitutes par.H.substitutes;
-  chk "plans_using_views" seq.H.plans_using_views par.H.plans_using_views;
+let check_equal_cells ~label (seq : M.t) (par : M.t) =
+  List.iter
+    (fun what ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s" label what)
+        (M.int seq what) (M.int par what))
+    [ "queries"; "invocations"; "candidates"; "matched"; "substitutes";
+      "plans_using_views" ];
   let flow m =
     List.map
-      (fun (f : H.level_flow) ->
-        Printf.sprintf "%s %d/%d" f.H.level f.H.entered f.H.passed)
-      m.H.level_flow
+      (fun l ->
+        Printf.sprintf "%s %d/%d" (M.string l "level") (M.int l "in")
+          (M.int l "out"))
+      (List.assoc "levels" m.M.subs)
   in
   Alcotest.(check (list string))
     (Printf.sprintf "%s: level flow" label)
@@ -66,8 +65,8 @@ let test_differential () =
           let par = H.run ~domains w ~nviews ~config in
           Alcotest.(check int)
             (Printf.sprintf "domains field (%d)" domains)
-            domains par.H.domains;
-          check_equal_measurements
+            domains (M.int par "domains");
+          check_equal_cells
             ~label:
               (Printf.sprintf "%d views, %s, %d domains" nviews
                  (H.config_name config) domains)

@@ -257,8 +257,6 @@ let test_quantile_interpolation () =
     (Printf.sprintf "interpolated p50 %.2f near the median" p50)
     true
     (p50 >= 45.0 && p50 <= 56.0);
-  Alcotest.(check (float 1e-9)) "quantile_upper keeps the bucket bound" 64.0
-    (I.quantile_upper h 0.5);
   (* interpolation clamps to the observed extremes *)
   Alcotest.(check bool) "p0 >= min" true (I.quantile h 0.0 >= 1.0);
   Alcotest.(check bool) "p100 <= max" true (I.quantile h 1.0 <= 100.0);
