@@ -253,16 +253,6 @@ let exit_into t s =
   let wall, cpu = elapsed s in
   record t ~wall ~cpu
 
-let time t f =
-  let s = enter () in
-  match f () with
-  | v ->
-      exit_into t s;
-      v
-  | exception e ->
-      exit_into t s;
-      raise e
-
 let time_hist h f =
   let t0 = now_wall () in
   match f () with

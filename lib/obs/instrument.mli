@@ -31,10 +31,6 @@ val timer : unit -> timer
 val record : timer -> wall:float -> cpu:float -> unit
 (** Accumulate one measured interval (seconds). *)
 
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating its wall and CPU duration. Re-raises, still
-    recording the time spent, if the thunk does. *)
-
 val wall : timer -> float
 
 val cpu : timer -> float

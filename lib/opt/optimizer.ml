@@ -171,47 +171,9 @@ let substitute_cost schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
 let direct_cost stats (block : Spjg.t) : float =
   Plan.est_cost (scan_leaf stats block)
 
-(* ---- join graph over the query's tables ---- *)
-
-let table_edges (query : Spjg.t) =
-  List.filter_map
-    (fun p ->
-      match p with
-      | Pred.Cmp (Pred.Eq, Expr.Col a, Expr.Col b)
-        when a.Col.tbl <> b.Col.tbl ->
-          Some (a.Col.tbl, b.Col.tbl)
-      | _ -> None)
-    query.Spjg.where
-
-let connected edges tables =
-  match tables with
-  | [] -> false
-  | first :: _ ->
-      let rec grow seen =
-        let next =
-          List.filter
-            (fun t ->
-              (not (List.mem t seen))
-              && List.exists
-                   (fun (a, b) ->
-                     (a = t && List.mem b seen) || (b = t && List.mem a seen))
-                   edges)
-            tables
-        in
-        match next with [] -> seen | _ -> grow (next @ seen)
-      in
-      List.length (grow [ first ]) = List.length tables
-
 (* ---- the memo ---- *)
 
 type entry = { plan : Plan.t; rows : float; block : Spjg.t }
-
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
-
-let tables_of_mask tables mask =
-  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list tables)
 
 (* The SPJG subexpressions the memo invokes the view-matching rule on: one
    SPJ block per connected table subset, plus the whole query when it
@@ -219,33 +181,12 @@ let tables_of_mask tables mask =
    benefit model, which mirrors this enumeration, stays conservative:
    the real optimizer can only do better than the model predicts). *)
 let enumerate_blocks (query : Spjg.t) : Spjg.t list =
-  let spj = Block.spj_part query in
-  let tables = Array.of_list spj.Spjg.tables in
-  let n = Array.length tables in
-  let edges = table_edges query in
-  let full = (1 lsl n) - 1 in
+  let g = Block.of_query query in
   let blocks = ref [] in
-  for mask = full downto 1 do
-    let ts = tables_of_mask tables mask in
-    if connected edges ts || popcount mask = 1 then
-      blocks := Block.sub_block spj ts :: !blocks
+  for mask = Block.full g downto 1 do
+    if Block.connected g mask then blocks := Block.sub_block g mask :: !blocks
   done;
   if query.Spjg.group_by = None then !blocks else !blocks @ [ query ]
-
-(* crossing column-equality conjuncts between two table sets *)
-let cross_keys (query : Spjg.t) left_tables right_tables =
-  List.filter_map
-    (fun p ->
-      match p with
-      | Pred.Cmp (Pred.Eq, Expr.Col a, Expr.Col b) ->
-          if List.mem a.Col.tbl left_tables && List.mem b.Col.tbl right_tables
-          then Some (a, b)
-          else if
-            List.mem b.Col.tbl left_tables && List.mem a.Col.tbl right_tables
-          then Some (b, a)
-          else None
-      | _ -> None)
-    query.Spjg.where
 
 let cheaper a b = if Plan.est_cost a <= Plan.est_cost b then a else b
 
@@ -292,7 +233,6 @@ type handles = {
   phase_match : unit -> Mv_obs.Instrument.histogram;
   phase_cost : unit -> Mv_obs.Instrument.histogram;
   phase_total : unit -> Mv_obs.Instrument.histogram;
-  time : unit -> Mv_obs.Instrument.timer;
   calls : unit -> Mv_obs.Instrument.counter;
   using_views : unit -> Mv_obs.Instrument.counter;
 }
@@ -327,8 +267,6 @@ let handles_for obs =
           phase_match = phase "match";
           phase_cost = phase "cost";
           phase_total = phase "total";
-          time =
-            Mv_obs.Registry.resolver Mv_obs.Registry.timer obs "optimizer.time";
           calls = counter "calls";
           using_views = counter "plans.using_views";
         }
@@ -346,34 +284,32 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
   let h_analyze = h.phase_analyze () in
   let h_match = h.phase_match () in
   let h_cost = h.phase_cost () in
-  let spj = Block.spj_part query in
-  let tables = Array.of_list spj.Spjg.tables in
-  let n = Array.length tables in
-  let edges = table_edges query in
-  let memo : (int, entry) Hashtbl.t = Hashtbl.create 64 in
-  let full = (1 lsl n) - 1 in
-  let query_connected = n = 1 || connected edges (Array.to_list tables) in
-  (* Per-optimization analysis memo, keyed by the (tables, where) core: the
-     enumeration produces several blocks over the same core (the full-mask
-     SPJ block, the whole query at the group-by stage, preaggregated inner
-     blocks), and every derived analysis field depends on the block through
-     that core alone — so each subexpression is analyzed exactly once and
-     cheaply rebound to the other blocks (see {!A.rebind}). *)
-  let analyses : (string list * Pred.t list, A.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let analyze block =
+  let g = Block.of_query query in
+  let full = Block.full g in
+  (* The memo and the analysis memo are indexed by table mask. A block
+     names each table once, so its table count is at most the schema's:
+     7 in the section 5 workload, 8 in TPC-H, so at most 256 entries. *)
+  let memo : entry option array = Array.make (full + 1) None in
+  let groups = ref 0 in
+  let query_connected = Block.connected g full in
+  (* Per-optimization analysis memo: the blocks over one table subset (its
+     SPJ block, the whole query at the group-by stage on the full set, its
+     preaggregated inner block) share their tables and WHERE, and every
+     derived analysis field depends on the block through that core alone
+     — so each subexpression is analyzed exactly once and cheaply rebound
+     to the other blocks (see {!A.rebind}). *)
+  let analyses : A.t option array = Array.make (full + 1) None in
+  let analyze mask block =
     Mv_obs.Instrument.time_hist h_analyze (fun () ->
         Mv_obs.Instrument.incr (h.analyze_calls ());
-        let key = (block.Spjg.tables, block.Spjg.where) in
-        match Hashtbl.find_opt analyses key with
+        match analyses.(mask) with
         | Some a ->
             Mv_obs.Instrument.incr (h.memo_hits ());
             if a.A.spjg == block then a else A.rebind a block
         | None ->
             Mv_obs.Span.wrap spans "analyze" (fun _ ->
                 let a = A.analyze schema block in
-                Hashtbl.add analyses key a;
+                analyses.(mask) <- Some a;
                 a))
   in
   (* the view-matching rule; the pinned snapshot (if any) rides along into
@@ -389,17 +325,17 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
      rejects. *)
   let pruned_acc = ref [] in
   let prune_ctr = h.prune () in
-  (* invoke the view-matching rule on a block; returns leaf plans.
-     [bound] is sampled once on entry (the best complete plan so far, if
-     any) and handed to substitute costing as a branch-and-bound upper
-     bound. *)
-  let rule_leaves ?(bound = fun () -> None) block =
+  (* invoke the view-matching rule on the block of a table subset; returns
+     leaf plans. [bound] is sampled once on entry (the best complete plan
+     so far, if any) and handed to substitute costing as a
+     branch-and-bound upper bound. *)
+  let rule_leaves ?(bound = fun () -> None) mask block =
     Mv_obs.Instrument.incr (h.subexpressions ());
     Mv_obs.Span.wrap spans "rule"
       ~attrs:(fun () ->
         [ ("tables", Mv_obs.Span.Str (String.concat "," block.Spjg.tables)) ])
       (fun sub ->
-        let subs = find_subs ?spans:sub (analyze block) in
+        let subs = find_subs ?spans:sub (analyze mask block) in
         Mv_obs.Span.wrap sub "cost" (fun costs ->
             Mv_obs.Instrument.time_hist h_cost (fun () ->
                 if config.produce_substitutes then
@@ -432,49 +368,32 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         Mv_obs.Instrument.add (h.losses ())
           (List.length vleaves - if won then 1 else 0)
   in
+  (* Masks ascending, splits from [(mask-1) land mask] downwards with
+     [a < b]: cost ties go to the alternative considered first, so this
+     order decides among equal-cost plans. *)
   for mask = 1 to full do
-    let ts = tables_of_mask tables mask in
-    let is_conn = connected edges ts || popcount mask = 1 in
+    let is_conn = Block.connected g mask in
     (* disconnected queries (no workload generates them, but users can
        write them) fall back to exhaustive enumeration with cartesian
        joins *)
     if is_conn || not query_connected then begin
-      let block = Block.sub_block spj ts in
+      let block = Block.sub_block g mask in
       let rows = Cost.block_rows stats block in
       let best = ref None in
       let consider p =
         best := Some (match !best with None -> p | Some q -> cheaper p q)
       in
-      if popcount mask = 1 then consider (scan_leaf stats block)
+      if mask land (mask - 1) = 0 then consider (scan_leaf stats block)
       else begin
         (* join splits *)
         let sub = ref ((mask - 1) land mask) in
         while !sub > 0 do
           let a = !sub and b = mask land lnot !sub in
           if a < b then begin
-            match (Hashtbl.find_opt memo a, Hashtbl.find_opt memo b) with
+            match (memo.(a), memo.(b)) with
             | Some ea, Some eb ->
-                let lt = tables_of_mask tables a
-                and rt = tables_of_mask tables b in
-                let keys = cross_keys spj lt rt in
+                let keys = Block.keys g a b in
                 if keys <> [] || not is_conn then begin
-                  let local = Block.local_preds spj ts in
-                  let post =
-                    List.filter
-                      (fun p ->
-                        (not (List.memq p (Block.local_preds spj lt)))
-                        && (not (List.memq p (Block.local_preds spj rt)))
-                        && not
-                             (List.exists
-                                (fun (x, y) ->
-                                  Pred.equal p
-                                    (Pred.Cmp (Pred.Eq, Expr.Col x, Expr.Col y))
-                                  || Pred.equal p
-                                       (Pred.Cmp
-                                          (Pred.Eq, Expr.Col y, Expr.Col x)))
-                                keys))
-                      local
-                  in
                   let cost =
                     Plan.est_cost ea.plan +. Plan.est_cost eb.plan
                     +. ea.rows +. eb.rows +. rows
@@ -487,7 +406,7 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
                          left = ea.plan;
                          right = eb.plan;
                          keys;
-                         post;
+                         post = Block.post g a b;
                          est_rows = rows;
                          est_cost = cost;
                        })
@@ -499,22 +418,27 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
       end;
       if is_conn then begin
         let vleaves =
-          rule_leaves ~bound:(fun () -> Option.map Plan.est_cost !best) block
+          rule_leaves
+            ~bound:(fun () -> Option.map Plan.est_cost !best)
+            mask block
         in
         List.iter consider vleaves;
         score_substitutes vleaves !best
       end;
       match !best with
-      | Some plan -> Hashtbl.replace memo mask { plan; rows; block }
+      | Some plan ->
+          memo.(mask) <- Some { plan; rows; block };
+          incr groups
       | None -> ()
     end
   done;
-  Mv_obs.Instrument.add (h.memo_groups ()) (Hashtbl.length memo);
-  let spj_entry =
-    match Hashtbl.find_opt memo full with
+  Mv_obs.Instrument.add (h.memo_groups ()) !groups;
+  let entry mask =
+    match memo.(mask) with
     | Some e -> e
-    | None -> failwith "optimizer: no plan for the full table set"
+    | None -> failwith "optimizer: no plan for a table subset"
   in
+  let spj_entry = entry full in
   match query.Spjg.group_by with
   | None ->
       let plan = spj_entry.plan in
@@ -526,186 +450,95 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         pruned_views = List.rev !pruned_acc;
       }
   | Some gq ->
-      let qa = analyze query in
-      let agg_over input =
+      let qa = analyze full query in
+      let agg_over input out =
         let in_rows = Plan.est_rows input in
         let rows = Cost.group_rows stats ~input:in_rows gq in
         Plan.Aggregate
           {
             input;
             group_by = gq;
-            out = query.Spjg.out;
+            out;
             est_rows = rows;
             est_cost = Plan.est_cost input +. in_rows;
           }
       in
-      let baseline = agg_over spj_entry.plan in
+      let baseline = agg_over spj_entry.plan query.Spjg.out in
       let best = ref baseline in
       let agg_considered = ref 0 in
       let consider p = if Plan.est_cost p < Plan.est_cost !best then best := p in
       (* whole-query substitutes; the aggregate baseline bounds the search *)
       (let vleaves =
-         rule_leaves ~bound:(fun () -> Some (Plan.est_cost !best)) query
+         rule_leaves ~bound:(fun () -> Some (Plan.est_cost !best)) full query
        in
        agg_considered := !agg_considered + List.length vleaves;
        List.iter consider vleaves);
-      (* preaggregated alternatives *)
+      (* preaggregated alternatives: the outer aggregation is rewritten
+         over the preaggregated bindings *)
+      let cnt = Expr.Col (Col.make "#agg" "cnt") in
+      let outer_out =
+        List.map
+          (fun (o : Spjg.out_item) ->
+            let partial = Expr.Col (Col.make "#agg" ("s_" ^ o.Spjg.name)) in
+            match o.Spjg.def with
+            | Spjg.Scalar e -> Spjg.scalar o.Spjg.name e
+            | Spjg.Aggregate Spjg.Count_star ->
+                Spjg.aggregate o.Spjg.name (Spjg.Sum0 cnt)
+            | Spjg.Aggregate (Spjg.Sum _) ->
+                Spjg.aggregate o.Spjg.name (Spjg.Sum partial)
+            | Spjg.Aggregate (Spjg.Avg _) ->
+                Spjg.aggregate o.Spjg.name (Spjg.Sum_div_sum (partial, cnt))
+            | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _) ->
+                (* never present in user queries *)
+                assert false)
+          query.Spjg.out
+      in
+      (* join a preaggregated plan with the remaining tables, greedily;
+         they join on unique keys, so the result cardinality stays at the
+         inner side's *)
+      let rec attach plan joined rest =
+        if rest = 0 then plan
+        else
+          let r = Block.next g ~joined rest in
+          let rplan = scan_leaf stats (entry r).block in
+          let rows = Plan.est_rows plan in
+          attach
+            (Plan.Join
+               {
+                 left = plan;
+                 right = rplan;
+                 keys = Block.keys g joined r;
+                 post = Block.post g joined r;
+                 est_rows = rows;
+                 est_cost =
+                   Plan.est_cost plan +. Plan.est_cost rplan
+                   +. Plan.est_rows plan +. Plan.est_rows rplan +. rows;
+               })
+            (joined lor r) (rest land lnot r)
+      in
       for mask = 1 to full - 1 do
-        let ts = tables_of_mask tables mask in
-        if connected edges ts || popcount mask = 1 then begin
-          let remaining = tables_of_mask tables (full land lnot mask) in
-          match Block.preagg_block query ts with
+        if Block.connected g mask then begin
+          let remaining = full land lnot mask in
+          match Block.preagg_block g mask with
           | Some pa
-            when safe_preagg qa schema remaining
+            when safe_preagg qa schema (Block.names g remaining)
                  && List.for_all
                       (function Expr.Col _ -> true | _ -> false)
                       (Option.value ~default:[]
                          pa.Block.block.Spjg.group_by) ->
-              let inner_rows = Cost.block_rows stats pa.Block.block in
-              let inner_scan =
-                let base =
-                  List.fold_left
-                    (fun acc t ->
-                      acc
-                      +. float_of_int
-                           (max 1 (Mv_catalog.Stats.row_count stats t)))
-                    0.0 ts
-                in
-                Plan.Leaf
-                  {
-                    source = Plan.Computed pa.Block.block;
-                    binds = leaf_binds pa.Block.block;
-                    est_rows = inner_rows;
-                    est_cost = base +. inner_rows;
-                  }
-              in
               (* a preaggregated leaf only grows through joins and the
                  outer aggregation, so the current best's full cost is a
                  valid bound on the leaf alone *)
               let inner_views =
                 rule_leaves
                   ~bound:(fun () -> Some (Plan.est_cost !best))
-                  pa.Block.block
+                  mask pa.Block.block
               in
               agg_considered := !agg_considered + List.length inner_views;
               List.iter
                 (fun inner ->
-                  (* join the preaggregated result with the remaining
-                     tables, greedily *)
-                  let rec attach plan joined = function
-                    | [] -> Some plan
-                    | rest ->
-                        let avail = ts @ joined in
-                        let next =
-                          List.find_opt
-                            (fun r -> cross_keys query avail [ r ] <> [])
-                            rest
-                        in
-                        let next =
-                          match next with
-                          | Some r -> Some r
-                          | None -> (
-                              match rest with [] -> None | r :: _ -> Some r)
-                        in
-                        (match next with
-                        | None -> None
-                        | Some r ->
-                            let avail_after = r :: avail in
-                            let keys = cross_keys query avail [ r ] in
-                            let rblock = Block.sub_block spj [ r ] in
-                            let rplan = scan_leaf stats rblock in
-                            (* non-equality conjuncts that become fully
-                               bound once r joins (and were not already
-                               applied below) *)
-                            let post =
-                              List.filter
-                                (fun p ->
-                                  let cols = Pred.columns p in
-                                  List.exists
-                                    (fun (c : Col.t) -> c.Col.tbl = r)
-                                    cols
-                                  && List.exists
-                                       (fun (c : Col.t) -> c.Col.tbl <> r)
-                                       cols
-                                  && List.for_all
-                                       (fun (c : Col.t) ->
-                                         List.mem c.Col.tbl avail_after)
-                                       cols
-                                  && not
-                                       (List.exists
-                                          (fun (x, y) ->
-                                            Pred.equal p
-                                              (Pred.Cmp
-                                                 (Pred.Eq, Expr.Col x, Expr.Col y))
-                                            || Pred.equal p
-                                                 (Pred.Cmp
-                                                    (Pred.Eq, Expr.Col y,
-                                                     Expr.Col x)))
-                                          keys))
-                                query.Spjg.where
-                            in
-                            (* remaining tables join on unique keys, so the
-                               result cardinality stays at the inner side's *)
-                            let rows = Plan.est_rows plan in
-                            let j =
-                              Plan.Join
-                                {
-                                  left = plan;
-                                  right = rplan;
-                                  keys;
-                                  post;
-                                  est_rows = rows;
-                                  est_cost =
-                                    Plan.est_cost plan +. Plan.est_cost rplan
-                                    +. Plan.est_rows plan
-                                    +. Plan.est_rows rplan +. rows;
-                                }
-                            in
-                            attach j (r :: joined)
-                              (List.filter (( <> ) r) rest))
-                  in
-                  match attach inner [] remaining with
-                  | None -> ()
-                  | Some joined_plan ->
-                      (* outer aggregation rewritten over the
-                         preaggregated bindings *)
-                      let cnt = Expr.Col (Col.make "#agg" "cnt") in
-                      let outer_out =
-                        List.map
-                          (fun (o : Spjg.out_item) ->
-                            match o.Spjg.def with
-                            | Spjg.Scalar e -> Spjg.scalar o.Spjg.name e
-                            | Spjg.Aggregate Spjg.Count_star ->
-                                Spjg.aggregate o.Spjg.name (Spjg.Sum0 cnt)
-                            | Spjg.Aggregate (Spjg.Sum _) ->
-                                Spjg.aggregate o.Spjg.name
-                                  (Spjg.Sum
-                                     (Expr.Col
-                                        (Col.make "#agg" ("s_" ^ o.Spjg.name))))
-                            | Spjg.Aggregate (Spjg.Avg _) ->
-                                Spjg.aggregate o.Spjg.name
-                                  (Spjg.Sum_div_sum
-                                     ( Expr.Col
-                                         (Col.make "#agg" ("s_" ^ o.Spjg.name)),
-                                       cnt ))
-                            | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _)
-                              ->
-                                (* never present in user queries *)
-                                assert false)
-                          query.Spjg.out
-                      in
-                      let in_rows = Plan.est_rows joined_plan in
-                      let rows = Cost.group_rows stats ~input:in_rows gq in
-                      consider
-                        (Plan.Aggregate
-                           {
-                             input = joined_plan;
-                             group_by = gq;
-                             out = outer_out;
-                             est_rows = rows;
-                             est_cost = Plan.est_cost joined_plan +. in_rows;
-                           }))
-                (inner_scan :: inner_views)
+                  consider (agg_over (attach inner mask remaining) outer_out))
+                (scan_leaf stats pa.Block.block :: inner_views)
           | _ -> ()
         end
       done;
@@ -733,28 +566,24 @@ let optimize ?(config = default_config) ?spans ?snap ?(fresh_only = false)
     (query : Spjg.t) : result =
   let h = handles_for registry.Mv_core.Registry.obs in
   let r =
-    Mv_obs.Instrument.time (h.time ())
-      (fun () ->
-        Mv_obs.Instrument.time_hist (h.phase_total ())
-          (fun () ->
-            Mv_obs.Span.wrap spans "optimize"
-              ~attrs:(fun () ->
+    Mv_obs.Instrument.time_hist (h.phase_total ()) (fun () ->
+        Mv_obs.Span.wrap spans "optimize"
+          ~attrs:(fun () ->
+            [
+              ("tables", Mv_obs.Span.Str (String.concat "," query.Spjg.tables));
+              ("aggregate", Mv_obs.Span.Bool (query.Spjg.group_by <> None));
+            ])
+          (fun spans ->
+            let r =
+              optimize_body ~config ?spans ?snap ~fresh_only registry stats
+                query
+            in
+            Mv_obs.Span.annotate spans (fun () ->
                 [
-                  ( "tables",
-                    Mv_obs.Span.Str (String.concat "," query.Spjg.tables) );
-                  ("aggregate", Mv_obs.Span.Bool (query.Spjg.group_by <> None));
-                ])
-              (fun spans ->
-                let r =
-                  optimize_body ~config ?spans ?snap ~fresh_only registry
-                    stats query
-                in
-                Mv_obs.Span.annotate spans (fun () ->
-                    [
-                      ("cost", Mv_obs.Span.Float r.cost);
-                      ("used_views", Mv_obs.Span.Bool r.used_views);
-                    ]);
-                r)))
+                  ("cost", Mv_obs.Span.Float r.cost);
+                  ("used_views", Mv_obs.Span.Bool r.used_views);
+                ]);
+            r))
   in
   Mv_obs.Instrument.incr (h.calls ());
   (* ledger attribution (DESIGN.md §14): every call logs the query it

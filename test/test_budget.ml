@@ -1,18 +1,25 @@
 (** Allocation budgets: minor words per optimization over a fixed section 5
-    slice at 1000 views (the first 100 queries of the harness population),
-    per executed read and per maintained write over a fixed small TPC-H
-    instance, each one warm, uncached, single-domain pass; and minor words
-    to register the 1000 views and per registry write among them. Words per
-    operation repeat across processes to far better than the tolerance, so
-    unlike wall time they can gate a regression in CI. *)
+    slice at 1000 views and without views (the first 100 queries of the
+    harness population), per executed read and per maintained write over
+    a fixed small TPC-H instance, each one warm, uncached, single-domain
+    pass; and minor words to register the 1000 views and per registry
+    write among them. Words per operation repeat across processes to far
+    better than the tolerance, so unlike wall time they can gate a
+    regression in CI. *)
 
 module H = Mv_experiments.Harness
 module DB = Mv_engine.Database
 
-(* Measured on this slice. Before the section 3 tests moved to dense
-   column ids the same pass took 679,388 words per optimization (581,164
-   on the full 1000-query pass); the budget is 0.24 of that. *)
-let budget = 161_944.
+(* Measured on this slice, at 1000 views and without views (the memo and
+   the analyses alone). Before the section 3 tests moved to dense column
+   ids the same pass took 679,388 words per optimization at 1000 views
+   (581,164 on the full 1000-query pass). Before the memo placed conjuncts
+   by table mask (it rebuilt table lists and scanned the WHERE list on
+   every split) it took 163,081 at 1000 views, under a budget of 161,944,
+   and 57,323 without views. *)
+let budget = 125_551.
+
+let no_view_budget = 22_054.
 
 (* Measured on the exec fixture below. Before the executor ran on
    slot-compiled value arrays (tuples were column-keyed maps) the same
@@ -38,8 +45,8 @@ let words f =
   f ();
   Gc.minor_words () -. before
 
-let words_per_optimization () =
-  let w = H.make_workload ~nqueries:100 () in
+let words_per_optimization ~nviews () =
+  let w = H.make_workload ~nviews ~nqueries:100 () in
   let registry = Mv_core.Registry.create w.H.schema in
   List.iter (Mv_core.Registry.add_prebuilt registry) w.H.views;
   Mv_relalg.Intern.freeze ();
@@ -187,7 +194,14 @@ let suite =
     ( "budget",
       [
         Alcotest.test_case "minor words per optimization" `Quick (fun () ->
-            check "optimization" (words_per_optimization ()) budget);
+            check "optimization"
+              (words_per_optimization ~nviews:1000 ())
+              budget);
+        Alcotest.test_case "minor words per optimization without views"
+          `Quick (fun () ->
+            check "optimization without views"
+              (words_per_optimization ~nviews:0 ())
+              no_view_budget);
         Alcotest.test_case "minor words per executed read" `Quick (fun () ->
             check "read" (words_per_read ()) read_budget);
         Alcotest.test_case "minor words per maintained write" `Quick

@@ -22,13 +22,6 @@ let test_timer () =
   Alcotest.(check (float 1e-9)) "wall accumulates" 2.0 (I.wall t);
   Alcotest.(check (float 1e-9)) "cpu accumulates" 0.75 (I.cpu t);
   Alcotest.(check int) "intervals" 2 (I.intervals t);
-  let x = I.time t (fun () -> 7) in
-  Alcotest.(check int) "thunk value" 7 x;
-  Alcotest.(check int) "timed interval recorded" 3 (I.intervals t);
-  Alcotest.(check bool) "wall grew" true (I.wall t >= 2.0);
-  (* a raising thunk still records its interval *)
-  (try I.time t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "raised interval recorded" 4 (I.intervals t);
   I.reset_timer t;
   Alcotest.(check (float 0.0)) "reset wall" 0.0 (I.wall t);
   Alcotest.(check int) "reset intervals" 0 (I.intervals t)

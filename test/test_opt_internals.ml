@@ -16,8 +16,28 @@ let three_way =
        where l_orderkey = o_orderkey and o_custkey = c_custkey
          and l_quantity >= 30 and o_totalprice <= 100000 |}
 
+(* the mask of the named tables in a query's join graph *)
+let mask_of g tables =
+  let all = Block.names g (Block.full g) in
+  List.fold_left
+    (fun m t ->
+      let rec index i = function
+        | [] -> Alcotest.failf "%s is not in the FROM list" t
+        | x :: xs -> if x = t then i else index (i + 1) xs
+      in
+      m lor (1 lsl index 0 all))
+    0 tables
+
+let sub_block q tables =
+  let g = Block.of_query q in
+  Block.sub_block g (mask_of g tables)
+
+let preagg_block q tables =
+  let g = Block.of_query q in
+  Block.preagg_block g (mask_of g tables)
+
 let test_sub_block_single () =
-  let b = Block.sub_block three_way [ "lineitem" ] in
+  let b = sub_block three_way [ "lineitem" ] in
   Alcotest.(check (list string)) "tables" [ "lineitem" ] b.Spjg.tables;
   (* local predicate restricted to lineitem *)
   Alcotest.(check int) "one local conjunct" 1 (List.length b.Spjg.where);
@@ -26,14 +46,14 @@ let test_sub_block_single () =
   Alcotest.(check bool) "outputs l_orderkey" true (List.mem "l_orderkey" outs)
 
 let test_sub_block_pair () =
-  let b = Block.sub_block three_way [ "lineitem"; "orders" ] in
+  let b = sub_block three_way [ "lineitem"; "orders" ] in
   Alcotest.(check int) "three local conjuncts" 3 (List.length b.Spjg.where);
   (* o_custkey crosses to customer, so it must be an output *)
   Alcotest.(check bool) "outputs o_custkey" true
     (List.mem "o_custkey" (Spjg.out_names b))
 
 let test_sub_block_full_is_query () =
-  let b = Block.sub_block three_way three_way.Spjg.tables in
+  let b = sub_block three_way three_way.Spjg.tables in
   Alcotest.(check string) "identity on the full set" (Spjg.to_sql three_way)
     (Spjg.to_sql b)
 
@@ -46,7 +66,7 @@ let agg_query =
        group by c_nationkey |}
 
 let test_preagg_block_shape () =
-  match Block.preagg_block agg_query [ "lineitem"; "orders" ] with
+  match preagg_block agg_query [ "lineitem"; "orders" ] with
   | None -> Alcotest.fail "expected a preagg block"
   | Some pa ->
       let b = pa.Block.block in
@@ -62,16 +82,114 @@ let test_preagg_block_shape () =
 let test_preagg_rejected_when_args_cross () =
   (* aggregate argument needs lineitem: no preagg over orders alone *)
   Alcotest.(check bool) "no preagg without agg args" true
-    (Block.preagg_block agg_query [ "orders" ] = None)
+    (preagg_block agg_query [ "orders" ] = None)
 
 let test_preagg_none_for_spj () =
   Alcotest.(check bool) "SPJ query has no preagg" true
-    (Block.preagg_block three_way [ "lineitem" ] = None)
+    (preagg_block three_way [ "lineitem" ] = None)
 
 let test_spj_part_strips_aggregation () =
   let b = Block.spj_part agg_query in
   Alcotest.(check bool) "no group by" false (Spjg.is_aggregate b);
   Alcotest.(check (list string)) "same tables" agg_query.Spjg.tables b.Spjg.tables
+
+(* ---- the join graph against the list reference ---- *)
+
+(* Every mask and every disjoint pair of nonempty masks of [q], in both
+   orientations: the mask tests of {!Block} equal the list scans of
+   {!Ref_block}. Returns how many pairs had post conjuncts and how many
+   picks found no adjacent table, so callers can see both branches ran. *)
+let check_graph (q : Spjg.t) =
+  let g = Block.of_query q in
+  let spj = Block.spj_part q in
+  let edges = Ref_block.table_edges q in
+  let full = Block.full g in
+  let tables mask =
+    List.filteri (fun i _ -> mask land (1 lsl i) <> 0) q.Spjg.tables
+  in
+  let fail what mask =
+    Alcotest.failf "%s differs on {%s} of\n%s" what
+      (String.concat "," (tables mask))
+      (Spjg.to_sql q)
+  in
+  let preagg_text =
+    Option.map (fun (pa : Block.preagg) ->
+        ( Spjg.to_sql pa.Block.block,
+          List.map
+            (fun (n, a) -> n ^ "=" ^ Spjg.agg_to_string a)
+            pa.Block.agg_binds ))
+  in
+  let keys_text = List.map (fun (a, b) -> Col.to_string a ^ "=" ^ Col.to_string b) in
+  let preds_text = List.map Pred.to_string in
+  let posts = ref 0 and fallbacks = ref 0 in
+  for mask = 1 to full do
+    let ts = tables mask in
+    if Block.names g mask <> ts then fail "names" mask;
+    if Block.connected g mask <> Ref_block.connected edges ts then
+      fail "connected" mask;
+    if
+      Spjg.to_sql (Block.sub_block g mask)
+      <> Spjg.to_sql (Ref_block.sub_block spj ts)
+    then fail "sub_block" mask;
+    if
+      preagg_text (Block.preagg_block g mask)
+      <> preagg_text (Ref_block.preagg_block q ts)
+    then fail "preagg_block" mask
+  done;
+  for a = 1 to full do
+    for b = a + 1 to full do
+      if a land b = 0 then
+        List.iter
+          (fun (l, r) ->
+            let lt = tables l and rt = tables r in
+            if keys_text (Block.keys g l r)
+               <> keys_text (Ref_block.cross_keys q lt rt)
+            then fail "keys" (l lor r);
+            let post = preds_text (Block.post g l r) in
+            if post <> preds_text (Ref_block.post spj lt rt) then
+              fail "post" (l lor r);
+            if
+              r land (r - 1) = 0
+              && post <> preds_text (Ref_block.attach_post q lt (List.hd rt))
+            then fail "attach post" (l lor r);
+            if post <> [] then incr posts;
+            let picked = Block.next g ~joined:l r in
+            if tables picked <> [ Ref_block.attach_next q lt rt ] then
+              fail "next" (l lor r);
+            if Ref_block.cross_keys q lt (tables picked) = [] then
+              incr fallbacks)
+          [ (a, b); (b, a) ]
+    done
+  done;
+  (!posts, !fallbacks)
+
+let test_graph_matches_reference () =
+  let w = Mv_experiments.Harness.make_workload ~nviews:0 ~nqueries:Golden.nqueries () in
+  let handwritten =
+    List.map parse_q
+      [
+        (* disconnected *)
+        "select r_name, n_name from region, nation where r_regionkey >= 3 \
+         and n_nationkey <= 2";
+        (* a residual join conjunct, and a table joined by nothing *)
+        "select l_orderkey, p_name from lineitem, orders, part where \
+         l_orderkey = o_orderkey and l_shipdate >= o_orderdate and p_size <= 3";
+        (* a conjunct over three tables *)
+        "select l_orderkey from lineitem, orders, customer where l_orderkey = \
+         o_orderkey and o_custkey = c_custkey and l_quantity + o_totalprice \
+         >= c_acctbal";
+      ]
+  in
+  let posts, fallbacks =
+    List.fold_left
+      (fun (p, f) q ->
+        let p', f' = check_graph q in
+        (p + p', f + f'))
+      (0, 0)
+      (w.Mv_experiments.Harness.queries @ handwritten @ [ three_way; agg_query ])
+  in
+  Alcotest.(check bool) "some split applies post conjuncts" true (posts > 0);
+  Alcotest.(check bool) "some pick finds no adjacent table" true (fallbacks > 0)
 
 (* ---- cost model ---- *)
 
@@ -167,6 +285,8 @@ let suite =
         Alcotest.test_case "no preagg for SPJ" `Quick test_preagg_none_for_spj;
         Alcotest.test_case "spj_part strips aggregation" `Quick
           test_spj_part_strips_aggregation;
+        Alcotest.test_case "join graph equals the list reference" `Quick
+          test_graph_matches_reference;
         Alcotest.test_case "selectivity multiplies" `Quick
           test_selectivity_multiplies;
         Alcotest.test_case "equijoin cardinality" `Quick test_equijoin_cardinality;
