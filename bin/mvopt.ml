@@ -13,7 +13,7 @@
                table (times candidate/matched/chosen, estimated benefit,
                maintenance seconds) sorted by net benefit, dead views flagged
       metrics  the same run exported in OpenMetrics text format: obs
-               counters/timers/histograms, the per-view ledger and the
+               counters/histograms, the per-view ledger and the
                timeline windows
       refresh  demonstrate the freshness protocol: stale marks on
                unmaintained writes, fresh-only rejection, rematerialization
@@ -238,11 +238,6 @@ let explain_cmd =
     Printf.printf "uses materialized views: %b (%s)\n"
       r.Mv_opt.Optimizer.used_views
       (String.concat "," (Mv_opt.Plan.views_used r.Mv_opt.Optimizer.plan));
-    (match r.Mv_opt.Optimizer.pruned_views with
-    | [] -> ()
-    | pruned ->
-        Printf.printf "cost-bound pruned candidates: %s\n"
-          (String.concat "," (List.sort_uniq compare pruned)));
     if execute then begin
       let db = Mv_tpch.Datagen.generate ~seed:1 ~scale:2 () in
       let exec_stats = Mv_engine.Database.stats db in
@@ -363,12 +358,6 @@ let whynot_cmd =
         let used = Mv_opt.Plan.views_used r.Mv_opt.Optimizer.plan in
         if List.mem target used then
           print_endline "the optimizer's final plan uses it"
-        else if List.mem target r.Mv_opt.Optimizer.pruned_views then
-          Printf.printf
-            "but its substitute was cost-bound pruned: a partial cost \
-             already exceeded the best complete plan (cost %.0f, uses: %s)\n"
-            r.Mv_opt.Optimizer.cost
-            (match used with [] -> "no views" | vs -> String.concat "," vs)
         else
           Printf.printf
             "but the optimizer's final plan does not use it (cost %.0f, uses: \
@@ -734,7 +723,6 @@ let metrics_cmd =
     let obs = registry.Mv_core.Registry.obs in
     let families =
       Mv_obs.Export.families_of_registry obs
-      @ Mv_obs.Export.timer_cpu_families obs
       @ Mv_core.Health.families registry.Mv_core.Registry.health
       @ Mv_obs.Export.families_of_timeline tl
     in
@@ -837,7 +825,7 @@ let refresh_cmd =
     let ivm = Mv_engine.Ivm.create db in
     Mv_engine.Ivm.attach ivm view;
     let rng = Mv_util.Prng.create (seed + 1) in
-    let span = Mv_obs.Instrument.enter () in
+    let t0 = Mv_obs.Instrument.now_wall () in
     for _ = 1 to max 1 batches do
       let rows = (Mv_engine.Database.table_exn db "lineitem").Mv_engine.Table.rows in
       Mv_engine.Ivm.apply ivm
@@ -846,7 +834,7 @@ let refresh_cmd =
             Mv_experiments.Harness.random_delta rng rows ~nrows:batch_rows );
         ]
     done;
-    let wall, _ = Mv_obs.Instrument.elapsed span in
+    let wall = Mv_obs.Instrument.now_wall () -. t0 in
     Printf.printf
       "\napplied %d maintained batches (%d rows each) in %.4fs; stale=%b\n"
       (max 1 batches) batch_rows wall

@@ -7,7 +7,7 @@
    Counts are atomic ints (no lock, no lost updates under multi-domain
    serving); the float accumulators (estimated cost saved, maintenance
    wall time) share a tiny per-account mutex, exactly like
-   [Mv_obs.Instrument] timers. Account creation is rare and serialized
+   [Mv_obs.Instrument] histograms. Account creation is rare and serialized
    by the ledger mutex; lookups take the same mutex because OCaml
    hashtables do not tolerate concurrent resize — one uncontended
    lock/unlock per attribution, nanoseconds next to the matching and

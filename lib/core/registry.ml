@@ -5,10 +5,11 @@
 
     All measurement goes through an [Mv_obs] registry (one scoped instance
     per view registry unless the caller shares one): the rule maintains the
-    [rule.*] counters and the [rule.time] wall+CPU timer, the filter tree
-    contributes its per-level [filter_tree.*] counters. A per-invocation
-    record (tables, candidates, match verdicts, wall time) is the [rule]
-    span of a traced optimization ({!Mv_obs.Span}). *)
+    [rule.*] counters, the filter tree contributes its per-level
+    [filter_tree.*] counters. The rule's time is the optimizer's
+    [optimizer.phase.match] histogram, one sample per invocation. A
+    per-invocation record (tables, candidates, match verdicts, wall time)
+    is the [rule] span of a traced optimization ({!Mv_obs.Span}). *)
 
 module A = Mv_relalg.Analysis
 module Obs = Mv_obs.Registry
@@ -26,7 +27,6 @@ type rule_handles = {
   h_candidates : unit -> Mv_obs.Instrument.counter;
   h_matched : unit -> Mv_obs.Instrument.counter;
   h_substitutes : unit -> Mv_obs.Instrument.counter;
-  h_time : unit -> Mv_obs.Instrument.timer;
 }
 
 let rule_handles obs =
@@ -36,7 +36,6 @@ let rule_handles obs =
     h_candidates = counter "rule.candidates";
     h_matched = counter "rule.matched";
     h_substitutes = counter "rule.substitutes";
-    h_time = Obs.resolver Obs.timer obs "rule.time";
   }
 
 type t = {
@@ -207,7 +206,6 @@ let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
   (* one snapshot per invocation: the candidate search, the population
      counts and the traced stage replay all see the same registry state *)
   let s = current ?snap t in
-  let span = Mv_obs.Instrument.enter () in
   Mv_obs.Instrument.incr (t.rule.h_invocations ());
   let cands =
     Mv_obs.Span.wrap spans "filter" (fun sub ->
@@ -248,7 +246,6 @@ let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
     (fun (s : Substitute.t) ->
       Health.record_matched t.health s.Substitute.view.View.name)
     subs;
-  Mv_obs.Instrument.exit_into (t.rule.h_time ()) span;
   subs
 
 (* ---- freshness (DESIGN.md §12) ----

@@ -5,10 +5,10 @@
     Measurement runs through {!field-obs} (an [Mv_obs] registry, scoped to
     this view registry unless one is passed in): [rule.invocations],
     [rule.candidates] (views surviving the filter tree), [rule.matched]
-    (candidates that produced a substitute), [rule.substitutes], the
-    [rule.time] wall+CPU timer (filtering, per-view tests and substitute
-    construction), and the filter tree's [filter_tree.*] per-level
-    counters. *)
+    (candidates that produced a substitute), [rule.substitutes], and the
+    filter tree's [filter_tree.*] per-level counters. The rule reads no
+    clock: the optimizer times each invocation (filtering, per-view tests
+    and substitute construction) as one [optimizer.phase.match] sample. *)
 
 (** An immutable, epoch-stamped state of the registry: the population and
     a filter tree indexing exactly that population, published together
@@ -31,7 +31,6 @@ type rule_handles = {
   h_candidates : unit -> Mv_obs.Instrument.counter;
   h_matched : unit -> Mv_obs.Instrument.counter;
   h_substitutes : unit -> Mv_obs.Instrument.counter;
-  h_time : unit -> Mv_obs.Instrument.timer;
 }
 
 type t = {

@@ -46,10 +46,9 @@ let table_epoch t name =
    write epoch advances. Also used by [Ivm] after rewriting a materialized
    view's rows in place. *)
 let touch t name =
-  Hashtbl.iter
-    (fun (tbl, cols) _ ->
-      if tbl = name then Hashtbl.remove t.index_cache (tbl, cols))
-    (Hashtbl.copy t.index_cache);
+  Hashtbl.filter_map_inplace
+    (fun (tbl, _) ix -> if tbl = name then None else Some ix)
+    t.index_cache;
   Hashtbl.replace t.epochs name (table_epoch t name + 1)
 
 let insert t name row =

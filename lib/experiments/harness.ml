@@ -84,11 +84,10 @@ let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : Measure.t =
   let registry = Mv_core.Registry.create ~use_filter:config.filter w.schema in
   List.iter (Mv_core.Registry.add_prebuilt registry) (take nviews w.views);
   Mv_relalg.Intern.freeze ();
-  let opt_config =
-    { Mv_opt.Optimizer.default_config with produce_substitutes = config.alt }
-  in
+  let opt_config = { Mv_opt.Optimizer.produce_substitutes = config.alt } in
   let queries = Array.of_list w.queries in
-  let span = Mv_obs.Instrument.enter () in
+  (* both clocks, read once at each end of the batch *)
+  let wall0 = Mv_obs.Instrument.now_wall () and cpu0 = Sys.time () in
   let used =
     Pool.map_chunked ~domains (Array.length queries) (fun i ->
         let r =
@@ -97,10 +96,10 @@ let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : Measure.t =
         in
         r.Mv_opt.Optimizer.used_views)
   in
-  let wall_time, cpu_time = Mv_obs.Instrument.elapsed span in
+  let wall_time = Mv_obs.Instrument.now_wall () -. wall0
+  and cpu_time = Sys.time () -. cpu0 in
   let obs = registry.Mv_core.Registry.obs in
   let count name = J.Int (Mv_obs.Registry.counter_value obs name) in
-  let rule_timer = Mv_obs.Registry.timer obs "rule.time" in
   (* the histogram lookup is get-or-create, so a phase that never ran
      still yields a (zero) block: the JSON shape is the same in every
      cell, nviews = 0 included *)
@@ -123,14 +122,14 @@ let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : Measure.t =
       ([
          ("wall_time_s", J.Float wall_time);
          ("cpu_time_s", J.Float cpu_time);
-         ("rule_wall_time_s", J.Float (Mv_obs.Instrument.wall rule_timer));
-         ("rule_cpu_time_s", J.Float (Mv_obs.Instrument.cpu rule_timer));
+         (* one match sample per rule invocation: the rule's time *)
+         ( "rule_wall_time_s",
+           J.Float (Mv_obs.Instrument.sum (List.assoc "match" phases)) );
          ("invocations", count "rule.invocations");
          ("candidates", count "rule.candidates");
          ("matched", count "rule.matched");
          ("substitutes", count "rule.substitutes");
          ("plans_using_views", J.Int (List.length (List.filter Fun.id used)));
-         ("cost_bound_prunes", count "opt.prune.cost_bound");
        ]
       @ List.map
           (fun (p, h) ->
@@ -273,19 +272,12 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
     List.map (fun (_, q) -> Mv_opt.Optimizer.optimize ~config:cfg registry stats q) queries
   in
   let rw = opt Mv_opt.Optimizer.default_config in
-  let nr =
-    opt
-      { Mv_opt.Optimizer.default_config with produce_substitutes = false }
-  in
+  let nr = opt { Mv_opt.Optimizer.produce_substitutes = false } in
   let plans_with_views =
     List.fold_left
       (fun n (r : Mv_opt.Optimizer.result) ->
         if r.Mv_opt.Optimizer.used_views then n + 1 else n)
       0 rw
-  in
-  let prunes =
-    Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs
-      "opt.prune.cost_bound"
   in
   (* reference results: direct execution of the original query *)
   let direct = List.map (fun (_, q) -> Mv_engine.Exec.execute db q) queries in
@@ -311,10 +303,9 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
     List.iteri
       (fun i rewrite ->
         let plans = if rewrite then rw else nr in
-        let span = Mv_obs.Instrument.enter () in
+        let t0 = Mv_obs.Instrument.now_wall () in
         List.iter2 (fun qp rp -> ignore (exec qp rp)) queries plans;
-        let wall, _ = Mv_obs.Instrument.elapsed span in
-        acc.(i) <- acc.(i) +. wall)
+        acc.(i) <- acc.(i) +. (Mv_obs.Instrument.now_wall () -. t0))
       grid
   done;
   let ratio a b = if b > 0.0 then a /. b else 1.0 in
@@ -357,7 +348,6 @@ let exec_bench ?(seed = 42) ?(reps = 5) ~scale () : Measure.t =
       ([
          ("rewrite_speedup", J.Float (ratio acc.(0) acc.(1)));
          ("plans_with_views", J.Int plans_with_views);
-         ("cost_bound_prunes", J.Int prunes);
          ("stats_missing", J.Int (gval "cost.stats.missing" - missing0));
        ]
       @ List.map
@@ -637,7 +627,7 @@ let scaling (w : workload) ~nviews ~domains_list : Measure.t =
 
 let advise ?(seed = 0) ?(trials = 5) ?(write_fraction = 0.1)
     ?(budget_frac = 0.05) ~candidates ~nqueries () : Measure.t =
-  let span = Mv_obs.Instrument.enter () in
+  let t0 = Mv_obs.Instrument.now_wall () in
   (* a different query workload per candidate scale, so the scales are
      independent observations *)
   let w =
@@ -713,14 +703,14 @@ let advise ?(seed = 0) ?(trials = 5) ?(write_fraction = 0.1)
   let plans_using_views =
     List.fold_left
       (fun n q ->
-        let s = Mv_obs.Instrument.enter () in
-        let r = Mv_opt.Optimizer.optimize advised_registry w.stats q in
-        let wall, _ = Mv_obs.Instrument.elapsed s in
-        Mv_obs.Instrument.observe h wall;
+        let r =
+          Mv_obs.Instrument.time_hist h (fun () ->
+              Mv_opt.Optimizer.optimize advised_registry w.stats q)
+        in
         if r.Mv_opt.Optimizer.used_views then n + 1 else n)
       0 w.queries
   in
-  let wall, _ = Mv_obs.Instrument.elapsed span in
+  let wall = Mv_obs.Instrument.now_wall () -. t0 in
   let tol = 1e-9 *. (1.0 +. cost_none) in
   Measure.make "advise"
     ~params:

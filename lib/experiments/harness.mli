@@ -43,12 +43,11 @@ val run : ?domains:int -> workload -> nviews:int -> config:config -> Measure.t
 (** One grid cell, a ["cell"] measure. Params: [config], [alt], [filter],
     [nviews], [queries], [domains]. Metrics: [wall_time_s] and
     [cpu_time_s] for the whole batch (the paper reports elapsed time, so
-    the figures print wall time); [rule_wall_time_s] and
-    [rule_cpu_time_s] from the [rule.time] timer; [invocations],
+    the figures print wall time; both clocks are read once at each end of
+    the batch); [rule_wall_time_s], the sum of [optimizer.phase.match],
+    whose samples are one rule invocation each; [invocations],
     [candidates], [matched] and [substitutes] from the [rule.*] counters;
-    [plans_using_views]; [cost_bound_prunes] from [opt.prune.cost_bound]
-    (substitute leaves abandoned by branch-and-bound, which provably never
-    changes a plan choice); and one [phases.<phase>] block per optimizer
+    [plans_using_views]; and one [phases.<phase>] block per optimizer
     phase ([analyze], [match], [cost], [total]: [calls] and interpolated
     p50/p90/p99 of per-call wall seconds from [optimizer.phase.*]; zeros
     when a phase never ran, so every cell has the same shape). The

@@ -43,7 +43,7 @@ val submit :
     epoch the result was computed at — a waiter reports its leader's
     epoch, which can lag its own snapshot by an in-flight mutation and is
     still a valid observation at that epoch. A hit or a waiter returns the
-    leader's result, [pruned_views] included.
+    leader's whole result.
 
     With [spans], the submission is recorded as a ["serve"] span carrying
     the pinned epoch, with a [cache.plan.hit] or [cache.plan.miss]

@@ -117,15 +117,6 @@ let families_of_registry ?(prefix = "") reg =
                  help = "";
                  samples = [ ([], float_of_int (I.value c)) ];
                })
-      | Some (Registry.Timer t) ->
-          Some
-            (Summary
-               {
-                 name = fname ^ "_seconds";
-                 help = "accumulated wall time";
-                 samples =
-                   [ ([], { s_count = I.intervals t; s_sum = I.wall t; s_quantiles = [] }) ];
-               })
       | Some (Registry.Histogram h) ->
           let q p = (p, I.quantile h p) in
           Some
@@ -144,24 +135,6 @@ let families_of_registry ?(prefix = "") reg =
                    ];
                })
       | None -> None)
-    (Registry.names reg)
-
-(* CPU time is dropped from the summary mapping above (OpenMetrics
-   summaries carry one sum); expose it as a companion counter family so
-   nothing the registry tracks is unreachable from a scrape. *)
-let timer_cpu_families ?(prefix = "") reg =
-  List.filter_map
-    (fun name ->
-      match Registry.find reg name with
-      | Some (Registry.Timer t) ->
-          Some
-            (Counter
-               {
-                 name = prefix ^ name ^ "_cpu_seconds";
-                 help = "accumulated cpu time";
-                 samples = [ ([], I.cpu t) ];
-               })
-      | _ -> None)
     (Registry.names reg)
 
 (* ---- families from a timeline ---- *)

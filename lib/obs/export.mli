@@ -32,12 +32,7 @@ val render : family list -> string
 
 val families_of_registry : ?prefix:string -> Registry.t -> family list
 (** Counters map to counter families, histograms to summaries with
-    p50/p90/p95/p99, timers to a [_seconds] summary (wall time, interval
-    count, no quantiles). *)
-
-val timer_cpu_families : ?prefix:string -> Registry.t -> family list
-(** Companion [_cpu_seconds] counter per timer — CPU time has no slot in
-    the summary mapping above. *)
+    p50/p90/p95/p99. *)
 
 val families_of_timeline : ?prefix:string -> Timeline.t -> family list
 (** Each retained window becomes a [window]-labelled gauge sample:

@@ -1,14 +1,12 @@
 let now_wall () = Unix.gettimeofday ()
 
-let now_cpu () = Sys.time ()
-
-(* All three instrument kinds are safe to update and read from any OCaml
+(* Both instrument kinds are safe to update and read from any OCaml
    domain. Counters are single atomic ints ([Atomic.fetch_and_add] — no
-   lock, no lost updates, never transiently negative). Timers and
-   histograms accumulate several related fields, so they carry a tiny
-   mutex: an update is one uncontended lock/unlock — nanoseconds next to
-   the work being measured — and a snapshot taken mid-update sees a
-   consistent record, not a half-applied one. *)
+   lock, no lost updates, never transiently negative). Histograms
+   accumulate several related fields, so they carry a tiny mutex: an
+   update is one uncontended lock/unlock — nanoseconds next to the work
+   being measured — and a snapshot taken mid-update sees a consistent
+   record, not a half-applied one. *)
 
 (* ---- counters ---- *)
 
@@ -23,36 +21,6 @@ let add c k = ignore (Atomic.fetch_and_add c k)
 let value c = Atomic.get c
 
 let reset_counter c = Atomic.set c 0
-
-(* ---- timers ---- *)
-
-type timer = {
-  t_lock : Mutex.t;
-  mutable t_wall : float;
-  mutable t_cpu : float;
-  mutable t_count : int;
-}
-
-let timer () =
-  { t_lock = Mutex.create (); t_wall = 0.0; t_cpu = 0.0; t_count = 0 }
-
-let record t ~wall ~cpu =
-  Mutex.protect t.t_lock (fun () ->
-      t.t_wall <- t.t_wall +. wall;
-      t.t_cpu <- t.t_cpu +. cpu;
-      t.t_count <- t.t_count + 1)
-
-let wall t = Mutex.protect t.t_lock (fun () -> t.t_wall)
-
-let cpu t = Mutex.protect t.t_lock (fun () -> t.t_cpu)
-
-let intervals t = Mutex.protect t.t_lock (fun () -> t.t_count)
-
-let reset_timer t =
-  Mutex.protect t.t_lock (fun () ->
-      t.t_wall <- 0.0;
-      t.t_cpu <- 0.0;
-      t.t_count <- 0)
 
 (* ---- histograms ---- *)
 
@@ -145,21 +113,8 @@ let quantile h q =
 (* ---- merge: fold per-domain instruments into one ---- *)
 
 (* Each source is read under its own lock so a merge taken while other
-   domains record sees each instrument consistently; the destination is
+   domains record sees each histogram consistently; the destination is
    fresh and local, so no lock is needed on the write side. *)
-
-let merge_timers ts =
-  let m = timer () in
-  List.iter
-    (fun t ->
-      let w, c, n =
-        Mutex.protect t.t_lock (fun () -> (t.t_wall, t.t_cpu, t.t_count))
-      in
-      m.t_wall <- m.t_wall +. w;
-      m.t_cpu <- m.t_cpu +. c;
-      m.t_count <- m.t_count + n)
-    ts;
-  m
 
 let merge_histograms hs =
   let m = histogram () in
@@ -241,17 +196,7 @@ let reset_histogram h =
       h.h_max <- Float.neg_infinity;
       Array.fill h.h_buckets 0 buckets 0)
 
-(* ---- spans ---- *)
-
-type span = { s_wall : float; s_cpu : float }
-
-let enter () = { s_wall = now_wall (); s_cpu = now_cpu () }
-
-let elapsed s = (now_wall () -. s.s_wall, now_cpu () -. s.s_cpu)
-
-let exit_into t s =
-  let wall, cpu = elapsed s in
-  record t ~wall ~cpu
+(* ---- timing ---- *)
 
 let time_hist h f =
   let t0 = now_wall () in

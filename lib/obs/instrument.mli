@@ -1,16 +1,15 @@
-(** The three instrument kinds plus lightweight spans.
+(** The two instrument kinds.
 
-    Counters are monotone event counts, timers accumulate both wall-clock
-    and CPU time (the paper reports elapsed optimization time; [Sys.time]
-    alone silently under-reports any I/O or scheduling), and histograms
-    keep streaming moments plus power-of-two buckets for cheap
-    percentile estimates. None of them allocate on the update path.
+    Counters are monotone event counts, and histograms keep streaming
+    moments plus power-of-two buckets for cheap percentile estimates; a
+    timed activity is a histogram of its wall-clock durations
+    ({!time_hist}). Neither allocates on the update path.
 
-    All instruments are domain-safe: counters are atomic ints (lock-free,
-    no lost updates), timers and histograms serialize their multi-field
-    updates and reads through a per-instrument mutex, so a snapshot taken
-    while other domains record is internally consistent and never sees
-    negative or half-applied values. *)
+    Both kinds are domain-safe: counters are atomic ints (lock-free, no
+    lost updates), histograms serialize their multi-field updates and reads
+    through a per-instrument mutex, so a snapshot taken while other domains
+    record is internally consistent and never sees negative or
+    half-applied values. *)
 
 type counter
 
@@ -23,22 +22,6 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val reset_counter : counter -> unit
-
-type timer
-
-val timer : unit -> timer
-
-val record : timer -> wall:float -> cpu:float -> unit
-(** Accumulate one measured interval (seconds). *)
-
-val wall : timer -> float
-
-val cpu : timer -> float
-
-val intervals : timer -> int
-(** Number of recorded intervals. *)
-
-val reset_timer : timer -> unit
 
 type histogram
 
@@ -87,14 +70,12 @@ val bucket_upper : int -> float
 
 (** {2 Merging}
 
-    Fold several per-domain instruments into one fresh aggregate. Each
+    Fold several per-domain histograms into one fresh aggregate. Each
     source is read under its own lock, so merging while other domains
     record sees every source internally consistent. Merging is exactly
     equivalent to having observed the union of the sources' samples on
     one instrument, except that a histogram quantile of the merge may
     differ from the union's by at most the one-bucket resolution. *)
-
-val merge_timers : timer list -> timer
 
 val merge_histograms : histogram list -> histogram
 
@@ -131,18 +112,5 @@ val time_hist : histogram -> (unit -> 'a) -> 'a
 (** Run the thunk, observing its wall-clock duration (seconds) as one
     histogram sample. Re-raises, still recording, if the thunk does. *)
 
-(** Spans: grab both clocks on entry, hand the interval to a timer on
-    exit. *)
-
-type span
-
-val enter : unit -> span
-
-val elapsed : span -> float * float
-(** (wall, cpu) seconds since {!enter}. *)
-
-val exit_into : timer -> span -> unit
-
 val now_wall : unit -> float
-
-val now_cpu : unit -> float
+(** Wall-clock seconds ([Unix.gettimeofday]). *)

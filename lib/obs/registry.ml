@@ -1,6 +1,5 @@
 type instrument =
   | Counter of Instrument.counter
-  | Timer of Instrument.timer
   | Histogram of Instrument.histogram
 
 type t = {
@@ -19,7 +18,6 @@ let global = create ()
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Timer _ -> "timer"
   | Histogram _ -> "histogram"
 
 let get_or_create t name ~make ~cast =
@@ -42,11 +40,6 @@ let counter t name =
   get_or_create t name
     ~make:(fun () -> Counter (Instrument.counter ()))
     ~cast:(function Counter c -> Some c | _ -> None)
-
-let timer t name =
-  get_or_create t name
-    ~make:(fun () -> Timer (Instrument.timer ()))
-    ~cast:(function Timer x -> Some x | _ -> None)
 
 let histogram t name =
   get_or_create t name
@@ -86,7 +79,6 @@ let reset t =
     (fun i ->
       match i with
       | Counter c -> Instrument.reset_counter c
-      | Timer x -> Instrument.reset_timer x
       | Histogram h -> Instrument.reset_histogram h)
     all
 
@@ -99,13 +91,6 @@ let finite_or_null f =
 
 let instrument_json = function
   | Counter c -> Json.Int (Instrument.value c)
-  | Timer x ->
-      Json.Obj
-        [
-          ("wall_s", Json.Float (Instrument.wall x));
-          ("cpu_s", Json.Float (Instrument.cpu x));
-          ("intervals", Json.Int (Instrument.intervals x));
-        ]
   | Histogram h ->
       Json.Obj
         [
@@ -132,7 +117,6 @@ let to_json t =
   Json.Obj
     [
       ("counters", Json.Obj (section (function Counter _ -> true | _ -> false)));
-      ("timers", Json.Obj (section (function Timer _ -> true | _ -> false)));
       ( "histograms",
         Json.Obj (section (function Histogram _ -> true | _ -> false)) );
     ]
@@ -149,10 +133,6 @@ let render t =
       match find t name with
       | None -> ()
       | Some (Counter c) -> line name (string_of_int (Instrument.value c))
-      | Some (Timer x) ->
-          line name
-            (Printf.sprintf "wall %.6fs  cpu %.6fs  (%d intervals)"
-               (Instrument.wall x) (Instrument.cpu x) (Instrument.intervals x))
       | Some (Histogram h) ->
           line name
             (if Instrument.count h = 0 then "empty"

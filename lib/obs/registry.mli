@@ -7,7 +7,7 @@
 
     Domain-safe: instrument creation is serialized by a registry mutex and
     each instrument is itself safe for concurrent updates (atomic counters,
-    mutexed timers/histograms — see {!Instrument}), so one registry can be
+    mutexed histograms — see {!Instrument}), so one registry can be
     shared by all worker domains of a parallel run and snapshots taken
     while they record remain well-formed. *)
 
@@ -25,8 +25,6 @@ val global : t
 
 val counter : t -> string -> Instrument.counter
 
-val timer : t -> string -> Instrument.timer
-
 val histogram : t -> string -> Instrument.histogram
 
 val resolver : (t -> string -> 'a) -> t -> string -> unit -> 'a
@@ -37,7 +35,6 @@ val resolver : (t -> string -> 'a) -> t -> string -> unit -> 'a
 
 type instrument =
   | Counter of Instrument.counter
-  | Timer of Instrument.timer
   | Histogram of Instrument.histogram
 
 val find : t -> string -> instrument option
@@ -53,7 +50,7 @@ val reset : t -> unit
 (** Zero every instrument; instruments stay registered. *)
 
 val to_json : t -> Json.t
-(** Snapshot: [{"counters": ..., "timers": ..., "histograms": ...}].
+(** Snapshot: [{"counters": ..., "histograms": ...}].
     Instruments appear in sorted name order. *)
 
 val render : t -> string

@@ -18,17 +18,11 @@ open Mv_base
 module Spjg = Mv_relalg.Spjg
 module A = Mv_relalg.Analysis
 
-type config = { produce_substitutes : bool; prune_cost_bound : bool }
+type config = { produce_substitutes : bool }
 
-let default_config = { produce_substitutes = true; prune_cost_bound = true }
+let default_config = { produce_substitutes = true }
 
-type result = {
-  plan : Plan.t;
-  cost : float;
-  rows : float;
-  used_views : bool;
-  pruned_views : string list;
-}
+type result = { plan : Plan.t; cost : float; rows : float; used_views : bool }
 
 (* binding spec of a leaf: bare-column outputs rebind to their base column,
    everything else to a synthetic #agg column *)
@@ -56,17 +50,11 @@ let scan_leaf stats (block : Spjg.t) =
       est_cost = base +. rows;
     }
 
-(* Substitute leaf costing with branch-and-bound: every term is
-   nonnegative, so any partial sum is a lower bound on the final cost —
-   as soon as it exceeds [bound] (the best complete plan so far) the
-   candidate cannot win and costing stops. [Error view_name] reports the
-   prune; the strict [>] keeps exact ties alive, so pruning never changes
-   which plan is chosen. *)
-let view_leaf ?bound schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
-    (Plan.t, string) Result.t =
-  let over =
-    match bound with Some b -> fun partial -> partial > b | None -> fun _ -> false
-  in
+(* The leaf plan of a substitute: a scan of the view (index-aware) plus
+   any regrouping and backjoin surcharges. Every substitute leaf is costed
+   in full and competes in the memo's [consider]. *)
+let view_leaf schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
+    Plan.t =
   let view = s.Mv_core.Substitute.view in
   (* Leaf output estimate: with a statistics entry for the view itself
      (built from its actual contents at materialization time or refreshed
@@ -132,41 +120,31 @@ let view_leaf ?bound schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
       (Float.log2 (vrows +. 2.0) +. Float.min vrows (rows *. 2.0)) *. width
     else vrows *. width
   in
-  if over scan_cost then Error view.Mv_core.View.name
-  else
-    let group_extra =
-      if Mv_core.Substitute.uses_regrouping s then scan_cost else 0.0
-    in
-    if over (scan_cost +. group_extra) then Error view.Mv_core.View.name
-    else
-      (* backjoined base tables are re-scanned *)
-      let backjoin_extra =
-        List.fold_left
-          (fun acc t ->
-            acc +. float_of_int (max 1 (Mv_catalog.Stats.row_count stats t)))
-          0.0 s.Mv_core.Substitute.backjoins
-      in
-      let total = scan_cost +. group_extra +. backjoin_extra +. rows in
-      if over total then Error view.Mv_core.View.name
-      else
-        Ok
-          (Plan.Leaf
-             {
-               source = Plan.Via s;
-               binds = leaf_binds block;
-               est_rows = rows;
-               est_cost = total;
-             })
+  let group_extra =
+    if Mv_core.Substitute.uses_regrouping s then scan_cost else 0.0
+  in
+  (* backjoined base tables are re-scanned *)
+  let backjoin_extra =
+    List.fold_left
+      (fun acc t ->
+        acc +. float_of_int (max 1 (Mv_catalog.Stats.row_count stats t)))
+      0.0 s.Mv_core.Substitute.backjoins
+  in
+  Plan.Leaf
+    {
+      source = Plan.Via s;
+      binds = leaf_binds block;
+      est_rows = rows;
+      est_cost = scan_cost +. group_extra +. backjoin_extra +. rows;
+    }
 
 (* The numbers the memo competes on, exposed for the advisor's benefit
-   model ([Advisor]): a substitute leaf's estimated (cost, rows) without
-   any branch-and-bound bound (costing never prunes), and the direct
-   computed-leaf cost of the same block. *)
+   model ([Advisor]): a substitute leaf's estimated (cost, rows), and the
+   direct computed-leaf cost of the same block. *)
 let substitute_cost schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
     float * float =
-  match view_leaf schema stats block s with
-  | Ok p -> (Plan.est_cost p, Plan.est_rows p)
-  | Error _ -> assert false (* unreachable: no bound was passed *)
+  let p = view_leaf schema stats block s in
+  (Plan.est_cost p, Plan.est_rows p)
 
 let direct_cost stats (block : Spjg.t) : float =
   Plan.est_cost (scan_leaf stats block)
@@ -228,7 +206,6 @@ type handles = {
   wins : unit -> Mv_obs.Instrument.counter;
   losses : unit -> Mv_obs.Instrument.counter;
   memo_groups : unit -> Mv_obs.Instrument.counter;
-  prune : unit -> Mv_obs.Instrument.counter;
   phase_analyze : unit -> Mv_obs.Instrument.histogram;
   phase_match : unit -> Mv_obs.Instrument.histogram;
   phase_cost : unit -> Mv_obs.Instrument.histogram;
@@ -260,9 +237,6 @@ let handles_for obs =
           wins = counter "substitutes.wins";
           losses = counter "substitutes.losses";
           memo_groups = counter "memo.groups";
-          prune =
-            Mv_obs.Registry.resolver Mv_obs.Registry.counter obs
-              "opt.prune.cost_bound";
           phase_analyze = phase "analyze";
           phase_match = phase "match";
           phase_cost = phase "cost";
@@ -312,45 +286,27 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
                 analyses.(mask) <- Some a;
                 a))
   in
-  (* the view-matching rule; the pinned snapshot (if any) rides along into
-     every rule invocation, so all subexpressions of this optimization see
-     one registry state *)
+  (* the view-matching rule, timed once per invocation; the pinned snapshot
+     (if any) rides along into every rule invocation, so all
+     subexpressions of this optimization see one registry state *)
   let find_subs ?spans qa =
     Mv_obs.Instrument.time_hist h_match (fun () ->
         Mv_core.Registry.find_substitutes ?spans ?snap ~fresh_only registry
           qa)
   in
-  (* Branch-and-bound accounting: pruned candidate names (for provenance)
-     and the [opt.prune.cost_bound] counter, distinct from matcher
-     rejects. *)
-  let pruned_acc = ref [] in
-  let prune_ctr = h.prune () in
   (* invoke the view-matching rule on the block of a table subset; returns
-     leaf plans. [bound] is sampled once on entry (the best complete plan
-     so far, if any) and handed to substitute costing as a
-     branch-and-bound upper bound. *)
-  let rule_leaves ?(bound = fun () -> None) mask block =
+     one leaf plan per substitute *)
+  let rule_leaves mask block =
     Mv_obs.Instrument.incr (h.subexpressions ());
     Mv_obs.Span.wrap spans "rule"
       ~attrs:(fun () ->
         [ ("tables", Mv_obs.Span.Str (String.concat "," block.Spjg.tables)) ])
       (fun sub ->
         let subs = find_subs ?spans:sub (analyze mask block) in
-        Mv_obs.Span.wrap sub "cost" (fun costs ->
+        Mv_obs.Span.wrap sub "cost" (fun _ ->
             Mv_obs.Instrument.time_hist h_cost (fun () ->
                 if config.produce_substitutes then
-                  let b = if config.prune_cost_bound then bound () else None in
-                  List.filter_map
-                    (fun s ->
-                      match view_leaf ?bound:b schema stats block s with
-                      | Ok p -> Some p
-                      | Error vname ->
-                          Mv_obs.Instrument.incr prune_ctr;
-                          pruned_acc := vname :: !pruned_acc;
-                          Mv_obs.Span.note costs "prune.cost_bound" (fun () ->
-                              [ ("view", Mv_obs.Span.Str vname) ]);
-                          None)
-                    subs
+                  List.map (view_leaf schema stats block) subs
                 else [])))
   in
   (* substitute leaves competed on cost against [winner]: score them *)
@@ -417,11 +373,7 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         done
       end;
       if is_conn then begin
-        let vleaves =
-          rule_leaves
-            ~bound:(fun () -> Option.map Plan.est_cost !best)
-            mask block
-        in
+        let vleaves = rule_leaves mask block in
         List.iter consider vleaves;
         score_substitutes vleaves !best
       end;
@@ -447,7 +399,6 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         cost = Plan.est_cost plan;
         rows = Plan.est_rows plan;
         used_views = Plan.uses_view plan;
-        pruned_views = List.rev !pruned_acc;
       }
   | Some gq ->
       let qa = analyze full query in
@@ -467,10 +418,8 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
       let best = ref baseline in
       let agg_considered = ref 0 in
       let consider p = if Plan.est_cost p < Plan.est_cost !best then best := p in
-      (* whole-query substitutes; the aggregate baseline bounds the search *)
-      (let vleaves =
-         rule_leaves ~bound:(fun () -> Some (Plan.est_cost !best)) full query
-       in
+      (* whole-query substitutes *)
+      (let vleaves = rule_leaves full query in
        agg_considered := !agg_considered + List.length vleaves;
        List.iter consider vleaves);
       (* preaggregated alternatives: the outer aggregation is rewritten
@@ -526,14 +475,7 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
                       (function Expr.Col _ -> true | _ -> false)
                       (Option.value ~default:[]
                          pa.Block.block.Spjg.group_by) ->
-              (* a preaggregated leaf only grows through joins and the
-                 outer aggregation, so the current best's full cost is a
-                 valid bound on the leaf alone *)
-              let inner_views =
-                rule_leaves
-                  ~bound:(fun () -> Some (Plan.est_cost !best))
-                  mask pa.Block.block
-              in
+              let inner_views = rule_leaves mask pa.Block.block in
               agg_considered := !agg_considered + List.length inner_views;
               List.iter
                 (fun inner ->
@@ -558,7 +500,6 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         cost = Plan.est_cost plan;
         rows = Plan.est_rows plan;
         used_views = Plan.uses_view plan;
-        pruned_views = List.rev !pruned_acc;
       }
 
 let optimize ?(config = default_config) ?spans ?snap ?(fresh_only = false)

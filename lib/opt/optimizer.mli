@@ -7,32 +7,12 @@
     when off, for the NoAlt measurement mode); the registry's [use_filter]
     is the "Filter" switch. *)
 
-type config = {
-  produce_substitutes : bool;
-  prune_cost_bound : bool;
-      (** branch-and-bound pruning of substitute leaves against the best
-          complete plan found so far (default on). Pruning never changes
-          the chosen plan — it is conservative (partial sums of
-          nonnegative cost terms, strict [>]) — only the work done; off
-          exists for differential testing of exactly that claim. *)
-}
+type config = { produce_substitutes : bool }
 
 val default_config : config
+(** Substitutes on. *)
 
-type result = {
-  plan : Plan.t;
-  cost : float;
-  rows : float;
-  used_views : bool;
-  pruned_views : string list;
-      (** views whose substitutes were abandoned by branch-and-bound
-          cost-bound pruning (duplicates possible when a view matched
-          several subexpressions). Pruning is conservative — partial sums
-          of nonnegative cost terms against the best complete plan, strict
-          [>] — so the chosen plan is identical to an unbounded search.
-          Each prune bumps [opt.prune.cost_bound] on the registry's obs
-          and emits a [prune.cost_bound] span instant. *)
-}
+type result = { plan : Plan.t; cost : float; rows : float; used_views : bool }
 
 val enumerate_blocks : Mv_relalg.Spjg.t -> Mv_relalg.Spjg.t list
 (** The SPJG subexpressions the memo invokes the view-matching rule on:
@@ -78,7 +58,10 @@ val optimize :
 
     Every call also feeds the [optimizer.phase.{analyze,match,cost,total}]
     latency histograms on the registry's obs instance (one wall-clock
-    sample per phase activity), traced or not.
+    sample per phase activity), traced or not. Each [match] sample is one
+    {!Mv_core.Registry.find_substitutes} call, so that histogram is the
+    rule's time. Every substitute becomes a leaf, costed in full, and
+    competes in the memo on cost.
 
     With [snap] (a pinned {!Mv_core.Registry.snapshot} of [registry]),
     every rule invocation across all enumerated subexpressions runs

@@ -2,8 +2,8 @@
     shares no code with the executor: direct execution with and without
     statistics (estimated vs connectivity join order, index probes and
     hash joins), optimizer plans through [Plan_exec], and matched
-    rewrites all produce the oracle's bag; and branch-and-bound cost-bound
-    pruning never changes the chosen plan, only the work done. *)
+    rewrites all produce the oracle's bag; and every substitute the rule
+    emits competes on cost in the memo. *)
 
 module Spjg = Mv_relalg.Spjg
 
@@ -131,74 +131,41 @@ let test_inlj_fires () =
     "indexed nested loop fired" true
     (gval "exec.join.strategy.inlj" > before)
 
-(* Cost-bound pruning fires on a real view population and the chosen
-   plans are identical with pruning on and off. *)
-let test_prune_plans_unchanged () =
+(* Every substitute the rule emits becomes a leaf that competes on cost:
+   under Alt the memo considers exactly [rule.substitutes] leaves, each a
+   win or a loss; under NoAlt the rule still runs and the memo considers
+   none. *)
+let test_every_substitute_competes () =
   let w =
     Mv_experiments.Harness.make_workload ~nviews:200 ~nqueries:25 ()
   in
-  let make () =
+  let counts produce_substitutes =
     let registry = Mv_core.Registry.create w.Mv_experiments.Harness.schema in
     List.iter
       (Mv_core.Registry.add_prebuilt registry)
       w.Mv_experiments.Harness.views;
-    registry
-  in
-  let plans config registry =
-    List.map
+    List.iter
       (fun q ->
-        let r =
-          Mv_opt.Optimizer.optimize ~config registry
-            w.Mv_experiments.Harness.stats q
-        in
-        ( Mv_opt.Plan.to_string r.Mv_opt.Optimizer.plan,
-          r.Mv_opt.Optimizer.cost ))
-      w.Mv_experiments.Harness.queries
+        ignore
+          (Mv_opt.Optimizer.optimize
+             ~config:{ Mv_opt.Optimizer.produce_substitutes }
+             registry w.Mv_experiments.Harness.stats q))
+      w.Mv_experiments.Harness.queries;
+    let n = Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs in
+    ( n "rule.substitutes",
+      n "optimizer.substitutes.considered",
+      n "optimizer.substitutes.wins",
+      n "optimizer.substitutes.losses" )
   in
-  let reg_on = make () and reg_off = make () in
-  let with_prune = plans Mv_opt.Optimizer.default_config reg_on in
-  let without_prune =
-    plans
-      { Mv_opt.Optimizer.default_config with prune_cost_bound = false }
-      reg_off
-  in
-  Alcotest.(check bool)
-    "identical plans and costs" true
-    (with_prune = without_prune);
-  let prunes =
-    Mv_obs.Registry.counter_value reg_on.Mv_core.Registry.obs
-      "opt.prune.cost_bound"
-  in
-  Alcotest.(check bool) "pruning fired" true (prunes > 0);
-  Alcotest.(check int)
-    "no pruning when disabled" 0
-    (Mv_obs.Registry.counter_value reg_off.Mv_core.Registry.obs
-       "opt.prune.cost_bound")
-
-(* The pruned views are reported in the result's provenance. *)
-let test_pruned_views_reported () =
-  let w =
-    Mv_experiments.Harness.make_workload ~nviews:200 ~nqueries:25 ()
-  in
-  let registry = Mv_core.Registry.create w.Mv_experiments.Harness.schema in
-  List.iter
-    (Mv_core.Registry.add_prebuilt registry)
-    w.Mv_experiments.Harness.views;
-  let total =
-    List.fold_left
-      (fun acc q ->
-        let r =
-          Mv_opt.Optimizer.optimize registry w.Mv_experiments.Harness.stats q
-        in
-        acc + List.length r.Mv_opt.Optimizer.pruned_views)
-      0 w.Mv_experiments.Harness.queries
-  in
-  let counted =
-    Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs
-      "opt.prune.cost_bound"
-  in
-  Alcotest.(check int) "provenance matches the counter" counted total;
-  Alcotest.(check bool) "some prunes happened" true (total > 0)
+  let substitutes, considered, wins, losses = counts true in
+  Alcotest.(check bool) "the rule emits substitutes" true (substitutes > 0);
+  Alcotest.(check int) "Alt: every substitute considered" substitutes
+    considered;
+  Alcotest.(check int) "Alt: each a win or a loss" considered (wins + losses);
+  let substitutes, considered, _, _ = counts false in
+  Alcotest.(check bool) "NoAlt: the rule still emits substitutes" true
+    (substitutes > 0);
+  Alcotest.(check int) "NoAlt: none considered" 0 considered
 
 let suite =
   [
@@ -208,9 +175,7 @@ let suite =
         Helpers.qtest plan_exec_prop;
         Helpers.qtest adaptive_rewrite_prop;
         Alcotest.test_case "indexed nested loop fires" `Quick test_inlj_fires;
-        Alcotest.test_case "cost-bound pruning keeps plans" `Quick
-          test_prune_plans_unchanged;
-        Alcotest.test_case "pruned views reported" `Quick
-          test_pruned_views_reported;
+        Alcotest.test_case "every substitute competes on cost" `Quick
+          test_every_substitute_competes;
       ] );
   ]

@@ -184,7 +184,6 @@ let model_prop =
             && String.equal
                  (Plan.to_string r.Opt.plan)
                  (Plan.to_string fresh.Opt.plan)
-            && r.Opt.pruned_views = fresh.Opt.pruned_views
         | Add i ->
             (match List.filter (fun v -> not (registered v)) pool with
             | [] -> ()

@@ -15,17 +15,6 @@ let test_counter () =
   I.reset_counter c;
   Alcotest.(check int) "reset" 0 (I.value c)
 
-let test_timer () =
-  let t = I.timer () in
-  I.record t ~wall:1.5 ~cpu:0.5;
-  I.record t ~wall:0.5 ~cpu:0.25;
-  Alcotest.(check (float 1e-9)) "wall accumulates" 2.0 (I.wall t);
-  Alcotest.(check (float 1e-9)) "cpu accumulates" 0.75 (I.cpu t);
-  Alcotest.(check int) "intervals" 2 (I.intervals t);
-  I.reset_timer t;
-  Alcotest.(check (float 0.0)) "reset wall" 0.0 (I.wall t);
-  Alcotest.(check int) "reset intervals" 0 (I.intervals t)
-
 let test_histogram () =
   let h = I.histogram () in
   Alcotest.(check (float 0.0)) "empty mean" 0.0 (I.mean h);
@@ -62,14 +51,13 @@ let test_scoped_isolation () =
 let test_kind_mismatch () =
   let r = Obs.create () in
   ignore (Obs.counter r "m");
-  Alcotest.check_raises "timer over counter"
+  Alcotest.check_raises "histogram over counter"
     (Obs.Kind_mismatch "m already registered as a counter") (fun () ->
-      ignore (Obs.timer r "m"))
+      ignore (Obs.histogram r "m"))
 
 let test_json_roundtrip () =
   let r = Obs.create () in
   I.add (Obs.counter r "rule.invocations") 17;
-  I.record (Obs.timer r "rule.time") ~wall:0.125 ~cpu:0.0625;
   let h = Obs.histogram r "latency" in
   List.iter (fun v -> I.observe h v) [ 0.001; 0.004; 2.5 ];
   let snap = Obs.to_json r in
@@ -80,8 +68,8 @@ let test_json_roundtrip () =
   (* spot-check shape *)
   Alcotest.(check bool) "counter present" true
     (J.path [ "counters"; "rule.invocations" ] snap = Some (J.Int 17));
-  Alcotest.(check bool) "timer wall" true
-    (J.path [ "timers"; "rule.time"; "wall_s" ] snap = Some (J.Float 0.125));
+  Alcotest.(check bool) "two sections, no timers" true
+    (J.path [ "timers" ] snap = None);
   Alcotest.(check bool) "histogram count" true
     (J.path [ "histograms"; "latency"; "count" ] snap = Some (J.Int 3))
 
@@ -111,14 +99,14 @@ let test_json_parser () =
 let test_render () =
   let r = Obs.create () in
   I.add (Obs.counter r "a.count") 3;
-  I.record (Obs.timer r "a.time") ~wall:1.0 ~cpu:0.5;
+  I.observe (Obs.histogram r "a.time") 1.0;
   ignore (Obs.histogram r "a.hist");
   let table = Obs.render r in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("render mentions " ^ needle) true
         (Helpers.contains ~needle table))
-    [ "a.count"; "a.time"; "a.hist"; "wall"; "empty" ]
+    [ "a.count"; "a.time"; "a.hist"; "count 1"; "empty" ]
 
 (* ---- Instrument.merge: merging == interleaved observation ---- *)
 
@@ -178,20 +166,6 @@ let merge_hist_prop =
               (100. *. q) qm (I.bucket_of qm) qu (I.bucket_of qu))
         [ 0.01; 0.5; 0.9; 0.99 ];
       true)
-
-let test_merge_timers () =
-  let a = I.timer () and b = I.timer () in
-  I.record a ~wall:1.5 ~cpu:0.5;
-  I.record a ~wall:0.5 ~cpu:0.25;
-  I.record b ~wall:2.0 ~cpu:1.0;
-  let m = I.merge_timers [ a; b ] in
-  Alcotest.(check (float 1e-12)) "wall" 4.0 (I.wall m);
-  Alcotest.(check (float 1e-12)) "cpu" 1.75 (I.cpu m);
-  Alcotest.(check int) "intervals" 3 (I.intervals m);
-  (* sources unchanged; the merge target is fresh *)
-  Alcotest.(check (float 1e-12)) "a untouched" 2.0 (I.wall a);
-  let e = I.merge_timers [] in
-  Alcotest.(check int) "empty merge" 0 (I.intervals e)
 
 let test_merge_empty_histograms () =
   let m = I.merge_histograms [ I.histogram (); I.histogram () ] in
@@ -255,7 +229,7 @@ let test_reset_registry_surfaces () =
   I.add (Obs.counter r "c") 7;
   let h = Obs.histogram r "h" in
   List.iter (I.observe h) [ 0.5; 4.0 ];
-  I.record (Obs.timer r "t") ~wall:1.0 ~cpu:0.5;
+  I.observe (Obs.histogram r "t") 1.0;
   Obs.reset r;
   let j = Obs.to_json r in
   Alcotest.(check bool) "counter back to 0" true
@@ -340,7 +314,6 @@ let suite =
     ( "obs",
       [
         Alcotest.test_case "counter arithmetic" `Quick test_counter;
-        Alcotest.test_case "timer arithmetic" `Quick test_timer;
         Alcotest.test_case "histogram arithmetic" `Quick test_histogram;
         Alcotest.test_case "scoped registries are isolated" `Quick
           test_scoped_isolation;
@@ -353,8 +326,6 @@ let suite =
     ( "obs_merge",
       [
         Helpers.qtest merge_hist_prop;
-        Alcotest.test_case "merge_timers sums into a fresh timer" `Quick
-          test_merge_timers;
         Alcotest.test_case "merging empty histograms" `Quick
           test_merge_empty_histograms;
       ] );

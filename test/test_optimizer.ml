@@ -122,7 +122,7 @@ let test_noalt_produces_no_view_plans () =
   in
   let r =
     Opt.optimize
-      ~config:{ Opt.default_config with Opt.produce_substitutes = false }
+      ~config:{ Opt.produce_substitutes = false }
       registry (Lazy.force stats) query
   in
   Alcotest.(check bool) "no views used" false r.Opt.used_views;

@@ -205,32 +205,37 @@ let intern_prop =
       && Symbol.name d fresh = "unseen-after-freeze")
 
 (* ---------------------------------------------------------------- *)
-(* Obs: shared counters / timers under concurrent update            *)
+(* Obs: shared counters / histograms under concurrent update        *)
 (* ---------------------------------------------------------------- *)
+
+(* A power of two, so every partial sum of samples is exact and the
+   histogram's sum must equal its count times the sample: a lost or torn
+   update shows in either. *)
+let sample = Float.ldexp 1.0 (-20)
 
 let counter_total_prop =
   QCheck.Test.make
-    ~name:"par: 4 domains bumping one counter/timer lose no updates"
+    ~name:"par: 4 domains bumping one counter/histogram lose no updates"
     ~count:(Helpers.qcheck_count 10)
     QCheck.(int_range 500 3000)
     (fun bumps ->
       let reg = Obs.Registry.create () in
       let c = Obs.Registry.counter reg "par.shared"
-      and t = Obs.Registry.timer reg "par.timer" in
+      and h = Obs.Registry.histogram reg "par.hist" in
       ignore
         (Pool.run_each
            (List.init 4 (fun _ () ->
                 for _ = 1 to bumps do
                   Obs.Instrument.incr c;
-                  Obs.Instrument.record t ~wall:1e-6 ~cpu:1e-6
+                  Obs.Instrument.observe h sample
                 done)));
       Obs.Instrument.value c = 4 * bumps
-      && Obs.Instrument.intervals t = 4 * bumps
-      && abs_float (Obs.Instrument.wall t -. (float_of_int (4 * bumps) *. 1e-6))
-         < 1e-9 *. float_of_int (4 * bumps))
+      && Obs.Instrument.count h = 4 * bumps
+      && Obs.Instrument.sum h = float_of_int (4 * bumps) *. sample)
 
-(* walk a JSON snapshot: every numeric leaf of a counter/timer-only
-   registry must be non-negative, even when sampled mid-update *)
+(* walk a JSON snapshot: every numeric leaf of a counter/histogram
+   registry fed positive samples must be non-negative, even when sampled
+   mid-update *)
 let rec check_nonneg path (j : Obs.Json.t) =
   match j with
   | Obs.Json.Int i ->
@@ -248,12 +253,12 @@ let test_json_during_updates () =
   let bumps = if quick then 2_000 else 10_000 in
   let reg = Obs.Registry.create () in
   let c = Obs.Registry.counter reg "par.shared"
-  and t = Obs.Registry.timer reg "par.timer" in
+  and h = Obs.Registry.histogram reg "par.hist" in
   let finished = Atomic.make 0 in
   let bumper () =
     for _ = 1 to bumps do
       Obs.Instrument.incr c;
-      Obs.Instrument.record t ~wall:1e-6 ~cpu:1e-6
+      Obs.Instrument.observe h sample
     done;
     Atomic.incr finished;
     0
@@ -278,8 +283,11 @@ let test_json_during_updates () =
       Alcotest.(check bool) "emitter ran" true (snaps >= 1);
       Alcotest.(check int) "exact counter total" (4 * bumps)
         (Obs.Instrument.value c);
-      Alcotest.(check int) "exact interval total" (4 * bumps)
-        (Obs.Instrument.intervals t);
+      Alcotest.(check int) "exact histogram count" (4 * bumps)
+        (Obs.Instrument.count h);
+      Alcotest.(check (float 0.0)) "exact histogram sum"
+        (float_of_int (4 * bumps) *. sample)
+        (Obs.Instrument.sum h);
       check_nonneg "" (Obs.Registry.to_json reg)
   | [] -> Alcotest.fail "run_each returned nothing"
 
