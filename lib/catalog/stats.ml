@@ -69,64 +69,73 @@ let sort_order a b =
       | _ -> 0)
   | c -> c
 
-let of_sorted ?(buckets = 16) ?(mcv_limit = 32) (arr : Value.t array) n :
+(* The first of slots [lo, hi) of the sorted [arr] whose value is not
+   below [v] under [Value.order] ([above]: above [v]). A run of values
+   [Value.order] calls equal (an [Int] and its [Float] among them) is
+   contiguous in a [sort_order]ed array. *)
+let bound arr lo hi v ~above =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Value.order arr.(mid) v in
+    if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let distinct (arr : Value.t array) n =
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || Value.order arr.(i - 1) arr.(i) <> 0 then incr k
+  done;
+  !k
+
+let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
     col_stats =
   if n = 0 then make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
   else begin
-    (* Equi-depth cut over ascending (value, multiplicity) runs: a bucket
-       closes once it holds [depth] rows, and at the last run. *)
-    let bounds = ref [] and counts = ref [] and acc = ref 0 in
-    let cut depth v k ~last =
-      acc := !acc + k;
-      if !acc >= depth || last then begin
-        bounds := v :: !bounds;
-        counts := !acc :: !counts;
-        acc := 0
-      end
-    in
-    (* One pass over the runs: count them, keep the first few (all of
-       them on a low-NDV column), and cut as if there were at least
-       [buckets] of them. *)
-    let keep = max mcv_limit buckets in
-    let ndv = ref 0 and runs = ref [] and i = ref 0 in
-    while !i < n do
-      let v = arr.(!i) in
-      let j = ref (!i + 1) in
-      while !j < n && Value.order arr.(!j) v = 0 do
-        incr j
-      done;
-      incr ndv;
-      if !ndv <= keep then runs := (v, !j - !i) :: !runs;
-      cut ((n + buckets - 1) / buckets) v (!j - !i) ~last:(!j = n);
-      i := !j
-    done;
-    let ndv = !ndv in
-    let runs = List.rev !runs in
+    (* the slot after the run holding slot [i] *)
+    let run_end i = bound arr (i + 1) n arr.(i) ~above:true in
     let mcvs =
-      if ndv <= mcv_limit then
+      if ndv <= mcv_limit then begin
         (* Exhaustive: every distinct value with its exact multiplicity,
            heaviest first (ties broken by value order for determinism). *)
-        List.stable_sort (fun (_, a) (_, b) -> compare b a) runs
+        let rec runs i acc =
+          if i >= n then List.rev acc
+          else
+            let j = run_end i in
+            runs j ((arr.(i), j - i) :: acc)
+        in
+        List.stable_sort (fun (_, a) (_, b) -> compare b a) (runs 0 [])
+      end
       else []
     in
     let hist =
       if ndv <= 1 then None
       else begin
-        if ndv < buckets then begin
-          (* fewer runs than buckets: recut the kept runs at depth
-             [ceil(n / ndv)], which makes at most [ndv] buckets *)
-          bounds := [];
-          counts := [];
-          acc := 0;
-          List.iteri
-            (fun r (v, k) -> cut ((n + ndv - 1) / ndv) v k ~last:(r = ndv - 1))
-            runs
-        end;
+        (* Equi-depth cut: a bucket starting at slot [s] closes at the end
+           of the run holding slot [s + depth - 1] (or the last run), and
+           its bound is that run's first value. With fewer runs than
+           buckets the depth is [ceil(n / ndv)], which makes at most [ndv]
+           buckets. Each bucket costs two binary searches. *)
+        let depth =
+          if ndv < buckets then (n + ndv - 1) / ndv
+          else (n + buckets - 1) / buckets
+        in
+        let rec cut s bounds counts =
+          if s >= n then (bounds, counts)
+          else
+            let p = min (s + depth - 1) (n - 1) in
+            let e = run_end p in
+            cut e
+              (arr.(bound arr s p arr.(p) ~above:false) :: bounds)
+              ((e - s) :: counts)
+        in
+        let bounds, counts = cut 0 [] [] in
         Some
           {
             h_lo = arr.(0);
-            h_bounds = Array.of_list (List.rev !bounds);
-            h_counts = Array.of_list (List.rev !counts);
+            h_bounds = Array.of_list (List.rev bounds);
+            h_counts = Array.of_list (List.rev counts);
           }
       end
     in
@@ -141,7 +150,8 @@ let build_column ?buckets ?mcv_limit (values : Value.t list) : col_stats =
       (List.sort sort_order
          (List.filter (fun v -> not (Value.is_null v)) values))
   in
-  of_sorted ?buckets ?mcv_limit arr (Array.length arr)
+  let n = Array.length arr in
+  of_sorted ?buckets ?mcv_limit ~ndv:(distinct arr n) arr n
 
 (* ---- selectivity ------------------------------------------------------ *)
 

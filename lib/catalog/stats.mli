@@ -50,7 +50,7 @@ val make_col :
 
 val build_column : ?buckets:int -> ?mcv_limit:int -> Value.t list -> col_stats
 (** Column statistics from raw values: drop the nulls, sort by
-    {!sort_order}, then {!of_sorted}. *)
+    {!sort_order}, count the {!distinct} values, then {!of_sorted}. *)
 
 val sort_order : Value.t -> Value.t -> int
 (** The order {!of_sorted} expects: {!Value.order}, with a numerically
@@ -58,15 +58,21 @@ val sort_order : Value.t -> Value.t -> int
     sort to structurally equal arrays, so their statistics are equal
     too. *)
 
+val distinct : Value.t array -> int -> int
+(** [distinct arr n]: the number of distinct values among the first [n]
+    entries of [arr], ascending by {!sort_order}, under {!Value.order}
+    (so an [Int] and the numerically equal [Float] count once). *)
+
 val of_sorted :
-  ?buckets:int -> ?mcv_limit:int -> Value.t array -> int -> col_stats
-(** [of_sorted arr n]: statistics of the first [n] entries of [arr],
-    which must be non-null and ascending by {!sort_order}, in one linear
-    pass per part: min/max/ndv, an equi-depth histogram with at most
-    [buckets] buckets (default 16; omitted for empty or constant columns),
-    and an exhaustive MCV list when the column has at most [mcv_limit]
-    (default 32) distinct values. [n = 0] yields [ndv = 0] with [Null]
-    bounds. *)
+  ?buckets:int -> ?mcv_limit:int -> ndv:int -> Value.t array -> int -> col_stats
+(** [of_sorted ~ndv arr n]: statistics of the first [n] entries of [arr],
+    which must be non-null and ascending by {!sort_order}, with [ndv]
+    their {!distinct} count: min/max/ndv, an equi-depth histogram with at
+    most [buckets] buckets (default 16; omitted for empty or constant
+    columns), and an exhaustive MCV list when the column has at most
+    [mcv_limit] (default 32) distinct values. The histogram is cut by
+    binary search, O(buckets · log n); only an MCV list walks the runs,
+    O(ndv · log n). [n = 0] yields [ndv = 0] with [Null] bounds. *)
 
 val table : t -> string -> table_stats option
 

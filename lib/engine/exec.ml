@@ -38,6 +38,7 @@ let rows_group = counter "exec.rows.group"
 let rows_output = counter "exec.rows.output"
 let strategy_hash = counter "exec.join.strategy.hash"
 let strategy_inlj = counter "exec.join.strategy.inlj"
+let build_reused = counter "exec.build.reused"
 let count c n = Mv_obs.Instrument.add (c ()) n
 
 let qerror_hist =
@@ -226,29 +227,39 @@ let expr blk e = Eval.compile_expr (fun c -> Col.Map.find_opt c blk.slots) e
 
 (* ---- operators --------------------------------------------------------- *)
 
+(* A hash table over [build] rows keyed on their positions [build_key]:
+   keys compare as exact tuples ([Value.Key]); a row with a NULL key never
+   joins, so it is left out. *)
+let build_table ~build_key build =
+  let table = Value.Key.create 256 in
+  List.iter
+    (fun row ->
+      let kv = Array.map (fun p -> row.(p)) build_key in
+      if not (has_null kv) then Value.Key.add table kv row)
+    build;
+  table
+
+(* Each [probe] tuple against [table], keyed on its slots [probe_key];
+   [emit] makes the output tuple of one matching pair. *)
+let probe_table ~probe_key ~emit table probe =
+  List.concat_map
+    (fun tup ->
+      let kv = Array.map (fun s -> tup.(s)) probe_key in
+      if has_null kv then []
+      else List.map (emit tup) (Value.Key.find_all table kv))
+    probe
+
+let cross ~emit probe build =
+  List.concat_map (fun tup -> List.map (emit tup) build) probe
+
 (* Equijoin of [probe] tuples with [build] rows: [probe_key] names slots
    of a probe tuple, [build_key] the positions of a build row that must
-   equal them, and [emit] makes the output tuple of one matching pair. A
-   hash table over [build], probed by each tuple in turn; keys compare as
-   exact tuples ([Value.Key]) and a NULL key never joins; no keys is a
-   cross product. *)
+   equal them. No keys is a cross product. *)
 let hash_join ~probe_key ~build_key ~emit probe build =
-  if Array.length probe_key = 0 then
-    List.concat_map (fun tup -> List.map (emit tup) build) probe
+  if Array.length probe_key = 0 then cross ~emit probe build
   else begin
     count strategy_hash 1;
-    let table = Value.Key.create 256 in
-    List.iter
-      (fun row ->
-        let kv = Array.map (fun p -> row.(p)) build_key in
-        if not (has_null kv) then Value.Key.add table kv row)
-      build;
-    List.concat_map
-      (fun tup ->
-        let kv = Array.map (fun s -> tup.(s)) probe_key in
-        if has_null kv then []
-        else List.map (emit tup) (Value.Key.find_all table kv))
-      probe
+    probe_table ~probe_key ~emit (build_table ~build_key build) probe
   end
 
 let apply_preds (conjs : conj list) tuples =
@@ -451,13 +462,9 @@ let table_source db (s : source) : Value.t array list =
         | Some `Range -> Some (Index.range_scan ix (interval_of (List.hd cols)))
         | None -> None)
   in
-  let rows =
-    match List.find_map try_index (Database.declared_indexes db s.name) with
-    | Some rows -> rows
-    | None -> tbl.Table.rows
-  in
-  count rows_scan (List.length rows);
-  rows
+  match List.find_map try_index (Database.declared_indexes db s.name) with
+  | Some rows -> rows
+  | None -> tbl.Table.rows
 
 (* Join table [s] into the current tuples: an index nested loop when a
    declared index leads with a join key, the probe side has at most
@@ -465,7 +472,11 @@ let table_source db (s : source) : Value.t array list =
    hash table over the whole table would dominate), a hash join built on
    the table's stored rows otherwise. Both compare full key tuples exactly,
    so they produce identical bags, and both copy a stored row into a tuple
-   only when it matches. *)
+   only when it matches. A hash table over the table's whole row list is
+   built once per list ([Database.build_table]); one over an
+   index-narrowed subset is built per join. [exec.rows.scan] counts the
+   stored rows read: each row of a build or a cross product, and each row
+   an index probe returns. *)
 let join_source db blk ~bound tuples (s : source) =
   let source_rows = table_source db s in
   let keys = join_keys blk ~bound ~next:s.name in
@@ -496,7 +507,9 @@ let join_source db blk ~bound tuples (s : source) =
     List.concat_map
       (fun tup ->
         if List.exists (fun k -> Value.is_null tup.(k.slot)) keys then []
-        else
+        else begin
+          let rows = Index.prefix_lookup ix [ tup.(k0.slot) ] in
+          count rows_scan (List.length rows);
           List.filter_map
             (fun row ->
               if
@@ -507,8 +520,31 @@ let join_source db blk ~bound tuples (s : source) =
                   keys
               then Some (extend tup row)
               else None)
-            (Index.prefix_lookup ix [ tup.(k0.slot) ]))
+            rows
+        end)
       tuples
+  in
+  let hashed () =
+    count strategy_hash 1;
+    let build_key = Array.of_list (List.map (fun k -> k.pos) keys) in
+    let build rows =
+      count rows_scan (List.length rows);
+      build_table ~build_key rows
+    in
+    let table =
+      if source_rows == (Database.table_exn db s.name).Table.rows then begin
+        let table, reused =
+          Database.build_table db ~table:s.name ~key:build_key source_rows
+            build
+        in
+        if reused then count build_reused 1;
+        table
+      end
+      else build source_rows
+    in
+    probe_table
+      ~probe_key:(Array.of_list (List.map (fun k -> k.slot) keys))
+      ~emit:extend table tuples
   in
   let small_probe () =
     List.compare_length_with tuples nlj_threshold <= 0
@@ -520,11 +556,10 @@ let join_source db blk ~bound tuples (s : source) =
       (* the index is looked up (and built) only when it would be used *)
       match if small_probe () then join_index () else None with
       | Some (ix, k0) -> indexed_loop ix k0
-      | None ->
-          hash_join
-            ~probe_key:(Array.of_list (List.map (fun k -> k.slot) keys))
-            ~build_key:(Array.of_list (List.map (fun k -> k.pos) keys))
-            ~emit:extend tuples source_rows
+      | None when keys = [] ->
+          count rows_scan (List.length source_rows);
+          cross ~emit:extend tuples source_rows
+      | None -> hashed ()
   in
   count rows_join (List.length joined);
   (s.name :: bound, joined)

@@ -14,10 +14,15 @@
     whose leading column is a join key when the probe side has at most 64
     tuples and the table more rows than that, and is a hash join keyed on
     the stored rows' column positions otherwise; both compare full key
-    tuples exactly and never join NULL keys. Each conjunct applies as soon
-    as its columns are bound, then rows are grouped and projected.
-    Strategy picks are counted as [exec.join.strategy.hash|inlj], rows per
-    operator as [exec.rows.scan|join|filter|group|output], and per-join
+    tuples exactly and never join NULL keys. A hash table over a table's
+    whole row list is built once per list and kept beside the built
+    indexes ({!Database.build_table}), so later joins reuse it until the
+    table is written. Each conjunct applies as soon as its columns are
+    bound, then rows are grouped and projected. Strategy picks are counted
+    as [exec.join.strategy.hash|inlj] (a reused hash table still counts as
+    a hash join, and also as [exec.build.reused]), rows per operator as
+    [exec.rows.scan|join|filter|group|output] ([scan]: the stored rows
+    read by a hash build, a cross product or an index probe), and per-join
     estimation error (the q-error [max(est/actual, actual/est)], with
     [~stats] only) is observed as [exec.estimation.qerror], all on
     [Mv_obs.Registry.global]. *)

@@ -12,9 +12,9 @@
     deltas edit the view's bag directly; aggregation deltas fold into the
     stored grouping columns, count_big( * ) and SUMs through a per-group
     sidecar that also tracks non-null SUM contributions (NULL vs 0 on
-    all-NULL groups). Each view column's sorted non-null values follow the
-    exact rows a batch adds and removes, so statistics refresh without
-    re-sorting. *)
+    all-NULL groups) and owns the group's stored row. Each view column's
+    sorted non-null values and distinct count follow the exact rows a
+    batch adds and removes, so statistics refresh without re-sorting. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -123,15 +123,20 @@ let shape_of (name : string) (sp : Spjg.t) block : agg_shape =
   }
 
 (* One group's running state: stored count, raw signed sums (independent
-   of NULL rendering) and non-null contribution counts per SUM. The same
-   record doubles as a batch-delta accumulator, where [g_count] and
-   [g_nn] may go negative. *)
+   of NULL rendering), non-null contribution counts per SUM, and the row
+   the view's table stores for it (physically the list element;
+   [no_row] until linked). The same record doubles as a batch-delta
+   accumulator, where [g_count] and [g_nn] may go negative. *)
 type group = {
   g_key : Value.t array;
   mutable g_count : int;
   g_sums : Value.t array;
   g_nn : int array;
+  mutable g_row : Value.t array;
 }
+
+(* A view row has at least one column, so no stored row is this one. *)
+let no_row : Value.t array = [||]
 
 (* A view's delta consumer: the SPJ outputs, or the aggregate shape and
    its group sidecar. *)
@@ -141,8 +146,13 @@ type vstate =
 
 (* One column of a view's stored rows: its non-null values, ascending by
    [Stats.sort_order], in the first [len] slots of [vals]; the spare slots
-   after them hold Null. Values are shared with the rows, never copied. *)
-type sorted = { mutable vals : Value.t array; mutable len : int }
+   after them hold Null. Values are shared with the rows, never copied.
+   [ndv] counts their distinct values ([Stats.distinct]). *)
+type sorted = {
+  mutable vals : Value.t array;
+  mutable len : int;
+  mutable ndv : int;
+}
 
 type entry = {
   view : View.t;
@@ -206,6 +216,7 @@ let empty_group shape key =
     g_count = 0;
     g_sums = Array.make (Array.length shape.sums) Value.Null;
     g_nn = Array.make (Array.length shape.sums) 0;
+    g_row = no_row;
   }
 
 let fold_signed shape (groups : group Value.Key.t) b sign =
@@ -242,12 +253,12 @@ let row_of_group shape (g : group) : Value.t array =
 (* ---- sorted view columns ---------------------------------------------- *)
 
 (* The first of slots [lo, hi) of [vals] not below [v] ([above]: above
-   [v]), by binary search. *)
-let search vals lo hi v ~above =
+   [v]) under [cmp], by binary search. *)
+let search ~cmp vals lo hi v ~above =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let c = Stats.sort_order vals.(mid) v in
+    let c = cmp vals.(mid) v in
     if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
@@ -260,30 +271,69 @@ let column_values c rows =
          if Value.is_null r.(c) then None else Some r.(c))
        rows)
 
+(* Values [Value.order] calls equal (an [Int] and the numerically equal
+   [Float] among them) form one run of a column, and [ndv] counts the
+   runs. The slot that places a removed or added value lies in or beside
+   its run, so the slots around it tell whether the run empties or is
+   new, with no search of its own. *)
+
 (* Drop the ascending values [out] from [col] in one compacting pass that
-   starts at the first removed slot. *)
+   starts at the first removed slot; returns how many runs it empties.
+   The removed values of one run empty it when they took every slot from
+   their first to their last and the slots on either side hold other
+   runs. Both sides are read as they were: slots from [r] on have not
+   moved yet, and the slot before [r] is the previous removed one, which
+   no blit writes. *)
 let remove_sorted name col out =
   let vals = col.vals and n = col.len in
-  let r = ref 0 and w = ref 0 in
+  let r = ref 0 and w = ref 0 and emptied = ref 0 in
+  (* the current run's removed values: the first, their first and last
+     slots, how many, and whether a kept value of the run lies below
+     them or above the last *)
+  let g_v = ref Value.Null and g_first = ref 0 and g_last = ref 0 in
+  let g_n = ref 0 and kept_below = ref false and kept_above = ref false in
+  let close () =
+    if
+      !g_n > 0 && (not !kept_below) && (not !kept_above)
+      && !g_last - !g_first + 1 = !g_n
+    then incr emptied
+  in
   List.iter
     (fun v ->
-      let p = search vals !r n v ~above:false in
+      let p = search ~cmp:Stats.sort_order vals !r n v ~above:false in
       if p >= n || Stats.sort_order vals.(p) v <> 0 then
         raise
           (Inconsistent
              (name ^ ": a removed row holds a value the statistics lack"));
+      if !g_n = 0 || Value.order !g_v v <> 0 then begin
+        close ();
+        g_v := v;
+        g_first := p;
+        g_n := 0;
+        kept_below := p > 0 && Value.order vals.(p - 1) v = 0
+      end;
+      incr g_n;
+      g_last := p;
+      kept_above := p + 1 < n && Value.order vals.(p + 1) v = 0;
       if !w < !r then Array.blit vals !r vals !w (p - !r);
       w := !w + (p - !r);
       r := p + 1)
     out;
+  close ();
   if !w < !r then begin
     Array.blit vals !r vals !w (n - !r);
     Array.fill vals (!w + n - !r) (!r - !w) Value.Null
   end;
-  col.len <- !w + n - !r
+  col.len <- !w + n - !r;
+  !emptied
 
 (* Merge the descending values [inn] into [col] from the top down: each
-   stored value above the smallest new one moves once. *)
+   stored value above the smallest new one moves once. Returns how many
+   runs it starts: the first new value of a run starts one when neither
+   stored slot beside its place holds the run. Both are as they were:
+   the merge has moved only slots from [hi] on, and the stored value at
+   [hi] ranks above a larger new value of another run, so it is never in
+   this one. *)
 let insert_sorted col inn =
   let k = List.length inn in
   let need = col.len + k in
@@ -293,25 +343,34 @@ let insert_sorted col inn =
     col.vals <- vals
   end;
   let vals = col.vals in
-  let hi = ref col.len in
+  let hi = ref col.len and started = ref 0 and prev = ref Value.Null in
   List.iteri
     (fun i v ->
       (* [j] new values still go below this one *)
       let j = k - 1 - i in
-      let p = search vals 0 !hi v ~above:true in
+      let p = search ~cmp:Stats.sort_order vals 0 !hi v ~above:true in
+      if
+        (i = 0 || Value.order !prev v <> 0)
+        && not
+             ((p > 0 && Value.order vals.(p - 1) v = 0)
+             || (p < !hi && Value.order vals.(p) v = 0))
+      then incr started;
+      prev := v;
       Array.blit vals p vals (p + j + 1) (!hi - p);
       vals.(p + j) <- v;
       hi := p)
     inn;
-  col.len <- need
+  col.len <- need;
+  !started
 
-(* Bring every column in line with the stored rows the view just lost
-   ([removed], the exact rows) and gained ([added]). *)
+(* Bring every column and its run count in line with the stored rows the
+   view just lost ([removed], the exact rows) and gained ([added]). *)
 let update_columns name cols ~removed ~added =
   Array.iteri
     (fun c col ->
-      remove_sorted name col (column_values c removed);
-      insert_sorted col (List.rev (column_values c added)))
+      let emptied = remove_sorted name col (column_values c removed) in
+      let started = insert_sorted col (List.rev (column_values c added)) in
+      col.ndv <- col.ndv - emptied + started)
     cols
 
 (* ---- attach ----------------------------------------------------------- *)
@@ -337,6 +396,15 @@ let attach t (view : View.t) =
       (* a scalar aggregate's single row exists even over empty input *)
       if shape.scalar_only && Value.Key.length groups = 0 then
         Value.Key.replace groups [||] (empty_group shape [||]);
+      (* each group owns its stored row from here on: the one time a
+         stored row's key is built *)
+      List.iter
+        (fun row ->
+          let key = Array.map (fun c -> row.(c)) shape.key_cols in
+          match Value.Key.find_opt groups key with
+          | Some g -> g.g_row <- row
+          | None -> ())
+        tbl.Table.rows;
       Agg_state (shape, groups)
     end
     else
@@ -354,7 +422,8 @@ let attach t (view : View.t) =
       (List.mapi
          (fun c _ ->
            let vals = Array.of_list (column_values c tbl.Table.rows) in
-           { vals; len = Array.length vals })
+           let len = Array.length vals in
+           { vals; len; ndv = Stats.distinct vals len })
          (Table.def_of tbl).Mv_catalog.Table_def.columns)
   in
   Exec.mark_fresh t.db view;
@@ -367,14 +436,16 @@ let attach t (view : View.t) =
    already holds the post-batch state). Each telescoping term runs the
    executor over a scratch database: tables before the delta position see
    new rows, the delta position sees just the insert (or delete) slice,
-   tables after it see old rows. Synthetic row-count-only statistics make
-   the delta slice the smallest table so the estimated join order leads
-   with it.
-   The scratch database shares the live index cache, and a slice gets the
-   live table's declared indexes exactly when it is physically the live
-   row list (every unwritten table, and written ones before the delta
-   position): an index over the live rows would serve the wrong rows to a
-   delta or an old slice. *)
+   tables after it see old rows. Synthetic row-count-only statistics let
+   the estimated join order lead with the delta slice, which is usually
+   the smallest table.
+   The scratch database shares the live index and hash-table caches, and a
+   slice gets the live table's declared indexes exactly when it is
+   physically the live row list (every unwritten table, and written ones
+   before the delta position): an index over the live rows would serve
+   the wrong rows to a delta or an old slice. A hash table is served only
+   for the list it was built over and cached only for a live list
+   ([Database.build_table]), so such a slice reuses the live one. *)
 let signed_tuples t (entry : entry) (batch : batch)
     (old_rows : (string * Value.t array list) list) :
     (Exec.tuple * int) list =
@@ -395,6 +466,7 @@ let signed_tuples t (entry : entry) (batch : batch)
                 {
                   (Database.create t.db.Database.schema) with
                   Database.index_cache = t.db.Database.index_cache;
+                  build_cache = t.db.Database.build_cache;
                 }
               in
               let stats =
@@ -422,45 +494,89 @@ let signed_tuples t (entry : entry) (batch : batch)
 
 (* ---- applying deltas to the stored contents --------------------------- *)
 
+(* What a walk over a view's stored rows does with one row. *)
+type edit = Keep | Drop | Swap of Value.t array
+
+(* [rows] with the first [pending] rows [edit] claims dropped or swapped,
+   walking no further than the last of them: the rest of the list is
+   shared. [None] when the list ends first. *)
+let edit_rows edit pending rows =
+  let rec go pending rows =
+    if pending = 0 then rows
+    else
+      match rows with
+      | [] -> raise Exit
+      | row :: rest -> (
+          match edit row with
+          | Keep -> row :: go pending rest
+          | Drop -> go (pending - 1) rest
+          | Swap row' -> row' :: go (pending - 1) rest)
+  in
+  match go pending rows with rows -> Some rows | exception Exit -> None
+
+(* The column with the most distinct values (the first of equals). *)
+let widest cols =
+  let best = ref 0 in
+  Array.iteri (fun c col -> if col.ndv > cols.(!best).ndv then best := c) cols;
+  !best
+
 (* Each of these returns the exact stored rows the view lost and the rows
    it gained. *)
 let apply_spj t (entry : entry) project signed =
-  let plus = ref [] and minus = Value.Key.create 16 and n_minus = ref 0 in
+  let plus = ref [] and minus = ref [] and n_minus = ref 0 in
   List.iter
     (fun (b, sign) ->
       let row = Array.map (fun f -> f b) project in
       if sign > 0 then plus := row :: !plus
       else begin
-        let n = Option.value ~default:0 (Value.Key.find_opt minus row) in
-        Value.Key.replace minus row (n + 1);
+        minus := row :: !minus;
         incr n_minus
       end)
     signed;
   if !plus = [] && !n_minus = 0 then ([], [])
   else begin
-    let tbl = Database.table_exn t.db entry.view.View.name in
-    let removed = ref [] and pending = ref !n_minus in
+    let name = entry.view.View.name in
+    let tbl = Database.table_exn t.db name in
+    let removed = ref [] in
     let rows' =
       if !n_minus = 0 then tbl.Table.rows
-      else
-        List.filter
+      else begin
+        (* A stored row reaches the full-row lookup only when its value in
+           the widest column is one a deleted row holds; the first
+           matching instances in list order go. *)
+        let c = widest entry.cols in
+        let vals =
+          Array.of_list
+            (List.sort_uniq Value.order (List.map (fun r -> r.(c)) !minus))
+        in
+        let counts = Value.Key.create 16 in
+        List.iter
           (fun row ->
-            !pending = 0
-            ||
-            match Value.Key.find_opt minus row with
+            Value.Key.replace counts row
+              (1 + Option.value ~default:0 (Value.Key.find_opt counts row)))
+          !minus;
+        let edit row =
+          let v = row.(c) in
+          let p =
+            search ~cmp:Value.order vals 0 (Array.length vals) v ~above:false
+          in
+          if p = Array.length vals || Value.order vals.(p) v <> 0 then Keep
+          else
+            match Value.Key.find_opt counts row with
             | Some n when n > 0 ->
-                Value.Key.replace minus row (n - 1);
+                Value.Key.replace counts row (n - 1);
                 removed := row :: !removed;
-                decr pending;
-                false
-            | _ -> true)
-          tbl.Table.rows
+                Drop
+            | _ -> Keep
+        in
+        match edit_rows edit !n_minus tbl.Table.rows with
+        | Some rows -> rows
+        | None ->
+            raise
+              (Inconsistent
+                 (name ^ ": delta deletes a row the view does not contain"))
+      end
     in
-    if !pending > 0 then
-      raise
-        (Inconsistent
-           (entry.view.View.name
-          ^ ": delta deletes a row the view does not contain"));
     tbl.Table.rows <- List.rev_append !plus rows';
     bump rows_plus (List.length !plus);
     bump rows_minus !n_minus;
@@ -473,9 +589,9 @@ let apply_agg t (entry : entry) shape groups signed =
   List.iter (fun (b, sign) -> fold_signed shape d b sign) signed;
   if Value.Key.length d = 0 then ([], [])
   else begin
-    let died = Value.Key.create 8 in
-    let updated = Value.Key.create 8 in
-    let born = ref [] in
+    (* the stored rows of the groups that die ([None]) or change (their
+       new row), and the rows of the groups born *)
+    let touched = ref [] and born = ref [] and n_died = ref 0 in
     Value.Key.iter
       (fun k (dg : group) ->
         match Value.Key.find_opt groups k with
@@ -484,8 +600,9 @@ let apply_agg t (entry : entry) shape groups signed =
               if Array.exists (fun n -> n < 0) dg.g_nn then
                 raise
                   (Inconsistent (name ^ ": negative SUM input count at birth"));
+              dg.g_row <- row_of_group shape dg;
               Value.Key.replace groups k dg;
-              born := dg :: !born
+              born := dg.g_row :: !born
             end
             else if
               dg.g_count = 0
@@ -502,7 +619,8 @@ let apply_agg t (entry : entry) shape groups signed =
               raise (Inconsistent (name ^ ": group count went negative"));
             if count' = 0 && not shape.scalar_only then begin
               Value.Key.remove groups k;
-              Value.Key.replace died k ()
+              incr n_died;
+              touched := (g.g_row, None) :: !touched
             end
             else begin
               g.g_count <- count';
@@ -514,46 +632,51 @@ let apply_agg t (entry : entry) shape groups signed =
                     raise
                       (Inconsistent (name ^ ": SUM input count went negative")))
                 shape.sums;
-              Value.Key.replace updated k g
+              let row' = row_of_group shape g in
+              touched := (g.g_row, Some row') :: !touched;
+              g.g_row <- row'
             end)
       d;
-    let tbl = Database.table_exn t.db name in
-    let n_died = Value.Key.length died in
+    (* one walk finds the touched rows by physical identity *)
+    let olds = Array.of_list (List.map fst !touched) in
+    let news = Array.of_list (List.map snd !touched) in
+    let live = ref (Array.length olds) in
     let removed = ref [] and added = ref [] in
-    let pending = ref (n_died + Value.Key.length updated) in
-    let rows' =
-      List.filter_map
-        (fun row ->
-          if !pending = 0 then Some row
-          else
-            let k = Array.map (fun c -> row.(c)) shape.key_cols in
-            if Value.Key.mem died k then begin
-              removed := row :: !removed;
-              decr pending;
-              None
-            end
-            else
-              match Value.Key.find_opt updated k with
-              | Some g ->
-                  Value.Key.remove updated k;
-                  let row' = row_of_group shape g in
-                  removed := row :: !removed;
-                  added := row' :: !added;
-                  decr pending;
-                  Some row'
-              | None -> Some row)
-        tbl.Table.rows
+    let edit row =
+      let j = ref 0 in
+      while !j < !live && olds.(!j) != row do
+        incr j
+      done;
+      if !j = !live then Keep
+      else begin
+        let row' = news.(!j) in
+        decr live;
+        olds.(!j) <- olds.(!live);
+        news.(!j) <- news.(!live);
+        removed := row :: !removed;
+        match row' with
+        | Some r ->
+            added := r :: !added;
+            Swap r
+        | None -> Drop
+      end
     in
-    if !pending > 0 then
-      raise
-        (Inconsistent (name ^ ": stored rows diverged from the group sidecar"));
-    let born_rows = List.rev_map (row_of_group shape) !born in
-    tbl.Table.rows <- rows' @ born_rows;
-    bump rows_plus (List.length !born);
-    bump rows_minus n_died;
-    bump groups_born (List.length !born);
-    bump groups_died n_died;
-    (!removed, List.rev_append born_rows !added)
+    let tbl = Database.table_exn t.db name in
+    let rows' =
+      match edit_rows edit (Array.length olds) tbl.Table.rows with
+      | Some rows -> rows
+      | None ->
+          raise
+            (Inconsistent
+               (name ^ ": stored rows diverged from the group sidecar"))
+    in
+    tbl.Table.rows <- List.rev_append !born rows';
+    let n_born = List.length !born in
+    bump rows_plus n_born;
+    bump rows_minus !n_died;
+    bump groups_born n_born;
+    bump groups_died !n_died;
+    (!removed, List.rev_append !born !added)
   end
 
 (* ---- the batch entry point ------------------------------------------- *)
@@ -690,8 +813,9 @@ let entry_stats t e : Stats.table_stats =
     columns =
       List.mapi
         (fun c (col : Mv_catalog.Column.t) ->
+          let s = e.cols.(c) in
           ( col.Mv_catalog.Column.name,
-            Stats.of_sorted e.cols.(c).vals e.cols.(c).len ))
+            Stats.of_sorted ~ndv:s.ndv s.vals s.len ))
         (Table.def_of tbl).Mv_catalog.Table_def.columns;
   }
 

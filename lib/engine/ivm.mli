@@ -13,11 +13,12 @@
     delta part substituted for table [i] (insert and delete parts run
     separately; the sign multiplies through). A slice that is physically
     the live table's row list keeps the live database's declared and built
-    indexes, so the executor probes it instead of scanning it; the delta
-    slice and a written table's old rows never get them. For SPJ views the
-    signed
-    output tuples apply directly to the materialized table as bag
-    inserts/deletes; for aggregation views they are grouped and folded
+    indexes and its cached hash tables, so the executor probes it instead
+    of scanning or rehashing it; the delta slice and a written table's old
+    rows never get them. For SPJ views the signed output tuples apply
+    directly to the materialized table as bag inserts/deletes (a delete is
+    matched in one walk that compares a single column before the full
+    row); for aggregation views they are grouped and folded
     into the stored [count_big( * )] and [SUM] columns — a group is born
     when its count first becomes positive and dies when it returns to
     zero (the indexability rules of section 2 guarantee every grouping
@@ -25,7 +26,9 @@
     this maintainable). A per-group sidecar of non-null SUM contribution
     counts (rebuilt at {!attach}) keeps NULL semantics exact: a SUM whose
     surviving inputs are all NULL returns to NULL, indistinguishable from
-    0 by the stored value alone.
+    0 by the stored value alone. Each sidecar group owns its stored row,
+    so a batch finds the rows it rewrites by physical identity, without
+    rebuilding any stored row's group key.
 
     Progress is observable on [Mv_obs.Registry.global]: [ivm.batches],
     [ivm.views.updated], [ivm.rows.plus], [ivm.rows.minus],
@@ -88,9 +91,11 @@ val attach : t -> Mv_core.View.t -> unit
 (** Register a materialized view for maintenance. The view's table must
     already exist in the database ({!Exec.materialize}); aggregation
     views pay one evaluation of their SPJ part here to build the
-    non-null-count sidecar. Each view column's non-null values are sorted
-    once here and kept for {!refresh_stats}: one pointer per stored
-    non-null value (values are shared, never copied). Records the
+    non-null-count sidecar and link each stored row to its group. Each
+    view column's non-null values are sorted and their distinct values
+    counted once here, and both are kept for {!refresh_stats}: one
+    pointer per stored non-null value (values are shared, never copied).
+    Records the
     current base-table write epochs on the descriptor and clears its
     staleness mark.
     @raise Invalid_argument when the view is not materialized or already
@@ -109,9 +114,9 @@ val apply : t -> batch -> unit
     table a non-empty delta writes), then propagate deltas into every
     attached view whose sources intersect the written tables: rewrite
     their materialized rows in place, update each column's sorted values
-    from the exact rows removed and added, update
+    and distinct count from the exact rows removed and added, update
     {!Mv_core.View.row_count}, bump the view tables' write epochs
-    (invalidating built indexes) and re-stamp freshness
+    (invalidating built indexes and hash tables) and re-stamp freshness
     ({!Mv_core.View.mark_fresh} with the new base epochs). Views sourcing
     none of the written tables are untouched. The delta consumers (group
     keys, sums, projected outputs) are the closures compiled at
@@ -125,8 +130,9 @@ val apply : t -> batch -> unit
 
 val refresh_stats : t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
 (** Return [stats] with the entry of every view updated by {!apply} since
-    the last call derived from its maintained sorted columns
-    ({!Mv_catalog.Stats.of_sorted}, no sort), leaving every other entry
+    the last call derived from its maintained sorted columns and distinct
+    counts ({!Mv_catalog.Stats.of_sorted}, no sort; the histogram cut by
+    binary search), leaving every other entry
     untouched. Each derived entry equals {!Database.table_stats} of the
     view's current contents: row count, min, max, ndv, histograms and
     MCVs. Clears the dirty marks. *)

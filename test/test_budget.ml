@@ -29,9 +29,15 @@ let no_view_budget = 21_513.
    slot-compiled value arrays (tuples were column-keyed maps) the same
    passes took 68,450 words per read and 67,659 per write. Before
    [Database.touch] dropped built indexes in place (it copied the whole
-   index cache on every write) a write took 25,666. *)
-let read_budget = 18_030.
-let write_budget = 25_542.
+   index cache on every write) a write took 25,666. Before hash joins
+   reused a build table per stored row list, aggregate groups owned
+   their stored rows, SPJ deletes prefiltered on one column and
+   statistics were cut by binary search, a read took 15,708-15,713 under
+   a budget of 18,030 and a write 25,542. A read still varies by a few
+   words between processes (15,587-15,597 over ten); a write repeats
+   exactly. *)
+let read_budget = 15_597.
+let write_budget = 21_260.
 
 (* Measured on the section 5 views (1000): minor words to register them
    all into a fresh registry, and per registry write in serve-churn's

@@ -501,6 +501,284 @@ let test_errors () =
   Ivm.detach ivm "iv_err";
   Alcotest.(check int) "detached" 0 (List.length (Ivm.attached ivm))
 
+(* ---- the build-table cache cannot serve stale rows ---- *)
+
+let gcount = Mv_obs.Registry.counter_value Mv_obs.Registry.global
+let reused () = gcount "exec.build.reused"
+
+(* Unindexed hash joins, each building on a whole stored table: fact, dim
+   (statistics calling fact smaller put it first) and the SPJ view
+   iv_cache. [Spjg.make] sorts the FROM list, and without statistics the
+   executor joins in that order, building on the second table. *)
+let join_fact, join_dim, join_view =
+  let out = [ Spjg.scalar "d_grp" c_dgrp; Spjg.scalar "f_qty" c_fqty ] in
+  let fact_dim =
+    Spjg.make ~tables:[ "dim"; "fact" ] ~where:[ eq c_fdim c_did ]
+      ~group_by:None ~out
+  in
+  let sized n = { Mv_catalog.Stats.row_count = n; columns = [] } in
+  ( (fact_dim, None),
+    (fact_dim, Some [ ("dim", sized 1000); ("fact", sized 1) ]),
+    ( Spjg.make ~tables:[ "dim"; "iv_cache" ]
+        ~where:[ eq (Expr.Col (col "iv_cache" "f_dim")) c_did ]
+        ~group_by:None
+        ~out:
+          [
+            Spjg.scalar "d_grp" c_dgrp;
+            Spjg.scalar "f_qty" (Expr.Col (col "iv_cache" "f_qty"));
+          ],
+      None ) )
+
+(* Each join equals the naive oracle and counts as a hash join; returns
+   how many reused a cached build table. *)
+let joins_match_naive what db queries =
+  let r0 = reused () and h0 = gcount "exec.join.strategy.hash" in
+  List.iteri
+    (fun i (q, stats) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: join %d equals the naive oracle" what i)
+        true
+        (Mv_engine.Relation.same_bag
+           (Exec.execute ?stats db q)
+           (Naive.execute db q)))
+    queries;
+  Alcotest.(check int)
+    (what ^ ": every join counts as a hash join")
+    (List.length queries)
+    (gcount "exec.join.strategy.hash" - h0);
+  reused () - r0
+
+(* Every cached build table describes the row list its table holds now. *)
+let cache_is_live db =
+  Hashtbl.fold
+    (fun (table, _) (b : DB.built) ok ->
+      ok && b.DB.b_rows == (DB.table_exn db table).Table.rows)
+    db.DB.build_cache.DB.built true
+
+let test_build_cache_writes () =
+  let view =
+    mkview "iv_cache" ~tables:[ "fact" ]
+      ~where:[ Pred.Cmp (Pred.Ge, c_fqty, Expr.Const (V.Int 2)) ]
+      ~group_by:None
+      ~out:[ Spjg.scalar "f_dim" c_fdim; Spjg.scalar "f_qty" c_fqty ]
+  in
+  let db = tiny_db () in
+  ignore (Exec.materialize db view);
+  let ivm = Ivm.create db in
+  Ivm.attach ivm view;
+  let queries = [ join_fact; join_dim; join_view ] in
+  ignore (joins_match_naive "first run" db queries);
+  Alcotest.(check int) "unwritten tables' build tables are reused" 3
+    (joins_match_naive "second run" db queries);
+  let row = [| V.Int 60; V.Int 1; V.Int 6; V.Int 6 |] in
+  List.iter
+    (fun (what, write, rebuilt) ->
+      write ();
+      Alcotest.(check int)
+        (what ^ ": only the unwritten tables reuse")
+        (3 - rebuilt)
+        (joins_match_naive what db queries))
+    [
+      ("Database.insert", (fun () -> DB.insert db "fact" row), 1);
+      ("Database.delete", (fun () -> DB.delete db "fact" row), 1);
+      ( "Ivm.apply on a base table",
+        (fun () ->
+          Ivm.apply ivm [ ("dim", ins [ [| V.Int 5; V.Str "e" |] ]) ]),
+        1 );
+      ( "Ivm.apply rewriting a view's rows",
+        (fun () ->
+          Ivm.apply ivm
+            [ ("fact", { Ivm.ins = [ row ]; del = [ List.hd fact_rows ] }) ]),
+        2 );
+    ]
+
+(* Both sides of an unindexed join written in one batch, with both build
+   tables cached beforehand, under an aggregate and an SPJ view. The
+   fact-delta terms read dim's new rows, the live list: the first view's
+   terms build and cache it, the second's reuse it. The dim-delta terms
+   read fact's old rows, a different list from the live one, and their
+   five-row dim slice outnumbers those four rows, so the slice becomes
+   the build side: in the second view a live dim entry exists, and the
+   slice must not be served it. So after each batch the cache holds only
+   live lists, and of the two reads only the one building on dim
+   reuses. *)
+let test_build_cache_two_tables () =
+  let views =
+    [
+      agg_view "iv_agg2";
+      mkview "iv_spj2" ~tables:[ "dim"; "fact" ]
+        ~where:[ eq c_fdim c_did ]
+        ~group_by:None
+        ~out:[ Spjg.scalar "d_grp" c_dgrp; Spjg.scalar "f_qty" c_fqty ];
+    ]
+  in
+  let new_dims =
+    List.init 5 (fun i ->
+        [| V.Int (4 + i); V.Str (String.make 1 "defgh".[i]) |])
+  in
+  let dba = tiny_db () and dbb = tiny_db () in
+  let ivm = Ivm.create dba in
+  List.iter
+    (fun v ->
+      ignore (Exec.materialize dba v);
+      ignore (Exec.materialize dbb v);
+      Ivm.attach ivm v)
+    views;
+  List.iteri
+    (fun i batch ->
+      ignore (joins_match_naive "warm" dba [ join_fact; join_dim ]);
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d: both build tables cached before it" i)
+        2
+        (joins_match_naive "warm again" dba [ join_fact; join_dim ]);
+      Ivm.apply ivm batch;
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d: the cache holds only live lists" i)
+        true (cache_is_live dba);
+      remat_apply dbb views batch;
+      List.iter
+        (fun (v : Mv_core.View.t) ->
+          check_exact
+            (Printf.sprintf "batch %d: %s maintained = rematerialized" i
+               v.Mv_core.View.name)
+            dba dbb v.Mv_core.View.name)
+        views;
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d: the read building on dim reuses" i)
+        1
+        (joins_match_naive "after the batch" dba [ join_fact; join_dim ]))
+    [
+      [
+        ("dim", ins new_dims);
+        ( "fact",
+          {
+            Ivm.ins = [ [| V.Int 21; V.Int 4; V.Int 2; V.Int 8 |] ];
+            del = [ List.nth fact_rows 2 ];
+          } );
+      ];
+      [
+        ("fact", del [ [| V.Int 21; V.Int 4; V.Int 2; V.Int 8 |] ]);
+        ("dim", del new_dims);
+      ];
+    ]
+
+(* A one-table batch over a view joining an unindexed dimension: the
+   insert and the delete term each hash dim's whole (unwritten) row
+   list, so at least the second reuses the first's table. *)
+let test_build_cache_reuse () =
+  let view = agg_view "iv_reuse" in
+  let dba = tiny_db () and dbb = tiny_db () in
+  ignore (Exec.materialize dba view);
+  ignore (Exec.materialize dbb view);
+  let ivm = Ivm.create dba in
+  Ivm.attach ivm view;
+  let batch =
+    [
+      ( "fact",
+        {
+          Ivm.ins = [ [| V.Int 70; V.Int 2; V.Int 1; V.Int 1 |] ];
+          del = [ List.hd fact_rows ];
+        } );
+    ]
+  in
+  let r0 = reused () and h0 = gcount "exec.join.strategy.hash" in
+  Ivm.apply ivm batch;
+  Alcotest.(check bool) "a delta term reused dim's build table" true
+    (reused () > r0);
+  Alcotest.(check int) "both terms count as hash joins" 2
+    (gcount "exec.join.strategy.hash" - h0);
+  remat_apply dbb [ view ] batch;
+  check_exact "maintained = rematerialized" dba dbb "iv_reuse"
+
+(* ---- maintained distinct counts over Ints beside equal Floats ---- *)
+
+(* A Float column holding Ints and the numerically equal Floats (one run
+   each under [Value.order]), -0.0 beside 0.0, and NULLs, under an SPJ
+   view and a view grouping on it: after every one of 200 seeded batches
+   each view equals its recomputation and its refreshed statistics
+   entry, ndv included, equals a rebuild from its contents. *)
+let test_mixed_ndv () =
+  let schema =
+    let open Mv_catalog in
+    Schema.make
+      ~tables:
+        [
+          Table_def.make ~name:"m"
+            ~columns:
+              [
+                Column.make "m_id" Mv_base.Dtype.Int;
+                Column.make ~nullable:true "m_x" Mv_base.Dtype.Float;
+                Column.make "m_g" Mv_base.Dtype.Int;
+              ]
+            ~primary_key:[ "m_id" ] ();
+        ]
+      ~foreign_keys:[]
+  in
+  let cx = Expr.Col (col "m" "m_x") and cg = Expr.Col (col "m" "m_g") in
+  let views =
+    [
+      Mv_core.View.create schema ~name:"iv_mx"
+        (Spjg.make ~tables:[ "m" ] ~where:[] ~group_by:None
+           ~out:[ Spjg.scalar "m_x" cx; Spjg.scalar "m_g" cg ]);
+      Mv_core.View.create schema ~name:"iv_mg"
+        (Spjg.make ~tables:[ "m" ] ~where:[] ~group_by:(Some [ cx ])
+           ~out:
+             [
+               Spjg.scalar "m_x" cx;
+               Spjg.aggregate "cnt" Spjg.Count_star;
+               Spjg.aggregate "sg" (Spjg.Sum cg);
+             ]);
+    ]
+  in
+  let prng = Mv_util.Prng.create 5 in
+  let int n = Mv_util.Prng.int prng n in
+  let value () =
+    match int 6 with
+    | 0 -> V.Int (int 4)
+    | 1 -> V.Float (float_of_int (int 4))
+    | 2 -> V.Float (-0.0)
+    | 3 -> V.Float 0.5
+    | 4 -> V.Null
+    | _ -> V.Int 0
+  in
+  let next = ref 0 in
+  let row () =
+    incr next;
+    [| V.Int !next; value (); V.Int (int 3) |]
+  in
+  let db = DB.create schema in
+  for _ = 1 to 12 do
+    DB.insert db "m" (row ())
+  done;
+  List.iter (fun v -> ignore (Exec.materialize db v)) views;
+  let ivm = Ivm.create db in
+  List.iter (Ivm.attach ivm) views;
+  let stats = ref (DB.stats db) in
+  for b = 1 to 200 do
+    let ins = List.init (int 4) (fun _ -> row ()) in
+    let k = int 4 in
+    let del =
+      List.filteri (fun i _ -> i < k)
+        (Mv_util.Prng.shuffle prng (DB.table_exn db "m").Table.rows)
+    in
+    Ivm.apply ivm [ ("m", { Ivm.ins; del }) ];
+    stats := Ivm.refresh_stats ivm !stats;
+    List.iter
+      (fun (v : Mv_core.View.t) ->
+        let name = v.Mv_core.View.name in
+        Alcotest.(check bool)
+          (Printf.sprintf "batch %d: %s equals its recomputation" b name)
+          true
+          (Mv_engine.Relation.same_bag
+             { Mv_engine.Relation.cols = []; rows = view_rows db name }
+             { (Exec.execute db (Mv_core.View.spjg v)) with cols = [] });
+        Alcotest.(check bool)
+          (Printf.sprintf "batch %d: %s statistics equal a rebuild" b name)
+          true
+          (List.assoc_opt name !stats = Some (DB.table_stats db name)))
+      views
+  done
+
 (* ---- the randomized differential property ---- *)
 
 let tpch_schema = Helpers.schema
@@ -825,6 +1103,14 @@ let suite =
         Alcotest.test_case "freshness epochs + statistics refresh" `Quick
           test_freshness_and_stats;
         Alcotest.test_case "error paths" `Quick test_errors;
+        Alcotest.test_case "build tables follow every write path" `Quick
+          test_build_cache_writes;
+        Alcotest.test_case "build tables: both join sides in one batch"
+          `Quick test_build_cache_two_tables;
+        Alcotest.test_case "build tables: delta terms reuse a dimension"
+          `Quick test_build_cache_reuse;
+        Alcotest.test_case "maintained ndv: Ints beside equal Floats" `Quick
+          test_mixed_ndv;
       ] );
     ( "ivm_diff",
       [

@@ -1,7 +1,8 @@
 (** Histogram statistics: the equi-depth invariants of
-    [Stats.build_column], selectivity-vs-brute-force bounds for the
-    histogram and MCV estimation paths, edge cases (empty / all-null /
-    constant columns), and the observable missing-statistics fallback of
+    [Stats.build_column], its agreement with the linear reference builder
+    ([Ref_stats]), selectivity-vs-brute-force bounds for the histogram and
+    MCV estimation paths, edge cases (empty / all-null / constant
+    columns), and the observable missing-statistics fallback of
     [Stats.row_count]. *)
 
 open Mv_base
@@ -75,6 +76,54 @@ let invariants_prop =
              if not (desc mcvs) then
                QCheck.Test.fail_reportf "MCVs not sorted by count");
       true)
+
+(* Multisets of up to 2000 values that stress the run boundaries of the
+   binary-search cut: Ints beside numerically equal Floats (one run under
+   [Value.order]), -0.0 beside 0.0, strings and dates, each drawn from a
+   small or a wide domain so columns range from a handful of runs to
+   nearly all distinct, with NULLs mixed in to be dropped. *)
+let gen_mixed =
+  let open QCheck.Gen in
+  let value dom =
+    frequency
+      [
+        (4, map (fun n -> Value.Int n) (0 -- dom));
+        (3, map (fun n -> Value.Float (float_of_int n)) (0 -- dom));
+        (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float 0.5 ]);
+        (2, map (fun n -> Value.Str (string_of_int n)) (0 -- dom));
+        (2, map (fun n -> Value.Date (10_000 + n)) (0 -- dom));
+        (1, return Value.Null);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (vs, (b, m)) ->
+      Printf.sprintf "buckets %d, mcv_limit %d: %s" b m
+        (String.concat ";" (List.map Value.to_string vs)))
+    (pair
+       (oneofl [ 3; 40; 5000 ] >>= fun dom ->
+        int_range 0 2000 >>= fun n -> list_repeat n (value dom))
+       (pair (oneofl [ 4; 16 ]) (oneofl [ 16; 32 ])))
+
+(* Both entry points of the builder equal the reference: [build_column]
+   over the raw values, and [of_sorted ~ndv] over the sorted prefix of an
+   array with spare NULL slots after it, as [Ivm] keeps its columns. *)
+let reference_prop =
+  QCheck.Test.make ~name:"stats: builder equals the linear reference"
+    ~count:(Helpers.qcheck_count 300) gen_mixed
+    (fun (values, (buckets, mcv_limit)) ->
+      let expected = Ref_stats.build_column ~buckets ~mcv_limit values in
+      let arr = Ref_stats.sorted values in
+      let n = Array.length arr in
+      let spare = Array.append arr (Array.make (n / 3) Value.Null) in
+      let ndv = Stats.distinct spare n in
+      if Stats.build_column ~buckets ~mcv_limit values <> expected then
+        QCheck.Test.fail_reportf "build_column differs from the reference"
+      else if ndv <> expected.Stats.ndv then
+        QCheck.Test.fail_reportf "distinct counts %d, the reference %d" ndv
+          expected.Stats.ndv
+      else if Stats.of_sorted ~buckets ~mcv_limit ~ndv spare n <> expected
+      then QCheck.Test.fail_reportf "of_sorted differs from the reference"
+      else true)
 
 (* Wrap one column as a full statistics table for the selectivity API. *)
 let stats_of values =
@@ -318,6 +367,7 @@ let suite =
     ( "prop_stats",
       [
         Helpers.qtest invariants_prop;
+        Helpers.qtest reference_prop;
         Helpers.qtest range_prop;
         Helpers.qtest eq_prop;
         Alcotest.test_case "range error within a recut 3-row bucket" `Quick
