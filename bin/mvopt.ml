@@ -810,7 +810,8 @@ let refresh_cmd =
     (* an unmaintained write: the registry marks every view over the table *)
     let li = Mv_engine.Database.table_exn db "lineitem" in
     let some_row = List.hd li.Mv_engine.Table.rows in
-    Mv_engine.Database.insert db "lineitem" some_row;
+    Mv_engine.Database.write db
+      [ ("lineitem", { Mv_engine.Database.ins = [ some_row ]; del = [] }) ];
     let marked = Mv_core.Registry.mark_stale registry ~tables:[ "lineitem" ] in
     Printf.printf
       "\nunmaintained write to lineitem: %d view(s) marked stale\n" marked;

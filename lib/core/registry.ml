@@ -25,7 +25,6 @@ type snapshot = {
 type rule_handles = {
   h_invocations : unit -> Mv_obs.Instrument.counter;
   h_candidates : unit -> Mv_obs.Instrument.counter;
-  h_matched : unit -> Mv_obs.Instrument.counter;
   h_substitutes : unit -> Mv_obs.Instrument.counter;
 }
 
@@ -34,7 +33,6 @@ let rule_handles obs =
   {
     h_invocations = counter "rule.invocations";
     h_candidates = counter "rule.candidates";
-    h_matched = counter "rule.matched";
     h_substitutes = counter "rule.substitutes";
   }
 
@@ -240,7 +238,6 @@ let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
         | Some _ -> Mv_obs.Span.wrap spans ("match:" ^ v.View.name) (match_one v))
       cands
   in
-  Mv_obs.Instrument.add (t.rule.h_matched ()) (List.length subs);
   Mv_obs.Instrument.add (t.rule.h_substitutes ()) (List.length subs);
   List.iter
     (fun (s : Substitute.t) ->

@@ -4,8 +4,9 @@
 
     Measurement runs through {!field-obs} (an [Mv_obs] registry, scoped to
     this view registry unless one is passed in): [rule.invocations],
-    [rule.candidates] (views surviving the filter tree), [rule.matched]
-    (candidates that produced a substitute), [rule.substitutes], and the
+    [rule.candidates] (views surviving the filter tree),
+    [rule.substitutes] (candidates that produced a substitute, one each),
+    and the
     filter tree's [filter_tree.*] per-level counters. The rule reads no
     clock: the optimizer times each invocation (filtering, per-view tests
     and substitute construction) as one [optimizer.phase.match] sample. *)
@@ -29,7 +30,6 @@ type snapshot = {
 type rule_handles = {
   h_invocations : unit -> Mv_obs.Instrument.counter;
   h_candidates : unit -> Mv_obs.Instrument.counter;
-  h_matched : unit -> Mv_obs.Instrument.counter;
   h_substitutes : unit -> Mv_obs.Instrument.counter;
 }
 

@@ -72,9 +72,6 @@ type t = {
           without the view's contents being maintained, cleared by
           materialize/refresh. Atomic so write-side marking and a
           [fresh_only] matcher on another domain never race. *)
-  mutable base_epochs : (string * int) list;
-      (** per-base-table database write epochs recorded at the last
-          materialize/refresh — the provenance behind the staleness mark *)
 }
 
 (* CHECK components depend on the table set alone, so views over the same
@@ -218,7 +215,6 @@ let create ?(relaxed_nulls = false) ?(row_count = 0) ?(indexes = []) schema
     row_count;
     indexes;
     stale = Atomic.make false;
-    base_epochs = [];
   }
 
 let spjg t = t.analysis.Mv_relalg.Analysis.spjg
@@ -227,9 +223,7 @@ let is_stale t = Atomic.get t.stale
 
 let mark_stale t = Atomic.set t.stale true
 
-let mark_fresh ?epochs t =
-  (match epochs with Some e -> t.base_epochs <- e | None -> ());
-  Atomic.set t.stale false
+let mark_fresh t = Atomic.set t.stale false
 
 let is_aggregate t = Mv_relalg.Spjg.is_aggregate (spjg t)
 

@@ -62,8 +62,6 @@ type t = {
   stale : bool Atomic.t;
       (** freshness mark: set when a base table is written without the
           view being maintained; read through {!is_stale} *)
-  mutable base_epochs : (string * int) list;
-      (** per-base-table database write epochs at the last refresh *)
 }
 
 exception Rejected of string
@@ -90,9 +88,9 @@ val is_stale : t -> bool
 
 val mark_stale : t -> unit
 
-val mark_fresh : ?epochs:(string * int) list -> t -> unit
-(** Clear the staleness mark, optionally recording the base-table write
-    epochs the contents now correspond to. *)
+val mark_fresh : t -> unit
+(** Clear the staleness mark: the contents correspond to the base tables
+    again (materialized, or maintained through the last write). *)
 
 val is_aggregate : t -> bool
 

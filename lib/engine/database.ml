@@ -8,13 +8,11 @@ type built = {
   b_table : Value.t array Value.Key.t;
 }
 
-type builds = {
-  home : (string, Table.t) Hashtbl.t;
-      (** the owning database's tables: only a row list one of them holds
-          is cached *)
-  built : (string * int array, built) Hashtbl.t;
-      (** (table, build-key positions) -> hash table over its rows *)
-}
+type delta = { ins : Value.t array list; del : Value.t array list }
+
+type batch = (string * delta) list
+
+exception Invalid_batch of string
 
 type t = {
   schema : Mv_catalog.Schema.t;
@@ -22,24 +20,19 @@ type t = {
   declared_indexes : (string, string list list) Hashtbl.t;
       (** table -> declared index column lists *)
   index_cache : (string * string list, Index.t) Hashtbl.t;
-      (** built lazily; invalidated on insert/delete *)
-  build_cache : builds;
-      (** hash-join build tables over whole stored row lists, built
-          lazily; invalidated with the indexes *)
-  epochs : (string, int) Hashtbl.t;
-      (** per-table write epoch, bumped by every insert/delete batch —
-          what view freshness marks are recorded against (DESIGN.md §12) *)
+      (** built lazily; dropped when the table is written *)
+  build_cache : (string * int array, built) Hashtbl.t;
+      (** (table, build-key positions) -> hash table over the table's
+          current row list, built lazily; dropped with the indexes *)
 }
 
 let make schema ~size ~declared_indexes =
-  let tables = Hashtbl.create size in
   {
     schema;
-    tables;
+    tables = Hashtbl.create size;
     declared_indexes;
     index_cache = Hashtbl.create 8;
-    build_cache = { home = tables; built = Hashtbl.create 8 };
-    epochs = Hashtbl.create 8;
+    build_cache = Hashtbl.create 8;
   }
 
 let create schema =
@@ -57,35 +50,101 @@ let table_exn t name =
   | Some tbl -> tbl
   | None -> invalid_arg ("Database.table: unknown table " ^ name)
 
-(* Drop what was built over [name]'s rows: its indexes and hash tables. *)
-let forget t name =
+(* The table's rows changed: drop the indexes and hash tables built over
+   them. *)
+let touch t name =
   let keep (tbl, _) x = if tbl = name then None else Some x in
   Hashtbl.filter_map_inplace keep t.index_cache;
-  Hashtbl.filter_map_inplace keep t.build_cache.built
+  Hashtbl.filter_map_inplace keep t.build_cache
 
 (* Register a derived table (e.g. a materialized view's contents). *)
 let add_table t (tbl : Table.t) =
-  forget t (Table.name tbl);
+  touch t (Table.name tbl);
   Hashtbl.replace t.tables (Table.name tbl) tbl
 
-let table_epoch t name =
-  match Hashtbl.find_opt t.epochs name with Some e -> e | None -> 0
+let invalid_batch fmt =
+  Fmt.kstr (fun s -> raise (Invalid_batch ("Database.write: " ^ s))) fmt
 
-(* A write happened to [name]: indexes and hash tables built over it are
-   stale and its write epoch advances. Also used by [Ivm] after rewriting
-   a materialized view's rows in place. *)
-let touch t name =
-  forget t name;
-  Hashtbl.replace t.epochs name (table_epoch t name + 1)
+(* Every inserted value fits its column: NULL only where the column is
+   nullable (the matcher relies on NOT NULL), anything else of the
+   column's type, an Int also in a Float column. *)
+let check_fit name (cols : Mv_catalog.Column.t array) row =
+  Array.iteri
+    (fun i v ->
+      let { Mv_catalog.Column.name = col; dtype; nullable } = cols.(i) in
+      let fits =
+        match Value.dtype_of v with
+        | None -> nullable
+        | Some Dtype.Int when Dtype.equal dtype Dtype.Float -> true
+        | Some d -> Dtype.equal d dtype
+      in
+      if not fits then
+        invalid_batch "%s does not fit %s%s column %s.%s" (Value.to_string v)
+          (if nullable then "" else "NOT NULL ")
+          (Dtype.to_string dtype) name col)
+    row
 
-let insert t name row =
-  Table.insert (table_exn t name) row;
-  touch t name
+(* Whether one of [rows] is structurally equal to [r], and [rows]
+   without the first that is. *)
+let rec holds r = function [] -> false | x :: rest -> x = r || holds r rest
 
-let delete t name row =
-  if not (Table.delete (table_exn t name) row) then
-    invalid_arg ("Database.delete: no such row in " ^ name);
-  touch t name
+let rec without r = function
+  | [] -> []
+  | x :: rest -> if x = r then rest else x :: without r rest
+
+(* The rows [name] holds after [d]: its inserts consed on in order, then
+   each delete removing the first row structurally equal to it — in one
+   walk for all of them, leaving the list deleting them one by one
+   would. *)
+let rows_after name (tbl : Table.t) d =
+  let rows = List.rev_append d.ins tbl.Table.rows in
+  let pending = ref d.del in
+  let edit r =
+    if holds r !pending then begin
+      pending := without r !pending;
+      Table.Drop
+    end
+    else Table.Keep
+  in
+  match Table.edit_rows edit (List.length d.del) rows with
+  | Some rows -> rows
+  | None -> invalid_batch "a delete names a row %s does not hold" name
+
+let write t (batch : batch) =
+  let rec check seen = function
+    | [] -> ()
+    | (name, d) :: rest ->
+        if List.mem name seen then invalid_batch "%s is named twice" name;
+        (match table t name with
+        | None -> invalid_batch "unknown table %s" name
+        | Some tbl ->
+            let cols =
+              Array.of_list (Table.def_of tbl).Mv_catalog.Table_def.columns
+            in
+            let arity = Array.length cols in
+            let wrong r = Array.length r <> arity in
+            if List.exists wrong d.ins || List.exists wrong d.del then
+              invalid_batch "row arity mismatch for %s" name;
+            List.iter (check_fit name cols) d.ins);
+        check (name :: seen) rest
+  in
+  check [] batch;
+  (* every list is computed before any is written: a delete that cannot
+     apply rejects the whole batch *)
+  let after =
+    List.filter_map
+      (fun (name, d) ->
+        if d.ins = [] && d.del = [] then None
+        else
+          let tbl = table_exn t name in
+          Some (tbl, rows_after name tbl d))
+      batch
+  in
+  List.iter
+    (fun ((tbl : Table.t), rows) ->
+      tbl.Table.rows <- rows;
+      touch t (Table.name tbl))
+    after
 
 (* Declare a (secondary) index; it is built lazily on first use. *)
 let declare_index t ~table ~cols =
@@ -119,29 +178,23 @@ let index t ~table ~cols : Index.t option =
         Hashtbl.replace t.index_cache (table, cols) ix;
         Some ix
 
-(* The hash table [build] makes over [rows], the whole stored row list of
+(* The hash table [build] makes over [rows], the current row list of
    [table], keyed on the stored positions [key], and whether it was
-   reused. An entry serves only the physically same list; a list no table
-   of the owning database holds (an IVM delta or old slice) is built but
-   neither cached nor allowed to evict the live entry. *)
+   reused. An entry serves only the physically same list. *)
 let build_table t ~table ~key rows build =
-  let c = t.build_cache in
-  match Hashtbl.find_opt c.built (table, key) with
+  match Hashtbl.find_opt t.build_cache (table, key) with
   | Some b when b.b_rows == rows -> (b.b_table, true)
   | _ ->
       let h = build rows in
-      (match Hashtbl.find_opt c.home table with
-      | Some live when live.Table.rows == rows ->
-          Hashtbl.replace c.built (table, key) { b_rows = rows; b_table = h }
-      | _ -> ());
+      Hashtbl.replace t.build_cache (table, key) { b_rows = rows; b_table = h };
       (h, false)
 
 let row_count t name = Table.row_count (table_exn t name)
 
 (* An independent instance with the same contents: table row lists are
    immutable values, so sharing them is safe — each copy mutates its own
-   Table.t records. Declared indexes carry over; built indexes, hash
-   tables and write epochs start empty. *)
+   Table.t records. Declared indexes carry over; built indexes and hash
+   tables start empty. *)
 let copy (t : t) : t =
   let c =
     make t.schema ~size:(Hashtbl.length t.tables)

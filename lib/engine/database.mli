@@ -7,22 +7,25 @@ type built = {
 }
 (** A hash-join build table and the row list it was built over. *)
 
-type builds = {
-  home : (string, Table.t) Hashtbl.t;
-      (** the owning database's tables: only a row list one of them holds
-          is cached *)
-  built : (string * int array, built) Hashtbl.t;
-      (** keyed by (table, build-key positions) *)
+type delta = {
+  ins : Mv_base.Value.t array list;  (** rows inserted *)
+  del : Mv_base.Value.t array list;  (** row instances deleted *)
 }
+
+type batch = (string * delta) list
+(** One write: per-table inserts and deletes. *)
+
+exception Invalid_batch of string
+(** {!write} cannot apply the batch. The message names the table, and the
+    column for a misfit value. *)
 
 type t = {
   schema : Mv_catalog.Schema.t;
   tables : (string, Table.t) Hashtbl.t;
   declared_indexes : (string, string list list) Hashtbl.t;
   index_cache : (string * string list, Index.t) Hashtbl.t;
-  build_cache : builds;
-  epochs : (string, int) Hashtbl.t;
-      (** per-table write epoch; read through {!table_epoch} *)
+  build_cache : (string * int array, built) Hashtbl.t;
+      (** keyed by (table, build-key positions) *)
 }
 
 val create : Mv_catalog.Schema.t -> t
@@ -36,30 +39,27 @@ val add_table : t -> Table.t -> unit
 (** Register a derived table (e.g. materialized view contents), dropping
     the indexes and hash tables built over a table it replaces. *)
 
-val insert : t -> string -> Mv_base.Value.t array -> unit
-(** Also invalidates any built index and hash table over the table and
-    bumps its write epoch. *)
-
-val delete : t -> string -> Mv_base.Value.t array -> unit
-(** Remove one instance of the row (bag semantics); invalidates built
-    indexes and bumps the write epoch like {!insert}.
-    @raise Invalid_argument when no instance matches. *)
-
-val table_epoch : t -> string -> int
-(** The table's write epoch: 0 until the first write, bumped by every
-    {!insert}/{!delete}/{!touch}. View freshness marks record these
-    (DESIGN.md §12). *)
+val write : t -> batch -> unit
+(** The one way base-table rows change. The whole batch is checked first:
+    every table is known and named once, every row has the table's arity,
+    every inserted value fits its column (NULL only in a nullable column,
+    otherwise the column's type, an Int also in a Float column), and no
+    row is deleted more often than the table holds it after the batch's
+    inserts. Then each table with a non-empty delta takes its inserts,
+    consed on in order, and loses for each delete the first row
+    structurally equal to it, in order — and the indexes and hash tables
+    built over it are dropped, once.
+    @raise Invalid_batch when a check fails; nothing is written. *)
 
 val touch : t -> string -> unit
-(** Record an out-of-band write to the table: invalidate built indexes
-    and hash tables and bump its write epoch. Used by [Ivm] after
-    rewriting a materialized view's rows in place. *)
+(** Record an out-of-band write to the table: drop the indexes and hash
+    tables built over it. Used by [Ivm] after rewriting a materialized
+    view's rows in place. *)
 
 val copy : t -> t
 (** An independent instance with the same contents (row lists are shared
     as immutable values, per-table row chains diverge on write). Declared
-    indexes carry over; built indexes, hash tables and write epochs start
-    empty. *)
+    indexes carry over; built indexes and hash tables start empty. *)
 
 val declare_index : t -> table:string -> cols:string list -> unit
 (** Declare a secondary index (on a base table or a materialized view);
@@ -78,12 +78,9 @@ val build_table :
   (Mv_base.Value.t array list -> Mv_base.Value.t array Mv_base.Value.Key.t) ->
   Mv_base.Value.t array Mv_base.Value.Key.t * bool
 (** [build_table t ~table ~key rows build]: the hash table [build rows]
-    makes over [rows], the whole stored row list of [table] keyed on the
-    stored positions [key], and [true] when it was reused. An entry serves
-    only the physically same list ([==]); a list that no table of the
-    cache's owning database holds (an IVM delta or old slice, whose
-    scratch database shares the cache) is built afresh and neither cached
-    nor allowed to evict the live entry. The caller must not mutate the
+    makes over [rows], the current row list of [table] keyed on the stored
+    positions [key], and [true] when it was reused. An entry serves only
+    the physically same list ([==]). The caller must not mutate the
     table. *)
 
 val row_count : t -> string -> int

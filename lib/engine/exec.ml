@@ -419,13 +419,13 @@ let order_tables blk =
 
 (* ---- the SPJ pipeline ------------------------------------------------- *)
 
-(* Candidate rows of a table, narrowed through a declared index when one
-   matches the table-local predicates: equality on an index prefix, or a
-   range on the leading index column. All local predicates are re-applied
-   by the caller, so the index only has to return a superset filtered by
-   the conditions it used. *)
-let table_source db (s : source) : Value.t array list =
-  let tbl = Database.table_exn db s.name in
+(* Candidate rows among [rows], narrowed through one of [indexes] (the
+   declared ones when [rows] is the table's current list, none otherwise)
+   when one matches the table-local predicates: equality on an index
+   prefix, or a range on the leading index column. All local predicates
+   are re-applied by the caller, so the index only has to return a
+   superset filtered by the conditions it used. *)
+let table_source db (s : source) ~indexes rows : Value.t array list =
   let eq_cols, range_cols =
     List.fold_left
       (fun (eqs, rngs) (c, op, _) ->
@@ -462,9 +462,9 @@ let table_source db (s : source) : Value.t array list =
         | Some `Range -> Some (Index.range_scan ix (interval_of (List.hd cols)))
         | None -> None)
   in
-  match List.find_map try_index (Database.declared_indexes db s.name) with
-  | Some rows -> rows
-  | None -> tbl.Table.rows
+  match List.find_map try_index indexes with
+  | Some narrowed -> narrowed
+  | None -> rows
 
 (* Join table [s] into the current tuples: an index nested loop when a
    declared index leads with a join key, the probe side has at most
@@ -472,13 +472,20 @@ let table_source db (s : source) : Value.t array list =
    hash table over the whole table would dominate), a hash join built on
    the table's stored rows otherwise. Both compare full key tuples exactly,
    so they produce identical bags, and both copy a stored row into a tuple
-   only when it matches. A hash table over the table's whole row list is
-   built once per list ([Database.build_table]); one over an
-   index-narrowed subset is built per join. [exec.rows.scan] counts the
-   stored rows read: each row of a build or a cross product, and each row
-   an index probe returns. *)
-let join_source db blk ~bound tuples (s : source) =
-  let source_rows = table_source db s in
+   only when it matches. [stored] is the rows the table reads; the
+   declared indexes and the cached hash tables describe the table's
+   current list, so they serve only when [stored] is physically that list.
+   A hash table over the whole current list is built once per list
+   ([Database.build_table]); one over a slice or an index-narrowed subset
+   is built per join. [exec.rows.scan] counts the stored rows read: each
+   row of a build or a cross product, and each row an index probe
+   returns. *)
+let join_source db blk ~stored ~bound tuples (s : source) =
+  let current = (Database.table_exn db s.name).Table.rows in
+  let indexes =
+    if stored == current then Database.declared_indexes db s.name else []
+  in
+  let source_rows = table_source db s ~indexes stored in
   let keys = join_keys blk ~bound ~next:s.name in
   let extend tup row =
     let out = Array.copy tup in
@@ -500,7 +507,7 @@ let join_source db blk ~bound tuples (s : source) =
                   (Database.index db ~table:s.name ~cols)
             | None -> None)
         | [] -> None)
-      (Database.declared_indexes db s.name)
+      indexes
   in
   let indexed_loop ix k0 =
     count strategy_inlj 1;
@@ -532,7 +539,7 @@ let join_source db blk ~bound tuples (s : source) =
       build_table ~build_key rows
     in
     let table =
-      if source_rows == (Database.table_exn db s.name).Table.rows then begin
+      if source_rows == current then begin
         let table, reused =
           Database.build_table db ~table:s.name ~key:build_key source_rows
             build
@@ -564,8 +571,9 @@ let join_source db blk ~bound tuples (s : source) =
   count rows_join (List.length joined);
   (s.name :: bound, joined)
 
-(* The SPJ part: the bag of fully-joined, fully-filtered tuples. *)
-let tuples ?stats db blk : tuple list =
+(* The SPJ part: the bag of fully-joined, fully-filtered tuples, each
+   FROM table reading [rows] of its name (by default its current list). *)
+let tuples ?stats ?rows db blk : tuple list =
   let order, ests =
     match stats with
     | Some st -> order_tables_est st blk
@@ -577,7 +585,12 @@ let tuples ?stats db blk : tuple list =
            list) runs here *)
         apply_preds pending tuples
     | s :: rest ->
-        let bound', tuples' = join_source db blk ~bound tuples s in
+        let stored =
+          match rows with
+          | Some rows -> rows s.name
+          | None -> (Database.table_exn db s.name).Table.rows
+        in
+        let bound', tuples' = join_source db blk ~stored ~bound tuples s in
         let ready, pending =
           List.partition
             (fun c -> List.for_all (fun t -> List.mem t bound') c.tables)
@@ -680,14 +693,6 @@ end
 
 (* ---- views ------------------------------------------------------------- *)
 
-let mark_fresh db (view : Mv_core.View.t) =
-  Mv_core.View.mark_fresh
-    ~epochs:
-      (List.map
-         (fun tn -> (tn, Database.table_epoch db tn))
-         (Mv_util.Sset.elements view.Mv_core.View.source_tables))
-    view
-
 (* Materialize a view's contents as a table registered in the database. *)
 let materialize db (view : Mv_core.View.t) : Table.t =
   let rel = execute db (Mv_core.View.spjg view) in
@@ -695,7 +700,7 @@ let materialize db (view : Mv_core.View.t) : Table.t =
   let tbl = Table.of_rows def rel.Relation.rows in
   Database.add_table db tbl;
   view.Mv_core.View.row_count <- List.length rel.Relation.rows;
-  mark_fresh db view;
+  Mv_core.View.mark_fresh view;
   List.iter
     (fun cols ->
       Database.declare_index db ~table:view.Mv_core.View.name ~cols)

@@ -50,8 +50,18 @@ val expr : block -> Expr.t -> tuple -> Value.t
     @raise Eval.Eval_error when applied, if it reads a column the block
     does not reference. *)
 
-val tuples : ?stats:Mv_catalog.Stats.t -> Database.t -> block -> tuple list
-(** The fully-joined, fully-filtered bag of tuples of the SPJ part. *)
+val tuples :
+  ?stats:Mv_catalog.Stats.t ->
+  ?rows:(string -> Value.t array list) ->
+  Database.t ->
+  block ->
+  tuple list
+(** The fully-joined, fully-filtered bag of tuples of the SPJ part. FROM
+    table [name] reads [rows name], by default its current list; a
+    declared index or a cached hash table serves a table only when those
+    rows are physically its current list ([==]), so a slice of the table
+    (an IVM delta term's delta or pre-batch rows) is scanned and hashed
+    on its own. *)
 
 val execute : ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> Relation.t
 (** Compile the block, then group (if it aggregates) and project its
@@ -92,14 +102,10 @@ module Bag : sig
       column. *)
 end
 
-val mark_fresh : Database.t -> Mv_core.View.t -> unit
-(** {!Mv_core.View.mark_fresh} at the current write epochs of the view's
-    base tables: its contents now correspond to them. *)
-
 val materialize : Database.t -> Mv_core.View.t -> Table.t
 (** Compute the view's contents, register them as a table in the database,
     and record the row count on the view descriptor — which is also marked
-    fresh at the base tables' current write epochs (DESIGN.md §12). *)
+    fresh (DESIGN.md §12). *)
 
 val materialize_stats :
   Database.t ->

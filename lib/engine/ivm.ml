@@ -4,17 +4,17 @@
       ΔQ = Σᵢ  T1ⁿᵉʷ ⋈ … ⋈ Tᵢ₋₁ⁿᵉʷ ⋈ ΔTᵢ ⋈ Tᵢ₊₁ᵒˡᵈ ⋈ … ⋈ Tnᵒˡᵈ
 
     — and each term runs the view's block, compiled once at attach, through
-    the ordinary executor against a scratch
-    database holding the right old/delta/new slice per table, with
-    synthetic statistics that make the (tiny) delta table the cheapest so
-    the estimated join order starts there; slices that are the live
-    tables themselves keep their indexes, so the join probes them. SPJ
-    deltas edit the view's bag directly; aggregation deltas fold into the
-    stored grouping columns, count_big( * ) and SUMs through a per-group
-    sidecar that also tracks non-null SUM contributions (NULL vs 0 on
-    all-NULL groups) and owns the group's stored row. Each view column's
-    sorted non-null values and distinct count follow the exact rows a
-    batch adds and removes, so statistics refresh without re-sorting. *)
+    the ordinary executor with each table reading the right old/delta/new
+    slice, with synthetic statistics that make the (tiny) delta table the
+    cheapest so the estimated join order starts there; slices that are the
+    live tables themselves keep their indexes, so the join probes them.
+    SPJ deltas edit the view's bag directly; aggregation deltas fold into
+    the stored grouping columns, count_big( * ) and SUMs through a
+    per-group sidecar that also tracks non-null SUM contributions (NULL vs
+    0 on all-NULL groups) and owns the group's stored row. Each view
+    column's sorted non-null values and distinct count follow the exact
+    rows a batch adds and removes, so statistics refresh without
+    re-sorting. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -22,9 +22,12 @@ module Stats = Mv_catalog.Stats
 module View = Mv_core.View
 module Sset = Mv_util.Sset
 
-type delta = { ins : Value.t array list; del : Value.t array list }
+type delta = Database.delta = {
+  ins : Value.t array list;
+  del : Value.t array list;
+}
 
-type batch = (string * delta) list
+type batch = Database.batch
 
 (* UPDATE as delete+insert sugar: the bag difference of the before/after
    rows, in pair order. *)
@@ -37,11 +40,6 @@ let updates pairs =
 exception Unsupported of string
 
 exception Inconsistent of string
-
-exception Invalid_batch of string
-
-let invalid_batch fmt =
-  Fmt.kstr (fun s -> raise (Invalid_batch ("Ivm.apply: " ^ s))) fmt
 
 (* Progress counters on [Mv_obs.Registry.global], each resolved on first
    use and bumped without a lookup after. *)
@@ -426,7 +424,7 @@ let attach t (view : View.t) =
            { vals; len; ndv = Stats.distinct vals len })
          (Table.def_of tbl).Mv_catalog.Table_def.columns)
   in
-  Exec.mark_fresh t.db view;
+  View.mark_fresh view;
   t.entries <- t.entries @ [ { view; block; state; cols; dirty = false } ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
@@ -434,18 +432,15 @@ let attach t (view : View.t) =
 (* The signed SPJ tuple bag of the view's delta under [batch], with
    [old_rows] the pre-batch contents of every written table (the database
    already holds the post-batch state). Each telescoping term runs the
-   executor over a scratch database: tables before the delta position see
-   new rows, the delta position sees just the insert (or delete) slice,
-   tables after it see old rows. Synthetic row-count-only statistics let
-   the estimated join order lead with the delta slice, which is usually
-   the smallest table.
-   The scratch database shares the live index and hash-table caches, and a
-   slice gets the live table's declared indexes exactly when it is
-   physically the live row list (every unwritten table, and written ones
-   before the delta position): an index over the live rows would serve
-   the wrong rows to a delta or an old slice. A hash table is served only
-   for the list it was built over and cached only for a live list
-   ([Database.build_table]), so such a slice reuses the live one. *)
+   executor with each table reading its slice: tables before the delta
+   position read new rows, the delta position just the insert (or delete)
+   slice, tables after it old rows. Synthetic row-count-only statistics
+   let the estimated join order lead with the delta slice, which is
+   usually the smallest table. A slice that is physically the live row
+   list (every unwritten table, and written ones before the delta
+   position) keeps the live declared indexes and cached hash tables; a
+   delta or an old slice is scanned and hashed on its own
+   ([Exec.tuples]). *)
 let signed_tuples t (entry : entry) (batch : batch)
     (old_rows : (string * Value.t array list) list) :
     (Exec.tuple * int) list =
@@ -462,29 +457,23 @@ let signed_tuples t (entry : entry) (batch : batch)
       | Some d ->
           let term rows sign =
             if rows <> [] then begin
-              let scratch =
-                {
-                  (Database.create t.db.Database.schema) with
-                  Database.index_cache = t.db.Database.index_cache;
-                  build_cache = t.db.Database.build_cache;
-                }
-              in
-              let stats =
+              let slices =
                 List.mapi
                   (fun j v ->
-                    let src =
-                      if j = i then rows else if j < i then live v else old_of v
-                    in
-                    (Database.table_exn scratch v).Table.rows <- src;
-                    if j <> i && src == live v then
-                      Hashtbl.replace scratch.Database.declared_indexes v
-                        (Database.declared_indexes t.db v);
-                    (v, { Stats.row_count = List.length src; columns = [] }))
+                    (v, if j = i then rows else if j < i then live v else old_of v))
                   tables
+              in
+              let stats =
+                List.map
+                  (fun (v, src) ->
+                    (v, { Stats.row_count = List.length src; columns = [] }))
+                  slices
               in
               List.iter
                 (fun b -> acc := (b, sign) :: !acc)
-                (Exec.tuples ~stats scratch entry.block)
+                (Exec.tuples ~stats
+                   ~rows:(fun v -> List.assoc v slices)
+                   t.db entry.block)
             end
           in
           term d.ins 1;
@@ -493,26 +482,6 @@ let signed_tuples t (entry : entry) (batch : batch)
   !acc
 
 (* ---- applying deltas to the stored contents --------------------------- *)
-
-(* What a walk over a view's stored rows does with one row. *)
-type edit = Keep | Drop | Swap of Value.t array
-
-(* [rows] with the first [pending] rows [edit] claims dropped or swapped,
-   walking no further than the last of them: the rest of the list is
-   shared. [None] when the list ends first. *)
-let edit_rows edit pending rows =
-  let rec go pending rows =
-    if pending = 0 then rows
-    else
-      match rows with
-      | [] -> raise Exit
-      | row :: rest -> (
-          match edit row with
-          | Keep -> row :: go pending rest
-          | Drop -> go (pending - 1) rest
-          | Swap row' -> row' :: go (pending - 1) rest)
-  in
-  match go pending rows with rows -> Some rows | exception Exit -> None
 
 (* The column with the most distinct values (the first of equals). *)
 let widest cols =
@@ -560,16 +529,16 @@ let apply_spj t (entry : entry) project signed =
           let p =
             search ~cmp:Value.order vals 0 (Array.length vals) v ~above:false
           in
-          if p = Array.length vals || Value.order vals.(p) v <> 0 then Keep
+          if p = Array.length vals || Value.order vals.(p) v <> 0 then Table.Keep
           else
             match Value.Key.find_opt counts row with
             | Some n when n > 0 ->
                 Value.Key.replace counts row (n - 1);
                 removed := row :: !removed;
-                Drop
-            | _ -> Keep
+                Table.Drop
+            | _ -> Table.Keep
         in
-        match edit_rows edit !n_minus tbl.Table.rows with
+        match Table.edit_rows edit !n_minus tbl.Table.rows with
         | Some rows -> rows
         | None ->
             raise
@@ -647,7 +616,7 @@ let apply_agg t (entry : entry) shape groups signed =
       while !j < !live && olds.(!j) != row do
         incr j
       done;
-      if !j = !live then Keep
+      if !j = !live then Table.Keep
       else begin
         let row' = news.(!j) in
         decr live;
@@ -657,13 +626,13 @@ let apply_agg t (entry : entry) shape groups signed =
         match row' with
         | Some r ->
             added := r :: !added;
-            Swap r
-        | None -> Drop
+            Table.Swap r
+        | None -> Table.Drop
       end
     in
     let tbl = Database.table_exn t.db name in
     let rows' =
-      match edit_rows edit (Array.length olds) tbl.Table.rows with
+      match Table.edit_rows edit (Array.length olds) tbl.Table.rows with
       | Some rows -> rows
       | None ->
           raise
@@ -681,93 +650,24 @@ let apply_agg t (entry : entry) shape groups signed =
 
 (* ---- the batch entry point ------------------------------------------- *)
 
-(* [rows] without its first instance structurally equal to [row], as
-   [Table.delete] removes it; [None] when there is none. *)
-let remove_first row rows =
-  let rec go acc = function
-    | [] -> None
-    | r :: rest ->
-        if r = row then Some (List.rev_append acc rest) else go (r :: acc) rest
-  in
-  go [] rows
-
-(* The contents every written table would have after the batch — each
-   delta's inserts, then its deletes, in batch order, exactly as
-   [Database.insert] and [Database.delete] would leave them — computed
-   without writing anything, so a batch that cannot apply is rejected
-   whole. *)
-let post_batch_rows t (batch : batch) =
-  List.iter
-    (fun (name, d) ->
-      if List.exists (fun e -> e.view.View.name = name) t.entries then
-        invalid_batch "%s is an attached view's table" name;
-      match Database.table t.db name with
-      | None -> invalid_batch "unknown table %s" name
-      | Some tbl ->
-          let cols =
-            Array.of_list (Table.def_of tbl).Mv_catalog.Table_def.columns
-          in
-          let arity = Array.length cols in
-          if List.exists (fun r -> Array.length r <> arity) (d.ins @ d.del) then
-            invalid_batch "row arity mismatch for %s" name;
-          (* every inserted value fits its column: NULL only where the
-             column is nullable (the matcher relies on NOT NULL), anything
-             else of the column's type, an Int also in a Float column *)
-          List.iter
-            (Array.iteri (fun i v ->
-                 let { Mv_catalog.Column.name = col; dtype; nullable } =
-                   cols.(i)
-                 in
-                 let fits =
-                   match Value.dtype_of v with
-                   | None -> nullable
-                   | Some Dtype.Int when Dtype.equal dtype Dtype.Float -> true
-                   | Some d -> Dtype.equal d dtype
-                 in
-                 if not fits then
-                   invalid_batch "%s does not fit %s%s column %s.%s"
-                     (Value.to_string v)
-                     (if nullable then "" else "NOT NULL ")
-                     (Dtype.to_string dtype) name col))
-            d.ins)
-    batch;
-  List.fold_left
-    (fun acc (name, d) ->
-      let rows =
-        match List.assoc_opt name acc with
-        | Some rows -> rows
-        | None -> (Database.table_exn t.db name).Table.rows
-      in
-      let rows = List.fold_left (fun rows r -> r :: rows) rows d.ins in
-      let rows =
-        List.fold_left
-          (fun rows r ->
-            match remove_first r rows with
-            | Some rows -> rows
-            | None ->
-                invalid_batch "a delete names a row %s does not hold" name)
-          rows d.del
-      in
-      (name, rows) :: List.remove_assoc name acc)
-    [] batch
-
 let apply t (batch : batch) =
+  List.iter
+    (fun (name, _) ->
+      if List.exists (fun e -> e.view.View.name = name) t.entries then
+        raise
+          (Database.Invalid_batch
+             ("Ivm.apply: " ^ name ^ " is an attached view's table")))
+    batch;
+  (* the pre-batch lists of the tables [write] replaces; it rejects an
+     unknown one *)
+  let old_rows =
+    List.filter_map
+      (fun (name, _) ->
+        Option.map (fun tbl -> (name, tbl.Table.rows)) (Database.table t.db name))
+      batch
+  in
+  Database.write t.db batch;
   if batch <> [] then begin
-    let after = post_batch_rows t batch in
-    let old_rows =
-      List.map
-        (fun (name, _) -> (name, (Database.table_exn t.db name).Table.rows))
-        batch
-    in
-    List.iter
-      (fun (name, rows) ->
-        let tbl = Database.table_exn t.db name in
-        (* a delta with no rows writes nothing *)
-        if rows != tbl.Table.rows then begin
-          tbl.Table.rows <- rows;
-          Database.touch t.db name
-        end)
-      (List.rev after);
     let written = List.map fst batch in
     tick batches;
     List.iter
@@ -793,7 +693,7 @@ let apply t (batch : batch) =
             entry.dirty <- true
           end;
           tick views_updated;
-          Exec.mark_fresh t.db entry.view;
+          View.mark_fresh entry.view;
           match t.health with
           | Some h ->
               Mv_core.Health.record_maintenance h

@@ -9,13 +9,14 @@
 
     where [ΔTᵢ = inserts − deletes] as a signed bag. Each term is
     evaluated by the ordinary executor, running the view's block as
-    {!Exec.compile}d once at {!attach}, against a scratch database with the
-    delta part substituted for table [i] (insert and delete parts run
-    separately; the sign multiplies through). A slice that is physically
-    the live table's row list keeps the live database's declared and built
-    indexes and its cached hash tables, so the executor probes it instead
-    of scanning or rehashing it; the delta slice and a written table's old
-    rows never get them. For SPJ views the signed output tuples apply
+    {!Exec.compile}d once at {!attach}, with each table reading its slice
+    ({!Exec.tuples}'s [~rows]): the delta part for table [i] (insert and
+    delete parts run separately; the sign multiplies through), new rows
+    before it, old rows after it. A slice that is physically the live
+    table's row list keeps the declared and built indexes and the cached
+    hash tables, so the executor probes it instead of scanning or
+    rehashing it; the delta slice and a written table's old rows never get
+    them. For SPJ views the signed output tuples apply
     directly to the materialized table as bag inserts/deletes (a delete is
     matched in one walk that compares a single column before the full
     row); for aggregation views they are grouped and folded
@@ -39,12 +40,12 @@
     rematerialization by rounding (summation order differs). Integer sums
     are exact. *)
 
-type delta = {
+type delta = Database.delta = {
   ins : Mv_base.Value.t array list;  (** rows inserted *)
   del : Mv_base.Value.t array list;  (** row instances deleted *)
 }
 
-type batch = (string * delta) list
+type batch = Database.batch
 (** One write batch: per-base-table inserts and deletes, applied
     atomically with respect to maintenance (every attached view sees the
     whole batch). *)
@@ -66,16 +67,6 @@ exception Inconsistent of string
     delete of a row the view does not contain): the batch contradicts the
     database contents the view was attached over. *)
 
-exception Invalid_batch of string
-(** The batch cannot apply: it writes an unknown table or an attached
-    view's own table, a row has the wrong arity, an inserted value does
-    not fit its column (a NULL in a NOT NULL column, or a value of another
-    type than the column's — an Int fits a Float column), or a delete
-    names a row the table does not hold as many times as the batch
-    deletes it (after the batch's own earlier inserts and deletes). The
-    message names the table, and the column for a misfit value. Raised
-    before anything is written. *)
-
 type t
 (** A maintenance engine bound to one database: the set of attached views
     plus their aggregate sidecars. *)
@@ -95,9 +86,7 @@ val attach : t -> Mv_core.View.t -> unit
     view column's non-null values are sorted and their distinct values
     counted once here, and both are kept for {!refresh_stats}: one
     pointer per stored non-null value (values are shared, never copied).
-    Records the
-    current base-table write epochs on the descriptor and clears its
-    staleness mark.
+    Clears the descriptor's staleness mark.
     @raise Invalid_argument when the view is not materialized or already
     attached.
     @raise Unsupported on a definition IVM cannot maintain. *)
@@ -109,21 +98,18 @@ val attached : t -> Mv_core.View.t list
 (** Attachment order. *)
 
 val apply : t -> batch -> unit
-(** Validate the whole batch, apply it to the base tables (per delta, its
-    inserts and then its deletes, in batch order; one write epoch per
-    table a non-empty delta writes), then propagate deltas into every
-    attached view whose sources intersect the written tables: rewrite
-    their materialized rows in place, update each column's sorted values
-    and distinct count from the exact rows removed and added, update
-    {!Mv_core.View.row_count}, bump the view tables' write epochs
-    (invalidating built indexes and hash tables) and re-stamp freshness
-    ({!Mv_core.View.mark_fresh} with the new base epochs). Views sourcing
-    none of the written tables are untouched. The delta consumers (group
-    keys, sums, projected outputs) are the closures compiled at
-    {!attach}.
-    @raise Invalid_batch when the batch cannot apply; nothing is written:
-    base rows, view rows, statistics, write epochs and freshness are as
-    before the call.
+(** Write the batch to the base tables with {!Database.write}, then
+    propagate deltas into every attached view whose sources intersect the
+    written tables: rewrite their materialized rows in place, update each
+    column's sorted values and distinct count from the exact rows removed
+    and added, update {!Mv_core.View.row_count}, drop the indexes and hash
+    tables built over the view tables ({!Database.touch}) and clear their
+    staleness marks ({!Mv_core.View.mark_fresh}). Views sourcing none of
+    the written tables are untouched. The delta consumers (group keys,
+    sums, projected outputs) are the closures compiled at {!attach}.
+    @raise Database.Invalid_batch when the batch writes an attached view's
+    own table, or {!Database.write} rejects it; nothing is written: base
+    rows, view rows, statistics and freshness are as before the call.
     @raise Inconsistent when propagation contradicts the attached state,
     including a removed row holding a value its column's sorted values
     lack. *)

@@ -33,27 +33,25 @@ let col_index_exn t cname =
       invalid_arg
         (Printf.sprintf "Table.col_index: no column %s in %s" cname (name t))
 
-let insert t row =
-  if Array.length row <> List.length t.def.Mv_catalog.Table_def.columns then
-    invalid_arg "Table.insert: row arity mismatch";
-  t.rows <- row :: t.rows
+(* What a walk over stored rows does with one row. *)
+type edit = Keep | Drop | Swap of Value.t array
 
-(* Remove exactly one instance equal to [row] (bag semantics: duplicates
-   lose a single copy). Returns [false], leaving the table untouched, when
-   no instance matches. *)
-let delete t row =
-  if Array.length row <> List.length t.def.Mv_catalog.Table_def.columns then
-    invalid_arg "Table.delete: row arity mismatch";
-  let rec go acc = function
-    | [] -> false
-    | r :: rest ->
-        if r = row then begin
-          t.rows <- List.rev_append acc rest;
-          true
-        end
-        else go (r :: acc) rest
+(* [rows] with the first [pending] rows [edit] claims dropped or swapped,
+   walking no further than the last of them: the rest of the list is
+   shared. [None] when the list ends first. *)
+let edit_rows edit pending rows =
+  let rec go pending rows =
+    if pending = 0 then rows
+    else
+      match rows with
+      | [] -> raise Exit
+      | row :: rest -> (
+          match edit row with
+          | Keep -> row :: go pending rest
+          | Drop -> go (pending - 1) rest
+          | Swap row' -> row' :: go (pending - 1) rest)
   in
-  go [] t.rows
+  match go pending rows with rows -> Some rows | exception Exit -> None
 
 (* Verify the table's CHECK constraints over the data; returns the
    predicates that some row violates. *)

@@ -22,14 +22,18 @@ val col_index : t -> string -> int option
 
 val col_index_exn : t -> string -> int
 
-val insert : t -> Value.t array -> unit
-(** @raise Invalid_argument on arity mismatch. *)
+type edit =
+  | Keep
+  | Drop
+  | Swap of Value.t array  (** replace the row with this one *)
+(** What a walk over stored rows does with one row. *)
 
-val delete : t -> Value.t array -> bool
-(** Remove exactly one instance structurally equal to the row (bag
-    semantics: duplicates lose a single copy). [false] when no instance
-    matches (the table is left untouched).
-    @raise Invalid_argument on arity mismatch. *)
+val edit_rows :
+  (Value.t array -> edit) -> int -> Value.t array list -> Value.t array list option
+(** [edit_rows edit n rows]: [rows] with the first [n] rows [edit] does
+    not [Keep] dropped or swapped, in one walk that stops at the last of
+    them (the rest of the list is shared, and [edit] sees no row after
+    it). [None] when fewer than [n] rows are claimed. *)
 
 val check_violations : t -> Pred.t list
 (** CHECK constraints some row violates. *)

@@ -127,7 +127,6 @@ let run ?(domains = 1) (w : workload) ~nviews ~(config : config) : Measure.t =
            J.Float (Mv_obs.Instrument.sum (List.assoc "match" phases)) );
          ("invocations", count "rule.invocations");
          ("candidates", count "rule.candidates");
-         ("matched", count "rule.matched");
          ("substitutes", count "rule.substitutes");
          ("plans_using_views", J.Int (List.length (List.filter Fun.id used)));
        ]
@@ -461,8 +460,7 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
         timed delta_h "maintain.delta" (fun () ->
             Mv_engine.Ivm.apply ivm [ (tn, delta) ]);
         timed remat_h "maintain.remat" (fun () ->
-            List.iter (fun r -> Mv_engine.Database.insert dbb tn r) ins;
-            List.iter (fun r -> Mv_engine.Database.delete dbb tn r) del;
+            Mv_engine.Database.write dbb [ (tn, delta) ];
             List.iter
               (fun (v : Mv_core.View.t) ->
                 if Mv_util.Sset.mem tn v.Mv_core.View.source_tables then
@@ -577,7 +575,7 @@ let sweep ?(domains = 1) (w : workload) ~nviews_list ~configs : Measure.t list
 let counters_agree (cells : Measure.t list) =
   let counters m =
     ( List.map (Measure.int m)
-        [ "candidates"; "matched"; "substitutes"; "plans_using_views" ],
+        [ "candidates"; "substitutes"; "plans_using_views" ],
       List.assoc "levels" m.Measure.subs )
   in
   match cells with
@@ -616,7 +614,6 @@ let scaling (w : workload) ~nviews ~domains_list : Measure.t =
                     metric "cpu_time_s";
                     ("speedup", J.Float (speedup m));
                     metric "candidates";
-                    metric "matched";
                     metric "substitutes";
                     metric "plans_using_views";
                   ])

@@ -46,7 +46,7 @@ val run : ?domains:int -> workload -> nviews:int -> config:config -> Measure.t
     the figures print wall time; both clocks are read once at each end of
     the batch); [rule_wall_time_s], the sum of [optimizer.phase.match],
     whose samples are one rule invocation each; [invocations],
-    [candidates], [matched] and [substitutes] from the [rule.*] counters;
+    [candidates] and [substitutes] from the [rule.*] counters;
     [plans_using_views]; and one [phases.<phase>] block per optimizer
     phase ([analyze], [match], [cost], [total]: [calls] and interpolated
     p50/p90/p99 of per-call wall seconds from [optimizer.phase.*]; zeros
@@ -67,8 +67,8 @@ val sweep :
 (** The full grid of {!run} cells, with one discarded warmup run first. *)
 
 val counters_agree : Measure.t list -> bool
-(** Candidates, matched, substitutes, plans using views and the levels are
-    equal across the cells — what a domain-scaling sweep must hold. *)
+(** Candidates, substitutes, plans using views and the levels are equal
+    across the cells — what a domain-scaling sweep must hold. *)
 
 val scaling : workload -> nviews:int -> domains_list:int list -> Measure.t
 (** The same (nviews, Alt&Filter) cell at each domain count, one warmup

@@ -109,8 +109,7 @@ let stats_table (ms : Measure.t list) nviews_list =
             pr "%8d %9.2f%% %11.1f%% %10.2f %12.1f %12.2f\n" n
               (100.0 *. fi (Measure.int m "candidates")
                /. at_least_1 "invocations" /. fi n)
-              (100.0 *. fi (Measure.int m "matched")
-               /. at_least_1 "candidates")
+              (100.0 *. substitutes /. at_least_1 "candidates")
               (substitutes /. at_least_1 "invocations")
               (fi (Measure.int m "invocations") /. at_least_1 "queries")
               (substitutes /. at_least_1 "queries")

@@ -28,12 +28,16 @@ let reset_counter c = Atomic.set c 0
    2^63 cover everything from sub-nanosecond timings to huge row counts. *)
 let buckets = 128
 
+(* Read from the float's bits, so a sample allocates nothing: a finite
+   positive [v] with biased exponent [b] lies in [2^(b-1023), 2^(b-1022)),
+   the exponent [Float.frexp] gives being [b - 1022] (subnormals, [b = 0],
+   land in bucket 0 either way); infinity and NaN, which [frexp] gives
+   exponent 0, land in bucket 64. *)
 let bucket_of v =
   if v <= 0.0 then 0
   else
-    let _, e = Float.frexp v in
-    (* v in (2^(e-1), 2^e] up to frexp rounding *)
-    max 0 (min (buckets - 1) (e + 64))
+    let b = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) in
+    if b = 0x7ff then 64 else max 0 (min (buckets - 1) (b - 1022 + 64))
 
 let bucket_upper i = Float.ldexp 1.0 (i - 64)
 

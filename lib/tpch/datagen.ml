@@ -61,20 +61,34 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
   let rng = Prng.create seed in
   let db = Mv_engine.Database.create Schema.schema in
   let c = counts_of_scale scale in
+  (* each table's rows are collected newest first and written as one
+     batch, which conses them on in generation order: the table holds
+     them newest first *)
+  let write name newest_first =
+    Mv_engine.Database.write db
+      [ (name, { Mv_engine.Database.ins = List.rev newest_first; del = [] }) ]
+  in
+  let rows = ref [] in
+  let add row = rows := row :: !rows in
+  let flush name =
+    write name !rows;
+    rows := []
+  in
   (* region *)
   Array.iteri
-    (fun k name ->
-      Mv_engine.Database.insert db "region" [| i k; s name; s (comment rng) |])
+    (fun k name -> add [| i k; s name; s (comment rng) |])
     regions_;
+  flush "region";
   (* nation *)
   Array.iteri
     (fun k name ->
-      Mv_engine.Database.insert db "nation"
+      add
         [| i k; s name; i (Prng.int rng (Array.length regions_)); s (comment rng) |])
     nations_;
+  flush "nation";
   (* supplier *)
   for k = 1 to c.suppliers do
-    Mv_engine.Database.insert db "supplier"
+    add
       [|
         i k;
         s (Printf.sprintf "Supplier#%04d" k);
@@ -85,9 +99,10 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
         s (comment rng);
       |]
   done;
+  flush "supplier";
   (* customer *)
   for k = 1 to c.customers do
-    Mv_engine.Database.insert db "customer"
+    add
       [|
         i k;
         s (Printf.sprintf "Customer#%06d" k);
@@ -99,9 +114,10 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
         s (comment rng);
       |]
   done;
+  flush "customer";
   (* part *)
   for k = 1 to c.parts do
-    Mv_engine.Database.insert db "part"
+    add
       [|
         i k;
         s (Printf.sprintf "%s %s part" (word rng) (word rng));
@@ -114,13 +130,14 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
         s (comment rng);
       |]
   done;
+  flush "part";
   (* partsupp: 2 suppliers per part, distinct *)
   for pk = 1 to c.parts do
     let s1 = 1 + Prng.int rng c.suppliers in
     let s2 = 1 + ((s1 + Prng.int rng (c.suppliers - 1)) mod c.suppliers) in
     List.iter
       (fun sk ->
-        Mv_engine.Database.insert db "partsupp"
+        add
           [|
             i pk; i sk;
             i (1 + Prng.int rng 9999);
@@ -129,11 +146,14 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
           |])
       (List.sort_uniq compare [ s1; s2 ])
   done;
-  (* orders and lineitem *)
+  (* written before lineitem draws its suppliers from it *)
+  flush "partsupp";
+  (* orders and lineitem, generated together *)
+  let orders = ref [] in
   let line_count = ref 0 in
   for ok = 1 to c.orders do
     let odate = Prng.int_range rng date_lo (date_hi - 180) in
-    Mv_engine.Database.insert db "orders"
+    orders :=
       [|
         i ok;
         i (1 + Prng.int rng c.customers);
@@ -144,7 +164,8 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
         s (Printf.sprintf "Clerk#%05d" (Prng.int rng 1000));
         i 0;
         s (comment rng);
-      |];
+      |]
+      :: !orders;
     let nlines = 1 + Prng.int rng 7 in
     for ln = 1 to nlines do
       incr line_count;
@@ -163,7 +184,7 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
       let sk = Prng.pick rng candidates in
       let qty = 1 + Prng.int rng 50 in
       let ship = odate + 1 + Prng.int rng 120 in
-      Mv_engine.Database.insert db "lineitem"
+      add
         [|
           i ok; i pk; i sk; i ln;
           i qty;
@@ -181,6 +202,8 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
         |]
     done
   done;
+  write "orders" !orders;
+  flush "lineitem";
   db
 
 (* Analytic statistics matching TPC-H at scale factor [sf] without

@@ -4,6 +4,11 @@ open Mv_base
 
 let schema = Mv_tpch.Schema.schema
 
+(* Insert [rows] into [table], in order, as one write. *)
+let insert db table rows =
+  Mv_engine.Database.write db
+    [ (table, { Mv_engine.Database.ins = rows; del = [] }) ]
+
 let parse_q src = Mv_sql.Parser.parse_query schema src
 
 let parse_v src = Mv_sql.Parser.parse_view schema src

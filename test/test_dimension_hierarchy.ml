@@ -49,26 +49,23 @@ let schema =
 let db () =
   let db = Mv_engine.Database.create schema in
   let rng = Mv_util.Prng.create 404 in
-  for c = 1 to 4 do
-    Mv_engine.Database.insert db "category"
-      [| Value.Int c; Value.Str (Printf.sprintf "cat-%d" c) |]
-  done;
-  for p = 1 to 20 do
-    Mv_engine.Database.insert db "product"
-      [|
-        Value.Int p;
-        Value.Str (Printf.sprintf "prod-%d" p);
-        Value.Int (1 + Mv_util.Prng.int rng 4);
-      |]
-  done;
-  for s = 1 to 500 do
-    Mv_engine.Database.insert db "sales"
-      [|
-        Value.Int s;
-        Value.Int (1 + Mv_util.Prng.int rng 20);
-        Value.Int (10 + Mv_util.Prng.int rng 990);
-      |]
-  done;
+  Helpers.insert db "category"
+    (List.init 4 (fun i ->
+         [| Value.Int (i + 1); Value.Str (Printf.sprintf "cat-%d" (i + 1)) |]));
+  Helpers.insert db "product"
+    (List.init 20 (fun i ->
+         [|
+           Value.Int (i + 1);
+           Value.Str (Printf.sprintf "prod-%d" (i + 1));
+           Value.Int (1 + Mv_util.Prng.int rng 4);
+         |]));
+  Helpers.insert db "sales"
+    (List.init 500 (fun i ->
+         [|
+           Value.Int (i + 1);
+           Value.Int (1 + Mv_util.Prng.int rng 20);
+           Value.Int (10 + Mv_util.Prng.int rng 990);
+         |]));
   db
 
 (* revenue per product: the "lower level" of the hierarchy *)

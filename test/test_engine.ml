@@ -168,10 +168,8 @@ let test_null_join_keys_do_not_match () =
       ~foreign_keys:[]
   in
   let db = Mv_engine.Database.create schema in
-  Mv_engine.Database.insert db "t1" [| Value.Int 1; Value.Null |];
-  Mv_engine.Database.insert db "t1" [| Value.Int 2; Value.Int 5 |];
-  Mv_engine.Database.insert db "t2" [| Value.Int 1; Value.Null |];
-  Mv_engine.Database.insert db "t2" [| Value.Int 2; Value.Int 5 |];
+  Helpers.insert db "t1" [ [| Value.Int 1; Value.Null |]; [| Value.Int 2; Value.Int 5 |] ];
+  Helpers.insert db "t2" [ [| Value.Int 1; Value.Null |]; [| Value.Int 2; Value.Int 5 |] ];
   let q =
     Spjg.make ~tables:[ "t1"; "t2" ]
       ~where:
@@ -216,8 +214,8 @@ let priced_db ~t_rows ~u_rows =
       ~foreign_keys:[]
   in
   let db = Mv_engine.Database.create schema in
-  List.iter (Mv_engine.Database.insert db "t") t_rows;
-  List.iter (Mv_engine.Database.insert db "u") u_rows;
+  Helpers.insert db "t" t_rows;
+  Helpers.insert db "u" u_rows;
   db
 
 let c_t name = Expr.Col (col "t" name)

@@ -7,8 +7,9 @@
     - a single-domain exact differential: the same workload on two fresh
       registries yields byte-identical ledger dumps, per-view [chosen]
       equals a replay tally of [Plan.views_used] over the returned
-      results, and the candidate/matched totals equal the [rule.*] obs
-      counters recorded at the same call sites;
+      results, and the candidate/matched totals equal the
+      [rule.candidates]/[rule.substitutes] obs counters recorded at the
+      same call sites;
     - deterministic units for the engine-side attribution points:
       [Ivm.apply] maintenance events/wall time and [Registry.mark_stale]
       staleness flips (flips count transitions, not calls);
@@ -110,8 +111,8 @@ let test_totals_equal_rule_counters () =
   Alcotest.(check int) "ledger candidate total = rule.candidates counter"
     (Obs.counter_value registry.R.obs "rule.candidates")
     (total (fun r -> r.Health.r_candidate));
-  Alcotest.(check int) "ledger matched total = rule.matched counter"
-    (Obs.counter_value registry.R.obs "rule.matched")
+  Alcotest.(check int) "ledger matched total = rule.substitutes counter"
+    (Obs.counter_value registry.R.obs "rule.substitutes")
     (total (fun r -> r.Health.r_matched))
 
 let test_column_sanity () =
@@ -167,7 +168,7 @@ let tiny_view () =
 
 let test_maintenance_attribution () =
   let db = DB.create tiny_schema in
-  DB.insert db "fact" [| V.Int 1; V.Int 10 |];
+  Helpers.insert db "fact" [ [| V.Int 1; V.Int 10 |] ];
   let view = tiny_view () in
   ignore (Mv_engine.Exec.materialize db view);
   let registry = R.create tiny_schema in

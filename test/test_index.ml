@@ -90,12 +90,14 @@ let test_index_invalidated_on_insert () =
   let q = parse_q "select o_orderkey from orders where o_custkey = 1" in
   let before = Mv_engine.Relation.cardinality (Mv_engine.Exec.execute db q) in
   (* insert a new row for customer 1; the stale index must not hide it *)
-  Mv_engine.Database.insert db "orders"
-    [|
-      Value.Int 999999; Value.Int 1; Value.Str "O"; Value.Int 100;
-      Value.Date 9000; Value.Str "1-URGENT"; Value.Str "Clerk#1"; Value.Int 0;
-      Value.Str "x";
-    |];
+  Helpers.insert db "orders"
+    [
+      [|
+        Value.Int 999999; Value.Int 1; Value.Str "O"; Value.Int 100;
+        Value.Date 9000; Value.Str "1-URGENT"; Value.Str "Clerk#1"; Value.Int 0;
+        Value.Str "x";
+      |];
+    ];
   let after = Mv_engine.Relation.cardinality (Mv_engine.Exec.execute db q) in
   Alcotest.(check int) "insert visible" (before + 1) after
 
@@ -169,11 +171,17 @@ let test_rematerialized_view_index () =
     (Mv_engine.Relation.cardinality (Mv_engine.Exec.execute db q));
   let li = Mv_engine.Database.table_exn db "lineitem" in
   let pk = Mv_engine.Table.col_index_exn li "l_partkey" in
-  List.iter
-    (fun row ->
-      if Value.equal row.(pk) part then
-        Mv_engine.Database.delete db "lineitem" row)
-    li.Mv_engine.Table.rows;
+  Mv_engine.Database.write db
+    [
+      ( "lineitem",
+        {
+          Mv_engine.Database.ins = [];
+          del =
+            List.filter
+              (fun row -> Value.equal row.(pk) part)
+              li.Mv_engine.Table.rows;
+        } );
+    ];
   ignore (Mv_engine.Exec.materialize db view);
   Alcotest.(check int) "the group is gone" 0
     (Mv_engine.Relation.cardinality (Naive.execute db q));

@@ -8,8 +8,7 @@
       equality is exact: SPJ projection duplicates, join deltas (including
       a batch writing both join sides at once), count/sum groups with NULL
       inputs, group birth, deletion-to-zero removal, the scalar-aggregate
-      single row, freshness epochs, statistics refresh, and the error
-      paths;
+      single row, freshness, statistics refresh, and the error paths;
     - a randomized property over section-5 generator views and TPC-H-style
       data, where float SUM columns compare within a relative tolerance
       (incremental maintenance reorders float additions; integer sums stay
@@ -72,8 +71,8 @@ let fact_rows =
 
 let tiny_db () =
   let db = DB.create tiny_schema in
-  List.iter (DB.insert db "dim") dim_rows;
-  List.iter (DB.insert db "fact") fact_rows;
+  Helpers.insert db "dim" dim_rows;
+  Helpers.insert db "fact" fact_rows;
   db
 
 let mkview name ~tables ~where ~group_by ~out =
@@ -95,11 +94,7 @@ let view_rows db name = (DB.table_exn db name).Table.rows
 (* Apply the batch the rematerialization way: write the base tables, then
    recompute every affected view from scratch. *)
 let remat_apply db views (batch : Ivm.batch) =
-  List.iter
-    (fun (tn, (d : Ivm.delta)) ->
-      List.iter (DB.insert db tn) d.Ivm.ins;
-      List.iter (DB.delete db tn) d.Ivm.del)
-    batch;
+  DB.write db batch;
   List.iter
     (fun (v : Mv_core.View.t) ->
       if
@@ -209,18 +204,18 @@ let test_join_delta () =
    new dim rows, physically the live table, through the live dim index.
    The dim-delta terms must see fact's old rows with no index at all: the
    live fact index serves the post-batch rows, and one built over the old
-   rows would stay in the shared cache and serve them to later reads. *)
+   rows would stay in the cache and serve them to later reads. *)
 let test_indexed_join_both_sides () =
   let db () =
     let db = DB.create tiny_schema in
-    for d = 1 to 100 do
-      DB.insert db "dim"
-        [| V.Int d; V.Str (if d mod 2 = 0 then "even" else "odd") |]
-    done;
-    for f = 1 to 200 do
-      DB.insert db "fact"
-        [| V.Int f; V.Int (1 + (f mod 50)); V.Int f; V.Int (f mod 7) |]
-    done;
+    Helpers.insert db "dim"
+      (List.init 100 (fun i ->
+           let d = i + 1 in
+           [| V.Int d; V.Str (if d mod 2 = 0 then "even" else "odd") |]));
+    Helpers.insert db "fact"
+      (List.init 200 (fun i ->
+           let f = i + 1 in
+           [| V.Int f; V.Int (1 + (f mod 50)); V.Int f; V.Int (f mod 7) |]));
     DB.declare_index db ~table:"dim" ~cols:[ "d_id" ];
     DB.declare_index db ~table:"fact" ~cols:[ "f_dim" ];
     db
@@ -391,7 +386,7 @@ let test_scalar_agg () =
       Alcotest.failf "scalar aggregate must keep exactly one row, got %d"
         (List.length rows)
 
-(* ---- freshness epochs and view-level statistics refresh ---- *)
+(* ---- freshness and view-level statistics refresh ---- *)
 
 let test_freshness_and_stats () =
   let view = agg_view "iv_stats" in
@@ -401,13 +396,8 @@ let test_freshness_and_stats () =
   let ivm = Ivm.create dba in
   Ivm.attach ivm view;
   Alcotest.(check bool) "fresh after attach" false (Mv_core.View.is_stale view);
-  let e0 = DB.table_epoch dba "fact" in
   Ivm.apply ivm
     [ ("fact", ins [ [| V.Int 50; V.Int 3; V.Int 2; V.Int 9 |] ]) ];
-  Alcotest.(check bool) "base epoch advanced" true (DB.table_epoch dba "fact" > e0);
-  Alcotest.(check int) "freshness re-stamped at the new epochs"
-    (DB.table_epoch dba "fact")
-    (List.assoc "fact" view.Mv_core.View.base_epochs);
   Alcotest.(check bool) "still fresh after maintenance" false
     (Mv_core.View.is_stale view);
   (* the descriptor's row count tracks the maintained contents (group "c"
@@ -447,19 +437,19 @@ let test_errors () =
     (Invalid_argument "Ivm.attach: view iv_err already attached") (fun () ->
       Ivm.attach ivm view);
   Alcotest.check_raises "a view's own table cannot be written"
-    (Ivm.Invalid_batch "Ivm.apply: iv_err is an attached view's table")
+    (DB.Invalid_batch "Ivm.apply: iv_err is an attached view's table")
     (fun () -> Ivm.apply ivm [ ("iv_err", ins [ [||] ]) ]);
   Alcotest.check_raises "an unknown table cannot be written"
-    (Ivm.Invalid_batch "Ivm.apply: unknown table nosuch") (fun () ->
+    (DB.Invalid_batch "Database.write: unknown table nosuch") (fun () ->
       Ivm.apply ivm [ ("nosuch", ins [ [| V.Int 1 |] ]) ]);
   Alcotest.check_raises "arity is validated before any write"
-    (Ivm.Invalid_batch "Ivm.apply: row arity mismatch for fact") (fun () ->
+    (DB.Invalid_batch "Database.write: row arity mismatch for fact") (fun () ->
       Ivm.apply ivm [ ("fact", ins [ [| V.Int 1 |] ]) ]);
   (* an insert followed by the delete of an absent row: nothing is
      written, not even the insert *)
-  let rows0 = view_rows dba "fact" and epoch0 = DB.table_epoch dba "fact" in
+  let rows0 = view_rows dba "fact" in
   Alcotest.check_raises "deleting an absent row is rejected whole"
-    (Ivm.Invalid_batch "Ivm.apply: a delete names a row fact does not hold")
+    (DB.Invalid_batch "Database.write: a delete names a row fact does not hold")
     (fun () ->
       Ivm.apply ivm
         [
@@ -470,32 +460,38 @@ let test_errors () =
             } );
         ]);
   Alcotest.(check bool) "the rejected insert left fact as it was" true
-    (view_rows dba "fact" == rows0 && DB.table_epoch dba "fact" = epoch0);
+    (view_rows dba "fact" == rows0);
   Alcotest.check_raises "a row deleted more often than held is rejected"
-    (Ivm.Invalid_batch "Ivm.apply: a delete names a row fact does not hold")
+    (DB.Invalid_batch "Database.write: a delete names a row fact does not hold")
     (fun () ->
       let r = List.hd fact_rows in
       Ivm.apply ivm [ ("fact", del [ r; r ]) ]);
-  (* an inserted value that does not fit its column: nothing is written,
-     neither the base table nor the view, and no epoch or freshness stamp
-     moves *)
-  let view0 = view_rows dba "iv_err" and stamp0 = view.Mv_core.View.base_epochs in
+  (* a batch naming fact twice (each delta valid alone), an inserted value
+     that does not fit its column: nothing is written, neither the base
+     table nor the view, no statistics go dirty and the view stays
+     fresh *)
+  let view0 = view_rows dba "iv_err" in
   List.iter
-    (fun (what, row, msg) ->
-      Alcotest.check_raises what (Ivm.Invalid_batch ("Ivm.apply: " ^ msg))
-        (fun () -> Ivm.apply ivm [ ("fact", ins [ row ]) ]);
+    (fun (what, batch, msg) ->
+      Alcotest.check_raises what (DB.Invalid_batch ("Database.write: " ^ msg))
+        (fun () -> Ivm.apply ivm batch);
       Alcotest.(check bool) (what ^ ": nothing written") true
         (view_rows dba "fact" == rows0
         && view_rows dba "iv_err" == view0
-        && DB.table_epoch dba "fact" = epoch0
-        && view.Mv_core.View.base_epochs = stamp0
+        && Ivm.dirty_views ivm = []
         && not (Mv_core.View.is_stale view)))
     [
+      ( "a table named twice is rejected",
+        [
+          ("fact", del [ List.nth fact_rows 0 ]);
+          ("fact", del [ List.nth fact_rows 2 ]);
+        ],
+        "fact is named twice" );
       ( "a mistyped value is rejected",
-        [| V.Int 5; V.Int 1; V.Int 1; V.Str "x" |],
+        [ ("fact", ins [ [| V.Int 5; V.Int 1; V.Int 1; V.Str "x" |] ]) ],
         "'x' does not fit NOT NULL integer column fact.f_qty" );
       ( "a NULL in a NOT NULL column is rejected",
-        [| V.Null; V.Int 1; V.Int 1; V.Int 1 |],
+        [ ("fact", ins [ [| V.Null; V.Int 1; V.Int 1; V.Int 1 |] ]) ],
         "NULL does not fit NOT NULL integer column fact.f_id" );
     ];
   Ivm.detach ivm "iv_err";
@@ -553,7 +549,7 @@ let cache_is_live db =
   Hashtbl.fold
     (fun (table, _) (b : DB.built) ok ->
       ok && b.DB.b_rows == (DB.table_exn db table).Table.rows)
-    db.DB.build_cache.DB.built true
+    db.DB.build_cache true
 
 let test_build_cache_writes () =
   let view =
@@ -579,8 +575,8 @@ let test_build_cache_writes () =
         (3 - rebuilt)
         (joins_match_naive what db queries))
     [
-      ("Database.insert", (fun () -> DB.insert db "fact" row), 1);
-      ("Database.delete", (fun () -> DB.delete db "fact" row), 1);
+      ("Database.write inserting", (fun () -> DB.write db [ ("fact", ins [ row ]) ]), 1);
+      ("Database.write deleting", (fun () -> DB.write db [ ("fact", del [ row ]) ]), 1);
       ( "Ivm.apply on a base table",
         (fun () ->
           Ivm.apply ivm [ ("dim", ins [ [| V.Int 5; V.Str "e" |] ]) ]),
@@ -747,9 +743,7 @@ let test_mixed_ndv () =
     [| V.Int !next; value (); V.Int (int 3) |]
   in
   let db = DB.create schema in
-  for _ = 1 to 12 do
-    DB.insert db "m" (row ())
-  done;
+  Helpers.insert db "m" (List.init 12 (fun _ -> row ()));
   List.iter (fun v -> ignore (Exec.materialize db v)) views;
   let ivm = Ivm.create db in
   List.iter (Ivm.attach ivm) views;
@@ -947,13 +941,14 @@ let scatter prng extra rows =
       @ (r :: List.filteri (fun j _ -> j >= i) acc))
     rows extra
 
-(* [batch] made invalid in one of four ways, by [kind]: 0 adds one delete
-   of a row the table does not hold; 1 adds deletes of one of the table's
-   rows until they exceed its multiplicity (the batch's own inserts of it
-   included); 2 inserts a copy of a row with one value of another type
-   than its column's; 3 inserts a copy with a NULL in a NOT NULL column.
-   The bad row lands at a random place among the others. *)
-let invalidate prng db tn (d : Ivm.delta) ~kind =
+(* The batch [tn, d] made invalid in one of five ways, by [kind]: 0 adds
+   one delete of a row the table does not hold; 1 adds deletes of one of
+   the table's rows until they exceed its multiplicity (the batch's own
+   inserts of it included); 2 inserts a copy of a row with one value of
+   another type than its column's; 3 inserts a copy with a NULL in a NOT
+   NULL column; 4 splits [d] into its inserts and its deletes, each
+   naming [tn]. The bad row lands at a random place among the others. *)
+let invalidate prng db tn (d : Ivm.delta) ~kind : Ivm.batch =
   let tbl = DB.table_exn db tn in
   let rows = tbl.Table.rows in
   let held r = List.length (List.filter (( = ) r) (rows @ d.Ivm.ins)) in
@@ -973,8 +968,8 @@ let invalidate prng db tn (d : Ivm.delta) ~kind =
         end
       in
       let others = List.filter (fun r -> not (List.mem r bad)) d.Ivm.del in
-      { d with Ivm.del = scatter prng bad others }
-  | _ ->
+      [ (tn, { d with Ivm.del = scatter prng bad others }) ]
+  | 2 | 3 ->
       let cols =
         List.mapi
           (fun i (c : Mv_catalog.Column.t) -> (i, c))
@@ -988,13 +983,51 @@ let invalidate prng db tn (d : Ivm.delta) ~kind =
         (if kind = 3 then V.Null
          else if c.Mv_catalog.Column.dtype = Mv_base.Dtype.Str then V.Int 1
          else V.Str "x");
-      { d with Ivm.ins = scatter prng [ r ] d.Ivm.ins }
+      [ (tn, { d with Ivm.ins = scatter prng [ r ] d.Ivm.ins }) ]
+  | _ -> [ (tn, { d with Ivm.del = [] }); (tn, { d with Ivm.ins = [] }) ]
+
+(* The rows a table holds after [Database.write] applies [d] to [rows],
+   by a model that shares no code with it: the inserts consed on in
+   order, then each delete removing the first structurally equal row. *)
+let model_rows rows (d : Ivm.delta) =
+  let rec remove_first r = function
+    | [] -> failwith "model: a delete names an absent row"
+    | x :: rest -> if x = r then rest else x :: remove_first r rest
+  in
+  List.fold_left
+    (fun rows r -> remove_first r rows)
+    (List.fold_left (fun rows r -> r :: rows) rows d.Ivm.ins)
+    d.Ivm.del
+
+let table_rows db =
+  Hashtbl.fold (fun name (tbl : Table.t) acc -> (name, tbl.Table.rows) :: acc)
+    db.DB.tables []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* [Database.write] on a database with no IVM attached: a valid batch
+   leaves every table the list {!model_rows} gives (an unwritten one
+   physically the same), an invalid one raises and leaves every table's
+   list physically the same. *)
+let write_matches_model db batch ~valid =
+  let before = table_rows db in
+  match DB.write db batch with
+  | () ->
+      valid
+      && List.for_all2
+           (fun (name, rows) (_, rows') ->
+             match List.assoc_opt name batch with
+             | Some d -> rows' = model_rows rows d
+             | None -> rows' == rows)
+           before (table_rows db)
+  | exception DB.Invalid_batch _ ->
+      (not valid) && List.for_all2 (fun (_, r) (_, r') -> r == r') before (table_rows db)
 
 (* Twin databases take the same valid batch; one then takes an invalid
    batch, which must raise [Invalid_batch] and leave it equal to its twin:
-   base and view rows, write epochs of every table, the statistics
-   [refresh_stats] derives, the dirty set, and each view's freshness
-   stamp. *)
+   base and view rows, the statistics [refresh_stats] derives, the dirty
+   set, and each view's freshness and row count. A third copy with no IVM
+   attached takes both batches through [Database.write] alone
+   ({!write_matches_model}). *)
 let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
   let views = Lazy.force gen_views in
   let v0 = List.nth views (pick mod List.length views) in
@@ -1012,9 +1045,11 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
     (db, v, ivm)
   in
   let dba, va, ia = arm () and dbb, vb, ib = arm () in
+  let dbc = DB.copy db0 in
   let stats = DB.stats dba in
   let prng = Mv_util.Prng.create batch_seed in
   let valid = random_batch prng dba va in
+  let plain_valid = write_matches_model dbc valid ~valid:true in
   Ivm.apply ia valid;
   Ivm.apply ib valid;
   let tn, d =
@@ -1024,22 +1059,16 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
         let tn = Mv_util.Sset.min_elt va.Mv_core.View.source_tables in
         (tn, { Ivm.ins = []; del = [] })
   in
-  match Ivm.apply ia [ (tn, invalidate prng dba tn d ~kind) ] with
+  let bad = invalidate prng dba tn d ~kind in
+  let plain_invalid = write_matches_model dbc bad ~valid:false in
+  match Ivm.apply ia bad with
   | () -> false
-  | exception Ivm.Invalid_batch _ ->
-      let tables db =
-        Hashtbl.fold
-          (fun name (tbl : Table.t) acc ->
-            (name, tbl.Table.rows, DB.table_epoch db name) :: acc)
-          db.DB.tables []
-        |> List.sort compare
-      in
+  | exception DB.Invalid_batch _ ->
       let stamp (v : Mv_core.View.t) =
-        ( v.Mv_core.View.base_epochs,
-          Mv_core.View.is_stale v,
-          v.Mv_core.View.row_count )
+        (Mv_core.View.is_stale v, v.Mv_core.View.row_count)
       in
-      tables dba = tables dbb
+      plain_valid && plain_invalid
+      && table_rows dba = table_rows dbb
       && Ivm.dirty_views ia = Ivm.dirty_views ib
       && stamp va = stamp vb
       && Ivm.refresh_stats ia stats = Ivm.refresh_stats ib stats
@@ -1049,7 +1078,7 @@ let invalid_batch_prop =
     ~count:(Helpers.qcheck_count (if quick then 10 else 30))
     QCheck.(
       quad (int_bound 1_000_000) (int_range 1 3) (int_bound 1_000_000)
-        (int_range 0 3))
+        (int_range 0 4))
     invalid_batch_unchanged
 
 (* The property as an Alcotest case, preceded by one fixed case that must
@@ -1100,7 +1129,7 @@ let suite =
           test_updates;
         Alcotest.test_case "scalar aggregate keeps its single row" `Quick
           test_scalar_agg;
-        Alcotest.test_case "freshness epochs + statistics refresh" `Quick
+        Alcotest.test_case "freshness + statistics refresh" `Quick
           test_freshness_and_stats;
         Alcotest.test_case "error paths" `Quick test_errors;
         Alcotest.test_case "build tables follow every write path" `Quick

@@ -167,6 +167,34 @@ let merge_hist_prop =
         [ 0.01; 0.5; 0.9; 0.99 ];
       true)
 
+(* The bucketing [Float.frexp] gave before [bucket_of] read the bits. *)
+let frexp_bucket v =
+  if v <= 0.0 then 0
+  else
+    let _, e = Float.frexp v in
+    max 0 (min (I.buckets - 1) (e + 64))
+
+let bucket_of_prop =
+  QCheck.Test.make
+    ~count:(Helpers.qcheck_count 2000)
+    ~name:"obs: bucket_of equals the frexp bucketing"
+    QCheck.(
+      make ~print:(Printf.sprintf "%h")
+        Gen.(
+          oneof
+            [
+              map Int64.float_of_bits ui64;
+              float;
+              oneofl
+                [
+                  0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+                  Float.min_float; Float.max_float; Float.epsilon; 1.0; 0.5;
+                  ldexp 1.0 (-64); ldexp 1.0 (-65); ldexp 1.0 63; ldexp 1.0 64;
+                  4.9e-324; 2.2250738585072009e-308;
+                ];
+            ]))
+    (fun v -> I.bucket_of v = frexp_bucket v)
+
 let test_merge_empty_histograms () =
   let m = I.merge_histograms [ I.histogram (); I.histogram () ] in
   Alcotest.(check int) "count" 0 (I.count m);
@@ -322,6 +350,7 @@ let suite =
           test_json_roundtrip;
         Alcotest.test_case "JSON parser" `Quick test_json_parser;
         Alcotest.test_case "table rendering" `Quick test_render;
+        Helpers.qtest bucket_of_prop;
       ] );
     ( "obs_merge",
       [

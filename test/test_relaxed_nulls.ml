@@ -101,14 +101,16 @@ let test_relaxed_still_rejects_without_pred () =
 let test_relaxed_rewrite_is_correct_on_nulls () =
   (* execute with actual NULLs present *)
   let db = Mv_engine.Database.create schema in
-  Mv_engine.Database.insert db "department" [| Value.Int 1; Value.Str "eng" |];
-  Mv_engine.Database.insert db "department" [| Value.Int 2; Value.Str "ops" |];
-  Mv_engine.Database.insert db "department" [| Value.Int 3; Value.Str "hr" |];
-  List.iteri
-    (fun i dept ->
-      Mv_engine.Database.insert db "employee"
-        [| Value.Int (i + 1); dept; Value.Int ((i + 1) * 100) |])
-    [ Value.Int 1; Value.Int 2; Value.Null; Value.Int 3; Value.Null; Value.Int 2 ];
+  Helpers.insert db "department"
+    [
+      [| Value.Int 1; Value.Str "eng" |];
+      [| Value.Int 2; Value.Str "ops" |];
+      [| Value.Int 3; Value.Str "hr" |];
+    ];
+  Helpers.insert db "employee"
+    (List.mapi
+       (fun i dept -> [| Value.Int (i + 1); dept; Value.Int ((i + 1) * 100) |])
+       [ Value.Int 1; Value.Int 2; Value.Null; Value.Int 3; Value.Null; Value.Int 2 ]);
   let view =
     Mv_core.View.create ~relaxed_nulls:true schema ~name:"emp_dept4" view_def
   in

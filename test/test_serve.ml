@@ -148,7 +148,7 @@ let test_serve_under_writes () =
 
 let flight_names =
   [
-    "rule.invocations"; "rule.candidates"; "rule.matched"; "rule.substitutes";
+    "rule.invocations"; "rule.candidates"; "rule.substitutes";
     "serve.flight.leaders"; "serve.flight.waits"; "cache.plan.hits";
   ]
 
@@ -204,7 +204,7 @@ let test_single_flight () =
       Alcotest.(check int)
         (Printf.sprintf "herd %s = one submission's" n)
         (delta obs_b before_b n) (d n))
-    [ "rule.invocations"; "rule.candidates"; "rule.matched"; "rule.substitutes" ]
+    [ "rule.invocations"; "rule.candidates"; "rule.substitutes" ]
 
 (* ---------------------------------------------------------------- *)
 (* Differential: N-domain serving == sequential optimization        *)

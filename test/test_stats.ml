@@ -329,11 +329,9 @@ let test_view_level_stats () =
       ~foreign_keys:[]
   in
   let db = Mv_engine.Database.create schema in
-  for i = 0 to 199 do
-    (* a and b perfectly correlated: both predicates below select the
-       same 100 rows, but independence multiplies the selectivities *)
-    Mv_engine.Database.insert db "t" [| Value.Int i; Value.Int i |]
-  done;
+  (* a and b perfectly correlated: both predicates below select the
+     same 100 rows, but independence multiplies the selectivities *)
+  Helpers.insert db "t" (List.init 200 (fun i -> [| Value.Int i; Value.Int i |]));
   let stats = [ ("t", Mv_engine.Database.table_stats db "t") ] in
   let ca = Expr.Col (Col.make "t" "a") in
   let cb = Expr.Col (Col.make "t" "b") in
