@@ -16,10 +16,10 @@
 
     A lattice is persistent: payloads live in an array by node id beside
     the DAG, and [update] copies that array, or the DAG when a key appears
-    or vanishes, never writing what it was given. Searches carry their own
-    visit state (borrowed from a domain-local scratch pool), so any number
-    of domains may search one lattice concurrently, and a search may
-    re-enter the lattice from inside its predicate. *)
+    or vanishes, never writing what it was given. Each search marks the
+    nodes it visits in a byte string of its own, so searches share no
+    state: any number of domains may search one lattice concurrently, and
+    a search may re-enter the lattice from inside its predicate. *)
 
 module Bitset = Mv_util.Bitset
 
@@ -45,46 +45,6 @@ let empty_dag = { nodes = [||]; tops = []; roots = [] }
 
 let empty = { dag = empty_dag; payloads = [||] }
 
-(* ---- per-search visit state ----
-
-   Earlier revisions deduplicated visited nodes with a per-node [mark]
-   stamp field — fast, but shared mutable state: two concurrent searches
-   over one lattice corrupted each other's dedup, and even a single-domain
-   *reentrant* search (a predicate or payload callback re-entering the
-   lattice, e.g. rule tracing) overwrote the outer search's marks and could
-   return duplicated nodes.
-
-   Each search now borrows a scratch buffer — an [int array] of per-node
-   stamps indexed by node id, plus the buffer's own stamp counter — from a
-   domain-local pool. Borrowed buffers are exclusively owned for the
-   duration of the search: a reentrant search pops a *different* buffer,
-   and searches running on other domains use their own domain's pool, so
-   N domains can probe one shared (read-only) lattice concurrently. The
-   stamp counter makes reuse O(1): no clearing between searches, a buffer
-   would need 2^62 searches to overflow. *)
-
-type scratch = { mutable marks : int array; mutable stamp : int }
-
-let scratch_pool : scratch list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let with_scratch n f =
-  let pool = Domain.DLS.get scratch_pool in
-  let s =
-    match !pool with
-    | s :: rest ->
-        pool := rest;
-        s
-    | [] -> { marks = Array.make (max 64 n) 0; stamp = 0 }
-  in
-  if Array.length s.marks < n then begin
-    let grown = Array.make (max n (2 * Array.length s.marks)) 0 in
-    Array.blit s.marks 0 grown 0 (Array.length s.marks);
-    s.marks <- grown
-  end;
-  s.stamp <- s.stamp + 1;
-  Fun.protect ~finally:(fun () -> pool := s :: !pool) (fun () -> f s)
-
 let size t = Array.length t.payloads
 
 (* The id of [key], or -1. Exact lookup scans the nodes: an update copies
@@ -108,24 +68,24 @@ let fold f t acc =
    [pred] failing on a key implies it fails on every subset (e.g. "key is
    a superset of S"). [`Up] starts at the roots and follows superset
    pointers: correct when failure propagates to supersets (e.g. "key is a
-   subset of S"). Each node is visited at most once. *)
+   subset of S"). Each node is visited at most once: [seen] marks the
+   visited ids, and belongs to this search alone. *)
 let collect d ~dir ~pred out =
-  with_scratch (Array.length d.nodes) (fun s ->
-      let marks = s.marks and stamp = s.stamp in
-      let acc = ref [] in
-      let rec visit n =
-        if marks.(n.id) <> stamp then begin
-          marks.(n.id) <- stamp;
-          if pred n.key then begin
-            acc := out.(n.id) :: !acc;
-            let next = match dir with `Down -> n.subs | `Up -> n.supers in
-            List.iter visit next
-          end
-        end
-      in
-      let start = match dir with `Down -> d.tops | `Up -> d.roots in
-      List.iter visit start;
-      !acc)
+  let seen = Bytes.make (Array.length d.nodes) '\000' in
+  let acc = ref [] in
+  let rec visit n =
+    if Bytes.get seen n.id = '\000' then begin
+      Bytes.set seen n.id '\001';
+      if pred n.key then begin
+        acc := out.(n.id) :: !acc;
+        let next = match dir with `Down -> n.subs | `Up -> n.supers in
+        List.iter visit next
+      end
+    end
+  in
+  let start = match dir with `Down -> d.tops | `Up -> d.roots in
+  List.iter visit start;
+  !acc
 
 let search t ~dir ~pred = collect t.dag ~dir ~pred t.payloads
 

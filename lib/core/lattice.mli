@@ -4,11 +4,11 @@
     ({!Mv_util.Bitset}).
 
     Persistent: {!update} returns a new lattice and never writes the one
-    passed in, so any number of versions can be read at once. Searches
-    deduplicate visited nodes with per-search scratch state (pooled per
-    OCaml domain), so concurrent searches of one lattice from many domains
-    are safe, as are reentrant searches (a predicate re-entering the
-    lattice). *)
+    passed in, so any number of versions can be read at once. Each search
+    deduplicates visited nodes in a byte string allocated for it and sized
+    to the lattice. Searches share no state, so concurrent searches of one
+    lattice from many domains are safe, as are reentrant searches (a
+    predicate re-entering the lattice). *)
 
 module Bitset = Mv_util.Bitset
 

@@ -11,19 +11,19 @@
 
     The executor orders the join (by estimated intermediate cardinality
     when statistics are given, by connectivity otherwise), joins each
-    table through a declared index when the probe side is small and by a
-    hash join keyed on the stored rows' column positions otherwise, copies
-    a stored row's referenced columns into a tuple only when it matches,
-    applies each conjunct as soon as all its columns are bound, then
-    groups and projects. Strategy picks and estimation error are recorded
-    on the global registry. *)
+    table on its keys by a hash join over the rows it reads, keyed on the
+    stored rows' column positions, copies a stored row's referenced
+    columns into a tuple only when it matches, applies each conjunct as
+    soon as all its columns are bound, then groups and projects. Join and
+    reuse counts and estimation error are recorded on the global
+    registry. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
 module Stats = Mv_catalog.Stats
 
-(* Row counters per operator kind ([exec.rows.<kind>]), join strategy
-   counters ([exec.join.strategy.hash|inlj]) and the per-join q-error
+(* Row counters per operator kind ([exec.rows.<kind>]), the hash join
+   counter ([exec.join.strategy.hash]) and the per-join q-error
    histogram (max(est/actual, actual/est), recorded only when both sides
    are positive). They live on the process-wide [Mv_obs.Registry.global]:
    execution has no per-query context object to scope them to. Each
@@ -37,7 +37,6 @@ let rows_filter = counter "exec.rows.filter"
 let rows_group = counter "exec.rows.group"
 let rows_output = counter "exec.rows.output"
 let strategy_hash = counter "exec.join.strategy.hash"
-let strategy_inlj = counter "exec.join.strategy.inlj"
 let build_reused = counter "exec.build.reused"
 let count c n = Mv_obs.Instrument.add (c ()) n
 
@@ -49,10 +48,6 @@ let observe_qerror ~est ~actual =
   if est > 0.0 && actual > 0 then
     let a = float_of_int actual in
     Mv_obs.Instrument.observe (qerror_hist ()) (Float.max (est /. a) (a /. est))
-
-(* The probe-side bound for preferring an index lookup over a hash join
-   (and the build-side size above which the lookup pays). *)
-let nlj_threshold = 64
 
 type tuple = Value.t array
 
@@ -308,23 +303,12 @@ let aggregate keys items tuples =
 
 (* ---- cardinality estimation (with statistics) ------------------------- *)
 
-(* A deliberately coarse mirror of [Mv_opt.Cost]'s single-table selectivity
-   (the engine cannot depend on the optimizer): histograms/MCVs through
-   [Stats.range_selectivity], 1/max-ndv for same-table column equality,
-   fixed guesses for the rest. Only used to pick join orders. *)
+(* A table's rows after its local conjuncts, by the optimizer's own
+   selectivity model. Only used to pick join orders. *)
 let est_local_rows stats (s : source) =
   let sel =
     List.fold_left
-      (fun acc p ->
-        acc
-        *.
-        match Mv_relalg.Classify.classify_one p with
-        | `Range (c, op, v) -> Stats.range_selectivity stats c op v
-        | `Col_eq (a, b) ->
-            1.0 /. float_of_int (max (Stats.ndv stats a) (Stats.ndv stats b))
-        | `Disj_range (_, ivs) ->
-            Float.min 1.0 (0.33 *. float_of_int (List.length ivs))
-        | `Residual _ -> 0.25)
+      (fun acc p -> acc *. Mv_relalg.Classify.selectivity stats p)
       1.0 s.local
   in
   Float.max 1.0 (float_of_int (Stats.row_count stats s.name) *. sel)
@@ -466,70 +450,24 @@ let table_source db (s : source) ~indexes rows : Value.t array list =
   | Some narrowed -> narrowed
   | None -> rows
 
-(* Join table [s] into the current tuples: an index nested loop when a
-   declared index leads with a join key, the probe side has at most
-   [nlj_threshold] tuples and the table more rows than that (building a
-   hash table over the whole table would dominate), a hash join built on
-   the table's stored rows otherwise. Both compare full key tuples exactly,
-   so they produce identical bags, and both copy a stored row into a tuple
-   only when it matches. [stored] is the rows the table reads; the
-   declared indexes and the cached hash tables describe the table's
-   current list, so they serve only when [stored] is physically that list.
-   A hash table over the whole current list is built once per list
-   ([Database.build_table]); one over a slice or an index-narrowed subset
-   is built per join. [exec.rows.scan] counts the stored rows read: each
-   row of a build or a cross product, and each row an index probe
-   returns. *)
+(* Join table [s], reading the rows [stored], into the current tuples.
+   Joined on keys, it is a hash join over [stored]: when [stored] is
+   physically the table's current list the hash table is the one
+   [Database.build_table] keeps until the table is written, and over a
+   slice (an IVM delta or pre-batch list) one is built for this join.
+   Joined on no key (the first table scanned, or a cross product), it
+   reads [stored] narrowed through a declared index when [stored] is the
+   current list. The table's local conjuncts apply once it is bound
+   either way. A stored row is copied into a tuple only when it matches.
+   [exec.rows.scan] counts the stored rows read: each row of a build (not
+   a reuse) or of a cross product. *)
 let join_source db blk ~stored ~bound tuples (s : source) =
   let current = (Database.table_exn db s.name).Table.rows in
-  let indexes =
-    if stored == current then Database.declared_indexes db s.name else []
-  in
-  let source_rows = table_source db s ~indexes stored in
   let keys = join_keys blk ~bound ~next:s.name in
   let extend tup row =
     let out = Array.copy tup in
     Array.iteri (fun j p -> out.(s.off + j) <- row.(p)) s.pos;
     out
-  in
-  (* The index serves the full table, possibly wider than the narrowed
-     [source_rows]: harmless, since the caller re-applies every local
-     predicate once the table is bound. *)
-  let join_index () =
-    List.find_map
-      (fun cols ->
-        match cols with
-        | lead :: _ -> (
-            match List.find_opt (fun k -> k.col.Col.col = lead) keys with
-            | Some k ->
-                Option.map
-                  (fun ix -> (ix, k))
-                  (Database.index db ~table:s.name ~cols)
-            | None -> None)
-        | [] -> None)
-      indexes
-  in
-  let indexed_loop ix k0 =
-    count strategy_inlj 1;
-    List.concat_map
-      (fun tup ->
-        if List.exists (fun k -> Value.is_null tup.(k.slot)) keys then []
-        else begin
-          let rows = Index.prefix_lookup ix [ tup.(k0.slot) ] in
-          count rows_scan (List.length rows);
-          List.filter_map
-            (fun row ->
-              if
-                List.for_all
-                  (fun k ->
-                    (not (Value.is_null row.(k.pos)))
-                    && Value.equal row.(k.pos) tup.(k.slot))
-                  keys
-              then Some (extend tup row)
-              else None)
-            rows
-        end)
-      tuples
   in
   let hashed () =
     count strategy_hash 1;
@@ -539,34 +477,29 @@ let join_source db blk ~stored ~bound tuples (s : source) =
       build_table ~build_key rows
     in
     let table =
-      if source_rows == current then begin
+      if stored == current then begin
         let table, reused =
-          Database.build_table db ~table:s.name ~key:build_key source_rows
-            build
+          Database.build_table db ~table:s.name ~key:build_key stored build
         in
         if reused then count build_reused 1;
         table
       end
-      else build source_rows
+      else build stored
     in
     probe_table
       ~probe_key:(Array.of_list (List.map (fun k -> k.slot) keys))
       ~emit:extend table tuples
   in
-  let small_probe () =
-    List.compare_length_with tuples nlj_threshold <= 0
-    && List.compare_length_with source_rows nlj_threshold > 0
+  let scanned () =
+    let indexes =
+      if stored == current then Database.declared_indexes db s.name else []
+    in
+    let rows = table_source db s ~indexes stored in
+    count rows_scan (List.length rows);
+    cross ~emit:extend tuples rows
   in
   let joined =
-    if tuples = [] then []
-    else
-      (* the index is looked up (and built) only when it would be used *)
-      match if small_probe () then join_index () else None with
-      | Some (ix, k0) -> indexed_loop ix k0
-      | None when keys = [] ->
-          count rows_scan (List.length source_rows);
-          cross ~emit:extend tuples source_rows
-      | None -> hashed ()
+    if tuples = [] then [] else if keys = [] then scanned () else hashed ()
   in
   count rows_join (List.length joined);
   (s.name :: bound, joined)

@@ -9,23 +9,25 @@
     compiled to closures over slots. Tuples are value arrays in that
     layout; the layout itself is private to this module.
 
-    Tables join in estimated-cardinality order when [~stats] is given and
-    in connectivity order otherwise. Each join probes a declared index
-    whose leading column is a join key when the probe side has at most 64
-    tuples and the table more rows than that, and is a hash join keyed on
-    the stored rows' column positions otherwise; both compare full key
-    tuples exactly and never join NULL keys. A hash table over a table's
-    whole row list is built once per list and kept beside the built
-    indexes ({!Database.build_table}), so later joins reuse it until the
-    table is written. Each conjunct applies as soon as its columns are
-    bound, then rows are grouped and projected. Strategy picks are counted
-    as [exec.join.strategy.hash|inlj] (a reused hash table still counts as
-    a hash join, and also as [exec.build.reused]), rows per operator as
+    Tables join in estimated-cardinality order when [~stats] is given
+    (estimated with {!Mv_relalg.Classify.selectivity}, the optimizer's
+    selectivity model) and in connectivity order otherwise. A table
+    joined on keys is probed through a hash table over the rows it reads,
+    keyed on the stored rows' column positions; keys compare as exact
+    tuples and NULL keys never join. A hash table over a table's whole
+    row list is built once per list and kept beside the built indexes
+    ({!Database.build_table}), so later joins reuse it until the table is
+    written; one over a slice is built per join. A table joined on no key
+    (the first table scanned, or a cross product) reads its rows narrowed
+    through a declared index that matches its local predicates. Each
+    conjunct applies as soon as its columns are bound, then rows are
+    grouped and projected. Hash joins are counted as
+    [exec.join.strategy.hash] (a reused hash table still counts, and also
+    as [exec.build.reused]), rows per operator as
     [exec.rows.scan|join|filter|group|output] ([scan]: the stored rows
-    read by a hash build, a cross product or an index probe), and per-join
-    estimation error (the q-error [max(est/actual, actual/est)], with
-    [~stats] only) is observed as [exec.estimation.qerror], all on
-    [Mv_obs.Registry.global]. *)
+    read by a hash build or a scan), and per-join estimation error (the
+    q-error [max(est/actual, actual/est)], with [~stats] only) is observed
+    as [exec.estimation.qerror], all on [Mv_obs.Registry.global]. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg

@@ -7,44 +7,6 @@ open Mv_base
 module Spjg = Mv_relalg.Spjg
 module Stats = Mv_catalog.Stats
 
-(* Selectivity of a single conjunct. *)
-let conjunct_selectivity (stats : Stats.t) (p : Pred.t) : float =
-  match Mv_relalg.Classify.classify_one p with
-  | `Col_eq (a, b) ->
-      (* equijoin: 1/max(ndv) — also reasonable for same-table equality *)
-      1.0 /. float_of_int (max (Stats.ndv stats a) (Stats.ndv stats b))
-  | `Range (c, op, v) -> Stats.range_selectivity stats c op v
-  | `Disj_range (c, intervals) ->
-      (* sum the interval fractions, assuming disjointness after
-         normalization *)
-      let interval_sel (i : Mv_relalg.Interval.t) =
-        let upper =
-          match i.Mv_relalg.Interval.hi with
-          | Mv_relalg.Interval.Unbounded -> 1.0
-          | Mv_relalg.Interval.Incl v | Mv_relalg.Interval.Excl v ->
-              Stats.range_selectivity stats c Pred.Le v
-        in
-        let below =
-          match i.Mv_relalg.Interval.lo with
-          | Mv_relalg.Interval.Unbounded -> 0.0
-          | Mv_relalg.Interval.Incl v | Mv_relalg.Interval.Excl v ->
-              Stats.range_selectivity stats c Pred.Lt v
-        in
-        Float.max 0.0005 (upper -. below)
-      in
-      Float.min 1.0
-        (List.fold_left
-           (fun acc i -> acc +. interval_sel i)
-           0.0
-           (Mv_relalg.Rset.normalize intervals))
-  | `Residual p -> (
-      match p with
-      | Pred.Like _ -> 0.1
-      | Pred.Is_null _ -> 0.02
-      | Pred.Not _ -> 0.9
-      | Pred.Or _ -> 0.5
-      | _ -> 0.25)
-
 (* Estimated rows of an SPJ part: product of table cardinalities times all
    conjunct selectivities. *)
 let spj_rows (stats : Stats.t) ~tables ~(where : Pred.t list) : float =
@@ -54,7 +16,9 @@ let spj_rows (stats : Stats.t) ~tables ~(where : Pred.t list) : float =
       1.0 tables
   in
   let sel =
-    List.fold_left (fun acc p -> acc *. conjunct_selectivity stats p) 1.0 where
+    List.fold_left
+      (fun acc p -> acc *. Mv_relalg.Classify.selectivity stats p)
+      1.0 where
   in
   Float.max 1.0 (base *. sel)
 

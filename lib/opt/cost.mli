@@ -6,8 +6,6 @@ open Mv_base
 module Spjg = Mv_relalg.Spjg
 module Stats = Mv_catalog.Stats
 
-val conjunct_selectivity : Stats.t -> Pred.t -> float
-
 val spj_rows : Stats.t -> tables:string list -> where:Pred.t list -> float
 
 val group_rows : Stats.t -> input:float -> Expr.t list -> float

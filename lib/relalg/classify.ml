@@ -9,6 +9,7 @@
     - PU: residual predicates (everything else) *)
 
 open Mv_base
+module Stats = Mv_catalog.Stats
 
 type classified = {
   col_eqs : (Col.t * Col.t) list;
@@ -61,6 +62,45 @@ let classify_one (p : Pred.t) =
       match range_atom p with
       | Some (c, op, v) -> `Range (c, op, v)
       | None -> `Residual p)
+
+(* Selectivity of one conjunct under uniformity and independence: the
+   one model behind the optimizer's cardinalities and the executor's join
+   order. *)
+let selectivity (stats : Stats.t) (p : Pred.t) : float =
+  match classify_one p with
+  | `Col_eq (a, b) ->
+      (* equijoin: 1/max(ndv) — also reasonable for same-table equality *)
+      1.0 /. float_of_int (max (Stats.ndv stats a) (Stats.ndv stats b))
+  | `Range (c, op, v) -> Stats.range_selectivity stats c op v
+  | `Disj_range (c, intervals) ->
+      (* sum the interval fractions, assuming disjointness after
+         normalization *)
+      let interval_sel (i : Interval.t) =
+        let upper =
+          match i.Interval.hi with
+          | Interval.Unbounded -> 1.0
+          | Interval.Incl v | Interval.Excl v ->
+              Stats.range_selectivity stats c Pred.Le v
+        in
+        let below =
+          match i.Interval.lo with
+          | Interval.Unbounded -> 0.0
+          | Interval.Incl v | Interval.Excl v ->
+              Stats.range_selectivity stats c Pred.Lt v
+        in
+        Float.max 0.0005 (upper -. below)
+      in
+      Float.min 1.0
+        (List.fold_left
+           (fun acc i -> acc +. interval_sel i)
+           0.0 (Rset.normalize intervals))
+  | `Residual p -> (
+      match p with
+      | Pred.Like _ -> 0.1
+      | Pred.Is_null _ -> 0.02
+      | Pred.Not _ -> 0.9
+      | Pred.Or _ -> 0.5
+      | _ -> 0.25)
 
 let classify (conjuncts : Pred.t list) : classified =
   let col_eqs, ranges, disj, residuals =

@@ -22,4 +22,11 @@ val classify_one :
   | `Disj_range of Col.t * Interval.t list
   | `Residual of Pred.t ]
 
+val selectivity : Mv_catalog.Stats.t -> Pred.t -> float
+(** The fraction of rows one conjunct keeps, dispatched on
+    {!classify_one}: [1/max(ndv)] for a column equality, histograms and
+    MCVs for a range, the sum of the normalized intervals' fractions for a
+    disjunctive range, fixed guesses for residuals. {!Mv_opt.Cost} and
+    the executor's join order both estimate with it. *)
+
 val classify : Pred.t list -> classified

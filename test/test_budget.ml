@@ -26,10 +26,13 @@ module DB = Mv_engine.Database
    shorter than the clock's tick allocated less and the figures varied
    between processes: 126,236-126,237 and 21,513-21,516. Since it reads
    the exponent's bits they repeat exactly: 126,083 (inside the
-   tolerance above the budget) and 21,423. *)
-let budget = 125_551.
+   tolerance above the budget of 125,551) and 21,423, until each
+   lattice search marked its visits in bytes of its own instead of
+   borrowing a stamp array from a domain-local pool inside
+   [Fun.protect]. *)
+let budget = 111_994.
 
-let no_view_budget = 21_423.
+let no_view_budget = 21_148.
 
 (* Measured on the exec fixture below. Before the executor ran on
    slot-compiled value arrays (tuples were column-keyed maps) the same
@@ -43,9 +46,13 @@ let no_view_budget = 21_423.
    over ten processes (the histogram bucketing above), under a budget of
    15,597. Before every base-table write went through [Database.write]
    and delta terms read their slices without a scratch database per
-   term, a write took 21,260. *)
-let read_budget = 15_534.
-let write_budget = 16_539.
+   term, a write took 21,260. Before every keyed join hashed the rows its
+   table reads (an index nested loop served small probe sides, and an
+   index-narrowed table was hashed per join) and each lattice search
+   allocated its own visit marks, a read took 15,534 and a write
+   16,539. *)
+let read_budget = 14_987.
+let write_budget = 15_608.
 
 (* Measured on the section 5 views (1000): minor words to register them
    all into a fresh registry, and per registry write in serve-churn's
@@ -55,9 +62,11 @@ let write_budget = 16_539.
    on every write after it: registration took 2,686,507 words, the first
    snapshot 1,176,499 more (the registration budget must stay under their
    sum, 3,863,006), and a write 1,179,714. The budgets then stood at
-   3,251,974 and 5,087, above figures of 3,130,684 and 4,856. *)
-let register_budget = 3_130_555.
-let mutation_budget = 4_856.
+   3,251,974 and 5,087, above figures of 3,130,684 and 4,856. Before each
+   lattice search allocated its own visit marks, registration took
+   3,130,555 and a write 4,856. *)
+let register_budget = 2_914_247.
+let mutation_budget = 4_749.
 
 let tolerance = 0.03
 

@@ -340,6 +340,9 @@ let count_strategy kind =
   Mv_obs.Registry.counter_value Mv_obs.Registry.global
     ("exec.join.strategy." ^ kind)
 
+let build_reuses () =
+  Mv_obs.Registry.counter_value Mv_obs.Registry.global "exec.build.reused"
+
 let test_float_join_keys () =
   (* u's prices 1234500..1234579 all share their first six digits with
      t's; the Int 1234569 must still meet the Float 1234569.0 *)
@@ -373,21 +376,61 @@ let test_float_join_keys () =
            | _ -> Alcotest.fail "non-integer ids")
          r.Mv_engine.Relation.rows)
   in
-  let check name ?(index = false) ~strategy run =
+  let check name ?(index = false) run =
     let db = priced_db ~t_rows ~u_rows in
     if index then Mv_engine.Database.declare_index db ~table:"u" ~cols:[ "k" ];
-    let before = count_strategy strategy in
+    let before = count_strategy "hash" in
     Alcotest.(check (list (pair int int))) (name ^ ": exact pairs") expected
       (pairs (run db));
-    Alcotest.(check bool) (name ^ ": took the " ^ strategy ^ " path") true
-      (count_strategy strategy > before)
+    Alcotest.(check bool) (name ^ ": took the hash path") true
+      (count_strategy "hash" > before)
   in
-  check "exec hash join" ~strategy:"hash" (fun db ->
+  check "exec hash join" (fun db -> Mv_engine.Exec.execute db q);
+  check "exec hash join, u indexed on k" ~index:true (fun db ->
       Mv_engine.Exec.execute db q);
-  check "exec index nested loop" ~index:true ~strategy:"inlj" (fun db ->
-      Mv_engine.Exec.execute db q);
-  check "plan_exec hash join" ~strategy:"hash" (fun db ->
+  check "plan_exec hash join" (fun db ->
       Mv_opt.Plan_exec.execute db q priced_join_plan)
+
+(* A keyed join into u, whose local range on k the declared index u(k)
+   could narrow, from a probe side of 8 and of 100 t tuples: either way
+   the hash table is built over u's whole row list and kept, so the
+   second run reuses it. *)
+let test_keyed_join_reuses_build () =
+  let u_rows =
+    List.init 200 (fun i ->
+        [| Value.Int (1000 + i); Value.Int (i mod 100); Value.Int i |])
+  in
+  let q =
+    Spjg.make ~tables:[ "t"; "u" ]
+      ~where:
+        [
+          Pred.Cmp (Pred.Eq, c_t "k", c_u "k");
+          Pred.Cmp (Pred.Ge, c_u "k", Expr.Const (Value.Int 10));
+        ]
+      ~group_by:None
+      ~out:[ Spjg.scalar "tid" (c_t "id"); Spjg.scalar "uid" (c_u "id") ]
+  in
+  List.iter
+    (fun n ->
+      let t_rows =
+        List.init n (fun i -> [| Value.Int i; Value.Int (i mod 100); Value.Null |])
+      in
+      let db = priced_db ~t_rows ~u_rows in
+      Mv_engine.Database.declare_index db ~table:"u" ~cols:[ "k" ];
+      let oracle = Naive.execute db q in
+      let run what =
+        let r0 = build_reuses () in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d probe tuples, %s: equals the naive oracle" n what)
+          true
+          (Mv_engine.Relation.same_bag oracle (Mv_engine.Exec.execute db q));
+        build_reuses () - r0
+      in
+      ignore (run "first run");
+      Alcotest.(check int)
+        (Printf.sprintf "%d probe tuples: the second run reuses u's hash table" n)
+        1 (run "second run"))
+    [ 8; 100 ]
 
 let suite =
   [
@@ -413,5 +456,7 @@ let suite =
           test_null_and_numeric_groups;
         Alcotest.test_case "float join keys stay exact" `Quick
           test_float_join_keys;
+        Alcotest.test_case "keyed joins reuse the table's hash table" `Quick
+          test_keyed_join_reuses_build;
       ] );
   ]
