@@ -34,6 +34,11 @@ let level_name = function
 
 type plan = P_level of level * plan | P_split of plan * plan | P_bucket
 
+type stage =
+  | Stage_level of level
+  | Stage_agg_split
+  | Stage_strong_range
+
 (* Levels of a plan in navigation order (split branches concatenated). *)
 let rec plan_levels = function
   | P_bucket -> []
@@ -196,43 +201,63 @@ let strong_range_ok (qi : query_info) (v : View.t) =
 (* ---- insertion and removal ----
 
    Both copy the nodes on the view's path and share everything else; a
-   tree that has been returned is never written. *)
+   tree that has been returned is never written. Both also report the
+   view's reshaped stage in [reshaped]: the first level on its path whose
+   lattice gained or lost a key, or the bucket's stage
+   ([Stage_strong_range]) when every key on the path was already there
+   and stays. *)
 
-let rec insert_node node (v : View.t) =
+let rec insert_node node (v : View.t) reshaped =
   match node with
   | Bucket views -> Bucket (v :: views)
   | Agg_split s ->
-      if View.is_aggregate v then Agg_split { s with agg = insert_node s.agg v }
-      else Agg_split { s with spj = insert_node s.spj v }
+      if View.is_aggregate v then
+        Agg_split { s with agg = insert_node s.agg v reshaped }
+      else Agg_split { s with spj = insert_node s.spj v reshaped }
   | Level l ->
       let lattice =
         Lattice.update l.lattice (view_key l.level v) (fun child ->
             let child =
-              match child with Some c -> c | None -> new_node l.rest
+              match child with
+              | Some c -> c
+              | None ->
+                  (* every level below a new key is new too: keep the
+                     first *)
+                  (match !reshaped with
+                  | Stage_strong_range -> reshaped := Stage_level l.level
+                  | Stage_level _ | Stage_agg_split -> ());
+                  new_node l.rest
             in
-            Some (insert_node child v))
+            Some (insert_node child v reshaped))
       in
       Level { l with lattice; nviews = l.nviews + 1 }
 
-let insert t v = { t with root = insert_node t.root v }
+let insert t v =
+  let reshaped = ref Stage_strong_range in
+  let root = insert_node t.root v reshaped in
+  ({ t with root }, !reshaped)
 
 (* A lattice key whose subtree empties is removed ({!Lattice.update}
    unlinks it), so a long-lived registry that churns views never
-   accumulates dead index nodes. *)
-let rec remove_node node (v : View.t) =
+   accumulates dead index nodes. A key empties only when every key below
+   it on the path did, and the walk assigns on the way back up, so the
+   last assignment to [reshaped] is the shallowest. *)
+let rec remove_node node (v : View.t) reshaped =
   match node with
   | Bucket views ->
       Bucket (List.filter (fun x -> x.View.name <> v.View.name) views)
   | Agg_split s ->
-      if View.is_aggregate v then Agg_split { s with agg = remove_node s.agg v }
-      else Agg_split { s with spj = remove_node s.spj v }
+      if View.is_aggregate v then
+        Agg_split { s with agg = remove_node s.agg v reshaped }
+      else Agg_split { s with spj = remove_node s.spj v reshaped }
   | Level l -> (
       let key = view_key l.level v in
       match Lattice.find l.lattice key with
       | None -> node
       | Some child ->
-          let child' = remove_node child v in
+          let child' = remove_node child v reshaped in
           let left = views_under child' in
+          if left = 0 then reshaped := Stage_level l.level;
           let lattice =
             Lattice.update l.lattice key (fun _ ->
                 if left = 0 then None else Some child')
@@ -240,7 +265,10 @@ let rec remove_node node (v : View.t) =
           Level
             { l with lattice; nviews = l.nviews - (views_under child - left) })
 
-let remove t v = { t with root = remove_node t.root v }
+let remove t v =
+  let reshaped = ref Stage_strong_range in
+  let root = remove_node t.root v reshaped in
+  ({ t with root }, !reshaped)
 
 (* ---- search ---- *)
 
@@ -307,11 +335,10 @@ let handles_for t obs =
       Atomic.set t.handles (Some h);
       h
 
-(* Candidate views for the analyzed query expression. With [obs], bump
+(* Candidate views for the query's search keys. With [obs], bump
    [filter_tree.searches], per-level [filter_tree.level.<name>.in/out]
    and the post-navigation [filter_tree.strong_range.in/out] counters. *)
-let candidates ?obs t (q : A.t) : View.t list =
-  let qi = query_info q in
+let search ?obs t (qi : query_info) : View.t list =
   let handles = Option.map (handles_for t) obs in
   let record =
     match handles with
@@ -333,12 +360,9 @@ let candidates ?obs t (q : A.t) : View.t list =
       Mv_obs.Instrument.add h.h_strong_out (List.length survivors));
   survivors
 
-(* ---- provenance ---- *)
+let candidates ?obs t (q : A.t) = search ?obs t (query_info q)
 
-type stage =
-  | Stage_level of level
-  | Stage_agg_split
-  | Stage_strong_range
+(* ---- provenance ---- *)
 
 let stage_name = function
   | Stage_level l -> level_name l
@@ -377,6 +401,21 @@ let provenance t (qi : query_info) (v : View.t) : stage list * fate =
   go t.plan []
 
 let fate t qi v = snd (provenance t qi v)
+
+(* The screen. Before its reshaped stage the view's path keeps every
+   lattice's keys, so a search that prunes the view at a level there
+   reads the same DAG and never enters the one child that changed. At the
+   reshaped stage the lattice gains or loses the view's own key, and a
+   key that fails a monotone predicate changes no hit of the search for
+   it (DESIGN.md §8); at the bucket the view is either added to or
+   removed from a list the strong-range check then drops it from. The
+   path {!provenance} replays is a prefix of the view's path through the
+   tree, so the stage that pruned it is no later than [reshaped] exactly
+   when [reshaped] is that stage or lies beyond the replayed path. *)
+let unchanged_by t qi v ~reshaped =
+  match provenance t qi v with
+  | _, Passed -> false
+  | path, Pruned s -> s = reshaped || not (List.mem reshaped path)
 
 let stages t =
   let rec go = function

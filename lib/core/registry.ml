@@ -14,10 +14,18 @@
 module A = Mv_relalg.Analysis
 module Obs = Mv_obs.Registry
 
+type change = {
+  ch_epoch : int;
+  ch_view : View.t;
+  ch_stage : Filter_tree.stage;
+}
+
 type snapshot = {
   snap_epoch : int;
   snap_views : View.t list;
   snap_tree : Filter_tree.t;
+  snap_log : change list;
+  snap_log_from : int;
 }
 
 (* The rule's instruments, resolved once per registry: a rule invocation
@@ -72,6 +80,8 @@ let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
           snap_epoch = 0;
           snap_views = [];
           snap_tree = Filter_tree.create ~plan ();
+          snap_log = [];
+          snap_log_from = 0;
         };
     write = Mutex.create ();
   }
@@ -85,13 +95,34 @@ let view_count t = List.length (snapshot t).snap_views
 let find_view t name =
   List.find_opt (fun v -> v.View.name = name) (snapshot t).snap_views
 
-(* Call with [t.write] held. The interners are frozen before the
-   publication, so reader-side key building over the symbols a new view
-   introduced stays on their lock-free path. *)
-let publish t (s : snapshot) ~views ~tree =
+(* The change log keeps at least this many of the newest changes: when
+   it reaches twice as many, the older half goes, so a write costs O(1)
+   words amortized. *)
+let log_keep = 1024
+
+(* Call with [t.write] held. [view] is the view added or dropped and
+   [tree, stage] what {!Filter_tree.insert} or {!Filter_tree.remove}
+   returned. The interners are frozen before the publication, so
+   reader-side key building over the symbols a new view introduced stays
+   on their lock-free path. *)
+let publish t (s : snapshot) ~views view (tree, stage) =
+  let epoch = s.snap_epoch + 1 in
+  let log =
+    { ch_epoch = epoch; ch_view = view; ch_stage = stage } :: s.snap_log
+  in
+  let log, from =
+    if epoch - s.snap_log_from < 2 * log_keep then (log, s.snap_log_from)
+    else (List.filteri (fun i _ -> i < log_keep) log, epoch - log_keep)
+  in
   Mv_relalg.Intern.freeze ();
   Atomic.set t.state
-    { snap_epoch = s.snap_epoch + 1; snap_views = views; snap_tree = tree }
+    {
+      snap_epoch = epoch;
+      snap_views = views;
+      snap_tree = tree;
+      snap_log = log;
+      snap_log_from = from;
+    }
 
 (* [make] runs under the write lock after the duplicate check, so an
    exception (Duplicate_view, View.Rejected) publishes nothing. *)
@@ -101,8 +132,8 @@ let add t ~name make =
       if List.exists (fun v -> v.View.name = name) s.snap_views then
         raise (Duplicate_view name);
       let view = make () in
-      publish t s ~views:(s.snap_views @ [ view ])
-        ~tree:(Filter_tree.insert s.snap_tree view);
+      publish t s ~views:(s.snap_views @ [ view ]) view
+        (Filter_tree.insert s.snap_tree view);
       view)
 
 let add_view t ?(row_count = 0) ?(indexes = []) ~name spjg : View.t =
@@ -124,7 +155,26 @@ let remove_view t name =
       | Some v ->
           publish t s
             ~views:(List.filter (fun x -> x.View.name <> name) s.snap_views)
-            ~tree:(Filter_tree.remove s.snap_tree v))
+            v
+            (Filter_tree.remove s.snap_tree v))
+
+(* The distinct changes, by view and reshaped stage, with epochs in
+   [(since, snap_epoch]], newest first; [None] when the log no longer
+   reaches back to [since]. *)
+let changes_since (s : snapshot) since =
+  if since < s.snap_log_from then None
+  else
+    let rec go acc = function
+      | ch :: rest when ch.ch_epoch > since ->
+          let seen =
+            List.exists
+              (fun c -> c.ch_view == ch.ch_view && c.ch_stage = ch.ch_stage)
+              acc
+          in
+          go (if seen then acc else ch :: acc) rest
+      | _ -> List.rev acc
+    in
+    Some (go [] s.snap_log)
 
 (* The registry state a read runs against: the caller's pinned snapshot
    or the published one. *)
@@ -137,6 +187,19 @@ let candidates ?snap t (q : A.t) =
   let s = current ?snap t in
   if t.use_filter then Filter_tree.candidates ~obs:t.obs s.snap_tree q
   else s.snap_views
+
+(* The same search from stored keys, counting nothing: a re-run, not a
+   rule invocation. *)
+let search ?snap t keys =
+  let s = current ?snap t in
+  if t.use_filter then Filter_tree.search s.snap_tree keys else s.snap_views
+
+(* Without the filter tree every add or drop changes the population
+   every search returns. *)
+let unchanged_by t ch keys =
+  t.use_filter
+  && Filter_tree.unchanged_by (snapshot t).snap_tree keys ch.ch_view
+       ~reshaped:ch.ch_stage
 
 (* At most this many view names are spelled out in a span attribute; the
    rest collapse into a count so traces of 1000-view registries stay
@@ -199,8 +262,8 @@ let record_stage_notes snap sub (q : A.t) =
 
 (* The view-matching rule body: find all views that can compute [q] and
    build one substitute per view. *)
-let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
-    Substitute.t list =
+let find_substitutes ?spans ?snap ?record ?(fresh_only = false) t (q : A.t)
+    : Substitute.t list =
   (* one snapshot per invocation: the candidate search, the population
      counts and the traced stage replay all see the same registry state *)
   let s = current ?snap t in
@@ -208,6 +271,7 @@ let find_substitutes ?spans ?snap ?(fresh_only = false) t (q : A.t) :
   let cands =
     Mv_obs.Span.wrap spans "filter" (fun sub ->
         let cands = candidates ~snap:s t q in
+        Option.iter (fun f -> f (Filter_tree.query_info q) cands) record;
         if sub <> None then begin
           Mv_obs.Span.annotate sub (fun () ->
               [

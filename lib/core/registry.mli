@@ -11,18 +11,31 @@
     clock: the optimizer times each invocation (filtering, per-view tests
     and substitute construction) as one [optimizer.phase.match] sample. *)
 
-(** An immutable, epoch-stamped state of the registry: the population and
-    a filter tree indexing exactly that population, published together
-    with one [Atomic.set]. Nothing reachable from a snapshot is ever
-    written — an add or drop builds the next one, sharing the tree off the
-    view's path — so a reader may hold it across an arbitrary amount of
-    work with no lock (DESIGN.md §10). *)
+(** One effective add or drop, as the change log records it. *)
+type change = {
+  ch_epoch : int;  (** the epoch the change published *)
+  ch_view : View.t;  (** the view added or dropped *)
+  ch_stage : Filter_tree.stage;
+      (** its reshaped stage ({!Filter_tree.insert}, {!Filter_tree.remove}) *)
+}
+
+(** An immutable, epoch-stamped state of the registry: the population, a
+    filter tree indexing exactly that population and the log of recent
+    changes, published together with one [Atomic.set]. Nothing reachable
+    from a snapshot is ever written — an add or drop builds the next one,
+    sharing the tree off the view's path and the log's tail — so a reader
+    may hold it across an arbitrary amount of work with no lock
+    (DESIGN.md §10). *)
 type snapshot = {
   snap_epoch : int;
       (** the registry epoch: 0 for an empty registry, bumped once by
           every effective add or drop *)
   snap_views : View.t list;  (** insertion order *)
   snap_tree : Filter_tree.t;  (** indexes exactly [snap_views] *)
+  snap_log : change list;
+      (** the changes with epochs [snap_log_from + 1] to [snap_epoch],
+          newest first: at least the last 1024, at most 2047 *)
+  snap_log_from : int;  (** the oldest epoch the log reaches back to *)
 }
 
 (** The rule's [rule.*] instruments, resolved on first use and then bumped
@@ -53,9 +66,8 @@ type t = {
   state : snapshot Atomic.t;
       (** the published state. Internal — read through {!val-snapshot};
           the serving front's plan table ([Mv_experiments.Serve]) stamps
-          its entries with the snapshot's epoch and treats a mismatch as
-          stale, so an add/drop invalidates without a global flush
-          (DESIGN.md §8). *)
+          its entries with the snapshot's epoch and revalidates an older
+          entry against the snapshot's change log (DESIGN.md §8). *)
   write : Mutex.t;
       (** serializes mutations; no read path ever takes it *)
 }
@@ -112,6 +124,27 @@ val remove_view : t -> string -> unit
 
 val candidates : ?snap:snapshot -> t -> Mv_relalg.Analysis.t -> View.t list
 
+val search : ?snap:snapshot -> t -> Filter_tree.query_info -> View.t list
+(** {!candidates} from the search keys alone, bumping no counter: what a
+    rule invocation with these keys would find. *)
+
+(** {2 Revalidation}
+
+    A stored result computed from candidate lists holds at a later epoch
+    when no change since changed any of those lists (DESIGN.md §8). *)
+
+val changes_since : snapshot -> int -> change list option
+(** The changes that led from epoch [e] to the snapshot, one per distinct
+    view and reshaped stage (a view dropped and re-added at the same
+    stage appears once), newest first; [None] when [e] is older than the
+    snapshot's log reaches. *)
+
+val unchanged_by : t -> change -> Filter_tree.query_info -> bool
+(** The screen, {!Filter_tree.unchanged_by}: [true] when the change
+    provably left {!search}'s result for these keys unchanged. Always
+    [false] without the filter tree, where the candidates are the whole
+    population. *)
+
 val mark_stale : t -> tables:string list -> int
 (** Set the staleness mark on every registered view sourcing one of
     [tables]; returns how many views newly became stale. Marks live on the
@@ -123,12 +156,15 @@ val mark_stale : t -> tables:string list -> int
 val find_substitutes :
   ?spans:Mv_obs.Span.scope ->
   ?snap:snapshot ->
+  ?record:(Filter_tree.query_info -> View.t list -> unit) ->
   ?fresh_only:bool ->
   t ->
   Mv_relalg.Analysis.t ->
   Substitute.t list
 (** The view-matching rule body: filter, test every candidate, build one
     substitute per matching view. Bumps the [rule.*] instruments.
+    [record] receives the query's search keys and the candidate list
+    before any candidate is tested.
 
     With [spans], records a ["filter"] child span (population / candidate
     counts plus one ["stage:<name>"] instant per filter-tree stage with

@@ -6,16 +6,20 @@
     the front's one mutex:
 
     - a plan stamped with the pinned epoch is a hit;
-    - a plan stamped with another epoch is dropped (an invalidation);
+    - a plan stamped with an earlier epoch is revalidated outside the
+      lock: it is served, and re-stamped, when no add or drop since its
+      stamp changed the candidate list of any rule invocation its
+      optimization made, and counts as an invalidation otherwise;
     - an identical query already in flight is joined: the submitter waits
       for its leader's result, so a herd of K identical cold requests runs
       the optimizer exactly once;
     - otherwise the submitter registers a flight and leads it: it runs
       {!Mv_opt.Optimizer.optimize} with the snapshot pinned (every
       enumerated subexpression sees one registry state regardless of
-      concurrent churn), then, in one critical section, stores the plan
-      stamped with the pinned epoch and retires the flight before waking
-      the waiters.
+      concurrent churn), recording each rule invocation's search keys and
+      candidates, then, in one critical section, stores the plan stamped
+      with the pinned epoch and retires the flight before waking the
+      waiters.
 
     The (epoch, result) pair a submit returns is the linearizability
     observation test/test_serve.ml replays against sequential
@@ -40,13 +44,23 @@ type flight = {
   mutable fl_out : (int * Opt.result, exn) result option;
 }
 
+(* A stored plan. The optimizer's result is a deterministic function of
+   the candidate lists its rule invocations found, so [searches] is
+   everything revalidation needs. *)
+type entry = {
+  mutable stamp : int;
+      (** the latest epoch the plan is known to hold at; read and raised
+          under the front's lock *)
+  result : Opt.result;
+  searches : (Mv_core.Filter_tree.query_info * Mv_core.View.t list) list;
+      (** each rule invocation's search keys and candidates *)
+}
+
 type front = {
   f_registry : R.t;
   f_stats : Mv_catalog.Stats.t;
-  f_lock : Mutex.t;  (** guards [f_plans] and [f_flights] *)
-  f_plans : (Spjg.t, int * Opt.result) Lru.t;
-      (** the plan table: each plan stamped with the epoch it was
-          optimized at *)
+  f_lock : Mutex.t;  (** guards [f_plans], [f_flights] and entry stamps *)
+  f_plans : (Spjg.t, entry) Lru.t;  (** the plan table *)
   f_flights : (Spjg.t, flight) Hashtbl.t;
   (* counters are atomic ({!Mv_obs.Instrument.counter}), so they sum
      exactly across domains — the lost-update qcheck in test_serve.ml
@@ -54,6 +68,8 @@ type front = {
   c_hits : I.counter;
   c_misses : I.counter;
   c_invalidations : I.counter;
+  c_revalidations : I.counter;
+  c_researches : I.counter;
   c_evictions : I.counter;
   c_leaders : I.counter;
   c_waits : I.counter;
@@ -73,6 +89,8 @@ let front ?(capacity = 4096) registry stats =
     c_hits = c "cache.plan.hits";
     c_misses = c "cache.plan.misses";
     c_invalidations = c "cache.plan.invalidations";
+    c_revalidations = c "cache.plan.revalidations";
+    c_researches = c "cache.plan.researches";
     c_evictions = c "cache.plan.evictions";
     c_leaders = c "serve.flight.leaders";
     c_waits = c "serve.flight.waits";
@@ -80,50 +98,102 @@ let front ?(capacity = 4096) registry stats =
     h_service = Obs.histogram obs "serve.service";
   }
 
+(* A miss, under the front's lock: the flight to join (waited on right
+   here — the wait releases the lock), else a new flight this submitter
+   leads. *)
+let miss t q =
+  I.incr t.c_misses;
+  match Hashtbl.find_opt t.f_flights q with
+  | Some fl ->
+      I.incr t.c_waits;
+      while Option.is_none fl.fl_out do
+        Condition.wait fl.fl_done t.f_lock
+      done;
+      `Joined (Option.get fl.fl_out)
+  | None ->
+      let fl = { fl_done = Condition.create (); fl_out = None } in
+      Hashtbl.add t.f_flights q fl;
+      `Lead fl
+
 (* The one probe of a submit, under the front's lock: a plan at the
-   pinned epoch, else the flight to join (waited on right here — the wait
-   releases the lock), else a new flight this submitter leads. *)
+   pinned epoch, a plan from an earlier epoch to revalidate, else a miss.
+   A plan stamped after the pinned epoch is a miss that leaves the plan
+   in place. *)
 let probe t ep q =
   Mutex.protect t.f_lock (fun () ->
       match Lru.find t.f_plans q with
-      | Some (e, r) when e = ep ->
+      | Some e when e.stamp = ep ->
           I.incr t.c_hits;
-          `Hit r
-      | cached -> (
-          I.incr t.c_misses;
-          if Option.is_some cached then begin
-            I.incr t.c_invalidations;
-            ignore (Lru.remove t.f_plans q)
-          end;
-          match Hashtbl.find_opt t.f_flights q with
-          | Some fl ->
-              I.incr t.c_waits;
-              while Option.is_none fl.fl_out do
-                Condition.wait fl.fl_done t.f_lock
-              done;
-              `Joined (Option.get fl.fl_out)
-          | None ->
-              let fl = { fl_done = Condition.create (); fl_out = None } in
-              Hashtbl.add t.f_flights q fl;
-              `Lead fl))
+          `Hit e.result
+      | Some e when e.stamp < ep -> `Stale (e, e.stamp)
+      | _ -> miss t q)
 
-(* Lead one flight: optimize with the snapshot pinned, then store the plan
-   stamped with the pinned epoch and retire the flight in one critical
-   section, so every later submitter finds either the flight or the
-   plan; only then are the waiters woken. *)
+(* Outside the lock: does the plan stamped [stamp] still hold at [snap]?
+   Each distinct change since the stamp is screened against each stored
+   search; a search the screen does not clear is re-run on [snap] and
+   must find the same views in the same order. *)
+let still_holds t snap e stamp =
+  match R.changes_since snap stamp with
+  | None -> false
+  | Some changes ->
+      List.for_all
+        (fun (keys, cands) ->
+          List.for_all (fun ch -> R.unchanged_by t.f_registry ch keys) changes
+          || begin
+               I.incr t.c_researches;
+               List.equal ( == ) (R.search ~snap t.f_registry keys) cands
+             end)
+        e.searches
+
+(* Settle a plan found stale by [probe]: a plan that still holds is
+   re-stamped (never lowered: another submitter may have raised it
+   further meanwhile) and served; one that does not is an invalidation,
+   removed unless another submitter raised its stamp, and the submit goes
+   on as a miss. *)
+let settle t snap q e stamp =
+  let ep = snap.R.snap_epoch in
+  let holds = still_holds t snap e stamp in
+  Mutex.protect t.f_lock (fun () ->
+      if holds then begin
+        if e.stamp < ep then e.stamp <- ep;
+        I.incr t.c_revalidations;
+        I.incr t.c_hits;
+        `Hit e.result
+      end
+      else begin
+        I.incr t.c_invalidations;
+        (match Lru.peek t.f_plans q with
+        | Some e' when e' == e && e.stamp < ep ->
+            ignore (Lru.remove t.f_plans q)
+        | _ -> ());
+        miss t q
+      end)
+
+(* Lead one flight: optimize with the snapshot pinned, recording every
+   rule invocation's candidates, then store the plan stamped with the
+   pinned epoch (unless the table holds one stamped later) and retire the
+   flight in one critical section, so every later submitter finds either
+   the flight or the plan; only then are the waiters woken. *)
 let lead ?spans t snap fl q =
   I.incr t.c_leaders;
+  let ep = snap.R.snap_epoch in
+  let searches = ref [] in
+  let record keys cands = searches := (keys, cands) :: !searches in
   let out =
-    match Opt.optimize ?spans ~snap t.f_registry t.f_stats q with
-    | r -> Ok (snap.R.snap_epoch, r)
+    match Opt.optimize ?spans ~snap ~record t.f_registry t.f_stats q with
+    | r -> Ok (ep, r)
     | exception e -> Error e
   in
   Mutex.protect t.f_lock (fun () ->
       (match out with
-      | Ok entry -> (
-          match Lru.set t.f_plans q entry with
-          | Some _ -> I.incr t.c_evictions
-          | None -> ())
+      | Ok (_, result) -> (
+          match Lru.peek t.f_plans q with
+          | Some e when e.stamp > ep -> ()
+          | _ -> (
+              let entry = { stamp = ep; result; searches = !searches } in
+              match Lru.set t.f_plans q entry with
+              | Some _ -> I.incr t.c_evictions
+              | None -> ()))
       | Error _ -> ());
       Hashtbl.remove t.f_flights q;
       fl.fl_out <- Some out;
@@ -147,7 +217,11 @@ let submit ?spans t (q : Spjg.t) : int * Opt.result =
   Mv_obs.Span.wrap spans "serve"
     ~attrs:(fun () -> [ ("epoch", Mv_obs.Span.Int ep) ])
     (fun spans ->
-      let role = probe t ep q in
+      let role =
+        match probe t ep q with
+        | `Stale (e, stamp) -> settle t snap q e stamp
+        | (`Hit _ | `Joined _ | `Lead _) as role -> role
+      in
       Mv_obs.Span.note spans
         (match role with `Hit _ -> "cache.plan.hit" | _ -> "cache.plan.miss")
         (fun () -> []);
@@ -390,7 +464,8 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
       (fun n -> (n, cval n))
       [
         "serve.flight.leaders"; "serve.flight.waits"; "cache.plan.hits";
-        "cache.plan.misses";
+        "cache.plan.misses"; "cache.plan.invalidations";
+        "cache.plan.revalidations"; "cache.plan.researches";
       ]
   in
   let mlog = ref [] (* newest first; only the mutator writes *) in
@@ -548,6 +623,9 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
         ("cache.flight_waits", d "serve.flight.waits");
         ("cache.plan_hits", d "cache.plan.hits");
         ("cache.plan_misses", d "cache.plan.misses");
+        ("cache.plan_invalidations", d "cache.plan.invalidations");
+        ("cache.plan_revalidations", d "cache.plan.revalidations");
+        ("cache.plan_researches", d "cache.plan.researches");
         ("churn.mutations", J.Int (List.length ops));
         ("churn.maint_batches", J.Int !maint_batches);
         ("churn.epoch_lo", J.Int epoch0);

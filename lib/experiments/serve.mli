@@ -1,5 +1,6 @@
 (** High-throughput serving front end over the RCU registry snapshots
-    (DESIGN.md §10): the epoch-stamped plan table, single-flight dedup of
+    (DESIGN.md §10): the epoch-stamped, revalidated plan table,
+    single-flight dedup of
     identical in-flight optimizations, and an open-loop Poisson driver
     that sustains a query stream across OCaml 5 domains while views
     churn.
@@ -17,13 +18,16 @@ type front
 val front : ?capacity:int -> Mv_core.Registry.t -> Mv_catalog.Stats.t -> front
 (** A serving front over one registry: one mutex over the plan table (an
     {!Mv_util.Lru} of [capacity] plans, default 4096, each stamped with
-    the registry epoch it was optimized at) and the single-flight table.
-    Counters go to the registry's obs instance:
-    [cache.plan.hits|misses|invalidations|evictions] and
-    [serve.flight.leaders|waits] (atomic, shared by every domain without
-    loss; hits + leaders + waits = submissions, misses = leaders +
-    waits), and the [serve.latency] / [serve.service] histograms fed by
-    {!run}.
+    the latest registry epoch it is known to hold at, beside the search
+    keys and candidate list of every rule invocation that produced it)
+    and the single-flight table. Counters go to the registry's obs
+    instance: [cache.plan.hits|misses|invalidations|evictions],
+    [cache.plan.revalidations] (plans re-stamped and served, counted in
+    the hits too), [cache.plan.researches] (searches re-run during
+    revalidation) and [serve.flight.leaders|waits] (atomic, shared by
+    every domain without loss; hits + leaders + waits = submissions,
+    misses = leaders + waits), and the [serve.latency] / [serve.service]
+    histograms fed by {!run}.
     @raise Invalid_argument when [capacity < 1]. *)
 
 val submit :
@@ -32,18 +36,24 @@ val submit :
   Mv_relalg.Spjg.t ->
   int * Mv_opt.Optimizer.result
 (** Serve one query: pin the current snapshot, then probe once under the
-    front's lock. A plan stamped with the pinned epoch is a hit; one
-    stamped with another epoch is dropped (an invalidation); an identical
-    query in flight is joined; otherwise the submitter leads a flight: it
-    runs {!Mv_opt.Optimizer.optimize} with the snapshot pinned, then
-    stores the plan and retires the flight in one critical section and
-    wakes the waiters. A cold herd of K identical queries therefore runs
-    the optimizer exactly once (the [rule.*] counters advance as for one
-    optimization; asserted by the single-flight stress test). Returns the
-    epoch the result was computed at — a waiter reports its leader's
-    epoch, which can lag its own snapshot by an in-flight mutation and is
-    still a valid observation at that epoch. A hit or a waiter returns the
-    leader's whole result.
+    front's lock. A plan stamped with the pinned epoch is a hit. One
+    stamped earlier is revalidated outside the lock against the
+    snapshot's change log ({!Mv_core.Registry.changes_since}): it is a
+    hit, re-stamped with the pinned epoch, when no change since its stamp
+    changed any of its rule invocations' candidate lists, and an
+    invalidation otherwise (as is a plan older than the log). A plan
+    stamped after the pinned epoch is left in place. Otherwise an
+    identical query in flight is joined, or the submitter leads a flight:
+    it runs {!Mv_opt.Optimizer.optimize} with the snapshot pinned,
+    recording the candidate lists, then stores the plan (unless the
+    table holds one stamped later) and retires the flight in one critical
+    section and wakes the waiters. A cold herd of K identical queries
+    therefore runs the optimizer exactly once (the [rule.*] counters
+    advance as for one optimization; asserted by the single-flight stress
+    test). Returns the epoch the result was computed at — a waiter
+    reports its leader's epoch, which can lag its own snapshot by an
+    in-flight mutation and is still a valid observation at that epoch. A
+    hit or a waiter returns the leader's whole result.
 
     With [spans], the submission is recorded as a ["serve"] span carrying
     the pinned epoch, with a [cache.plan.hit] or [cache.plan.miss]

@@ -248,7 +248,7 @@ let handles_for obs =
       Atomic.set handles_cache (Some h);
       h
 
-let optimize_body ~(config : config) ?spans ?snap ~fresh_only
+let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
     (registry : Mv_core.Registry.t)
     (stats : Mv_catalog.Stats.t) (query : Spjg.t) : result =
   let schema = registry.Mv_core.Registry.schema in
@@ -287,12 +287,12 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
                 a))
   in
   (* the view-matching rule, timed once per invocation; the pinned snapshot
-     (if any) rides along into every rule invocation, so all
-     subexpressions of this optimization see one registry state *)
+     (if any) and the recorder ride along into every rule invocation, so
+     all subexpressions of this optimization see one registry state *)
   let find_subs ?spans qa =
     Mv_obs.Instrument.time_hist h_match (fun () ->
-        Mv_core.Registry.find_substitutes ?spans ?snap ~fresh_only registry
-          qa)
+        Mv_core.Registry.find_substitutes ?spans ?snap ?record ~fresh_only
+          registry qa)
   in
   (* invoke the view-matching rule on the block of a table subset; returns
      one leaf plan per substitute *)
@@ -502,8 +502,9 @@ let optimize_body ~(config : config) ?spans ?snap ~fresh_only
         used_views = Plan.uses_view plan;
       }
 
-let optimize ?(config = default_config) ?spans ?snap ?(fresh_only = false)
-    (registry : Mv_core.Registry.t) (stats : Mv_catalog.Stats.t)
+let optimize ?(config = default_config) ?spans ?snap ?record
+    ?(fresh_only = false) (registry : Mv_core.Registry.t)
+    (stats : Mv_catalog.Stats.t)
     (query : Spjg.t) : result =
   let h = handles_for registry.Mv_core.Registry.obs in
   let r =
@@ -516,8 +517,8 @@ let optimize ?(config = default_config) ?spans ?snap ?(fresh_only = false)
             ])
           (fun spans ->
             let r =
-              optimize_body ~config ?spans ?snap ~fresh_only registry stats
-                query
+              optimize_body ~config ?spans ?snap ?record ~fresh_only
+                registry stats query
             in
             Mv_obs.Span.annotate spans (fun () ->
                 [

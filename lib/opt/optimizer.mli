@@ -40,6 +40,7 @@ val optimize :
   ?config:config ->
   ?spans:Mv_obs.Span.scope ->
   ?snap:Mv_core.Registry.snapshot ->
+  ?record:(Mv_core.Filter_tree.query_info -> Mv_core.View.t list -> unit) ->
   ?fresh_only:bool ->
   Mv_core.Registry.t ->
   Mv_catalog.Stats.t ->
@@ -70,6 +71,13 @@ val optimize :
     sequential optimization at the snapshot's epoch would produce (the
     serving layer's linearizability property, proved by
     test/test_serve.ml).
+
+    With [record], every rule invocation passes its search keys and
+    candidate list to it ({!Mv_core.Registry.find_substitutes}). Without
+    [fresh_only] the result is a deterministic function of those lists,
+    in invocation order, given the query and the statistics: the serving
+    front keeps them to revalidate a stored plan at a later epoch
+    (DESIGN.md §8).
 
     With [fresh_only] (default [false]), every rule invocation rejects
     stale views with {!Mv_core.Reject.Stale} (freshness-aware mode,

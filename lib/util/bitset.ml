@@ -90,37 +90,41 @@ let inter (a : t) (b : t) : t =
     norm r
   end
 
+(* The word loops below are top-level functions taking every operand as
+   an argument: a local [go] capturing [a] and [b] would allocate a
+   closure per call (the compiler does not flambda-inline it), and these
+   are the filter tree's per-node predicates. *)
+
+let rec subset_from (a : t) (b : t) la i =
+  i >= la || (a.(i) land lnot b.(i) = 0 && subset_from a b la (i + 1))
+
 (* a ⊆ b — normalization means a longer [a] always has a high bit outside b *)
 let subset (a : t) (b : t) =
   let la = Array.length a in
-  la <= Array.length b
-  &&
-  let rec go i = i >= la || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
-  go 0
+  la <= Array.length b && subset_from a b la 0
+
+let rec disjoint_from (a : t) (b : t) l i =
+  i >= l || (a.(i) land b.(i) = 0 && disjoint_from a b l (i + 1))
 
 let inter_empty (a : t) (b : t) =
-  let l = min (Array.length a) (Array.length b) in
-  let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
-  go 0
+  disjoint_from a b (min (Array.length a) (Array.length b)) 0
+
+let rec equal_from (a : t) (b : t) la i =
+  i >= la || (a.(i) = b.(i) && equal_from a b la (i + 1))
 
 let equal (a : t) (b : t) =
   let la = Array.length a in
-  la = Array.length b
-  &&
-  let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  la = Array.length b && equal_from a b la 0
+
+let rec compare_from (a : t) (b : t) la i =
+  if i >= la then 0
+  else
+    let c = Int.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b la (i + 1)
 
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = Stdlib.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b la 0
 
 let hash (t : t) =
   Array.fold_left (fun h w -> ((h * 0x1000193) lxor w) land max_int) 0x811c9dc5 t

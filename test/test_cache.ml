@@ -7,11 +7,13 @@
     configuration. MVIEW_PAR_QUICK shrinks the workload and the domain
     grid.
 
-    The unit suite ([cache]) covers epoch invalidation after a drop (never
-    a stale plan), eviction under a tiny capacity, and a model-based
-    property: random add/drop/stale/fresh/submit sequences, every serve
-    (plan and pruned views) equal to uncached optimization against the
-    registry at that moment. *)
+    The unit suite ([cache]) covers invalidation after a drop of a used
+    view (never a stale plan), revalidation across the drop and re-add of
+    an unused one, invalidation on every change without the filter tree,
+    eviction under a tiny capacity, and a model-based property: random
+    add/drop/stale/fresh/submit sequences, every serve (plan and pruned
+    views) equal to uncached optimization against the registry at that
+    moment, and some serve revalidated across an epoch change. *)
 
 module H = Mv_experiments.Harness
 module Pool = Mv_experiments.Pool
@@ -31,8 +33,8 @@ let big =
 (* A small private workload for the unit tests. *)
 let small = lazy (H.make_workload ~nviews:40 ~nqueries:12 ())
 
-let setup ?capacity (w : H.workload) ~nviews =
-  let reg = R.create w.H.schema in
+let setup ?capacity ?use_filter (w : H.workload) ~nviews =
+  let reg = R.create ?use_filter w.H.schema in
   List.iter (R.add_prebuilt reg) (H.take nviews w.H.views);
   Mv_relalg.Intern.freeze ();
   (reg, S.front ?capacity reg w.H.stats)
@@ -106,6 +108,126 @@ let test_drop_invalidates_never_stale () =
         (List.mem dropped used))
     served
 
+(* Every view some rule invocation of the workload's queries finds as a
+   candidate, over [nviews] views. *)
+let candidate_views reg (w : H.workload) =
+  let found = ref [] in
+  List.iter
+    (fun q ->
+      ignore
+        (Opt.optimize
+           ~record:(fun _ cands -> found := cands @ !found)
+           reg w.H.stats q))
+    w.H.queries;
+  !found
+
+(* A view no rule invocation finds: dropping it and adding it back
+   changes no candidate list, so a stored plan is revalidated across
+   both changes, never invalidated. *)
+let test_unused_view_revalidates () =
+  let w = Lazy.force small in
+  let reg, front = setup w ~nviews:40 in
+  let found = candidate_views reg w in
+  let unused =
+    match
+      List.filter (fun v -> not (List.memq v found)) (List.rev w.H.views)
+    with
+    | v :: _ -> v
+    | [] -> Alcotest.fail "every view is a candidate; test is vacuous"
+  in
+  let q = List.hd w.H.queries in
+  let plan () = Plan.to_string (Opt.optimize reg w.H.stats q).Opt.plan in
+  ignore (S.submit front q);
+  let before name = (name, counter reg name) in
+  let counts =
+    List.map before
+      [
+        "cache.plan.hits"; "cache.plan.invalidations";
+        "cache.plan.revalidations";
+      ]
+  in
+  let moved name = counter reg name - List.assoc name counts in
+  List.iter
+    (fun change ->
+      change ();
+      let ep, r = S.submit front q in
+      Alcotest.(check int) "served at the current epoch" (R.epoch reg) ep;
+      Alcotest.(check string) "served plan == optimized" (plan ())
+        (Plan.to_string r.Opt.plan))
+    [
+      (fun () -> R.remove_view reg unused.V.name);
+      (fun () -> R.add_prebuilt reg unused);
+    ];
+  Alcotest.(check int) "both submits hit" 2 (moved "cache.plan.hits");
+  Alcotest.(check int) "both revalidated" 2 (moved "cache.plan.revalidations");
+  Alcotest.(check int) "no invalidation" 0 (moved "cache.plan.invalidations")
+
+(* The change log is bounded: after more changes than it keeps, a plan
+   stamped before them cannot be revalidated and misses, although the
+   same churn within the log's reach revalidates it. *)
+let test_entry_older_than_log_misses () =
+  let w = Lazy.force small in
+  let reg, front = setup w ~nviews:40 in
+  let found = candidate_views reg w in
+  let unused =
+    List.find (fun v -> not (List.memq v found)) (List.rev w.H.views)
+  in
+  let q = List.hd w.H.queries in
+  let churn n =
+    for _ = 1 to n do
+      R.remove_view reg unused.V.name;
+      R.add_prebuilt reg unused
+    done
+  in
+  ignore (S.submit front q);
+  churn 10;
+  ignore (S.submit front q);
+  Alcotest.(check int) "within the log: revalidated" 1
+    (counter reg "cache.plan.revalidations");
+  churn 1100;
+  let s = R.snapshot reg in
+  let logged = List.length s.R.snap_log in
+  Alcotest.(check bool)
+    (Printf.sprintf "the log keeps 1024 to 2047 changes (%d)" logged)
+    true
+    (logged >= 1024 && logged < 2048
+    && logged = s.R.snap_epoch - s.R.snap_log_from);
+  let before = counter reg "cache.plan.invalidations" in
+  let ep, r = S.submit front q in
+  Alcotest.(check int) "older than the log: invalidated" (before + 1)
+    (counter reg "cache.plan.invalidations");
+  Alcotest.(check int) "served at the current epoch" (R.epoch reg) ep;
+  Alcotest.(check string) "served plan == optimized"
+    (Plan.to_string (Opt.optimize reg w.H.stats q).Opt.plan)
+    (Plan.to_string r.Opt.plan)
+
+(* Without the filter tree every rule invocation's candidates are the
+   whole population, so every add or drop invalidates. *)
+let test_no_filter_invalidates_every_change () =
+  let w = Lazy.force small in
+  let reg, front = setup ~use_filter:false w ~nviews:40 in
+  let q = List.hd w.H.queries in
+  ignore (S.submit front q);
+  let v = List.nth w.H.views 20 in
+  List.iteri
+    (fun i change ->
+      change ();
+      let before = counter reg "cache.plan.invalidations" in
+      let _, r = S.submit front q in
+      Alcotest.(check int)
+        (Printf.sprintf "change %d invalidated" i)
+        (before + 1)
+        (counter reg "cache.plan.invalidations");
+      Alcotest.(check string) "served plan == optimized"
+        (Plan.to_string (Opt.optimize reg w.H.stats q).Opt.plan)
+        (Plan.to_string r.Opt.plan))
+    [
+      (fun () -> R.remove_view reg v.V.name);
+      (fun () -> R.add_prebuilt reg v);
+    ];
+  Alcotest.(check int) "never revalidated" 0
+    (counter reg "cache.plan.revalidations")
+
 let test_eviction_under_tiny_capacity () =
   let w = Lazy.force small in
   let reg, front = setup ~capacity:2 w ~nviews:40 in
@@ -152,14 +274,20 @@ let arb_ops =
        ~shrink:QCheck.Shrink.list
        (list_size (int_range 1 40) op))
 
-(* The views some query's plan uses over the full population: adding and
-   dropping only these makes every drop able to stale a stored plan. *)
+(* The views some query's plan uses over the full population, whose drop
+   can stale a stored plan, and eight views no plan uses, whose adds and
+   drops a stored plan can survive. *)
 let churn_pool =
   lazy
     (let w = Lazy.force small in
      let reg, _ = setup w ~nviews:40 in
      let used = List.concat_map snd (pass reg w) in
-     List.filter (fun v -> List.mem v.V.name used) w.H.views)
+     let is_used v = List.mem v.V.name used in
+     List.filter is_used w.H.views
+     @ H.take 8 (List.filter (fun v -> not (is_used v)) w.H.views))
+
+(* Submits the model property served by revalidation, over all cases. *)
+let revalidated = ref 0
 
 let model_prop =
   QCheck.Test.make
@@ -204,9 +332,22 @@ let model_prop =
       let ok = List.for_all step ops in
       (* the descriptors are shared with the other cases *)
       List.iter (fun v -> V.mark_fresh v) w.H.views;
+      revalidated := !revalidated + counter reg "cache.plan.revalidations";
       ok
       && counter reg "cache.plan.hits" + counter reg "serve.flight.leaders"
          = !submits)
+
+(* The property, then the check that revalidation served something: a
+   churn pool whose every change invalidated would pass it vacuously. *)
+let model_case =
+  let name, speed, run = Helpers.qtest model_prop in
+  ( name,
+    speed,
+    fun () ->
+      revalidated := 0;
+      run ();
+      Alcotest.(check bool)
+        "some submit served across an epoch change" true (!revalidated > 0) )
 
 let suite =
   [
@@ -219,8 +360,14 @@ let suite =
       [
         Alcotest.test_case "drop invalidates; nothing stale" `Quick
           test_drop_invalidates_never_stale;
+        Alcotest.test_case "an unused view's drop and re-add revalidate"
+          `Quick test_unused_view_revalidates;
+        Alcotest.test_case "without the filter, every change invalidates"
+          `Quick test_no_filter_invalidates_every_change;
+        Alcotest.test_case "an entry older than the change log misses"
+          `Quick test_entry_older_than_log_misses;
         Alcotest.test_case "eviction under capacity 2" `Quick
           test_eviction_under_tiny_capacity;
-        Helpers.qtest model_prop;
+        model_case;
       ] );
   ]

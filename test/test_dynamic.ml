@@ -355,6 +355,89 @@ let concurrent_prop =
     ~name:"persistence: reads during mutation from another domain"
     ~count:(Helpers.qcheck_count 25) mutations_arb check_concurrent_reads
 
+(* ---------------------------------------------------------------- *)
+(* The revalidation screen against the filter tree                   *)
+(* ---------------------------------------------------------------- *)
+
+(* The search keys of every rule invocation the optimizer makes for the
+   workload's queries. The blocks depend on the query alone, so an empty
+   registry records them all. *)
+let blocks =
+  lazy
+    (let w = Lazy.force wl in
+     let reg = R.create w.H.schema in
+     let keys = ref [] in
+     List.iter
+       (fun q ->
+         ignore
+           (Mv_opt.Optimizer.optimize
+              ~record:(fun k _ -> keys := k :: !keys)
+              reg w.H.stats q))
+       w.H.queries;
+     List.rev !keys)
+
+(* Apply [m]; when it published a change, every block the screen clears
+   for it must search to the same views in the same order after it as
+   before. Counts the cleared and the flagged (block, change) pairs. *)
+let screen_step ~backjoins reg (cleared, flagged) m =
+  let before = R.snapshot reg in
+  apply reg m;
+  let after = R.snapshot reg in
+  if after == before then (cleared, flagged)
+  else
+    let ch = List.hd after.R.snap_log in
+    List.fold_left
+      (fun (cleared, flagged) keys ->
+        if not (R.unchanged_by reg ch keys) then (cleared, flagged + 1)
+        else
+          let was = R.search ~snap:before reg keys in
+          let now = R.search ~snap:after reg keys in
+          if not (List.equal ( == ) was now) then
+            QCheck.Test.fail_reportf
+              "%s: %s %s at %s cleared, but the candidates went from {%s} \
+               to {%s}"
+              (plan_name backjoins)
+              (show_op m) (view_name ch.R.ch_view)
+              (FT.stage_name ch.R.ch_stage)
+              (String.concat "," (List.map view_name was))
+              (String.concat "," (List.map view_name now));
+          (cleared + 1, flagged))
+      (cleared, flagged) (Lazy.force blocks)
+
+(* Both plans: the (cleared, flagged) tallies of [muts] from an empty
+   registry. *)
+let screen_tallies muts =
+  let w = Lazy.force wl in
+  List.map
+    (fun backjoins ->
+      let reg = R.create ~backjoins w.H.schema in
+      List.fold_left (screen_step ~backjoins reg) (0, 0) muts)
+    [ false; true ]
+
+(* From a registry holding every view: on a small tree a change seldom
+   reshapes a level that other hits pass through. *)
+let screen_prop =
+  QCheck.Test.make
+    ~name:"screen: a cleared block searches to the same list (both plans)"
+    ~count:(Helpers.qcheck_count 25) mutations_arb (fun pairs ->
+      ignore
+        (screen_tallies (List.init nviews (fun i -> Add i) @ mutations pairs));
+      true)
+
+(* Every view added, then each dropped and re-added in turn: the screen
+   must clear some (block, change) pairs and flag others under both
+   plans, or the property above proves nothing. *)
+let test_screen_outcomes () =
+  let all = List.init nviews (fun i -> Add i) in
+  let churn = List.concat (List.init nviews (fun i -> [ Drop i; Add i ])) in
+  List.iter2
+    (fun backjoins (cleared, flagged) ->
+      let what = plan_name backjoins in
+      Alcotest.(check bool) (what ^ ": some pairs cleared") true (cleared > 0);
+      Alcotest.(check bool) (what ^ ": some pairs flagged") true (flagged > 0))
+    [ false; true ]
+    (screen_tallies (all @ churn))
+
 let suite =
   [
     ( "prop_dynamic",
@@ -362,6 +445,9 @@ let suite =
         Helpers.qtest model_prop;
         Helpers.qtest snapshots_prop;
         Helpers.qtest concurrent_prop;
+        Helpers.qtest screen_prop;
+        Alcotest.test_case "screen: cleared and flagged pairs both occur"
+          `Quick test_screen_outcomes;
         Alcotest.test_case "epoch protocol" `Quick test_epoch_protocol;
         Alcotest.test_case "duplicate add raises, no epoch bump" `Quick
           test_duplicate_add_raises;

@@ -168,6 +168,33 @@ let custom_search_prop =
       in
       got = expected)
 
+(* The fact the serving front's screen rests on: linking or unlinking a
+   key that fails a monotone predicate leaves the search for that
+   predicate unchanged, element for element, in both directions. The
+   failing key is linked when absent and unlinked when present. *)
+let failing_key_prop =
+  QCheck.Test.make
+    ~name:"lattice: a failing key changes no hit, nor the hits' order"
+    ~count:300
+    QCheck.(triple ops_arb (pair (int_range 0 63) (int_range 0 63)) bool)
+    (fun (ops, (k, probe), up) ->
+      let t, _ = build ops in
+      let key = set_of_int k and s = set_of_int probe in
+      let dir, pred =
+        if up then (`Up, fun x -> Bitset.subset x s)
+        else (`Down, Bitset.subset s)
+      in
+      QCheck.assume (not (pred key));
+      let t' =
+        Lattice.update t key (function
+          | Some _ -> None
+          | None -> Some (key, 1))
+      in
+      let hits t =
+        List.map (fun (k, _) -> Bitset.elements k) (Lattice.search t ~dir ~pred)
+      in
+      hits t' = hits t)
+
 let test_update_present_key () =
   let k = set_of_int 5 in
   let t1 = Lattice.update Lattice.empty k (fun _ -> Some 1) in
@@ -207,6 +234,24 @@ let test_reentrant_search () =
     [ [ 0 ]; [ 0; 1 ]; [ 1 ] ]
     got
 
+(* The converse, and why the serving front re-runs a search the screen
+   does not clear: linking a key that passes reorders the other hits. *)
+let test_passing_key_reorders () =
+  let t =
+    of_keys (List.map Bitset.of_list [ [ 1; 2; 3; 4 ]; [ 1; 2 ]; [ 1; 3 ] ])
+  in
+  let supersets_of_1 t =
+    List.map Bitset.elements
+      (Lattice.search t ~dir:`Down ~pred:(Bitset.subset (Bitset.singleton 1)))
+  in
+  Alcotest.(check (list (list int)))
+    "B C S" [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 2; 3; 4 ] ] (supersets_of_1 t);
+  let k = Bitset.of_list [ 1; 2; 4 ] in
+  Alcotest.(check (list (list int)))
+    "C B K S once K is linked"
+    [ [ 1; 3 ]; [ 1; 2 ]; [ 1; 2; 4 ]; [ 1; 2; 3; 4 ] ]
+    (supersets_of_1 (Lattice.update t k (fun _ -> Some k)))
+
 let test_paper_figure1 () =
   (* the eight key sets of Figure 1: A, B, D, AB, BE, ABC, ABF, BCDE —
      letters interned as bits A=0, B=1, ... *)
@@ -240,9 +285,12 @@ let suite =
         Alcotest.test_case "paper figure 1" `Quick test_paper_figure1;
         Alcotest.test_case "reentrant search keeps dedup" `Quick
           test_reentrant_search;
+        Alcotest.test_case "a passing key reorders the hits" `Quick
+          test_passing_key_reorders;
         Helpers.qtest subsets_prop;
         Helpers.qtest supersets_prop;
         Helpers.qtest invariants_prop;
         Helpers.qtest custom_search_prop;
+        Helpers.qtest failing_key_prop;
       ] );
   ]

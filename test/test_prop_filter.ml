@@ -88,7 +88,11 @@ let check_equivalence_seed seed =
   List.iter
     (fun backjoins ->
       let plan = if backjoins then FT.backjoin_plan else FT.default_plan in
-      let tree = List.fold_left FT.insert (FT.create ~plan ()) views in
+      let tree =
+        List.fold_left
+          (fun t v -> fst (FT.insert t v))
+          (FT.create ~plan ()) views
+      in
       List.iter
         (fun q ->
           let qa = Mv_relalg.Analysis.analyze schema q in
