@@ -69,18 +69,19 @@ let sort_order a b =
       | _ -> 0)
   | c -> c
 
-(* The first of slots [lo, hi) of the sorted [arr] whose value is not
-   below [v] under [Value.order] ([above]: above [v]). A run of values
-   [Value.order] calls equal (an [Int] and its [Float] among them) is
-   contiguous in a [sort_order]ed array. *)
-let bound arr lo hi v ~above =
+let search ~cmp arr lo hi v ~above =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let c = Value.order arr.(mid) v in
+    let c = cmp arr.(mid) v in
     if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
   done;
   !lo
+
+let sorted_values values =
+  (* a list merge sort: fewer comparisons than [Array.sort]'s heap sort,
+     and no write barrier on a major-heap array *)
+  List.sort sort_order (List.filter (fun v -> not (Value.is_null v)) values)
 
 let distinct (arr : Value.t array) n =
   let k = ref 0 in
@@ -93,8 +94,12 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
     col_stats =
   if n = 0 then make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
   else begin
-    (* the slot after the run holding slot [i] *)
-    let run_end i = bound arr (i + 1) n arr.(i) ~above:true in
+    (* the slot after the run holding slot [i]: the values [Value.order]
+       calls equal (an [Int] and its [Float] among them) are contiguous
+       in a [sort_order]ed array *)
+    let run_end i =
+      search ~cmp:Value.order arr (i + 1) n arr.(i) ~above:true
+    in
     let mcvs =
       if ndv <= mcv_limit then begin
         (* Exhaustive: every distinct value with its exact multiplicity,
@@ -127,7 +132,8 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
             let p = min (s + depth - 1) (n - 1) in
             let e = run_end p in
             cut e
-              (arr.(bound arr s p arr.(p) ~above:false) :: bounds)
+              (arr.(search ~cmp:Value.order arr s p arr.(p) ~above:false)
+               :: bounds)
               ((e - s) :: counts)
         in
         let bounds, counts = cut 0 [] [] in
@@ -143,13 +149,7 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
   end
 
 let build_column ?buckets ?mcv_limit (values : Value.t list) : col_stats =
-  (* a list merge sort: fewer comparisons than [Array.sort]'s heap sort,
-     and no write barrier on a major-heap array *)
-  let arr =
-    Array.of_list
-      (List.sort sort_order
-         (List.filter (fun v -> not (Value.is_null v)) values))
-  in
+  let arr = Array.of_list (sorted_values values) in
   let n = Array.length arr in
   of_sorted ?buckets ?mcv_limit ~ndv:(distinct arr n) arr n
 

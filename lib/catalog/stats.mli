@@ -58,6 +58,23 @@ val sort_order : Value.t -> Value.t -> int
     sort to structurally equal arrays, so their statistics are equal
     too. *)
 
+val search :
+  cmp:(Value.t -> Value.t -> int) ->
+  Value.t array ->
+  int ->
+  int ->
+  Value.t ->
+  above:bool ->
+  int
+(** [search ~cmp arr lo hi v ~above]: by binary search, the first of
+    slots [lo, hi) of [arr], ascending under [cmp], whose value is not
+    below [v] under [cmp] ([~above:true]: is above [v]); [hi] when there
+    is none. *)
+
+val sorted_values : Value.t list -> Value.t list
+(** The non-null values, ascending by {!sort_order}: what
+    {!build_column} passes to {!of_sorted}. *)
+
 val distinct : Value.t array -> int -> int
 (** [distinct arr n]: the number of distinct values among the first [n]
     entries of [arr], ascending by {!sort_order}, under {!Value.order}

@@ -61,8 +61,8 @@ type t = {
 exception Duplicate_view of string
 
 let create ?(relaxed_nulls = false) ?(backjoins = false) ?(use_filter = true)
-    ?obs schema =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
+    schema =
+  let obs = Obs.create () in
   let plan =
     if backjoins then Filter_tree.backjoin_plan else Filter_tree.default_plan
   in
@@ -368,10 +368,10 @@ let explain ?snap ?(fresh_only = false) t (q : A.t) :
 let find_substitutes_spjg t (spjg : Mv_relalg.Spjg.t) =
   find_substitutes t (A.analyze t.schema spjg)
 
-(* Union substitutes (section 7) over the filtered... no: views that fail
-   the range test are pruned by the filter tree's range level, so the
-   union finder scans the full population restricted by the cheap table
-   condition. *)
+(* Union substitutes (section 7) come from the whole population
+   restricted by the cheap table condition, not from the filter tree:
+   its range level prunes a view whose ranges do not cover the query's,
+   and a union combines such views. *)
 let find_union_substitutes ?snap ?(fresh_only = false) t (q : A.t) :
     Union_substitute.t option =
   let coarse =

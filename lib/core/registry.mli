@@ -2,12 +2,11 @@
     with the counters the paper's evaluation reports. This is the entry
     point the optimizer's view-matching rule calls.
 
-    Measurement runs through {!field-obs} (an [Mv_obs] registry, scoped to
-    this view registry unless one is passed in): [rule.invocations],
-    [rule.candidates] (views surviving the filter tree),
-    [rule.substitutes] (candidates that produced a substitute, one each),
-    and the
-    filter tree's [filter_tree.*] per-level counters. The rule reads no
+    Measurement runs through {!field-obs} (an [Mv_obs] registry scoped
+    to this view registry): [rule.invocations], [rule.candidates] (views
+    surviving the filter tree), [rule.substitutes] (candidates that
+    produced a substitute, one each), and the filter tree's
+    [filter_tree.*] per-level counters. The rule reads no
     clock: the optimizer times each invocation (filtering, per-view tests
     and substitute construction) as one [optimizer.phase.match] sample. *)
 
@@ -78,7 +77,6 @@ val create :
   ?relaxed_nulls:bool ->
   ?backjoins:bool ->
   ?use_filter:bool ->
-  ?obs:Mv_obs.Registry.t ->
   Mv_catalog.Schema.t ->
   t
 

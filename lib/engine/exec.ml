@@ -1,21 +1,22 @@
 (** Direct execution of SPJG blocks with SQL bag semantics: the one join
     pipeline behind direct execution, plan execution, materialization and
-    incremental maintenance.
+    incremental maintenance, and the one GROUP BY state.
 
     A block compiles once per execution (once per view for IVM delta
     terms) into a slot layout: one slot per column it references, table by
     table in FROM order and column by column in definition order, so the
     layout does not depend on the join order picked at run time. Tuples
     are [Value.t array]s in that layout; conjuncts, outputs, grouping keys
-    and aggregates are closures over slots ([Mv_base.Eval.compile_*]).
+    and SUM arguments are closures over slots ([Mv_base.Eval.compile_*]).
 
     The executor orders the join (by estimated intermediate cardinality
     when statistics are given, by connectivity otherwise), joins each
     table on its keys by a hash join over the rows it reads, keyed on the
     stored rows' column positions, copies a stored row's referenced
     columns into a tuple only when it matches, applies each conjunct as
-    soon as all its columns are bound, then groups and projects. Join and
-    reuse counts and estimation error are recorded on the global
+    soon as all its columns are bound, then groups and projects. Grouping
+    folds each tuple into its group's count and SUMs and keeps no tuple.
+    Join and reuse counts and estimation error are recorded on the global
     registry. *)
 
 open Mv_base
@@ -54,6 +55,158 @@ type tuple = Value.t array
 let unbound c = raise (Eval.Eval_error ("unbound column " ^ Col.to_string c))
 let has_null = Array.exists Value.is_null
 
+(* ---- grouping ---------------------------------------------------------- *)
+
+(* Every aggregate is the count or SUMs: SUM, SUM0 and AVG of an
+   argument, and SUM/SUM of two. A group holds its key, its tuple count
+   and, per SUM argument, the raw sum of the non-null values and how
+   many there were, each tuple folded in once with a sign; [row] is the
+   row a maintained view stores for it ([[||]] until linked). *)
+type group = {
+  key : Value.t array;
+  mutable count : int;
+  sums : Value.t array;
+  nonnull : int array;
+  mutable row : Value.t array;
+}
+
+(* Where an output column of a grouped block comes from: the [i]-th
+   grouping expression, the count, or the sums of SUM arguments. *)
+type out_col =
+  | Key_col of int
+  | Count_col
+  | Sum_col of int
+  | Sum0_col of int
+  | Avg_col of int
+  | Ratio_col of int * int
+
+type grouping = {
+  keys : (tuple -> Value.t) array;  (** the grouping expressions *)
+  args : (tuple -> Value.t) array;  (** the distinct SUM arguments *)
+  layout : out_col array;  (** one per output column *)
+}
+
+(* The grouping of [out] by [by], compiled against [slot]. *)
+let compile_grouping slot ~by (out : Spjg.out_item list) =
+  (* the index of SUM argument [e], each distinct one compiled once *)
+  let args = ref [] in
+  let arg e =
+    match List.find_index (Expr.equal e) !args with
+    | Some j -> j
+    | None ->
+        args := !args @ [ e ];
+        List.length !args - 1
+  in
+  let out_col (o : Spjg.out_item) =
+    match o.Spjg.def with
+    | Spjg.Scalar e -> (
+        match List.find_index (Expr.equal e) by with
+        | Some i -> Key_col i
+        | None ->
+            invalid_arg
+              ("Exec: scalar output " ^ o.Spjg.name
+             ^ " is not a grouping expression"))
+    | Spjg.Aggregate Spjg.Count_star -> Count_col
+    | Spjg.Aggregate (Spjg.Sum e) -> Sum_col (arg e)
+    | Spjg.Aggregate (Spjg.Sum0 e) -> Sum0_col (arg e)
+    | Spjg.Aggregate (Spjg.Avg e) -> Avg_col (arg e)
+    | Spjg.Aggregate (Spjg.Sum_div_sum (num, den)) ->
+        let j = arg num in
+        Ratio_col (j, arg den)
+  in
+  let layout = Array.of_list (List.map out_col out) in
+  {
+    keys = Array.of_list (List.map (Eval.compile_expr slot) by);
+    args = Array.of_list (List.map (Eval.compile_expr slot) !args);
+    layout;
+  }
+
+(* SUM's addition: NULL is the identity, Int + Int stays Int. *)
+let add_value a b =
+  match (a, b) with
+  | Value.Null, v | v, Value.Null -> v
+  | _ -> Eval.arith Expr.Add a b
+
+let new_group gr key =
+  let n = Array.length gr.args in
+  {
+    key;
+    count = 0;
+    sums = Array.make n Value.Null;
+    nonnull = Array.make n 0;
+    row = [||];
+  }
+
+(* The group of [t] in [groups], added empty when new. *)
+let group_of gr groups t =
+  let key = Array.map (fun f -> f t) gr.keys in
+  match Value.Key.find_opt groups key with
+  | Some g -> g
+  | None ->
+      let g = new_group gr key in
+      Value.Key.add groups key g;
+      g
+
+let add_tuple gr g t sign =
+  g.count <- g.count + sign;
+  for j = 0 to Array.length gr.args - 1 do
+    match gr.args.(j) t with
+    | Value.Null -> ()
+    | v ->
+        g.nonnull.(j) <- g.nonnull.(j) + sign;
+        let v = if sign > 0 then v else Eval.arith Expr.Sub (Value.Int 0) v in
+        g.sums.(j) <- add_value g.sums.(j) v
+  done
+
+let fold gr groups t sign = add_tuple gr (group_of gr groups t) t sign
+
+(* [tuples] folded into a new table, and its groups in first-seen order
+   (folding only adds, so a group is new while its count is 0). A
+   grouping without keys has its one group even over no tuples. *)
+let group_tuples gr tuples =
+  let groups = Value.Key.create 64 and order = ref [] in
+  List.iter
+    (fun t ->
+      let g = group_of gr groups t in
+      if g.count = 0 then order := g :: !order;
+      add_tuple gr g t 1)
+    tuples;
+  if !order = [] && gr.keys = [||] then begin
+    let g = new_group gr [||] in
+    Value.Key.add groups [||] g;
+    order := [ g ]
+  end;
+  (groups, List.rev !order)
+
+let groups gr tuples = fst (group_tuples gr tuples)
+
+let merge ~into d =
+  into.count <- into.count + d.count;
+  for j = 0 to Array.length d.sums - 1 do
+    into.sums.(j) <- add_value into.sums.(j) d.sums.(j);
+    into.nonnull.(j) <- into.nonnull.(j) + d.nonnull.(j)
+  done
+
+let cancelled d =
+  let zero v = Value.is_null v || Value.order v (Value.Int 0) = 0 in
+  d.count = 0 && Array.for_all (( = ) 0) d.nonnull && Array.for_all zero d.sums
+
+(* SUM of argument [j]: NULL without a non-null input. *)
+let sum g j = if g.nonnull.(j) = 0 then Value.Null else g.sums.(j)
+
+let render gr g =
+  Array.map
+    (function
+      | Key_col i -> g.key.(i)
+      | Count_col -> Value.Int g.count
+      | Sum_col j -> sum g j
+      | Sum0_col j -> if g.nonnull.(j) = 0 then Value.Int 0 else g.sums.(j)
+      | Avg_col j ->
+          if g.nonnull.(j) = 0 then Value.Null
+          else Eval.arith Expr.Div g.sums.(j) (Value.Int g.nonnull.(j))
+      | Ratio_col (j, k) -> Eval.arith Expr.Div (sum g j) (sum g k))
+    gr.layout
+
 (* ---- compiled blocks --------------------------------------------------- *)
 
 (* One FROM table: the stored positions of the columns the block
@@ -79,7 +232,8 @@ type equi = {
   b_slot : int;
 }
 
-type item = Scalar of (tuple -> Value.t) | Agg of (tuple list -> Value.t)
+(* An SPJ block projects each tuple; a grouped block folds them. *)
+type output = Project of (tuple -> Value.t) array | Group of grouping
 
 type block = {
   spjg : Spjg.t;
@@ -89,54 +243,8 @@ type block = {
   conjs : conj list;  (** WHERE order *)
   equis : equi list;
   edges : (string * string) list;  (** tables an equality of columns joins *)
-  group : (tuple -> Value.t) array option;
-  items : item array;
+  output : output;
 }
-
-let add_value a b =
-  match (a, b) with
-  | Value.Null, v | v, Value.Null -> v
-  | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) -> (
-      match (Value.as_float a, Value.as_float b) with
-      | Some x, Some y -> Value.Float (x +. y)
-      | _ -> assert false)
-  | _ -> raise (Eval.Eval_error "sum of non-numeric values")
-
-(* An aggregate over the tuples of one group (newest first), NULLs
-   skipped. *)
-let compile_agg slot : Spjg.agg -> tuple list -> Value.t =
-  let sum_of f rows =
-    List.fold_left
-      (fun acc t -> match f t with Value.Null -> acc | v -> add_value acc v)
-      Value.Null rows
-  in
-  function
-  | Spjg.Count_star -> fun rows -> Value.Int (List.length rows)
-  | Spjg.Sum e ->
-      let f = Eval.compile_expr slot e in
-      sum_of f
-  | Spjg.Sum0 e -> (
-      let f = Eval.compile_expr slot e in
-      fun rows -> match sum_of f rows with Value.Null -> Value.Int 0 | v -> v)
-  | Spjg.Avg e ->
-      let f = Eval.compile_expr slot e in
-      fun rows ->
-        let n =
-          List.fold_left
-            (fun n t -> if Value.is_null (f t) then n else n + 1)
-            0 rows
-        in
-        if n = 0 then Value.Null
-        else Eval.arith Expr.Div (sum_of f rows) (Value.Int n)
-  | Spjg.Sum_div_sum (num, den) ->
-      let fn = Eval.compile_expr slot num and fd = Eval.compile_expr slot den in
-      fun rows -> Eval.arith Expr.Div (sum_of fn rows) (sum_of fd rows)
-
-let compile_item slot (o : Spjg.out_item) =
-  match o.Spjg.def with
-  | Spjg.Scalar e -> Scalar (Eval.compile_expr slot e)
-  | Spjg.Aggregate a -> Agg (compile_agg slot a)
 
 let compile db (sp : Spjg.t) : block =
   let refs = Spjg.referenced_columns sp in
@@ -211,14 +319,23 @@ let compile db (sp : Spjg.t) : block =
       List.map
         (fun ((a : Col.t), (b : Col.t)) -> (a.Col.tbl, b.Col.tbl))
         col_eqs;
-    group =
-      Option.map
-        (fun gs -> Array.of_list (List.map (Eval.compile_expr slot) gs))
-        sp.Spjg.group_by;
-    items = Array.of_list (List.map (compile_item slot) sp.Spjg.out);
+    output =
+      (match sp.Spjg.group_by with
+      | Some by -> Group (compile_grouping slot ~by sp.Spjg.out)
+      | None ->
+          (* [Spjg.make] admits no aggregate output without a GROUP BY *)
+          let project (o : Spjg.out_item) =
+            match o.Spjg.def with
+            | Spjg.Scalar e -> Eval.compile_expr slot e
+            | Spjg.Aggregate _ -> assert false
+          in
+          Project (Array.of_list (List.map project sp.Spjg.out)));
   }
 
 let expr blk e = Eval.compile_expr (fun c -> Col.Map.find_opt c blk.slots) e
+
+let grouping blk =
+  match blk.output with Group gr -> Some gr | Project _ -> None
 
 (* ---- operators --------------------------------------------------------- *)
 
@@ -267,37 +384,11 @@ let apply_preds (conjs : conj list) tuples =
       count rows_filter (List.length kept);
       kept
 
-(* Group the tuples by [keys] and evaluate [items] per group, groups in
-   first-seen order. Zero tuples with no grouping keys yield one row (count
-   0, sums NULL); with grouping keys, none. *)
-let aggregate keys items tuples =
-  let groups = Value.Key.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun t ->
-      let k = Array.map (fun g -> g t) keys in
-      match Value.Key.find_opt groups k with
-      | Some rows -> rows := t :: !rows
-      | None ->
-          let rows = ref [ t ] in
-          order := rows :: !order;
-          Value.Key.add groups k rows)
-    tuples;
-  let groups =
-    if tuples = [] && keys = [||] then [ [] ]
-    else List.rev_map (fun rows -> !rows) !order
-  in
-  let rows =
-    List.map
-      (fun group_rows ->
-        Array.map
-          (function
-            | Scalar f -> (
-                match group_rows with t :: _ -> f t | [] -> Value.Null)
-            | Agg f -> f group_rows)
-          items)
-      groups
-  in
+(* The output rows of [tuples] grouped by [gr], groups in first-seen
+   order: zero tuples with no grouping keys yield one row (count 0, sums
+   NULL); with grouping keys, none. *)
+let aggregate gr tuples =
+  let rows = List.map (render gr) (snd (group_tuples gr tuples)) in
   count rows_group (List.length rows);
   rows
 
@@ -531,8 +622,9 @@ let tuples ?stats ?rows db blk : tuple list =
         in
         let filtered = apply_preds ready tuples' in
         (* estimation-error instrument: running estimate vs. the actual
-           intermediate result, per join (the first table is a scan) *)
-        (if i > 0 then
+           intermediate result, per join (the first table is a scan), only
+           when the tables read are the ones [stats] describes *)
+        (if i > 0 && Option.is_none rows then
            match List.nth_opt ests i with
            | Some est -> observe_qerror ~est ~actual:(List.length filtered)
            | None -> ());
@@ -543,19 +635,9 @@ let tuples ?stats ?rows db blk : tuple list =
 let run ?stats db blk : Relation.t =
   let tuples = tuples ?stats db blk in
   let rows =
-    match blk.group with
-    | None ->
-        let project =
-          Array.map
-            (function
-              | Scalar f -> f
-              | Agg _ ->
-                  fun _ ->
-                    raise (Eval.Eval_error "aggregate output without GROUP BY"))
-            blk.items
-        in
-        List.map (fun t -> Array.map (fun f -> f t) project) tuples
-    | Some keys -> aggregate keys blk.items tuples
+    match blk.output with
+    | Project fs -> List.map (fun t -> Array.map (fun f -> f t) fs) tuples
+    | Group gr -> aggregate gr tuples
   in
   count rows_output (List.length rows);
   { Relation.cols = Spjg.out_names blk.spjg; rows }
@@ -610,13 +692,10 @@ module Bag = struct
     { scope; width = l.width + r.width; rows }
 
   let group ~by ~out ~binds b =
-    let slot = resolve b in
-    let keys = Array.of_list (List.map (Eval.compile_expr slot) by) in
-    let items = Array.of_list (List.map (compile_item slot) out) in
     {
       scope = scope_of binds;
       width = List.length binds;
-      rows = aggregate keys items b.rows;
+      rows = aggregate (compile_grouping (resolve b) ~by out) b.rows;
     }
 
   let project exprs b =

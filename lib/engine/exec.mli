@@ -1,13 +1,14 @@
 (** Direct execution of SPJG blocks with SQL bag semantics. This is the
     one join pipeline: direct execution, {!Mv_opt.Plan_exec},
     materialization and both {!Ivm} paths (attach and delta terms) run
-    through it.
+    through it. It also owns the engine's one GROUP BY state ({!group}),
+    which {!execute}, {!Bag.group} and {!Ivm}'s aggregate views share.
 
     A block is compiled before it runs: one slot per column it references,
     in an order fixed by the FROM list and the table definitions (not by
-    the join order), with conjuncts, outputs, grouping keys and aggregates
-    compiled to closures over slots. Tuples are value arrays in that
-    layout; the layout itself is private to this module.
+    the join order), with conjuncts, outputs, grouping keys and SUM
+    arguments compiled to closures over slots. Tuples are value arrays in
+    that layout; the layout itself is private to this module.
 
     Tables join in estimated-cardinality order when [~stats] is given
     (estimated with {!Mv_relalg.Classify.selectivity}, the optimizer's
@@ -20,14 +21,15 @@
     written; one over a slice is built per join. A table joined on no key
     (the first table scanned, or a cross product) reads its rows narrowed
     through a declared index that matches its local predicates. Each
-    conjunct applies as soon as its columns are bound, then rows are
-    grouped and projected. Hash joins are counted as
-    [exec.join.strategy.hash] (a reused hash table still counts, and also
-    as [exec.build.reused]), rows per operator as
-    [exec.rows.scan|join|filter|group|output] ([scan]: the stored rows
-    read by a hash build or a scan), and per-join estimation error (the
-    q-error [max(est/actual, actual/est)], with [~stats] only) is observed
-    as [exec.estimation.qerror], all on [Mv_obs.Registry.global]. *)
+    conjunct applies as soon as its columns are bound; then each tuple is
+    projected, or folded into its group, which keeps counts and sums and
+    no tuple. Hash joins are counted as [exec.join.strategy.hash] (a
+    reused hash table still counts, and also as [exec.build.reused]),
+    rows per operator as [exec.rows.scan|join|filter|group|output]
+    ([scan]: the stored rows read by a hash build or a scan), and
+    per-join estimation error (the q-error [max(est/actual, actual/est)],
+    with [~stats] and without [~rows] only) is observed as
+    [exec.estimation.qerror], all on [Mv_obs.Registry.global]. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -63,12 +65,56 @@ val tuples :
     declared index or a cached hash table serves a table only when those
     rows are physically its current list ([==]), so a slice of the table
     (an IVM delta term's delta or pre-batch rows) is scanned and hashed
-    on its own. *)
+    on its own. [stats] orders the joins; their estimation error is
+    recorded only without [rows], when the tables read are the ones the
+    statistics describe. *)
+
+(** {2 Grouping}
+
+    The one GROUP BY state. Every aggregate is the count or SUMs: each
+    SUM argument (of SUM, SUM0 and AVG, and both sides of SUM/SUM) keeps
+    its raw sum and its number of non-null inputs, so tuples fold in one
+    at a time with a sign and a group keeps none of them. SUM is NULL
+    without a non-null input (SUM0 is then 0), AVG is the sum over the
+    non-null count, and a grouping column reads the group's key. *)
+
+type grouping
+(** A grouped block's grouping expressions, SUM arguments and output
+    layout. *)
+
+type group = {
+  key : Value.t array;  (** the grouping expressions' values *)
+  mutable count : int;
+  sums : Value.t array;  (** one per SUM argument *)
+  nonnull : int array;  (** one per SUM argument *)
+  mutable row : Value.t array;
+      (** the row a maintained view stores for the group; [[||]] until
+          set *)
+}
+
+val grouping : block -> grouping option
+(** [None] for an SPJ block. *)
+
+val groups : grouping -> tuple list -> group Value.Key.t
+(** The tuples' groups, by {!Value.Key}; a grouping without expressions
+    has its one group even over no tuples. *)
+
+val fold : grouping -> group Value.Key.t -> tuple -> int -> unit
+(** [fold gr groups t sign] adds [t] to its group (added empty when
+    missing) [sign] times, [sign] being +1 or -1. *)
+
+val merge : into:group -> group -> unit
+(** Add the second group's count, sums and non-null counts to [into]'s. *)
+
+val cancelled : group -> bool
+(** The count, every non-null count and every sum are zero. *)
+
+val render : grouping -> group -> Value.t array
+(** The group's output row. *)
 
 val execute : ?stats:Mv_catalog.Stats.t -> Database.t -> Spjg.t -> Relation.t
-(** Compile the block, then group (if it aggregates) and project its
-    {!tuples}. Aggregates skip NULLs and an empty sum is NULL (except
-    [Sum0], which coalesces to 0). Zero tuples with no grouping
+(** Compile the block, then project its {!tuples}, or fold them into
+    {!groups} and {!render} each. Zero tuples with no grouping
     expressions yield one row; with grouping expressions, none. Groups
     come out in first-seen order. *)
 
@@ -93,7 +139,8 @@ module Bag : sig
 
   val group : by:Expr.t list -> out:Spjg.out_item list -> binds:Col.t list -> t -> t
   (** The grouping of {!execute}; output item [i] is bound to the [i]-th
-      of [binds]. *)
+      of [binds].
+      @raise Invalid_argument when a scalar output is not one of [by]. *)
 
   val binds : t -> Col.t -> bool
   val cardinality : t -> int

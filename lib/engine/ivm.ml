@@ -8,12 +8,13 @@
     slice, with synthetic statistics that make the (tiny) delta table the
     cheapest so the estimated join order starts there; slices that are the
     live tables themselves keep their indexes, so the join probes them.
-    SPJ deltas edit the view's bag directly; aggregation deltas fold into
-    the stored grouping columns, count_big( * ) and SUMs through a
-    per-group sidecar that also tracks non-null SUM contributions (NULL vs
-    0 on all-NULL groups) and owns the group's stored row. Each view
-    column's sorted non-null values and distinct count follow the exact
-    rows a batch adds and removes, so statistics refresh without
+    SPJ deltas edit the view's bag directly. An aggregation view's groups
+    are [Exec]'s group state, keyed by the block's grouping expressions:
+    a batch's signed tuples fold into an accumulator of the same kind,
+    which merges into the groups, and this module keeps only what
+    maintenance adds: births, deaths and the stored row each group owns.
+    Each view column's sorted non-null values and distinct count follow
+    the exact rows a batch adds and removes, so statistics refresh without
     re-sorting. *)
 
 open Mv_base
@@ -56,91 +57,18 @@ let groups_died = counter "groups.died"
 let bump c n = if n <> 0 then Mv_obs.Instrument.add (c ()) n
 let tick c = Mv_obs.Instrument.incr (c ())
 
-(* ---- aggregate view shape -------------------------------------------- *)
+(* ---- aggregate views -------------------------------------------------- *)
 
-type sum_spec = {
-  s_eval : Exec.tuple -> Value.t;
-  s_zero : bool;  (** Sum0: render 0 *)
-}
-
-(* Where each output column of an aggregation view comes from. *)
-type slot =
-  | Key of int  (** i-th grouping (scalar) output *)
-  | Count_slot
-  | Sum_slot of int
-
-type agg_shape = {
-  scalars : (Exec.tuple -> Value.t) array;  (** grouping outputs, in output order *)
-  sums : sum_spec array;
-  layout : slot array;  (** one per output column *)
-  key_cols : int array;  (** column position of each grouping output *)
+(* An aggregation view's groups, in the executor's group state, each
+   owning the row the view's table stores for it. *)
+type agg = {
+  grouping : Exec.grouping;
+  groups : Exec.group Value.Key.t;
   scalar_only : bool;  (** [group_by = Some []]: the single row never dies *)
 }
 
-(* Indexable aggregation views ([View.create] enforces [check_indexable])
-   output every grouping expression and a count column and never AVG, so
-   the scalar outputs determine the group and counts/sums are foldable —
-   exactly the property that makes them maintainable. Every expression
-   compiles against the view block's layout. *)
-let shape_of (name : string) (sp : Spjg.t) block : agg_shape =
-  let scalars = ref [] and sums = ref [] in
-  let layout =
-    List.map
-      (fun (o : Spjg.out_item) ->
-        match o.Spjg.def with
-        | Spjg.Scalar e ->
-            scalars := Exec.expr block e :: !scalars;
-            Key (List.length !scalars - 1)
-        | Spjg.Aggregate Spjg.Count_star -> Count_slot
-        | Spjg.Aggregate (Spjg.Sum e) ->
-            sums := { s_eval = Exec.expr block e; s_zero = false } :: !sums;
-            Sum_slot (List.length !sums - 1)
-        | Spjg.Aggregate (Spjg.Sum0 e) ->
-            sums := { s_eval = Exec.expr block e; s_zero = true } :: !sums;
-            Sum_slot (List.length !sums - 1)
-        | Spjg.Aggregate (Spjg.Avg _ | Spjg.Sum_div_sum _) ->
-            raise
-              (Unsupported
-                 (name ^ ": AVG / SUM-ratio outputs are not maintainable")))
-      sp.Spjg.out
-    |> Array.of_list
-  in
-  let key_cols =
-    Array.to_list layout
-    |> List.mapi (fun col s -> (col, s))
-    |> List.filter_map (fun (col, s) ->
-           match s with Key _ -> Some col | _ -> None)
-    |> Array.of_list
-  in
-  {
-    scalars = Array.of_list (List.rev !scalars);
-    sums = Array.of_list (List.rev !sums);
-    layout;
-    key_cols;
-    scalar_only = sp.Spjg.group_by = Some [];
-  }
-
-(* One group's running state: stored count, raw signed sums (independent
-   of NULL rendering), non-null contribution counts per SUM, and the row
-   the view's table stores for it (physically the list element;
-   [no_row] until linked). The same record doubles as a batch-delta
-   accumulator, where [g_count] and [g_nn] may go negative. *)
-type group = {
-  g_key : Value.t array;
-  mutable g_count : int;
-  g_sums : Value.t array;
-  g_nn : int array;
-  mutable g_row : Value.t array;
-}
-
-(* A view row has at least one column, so no stored row is this one. *)
-let no_row : Value.t array = [||]
-
-(* A view's delta consumer: the SPJ outputs, or the aggregate shape and
-   its group sidecar. *)
-type vstate =
-  | Spj_state of (Exec.tuple -> Value.t) array
-  | Agg_state of agg_shape * group Value.Key.t
+(* A view's delta consumer: the SPJ outputs, or the groups. *)
+type vstate = Spj_state of (Exec.tuple -> Value.t) array | Agg_state of agg
 
 (* One column of a view's stored rows: its non-null values, ascending by
    [Stats.sort_order], in the first [len] slots of [vals]; the spare slots
@@ -182,92 +110,11 @@ let dirty_views t =
 let detach t name =
   t.entries <- List.filter (fun e -> e.view.View.name <> name) t.entries
 
-(* ---- value arithmetic ------------------------------------------------- *)
-
-(* Mirrors [Exec.add_value]: Null is the identity, Int + Int stays Int. *)
-let add a b =
-  match (a, b) with
-  | Value.Null, v | v, Value.Null -> v
-  | Value.Int x, Value.Int y -> Value.Int (x + y)
-  | _ -> (
-      match (Value.as_float a, Value.as_float b) with
-      | Some x, Some y -> Value.Float (x +. y)
-      | _ ->
-          raise (Inconsistent ("Ivm: sum of non-numeric " ^ Value.to_string b)))
-
-let neg = function
-  | Value.Null -> Value.Null
-  | Value.Int i -> Value.Int (-i)
-  | Value.Float f -> Value.Float (-.f)
-  | v -> raise (Inconsistent ("Ivm: sum of non-numeric " ^ Value.to_string v))
-
-let is_zero = function
-  | Value.Null | Value.Int 0 -> true
-  | Value.Float f -> f = 0.
-  | _ -> false
-
-(* Fold one signed SPJ tuple into a group table (sidecar at attach time,
-   sign +1 only; batch-delta accumulator during apply, either sign). *)
-let empty_group shape key =
-  {
-    g_key = key;
-    g_count = 0;
-    g_sums = Array.make (Array.length shape.sums) Value.Null;
-    g_nn = Array.make (Array.length shape.sums) 0;
-    g_row = no_row;
-  }
-
-let fold_signed shape (groups : group Value.Key.t) b sign =
-  let key = Array.map (fun f -> f b) shape.scalars in
-  let g =
-    match Value.Key.find_opt groups key with
-    | Some g -> g
-    | None ->
-        let g = empty_group shape key in
-        Value.Key.replace groups key g;
-        g
-  in
-  g.g_count <- g.g_count + sign;
-  Array.iteri
-    (fun j spec ->
-      let v = spec.s_eval b in
-      if not (Value.is_null v) then begin
-        g.g_nn.(j) <- g.g_nn.(j) + sign;
-        g.g_sums.(j) <- add g.g_sums.(j) (if sign < 0 then neg v else v)
-      end)
-    shape.sums
-
-let row_of_group shape (g : group) : Value.t array =
-  Array.map
-    (function
-      | Key i -> g.g_key.(i)
-      | Count_slot -> Value.Int g.g_count
-      | Sum_slot j ->
-          if g.g_nn.(j) = 0 then
-            if shape.sums.(j).s_zero then Value.Int 0 else Value.Null
-          else g.g_sums.(j))
-    shape.layout
-
 (* ---- sorted view columns ---------------------------------------------- *)
-
-(* The first of slots [lo, hi) of [vals] not below [v] ([above]: above
-   [v]) under [cmp], by binary search. *)
-let search ~cmp vals lo hi v ~above =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let c = cmp vals.(mid) v in
-    if c < 0 || (above && c = 0) then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* Column [c]'s non-null values among [rows], ascending. *)
 let column_values c rows =
-  List.sort Stats.sort_order
-    (List.filter_map
-       (fun (r : Value.t array) ->
-         if Value.is_null r.(c) then None else Some r.(c))
-       rows)
+  Stats.sorted_values (List.map (fun (r : Value.t array) -> r.(c)) rows)
 
 (* Values [Value.order] calls equal (an [Int] and the numerically equal
    [Float] among them) form one run of a column, and [ndv] counts the
@@ -298,7 +145,7 @@ let remove_sorted name col out =
   in
   List.iter
     (fun v ->
-      let p = search ~cmp:Stats.sort_order vals !r n v ~above:false in
+      let p = Stats.search ~cmp:Stats.sort_order vals !r n v ~above:false in
       if p >= n || Stats.sort_order vals.(p) v <> 0 then
         raise
           (Inconsistent
@@ -346,7 +193,7 @@ let insert_sorted col inn =
     (fun i v ->
       (* [j] new values still go below this one *)
       let j = k - 1 - i in
-      let p = search ~cmp:Stats.sort_order vals 0 !hi v ~above:true in
+      let p = Stats.search ~cmp:Stats.sort_order vals 0 !hi v ~above:true in
       if
         (i = 0 || Value.order !prev v <> 0)
         && not
@@ -383,37 +230,48 @@ let attach t (view : View.t) =
     | None -> invalid_arg ("Ivm.attach: view " ^ name ^ " is not materialized")
   in
   let sp = View.spjg view in
+  (match Spjg.check_indexable sp with
+  | Ok () -> ()
+  | Error e -> raise (Unsupported (name ^ ": " ^ e)));
   let block = Exec.compile t.db sp in
   let state =
-    if Spjg.is_aggregate sp then begin
-      let shape = shape_of name sp block in
-      let groups = Value.Key.create 64 in
-      List.iter
-        (fun b -> fold_signed shape groups b 1)
-        (Exec.tuples t.db block);
-      (* a scalar aggregate's single row exists even over empty input *)
-      if shape.scalar_only && Value.Key.length groups = 0 then
-        Value.Key.replace groups [||] (empty_group shape [||]);
-      (* each group owns its stored row from here on: the one time a
-         stored row's key is built *)
-      List.iter
-        (fun row ->
-          let key = Array.map (fun c -> row.(c)) shape.key_cols in
-          match Value.Key.find_opt groups key with
-          | Some g -> g.g_row <- row
-          | None -> ())
-        tbl.Table.rows;
-      Agg_state (shape, groups)
-    end
-    else
-      Spj_state
-        (Array.of_list
-           (List.map
-              (fun (o : Spjg.out_item) ->
-                match o.Spjg.def with
-                | Spjg.Scalar e -> Exec.expr block e
-                | Spjg.Aggregate _ -> assert false (* SPJ block *))
-              sp.Spjg.out))
+    match (Exec.grouping block, sp.Spjg.group_by) with
+    | Some grouping, Some by ->
+        let groups = Exec.groups grouping (Exec.tuples t.db block) in
+        (* each group owns its stored row from here on, found through the
+           stored column of each grouping expression (an indexable view
+           outputs every one): the one time a stored row's key is built *)
+        let key_cols =
+          Array.of_list
+            (List.map
+               (fun g ->
+                 Option.get
+                   (List.find_index
+                      (fun (o : Spjg.out_item) ->
+                        match o.Spjg.def with
+                        | Spjg.Scalar e -> Expr.equal e g
+                        | Spjg.Aggregate _ -> false)
+                      sp.Spjg.out))
+               by)
+        in
+        List.iter
+          (fun row ->
+            match
+              Value.Key.find_opt groups (Array.map (fun c -> row.(c)) key_cols)
+            with
+            | Some g -> g.Exec.row <- row
+            | None -> ())
+          tbl.Table.rows;
+        Agg_state { grouping; groups; scalar_only = (by = []) }
+    | _ ->
+        Spj_state
+          (Array.of_list
+             (List.map
+                (fun (o : Spjg.out_item) ->
+                  match o.Spjg.def with
+                  | Spjg.Scalar e -> Exec.expr block e
+                  | Spjg.Aggregate _ -> assert false (* SPJ block *))
+                sp.Spjg.out))
   in
   let cols =
     Array.of_list
@@ -527,7 +385,8 @@ let apply_spj t (entry : entry) project signed =
         let edit row =
           let v = row.(c) in
           let p =
-            search ~cmp:Value.order vals 0 (Array.length vals) v ~above:false
+            Stats.search ~cmp:Value.order vals 0 (Array.length vals) v
+              ~above:false
           in
           if p = Array.length vals || Value.order vals.(p) v <> 0 then Table.Keep
           else
@@ -552,58 +411,50 @@ let apply_spj t (entry : entry) project signed =
     (!removed, !plus)
   end
 
-let apply_agg t (entry : entry) shape groups signed =
+let apply_agg t (entry : entry) agg signed =
   let name = entry.view.View.name in
   let d = Value.Key.create 16 in
-  List.iter (fun (b, sign) -> fold_signed shape d b sign) signed;
+  List.iter (fun (b, sign) -> Exec.fold agg.grouping d b sign) signed;
   if Value.Key.length d = 0 then ([], [])
   else begin
     (* the stored rows of the groups that die ([None]) or change (their
        new row), and the rows of the groups born *)
     let touched = ref [] and born = ref [] and n_died = ref 0 in
+    let negative (g : Exec.group) = Array.exists (fun n -> n < 0) g.nonnull in
     Value.Key.iter
-      (fun k (dg : group) ->
-        match Value.Key.find_opt groups k with
+      (fun k (dg : Exec.group) ->
+        match Value.Key.find_opt agg.groups k with
         | None ->
-            if dg.g_count > 0 then begin
-              if Array.exists (fun n -> n < 0) dg.g_nn then
+            if dg.count > 0 then begin
+              if negative dg then
                 raise
                   (Inconsistent (name ^ ": negative SUM input count at birth"));
-              dg.g_row <- row_of_group shape dg;
-              Value.Key.replace groups k dg;
-              born := dg.g_row :: !born
+              dg.row <- Exec.render agg.grouping dg;
+              Value.Key.replace agg.groups k dg;
+              born := dg.row :: !born
             end
-            else if
-              dg.g_count = 0
-              && Array.for_all (( = ) 0) dg.g_nn
-              && Array.for_all is_zero dg.g_sums
-            then () (* the batch fully cancels within an unborn group *)
+            else if Exec.cancelled dg then
+              () (* the batch fully cancels within an unborn group *)
             else
               raise
                 (Inconsistent
                    (name ^ ": delta shrinks a group the view does not have"))
         | Some g ->
-            let count' = g.g_count + dg.g_count in
+            let count' = g.count + dg.count in
             if count' < 0 then
               raise (Inconsistent (name ^ ": group count went negative"));
-            if count' = 0 && not shape.scalar_only then begin
-              Value.Key.remove groups k;
+            if count' = 0 && not agg.scalar_only then begin
+              Value.Key.remove agg.groups k;
               incr n_died;
-              touched := (g.g_row, None) :: !touched
+              touched := (g.row, None) :: !touched
             end
             else begin
-              g.g_count <- count';
-              Array.iteri
-                (fun j _ ->
-                  g.g_sums.(j) <- add g.g_sums.(j) dg.g_sums.(j);
-                  g.g_nn.(j) <- g.g_nn.(j) + dg.g_nn.(j);
-                  if g.g_nn.(j) < 0 then
-                    raise
-                      (Inconsistent (name ^ ": SUM input count went negative")))
-                shape.sums;
-              let row' = row_of_group shape g in
-              touched := (g.g_row, Some row') :: !touched;
-              g.g_row <- row'
+              Exec.merge ~into:g dg;
+              if negative g then
+                raise (Inconsistent (name ^ ": SUM input count went negative"));
+              let row' = Exec.render agg.grouping g in
+              touched := (g.row, Some row') :: !touched;
+              g.row <- row'
             end)
       d;
     (* one walk finds the touched rows by physical identity *)
@@ -683,7 +534,7 @@ let apply t (batch : batch) =
           let removed, added =
             match entry.state with
             | Spj_state project -> apply_spj t entry project signed
-            | Agg_state (shape, groups) -> apply_agg t entry shape groups signed
+            | Agg_state agg -> apply_agg t entry agg signed
           in
           if removed <> [] || added <> [] then begin
             update_columns entry.view.View.name entry.cols ~removed ~added;

@@ -19,17 +19,21 @@
     them. For SPJ views the signed output tuples apply
     directly to the materialized table as bag inserts/deletes (a delete is
     matched in one walk that compares a single column before the full
-    row); for aggregation views they are grouped and folded
-    into the stored [count_big( * )] and [SUM] columns — a group is born
-    when its count first becomes positive and dies when it returns to
-    zero (the indexability rules of section 2 guarantee every grouping
-    expression and a count column are stored, which is exactly what makes
-    this maintainable). A per-group sidecar of non-null SUM contribution
-    counts (rebuilt at {!attach}) keeps NULL semantics exact: a SUM whose
-    surviving inputs are all NULL returns to NULL, indistinguishable from
-    0 by the stored value alone. Each sidecar group owns its stored row,
-    so a batch finds the rows it rewrites by physical identity, without
-    rebuilding any stored row's group key.
+    row); for aggregation views they fold into the executor's group state
+    ({!Exec.group}), which is also the view's sidecar: built at {!attach}
+    and keyed by the block's grouping expressions, each read from the
+    stored column that outputs it (the indexability rules of section 2
+    guarantee every grouping expression and a count column are stored,
+    which is exactly what makes this maintainable). A batch's signed
+    tuples fold into an accumulator of the same kind, which merges into
+    the sidecar: a group is born when its count first becomes positive
+    and dies when it returns to zero, and its row is re-rendered from
+    the group. The non-null SUM input counts the group keeps make NULL
+    semantics exact: a SUM whose surviving inputs are all NULL returns
+    to NULL, indistinguishable from 0 by the stored value alone. Each
+    sidecar group owns its stored row, so a batch finds the rows it
+    rewrites by physical identity, without rebuilding any stored row's
+    group key.
 
     Progress is observable on [Mv_obs.Registry.global]: [ivm.batches],
     [ivm.views.updated], [ivm.rows.plus], [ivm.rows.minus],
@@ -58,9 +62,11 @@ val updates : (Mv_base.Value.t array * Mv_base.Value.t array) list -> delta
     a no-op update round-trips through maintenance unchanged. *)
 
 exception Unsupported of string
-(** The view definition cannot be maintained incrementally (an [AVG] or
-    [SUM]/[SUM] output — never produced by {!Mv_core.View.create}, which
-    enforces indexability). *)
+(** The view definition is not indexable ({!Mv_relalg.Spjg.check_indexable}:
+    an aggregation view without a [count_big( * )] column or a grouping
+    expression among its outputs, or with an [AVG], [SUM]/[SUM] or [SUM0]
+    output), so its stored rows cannot be maintained from its groups.
+    {!Mv_core.View.create} never produces one. *)
 
 exception Inconsistent of string
 (** Maintenance derived an impossible state (negative group count, a
@@ -81,8 +87,8 @@ val database : t -> Database.t
 val attach : t -> Mv_core.View.t -> unit
 (** Register a materialized view for maintenance. The view's table must
     already exist in the database ({!Exec.materialize}); aggregation
-    views pay one evaluation of their SPJ part here to build the
-    non-null-count sidecar and link each stored row to its group. Each
+    views pay one evaluation of their SPJ part here to build their groups
+    and link each stored row to its group. Each
     view column's non-null values are sorted and their distinct values
     counted once here, and both are kept for {!refresh_stats}: one
     pointer per stored non-null value (values are shared, never copied).
@@ -105,8 +111,8 @@ val apply : t -> batch -> unit
     and added, update {!Mv_core.View.row_count}, drop the indexes and hash
     tables built over the view tables ({!Database.touch}) and clear their
     staleness marks ({!Mv_core.View.mark_fresh}). Views sourcing none of
-    the written tables are untouched. The delta consumers (group keys,
-    sums, projected outputs) are the closures compiled at {!attach}.
+    the written tables are untouched. The delta consumers (the grouping
+    and the projected outputs) are compiled once, at {!attach}.
     @raise Database.Invalid_batch when the batch writes an attached view's
     own table, or {!Database.write} rejects it; nothing is written: base
     rows, view rows, statistics and freshness are as before the call.

@@ -32,11 +32,15 @@ let buckets = 128
    positive [v] with biased exponent [b] lies in [2^(b-1023), 2^(b-1022)),
    the exponent [Float.frexp] gives being [b - 1022] (subnormals, [b = 0],
    land in bucket 0 either way); infinity and NaN, which [frexp] gives
-   exponent 0, land in bucket 64. *)
+   exponent 0, land in bucket 64, a NaN with its sign bit set too (the
+   mask drops the sign bit that [v <= 0.0] does not catch). *)
 let bucket_of v =
   if v <= 0.0 then 0
   else
-    let b = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) in
+    let b =
+      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52)
+      land 0x7ff
+    in
     if b = 0x7ff then 64 else max 0 (min (buckets - 1) (b - 1022 + 64))
 
 let bucket_upper i = Float.ldexp 1.0 (i - 64)

@@ -85,6 +85,155 @@ let plan_exec_prop =
           ("without stats", Mv_opt.Plan_exec.execute db q plan);
         ])
 
+(* ---- grouping over NULLs ---- *)
+
+(* t(id, k, g, x, y) and u(id, h, z): [k] joins u's key; [g] and [h] are
+   grouping columns holding NULL, an Int and the equal Float; [x] and [z]
+   nullable Ints, [y] nullable numbers whose sums are exact in any order,
+   so the executor's fold order cannot change a sum. *)
+let null_schema =
+  let column ?(nullable = true) name ty =
+    Mv_catalog.Column.make ~nullable name ty
+  in
+  Mv_catalog.Schema.make
+    ~tables:
+      [
+        Mv_catalog.Table_def.make ~name:"t"
+          ~columns:
+            [
+              column ~nullable:false "id" Mv_base.Dtype.Int;
+              column "k" Mv_base.Dtype.Int; column "g" Mv_base.Dtype.Float;
+              column "x" Mv_base.Dtype.Int; column "y" Mv_base.Dtype.Float;
+            ]
+          ~primary_key:[ "id" ] ();
+        Mv_catalog.Table_def.make ~name:"u"
+          ~columns:
+            [
+              column ~nullable:false "id" Mv_base.Dtype.Int;
+              column "h" Mv_base.Dtype.Float; column "z" Mv_base.Dtype.Int;
+            ]
+          ~primary_key:[ "id" ] ();
+      ]
+    ~foreign_keys:[]
+
+(* A random database over [null_schema] (either table may be empty) and
+   a random grouped block over it: t alone or t joined to u, an optional
+   filter, zero to two grouping columns, one to four aggregates. *)
+let gen_null_case seed =
+  let open Mv_base in
+  let rng = Mv_util.Prng.create seed in
+  let pick l = Mv_util.Prng.pick rng l in
+  let key () = pick [ Value.Null; Value.Int 1; Value.Float 1.0; Value.Int 2 ] in
+  let int () =
+    if Mv_util.Prng.chance rng 0.4 then Value.Null
+    else Value.Int (Mv_util.Prng.int_range rng (-3) 5)
+  in
+  let num () =
+    pick
+      [ Value.Null; Value.Float 0.5; Value.Float (-1.25); Value.Int 2;
+        Value.Float 2.0 ]
+  in
+  let db = Mv_engine.Database.create null_schema in
+  Helpers.insert db "t"
+    (List.init (Mv_util.Prng.int rng 7) (fun i ->
+         [| Value.Int i; Value.Int (Mv_util.Prng.int rng 3); key (); int ();
+            num () |]));
+  Helpers.insert db "u"
+    (List.init (Mv_util.Prng.int rng 4) (fun i ->
+         [| Value.Int i; key (); int () |]));
+  let c tbl name = Expr.Col (Col.make tbl name) in
+  let joined = Mv_util.Prng.bool rng in
+  let tables = if joined then [ "t"; "u" ] else [ "t" ] in
+  let where =
+    (if joined then [ Pred.Cmp (Pred.Eq, c "t" "k", c "u" "id") ] else [])
+    @
+    if Mv_util.Prng.chance rng 0.3 then
+      [ Pred.Cmp (Pred.Ge, c "t" "x", Expr.Const (Value.Int 0)) ]
+    else []
+  in
+  let keys = [ c "t" "g"; c "t" "x" ] @ if joined then [ c "u" "h" ] else [] in
+  let group_by =
+    List.filteri (fun i _ -> i < Mv_util.Prng.int rng 3)
+      (Mv_util.Prng.shuffle rng keys)
+  in
+  let args =
+    [ c "t" "x"; c "t" "y"; Expr.Binop (Expr.Add, c "t" "x", c "t" "y") ]
+    @ if joined then [ c "u" "z" ] else []
+  in
+  let agg () =
+    let e = pick args in
+    match Mv_util.Prng.int rng 5 with
+    | 0 -> Spjg.Count_star
+    | 1 -> Spjg.Sum e
+    | 2 -> Spjg.Sum0 e
+    | 3 -> Spjg.Avg e
+    | _ -> Spjg.Sum_div_sum (e, pick args)
+  in
+  let out =
+    List.mapi (fun i g -> Spjg.scalar (Printf.sprintf "g%d" i) g) group_by
+    @ List.init
+        (1 + Mv_util.Prng.int rng 4)
+        (fun i -> Spjg.aggregate (Printf.sprintf "a%d" i) (agg ()))
+  in
+  (db, Spjg.make ~tables ~where ~group_by:(Some group_by) ~out)
+
+(* The view-free plan of a grouped block: its SPJ part as one leaf under
+   an aggregate node, so grouping runs in [Exec.Bag.group]. *)
+let aggregate_plan (q : Spjg.t) =
+  let cols = Mv_base.Col.Set.elements (Spjg.referenced_columns q) in
+  let name (c : Mv_base.Col.t) = c.Mv_base.Col.tbl ^ "_" ^ c.Mv_base.Col.col in
+  let leaf =
+    Mv_opt.Plan.Leaf
+      {
+        source =
+          Mv_opt.Plan.Computed
+            (Spjg.make ~tables:q.Spjg.tables ~where:q.Spjg.where
+               ~group_by:None
+               ~out:
+                 (List.map
+                    (fun c -> Spjg.scalar (name c) (Mv_base.Expr.Col c))
+                    cols));
+        binds = List.map (fun c -> (name c, c)) cols;
+        est_rows = 1.0;
+        est_cost = 1.0;
+      }
+  in
+  Mv_opt.Plan.Aggregate
+    {
+      input = leaf;
+      group_by = Option.value ~default:[] q.Spjg.group_by;
+      out = q.Spjg.out;
+      est_rows = 1.0;
+      est_cost = 1.0;
+    }
+
+(* Direct and plan execution of random grouped blocks over NULL-bearing
+   columns compute the oracle's bag: all-NULL groups, empty inputs, an
+   Int and the equal Float in one group, and COUNT( * ), SUM, SUM0, AVG
+   and SUM/SUM side by side. *)
+let prop_grouping_nulls =
+  QCheck.Test.make
+    ~name:"grouping: aggregates over NULLs equal the naive oracle"
+    ~count:(Helpers.qcheck_count 1000)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let db, q = gen_null_case seed in
+      let show (r : Mv_engine.Relation.t) = Mv_engine.Relation.to_string r in
+      let oracle = Naive.execute db q in
+      let runs =
+        [
+          ("exec", Mv_engine.Exec.execute db q);
+          ("plan_exec", Mv_opt.Plan_exec.execute db q (aggregate_plan q));
+        ]
+      in
+      agree_with_naive ~what:"grouped execution"
+        ~detail:
+          (Printf.sprintf "query:\n%s\nnaive:\n%s%s" (Spjg.to_sql q)
+             (show oracle)
+             (String.concat ""
+                (List.map (fun (n, r) -> n ^ ":\n" ^ show r) runs)))
+        oracle runs)
+
 (* Matched rewrites executed with statistics compute the oracle's bag of
    the original query. Samples the matcher-accepted (query, substitute)
    pool built by {!Test_prop_equivalence} — random pairs almost never
@@ -177,6 +326,7 @@ let suite =
         Helpers.qtest adaptive_exec_prop;
         Helpers.qtest plan_exec_prop;
         Helpers.qtest adaptive_rewrite_prop;
+        Helpers.qtest prop_grouping_nulls;
         Alcotest.test_case "a second execution reuses the build table" `Quick
           test_build_table_reused;
         Alcotest.test_case "every substitute competes on cost" `Quick

@@ -684,6 +684,47 @@ let test_build_cache_reuse () =
   remat_apply dbb [ view ] batch;
   check_exact "maintained = rematerialized" dba dbb "iv_reuse"
 
+(* ---- estimation error: only reads of the tables statistics describe ---- *)
+
+(* Delta terms order their joins by row-count-only statistics of their
+   slices, which describe no table: maintaining a join view adds no
+   [exec.estimation.qerror] sample, while a plan run with statistics
+   still adds them. *)
+let test_qerror_samples () =
+  let samples () =
+    Mv_obs.Instrument.count
+      (Mv_obs.Registry.histogram Mv_obs.Registry.global
+         "exec.estimation.qerror")
+  in
+  let view = agg_view "iv_qerror" in
+  let db = tiny_db () in
+  ignore (Exec.materialize db view);
+  let ivm = Ivm.create db in
+  Ivm.attach ivm view;
+  let before = samples () in
+  Ivm.apply ivm
+    [
+      ( "fact",
+        {
+          Ivm.ins = [ [| V.Int 80; V.Int 2; V.Int 1; V.Int 1 |] ];
+          del = [ List.hd fact_rows ];
+        } );
+    ];
+  Alcotest.(check int) "maintenance adds no sample" before (samples ());
+  let q =
+    Spjg.make ~tables:[ "dim"; "fact" ] ~where:[ eq c_fdim c_did ]
+      ~group_by:None
+      ~out:[ Spjg.scalar "d_grp" c_dgrp; Spjg.scalar "f_qty" c_fqty ]
+  in
+  let stats = DB.stats db in
+  let plan =
+    (Mv_opt.Optimizer.optimize (Mv_core.Registry.create tiny_schema) stats q)
+      .Mv_opt.Optimizer.plan
+  in
+  ignore (Mv_opt.Plan_exec.execute ~stats db q plan);
+  Alcotest.(check bool) "a plan run with statistics adds samples" true
+    (samples () > before)
+
 (* ---- maintained distinct counts over Ints beside equal Floats ---- *)
 
 (* A Float column holding Ints and the numerically equal Floats (one run
@@ -1142,6 +1183,8 @@ let suite =
           `Quick test_build_cache_two_tables;
         Alcotest.test_case "build tables: delta terms reuse a dimension"
           `Quick test_build_cache_reuse;
+        Alcotest.test_case "maintenance records no estimation error" `Quick
+          test_qerror_samples;
         Alcotest.test_case "maintained ndv: Ints beside equal Floats" `Quick
           test_mixed_ndv;
       ] );

@@ -174,6 +174,17 @@ let frexp_bucket v =
     let _, e = Float.frexp v in
     max 0 (min (I.buckets - 1) (e + 64))
 
+(* Edge cases, each checked on every run; the last is a NaN with its
+   sign bit set, which [v <= 0.0] does not catch. *)
+let bucket_edges =
+  [
+    0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+    Float.min_float; Float.max_float; Float.epsilon; 1.0; 0.5;
+    ldexp 1.0 (-64); ldexp 1.0 (-65); ldexp 1.0 63; ldexp 1.0 64;
+    4.9e-324; 2.2250738585072009e-308;
+    Int64.float_of_bits 0xFFF8000000000001L;
+  ]
+
 let bucket_of_prop =
   QCheck.Test.make
     ~count:(Helpers.qcheck_count 2000)
@@ -182,18 +193,15 @@ let bucket_of_prop =
       make ~print:(Printf.sprintf "%h")
         Gen.(
           oneof
-            [
-              map Int64.float_of_bits ui64;
-              float;
-              oneofl
-                [
-                  0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
-                  Float.min_float; Float.max_float; Float.epsilon; 1.0; 0.5;
-                  ldexp 1.0 (-64); ldexp 1.0 (-65); ldexp 1.0 63; ldexp 1.0 64;
-                  4.9e-324; 2.2250738585072009e-308;
-                ];
-            ]))
+            [ map Int64.float_of_bits ui64; float; oneofl bucket_edges ]))
     (fun v -> I.bucket_of v = frexp_bucket v)
+
+let test_bucket_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Printf.sprintf "%h" v) (frexp_bucket v)
+        (I.bucket_of v))
+    bucket_edges
 
 let test_merge_empty_histograms () =
   let m = I.merge_histograms [ I.histogram (); I.histogram () ] in
@@ -351,6 +359,7 @@ let suite =
         Alcotest.test_case "JSON parser" `Quick test_json_parser;
         Alcotest.test_case "table rendering" `Quick test_render;
         Helpers.qtest bucket_of_prop;
+        Alcotest.test_case "bucket_of on edge cases" `Quick test_bucket_edges;
       ] );
     ( "obs_merge",
       [
