@@ -78,22 +78,24 @@ let search ~cmp arr lo hi v ~above =
   done;
   !lo
 
-let sorted_values values =
-  (* a list merge sort: fewer comparisons than [Array.sort]'s heap sort,
-     and no write barrier on a major-heap array *)
-  List.sort sort_order (List.filter (fun v -> not (Value.is_null v)) values)
-
-let distinct (arr : Value.t array) n =
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || Value.order arr.(i - 1) arr.(i) <> 0 then incr k
-  done;
-  !k
-
-let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
+let build_column ?(buckets = 16) ?(mcv_limit = 32) (values : Value.t list) :
     col_stats =
+  (* the non-null values, ascending, by a list merge sort: fewer
+     comparisons than [Array.sort]'s heap sort, and no write barrier on a
+     major-heap array *)
+  let arr =
+    Array.of_list
+      (List.sort sort_order
+         (List.filter (fun v -> not (Value.is_null v)) values))
+  in
+  let n = Array.length arr in
   if n = 0 then make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
   else begin
+    let ndv = ref 1 in
+    for i = 1 to n - 1 do
+      if Value.order arr.(i - 1) arr.(i) <> 0 then incr ndv
+    done;
+    let ndv = !ndv in
     (* the slot after the run holding slot [i]: the values [Value.order]
        calls equal (an [Int] and its [Float] among them) are contiguous
        in a [sort_order]ed array *)
@@ -147,11 +149,6 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) ~ndv (arr : Value.t array) n :
     in
     make_col ?hist ~mcvs ~min_v:arr.(0) ~max_v:arr.(n - 1) ~ndv ()
   end
-
-let build_column ?buckets ?mcv_limit (values : Value.t list) : col_stats =
-  let arr = Array.of_list (sorted_values values) in
-  let n = Array.length arr in
-  of_sorted ?buckets ?mcv_limit ~ndv:(distinct arr n) arr n
 
 (* ---- selectivity ------------------------------------------------------ *)
 

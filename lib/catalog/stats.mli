@@ -49,14 +49,16 @@ val make_col :
     keeps the uniform-interpolation selectivity path. *)
 
 val build_column : ?buckets:int -> ?mcv_limit:int -> Value.t list -> col_stats
-(** Column statistics from raw values: drop the nulls, sort by
-    {!sort_order}, count the {!distinct} values, then {!of_sorted}. *)
-
-val sort_order : Value.t -> Value.t -> int
-(** The order {!of_sorted} expects: {!Value.order}, with a numerically
-    equal [Int] before a [Float]. Two arrays holding the same multiset
-    sort to structurally equal arrays, so their statistics are equal
-    too. *)
+(** Column statistics from raw values, the one builder: the non-null
+    values sorted by {!Value.order} (a numerically equal [Int] before a
+    [Float], so equal multisets give equal statistics whatever their
+    order), then min/max/ndv ([Value.order]'s distinct values, so an [Int]
+    and the equal [Float] count once), an equi-depth histogram with at
+    most [buckets] buckets (default 16; omitted for empty or constant
+    columns), and an exhaustive MCV list when the column has at most
+    [mcv_limit] (default 32) distinct values. The histogram is cut by
+    binary search, O(buckets · log n), after the O(n log n) sort. No
+    non-null value yields [ndv = 0] with [Null] bounds. *)
 
 val search :
   cmp:(Value.t -> Value.t -> int) ->
@@ -70,26 +72,6 @@ val search :
     slots [lo, hi) of [arr], ascending under [cmp], whose value is not
     below [v] under [cmp] ([~above:true]: is above [v]); [hi] when there
     is none. *)
-
-val sorted_values : Value.t list -> Value.t list
-(** The non-null values, ascending by {!sort_order}: what
-    {!build_column} passes to {!of_sorted}. *)
-
-val distinct : Value.t array -> int -> int
-(** [distinct arr n]: the number of distinct values among the first [n]
-    entries of [arr], ascending by {!sort_order}, under {!Value.order}
-    (so an [Int] and the numerically equal [Float] count once). *)
-
-val of_sorted :
-  ?buckets:int -> ?mcv_limit:int -> ndv:int -> Value.t array -> int -> col_stats
-(** [of_sorted ~ndv arr n]: statistics of the first [n] entries of [arr],
-    which must be non-null and ascending by {!sort_order}, with [ndv]
-    their {!distinct} count: min/max/ndv, an equi-depth histogram with at
-    most [buckets] buckets (default 16; omitted for empty or constant
-    columns), and an exhaustive MCV list when the column has at most
-    [mcv_limit] (default 32) distinct values. The histogram is cut by
-    binary search, O(buckets · log n); only an MCV list walks the runs,
-    O(ndv · log n). [n = 0] yields [ndv = 0] with [Null] bounds. *)
 
 val table : t -> string -> table_stats option
 

@@ -88,8 +88,9 @@ val row_count : t -> string -> int
 val table_stats : t -> string -> Mv_catalog.Stats.table_stats
 (** One table's statistics from its actual contents — what {!stats} runs
     per table, exposed so a single view's entry can be built without
-    rescanning the whole database ({!Exec.materialize_stats}). Every entry
-    [Ivm.refresh_stats] derives must equal it. *)
+    rescanning the whole database ({!Exec.materialize_stats}), and the
+    builder [Ivm] rebuilds a maintained view's entry with once its changed
+    rows pass the rebuild threshold ([Ivm.refresh_stats]). *)
 
 val stats : t -> Mv_catalog.Stats.t
 (** Per-table, per-column statistics computed from the actual contents in

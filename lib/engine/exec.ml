@@ -722,8 +722,9 @@ let materialize db (view : Mv_core.View.t) : Table.t =
 (* Materialize and return the statistics extended with an entry for the
    view's actual contents, so estimate_view_rows and the optimizer's
    substitute costing see measured numbers instead of the analytic
-   estimate (ROADMAP item 4: view-level statistics for unmaintained
-   views; maintained ones go through Ivm.refresh_stats). *)
+   estimate (view-level statistics for unmaintained views; a maintained
+   view's entry is rebuilt by Ivm.refresh_stats once its changed rows
+   pass the rebuild threshold). *)
 let materialize_stats db (view : Mv_core.View.t) stats :
     Table.t * Mv_catalog.Stats.t =
   let tbl = materialize db view in

@@ -13,9 +13,9 @@
     a batch's signed tuples fold into an accumulator of the same kind,
     which merges into the groups, and this module keeps only what
     maintenance adds: births, deaths and the stored row each group owns.
-    Each view column's sorted non-null values and distinct count follow
-    the exact rows a batch adds and removes, so statistics refresh without
-    re-sorting. *)
+    A view's statistics entry is rebuilt from its contents once the stored
+    rows changed since its last build pass PostgreSQL's autoanalyze
+    threshold; until then the entry it has stays. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -70,23 +70,27 @@ type agg = {
 (* A view's delta consumer: the SPJ outputs, or the groups. *)
 type vstate = Spj_state of (Exec.tuple -> Value.t) array | Agg_state of agg
 
-(* One column of a view's stored rows: its non-null values, ascending by
-   [Stats.sort_order], in the first [len] slots of [vals]; the spare slots
-   after them hold Null. Values are shared with the rows, never copied.
-   [ndv] counts their distinct values ([Stats.distinct]). *)
-type sorted = {
-  mutable vals : Value.t array;
-  mutable len : int;
-  mutable ndv : int;
-}
-
 type entry = {
   view : View.t;
   block : Exec.block;  (** the view's block, compiled at attach *)
   state : vstate;
-  cols : sorted array;  (** one per view column *)
-  mutable dirty : bool;
+  mutable widest : int;
+      (** the column with the most distinct values at the last build *)
+  mutable built_rows : int;  (** stored rows at the last build *)
+  mutable changed : int;  (** stored rows removed plus added since *)
 }
+
+(* PostgreSQL's autoanalyze rule with its defaults: a table is analyzed
+   once the rows changed since its last analyze exceed
+   autovacuum_analyze_threshold (50) plus autovacuum_analyze_scale_factor
+   (0.1) times its rows
+   (https://www.postgresql.org/docs/current/routine-vacuuming.html#VACUUM-FOR-STATISTICS).
+   A whole count exceeds [50 + 0.1 * rows] exactly when it exceeds
+   [50 + rows / 10]. *)
+let analyze_threshold = 50
+let analyze_divisor = 10
+
+let due e = e.changed > analyze_threshold + (e.built_rows / analyze_divisor)
 
 type t = {
   db : Database.t;
@@ -104,119 +108,27 @@ let attached t = List.map (fun e -> e.view) t.entries
 
 let dirty_views t =
   List.filter_map
-    (fun e -> if e.dirty then Some e.view.View.name else None)
+    (fun e -> if due e then Some e.view.View.name else None)
     t.entries
 
 let detach t name =
   t.entries <- List.filter (fun e -> e.view.View.name <> name) t.entries
 
-(* ---- sorted view columns ---------------------------------------------- *)
-
-(* Column [c]'s non-null values among [rows], ascending. *)
-let column_values c rows =
-  Stats.sorted_values (List.map (fun (r : Value.t array) -> r.(c)) rows)
-
-(* Values [Value.order] calls equal (an [Int] and the numerically equal
-   [Float] among them) form one run of a column, and [ndv] counts the
-   runs. The slot that places a removed or added value lies in or beside
-   its run, so the slots around it tell whether the run empties or is
-   new, with no search of its own. *)
-
-(* Drop the ascending values [out] from [col] in one compacting pass that
-   starts at the first removed slot; returns how many runs it empties.
-   The removed values of one run empty it when they took every slot from
-   their first to their last and the slots on either side hold other
-   runs. Both sides are read as they were: slots from [r] on have not
-   moved yet, and the slot before [r] is the previous removed one, which
-   no blit writes. *)
-let remove_sorted name col out =
-  let vals = col.vals and n = col.len in
-  let r = ref 0 and w = ref 0 and emptied = ref 0 in
-  (* the current run's removed values: the first, their first and last
-     slots, how many, and whether a kept value of the run lies below
-     them or above the last *)
-  let g_v = ref Value.Null and g_first = ref 0 and g_last = ref 0 in
-  let g_n = ref 0 and kept_below = ref false and kept_above = ref false in
-  let close () =
-    if
-      !g_n > 0 && (not !kept_below) && (not !kept_above)
-      && !g_last - !g_first + 1 = !g_n
-    then incr emptied
-  in
-  List.iter
-    (fun v ->
-      let p = Stats.search ~cmp:Stats.sort_order vals !r n v ~above:false in
-      if p >= n || Stats.sort_order vals.(p) v <> 0 then
-        raise
-          (Inconsistent
-             (name ^ ": a removed row holds a value the statistics lack"));
-      if !g_n = 0 || Value.order !g_v v <> 0 then begin
-        close ();
-        g_v := v;
-        g_first := p;
-        g_n := 0;
-        kept_below := p > 0 && Value.order vals.(p - 1) v = 0
-      end;
-      incr g_n;
-      g_last := p;
-      kept_above := p + 1 < n && Value.order vals.(p + 1) v = 0;
-      if !w < !r then Array.blit vals !r vals !w (p - !r);
-      w := !w + (p - !r);
-      r := p + 1)
-    out;
-  close ();
-  if !w < !r then begin
-    Array.blit vals !r vals !w (n - !r);
-    Array.fill vals (!w + n - !r) (!r - !w) Value.Null
-  end;
-  col.len <- !w + n - !r;
-  !emptied
-
-(* Merge the descending values [inn] into [col] from the top down: each
-   stored value above the smallest new one moves once. Returns how many
-   runs it starts: the first new value of a run starts one when neither
-   stored slot beside its place holds the run. Both are as they were:
-   the merge has moved only slots from [hi] on, and the stored value at
-   [hi] ranks above a larger new value of another run, so it is never in
-   this one. *)
-let insert_sorted col inn =
-  let k = List.length inn in
-  let need = col.len + k in
-  if need > Array.length col.vals then begin
-    let vals = Array.make (need + (need / 4)) Value.Null in
-    Array.blit col.vals 0 vals 0 col.len;
-    col.vals <- vals
-  end;
-  let vals = col.vals in
-  let hi = ref col.len and started = ref 0 and prev = ref Value.Null in
+(* A view's statistics entry, built from its contents; the build resets
+   its change count, and the entry's distinct counts pick the column the
+   SPJ delete prefilter compares ([apply_spj]): the one with the most
+   distinct values, the first of equals. *)
+let build t e =
+  let ts = Database.table_stats t.db e.view.View.name in
+  let best = ref (0, -1) in
   List.iteri
-    (fun i v ->
-      (* [j] new values still go below this one *)
-      let j = k - 1 - i in
-      let p = Stats.search ~cmp:Stats.sort_order vals 0 !hi v ~above:true in
-      if
-        (i = 0 || Value.order !prev v <> 0)
-        && not
-             ((p > 0 && Value.order vals.(p - 1) v = 0)
-             || (p < !hi && Value.order vals.(p) v = 0))
-      then incr started;
-      prev := v;
-      Array.blit vals p vals (p + j + 1) (!hi - p);
-      vals.(p + j) <- v;
-      hi := p)
-    inn;
-  col.len <- need;
-  !started
-
-(* Bring every column and its run count in line with the stored rows the
-   view just lost ([removed], the exact rows) and gained ([added]). *)
-let update_columns name cols ~removed ~added =
-  Array.iteri
-    (fun c col ->
-      let emptied = remove_sorted name col (column_values c removed) in
-      let started = insert_sorted col (List.rev (column_values c added)) in
-      col.ndv <- col.ndv - emptied + started)
-    cols
+    (fun c (_, (cs : Stats.col_stats)) ->
+      if cs.Stats.ndv > snd !best then best := (c, cs.Stats.ndv))
+    ts.Stats.columns;
+  e.widest <- fst !best;
+  e.built_rows <- ts.Stats.row_count;
+  e.changed <- 0;
+  ts
 
 (* ---- attach ----------------------------------------------------------- *)
 
@@ -273,17 +185,10 @@ let attach t (view : View.t) =
                   | Spjg.Aggregate _ -> assert false (* SPJ block *))
                 sp.Spjg.out))
   in
-  let cols =
-    Array.of_list
-      (List.mapi
-         (fun c _ ->
-           let vals = Array.of_list (column_values c tbl.Table.rows) in
-           let len = Array.length vals in
-           { vals; len; ndv = Stats.distinct vals len })
-         (Table.def_of tbl).Mv_catalog.Table_def.columns)
-  in
+  let e = { view; block; state; widest = 0; built_rows = 0; changed = 0 } in
+  ignore (build t e);
   View.mark_fresh view;
-  t.entries <- t.entries @ [ { view; block; state; cols; dirty = false } ]
+  t.entries <- t.entries @ [ e ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
 
@@ -341,13 +246,7 @@ let signed_tuples t (entry : entry) (batch : batch)
 
 (* ---- applying deltas to the stored contents --------------------------- *)
 
-(* The column with the most distinct values (the first of equals). *)
-let widest cols =
-  let best = ref 0 in
-  Array.iteri (fun c col -> if col.ndv > cols.(!best).ndv then best := c) cols;
-  !best
-
-(* Each of these returns the exact stored rows the view lost and the rows
+(* Each of these returns how many stored rows the view lost plus how many
    it gained. *)
 let apply_spj t (entry : entry) project signed =
   let plus = ref [] and minus = ref [] and n_minus = ref 0 in
@@ -360,18 +259,17 @@ let apply_spj t (entry : entry) project signed =
         incr n_minus
       end)
     signed;
-  if !plus = [] && !n_minus = 0 then ([], [])
+  if !plus = [] && !n_minus = 0 then 0
   else begin
     let name = entry.view.View.name in
     let tbl = Database.table_exn t.db name in
-    let removed = ref [] in
     let rows' =
       if !n_minus = 0 then tbl.Table.rows
       else begin
         (* A stored row reaches the full-row lookup only when its value in
            the widest column is one a deleted row holds; the first
            matching instances in list order go. *)
-        let c = widest entry.cols in
+        let c = entry.widest in
         let vals =
           Array.of_list
             (List.sort_uniq Value.order (List.map (fun r -> r.(c)) !minus))
@@ -393,7 +291,6 @@ let apply_spj t (entry : entry) project signed =
             match Value.Key.find_opt counts row with
             | Some n when n > 0 ->
                 Value.Key.replace counts row (n - 1);
-                removed := row :: !removed;
                 Table.Drop
             | _ -> Table.Keep
         in
@@ -406,16 +303,17 @@ let apply_spj t (entry : entry) project signed =
       end
     in
     tbl.Table.rows <- List.rev_append !plus rows';
-    bump rows_plus (List.length !plus);
+    let n_plus = List.length !plus in
+    bump rows_plus n_plus;
     bump rows_minus !n_minus;
-    (!removed, !plus)
+    n_plus + !n_minus
   end
 
 let apply_agg t (entry : entry) agg signed =
   let name = entry.view.View.name in
   let d = Value.Key.create 16 in
   List.iter (fun (b, sign) -> Exec.fold agg.grouping d b sign) signed;
-  if Value.Key.length d = 0 then ([], [])
+  if Value.Key.length d = 0 then 0
   else begin
     (* the stored rows of the groups that die ([None]) or change (their
        new row), and the rows of the groups born *)
@@ -461,7 +359,6 @@ let apply_agg t (entry : entry) agg signed =
     let olds = Array.of_list (List.map fst !touched) in
     let news = Array.of_list (List.map snd !touched) in
     let live = ref (Array.length olds) in
-    let removed = ref [] and added = ref [] in
     let edit row =
       let j = ref 0 in
       while !j < !live && olds.(!j) != row do
@@ -473,12 +370,7 @@ let apply_agg t (entry : entry) agg signed =
         decr live;
         olds.(!j) <- olds.(!live);
         news.(!j) <- news.(!live);
-        removed := row :: !removed;
-        match row' with
-        | Some r ->
-            added := r :: !added;
-            Table.Swap r
-        | None -> Table.Drop
+        match row' with Some r -> Table.Swap r | None -> Table.Drop
       end
     in
     let tbl = Database.table_exn t.db name in
@@ -496,7 +388,8 @@ let apply_agg t (entry : entry) agg signed =
     bump rows_minus !n_died;
     bump groups_born n_born;
     bump groups_died !n_died;
-    (!removed, List.rev_append !born !added)
+    (* a changed group's row counts as removed and added *)
+    (2 * Array.length olds) - !n_died + n_born
   end
 
 (* ---- the batch entry point ------------------------------------------- *)
@@ -531,17 +424,16 @@ let apply t (batch : batch) =
         if affected then begin
           let t0 = Mv_obs.Instrument.now_wall () in
           let signed = signed_tuples t entry batch old_rows in
-          let removed, added =
+          let changed =
             match entry.state with
             | Spj_state project -> apply_spj t entry project signed
             | Agg_state agg -> apply_agg t entry agg signed
           in
-          if removed <> [] || added <> [] then begin
-            update_columns entry.view.View.name entry.cols ~removed ~added;
+          if changed > 0 then begin
             Database.touch t.db entry.view.View.name;
             entry.view.View.row_count <-
               Database.row_count t.db entry.view.View.name;
-            entry.dirty <- true
+            entry.changed <- entry.changed + changed
           end;
           tick views_updated;
           View.mark_fresh entry.view;
@@ -555,29 +447,11 @@ let apply t (batch : batch) =
       t.entries
   end
 
-(* A view's statistics from its maintained sorted columns: what
-   [Database.table_stats] computes, without the sort. *)
-let entry_stats t e : Stats.table_stats =
-  let tbl = Database.table_exn t.db e.view.View.name in
-  {
-    Stats.row_count = Table.row_count tbl;
-    columns =
-      List.mapi
-        (fun c (col : Mv_catalog.Column.t) ->
-          let s = e.cols.(c) in
-          ( col.Mv_catalog.Column.name,
-            Stats.of_sorted ~ndv:s.ndv s.vals s.len ))
-        (Table.def_of tbl).Mv_catalog.Table_def.columns;
-  }
-
 let refresh_stats t (stats : Stats.t) : Stats.t =
-  let dirty = List.filter (fun e -> e.dirty) t.entries in
-  let stats' =
-    List.fold_left
-      (fun acc e ->
+  List.fold_left
+    (fun acc e ->
+      if not (due e) then acc
+      else
         let name = e.view.View.name in
-        (name, entry_stats t e) :: List.remove_assoc name acc)
-      stats dirty
-  in
-  List.iter (fun e -> e.dirty <- false) dirty;
-  stats'
+        (name, build t e) :: List.remove_assoc name acc)
+    stats t.entries

@@ -35,6 +35,15 @@
     rewrites by physical identity, without rebuilding any stored row's
     group key.
 
+    Statistics follow PostgreSQL's autoanalyze rule, not every write: each
+    view counts the stored rows its batches removed plus added since its
+    statistics entry was last built (at {!attach}, or by
+    {!refresh_stats}), and {!refresh_stats} rebuilds the entry with
+    {!Database.table_stats} once that count exceeds [50 + rows / 10],
+    [rows] being the view's row count at the last build. An entry
+    therefore equals [table_stats] of the view as of its last rebuild,
+    while {!Mv_core.View.row_count} stays exact on every write.
+
     Progress is observable on [Mv_obs.Registry.global]: [ivm.batches],
     [ivm.views.updated], [ivm.rows.plus], [ivm.rows.minus],
     [ivm.groups.born], [ivm.groups.died].
@@ -69,9 +78,10 @@ exception Unsupported of string
     {!Mv_core.View.create} never produces one. *)
 
 exception Inconsistent of string
-(** Maintenance derived an impossible state (negative group count, a
-    delete of a row the view does not contain): the batch contradicts the
-    database contents the view was attached over. *)
+(** Maintenance derived an impossible state (a negative group count or
+    SUM input count, a delete of a row the view does not contain, a stored
+    row its group no longer finds): the batch contradicts the database
+    contents the view was attached over. *)
 
 type t
 (** A maintenance engine bound to one database: the set of attached views
@@ -88,11 +98,11 @@ val attach : t -> Mv_core.View.t -> unit
 (** Register a materialized view for maintenance. The view's table must
     already exist in the database ({!Exec.materialize}); aggregation
     views pay one evaluation of their SPJ part here to build their groups
-    and link each stored row to its group. Each
-    view column's non-null values are sorted and their distinct values
-    counted once here, and both are kept for {!refresh_stats}: one
-    pointer per stored non-null value (values are shared, never copied).
-    Clears the descriptor's staleness mark.
+    and link each stored row to its group. Attaching counts as a
+    statistics build: the view's {!Database.table_stats} is computed once
+    here, its row count is the base of the rebuild threshold, and its
+    distinct counts pick the column an SPJ view's deletes are matched on
+    first. Clears the descriptor's staleness mark.
     @raise Invalid_argument when the view is not materialized or already
     attached.
     @raise Unsupported on a definition IVM cannot maintain. *)
@@ -106,29 +116,28 @@ val attached : t -> Mv_core.View.t list
 val apply : t -> batch -> unit
 (** Write the batch to the base tables with {!Database.write}, then
     propagate deltas into every attached view whose sources intersect the
-    written tables: rewrite their materialized rows in place, update each
-    column's sorted values and distinct count from the exact rows removed
-    and added, update {!Mv_core.View.row_count}, drop the indexes and hash
-    tables built over the view tables ({!Database.touch}) and clear their
-    staleness marks ({!Mv_core.View.mark_fresh}). Views sourcing none of
-    the written tables are untouched. The delta consumers (the grouping
-    and the projected outputs) are compiled once, at {!attach}.
+    written tables: rewrite their materialized rows in place, add the
+    stored rows removed plus added to the view's change count (an
+    aggregate group whose row changes counts 2), update
+    {!Mv_core.View.row_count}, drop the indexes and hash tables built over
+    the view tables ({!Database.touch}) and clear their staleness marks
+    ({!Mv_core.View.mark_fresh}). Views sourcing none of the written
+    tables are untouched. The delta consumers (the grouping and the
+    projected outputs) are compiled once, at {!attach}.
     @raise Database.Invalid_batch when the batch writes an attached view's
     own table, or {!Database.write} rejects it; nothing is written: base
-    rows, view rows, statistics and freshness are as before the call.
-    @raise Inconsistent when propagation contradicts the attached state,
-    including a removed row holding a value its column's sorted values
-    lack. *)
+    rows, view rows, change counts and freshness are as before the call.
+    @raise Inconsistent when propagation contradicts the attached state. *)
 
 val refresh_stats : t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
-(** Return [stats] with the entry of every view updated by {!apply} since
-    the last call derived from its maintained sorted columns and distinct
-    counts ({!Mv_catalog.Stats.of_sorted}, no sort; the histogram cut by
-    binary search), leaving every other entry
-    untouched. Each derived entry equals {!Database.table_stats} of the
-    view's current contents: row count, min, max, ndv, histograms and
-    MCVs. Clears the dirty marks. *)
+(** Return [stats] with the entry of every due view ({!dirty_views})
+    rebuilt by {!Database.table_stats} of its current contents, which
+    resets its change count. Every other entry comes back physically
+    unchanged, and a view with no entry in [stats] gets one only when it
+    is due; with no view due, [stats] itself is returned. *)
 
 val dirty_views : t -> string list
-(** Views updated by {!apply} since the last {!refresh_stats} — whose
-    statistics entries are out of date. *)
+(** The views the next {!refresh_stats} would rebuild, in attachment
+    order: those whose stored rows removed plus added since their last
+    statistics build exceed [50 + rows / 10] (PostgreSQL's autoanalyze
+    defaults), [rows] being their row count at that build. *)

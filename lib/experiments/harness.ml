@@ -472,8 +472,9 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
             .Mv_engine.Table.rows)
       views
   in
-  (* every view some batch changed gets a refreshed entry equal to a
-     rebuild from its maintained contents; untouched views need none *)
+  (* every view whose changed rows passed the rebuild threshold gets an
+     entry equal to a rebuild from its maintained contents, and every
+     other entry is the one passed in *)
   let dirty = Mv_engine.Ivm.dirty_views ivm in
   let stats' = Mv_engine.Ivm.refresh_stats ivm stats0 in
   let stats_fresh =
@@ -482,6 +483,11 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
         List.assoc_opt name stats'
         = Some (Mv_engine.Database.table_stats dba name))
       dirty
+    && List.for_all
+         (fun (name, ts) ->
+           List.mem name dirty
+           || List.exists (fun (n, ts0) -> n = name && ts0 == ts) stats0)
+         stats'
   in
   let delta_wall = Mv_obs.Instrument.sum delta_h in
   let remat_wall = Mv_obs.Instrument.sum remat_h in

@@ -125,10 +125,11 @@ val maintain :
     batches to a delta-maintained copy and a rematerialize-on-write copy,
     timing each batch in both arms. Each of the [cells] carries the
     verdicts [equivalent] (contents bag-equal, floats within tolerance)
-    and [stats_fresh] (every [Ivm.refresh_stats] entry equals
-    [Database.table_stats] of the maintained contents); the section's
-    verdicts are their conjunctions, and [timeline] windows the cells'
-    per-batch histograms across the grid. *)
+    and [stats_fresh] ([Ivm.refresh_stats] rebuilds the entry of every
+    view past its rebuild threshold to equal [Database.table_stats] of the
+    maintained contents, and passes every other entry through); the
+    section's verdicts are their conjunctions, and [timeline] windows the
+    cells' per-batch histograms across the grid. *)
 
 val advise :
   ?seed:int ->

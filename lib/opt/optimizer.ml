@@ -423,25 +423,35 @@ let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
        agg_considered := !agg_considered + List.length vleaves;
        List.iter consider vleaves);
       (* preaggregated alternatives: the outer aggregation is rewritten
-         over the preaggregated bindings *)
+         over the preaggregated bindings, when every output has such a
+         rewrite. SUM0 and SUM/SUM have none, and AVG(e) becomes
+         SUM(partial sums) / SUM(cnt) with cnt = COUNT_BIG( * ), which
+         divides by the non-null inputs only when e reads no nullable
+         column *)
       let cnt = Expr.Col (Col.make "#agg" "cnt") in
-      let outer_out =
+      let outer_items =
         List.map
           (fun (o : Spjg.out_item) ->
             let partial = Expr.Col (Col.make "#agg" ("s_" ^ o.Spjg.name)) in
             match o.Spjg.def with
-            | Spjg.Scalar e -> Spjg.scalar o.Spjg.name e
+            | Spjg.Scalar e -> Some (Spjg.scalar o.Spjg.name e)
             | Spjg.Aggregate Spjg.Count_star ->
-                Spjg.aggregate o.Spjg.name (Spjg.Sum0 cnt)
+                Some (Spjg.aggregate o.Spjg.name (Spjg.Sum0 cnt))
             | Spjg.Aggregate (Spjg.Sum _) ->
-                Spjg.aggregate o.Spjg.name (Spjg.Sum partial)
-            | Spjg.Aggregate (Spjg.Avg _) ->
-                Spjg.aggregate o.Spjg.name (Spjg.Sum_div_sum (partial, cnt))
-            | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _) ->
-                (* never present in user queries *)
-                assert false)
+                Some (Spjg.aggregate o.Spjg.name (Spjg.Sum partial))
+            | Spjg.Aggregate (Spjg.Avg e)
+              when not
+                     (List.exists
+                        (Mv_catalog.Schema.column_nullable schema)
+                        (Expr.columns e)) ->
+                Some
+                  (Spjg.aggregate o.Spjg.name (Spjg.Sum_div_sum (partial, cnt)))
+            | Spjg.Aggregate (Spjg.Avg _ | Spjg.Sum_div_sum _ | Spjg.Sum0 _) ->
+                None)
           query.Spjg.out
       in
+      let preaggregable = List.for_all Option.is_some outer_items in
+      let outer_out = List.filter_map Fun.id outer_items in
       (* join a preaggregated plan with the remaining tables, greedily;
          they join on unique keys, so the result cardinality stays at the
          inner side's *)
@@ -466,7 +476,7 @@ let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
             (joined lor r) (rest land lnot r)
       in
       for mask = 1 to full - 1 do
-        if Block.connected g mask then begin
+        if preaggregable && Block.connected g mask then begin
           let remaining = full land lnot mask in
           match Block.preagg_block g mask with
           | Some pa

@@ -1,8 +1,9 @@
 (** The reference column-statistics builder: the linear one-pass builder
     [Mv_catalog.Stats] used before its histogram cut moved to binary
-    search, kept as the oracle for [Stats.of_sorted] and
-    [Stats.build_column]. It walks every run of equal values, so it
-    shares no search with the builder under test, and it shares no code
+    search, kept as the oracle for [Stats.build_column], the one builder
+    (view statistics included: [Ivm] rebuilds them with it). It walks
+    every run of equal values and counts them as it goes, so it shares no
+    search with the builder under test, and it shares no code
     with [lib/catalog/stats.ml] beyond [Mv_base.Value]: only the result
     record's type. *)
 
@@ -86,11 +87,11 @@ let of_sorted ?(buckets = 16) ?(mcv_limit = 32) (arr : Value.t array) n :
     make_col ?hist ~mcvs ~min_v:arr.(0) ~max_v:arr.(n - 1) ~ndv ()
   end
 
-(* The non-null values, ascending by [sort_order]. *)
-let sorted values =
-  Array.of_list
-    (List.sort sort_order (List.filter (fun v -> not (Value.is_null v)) values))
-
+(* Over the non-null values, ascending by [sort_order]. *)
 let build_column ?buckets ?mcv_limit values =
-  let arr = sorted values in
+  let arr =
+    Array.of_list
+      (List.sort sort_order
+         (List.filter (fun v -> not (Value.is_null v)) values))
+  in
   of_sorted ?buckets ?mcv_limit arr (Array.length arr)

@@ -207,10 +207,11 @@ let aggregate_plan (q : Spjg.t) =
       est_cost = 1.0;
     }
 
-(* Direct and plan execution of random grouped blocks over NULL-bearing
-   columns compute the oracle's bag: all-NULL groups, empty inputs, an
-   Int and the equal Float in one group, and COUNT( * ), SUM, SUM0, AVG
-   and SUM/SUM side by side. *)
+(* Direct execution, plan execution and the optimizer's plan (with its
+   preaggregated alternatives, and no views) of random grouped blocks over
+   NULL-bearing columns compute the oracle's bag: all-NULL groups, empty
+   inputs, an Int and the equal Float in one group, and COUNT( * ), SUM,
+   SUM0, AVG and SUM/SUM side by side. *)
 let prop_grouping_nulls =
   QCheck.Test.make
     ~name:"grouping: aggregates over NULLs equal the naive oracle"
@@ -220,10 +221,18 @@ let prop_grouping_nulls =
       let db, q = gen_null_case seed in
       let show (r : Mv_engine.Relation.t) = Mv_engine.Relation.to_string r in
       let oracle = Naive.execute db q in
+      let stats = Mv_engine.Database.stats db in
+      let optimized =
+        (Mv_opt.Optimizer.optimize
+           (Mv_core.Registry.create null_schema)
+           stats q)
+          .Mv_opt.Optimizer.plan
+      in
       let runs =
         [
           ("exec", Mv_engine.Exec.execute db q);
           ("plan_exec", Mv_opt.Plan_exec.execute db q (aggregate_plan q));
+          ("optimizer", Mv_opt.Plan_exec.execute ~stats db q optimized);
         ]
       in
       agree_with_naive ~what:"grouped execution"

@@ -52,9 +52,14 @@ let no_view_budget = 21_148.
    table reads (an index nested loop served small probe sides, and an
    index-narrowed table was hashed per join) and each lattice search
    allocated its own visit marks, a read took 15,534 and a write
-   16,539. *)
+   16,539. Before a view's statistics entry was rebuilt only once its
+   changed rows passed PostgreSQL's autoanalyze threshold (every write
+   kept a sorted copy of each view column and its distinct count, and
+   every refresh derived the written views' entries from them), a write
+   took 15,504; the figure now includes whatever rebuilds the measured
+   writes trigger. *)
 let read_budget = 14_987.
-let write_budget = 15_608.
+let write_budget = 8_680.
 
 (* Measured on the section 5 views (1000): minor words to register them
    all into a fresh registry, and per registry write in serve-churn's

@@ -406,22 +406,37 @@ let test_freshness_and_stats () =
   Alcotest.(check int) "descriptor row count tracks the delta"
     (DB.row_count dba "iv_stats")
     view.Mv_core.View.row_count;
-  (* maintained statistics: the dirty view's entry is refreshed from its
-     sorted columns and equals a rebuild from its contents *)
-  Alcotest.(check (list string)) "dirty after apply" [ "iv_stats" ]
+  (* view statistics are rebuilt on drift: one changed row (the birth)
+     leaves the view under its threshold, 50 changed rows plus a tenth of
+     the 2 rows it held at attach, so the entry it has stays *)
+  Alcotest.(check (list string)) "one changed row is not due" []
     (Ivm.dirty_views ivm);
   let stats1 = Ivm.refresh_stats ivm stats0 in
+  Alcotest.(check bool) "an entry not due is the one given" true
+    (List.assoc "iv_stats" stats1 == List.assoc "iv_stats" stats0);
+  (* each insert into group "a" changes its row: 2 more changed rows, so
+     the 25th brings the count to 51, past the threshold *)
+  let stats2 = ref stats1 in
+  for i = 1 to 25 do
+    Ivm.apply ivm
+      [ ("fact", ins [ [| V.Int (50 + i); V.Int 1; V.Int i; V.Int 1 |] ]) ];
+    Alcotest.(check (list string))
+      (Printf.sprintf "due after %d changed rows" (1 + (2 * i)))
+      (if i = 25 then [ "iv_stats" ] else [])
+      (Ivm.dirty_views ivm);
+    stats2 := Ivm.refresh_stats ivm !stats2
+  done;
+  let stats2 = !stats2 in
   Alcotest.(check int) "stats row count tracks post-delta cardinality"
     (DB.row_count dba "iv_stats")
-    (Mv_catalog.Stats.row_count stats1 "iv_stats");
-  Alcotest.(check bool) "refreshed entry equals a rebuild" true
-    (List.assoc_opt "iv_stats" stats1 = Some (DB.table_stats dba "iv_stats"));
-  Alcotest.(check (list string)) "refresh clears the dirty set" []
+    (Mv_catalog.Stats.row_count stats2 "iv_stats");
+  Alcotest.(check bool) "the due entry equals a rebuild" true
+    (List.assoc_opt "iv_stats" stats2 = Some (DB.table_stats dba "iv_stats"));
+  Alcotest.(check (list string)) "the rebuild clears the dirty set" []
     (Ivm.dirty_views ivm);
   (* untouched base entries pass through unchanged *)
-  Alcotest.(check int) "base entries untouched"
-    (Mv_catalog.Stats.row_count stats0 "dim")
-    (Mv_catalog.Stats.row_count stats1 "dim")
+  Alcotest.(check bool) "base entries untouched" true
+    (List.assoc "dim" stats2 == List.assoc "dim" stats0)
 
 (* ---- error paths ---- *)
 
@@ -725,14 +740,16 @@ let test_qerror_samples () =
   Alcotest.(check bool) "a plan run with statistics adds samples" true
     (samples () > before)
 
-(* ---- maintained distinct counts over Ints beside equal Floats ---- *)
+(* ---- rebuilt statistics over Ints beside equal Floats ---- *)
 
 (* A Float column holding Ints and the numerically equal Floats (one run
    each under [Value.order]), -0.0 beside 0.0, and NULLs, under an SPJ
    view and a view grouping on it: after every one of 200 seeded batches
-   each view equals its recomputation and its refreshed statistics
-   entry, ndv included, equals a rebuild from its contents. *)
-let test_mixed_ndv () =
+   each view equals its recomputation, and its statistics entry after the
+   refresh is the one before it when the view was not due, or equals a
+   rebuild from its contents, ndv included, when it was. Each view is
+   rebuilt at least once, so the mixed runs reach the builder. *)
+let test_mixed_rebuilds () =
   let schema =
     let open Mv_catalog in
     Schema.make
@@ -787,6 +804,7 @@ let test_mixed_ndv () =
   let ivm = Ivm.create db in
   List.iter (Ivm.attach ivm) views;
   let stats = ref (DB.stats db) in
+  let rebuilds = Hashtbl.create 2 in
   for b = 1 to 200 do
     let ins = List.init (int 4) (fun _ -> row ()) in
     let k = int 4 in
@@ -795,6 +813,7 @@ let test_mixed_ndv () =
         (Mv_util.Prng.shuffle prng (DB.table_exn db "m").Table.rows)
     in
     Ivm.apply ivm [ ("m", { Ivm.ins; del }) ];
+    let due = Ivm.dirty_views ivm and before = !stats in
     stats := Ivm.refresh_stats ivm !stats;
     List.iter
       (fun (v : Mv_core.View.t) ->
@@ -805,12 +824,136 @@ let test_mixed_ndv () =
           (Mv_engine.Relation.same_bag
              { Mv_engine.Relation.cols = []; rows = view_rows db name }
              { (Exec.execute db (Mv_core.View.spjg v)) with cols = [] });
-        Alcotest.(check bool)
-          (Printf.sprintf "batch %d: %s statistics equal a rebuild" b name)
-          true
-          (List.assoc_opt name !stats = Some (DB.table_stats db name)))
+        if List.mem name due then begin
+          Hashtbl.replace rebuilds name ();
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: %s statistics equal a rebuild" b name)
+            true
+            (List.assoc_opt name !stats = Some (DB.table_stats db name))
+        end
+        else
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: %s statistics are kept" b name)
+            true
+            (List.assoc name !stats == List.assoc name before))
       views
-  done
+  done;
+  List.iter
+    (fun (v : Mv_core.View.t) ->
+      Alcotest.(check bool)
+        (v.Mv_core.View.name ^ " was rebuilt at least once")
+        true
+        (Hashtbl.mem rebuilds v.Mv_core.View.name))
+    views
+
+(* ---- statistics rebuilt as a base table grows ---- *)
+
+(* Insert-only batches of 5 rows double a 100-row table under an SPJ view
+   of every row (5 stored rows added per batch) and a view grouping it
+   into 20 groups (5 groups change their row per batch: 10 stored rows
+   removed plus added). The test counts each view's changed rows itself:
+   a view is due exactly when its count passes 50 plus a tenth of its
+   rows at its last build. Until then [dirty_views] leaves it out and
+   [refresh_stats] returns the entry it was given; the batch that crosses
+   lists it, its refreshed entry equals a rebuild, and the count starts
+   over, so the next batch leaves it not due. The descriptors' row counts
+   stay exact on every batch. *)
+let test_growth_rebuilds () =
+  let schema =
+    let open Mv_catalog in
+    Schema.make
+      ~tables:
+        [
+          Table_def.make ~name:"g"
+            ~columns:
+              [
+                Column.make "g_id" Mv_base.Dtype.Int;
+                Column.make "g_k" Mv_base.Dtype.Int;
+                Column.make "g_v" Mv_base.Dtype.Int;
+              ]
+            ~primary_key:[ "g_id" ] ();
+        ]
+      ~foreign_keys:[]
+  in
+  let c name = Expr.Col (col "g" name) in
+  let views =
+    [
+      Mv_core.View.create schema ~name:"iv_gs"
+        (Spjg.make ~tables:[ "g" ] ~where:[] ~group_by:None
+           ~out:
+             [
+               Spjg.scalar "g_id" (c "g_id"); Spjg.scalar "g_k" (c "g_k");
+               Spjg.scalar "g_v" (c "g_v");
+             ]);
+      Mv_core.View.create schema ~name:"iv_ga"
+        (Spjg.make ~tables:[ "g" ] ~where:[] ~group_by:(Some [ c "g_k" ])
+           ~out:
+             [
+               Spjg.scalar "g_k" (c "g_k");
+               Spjg.aggregate "cnt" Spjg.Count_star;
+               Spjg.aggregate "sv" (Spjg.Sum (c "g_v"));
+             ]);
+    ]
+  in
+  let row i = [| V.Int i; V.Int (i mod 20); V.Int (i * 7 mod 13) |] in
+  let db = DB.create schema in
+  Helpers.insert db "g" (List.init 100 row);
+  List.iter (fun v -> ignore (Exec.materialize db v)) views;
+  let ivm = Ivm.create db in
+  List.iter (Ivm.attach ivm) views;
+  let stats = ref (DB.stats db) in
+  (* per view: stored rows changed per batch, changed since the last
+     build, rows at the last build, rebuilds *)
+  let model =
+    [
+      ("iv_gs", 5, ref 0, ref 100, ref 0); ("iv_ga", 10, ref 0, ref 20, ref 0);
+    ]
+  in
+  for b = 1 to 20 do
+    Ivm.apply ivm
+      [ ("g", ins (List.init 5 (fun j -> row (100 + (5 * (b - 1)) + j)))) ];
+    List.iter (fun (_, per, changed, _, _) -> changed := !changed + per) model;
+    let due =
+      List.filter_map
+        (fun (name, _, changed, built, _) ->
+          if !changed > 50 + (!built / 10) then Some name else None)
+        model
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "batch %d: the due views" b)
+      due (Ivm.dirty_views ivm);
+    let before = !stats in
+    stats := Ivm.refresh_stats ivm !stats;
+    List.iter
+      (fun (name, _, changed, built, rebuilds) ->
+        if List.mem name due then begin
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: %s's entry equals a rebuild" b name)
+            true
+            (List.assoc_opt name !stats = Some (DB.table_stats db name));
+          changed := 0;
+          built := DB.row_count db name;
+          incr rebuilds
+        end
+        else
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: %s's entry is the one given" b name)
+            true
+            (List.assoc name !stats == List.assoc name before))
+      model;
+    List.iter
+      (fun (v : Mv_core.View.t) ->
+        Alcotest.(check int)
+          (Printf.sprintf "batch %d: %s's row count" b v.Mv_core.View.name)
+          (DB.row_count db v.Mv_core.View.name)
+          v.Mv_core.View.row_count)
+      views
+  done;
+  Alcotest.(check int) "the base table doubled" 200 (DB.row_count db "g");
+  Alcotest.(check (list (pair string int)))
+    "rebuilds per view"
+    [ ("iv_gs", 1); ("iv_ga", 3) ]
+    (List.map (fun (name, _, _, _, rebuilds) -> (name, !rebuilds)) model)
 
 (* ---- the randomized differential property ---- *)
 
@@ -923,9 +1066,10 @@ let tpch_indexes =
   ]
 
 (* Three batches from [gen] through both arms. After each, the view must
-   match its rematerialization, and every dirty view's refreshed
-   statistics entry must equal [Database.table_stats] of its contents:
-   histograms, MCVs, min, max and ndv. *)
+   match its rematerialization, every due view's refreshed statistics
+   entry must equal [Database.table_stats] of its contents (histograms,
+   MCVs, min, max and ndv), and every other entry must be the one passed
+   in. *)
 let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
   let views = Lazy.force gen_views in
   let view = List.nth views (pick mod List.length views) in
@@ -946,14 +1090,19 @@ let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
     let batch = gen prng dba view in
     apply ivm batch;
     remat_apply dbb [ view ] batch;
-    let dirty = Ivm.dirty_views ivm in
+    let dirty = Ivm.dirty_views ivm and before = !stats in
     stats := Ivm.refresh_stats ivm !stats;
     if
       not
         (bag_close (view_rows dba name) (view_rows dbb name)
         && List.for_all
              (fun v -> List.assoc_opt v !stats = Some (DB.table_stats dba v))
-             dirty)
+             dirty
+        && List.for_all
+             (fun (v, ts) ->
+               List.mem v dirty
+               || List.exists (fun (u, ts0) -> u = v && ts0 == ts) before)
+             !stats)
     then ok := false
   done;
   !ok
@@ -1185,8 +1334,10 @@ let suite =
           `Quick test_build_cache_reuse;
         Alcotest.test_case "maintenance records no estimation error" `Quick
           test_qerror_samples;
-        Alcotest.test_case "maintained ndv: Ints beside equal Floats" `Quick
-          test_mixed_ndv;
+        Alcotest.test_case "rebuilt statistics: Ints beside equal Floats"
+          `Quick test_mixed_rebuilds;
+        Alcotest.test_case "statistics rebuilt as the base table doubles"
+          `Quick test_growth_rebuilds;
       ] );
     ( "ivm_diff",
       [
