@@ -4,7 +4,8 @@
       motivation for the lattice structure);
     - hub refinement on/off: how much the predicate-pinning refinement of
       section 4.2.2 sharpens the hub level;
-    - filter-tree pruning power per query (candidates vs population). *)
+    - base-table backjoins (section 7) on/off: how many queries gain a
+      whole-query substitute. *)
 
 module H = Mv_experiments.Harness
 
@@ -68,9 +69,9 @@ let run (w : H.workload) _nviews_list =
   pr "average hub size with refinement    : %.2f tables\n" (avg refined_sizes);
   pr "average hub size without refinement : %.2f tables\n" (avg unrefined_sizes);
   pr "(larger refined hubs prune more views at the hub level)\n";
-  pr "\n== Ablation: section 7 extensions (backjoins, unions) ==\n";
-  (* how many additional queries gain a whole-query rewrite when the
-     extensions are enabled *)
+  pr "\n== Ablation: section 7 backjoins ==\n";
+  (* how many additional queries gain a whole-query rewrite when base-table
+     backjoins are enabled *)
   let count_covered reg =
     List.length
       (List.filter
@@ -87,14 +88,5 @@ let run (w : H.workload) _nviews_list =
            (Mv_core.View.spjg v)))
     w.H.views;
   let with_bj = count_covered bj in
-  let unions =
-    List.length
-      (List.filter
-         (fun q ->
-           Mv_core.Registry.find_substitutes registry q = []
-           && Mv_core.Registry.find_union_substitutes registry q <> None)
-         queries)
-  in
   pr "queries with a whole-query substitute        : %4d/%d\n" plain nq;
-  pr "... with base-table backjoins enabled        : %4d/%d\n" with_bj nq;
-  pr "... UNION-of-views rescues (no single view)  : %4d/%d\n" unions nq
+  pr "... with base-table backjoins enabled        : %4d/%d\n" with_bj nq

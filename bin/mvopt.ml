@@ -110,15 +110,7 @@ let match_cmd =
       & info [ "backjoins" ]
           ~doc:"Enable base-table backjoins for missing columns (section 7).")
   in
-  let union =
-    Arg.(
-      value & flag
-      & info [ "union" ]
-          ~doc:
-            "Also look for a UNION-of-views substitute when no single view \
-             matches (section 7).")
-  in
-  let run views query relaxed backjoins union =
+  let run views query relaxed backjoins =
     let registry =
       Mv_core.Registry.create ~relaxed_nulls:relaxed ~backjoins schema
     in
@@ -144,19 +136,12 @@ let match_cmd =
             Printf.printf "view %s: rejected (%s)\n\n" view.Mv_core.View.name
               (Mv_core.Reject.to_string r))
       (Mv_core.Registry.snapshot registry).Mv_core.Registry.snap_views;
-    if (not !any) && union then (
-      match Mv_core.Registry.find_union_substitutes registry qa with
-      | Some u ->
-          any := true;
-          Printf.printf "UNION substitute:\n%s\n"
-            (Mv_core.Union_substitute.to_sql u)
-      | None -> ());
     if not !any then exit 2
   in
   Cmd.v
     (Cmd.info "match"
        ~doc:"Match a query against view definitions and print substitutes")
-    Term.(const run $ views $ query $ relaxed $ backjoins $ union)
+    Term.(const run $ views $ query $ relaxed $ backjoins)
 
 (* ---- explain ---- *)
 

@@ -2,9 +2,7 @@
 
     1. Example 1's indexed view, with a secondary index the cost model
        picks up automatically;
-    2. a base-table backjoin restoring a column the view lacks (section 7);
-    3. a UNION ALL over two views, neither of which covers the query alone
-       (section 7), with exact duplicate handling.
+    2. a base-table backjoin restoring a column the view lacks (section 7).
 
     Run with: dune exec examples/advanced_rewrites.exe *)
 
@@ -77,43 +75,6 @@ let () =
       print_endline (Mv_core.Substitute.to_sql s);
       let direct = Mv_engine.Exec.execute db q2 in
       let via = Mv_engine.Exec.execute_substitute db s in
-      Printf.printf "equivalent: %b\n\n" (Mv_engine.Relation.same_bag direct via));
+      Printf.printf "equivalent: %b\n" (Mv_engine.Relation.same_bag direct via));
 
-  (* ---- 3. union substitute ---- *)
-  print_endline "== 3. UNION of sliced views (section 7) ==";
-  let u_registry = Mv_core.Registry.create schema in
-  List.iter
-    (fun sql ->
-      let name, def = Mv_sql.Parser.parse_view schema sql in
-      let v = Mv_core.Registry.add_view u_registry ~name def in
-      ignore (Mv_engine.Exec.materialize db v))
-    [
-      {| create view cheap with schemabinding as
-         select l_orderkey, l_quantity from dbo.lineitem
-         where l_quantity <= 25 |};
-      {| create view pricey with schemabinding as
-         select l_orderkey, l_quantity from dbo.lineitem
-         where l_quantity >= 20 |};
-    ];
-  let q3 =
-    Mv_sql.Parser.parse_query schema
-      {| select l_orderkey, l_quantity from lineitem
-         where l_quantity between 5 and 45 |}
-  in
-  Printf.printf "single-view substitutes: %d (no view covers 5..45)\n"
-    (List.length (Mv_core.Registry.find_substitutes_spjg u_registry q3));
-  (match
-     Mv_core.Registry.find_union_substitutes u_registry
-       (Mv_relalg.Analysis.analyze schema q3)
-   with
-  | None -> print_endline "no union found (unexpected)"
-  | Some u ->
-      print_endline "union substitute (note the disjoint slices):";
-      print_endline (Mv_core.Union_substitute.to_sql u);
-      let direct = Mv_engine.Exec.execute db q3 in
-      let via = Mv_engine.Exec.execute_union db u in
-      Printf.printf
-        "equivalent (overlap rows 20..25 exist in both views, counted \
-         once): %b\n"
-        (Mv_engine.Relation.same_bag direct via));
   print_endline "\nDone."

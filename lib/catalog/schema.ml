@@ -47,6 +47,8 @@ let column_def_exn t c =
 
 let column_nullable t c = (column_def_exn t c).Column.nullable
 
+let reads_nullable t e = List.exists (column_nullable t) (Expr.columns e)
+
 let column_dtype t c = (column_def_exn t c).Column.dtype
 
 (* CHECK constraints (as CNF conjuncts) of all [tables]. *)

@@ -27,6 +27,9 @@ val column_def_exn : t -> Col.t -> Column.t
 
 val column_nullable : t -> Col.t -> bool
 
+val reads_nullable : t -> Expr.t -> bool
+(** Does the expression read a column the catalog declares nullable? *)
+
 val column_dtype : t -> Col.t -> Dtype.t
 
 val checks_for : t -> string list -> Pred.t list

@@ -6,6 +6,7 @@
     registration, so finding an identical view expression compares ids. *)
 
 open Mv_base
+module A = Mv_relalg.Analysis
 module Spjg = Mv_relalg.Spjg
 module Residual = Mv_relalg.Residual
 
@@ -75,6 +76,17 @@ let out_item (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) ~situation
         fail (fun () ->
             Fmt.str "no view column for sum(%s)" (Expr.to_string e))
   in
+  (* AVG(E) as sum_E over cnt: cnt = COUNT_BIG( * ) counts rows, which
+     are E's non-null inputs only when E reads no nullable column *)
+  let need_avg e k =
+    if Mv_catalog.Schema.reads_nullable view.View.analysis.A.schema e then
+      fail (fun () ->
+          Fmt.str "avg(%s) reads a nullable column; the view counts rows"
+            (Expr.to_string e))
+    else
+      need_sum e (fun s ->
+          need_count (fun c -> k (view_col view s) (view_col view c)))
+  in
   let name = o.Spjg.name in
   match (o.Spjg.def, situation) with
   | Spjg.Scalar e, _ -> need_scalar e (fun e' -> Ok (Spjg.scalar name e'))
@@ -95,17 +107,10 @@ let out_item (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) ~situation
   | Spjg.Aggregate (Spjg.Avg e), `Agg_over_spj ->
       need_scalar e (fun e' -> Ok (Spjg.aggregate name (Spjg.Avg e')))
   | Spjg.Aggregate (Spjg.Avg e), `Agg_same ->
-      need_sum e (fun s ->
-          need_count (fun c ->
-              Ok
-                (Spjg.scalar name
-                   (Expr.Binop (Expr.Div, view_col view s, view_col view c)))))
+      need_avg e (fun s c ->
+          Ok (Spjg.scalar name (Expr.Binop (Expr.Div, s, c))))
   | Spjg.Aggregate (Spjg.Avg e), `Agg_regroup ->
-      need_sum e (fun s ->
-          need_count (fun c ->
-              Ok
-                (Spjg.aggregate name
-                   (Spjg.Sum_div_sum (view_col view s, view_col view c)))))
+      need_avg e (fun s c -> Ok (Spjg.aggregate name (Spjg.Sum_div_sum (s, c))))
   | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _), _ ->
       fail (Reject.detail "SUM/SUM and coalesced SUM are internal to substitutes")
   | Spjg.Aggregate _, `Plain ->

@@ -368,20 +368,4 @@ let explain ?snap ?(fresh_only = false) t (q : A.t) :
 let find_substitutes_spjg t (spjg : Mv_relalg.Spjg.t) =
   find_substitutes t (A.analyze t.schema spjg)
 
-(* Union substitutes (section 7) come from the whole population
-   restricted by the cheap table condition, not from the filter tree:
-   its range level prunes a view whose ranges do not cover the query's,
-   and a union combines such views. *)
-let find_union_substitutes ?snap ?(fresh_only = false) t (q : A.t) :
-    Union_substitute.t option =
-  let coarse =
-    List.filter
-      (fun v ->
-        Mv_util.Bitset.subset q.A.table_key v.View.keys.View.source_tables
-        && not (fresh_only && View.is_stale v))
-      (current ?snap t).snap_views
-  in
-  Union_match.find ~relaxed_nulls:t.relaxed_nulls ~backjoins:t.backjoins q
-    coarse
-
 let reset_stats t = Obs.reset t.obs

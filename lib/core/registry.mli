@@ -202,18 +202,6 @@ val explain :
 
 val find_substitutes_spjg : t -> Mv_relalg.Spjg.t -> Substitute.t list
 
-val find_union_substitutes :
-  ?snap:snapshot ->
-  ?fresh_only:bool ->
-  t ->
-  Mv_relalg.Analysis.t ->
-  Union_substitute.t option
-(** The section 7 union-substitute extension: views that individually fail
-    only the range test, composed over disjoint slices of one class. Views
-    are pre-filtered by the source-table condition only (the filter tree's
-    range level would prune exactly the views a union needs); [fresh_only]
-    drops stale views from the pool. *)
-
 val reset_stats : t -> unit
 (** Zero every instrument on {!field-obs}, the filter-tree counters
     included. *)

@@ -181,8 +181,6 @@ let class_ranges (q_equiv : Equiv.t) ~(checks : View.checks) (query : A.t)
       })
     touched
 
-let contained cr = Rset.contains ~outer:cr.v_set ~inner:cr.q_test
-
 (* Step 4, range subsumption: per (extended) query class, the intersection
    of the view's ranges over the class must contain the query's range —
    with check-constraint ranges strengthening the query side. The
@@ -193,7 +191,11 @@ let range_test (q_equiv : Equiv.t) ~(checks : View.checks) (query : A.t)
     (view : View.t) :
     ((int * Interval.t) list * (int * Rset.t) list, Reject.t) result =
   let crs = class_ranges q_equiv ~checks query view in
-  match List.filter (fun cr -> not (contained cr)) crs with
+  match
+    List.filter
+      (fun cr -> not (Rset.contains ~outer:cr.v_set ~inner:cr.q_test))
+      crs
+  with
   | _ :: _ as failed ->
       Error
         (Reject.Range_subsumption_failed

@@ -735,16 +735,3 @@ let materialize_stats db (view : Mv_core.View.t) stats :
    table, which must exist in [db] (see [materialize]). *)
 let execute_substitute ?stats db (s : Mv_core.Substitute.t) : Relation.t =
   execute ?stats db s.Mv_core.Substitute.block
-
-(* UNION ALL of a union substitute's parts (all views materialized). *)
-let execute_union ?stats db (u : Mv_core.Union_substitute.t) :
-    Relation.t =
-  match u.Mv_core.Union_substitute.parts with
-  | [] -> invalid_arg "Exec.execute_union: empty union"
-  | first :: rest ->
-      let r0 = execute_substitute ?stats db first in
-      List.fold_left
-        (fun (acc : Relation.t) part ->
-          let r = execute_substitute ?stats db part in
-          { acc with Relation.rows = acc.Relation.rows @ r.Relation.rows })
-        r0 rest

@@ -170,10 +170,3 @@ val materialize_stats :
 val execute_substitute :
   ?stats:Mv_catalog.Stats.t -> Database.t -> Mv_core.Substitute.t -> Relation.t
 (** The substitute's view must have been materialized first. *)
-
-val execute_union :
-  ?stats:Mv_catalog.Stats.t ->
-  Database.t ->
-  Mv_core.Union_substitute.t ->
-  Relation.t
-(** UNION ALL of the parts; every part's view must be materialized. *)

@@ -440,10 +440,7 @@ let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
             | Spjg.Aggregate (Spjg.Sum _) ->
                 Some (Spjg.aggregate o.Spjg.name (Spjg.Sum partial))
             | Spjg.Aggregate (Spjg.Avg e)
-              when not
-                     (List.exists
-                        (Mv_catalog.Schema.column_nullable schema)
-                        (Expr.columns e)) ->
+              when not (Mv_catalog.Schema.reads_nullable schema e) ->
                 Some
                   (Spjg.aggregate o.Spjg.name (Spjg.Sum_div_sum (partial, cnt)))
             | Spjg.Aggregate (Spjg.Avg _ | Spjg.Sum_div_sum _ | Spjg.Sum0 _) ->

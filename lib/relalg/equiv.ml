@@ -169,8 +169,6 @@ let merge t a b = merge_ids t (Intern.col a) (Intern.col b)
 
 let same t a b = Col.equal a b || same_id t (Intern.col a) (Intern.col b)
 
-let repr t c = Intern.col_of_id (root t (Intern.col c))
-
 let class_of t c = to_colset (class_ids t (Intern.col c))
 
 let classes t = List.map (fun r -> to_colset (class_ids t r)) (roots t)

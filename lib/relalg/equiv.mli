@@ -74,9 +74,6 @@ val merge : t -> Col.t -> Col.t -> unit
 
 val same : t -> Col.t -> Col.t -> bool
 
-val repr : t -> Col.t -> Col.t
-(** Canonical representative of the class containing the column. *)
-
 val class_of : t -> Col.t -> Col.Set.t
 
 val classes : t -> Col.Set.t list

@@ -109,15 +109,6 @@ let to_pred (e : Expr.t) (t : t) : Pred.t option =
       in
       Some (Pred.disj (List.map of_interval is))
 
-(* Convex hull, for conservative consumers (e.g. union-substitute
-   slicing). *)
-let hull (t : t) : Interval.t =
-  match t with
-  | [] -> { Interval.lo = Interval.Excl (Value.Int 0); hi = Interval.Excl (Value.Int 0) }
-  | first :: _ ->
-      let last = List.nth t (List.length t - 1) in
-      { Interval.lo = first.Interval.lo; hi = last.Interval.hi }
-
 let to_string (t : t) =
   match t with
   | [] -> "{}"

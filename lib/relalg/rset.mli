@@ -34,9 +34,6 @@ val to_pred : Expr.t -> t -> Pred.t option
 (** A predicate enforcing membership (OR over the intervals); [None] for
     the full set, [Bool false] for the empty one. *)
 
-val hull : t -> Interval.t
-(** Convex hull; an empty interval for the empty set. *)
-
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

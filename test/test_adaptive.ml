@@ -116,9 +116,12 @@ let null_schema =
       ]
     ~foreign_keys:[]
 
-(* A random database over [null_schema] (either table may be empty) and
-   a random grouped block over it: t alone or t joined to u, an optional
-   filter, zero to two grouping columns, one to four aggregates. *)
+(* A random database over [null_schema] (either table may be empty), a
+   random grouped block over it (t alone or t joined to u, an optional
+   filter, zero to two grouping columns, one to four aggregates), and an
+   aggregate view for the block: its tables, WHERE and grouping list, on a
+   coin one more of t.g and t.x (so the rule meets both the same grouping
+   and a regrouping), COUNT_BIG( * ) and one SUM per aggregate argument. *)
 let gen_null_case seed =
   let open Mv_base in
   let rng = Mv_util.Prng.create seed in
@@ -157,7 +160,8 @@ let gen_null_case seed =
       (Mv_util.Prng.shuffle rng keys)
   in
   let args =
-    [ c "t" "x"; c "t" "y"; Expr.Binop (Expr.Add, c "t" "x", c "t" "y") ]
+    [ c "t" "id"; c "t" "x"; c "t" "y";
+      Expr.Binop (Expr.Add, c "t" "x", c "t" "y") ]
     @ if joined then [ c "u" "z" ] else []
   in
   let agg () =
@@ -169,13 +173,42 @@ let gen_null_case seed =
     | 3 -> Spjg.Avg e
     | _ -> Spjg.Sum_div_sum (e, pick args)
   in
-  let out =
+  let grouping group_by =
     List.mapi (fun i g -> Spjg.scalar (Printf.sprintf "g%d" i) g) group_by
-    @ List.init
-        (1 + Mv_util.Prng.int rng 4)
-        (fun i -> Spjg.aggregate (Printf.sprintf "a%d" i) (agg ()))
   in
-  (db, Spjg.make ~tables ~where ~group_by:(Some group_by) ~out)
+  let aggs =
+    List.init
+      (1 + Mv_util.Prng.int rng 4)
+      (fun i -> (Printf.sprintf "a%d" i, agg ()))
+  in
+  let extras =
+    List.filter (fun e -> not (List.mem e group_by)) [ c "t" "g"; c "t" "x" ]
+  in
+  let view_group =
+    if extras <> [] && Mv_util.Prng.bool rng then group_by @ [ pick extras ]
+    else group_by
+  in
+  let sums =
+    List.sort_uniq compare
+      (List.concat_map
+         (function
+           | _, (Spjg.Sum e | Spjg.Sum0 e | Spjg.Avg e) -> [ e ]
+           | _, Spjg.Sum_div_sum (a, b) -> [ a; b ]
+           | _, Spjg.Count_star -> [])
+         aggs)
+  in
+  ( db,
+    Spjg.make ~tables ~where ~group_by:(Some group_by)
+      ~out:
+        (grouping group_by
+        @ List.map (fun (name, a) -> Spjg.aggregate name a) aggs),
+    Spjg.make ~tables ~where ~group_by:(Some view_group)
+      ~out:
+        (grouping view_group
+        @ Spjg.aggregate "cnt" Spjg.Count_star
+          :: List.mapi
+               (fun i e -> Spjg.aggregate (Printf.sprintf "s%d" i) (Spjg.Sum e))
+               sums) )
 
 (* The view-free plan of a grouped block: its SPJ part as one leaf under
    an aggregate node, so grouping runs in [Exec.Bag.group]. *)
@@ -207,9 +240,10 @@ let aggregate_plan (q : Spjg.t) =
       est_cost = 1.0;
     }
 
-(* Direct execution, plan execution and the optimizer's plan (with its
-   preaggregated alternatives, and no views) of random grouped blocks over
-   NULL-bearing columns compute the oracle's bag: all-NULL groups, empty
+(* Direct execution, plan execution, the optimizer's plan (with its
+   preaggregated alternatives, and no views) and every substitute the rule
+   finds over the block's materialized view, of random grouped blocks over
+   NULL-bearing columns, compute the oracle's bag: all-NULL groups, empty
    inputs, an Int and the equal Float in one group, and COUNT( * ), SUM,
    SUM0, AVG and SUM/SUM side by side. *)
 let prop_grouping_nulls =
@@ -218,7 +252,7 @@ let prop_grouping_nulls =
     ~count:(Helpers.qcheck_count 1000)
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let db, q = gen_null_case seed in
+      let db, q, view = gen_null_case seed in
       let show (r : Mv_engine.Relation.t) = Mv_engine.Relation.to_string r in
       let oracle = Naive.execute db q in
       let stats = Mv_engine.Database.stats db in
@@ -235,10 +269,23 @@ let prop_grouping_nulls =
           ("optimizer", Mv_opt.Plan_exec.execute ~stats db q optimized);
         ]
       in
+      let registry = Mv_core.Registry.create null_schema in
+      let matched =
+        match Mv_core.Registry.add_view registry ~name:"v" view with
+        | exception Mv_core.View.Rejected _ -> []
+        | v ->
+            ignore (Mv_engine.Exec.materialize db v);
+            List.map
+              (fun s ->
+                ( "matched " ^ Mv_core.Substitute.to_sql s,
+                  Mv_engine.Exec.execute_substitute db s ))
+              (Mv_core.Registry.find_substitutes_spjg registry q)
+      in
+      let runs = runs @ matched in
       agree_with_naive ~what:"grouped execution"
         ~detail:
-          (Printf.sprintf "query:\n%s\nnaive:\n%s%s" (Spjg.to_sql q)
-             (show oracle)
+          (Printf.sprintf "query:\n%s\nview:\n%s\nnaive:\n%s%s"
+             (Spjg.to_sql q) (Spjg.to_sql view) (show oracle)
              (String.concat ""
                 (List.map (fun (n, r) -> n ^ ":\n" ^ show r) runs)))
         oracle runs)

@@ -105,6 +105,56 @@ let test_avg_with_regrouping () =
   let s = check_matches ~view_sql ~query_sql () in
   check_equivalent ~query:(parse_q query_sql) s
 
+(* AVG over a nullable argument: the view's COUNT_BIG( * ) also counts the
+   rows whose y is NULL, so neither AVG rewrite may divide by it. Over the
+   rows (k, y) = (1, 2.0), (1, NULL), (2, 4.0), (2, NULL), AVG(y) is 2 and
+   4 per k and 3 overall, where s / cnt would give 1 and 2, and
+   SUM(s) / SUM(cnt) 1.5. *)
+let nullable_schema =
+  let open Mv_catalog in
+  Schema.make
+    ~tables:
+      [
+        Table_def.make ~name:"t"
+          ~columns:
+            [
+              Column.make "id" Mv_base.Dtype.Int;
+              Column.make "k" Mv_base.Dtype.Int;
+              Column.make ~nullable:true "y" Mv_base.Dtype.Float;
+            ]
+          ~primary_key:[ "id" ] ();
+      ]
+    ~foreign_keys:[]
+
+let check_avg_not_rewritten query_sql =
+  let r = Mv_core.Registry.create nullable_schema in
+  let name, spjg =
+    Mv_sql.Parser.parse_view nullable_schema
+      {| create view va with schemabinding as
+         select k, count_big(*) as cnt, sum(y) as s from dbo.t group by k |}
+  in
+  ignore (Mv_core.Registry.add_view r ~name spjg);
+  let q = Mv_sql.Parser.parse_query nullable_schema query_sql in
+  Alcotest.(check int) "no substitute" 0
+    (List.length (Mv_core.Registry.find_substitutes_spjg r q));
+  match
+    Mv_core.Registry.explain r (Mv_relalg.Analysis.analyze nullable_schema q)
+  with
+  | [ (_, Mv_core.Registry.Rejected (Mv_core.Reject.Output_not_computable _ as e)) ]
+    ->
+      let reason = Mv_core.Reject.to_string e in
+      Alcotest.(check bool)
+        ("the reason names the avg: " ^ reason)
+        true
+        (contains ~needle:"avg(t.y)" reason)
+  | _ -> Alcotest.fail "expected the view rejected as output-not-computable"
+
+let test_avg_nullable_same_grouping () =
+  check_avg_not_rewritten "select k, avg(y) as a from t group by k"
+
+let test_avg_nullable_regrouping () =
+  check_avg_not_rewritten "select avg(y) as a from t"
+
 let test_agg_query_over_spj_view () =
   (* the view is not aggregated: the substitute groups the view *)
   let view_sql =
@@ -283,6 +333,10 @@ let suite =
           test_count_maps_to_count_column;
         Alcotest.test_case "avg with same grouping" `Quick test_avg_same_grouping;
         Alcotest.test_case "avg with regrouping" `Quick test_avg_with_regrouping;
+        Alcotest.test_case "avg over nullable, same grouping" `Quick
+          test_avg_nullable_same_grouping;
+        Alcotest.test_case "avg over nullable, regrouping" `Quick
+          test_avg_nullable_regrouping;
         Alcotest.test_case "aggregation query over SPJ view" `Quick
           test_agg_query_over_spj_view;
         Alcotest.test_case "SPJ query rejects aggregated view" `Quick

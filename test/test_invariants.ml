@@ -107,51 +107,6 @@ let substitute_wellformed_prop =
                     <> None)
                (Mv_base.Col.Set.elements (Spjg.referenced_columns b)))
 
-let union_parts_disjoint_prop =
-  QCheck.Test.make ~name:"union: slices are pairwise disjoint" ~count:100
-    QCheck.small_int
-    (fun seed ->
-      let rng = Mv_util.Prng.create (seed + 31) in
-      let cut = 10 + Mv_util.Prng.int rng 25 in
-      let overlap = Mv_util.Prng.int rng 5 in
-      let r = Mv_core.Registry.create schema in
-      List.iter
-        (fun (n, sql) ->
-          let _, def = Mv_sql.Parser.parse_view schema sql in
-          ignore (Mv_core.Registry.add_view r ~name:n def))
-        [
-          ( "ua",
-            Printf.sprintf
-              "create view ua with schemabinding as select l_orderkey, \
-               l_quantity from dbo.lineitem where l_quantity <= %d"
-              cut );
-          ( "ub",
-            Printf.sprintf
-              "create view ub with schemabinding as select l_orderkey, \
-               l_quantity from dbo.lineitem where l_quantity >= %d"
-              (cut - overlap) );
-        ];
-      let q =
-        Mv_sql.Parser.parse_query schema
-          "select l_orderkey from lineitem where l_quantity between 2 and 48"
-      in
-      match
-        Mv_core.Registry.find_union_substitutes r
-          (Mv_relalg.Analysis.analyze schema q)
-      with
-      | None -> true
-      | Some u ->
-          let slices = u.Mv_core.Union_substitute.slices in
-          let values = List.init 52 (fun k -> Mv_base.Value.Int k) in
-          List.for_all
-            (fun v ->
-              List.length
-                (List.filter
-                   (fun s -> Mv_relalg.Interval.mem v s)
-                   slices)
-              <= 1)
-            values)
-
 let suite =
   [
     ( "invariants",
@@ -160,6 +115,5 @@ let suite =
         Helpers.qtest remove_restores_candidates_prop;
         Helpers.qtest matcher_deterministic_prop;
         Helpers.qtest substitute_wellformed_prop;
-        Helpers.qtest union_parts_disjoint_prop;
       ] );
   ]

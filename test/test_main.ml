@@ -8,7 +8,7 @@ let () =
    @ Test_filter_tree.suite @ Test_optimizer.suite @ Test_relaxed_nulls.suite
    @ Test_tpch.suite @ Test_workload.suite @ Test_util.suite
    @ Test_checks.suite @ Test_backjoin.suite @ Test_index.suite
-   @ Test_union.suite @ Test_opt_internals.suite @ Test_eval_funcs.suite
+   @ Test_opt_internals.suite @ Test_eval_funcs.suite
    @ Test_compensation_routing.suite @ Test_filter_levels.suite
    @ Test_experiments.suite @ Test_disjunction.suite @ Test_invariants.suite
    @ Test_dimension_hierarchy.suite @ Test_obs.suite @ Test_span.suite

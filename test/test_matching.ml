@@ -68,9 +68,44 @@ let test_view_range_too_narrow () =
          and o_custkey >= 50 and o_custkey <= 500
          and p_name like '%abc%' |}
   in
-  match check_rejects ~view_sql:example2_view ~query_sql () with
+  (match check_rejects ~view_sql:example2_view ~query_sql () with
   | Mv_core.Reject.Range_subsumption_failed _ -> ()
-  | r -> Alcotest.failf "expected range failure, got %s" (Mv_core.Reject.to_string r)
+  | r -> Alcotest.failf "expected range failure, got %s" (Mv_core.Reject.to_string r));
+  (* two views that overlap on 20..25 and together span 5..45 each miss
+     part of the query's range; only the view over the whole table
+     matches *)
+  let r = Mv_core.Registry.create schema in
+  List.iter
+    (fun sql ->
+      let name, spjg = parse_v sql in
+      ignore (Mv_core.Registry.add_view r ~name spjg))
+    [
+      {| create view rn_low with schemabinding as
+         select l_orderkey, l_quantity from dbo.lineitem
+         where l_quantity <= 25 |};
+      {| create view rn_high with schemabinding as
+         select l_orderkey, l_quantity from dbo.lineitem
+         where l_quantity >= 20 |};
+    ];
+  let q =
+    parse_q
+      {| select l_orderkey, l_quantity from lineitem
+         where l_quantity between 5 and 45 |}
+  in
+  Alcotest.(check int) "no single view covers 5..45" 0
+    (List.length (Mv_core.Registry.find_substitutes_spjg r q));
+  let name, spjg =
+    parse_v
+      {| create view rn_full with schemabinding as
+         select l_orderkey, l_quantity from dbo.lineitem |}
+  in
+  ignore (Mv_core.Registry.add_view r ~name spjg);
+  match Mv_core.Registry.find_substitutes_spjg r q with
+  | [ s ] ->
+      Alcotest.(check string) "the whole-table view" "rn_full"
+        s.Mv_core.Substitute.view.Mv_core.View.name;
+      check_equivalent ~query:q s
+  | subs -> Alcotest.failf "expected one substitute, got %d" (List.length subs)
 
 let test_view_extra_residual () =
   (* view filters on p_name but the query does not: rows are missing *)

@@ -203,7 +203,8 @@ let test_explain_stale_freshness () =
   in
   Alcotest.(check bool) "aggregates as reject:stale" true
     (List.mem "reject:stale" causes);
-  (* union substitutes skip stale parts under fresh-only *)
+  (* the rule itself emits no substitute over the stale view under
+     fresh-only *)
   Alcotest.(check bool) "find_substitutes drops the stale view" true
     (List.for_all
        (fun (s : Mv_core.Substitute.t) ->
