@@ -18,9 +18,20 @@ type col_stats = {
   mcvs : (Value.t * int) list;
 }
 
+(* A column's statistics, built or deferred. A deferred column's builder
+   runs at its first [col_stats] read, which keeps the result; two domains
+   reading it at once may both run it, each keeping an equal result, where
+   a [Lazy.t] forced from a second domain would raise. *)
+type cell = Built of col_stats | Deferred of (unit -> col_stats)
+
+type column = {
+  mutable cell : cell;
+  mutable read : bool;  (** [col_stats] has read it *)
+}
+
 type table_stats = {
   row_count : int;
-  columns : (string * col_stats) list;
+  columns : (string * column) list;
 }
 
 type t = (string * table_stats) list
@@ -32,26 +43,82 @@ let default_row_count = 1000
 let make_col ?hist ?(mcvs = []) ~min_v ~max_v ~ndv () =
   { min_v; max_v; ndv; hist; mcvs }
 
+let built cs = { cell = Built cs; read = false }
+
+let rebuild prev ~row_count builders =
+  let read name =
+    match prev with
+    | None -> false
+    | Some p -> (
+        match List.assoc_opt name p.columns with
+        | Some c -> c.read
+        | None -> false)
+  in
+  {
+    row_count;
+    columns =
+      List.map
+        (fun (name, build) ->
+          ( name,
+            if read name then { cell = Built (build ()); read = true }
+            else { cell = Deferred build; read = false } ))
+        builders;
+  }
+
+let is_built c = match c.cell with Built _ -> true | Deferred _ -> false
+
+let was_read c = c.read
+
+let force c = match c.cell with Built cs -> cs | Deferred build -> build ()
+
+let equal_table a b =
+  a.row_count = b.row_count
+  && List.equal
+       (fun (n, c) (m, d) -> String.equal n m && force c = force d)
+       a.columns b.columns
+
 let table t name : table_stats option = List.assoc_opt name t
 
 (* Looking up an unknown table is a cost-model blind spot worth seeing on a
    dashboard, not a silent guess: bump [cost.stats.missing] on the global
-   registry each time the fallback fires. The handle is lazy so merely
-   linking mv_catalog never touches the registry mutex. *)
-let missing_counter =
-  lazy (Mv_obs.Registry.counter Mv_obs.Registry.global "cost.stats.missing")
+   registry each time the fallback fires. The handles are resolved on
+   first use, so merely linking mv_catalog never touches the registry
+   mutex. *)
+let counter name =
+  Mv_obs.Registry.resolver Mv_obs.Registry.counter Mv_obs.Registry.global name
+
+let missing_counter = counter "cost.stats.missing"
+let built_on_read = counter "stats.columns.built_on_read"
 
 let row_count t name =
   match table t name with
   | Some ts -> ts.row_count
   | None ->
-      Mv_obs.Instrument.incr (Lazy.force missing_counter);
+      Mv_obs.Instrument.incr (missing_counter ());
       default_row_count
+
+(* The read bit is written only when unset, so a column read on every
+   query is not written, nor its cache line dirtied for the other
+   domains reading it, on every read. *)
+let read c =
+  if not c.read then c.read <- true;
+  match c.cell with
+  | Built cs -> cs
+  | Deferred build ->
+      let cs = build () in
+      c.cell <- Built cs;
+      Mv_obs.Instrument.incr (built_on_read ());
+      cs
+
+let rec find_column name = function
+  | [] -> None
+  | (n, c) :: rest ->
+      if String.equal n name then Some (read c) else find_column name rest
 
 let col_stats t (c : Col.t) =
   match table t c.Col.tbl with
   | None -> None
-  | Some ts -> List.assoc_opt c.Col.col ts.columns
+  | Some ts -> find_column c.Col.col ts.columns
 
 (* ---- histogram construction ------------------------------------------- *)
 

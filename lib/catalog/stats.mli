@@ -25,9 +25,16 @@ type col_stats = {
           appears, so a miss means selectivity 0. Heaviest first. *)
 }
 
+type column
+(** One column's statistics in a {!table_stats} entry: built, or deferred
+    until the first {!col_stats} read builds and keeps them. A column also
+    remembers whether {!col_stats} has read it, the demand a rebuild
+    follows ({!rebuild}). Compare entries with {!equal_table}: a deferred
+    column holds a function, on which structural equality raises. *)
+
 type table_stats = {
   row_count : int;
-  columns : (string * col_stats) list;
+  columns : (string * column) list;
 }
 
 type t = (string * table_stats) list
@@ -60,6 +67,35 @@ val build_column : ?buckets:int -> ?mcv_limit:int -> Value.t list -> col_stats
     binary search, O(buckets · log n), after the O(n log n) sort. No
     non-null value yields [ndv = 0] with [Null] bounds. *)
 
+val built : col_stats -> column
+(** A built column that nothing has read yet. *)
+
+val rebuild :
+  table_stats option ->
+  row_count:int ->
+  (string * (unit -> col_stats)) list ->
+  table_stats
+(** [rebuild prev ~row_count builders]: an entry rebuilt on the demand its
+    previous entry [prev] showed. Each column [prev] holds under the same
+    name and {!col_stats} has read is built now by its builder and counts
+    as read; every other column keeps its builder, deferred until its
+    first {!col_stats} read. *)
+
+val is_built : column -> bool
+
+val was_read : column -> bool
+(** Whether {!col_stats} has read the column (or the column it was rebuilt
+    from, {!rebuild}). *)
+
+val force : column -> col_stats
+(** The column's statistics for a check: a deferred column runs its
+    builder, but neither keeps the result nor counts as read, so the cell
+    is left as it was. *)
+
+val equal_table : table_stats -> table_stats -> bool
+(** Equal row counts, and the same column names in the same order with
+    structurally equal statistics, each column {!force}d. *)
+
 val search :
   cmp:(Value.t -> Value.t -> int) ->
   Value.t array ->
@@ -82,6 +118,11 @@ val row_count : t -> string -> int
     cost-model blind spots show up in bench/serving snapshots. *)
 
 val col_stats : t -> Col.t -> col_stats option
+(** A column's statistics, the one read the cost model makes: marks the
+    column read (only when it was not yet) and builds a deferred column,
+    keeping the result and bumping [stats.columns.built_on_read] on
+    [Mv_obs.Registry.global]. Two domains may build the same deferred
+    column at once; each gets the builder's result and neither blocks. *)
 
 val hist_total : hist -> int
 (** Number of rows the histogram covers (sum of bucket counts). *)

@@ -207,18 +207,34 @@ let copy (t : t) : t =
     t.tables;
   c
 
-(* Per-column statistics of one table's actual contents. *)
+(* The statistics of column [i] of the rows [tbl] holds when it runs. A
+   deferred column keeps this closure, which holds the table, never a row
+   list: a list it captured would keep rows that later writes drop
+   alive. *)
+let column_stats (tbl : Table.t) i () =
+  Mv_catalog.Stats.build_column (List.map (fun row -> row.(i)) tbl.Table.rows)
+
+let builders (tbl : Table.t) =
+  List.mapi
+    (fun i (c : Mv_catalog.Column.t) ->
+      (c.Mv_catalog.Column.name, column_stats tbl i))
+    tbl.Table.def.Mv_catalog.Table_def.columns
+
+(* Per-column statistics of one table's actual contents, every column
+   built. *)
 let table_stats (t : t) name : Mv_catalog.Stats.table_stats =
   let tbl = table_exn t name in
-  let cols = tbl.Table.def.Mv_catalog.Table_def.columns in
-  let col_stats =
-    List.mapi
-      (fun i (c : Mv_catalog.Column.t) ->
-        let values = List.map (fun row -> row.(i)) tbl.Table.rows in
-        (c.Mv_catalog.Column.name, Mv_catalog.Stats.build_column values))
-      cols
-  in
-  { Mv_catalog.Stats.row_count = Table.row_count tbl; columns = col_stats }
+  {
+    Mv_catalog.Stats.row_count = Table.row_count tbl;
+    columns =
+      List.map
+        (fun (name, build) -> (name, Mv_catalog.Stats.built (build ())))
+        (builders tbl);
+  }
+
+let rebuild_stats (t : t) name prev : Mv_catalog.Stats.table_stats =
+  let tbl = table_exn t name in
+  Mv_catalog.Stats.rebuild prev ~row_count:(Table.row_count tbl) (builders tbl)
 
 (* Compute per-table, per-column statistics from the actual contents,
    including equi-depth histograms and exhaustive MCV lists for low-NDV

@@ -86,11 +86,22 @@ val build_table :
 val row_count : t -> string -> int
 
 val table_stats : t -> string -> Mv_catalog.Stats.table_stats
-(** One table's statistics from its actual contents — what {!stats} runs
-    per table, exposed so a single view's entry can be built without
-    rescanning the whole database ({!Exec.materialize_stats}), and the
-    builder [Ivm] rebuilds a maintained view's entry with once its changed
-    rows pass the rebuild threshold ([Ivm.refresh_stats]). *)
+(** One table's statistics from its actual contents, every column built —
+    what {!stats} runs per table, exposed so a single view's entry can be
+    built without rescanning the whole database
+    ({!Exec.materialize_stats}, [Ivm.attach]). *)
+
+val rebuild_stats :
+  t ->
+  string ->
+  Mv_catalog.Stats.table_stats option ->
+  Mv_catalog.Stats.table_stats
+(** [rebuild_stats t name prev]: the table's entry rebuilt on the demand
+    its previous entry [prev] showed ({!Mv_catalog.Stats.rebuild}): the
+    columns [prev] read built now from its contents, as {!table_stats}
+    builds them, the rest deferred. A deferred column holds the table, not
+    its rows, and builds from the rows it holds at its first read.
+    [Ivm.refresh_stats] rebuilds a maintained view's entry with it. *)
 
 val stats : t -> Mv_catalog.Stats.t
 (** Per-table, per-column statistics computed from the actual contents in

@@ -15,7 +15,8 @@
     maintenance adds: births, deaths and the stored row each group owns.
     A view's statistics entry is rebuilt from its contents once the stored
     rows changed since its last build pass PostgreSQL's autoanalyze
-    threshold; until then the entry it has stays. *)
+    threshold; until then the entry it has stays. A rebuild builds the
+    columns the cost model has read and defers the rest. *)
 
 open Mv_base
 module Spjg = Mv_relalg.Spjg
@@ -54,6 +55,7 @@ let rows_plus = counter "rows.plus"
 let rows_minus = counter "rows.minus"
 let groups_born = counter "groups.born"
 let groups_died = counter "groups.died"
+let columns_built = counter "stats.columns_built"
 let bump c n = if n <> 0 then Mv_obs.Instrument.add (c ()) n
 let tick c = Mv_obs.Instrument.incr (c ())
 
@@ -74,8 +76,7 @@ type entry = {
   view : View.t;
   block : Exec.block;  (** the view's block, compiled at attach *)
   state : vstate;
-  mutable widest : int;
-      (** the column with the most distinct values at the last build *)
+  widest : int;  (** the column with the most distinct values at attach *)
   mutable built_rows : int;  (** stored rows at the last build *)
   mutable changed : int;  (** stored rows removed plus added since *)
 }
@@ -114,21 +115,16 @@ let dirty_views t =
 let detach t name =
   t.entries <- List.filter (fun e -> e.view.View.name <> name) t.entries
 
-(* A view's statistics entry, built from its contents; the build resets
-   its change count, and the entry's distinct counts pick the column the
-   SPJ delete prefilter compares ([apply_spj]): the one with the most
-   distinct values, the first of equals. *)
-let build t e =
-  let ts = Database.table_stats t.db e.view.View.name in
+(* The column with the most distinct values in an entry, the first of
+   equals: the one the SPJ delete prefilter compares ([apply_spj]). *)
+let widest (ts : Stats.table_stats) =
   let best = ref (0, -1) in
   List.iteri
-    (fun c (_, (cs : Stats.col_stats)) ->
-      if cs.Stats.ndv > snd !best then best := (c, cs.Stats.ndv))
+    (fun c (_, col) ->
+      let ndv = (Stats.force col).Stats.ndv in
+      if ndv > snd !best then best := (c, ndv))
     ts.Stats.columns;
-  e.widest <- fst !best;
-  e.built_rows <- ts.Stats.row_count;
-  e.changed <- 0;
-  ts
+  fst !best
 
 (* ---- attach ----------------------------------------------------------- *)
 
@@ -185,8 +181,17 @@ let attach t (view : View.t) =
                   | Spjg.Aggregate _ -> assert false (* SPJ block *))
                 sp.Spjg.out))
   in
-  let e = { view; block; state; widest = 0; built_rows = 0; changed = 0 } in
-  ignore (build t e);
+  let ts = Database.table_stats t.db name in
+  let e =
+    {
+      view;
+      block;
+      state;
+      widest = widest ts;
+      built_rows = ts.Stats.row_count;
+      changed = 0;
+    }
+  in
   View.mark_fresh view;
   t.entries <- t.entries @ [ e ]
 
@@ -447,11 +452,20 @@ let apply t (batch : batch) =
       t.entries
   end
 
+(* A due view's entry rebuilt on the demand its entry in [stats] showed:
+   the columns the cost model read are built now, the rest deferred to
+   their first read. The rebuild resets the view's change count. *)
 let refresh_stats t (stats : Stats.t) : Stats.t =
   List.fold_left
     (fun acc e ->
       if not (due e) then acc
       else
         let name = e.view.View.name in
-        (name, build t e) :: List.remove_assoc name acc)
+        let ts = Database.rebuild_stats t.db name (Stats.table acc name) in
+        bump columns_built
+          (List.length
+             (List.filter (fun (_, c) -> Stats.is_built c) ts.Stats.columns));
+        e.built_rows <- ts.Stats.row_count;
+        e.changed <- 0;
+        (name, ts) :: List.remove_assoc name acc)
     stats t.entries

@@ -38,15 +38,20 @@
     Statistics follow PostgreSQL's autoanalyze rule, not every write: each
     view counts the stored rows its batches removed plus added since its
     statistics entry was last built (at {!attach}, or by
-    {!refresh_stats}), and {!refresh_stats} rebuilds the entry with
-    {!Database.table_stats} once that count exceeds [50 + rows / 10],
-    [rows] being the view's row count at the last build. An entry
-    therefore equals [table_stats] of the view as of its last rebuild,
-    while {!Mv_core.View.row_count} stays exact on every write.
+    {!refresh_stats}), and {!refresh_stats} rebuilds the entry once that
+    count exceeds [50 + rows / 10], [rows] being the view's row count at
+    the last build. A rebuild builds only the columns the cost model has
+    read ({!Mv_catalog.Stats.col_stats}) and defers the rest to their
+    first read ({!Database.rebuild_stats}). An entry's built columns
+    therefore equal [table_stats] of the view as of its last rebuild, a
+    deferred column equals it as of the column's first read, and
+    {!Mv_core.View.row_count} stays exact on every write.
 
     Progress is observable on [Mv_obs.Registry.global]: [ivm.batches],
     [ivm.views.updated], [ivm.rows.plus], [ivm.rows.minus],
-    [ivm.groups.born], [ivm.groups.died].
+    [ivm.groups.born], [ivm.groups.died], and [ivm.stats.columns_built],
+    the columns rebuilds built (a column built on a read counts in
+    [stats.columns.built_on_read]).
 
     Floating-point caveat: SUM over [Float] expressions is maintained by
     incremental addition/subtraction, which can drift from a from-scratch
@@ -99,10 +104,11 @@ val attach : t -> Mv_core.View.t -> unit
     already exist in the database ({!Exec.materialize}); aggregation
     views pay one evaluation of their SPJ part here to build their groups
     and link each stored row to its group. Attaching counts as a
-    statistics build: the view's {!Database.table_stats} is computed once
-    here, its row count is the base of the rebuild threshold, and its
-    distinct counts pick the column an SPJ view's deletes are matched on
-    first. Clears the descriptor's staleness mark.
+    statistics build: the view's {!Database.table_stats}, every column
+    built, is computed once here, its row count is the base of the rebuild
+    threshold, and its distinct counts pick, for the view's life, the
+    column an SPJ view's deletes are matched on first. Clears the
+    descriptor's staleness mark.
     @raise Invalid_argument when the view is not materialized or already
     attached.
     @raise Unsupported on a definition IVM cannot maintain. *)
@@ -131,10 +137,12 @@ val apply : t -> batch -> unit
 
 val refresh_stats : t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t
 (** Return [stats] with the entry of every due view ({!dirty_views})
-    rebuilt by {!Database.table_stats} of its current contents, which
-    resets its change count. Every other entry comes back physically
-    unchanged, and a view with no entry in [stats] gets one only when it
-    is due; with no view due, [stats] itself is returned. *)
+    rebuilt from its current contents by {!Database.rebuild_stats}, which
+    resets its change count: the columns its entry in [stats] had read
+    are built now, the rest are deferred to their first read. Every other
+    entry comes back physically unchanged, and a view with no entry in
+    [stats] gets one, every column deferred, only when it is due; with no
+    view due, [stats] itself is returned. *)
 
 val dirty_views : t -> string list
 (** The views the next {!refresh_stats} would rebuild, in attachment

@@ -13,11 +13,7 @@ type t = Interval.t list
 
 let full : t = [ Interval.full ]
 
-let empty : t = []
-
 let is_full = function [ i ] -> Interval.is_full i | _ -> false
-
-let is_empty (t : t) = t = []
 
 (* Do two intervals overlap or touch (so that their union is one
    interval)? Adjacent closed/open bounds like (..5] and (5..) merge. *)

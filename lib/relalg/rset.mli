@@ -8,11 +8,7 @@ type t = Interval.t list
 
 val full : t
 
-val empty : t
-
 val is_full : t -> bool
-
-val is_empty : t -> bool
 
 val normalize : Interval.t list -> t
 

@@ -213,7 +213,7 @@ let generate ?(seed = 42) ?(scale = 1) () : Mv_engine.Database.t =
 let synthetic_stats ?(sf = 0.5) () : Mv_catalog.Stats.t =
   let n x = int_of_float (float_of_int x *. sf) in
   let mk ~min_v ~max_v ~ndv =
-    Mv_catalog.Stats.make_col ~min_v ~max_v ~ndv ()
+    Mv_catalog.Stats.built (Mv_catalog.Stats.make_col ~min_v ~max_v ~ndv ())
   in
   let key_col name count =
     (name, mk ~min_v:(Value.Int 1) ~max_v:(Value.Int count) ~ndv:count)

@@ -57,9 +57,11 @@ let no_view_budget = 21_148.
    kept a sorted copy of each view column and its distinct count, and
    every refresh derived the written views' entries from them), a write
    took 15,504; the figure now includes whatever rebuilds the measured
-   writes trigger. *)
+   writes trigger. Before a rebuild built only the columns the cost model
+   had read and deferred the rest to their first read (the fixture reads
+   none, so its rebuilds build no column), a write took 8,680. *)
 let read_budget = 14_987.
-let write_budget = 8_680.
+let write_budget = 6_785.
 
 (* Measured on the section 5 views (1000): minor words to register them
    all into a fresh registry, and per registry write in serve-churn's

@@ -131,6 +131,14 @@ let differential view (batches : Ivm.batch list) =
     batches;
   (ivm, dba)
 
+(* The entry [stats] holds for [name] equals [Database.table_stats] of the
+   view's contents now: every column built at its rebuild, and every
+   deferred one forced, which reads none of them. *)
+let entry_rebuilt stats db name =
+  match Mv_catalog.Stats.table stats name with
+  | Some ts -> Mv_catalog.Stats.equal_table ts (DB.table_stats db name)
+  | None -> false
+
 let ins rows = { Ivm.ins = rows; del = [] }
 let del rows = { Ivm.ins = []; del = rows }
 let gcount = Mv_obs.Registry.counter_value Mv_obs.Registry.global
@@ -431,7 +439,7 @@ let test_freshness_and_stats () =
     (DB.row_count dba "iv_stats")
     (Mv_catalog.Stats.row_count stats2 "iv_stats");
   Alcotest.(check bool) "the due entry equals a rebuild" true
-    (List.assoc_opt "iv_stats" stats2 = Some (DB.table_stats dba "iv_stats"));
+    (entry_rebuilt stats2 dba "iv_stats");
   Alcotest.(check (list string)) "the rebuild clears the dirty set" []
     (Ivm.dirty_views ivm);
   (* untouched base entries pass through unchanged *)
@@ -829,7 +837,7 @@ let test_mixed_rebuilds () =
           Alcotest.(check bool)
             (Printf.sprintf "batch %d: %s statistics equal a rebuild" b name)
             true
-            (List.assoc_opt name !stats = Some (DB.table_stats db name))
+            (entry_rebuilt !stats db name)
         end
         else
           Alcotest.(check bool)
@@ -930,7 +938,7 @@ let test_growth_rebuilds () =
           Alcotest.(check bool)
             (Printf.sprintf "batch %d: %s's entry equals a rebuild" b name)
             true
-            (List.assoc_opt name !stats = Some (DB.table_stats db name));
+            (entry_rebuilt !stats db name);
           changed := 0;
           built := DB.row_count db name;
           incr rebuilds
@@ -954,6 +962,135 @@ let test_growth_rebuilds () =
     "rebuilds per view"
     [ ("iv_gs", 1); ("iv_ga", 3) ]
     (List.map (fun (name, _, _, _, rebuilds) -> (name, !rebuilds)) model)
+
+(* ---- statistics rebuilt on read demand ---- *)
+
+(* An SPJ view of every fact row. Its entry from [Database.stats] is built
+   and unread; the test reads its [v_qty] column, then inserts 60 fact
+   rows (60 changed rows, past 50 plus a tenth of 4) with new quantities
+   and values. The rebuild builds [v_qty], which it counts, and defers
+   the other columns; [v_val]'s first read builds it from the view's
+   contents, which it counts, and equals [Database.table_stats]' column,
+   not the one before the inserts. A second push past the threshold
+   rebuilds [v_qty], read before the first rebuild only, and [v_val],
+   read since, and defers the rest. *)
+let test_read_demand () =
+  let view =
+    mkview "iv_demand" ~tables:[ "fact" ] ~where:[] ~group_by:None
+      ~out:
+        [
+          Spjg.scalar "v_id" (Expr.Col (col "fact" "f_id"));
+          Spjg.scalar "v_dim" c_fdim; Spjg.scalar "v_val" c_fval;
+          Spjg.scalar "v_qty" c_fqty;
+        ]
+  in
+  let db = tiny_db () in
+  ignore (Exec.materialize db view);
+  let ivm = Ivm.create db in
+  Ivm.attach ivm view;
+  let stats0 = DB.stats db in
+  let columns stats =
+    (Option.get (Mv_catalog.Stats.table stats "iv_demand"))
+      .Mv_catalog.Stats.columns
+  in
+  let built stats =
+    List.filter_map
+      (fun (c, cell) -> if Mv_catalog.Stats.is_built cell then Some c else None)
+      (columns stats)
+  in
+  let read stats c =
+    Option.get (Mv_catalog.Stats.col_stats stats (col "iv_demand" c))
+  in
+  (* a column's statistics, forced, which reads nothing *)
+  let peek stats c = Mv_catalog.Stats.force (List.assoc c (columns stats)) in
+  let now c = peek [ ("iv_demand", DB.table_stats db "iv_demand") ] c in
+  let counted () =
+    (gcount "ivm.stats.columns_built", gcount "stats.columns.built_on_read")
+  in
+  let row first i =
+    let id = first + i in
+    [| V.Int id; V.Int (1 + (i mod 3)); V.Int (100 + i); V.Int id |]
+  in
+  let push first = Ivm.apply ivm [ ("fact", ins (List.init 60 (row first))) ] in
+  ignore (read stats0 "v_qty");
+  push 100;
+  Alcotest.(check (list string)) "due" [ "iv_demand" ] (Ivm.dirty_views ivm);
+  let b0, r0 = counted () in
+  let stats1 = Ivm.refresh_stats ivm stats0 in
+  let b1, r1 = counted () in
+  Alcotest.(check (list string)) "the read column is built at the rebuild"
+    [ "v_qty" ] (built stats1);
+  Alcotest.(check int) "one column built at the rebuild" 1 (b1 - b0);
+  Alcotest.(check int) "none built on a read" 0 (r1 - r0);
+  Alcotest.(check bool) "the built column equals table_stats'" true
+    (peek stats1 "v_qty" = now "v_qty");
+  (* an unread column: deferred, its first read builds it *)
+  let v_val = read stats1 "v_val" in
+  let _, r2 = counted () in
+  Alcotest.(check bool) "an unread column's first read equals table_stats'"
+    true
+    (v_val = now "v_val");
+  Alcotest.(check bool) "and not the entry's before the inserts" true
+    (v_val <> peek stats0 "v_val");
+  Alcotest.(check int) "one column built on a read" 1 (r2 - r1);
+  ignore (read stats1 "v_val");
+  let _, r3 = counted () in
+  Alcotest.(check int) "a second read builds nothing" 0 (r3 - r2);
+  push 200;
+  let b3, _ = counted () in
+  let stats2 = Ivm.refresh_stats ivm stats1 in
+  let b4, r4 = counted () in
+  Alcotest.(check (list string))
+    "the second rebuild builds every column read so far"
+    [ "v_val"; "v_qty" ] (built stats2);
+  Alcotest.(check int) "two columns built at the second rebuild" 2 (b4 - b3);
+  Alcotest.(check int) "none built on a read since" 0 (r4 - r3);
+  Alcotest.(check bool) "the second entry equals a rebuild" true
+    (entry_rebuilt stats2 db "iv_demand");
+  Alcotest.(check (list string)) "the checks read nothing"
+    [ "v_val"; "v_qty" ]
+    (List.filter_map
+       (fun (c, cell) ->
+         if Mv_catalog.Stats.was_read cell then Some c else None)
+       (columns stats2));
+  Alcotest.(check (list string)) "nor built anything" [ "v_val"; "v_qty" ]
+    (built stats2)
+
+(* Two domains make the first read of one deferred column at once: the
+   builder holds the first reader until the second is inside it too, so
+   both run it. Both get equal statistics, equal to the builder's, and
+   neither raises (a [Lazy.t] forced from a second domain while the first
+   forces it raises). *)
+let test_deferred_race () =
+  let values = List.init 500 (fun i -> V.Int (i mod 37)) in
+  let inside = Atomic.make 0 in
+  let build () =
+    Atomic.incr inside;
+    (* bounded, so a reader that never arrives fails the check below
+       instead of hanging the suite *)
+    let deadline = Mv_obs.Instrument.now_wall () +. 10.0 in
+    while Atomic.get inside < 2 && Mv_obs.Instrument.now_wall () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Mv_catalog.Stats.build_column values
+  in
+  let stats =
+    [ ("t", Mv_catalog.Stats.rebuild None ~row_count:500 [ ("c", build) ]) ]
+  in
+  let ready = Atomic.make 0 in
+  let read () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Mv_catalog.Stats.col_stats stats (col "t" "c")
+  in
+  let other = Domain.spawn read in
+  let mine = read () in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "both domains ran the builder" 2 (Atomic.get inside);
+  Alcotest.(check bool) "both read the builder's statistics" true
+    (mine = Some (Mv_catalog.Stats.build_column values) && theirs = mine)
 
 (* ---- the randomized differential property ---- *)
 
@@ -1065,11 +1202,24 @@ let tpch_indexes =
     ("region", [ "r_regionkey" ]);
   ]
 
+(* Whether the cost model has read column [c] of [name]'s entry. *)
+let was_read stats name c =
+  match Mv_catalog.Stats.table stats name with
+  | Some ts -> (
+      match List.assoc_opt c ts.Mv_catalog.Stats.columns with
+      | Some cell -> Mv_catalog.Stats.was_read cell
+      | None -> false)
+  | None -> false
+
 (* Three batches from [gen] through both arms. After each, the view must
    match its rematerialization, every due view's refreshed statistics
    entry must equal [Database.table_stats] of its contents (histograms,
-   MCVs, min, max and ndv), and every other entry must be the one passed
-   in. *)
+   MCVs, min, max and ndv; the columns its previous entry had read built,
+   still read, the others deferred and forced for the check), and every
+   other entry must be the one passed in. Then a random set of the view's
+   columns is read through [Stats.col_stats]: a column still deferred
+   builds on that read from the contents it has then, which must equal
+   [Database.table_stats]' column. *)
 let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
   let views = Lazy.force gen_views in
   let view = List.nth views (pick mod List.length views) in
@@ -1084,6 +1234,7 @@ let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
   let ivm = Ivm.create dba in
   Ivm.attach ivm view;
   let prng = Mv_util.Prng.create batch_seed in
+  let reads = Mv_util.Prng.create (batch_seed + 1) in
   let stats = ref (DB.stats dba) in
   let ok = ref true in
   for _ = 1 to 3 do
@@ -1092,18 +1243,41 @@ let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
     remat_apply dbb [ view ] batch;
     let dirty = Ivm.dirty_views ivm and before = !stats in
     stats := Ivm.refresh_stats ivm !stats;
+    let on_demand v =
+      List.for_all
+        (fun (c, cell) ->
+          Mv_catalog.Stats.is_built cell = was_read before v c
+          && Mv_catalog.Stats.was_read cell = was_read before v c)
+        (Option.get (Mv_catalog.Stats.table !stats v)).Mv_catalog.Stats.columns
+    in
     if
       not
         (bag_close (view_rows dba name) (view_rows dbb name)
         && List.for_all
-             (fun v -> List.assoc_opt v !stats = Some (DB.table_stats dba v))
+             (fun v -> entry_rebuilt !stats dba v && on_demand v)
              dirty
         && List.for_all
              (fun (v, ts) ->
                List.mem v dirty
                || List.exists (fun (u, ts0) -> u = v && ts0 == ts) before)
              !stats)
-    then ok := false
+    then ok := false;
+    let now = DB.table_stats dba name in
+    List.iter
+      (fun (c, cell) ->
+        if Mv_util.Prng.chance reads 0.3 then begin
+          let deferred = not (Mv_catalog.Stats.is_built cell) in
+          match Mv_catalog.Stats.col_stats !stats (col name c) with
+          | Some cs ->
+              if
+                deferred
+                && cs
+                   <> Mv_catalog.Stats.force
+                        (List.assoc c now.Mv_catalog.Stats.columns)
+              then ok := false
+          | None -> ok := false
+        end)
+      (Option.get (Mv_catalog.Stats.table !stats name)).Mv_catalog.Stats.columns
   done;
   !ok
 
@@ -1260,7 +1434,11 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
       && table_rows dba = table_rows dbb
       && Ivm.dirty_views ia = Ivm.dirty_views ib
       && stamp va = stamp vb
-      && Ivm.refresh_stats ia stats = Ivm.refresh_stats ib stats
+      && List.equal
+           (fun (n, a) (m, b) ->
+             n = m && Mv_catalog.Stats.equal_table a b)
+           (Ivm.refresh_stats ia stats)
+           (Ivm.refresh_stats ib stats)
 
 let invalid_batch_prop =
   QCheck.Test.make ~name:"an invalid batch changes nothing"
@@ -1338,6 +1516,10 @@ let suite =
           `Quick test_mixed_rebuilds;
         Alcotest.test_case "statistics rebuilt as the base table doubles"
           `Quick test_growth_rebuilds;
+        Alcotest.test_case "statistics rebuilt on read demand" `Quick
+          test_read_demand;
+        Alcotest.test_case "a deferred column read by two domains" `Quick
+          test_deferred_race;
       ] );
     ( "ivm_diff",
       [

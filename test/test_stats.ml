@@ -118,7 +118,7 @@ let reference_prop =
 let stats_of values =
   let cs = Stats.build_column ~buckets ~mcv_limit:128 values in
   let n = List.length (nonnull values) in
-  ([ ("t", { Stats.row_count = n; columns = [ ("c", cs) ] }) ], n)
+  ([ ("t", { Stats.row_count = n; columns = [ ("c", Stats.built cs) ] }) ], n)
 
 let the_col = Col.make "t" "c"
 
@@ -260,7 +260,7 @@ let test_constant_column () =
   Alcotest.(check bool) "exhaustive mcv" true
     (cs.Stats.mcvs = [ (Value.Int 7, 10) ]);
   (* equality on the single value is certain; on any other value ~zero *)
-  let stats = [ ("t", { Stats.row_count = 10; columns = [ ("c", cs) ] }) ] in
+  let stats = [ ("t", { Stats.row_count = 10; columns = [ ("c", Stats.built cs) ] }) ] in
   Alcotest.(check (float 0.0001))
     "hit" 1.0
     (Stats.range_selectivity stats the_col Pred.Eq (Value.Int 7));
