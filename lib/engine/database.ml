@@ -99,14 +99,12 @@ let rec without r = function
 let rows_after name (tbl : Table.t) d =
   let rows = List.rev_append d.ins tbl.Table.rows in
   let pending = ref d.del in
-  let edit r =
-    if holds r !pending then begin
-      pending := without r !pending;
-      Table.Drop
-    end
-    else Table.Keep
+  let drop r =
+    let held = holds r !pending in
+    if held then pending := without r !pending;
+    held
   in
-  match Table.edit_rows edit (List.length d.del) rows with
+  match Table.edit_rows drop (List.length d.del) rows with
   | Some rows -> rows
   | None -> invalid_batch "a delete names a row %s does not hold" name
 

@@ -60,8 +60,8 @@ let has_null = Array.exists Value.is_null
 (* Every aggregate is the count or SUMs: SUM, SUM0 and AVG of an
    argument, and SUM/SUM of two. A group holds its key, its tuple count
    and, per SUM argument, the raw sum of the non-null values and how
-   many there were, each tuple folded in once with a sign; [row] is the
-   row a maintained view stores for it ([[||]] until linked). *)
+   many there were, each tuple folded in once with a sign; [row] is a
+   maintained view's row for it (empty until set). *)
 type group = {
   key : Value.t array;
   mutable count : int;
@@ -332,10 +332,7 @@ let compile db (sp : Spjg.t) : block =
           Project (Array.of_list (List.map project sp.Spjg.out)));
   }
 
-let expr blk e = Eval.compile_expr (fun c -> Col.Map.find_opt c blk.slots) e
-
-let grouping blk =
-  match blk.output with Group gr -> Some gr | Project _ -> None
+let output blk = blk.output
 
 (* ---- operators --------------------------------------------------------- *)
 

@@ -49,11 +49,6 @@ type block
 val compile : Database.t -> Spjg.t -> block
 (** @raise Invalid_argument when a FROM table is not in the database. *)
 
-val expr : block -> Expr.t -> tuple -> Value.t
-(** An expression compiled against the block's layout.
-    @raise Eval.Eval_error when applied, if it reads a column the block
-    does not reference. *)
-
 val tuples :
   ?stats:Mv_catalog.Stats.t ->
   ?rows:(string -> Value.t array list) ->
@@ -88,12 +83,17 @@ type group = {
   sums : Value.t array;  (** one per SUM argument *)
   nonnull : int array;  (** one per SUM argument *)
   mutable row : Value.t array;
-      (** the row a maintained view stores for the group; [[||]] until
-          set *)
+      (** a maintained view's row for the group, {!render}ed after the
+          group changes; empty until set *)
 }
 
-val grouping : block -> grouping option
-(** [None] for an SPJ block. *)
+type output =
+  | Project of (tuple -> Value.t) array
+      (** an SPJ block's: each output column of a tuple *)
+  | Group of grouping  (** a grouped block's *)
+
+val output : block -> output
+(** The outputs {!compile} built for the block. *)
 
 val groups : grouping -> tuple list -> group Value.Key.t
 (** The tuples' groups, by {!Value.Key}; a grouping without expressions

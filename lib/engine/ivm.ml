@@ -8,11 +8,11 @@
     slice, with synthetic statistics that make the (tiny) delta table the
     cheapest so the estimated join order starts there; slices that are the
     live tables themselves keep their indexes, so the join probes them.
-    SPJ deltas edit the view's bag directly. An aggregation view's groups
-    are [Exec]'s group state, keyed by the block's grouping expressions:
-    a batch's signed tuples fold into an accumulator of the same kind,
-    which merges into the groups, and this module keeps only what
-    maintenance adds: births, deaths and the stored row each group owns.
+    SPJ deltas edit the view's bag directly. An aggregation view's
+    contents are [Exec]'s group state, keyed by the block's grouping
+    expressions: a batch's signed tuples fold into an accumulator of the
+    same kind, which merges into the groups, each changed group renders
+    its row, and the stored list is the groups' rows.
     A view's statistics entry is rebuilt from its contents once the stored
     rows changed since its last build pass PostgreSQL's autoanalyze
     threshold; until then the entry it has stays. A rebuild builds the
@@ -61,8 +61,8 @@ let tick c = Mv_obs.Instrument.incr (c ())
 
 (* ---- aggregate views -------------------------------------------------- *)
 
-(* An aggregation view's groups, in the executor's group state, each
-   owning the row the view's table stores for it. *)
+(* An aggregation view's contents: the executor's group state, each
+   group holding the row the view's table stores for it. *)
 type agg = {
   grouping : Exec.grouping;
   groups : Exec.group Value.Key.t;
@@ -70,13 +70,17 @@ type agg = {
 }
 
 (* A view's delta consumer: the SPJ outputs, or the groups. *)
-type vstate = Spj_state of (Exec.tuple -> Value.t) array | Agg_state of agg
+type vstate =
+  | Spj_state of {
+      project : (Exec.tuple -> Value.t) array;  (** the block's outputs *)
+      widest : int;  (** the column with the most distinct values at attach *)
+    }
+  | Agg_state of agg
 
 type entry = {
   view : View.t;
   block : Exec.block;  (** the view's block, compiled at attach *)
   state : vstate;
-  widest : int;  (** the column with the most distinct values at attach *)
   mutable built_rows : int;  (** stored rows at the last build *)
   mutable changed : int;  (** stored rows removed plus added since *)
 }
@@ -102,8 +106,6 @@ type t = {
 }
 
 let create ?health db = { db; entries = []; health }
-
-let database t = t.db
 
 let attached t = List.map (fun e -> e.view) t.entries
 
@@ -143,10 +145,12 @@ let attach t (view : View.t) =
   | Error e -> raise (Unsupported (name ^ ": " ^ e)));
   let block = Exec.compile t.db sp in
   let state =
-    match (Exec.grouping block, sp.Spjg.group_by) with
-    | Some grouping, Some by ->
+    match Exec.output block with
+    | Exec.Group grouping ->
+        (* a grouped block's [group_by] is [Some] *)
+        let by = Option.get sp.Spjg.group_by in
         let groups = Exec.groups grouping (Exec.tuples t.db block) in
-        (* each group owns its stored row from here on, found through the
+        (* each stored row is linked to its group, found through the
            stored column of each grouping expression (an indexable view
            outputs every one): the one time a stored row's key is built *)
         let key_cols =
@@ -162,35 +166,27 @@ let attach t (view : View.t) =
                       sp.Spjg.out))
                by)
         in
+        let mismatch () =
+          raise (Inconsistent (name ^ ": stored rows are not one per group"))
+        in
         List.iter
           (fun row ->
             match
               Value.Key.find_opt groups (Array.map (fun c -> row.(c)) key_cols)
             with
-            | Some g -> g.Exec.row <- row
-            | None -> ())
+            | Some g when Array.length g.Exec.row = 0 -> g.Exec.row <- row
+            | _ -> mismatch ())
           tbl.Table.rows;
+        if
+          List.compare_length_with tbl.Table.rows (Value.Key.length groups)
+          <> 0
+        then mismatch ();
         Agg_state { grouping; groups; scalar_only = (by = []) }
-    | _ ->
-        Spj_state
-          (Array.of_list
-             (List.map
-                (fun (o : Spjg.out_item) ->
-                  match o.Spjg.def with
-                  | Spjg.Scalar e -> Exec.expr block e
-                  | Spjg.Aggregate _ -> assert false (* SPJ block *))
-                sp.Spjg.out))
+    | Exec.Project project ->
+        Spj_state { project; widest = widest (Database.table_stats t.db name) }
   in
-  let ts = Database.table_stats t.db name in
   let e =
-    {
-      view;
-      block;
-      state;
-      widest = widest ts;
-      built_rows = ts.Stats.row_count;
-      changed = 0;
-    }
+    { view; block; state; built_rows = Table.row_count tbl; changed = 0 }
   in
   View.mark_fresh view;
   t.entries <- t.entries @ [ e ]
@@ -253,7 +249,7 @@ let signed_tuples t (entry : entry) (batch : batch)
 
 (* Each of these returns how many stored rows the view lost plus how many
    it gained. *)
-let apply_spj t (entry : entry) project signed =
+let apply_spj t (entry : entry) ~project ~widest signed =
   let plus = ref [] and minus = ref [] and n_minus = ref 0 in
   List.iter
     (fun (b, sign) ->
@@ -274,7 +270,7 @@ let apply_spj t (entry : entry) project signed =
         (* A stored row reaches the full-row lookup only when its value in
            the widest column is one a deleted row holds; the first
            matching instances in list order go. *)
-        let c = entry.widest in
+        let c = widest in
         let vals =
           Array.of_list
             (List.sort_uniq Value.order (List.map (fun r -> r.(c)) !minus))
@@ -285,21 +281,22 @@ let apply_spj t (entry : entry) project signed =
             Value.Key.replace counts row
               (1 + Option.value ~default:0 (Value.Key.find_opt counts row)))
           !minus;
-        let edit row =
+        let drop row =
           let v = row.(c) in
           let p =
             Stats.search ~cmp:Value.order vals 0 (Array.length vals) v
               ~above:false
           in
-          if p = Array.length vals || Value.order vals.(p) v <> 0 then Table.Keep
-          else
-            match Value.Key.find_opt counts row with
-            | Some n when n > 0 ->
-                Value.Key.replace counts row (n - 1);
-                Table.Drop
-            | _ -> Table.Keep
+          p < Array.length vals
+          && Value.order vals.(p) v = 0
+          &&
+          match Value.Key.find_opt counts row with
+          | Some n when n > 0 ->
+              Value.Key.replace counts row (n - 1);
+              true
+          | _ -> false
         in
-        match Table.edit_rows edit !n_minus tbl.Table.rows with
+        match Table.edit_rows drop !n_minus tbl.Table.rows with
         | Some rows -> rows
         | None ->
             raise
@@ -314,88 +311,60 @@ let apply_spj t (entry : entry) project signed =
     n_plus + !n_minus
   end
 
+(* The batch merged into the groups: a born or changed group renders
+   its row, and when any group was born, died or changed, the stored list
+   becomes the groups' rows, in the group table's order. *)
 let apply_agg t (entry : entry) agg signed =
   let name = entry.view.View.name in
   let d = Value.Key.create 16 in
   List.iter (fun (b, sign) -> Exec.fold agg.grouping d b sign) signed;
-  if Value.Key.length d = 0 then 0
-  else begin
-    (* the stored rows of the groups that die ([None]) or change (their
-       new row), and the rows of the groups born *)
-    let touched = ref [] and born = ref [] and n_died = ref 0 in
-    let negative (g : Exec.group) = Array.exists (fun n -> n < 0) g.nonnull in
-    Value.Key.iter
-      (fun k (dg : Exec.group) ->
-        match Value.Key.find_opt agg.groups k with
-        | None ->
-            if dg.count > 0 then begin
-              if negative dg then
-                raise
-                  (Inconsistent (name ^ ": negative SUM input count at birth"));
-              dg.row <- Exec.render agg.grouping dg;
-              Value.Key.replace agg.groups k dg;
-              born := dg.row :: !born
-            end
-            else if Exec.cancelled dg then
-              () (* the batch fully cancels within an unborn group *)
-            else
-              raise
-                (Inconsistent
-                   (name ^ ": delta shrinks a group the view does not have"))
-        | Some g ->
-            let count' = g.count + dg.count in
-            if count' < 0 then
-              raise (Inconsistent (name ^ ": group count went negative"));
-            if count' = 0 && not agg.scalar_only then begin
-              Value.Key.remove agg.groups k;
-              incr n_died;
-              touched := (g.row, None) :: !touched
-            end
-            else begin
-              Exec.merge ~into:g dg;
-              if negative g then
-                raise (Inconsistent (name ^ ": SUM input count went negative"));
-              let row' = Exec.render agg.grouping g in
-              touched := (g.row, Some row') :: !touched;
-              g.row <- row'
-            end)
-      d;
-    (* one walk finds the touched rows by physical identity *)
-    let olds = Array.of_list (List.map fst !touched) in
-    let news = Array.of_list (List.map snd !touched) in
-    let live = ref (Array.length olds) in
-    let edit row =
-      let j = ref 0 in
-      while !j < !live && olds.(!j) != row do
-        incr j
-      done;
-      if !j = !live then Table.Keep
-      else begin
-        let row' = news.(!j) in
-        decr live;
-        olds.(!j) <- olds.(!live);
-        news.(!j) <- news.(!live);
-        match row' with Some r -> Table.Swap r | None -> Table.Drop
-      end
-    in
-    let tbl = Database.table_exn t.db name in
-    let rows' =
-      match Table.edit_rows edit (Array.length olds) tbl.Table.rows with
-      | Some rows -> rows
+  let n_born = ref 0 and n_died = ref 0 and n_changed = ref 0 in
+  let negative (g : Exec.group) = Array.exists (fun n -> n < 0) g.nonnull in
+  Value.Key.iter
+    (fun k (dg : Exec.group) ->
+      match Value.Key.find_opt agg.groups k with
       | None ->
-          raise
-            (Inconsistent
-               (name ^ ": stored rows diverged from the group sidecar"))
-    in
-    tbl.Table.rows <- List.rev_append !born rows';
-    let n_born = List.length !born in
-    bump rows_plus n_born;
-    bump rows_minus !n_died;
-    bump groups_born n_born;
-    bump groups_died !n_died;
-    (* a changed group's row counts as removed and added *)
-    (2 * Array.length olds) - !n_died + n_born
-  end
+          if dg.count > 0 then begin
+            if negative dg then
+              raise
+                (Inconsistent (name ^ ": negative SUM input count at birth"));
+            dg.row <- Exec.render agg.grouping dg;
+            Value.Key.replace agg.groups k dg;
+            incr n_born
+          end
+          else if not (Exec.cancelled dg) then
+            (* only a delta that cancels may reach an unborn group *)
+            raise
+              (Inconsistent
+                 (name ^ ": delta shrinks a group the view does not have"))
+      | Some g ->
+          let count' = g.count + dg.count in
+          if count' < 0 then
+            raise (Inconsistent (name ^ ": group count went negative"));
+          if count' = 0 && not agg.scalar_only then begin
+            Value.Key.remove agg.groups k;
+            incr n_died
+          end
+          else begin
+            Exec.merge ~into:g dg;
+            if negative g then
+              raise (Inconsistent (name ^ ": SUM input count went negative"));
+            g.row <- Exec.render agg.grouping g;
+            incr n_changed
+          end)
+    d;
+  let n_born = !n_born and n_died = !n_died and n_changed = !n_changed in
+  if n_born + n_died + n_changed > 0 then
+    (Database.table_exn t.db name).Table.rows <-
+      Value.Key.fold
+        (fun _ (g : Exec.group) rows -> g.row :: rows)
+        agg.groups [];
+  bump rows_plus n_born;
+  bump rows_minus n_died;
+  bump groups_born n_born;
+  bump groups_died n_died;
+  (* a changed group's row counts as removed and added *)
+  n_born + n_died + (2 * n_changed)
 
 (* ---- the batch entry point ------------------------------------------- *)
 
@@ -431,7 +400,8 @@ let apply t (batch : batch) =
           let signed = signed_tuples t entry batch old_rows in
           let changed =
             match entry.state with
-            | Spj_state project -> apply_spj t entry project signed
+            | Spj_state { project; widest } ->
+                apply_spj t entry ~project ~widest signed
             | Agg_state agg -> apply_agg t entry agg signed
           in
           if changed > 0 then begin

@@ -16,24 +16,25 @@
     table's row list keeps the declared and built indexes and the cached
     hash tables, so the executor probes it instead of scanning or
     rehashing it; the delta slice and a written table's old rows never get
-    them. For SPJ views the signed output tuples apply
-    directly to the materialized table as bag inserts/deletes (a delete is
-    matched in one walk that compares a single column before the full
-    row); for aggregation views they fold into the executor's group state
-    ({!Exec.group}), which is also the view's sidecar: built at {!attach}
-    and keyed by the block's grouping expressions, each read from the
-    stored column that outputs it (the indexability rules of section 2
-    guarantee every grouping expression and a count column are stored,
-    which is exactly what makes this maintainable). A batch's signed
-    tuples fold into an accumulator of the same kind, which merges into
-    the sidecar: a group is born when its count first becomes positive
-    and dies when it returns to zero, and its row is re-rendered from
-    the group. The non-null SUM input counts the group keeps make NULL
-    semantics exact: a SUM whose surviving inputs are all NULL returns
-    to NULL, indistinguishable from 0 by the stored value alone. Each
-    sidecar group owns its stored row, so a batch finds the rows it
-    rewrites by physical identity, without rebuilding any stored row's
-    group key.
+    them. For SPJ views the signed output tuples of the block's
+    projection ({!Exec.output}) apply directly to the materialized table
+    as bag inserts/deletes (a delete is matched in one walk that compares
+    a single column before the full row). For aggregation views they fold
+    into the executor's group state ({!Exec.group}), which holds the
+    view's contents: built at {!attach} and keyed by the block's grouping
+    expressions (the indexability rules of section 2 guarantee every
+    grouping expression and a count column are stored, which is exactly
+    what makes this maintainable). A batch's signed tuples fold into an
+    accumulator of the same kind, which merges into the groups: a group is
+    born when its count first becomes positive and dies when it returns to
+    zero, and a born or changed group re-renders its row. The non-null SUM
+    input counts the group keeps make NULL semantics exact: a SUM whose
+    surviving inputs are all NULL returns to NULL, indistinguishable from
+    0 by the stored value alone. After a batch that bears, kills or
+    changes a group, the view's stored list is rebuilt from the groups'
+    rows in one pass over the group table, in its order; a batch whose
+    delta reaches no group of the view leaves the list, and what was built
+    over it, as it was. No stored row is keyed or hashed per write.
 
     Statistics follow PostgreSQL's autoanalyze rule, not every write: each
     view counts the stored rows its batches removed plus added since its
@@ -83,35 +84,39 @@ exception Unsupported of string
     {!Mv_core.View.create} never produces one. *)
 
 exception Inconsistent of string
-(** Maintenance derived an impossible state (a negative group count or
-    SUM input count, a delete of a row the view does not contain, a stored
-    row its group no longer finds): the batch contradicts the database
-    contents the view was attached over. *)
+(** An aggregation view's stored rows are not one per group of its
+    definition at {!attach}, or maintenance derived an impossible state (a
+    negative group count or SUM input count, a delete of a row the view
+    does not contain): the stored rows or the batch contradict the
+    database contents. *)
 
 type t
 (** A maintenance engine bound to one database: the set of attached views
-    plus their aggregate sidecars. *)
+    plus the groups of each aggregation view. *)
 
 val create : ?health:Mv_core.Health.t -> Database.t -> t
 (** [health] is the owning registry's per-view ledger: when given, every
     per-view delta application in {!apply} charges its wall time to that
     view's account ([record_maintenance], DESIGN.md §14). *)
 
-val database : t -> Database.t
-
 val attach : t -> Mv_core.View.t -> unit
 (** Register a materialized view for maintenance. The view's table must
     already exist in the database ({!Exec.materialize}); aggregation
-    views pay one evaluation of their SPJ part here to build their groups
-    and link each stored row to its group. Attaching counts as a
-    statistics build: the view's {!Database.table_stats}, every column
-    built, is computed once here, its row count is the base of the rebuild
-    threshold, and its distinct counts pick, for the view's life, the
-    column an SPJ view's deletes are matched on first. Clears the
-    descriptor's staleness mark.
+    views pay one evaluation of their SPJ part here to build their groups,
+    and link each stored row, through the stored column of each grouping
+    expression, to its group: the one time a stored row's group key is
+    built. Attaching counts as a statistics build: the view's row count
+    is the base of the rebuild threshold. An SPJ view computes its
+    {!Database.table_stats}, every column built, once here: its distinct
+    counts pick, for the view's life, the column its deletes are matched
+    on first. Clears the descriptor's staleness mark.
     @raise Invalid_argument when the view is not materialized or already
     attached.
-    @raise Unsupported on a definition IVM cannot maintain. *)
+    @raise Unsupported on a definition IVM cannot maintain.
+    @raise Inconsistent when an aggregation view's stored rows and its
+    groups are not one-to-one: a row whose key no group has, two rows of
+    one group, or a group without a row. Nothing is attached, and the
+    stored rows are left as they are. *)
 
 val detach : t -> string -> unit
 (** Forget a view by name (no-op when unknown). Its table is left as-is. *)
@@ -129,7 +134,7 @@ val apply : t -> batch -> unit
     the view tables ({!Database.touch}) and clear their staleness marks
     ({!Mv_core.View.mark_fresh}). Views sourcing none of the written
     tables are untouched. The delta consumers (the grouping and the
-    projected outputs) are compiled once, at {!attach}.
+    projected outputs) are the ones {!Exec.compile} built at {!attach}.
     @raise Database.Invalid_batch when the batch writes an attached view's
     own table, or {!Database.write} rejects it; nothing is written: base
     rows, view rows, change counts and freshness are as before the call.

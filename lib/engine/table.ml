@@ -33,23 +33,17 @@ let col_index_exn t cname =
       invalid_arg
         (Printf.sprintf "Table.col_index: no column %s in %s" cname (name t))
 
-(* What a walk over stored rows does with one row. *)
-type edit = Keep | Drop | Swap of Value.t array
-
-(* [rows] with the first [pending] rows [edit] claims dropped or swapped,
-   walking no further than the last of them: the rest of the list is
-   shared. [None] when the list ends first. *)
-let edit_rows edit pending rows =
+(* [rows] without the first [pending] rows [drop] claims, walking no
+   further than the last of them: the rest of the list is shared. [None]
+   when the list ends first. *)
+let edit_rows drop pending rows =
   let rec go pending rows =
     if pending = 0 then rows
     else
       match rows with
       | [] -> raise Exit
-      | row :: rest -> (
-          match edit row with
-          | Keep -> row :: go pending rest
-          | Drop -> go (pending - 1) rest
-          | Swap row' -> row' :: go (pending - 1) rest)
+      | row :: rest ->
+          if drop row then go (pending - 1) rest else row :: go pending rest
   in
   match go pending rows with rows -> Some rows | exception Exit -> None
 

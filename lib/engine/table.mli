@@ -22,18 +22,12 @@ val col_index : t -> string -> int option
 
 val col_index_exn : t -> string -> int
 
-type edit =
-  | Keep
-  | Drop
-  | Swap of Value.t array  (** replace the row with this one *)
-(** What a walk over stored rows does with one row. *)
-
 val edit_rows :
-  (Value.t array -> edit) -> int -> Value.t array list -> Value.t array list option
-(** [edit_rows edit n rows]: [rows] with the first [n] rows [edit] does
-    not [Keep] dropped or swapped, in one walk that stops at the last of
-    them (the rest of the list is shared, and [edit] sees no row after
-    it). [None] when fewer than [n] rows are claimed. *)
+  (Value.t array -> bool) -> int -> Value.t array list -> Value.t array list option
+(** [edit_rows drop n rows]: [rows] without the first [n] rows [drop]
+    claims, in one walk that stops at the last of them (the rest of the
+    list is shared, and [drop] sees no row after it). [None] when fewer
+    than [n] rows are claimed. *)
 
 val check_violations : t -> Pred.t list
 (** CHECK constraints some row violates. *)

@@ -416,13 +416,6 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
          views)
   in
   let rng = Mv_util.Prng.create (seed + (7919 * nviews) + batch_rows) in
-  (* the statistics columns built at rebuilds and on a read, over the
-     cell's batches and its refresh *)
-  let columns () =
-    let g = Mv_obs.Registry.counter_value Mv_obs.Registry.global in
-    (g "ivm.stats.columns_built", g "stats.columns.built_on_read")
-  in
-  let built0, on_read0 = columns () in
   let delta_h = Mv_obs.Instrument.histogram () in
   let remat_h = Mv_obs.Instrument.histogram () in
   let rows_written = ref 0 in
@@ -484,7 +477,6 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
      columns forced, and every other entry is the one passed in *)
   let dirty = Mv_engine.Ivm.dirty_views ivm in
   let stats' = Mv_engine.Ivm.refresh_stats ivm stats0 in
-  let built1, on_read1 = columns () in
   let stats_fresh =
     List.for_all
       (fun name ->
@@ -512,8 +504,6 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
         ("remat_wall_s", J.Float remat_wall);
         ( "speedup",
           J.Float (if delta_wall > 0.0 then remat_wall /. delta_wall else 1.0) );
-        ("columns_built", J.Int (built1 - built0));
-        ("columns_built_on_read", J.Int (on_read1 - on_read0));
       ]
     ~pcts:
       [ ("delta", Measure.pct_of delta_h); ("remat", Measure.pct_of remat_h) ]

@@ -521,6 +521,55 @@ let test_errors () =
   Ivm.detach ivm "iv_err";
   Alcotest.(check int) "detached" 0 (List.length (Ivm.attached ivm))
 
+(* ---- attach links each stored row to its group, or refuses ---- *)
+
+(* The grouped view's stored rows, edited so they are no longer one per
+   group: a grouping column changed to a key no group has, a row removed
+   (its group has none) and a row duplicated (two rows of one group).
+   Attach raises, attaches nothing (another view attached before stays
+   the only one) and leaves the stored list physically as the edit left
+   it; with the rows put back, the view attaches. A batch no group sees
+   (a fact row joining no dim row) then leaves the list physically as it
+   was. *)
+let test_attach_mismatch () =
+  List.iter
+    (fun (what, edit) ->
+      let db = tiny_db () in
+      let other = agg_view "iv_linked" and view = agg_view "iv_mismatch" in
+      ignore (Exec.materialize db other);
+      ignore (Exec.materialize db view);
+      let ivm = Ivm.create db in
+      Ivm.attach ivm other;
+      let tbl = DB.table_exn db "iv_mismatch" in
+      let rows0 = tbl.Table.rows in
+      tbl.Table.rows <- edit rows0;
+      let rows = tbl.Table.rows and attached = Ivm.attached ivm in
+      Alcotest.check_raises (what ^ ": attach refuses")
+        (Ivm.Inconsistent "iv_mismatch: stored rows are not one per group")
+        (fun () -> Ivm.attach ivm view);
+      Alcotest.(check bool) (what ^ ": nothing attached") true
+        (List.equal ( == ) (Ivm.attached ivm) attached);
+      Alcotest.(check bool) (what ^ ": the stored list is as it was") true
+        (tbl.Table.rows == rows);
+      tbl.Table.rows <- rows0;
+      Ivm.attach ivm view;
+      Ivm.apply ivm
+        [ ("fact", ins [ [| V.Int 60; V.Int 99; V.Int 1; V.Int 1 |] ]) ];
+      Alcotest.(check bool) (what ^ ": a batch no group sees keeps the list")
+        true
+        (tbl.Table.rows == rows0))
+    [
+      ( "a grouping column changed",
+        function
+        | r :: rest ->
+            let r = Array.copy r in
+            r.(0) <- V.Str "z";
+            r :: rest
+        | [] -> [] );
+      ("a row removed", List.tl);
+      ("a row duplicated", fun rows -> List.hd rows :: rows);
+    ]
+
 (* ---- the build-table cache cannot serve stale rows ---- *)
 
 (* Unindexed hash joins, each building on a whole stored table: fact, dim
@@ -1504,6 +1553,8 @@ let suite =
         Alcotest.test_case "freshness + statistics refresh" `Quick
           test_freshness_and_stats;
         Alcotest.test_case "error paths" `Quick test_errors;
+        Alcotest.test_case "attach refuses rows not one per group" `Quick
+          test_attach_mismatch;
         Alcotest.test_case "build tables follow every write path" `Quick
           test_build_cache_writes;
         Alcotest.test_case "build tables: both join sides in one batch"
