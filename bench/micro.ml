@@ -57,6 +57,22 @@ let registry_1000_nofilter =
     (Mv_core.Registry.snapshot registry_1000).Mv_core.Registry.snap_views;
   r
 
+(* a multi-table section 5 query block, costed against the 8 TPC-H
+   statistics entries and against them plus an entry for each of the 1000
+   views: a statistics lookup stays flat as views get entries *)
+let costed_block =
+  List.find
+    (fun q -> List.length q.Mv_relalg.Spjg.tables >= 3)
+    (Mv_workload.Generator.queries schema stats 50)
+
+let stats_1000_views =
+  List.fold_left
+    (fun acc (v : Mv_core.View.t) ->
+      Mv_catalog.Stats.add v.Mv_core.View.name
+        { Mv_catalog.Stats.row_count = 1000; columns = [] }
+        acc)
+    stats (Mv_core.Registry.snapshot registry_1000).Mv_core.Registry.snap_views
+
 let query_pred =
   match
     (Mv_sql.Parser.parse_query schema accept_query_sql).Mv_relalg.Spjg.where
@@ -84,6 +100,11 @@ let tests =
       (Staged.stage (fun () ->
            Mv_core.Registry.find_substitutes registry_1000_nofilter
              accept_query));
+    Test.make ~name:"block_rows @8 stats entries"
+      (Staged.stage (fun () -> Mv_opt.Cost.block_rows stats costed_block));
+    Test.make ~name:"block_rows @1008 stats entries"
+      (Staged.stage (fun () ->
+           Mv_opt.Cost.block_rows stats_1000_views costed_block));
     Test.make ~name:"cnf conversion"
       (Staged.stage (fun () -> Mv_relalg.Cnf.conjuncts query_pred));
     Test.make ~name:"view descriptor creation"

@@ -34,9 +34,23 @@ type table_stats = {
   columns : (string * column) list;
 }
 
-type t = (string * table_stats) list
+(* Entries by table name, compared with [String.compare]: a read costs a
+   logarithmic number of string comparisons however many views have an
+   entry. *)
+module Names = Map.Make (String)
 
-let empty : t = []
+type t = table_stats Names.t
+
+let empty : t = Names.empty
+
+(* The first binding of a name wins, as [List.assoc] finds it. *)
+let of_list l =
+  List.fold_left
+    (fun m (name, ts) -> if Names.mem name m then m else Names.add name ts m)
+    Names.empty l
+
+let add = Names.add
+let bindings = Names.bindings
 
 let default_row_count = 1000
 
@@ -45,13 +59,19 @@ let make_col ?hist ?(mcvs = []) ~min_v ~max_v ~ndv () =
 
 let built cs = { cell = Built cs; read = false }
 
+(* [f] of the column named [name], found by [String.equal]. *)
+let rec find_column f name = function
+  | [] -> None
+  | (n, c) :: rest ->
+      if String.equal n name then Some (f c) else find_column f name rest
+
 let rebuild prev ~row_count builders =
   let read name =
     match prev with
     | None -> false
     | Some p -> (
-        match List.assoc_opt name p.columns with
-        | Some c -> c.read
+        match find_column (fun c -> c.read) name p.columns with
+        | Some r -> r
         | None -> false)
   in
   {
@@ -71,13 +91,42 @@ let was_read c = c.read
 
 let force c = match c.cell with Built cs -> cs | Deferred build -> build ()
 
-let equal_table a b =
-  a.row_count = b.row_count
+(* Structural equality, typed: an [Int] never equals the numerically
+   equal [Float], and floats compare as [=] compares them. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Null, Null -> true
+  | Int x, Int y | Date x, Date y -> Int.equal x y
+  | Float x, Float y -> x = y
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | _ -> false
+
+let same_array eq a b =
+  Array.length a = Array.length b && Array.for_all2 eq a b
+
+let same_col_stats a b =
+  same_value a.min_v b.min_v
+  && same_value a.max_v b.max_v
+  && Int.equal a.ndv b.ndv
+  && Option.equal
+       (fun h g ->
+         same_value h.h_lo g.h_lo
+         && same_array same_value h.h_bounds g.h_bounds
+         && same_array Int.equal h.h_counts g.h_counts)
+       a.hist b.hist
   && List.equal
-       (fun (n, c) (m, d) -> String.equal n m && force c = force d)
+       (fun (v, k) (w, l) -> same_value v w && Int.equal k l)
+       a.mcvs b.mcvs
+
+let equal_table a b =
+  Int.equal a.row_count b.row_count
+  && List.equal
+       (fun (n, c) (m, d) ->
+         String.equal n m && same_col_stats (force c) (force d))
        a.columns b.columns
 
-let table t name : table_stats option = List.assoc_opt name t
+let table t name : table_stats option = Names.find_opt name t
 
 (* Looking up an unknown table is a cost-model blind spot worth seeing on a
    dashboard, not a silent guess: bump [cost.stats.missing] on the global
@@ -110,15 +159,10 @@ let read c =
       Mv_obs.Instrument.incr (built_on_read ());
       cs
 
-let rec find_column name = function
-  | [] -> None
-  | (n, c) :: rest ->
-      if String.equal n name then Some (read c) else find_column name rest
-
 let col_stats t (c : Col.t) =
   match table t c.Col.tbl with
   | None -> None
-  | Some ts -> find_column c.Col.col ts.columns
+  | Some ts -> find_column read c.Col.col ts.columns
 
 (* ---- histogram construction ------------------------------------------- *)
 
@@ -147,15 +191,23 @@ let search ~cmp arr lo hi v ~above =
 
 let build_column ?(buckets = 16) ?(mcv_limit = 32) (values : Value.t list) :
     col_stats =
-  (* the non-null values, ascending, by a list merge sort: fewer
-     comparisons than [Array.sort]'s heap sort, and no write barrier on a
-     major-heap array *)
-  let arr =
-    Array.of_list
-      (List.sort sort_order
-         (List.filter (fun v -> not (Value.is_null v)) values))
+  (* the non-null values, copied once into an array and sorted in place
+     by a stable merge sort: of values [sort_order] calls equal, the
+     first in the input stays first *)
+  let n =
+    List.fold_left (fun k v -> if Value.is_null v then k else k + 1) 0 values
   in
-  let n = Array.length arr in
+  let arr = Array.make n Value.Null in
+  ignore
+    (List.fold_left
+       (fun i v ->
+         if Value.is_null v then i
+         else begin
+           arr.(i) <- v;
+           i + 1
+         end)
+       0 values);
+  Array.stable_sort sort_order arr;
   if n = 0 then make_col ~min_v:Value.Null ~max_v:Value.Null ~ndv:0 ()
   else begin
     let ndv = ref 1 in
@@ -179,7 +231,7 @@ let build_column ?(buckets = 16) ?(mcv_limit = 32) (values : Value.t list) :
             let j = run_end i in
             runs j ((arr.(i), j - i) :: acc)
         in
-        List.stable_sort (fun (_, a) (_, b) -> compare b a) (runs 0 [])
+        List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) (runs 0 [])
       end
       else []
     in
@@ -198,7 +250,7 @@ let build_column ?(buckets = 16) ?(mcv_limit = 32) (values : Value.t list) :
         let rec cut s bounds counts =
           if s >= n then (bounds, counts)
           else
-            let p = min (s + depth - 1) (n - 1) in
+            let p = Int.min (s + depth - 1) (n - 1) in
             let e = run_end p in
             cut e
               (arr.(search ~cmp:Value.order arr s p arr.(p) ~above:false)
@@ -240,14 +292,14 @@ let frac_between lo hi v =
    the bucket containing [v] we interpolate, defaulting to half the bucket
    when the domain does not interpolate. *)
 let hist_frac_le h v =
-  let total = float_of_int (max 1 (hist_total h)) in
+  let total = float_of_int (Int.max 1 (hist_total h)) in
   if Value.order v h.h_lo < 0 then 0.0
   else begin
     let acc = ref 0 and lo = ref h.h_lo in
     let result = ref None in
     Array.iteri
       (fun i b ->
-        if !result = None then
+        if Option.is_none !result then
           if Value.order b v <= 0 then begin
             acc := !acc + h.h_counts.(i);
             lo := b
@@ -270,7 +322,8 @@ let mcv_frac cs v =
   | [] -> None
   | mcvs ->
       let total =
-        float_of_int (max 1 (List.fold_left (fun a (_, k) -> a + k) 0 mcvs))
+        float_of_int
+          (Int.max 1 (List.fold_left (fun a (_, k) -> a + k) 0 mcvs))
       in
       let hit =
         List.find_opt (fun (m, _) -> Value.order m v = 0) mcvs
@@ -290,8 +343,8 @@ let uniform_selectivity cs (op : Pred.cmp) (v : Value.t) =
   let interp frac =
     let sel =
       match op with
-      | Pred.Eq -> 1.0 /. float_of_int (max 1 cs.ndv)
-      | Pred.Ne -> 1.0 -. (1.0 /. float_of_int (max 1 cs.ndv))
+      | Pred.Eq -> 1.0 /. float_of_int (Int.max 1 cs.ndv)
+      | Pred.Ne -> 1.0 -. (1.0 /. float_of_int (Int.max 1 cs.ndv))
       | Pred.Lt | Pred.Le -> frac
       | Pred.Gt | Pred.Ge -> 1.0 -. frac
     in
@@ -309,10 +362,11 @@ let range_selectivity t c (op : Pred.cmp) (v : Value.t) =
       let eq_sel () =
         match mcv_frac cs v with
         | Some f -> f
-        | None -> 1.0 /. float_of_int (max 1 cs.ndv)
+        | None -> 1.0 /. float_of_int (Int.max 1 cs.ndv)
       in
       match (op, cs.hist) with
-      | (Pred.Eq | Pred.Ne), _ when cs.mcvs <> [] || cs.hist <> None ->
+      | (Pred.Eq | Pred.Ne), _
+        when (not (List.is_empty cs.mcvs)) || Option.is_some cs.hist ->
           let eq = eq_sel () in
           clamp (match op with Pred.Eq -> eq | _ -> 1.0 -. eq)
       | (Pred.Lt | Pred.Le | Pred.Gt | Pred.Ge), Some h ->
@@ -329,4 +383,5 @@ let range_selectivity t c (op : Pred.cmp) (v : Value.t) =
           clamp sel
       | _ -> uniform_selectivity cs op v)
 
-let ndv t c = match col_stats t c with Some cs -> max 1 cs.ndv | None -> 100
+let ndv t c =
+  match col_stats t c with Some cs -> Int.max 1 cs.ndv | None -> 100

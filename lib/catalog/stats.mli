@@ -37,9 +37,23 @@ type table_stats = {
   columns : (string * column) list;
 }
 
-type t = (string * table_stats) list
+type t
+(** Every entry, keyed by table (or view) name in a persistent map: a
+    read compares [O(log n)] names with [String.compare], however many
+    views have an entry. *)
 
 val empty : t
+
+val of_list : (string * table_stats) list -> t
+(** The entries of a list. When a name is bound twice, its first binding
+    wins, as [List.assoc] would find it. *)
+
+val add : string -> table_stats -> t -> t
+(** [add name ts t]: [t] with [name]'s entry replaced by [ts] (or added).
+    Every other entry is physically the one [t] holds. *)
+
+val bindings : t -> (string * table_stats) list
+(** Every entry, in ascending name order (for checks). *)
 
 val default_row_count : int
 (** Row count assumed for tables with no statistics (1000). *)
@@ -57,15 +71,16 @@ val make_col :
 
 val build_column : ?buckets:int -> ?mcv_limit:int -> Value.t list -> col_stats
 (** Column statistics from raw values, the one builder: the non-null
-    values sorted by {!Value.order} (a numerically equal [Int] before a
-    [Float], so equal multisets give equal statistics whatever their
-    order), then min/max/ndv ([Value.order]'s distinct values, so an [Int]
-    and the equal [Float] count once), an equi-depth histogram with at
-    most [buckets] buckets (default 16; omitted for empty or constant
-    columns), and an exhaustive MCV list when the column has at most
-    [mcv_limit] (default 32) distinct values. The histogram is cut by
-    binary search, O(buckets · log n), after the O(n log n) sort. No
-    non-null value yields [ndv = 0] with [Null] bounds. *)
+    values copied into one array and sorted in place by {!Value.order} (a
+    numerically equal [Int] before a [Float], so equal multisets give
+    equal statistics whatever their order), then min/max/ndv
+    ([Value.order]'s distinct values, so an [Int] and the equal [Float]
+    count once), an equi-depth histogram with at most [buckets] buckets
+    (default 16; omitted for empty or constant columns), and an exhaustive
+    MCV list when the column has at most [mcv_limit] (default 32) distinct
+    values. The histogram is cut by binary search, O(buckets · log n),
+    after the O(n log n) sort. No non-null value yields [ndv = 0] with
+    [Null] bounds. *)
 
 val built : col_stats -> column
 (** A built column that nothing has read yet. *)
@@ -94,7 +109,8 @@ val force : column -> col_stats
 
 val equal_table : table_stats -> table_stats -> bool
 (** Equal row counts, and the same column names in the same order with
-    structurally equal statistics, each column {!force}d. *)
+    structurally equal statistics (an [Int] never equals a [Float]), each
+    column {!force}d. *)
 
 val search :
   cmp:(Value.t -> Value.t -> int) ->

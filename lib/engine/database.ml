@@ -239,5 +239,6 @@ let rebuild_stats (t : t) name prev : Mv_catalog.Stats.table_stats =
    columns (Stats.build_column) — the one-pass [Stats.of_database] hook. *)
 let stats (t : t) : Mv_catalog.Stats.t =
   Hashtbl.fold
-    (fun name (_ : Table.t) acc -> (name, table_stats t name) :: acc)
-    t.tables []
+    (fun name (_ : Table.t) acc ->
+      Mv_catalog.Stats.add name (table_stats t name) acc)
+    t.tables Mv_catalog.Stats.empty

@@ -726,7 +726,7 @@ let materialize_stats db (view : Mv_core.View.t) stats :
     Table.t * Mv_catalog.Stats.t =
   let tbl = materialize db view in
   let ts = Database.table_stats db view.Mv_core.View.name in
-  (tbl, (view.Mv_core.View.name, ts) :: stats)
+  (tbl, Mv_catalog.Stats.add view.Mv_core.View.name ts stats)
 
 (* Execute a substitute: its block references the view's materialized
    table, which must exist in [db] (see [materialize]). *)

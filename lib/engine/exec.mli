@@ -161,9 +161,9 @@ val materialize_stats :
   Mv_core.View.t ->
   Mv_catalog.Stats.t ->
   Table.t * Mv_catalog.Stats.t
-(** {!materialize}, additionally returning [stats] extended with a
-    statistics entry built from the view's actual contents (shadowing any
-    earlier entry of the same name), so
+(** {!materialize}, additionally returning [stats] with a statistics
+    entry built from the view's actual contents (replacing any earlier
+    entry of the same name), so
     {!Mv_opt.Cost.estimate_view_rows} and substitute costing use measured
     numbers for unmaintained views. *)
 

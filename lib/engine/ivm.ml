@@ -194,25 +194,20 @@ let attach t (view : View.t) =
 (* ---- delta evaluation ------------------------------------------------- *)
 
 (* The signed SPJ tuple bag of the view's delta under [batch], with
-   [old_rows] the pre-batch contents of every written table (the database
-   already holds the post-batch state). Each telescoping term runs the
-   executor with each table reading its slice: tables before the delta
-   position read new rows, the delta position just the insert (or delete)
-   slice, tables after it old rows. Synthetic row-count-only statistics
-   let the estimated join order lead with the delta slice, which is
-   usually the smallest table. A slice that is physically the live row
-   list (every unwritten table, and written ones before the delta
-   position) keeps the live declared indexes and cached hash tables; a
-   delta or an old slice is scanned and hashed on its own
-   ([Exec.tuples]). *)
-let signed_tuples t (entry : entry) (batch : batch)
-    (old_rows : (string * Value.t array list) list) :
+   [live v] table [v]'s post-batch rows (the database already holds the
+   post-batch state) and [old v] its pre-batch rows, each with its row
+   count. Each telescoping term runs the executor with each table reading
+   its slice: tables before the delta position read new rows, the delta
+   position just the insert (or delete) slice, tables after it old rows.
+   Synthetic row-count-only statistics let the estimated join order lead
+   with the delta slice, which is usually the smallest table. A slice
+   that is physically the live row list (every unwritten table, and
+   written ones before the delta position) keeps the live declared
+   indexes and cached hash tables; a delta or an old slice is scanned and
+   hashed on its own ([Exec.tuples]). *)
+let signed_tuples t (entry : entry) (batch : batch) ~live ~old :
     (Exec.tuple * int) list =
   let tables = (View.spjg entry.view).Spjg.tables in
-  let live v = (Database.table_exn t.db v).Table.rows in
-  let old_of v =
-    match List.assoc_opt v old_rows with Some rows -> rows | None -> live v
-  in
   let acc = ref [] in
   List.iteri
     (fun i u ->
@@ -224,19 +219,22 @@ let signed_tuples t (entry : entry) (batch : batch)
               let slices =
                 List.mapi
                   (fun j v ->
-                    (v, if j = i then rows else if j < i then live v else old_of v))
+                    ( v,
+                      if j = i then (rows, List.length rows)
+                      else if j < i then live v
+                      else old v ))
                   tables
               in
               let stats =
-                List.map
-                  (fun (v, src) ->
-                    (v, { Stats.row_count = List.length src; columns = [] }))
-                  slices
+                List.fold_left
+                  (fun acc (v, (_, n)) ->
+                    Stats.add v { Stats.row_count = n; columns = [] } acc)
+                  Stats.empty slices
               in
               List.iter
                 (fun b -> acc := (b, sign) :: !acc)
                 (Exec.tuples ~stats
-                   ~rows:(fun v -> List.assoc v slices)
+                   ~rows:(fun v -> fst (List.assoc v slices))
                    t.db entry.block)
             end
           in
@@ -368,6 +366,17 @@ let apply_agg t (entry : entry) agg signed =
 
 (* ---- the batch entry point ------------------------------------------- *)
 
+(* [f v], computed at the first call for each table name [v]. *)
+let once f =
+  let seen = Hashtbl.create 8 in
+  fun v ->
+    match Hashtbl.find_opt seen v with
+    | Some r -> r
+    | None ->
+        let r = f v in
+        Hashtbl.add seen v r;
+        r
+
 let apply t (batch : batch) =
   List.iter
     (fun (name, _) ->
@@ -387,6 +396,17 @@ let apply t (batch : batch) =
   Database.write t.db batch;
   if batch <> [] then begin
     let written = List.map fst batch in
+    (* each slice a delta term reads, with its row count counted once per
+       batch: no view reads a view, so the live lists stay as the write
+       left them while the views are updated *)
+    let sized rows = (rows, List.length rows) in
+    let live = once (fun v -> sized (Database.table_exn t.db v).Table.rows) in
+    let old =
+      once (fun v ->
+          match List.assoc_opt v old_rows with
+          | Some rows -> sized rows
+          | None -> live v)
+    in
     tick batches;
     List.iter
       (fun entry ->
@@ -397,7 +417,7 @@ let apply t (batch : batch) =
         in
         if affected then begin
           let t0 = Mv_obs.Instrument.now_wall () in
-          let signed = signed_tuples t entry batch old_rows in
+          let signed = signed_tuples t entry batch ~live ~old in
           let changed =
             match entry.state with
             | Spj_state { project; widest } ->
@@ -437,5 +457,5 @@ let refresh_stats t (stats : Stats.t) : Stats.t =
              (List.filter (fun (_, c) -> Stats.is_built c) ts.Stats.columns));
         e.built_rows <- ts.Stats.row_count;
         e.changed <- 0;
-        (name, ts) :: List.remove_assoc name acc)
+        Stats.add name ts acc)
     stats t.entries

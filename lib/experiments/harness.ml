@@ -489,8 +489,11 @@ let maintain_cell ?obs ~seed ~batches ~db0 ~stats0 ~pool ~nviews ~batch_rows ()
     && List.for_all
          (fun (name, ts) ->
            List.mem name dirty
-           || List.exists (fun (n, ts0) -> n = name && ts0 == ts) stats0)
-         stats'
+           ||
+           match Mv_catalog.Stats.table stats0 name with
+           | Some ts0 -> ts0 == ts
+           | None -> false)
+         (Mv_catalog.Stats.bindings stats')
   in
   let delta_wall = Mv_obs.Instrument.sum delta_h in
   let remat_wall = Mv_obs.Instrument.sum remat_h in

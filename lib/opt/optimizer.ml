@@ -64,8 +64,8 @@ let view_leaf schema stats (block : Spjg.t) (s : Mv_core.Substitute.t) :
      bench came from exactly this gap). Without view-level statistics the
      base-table estimate is used, so statistics-only runs are unchanged. *)
   let rows =
-    if Mv_catalog.Stats.table stats view.Mv_core.View.name <> None then
-      Cost.block_rows stats s.Mv_core.Substitute.block
+    if Option.is_some (Mv_catalog.Stats.table stats view.Mv_core.View.name)
+    then Cost.block_rows stats s.Mv_core.Substitute.block
     else Cost.block_rows stats block
   in
   let vrows = float_of_int (max 1 view.Mv_core.View.row_count) in

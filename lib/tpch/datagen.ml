@@ -235,7 +235,7 @@ let synthetic_stats ?(sf = 0.5) () : Mv_catalog.Stats.t =
   and parts = n 200_000
   and suppliers = n 10_000
   and partsupps = n 800_000 in
-  [
+  Mv_catalog.Stats.of_list [
     ("region", { Mv_catalog.Stats.row_count = 5;
                  columns = [ int_col "r_regionkey" 0 4 5; str_col "r_name" 5; str_col "r_comment" 5 ] });
     ("nation", { Mv_catalog.Stats.row_count = 25;

@@ -139,6 +139,9 @@ let entry_rebuilt stats db name =
   | Some ts -> Mv_catalog.Stats.equal_table ts (DB.table_stats db name)
   | None -> false
 
+(* The entry [stats] holds for [name]; raises when it holds none. *)
+let entry stats name = Option.get (Mv_catalog.Stats.table stats name)
+
 let ins rows = { Ivm.ins = rows; del = [] }
 let del rows = { Ivm.ins = []; del = rows }
 let gcount = Mv_obs.Registry.counter_value Mv_obs.Registry.global
@@ -421,7 +424,7 @@ let test_freshness_and_stats () =
     (Ivm.dirty_views ivm);
   let stats1 = Ivm.refresh_stats ivm stats0 in
   Alcotest.(check bool) "an entry not due is the one given" true
-    (List.assoc "iv_stats" stats1 == List.assoc "iv_stats" stats0);
+    (entry stats1 "iv_stats" == entry stats0 "iv_stats");
   (* each insert into group "a" changes its row: 2 more changed rows, so
      the 25th brings the count to 51, past the threshold *)
   let stats2 = ref stats1 in
@@ -444,7 +447,7 @@ let test_freshness_and_stats () =
     (Ivm.dirty_views ivm);
   (* untouched base entries pass through unchanged *)
   Alcotest.(check bool) "base entries untouched" true
-    (List.assoc "dim" stats2 == List.assoc "dim" stats0)
+    (entry stats2 "dim" == entry stats0 "dim")
 
 (* ---- error paths ---- *)
 
@@ -584,7 +587,10 @@ let join_fact, join_dim, join_view =
   in
   let sized n = { Mv_catalog.Stats.row_count = n; columns = [] } in
   ( (fact_dim, None),
-    (fact_dim, Some [ ("dim", sized 1000); ("fact", sized 1) ]),
+    ( fact_dim,
+      Some
+        (Mv_catalog.Stats.of_list [ ("dim", sized 1000); ("fact", sized 1) ])
+    ),
     ( Spjg.make ~tables:[ "dim"; "iv_cache" ]
         ~where:[ eq (Expr.Col (col "iv_cache" "f_dim")) c_did ]
         ~group_by:None
@@ -892,7 +898,7 @@ let test_mixed_rebuilds () =
           Alcotest.(check bool)
             (Printf.sprintf "batch %d: %s statistics are kept" b name)
             true
-            (List.assoc name !stats == List.assoc name before))
+            (entry !stats name == entry before name))
       views
   done;
   List.iter
@@ -996,7 +1002,7 @@ let test_growth_rebuilds () =
           Alcotest.(check bool)
             (Printf.sprintf "batch %d: %s's entry is the one given" b name)
             true
-            (List.assoc name !stats == List.assoc name before))
+            (entry !stats name == entry before name))
       model;
     List.iter
       (fun (v : Mv_core.View.t) ->
@@ -1052,7 +1058,12 @@ let test_read_demand () =
   in
   (* a column's statistics, forced, which reads nothing *)
   let peek stats c = Mv_catalog.Stats.force (List.assoc c (columns stats)) in
-  let now c = peek [ ("iv_demand", DB.table_stats db "iv_demand") ] c in
+  let now c =
+    peek
+      (Mv_catalog.Stats.of_list
+         [ ("iv_demand", DB.table_stats db "iv_demand") ])
+      c
+  in
   let counted () =
     (gcount "ivm.stats.columns_built", gcount "stats.columns.built_on_read")
   in
@@ -1124,7 +1135,8 @@ let test_deferred_race () =
     Mv_catalog.Stats.build_column values
   in
   let stats =
-    [ ("t", Mv_catalog.Stats.rebuild None ~row_count:500 [ ("c", build) ]) ]
+    Mv_catalog.Stats.of_list
+      [ ("t", Mv_catalog.Stats.rebuild None ~row_count:500 [ ("c", build) ]) ]
   in
   let ready = Atomic.make 0 in
   let read () =
@@ -1308,8 +1320,11 @@ let maintained_matches ?(apply = Ivm.apply) gen (pick, db_seed, batch_seed) =
         && List.for_all
              (fun (v, ts) ->
                List.mem v dirty
-               || List.exists (fun (u, ts0) -> u = v && ts0 == ts) before)
-             !stats)
+               ||
+               match Mv_catalog.Stats.table before v with
+               | Some ts0 -> ts0 == ts
+               | None -> false)
+             (Mv_catalog.Stats.bindings !stats))
     then ok := false;
     let now = DB.table_stats dba name in
     List.iter
@@ -1486,8 +1501,8 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
       && List.equal
            (fun (n, a) (m, b) ->
              n = m && Mv_catalog.Stats.equal_table a b)
-           (Ivm.refresh_stats ia stats)
-           (Ivm.refresh_stats ib stats)
+           (Mv_catalog.Stats.bindings (Ivm.refresh_stats ia stats))
+           (Mv_catalog.Stats.bindings (Ivm.refresh_stats ib stats))
 
 let invalid_batch_prop =
   QCheck.Test.make ~name:"an invalid batch changes nothing"

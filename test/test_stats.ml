@@ -118,7 +118,9 @@ let reference_prop =
 let stats_of values =
   let cs = Stats.build_column ~buckets ~mcv_limit:128 values in
   let n = List.length (nonnull values) in
-  ([ ("t", { Stats.row_count = n; columns = [ ("c", Stats.built cs) ] }) ], n)
+  ( Stats.of_list
+      [ ("t", { Stats.row_count = n; columns = [ ("c", Stats.built cs) ] }) ],
+    n )
 
 let the_col = Col.make "t" "c"
 
@@ -260,7 +262,10 @@ let test_constant_column () =
   Alcotest.(check bool) "exhaustive mcv" true
     (cs.Stats.mcvs = [ (Value.Int 7, 10) ]);
   (* equality on the single value is certain; on any other value ~zero *)
-  let stats = [ ("t", { Stats.row_count = 10; columns = [ ("c", Stats.built cs) ] }) ] in
+  let stats =
+    Stats.of_list
+      [ ("t", { Stats.row_count = 10; columns = [ ("c", Stats.built cs) ] }) ]
+  in
   Alcotest.(check (float 0.0001))
     "hit" 1.0
     (Stats.range_selectivity stats the_col Pred.Eq (Value.Int 7));
@@ -287,16 +292,85 @@ let test_missing_table_observable () =
   let before = gval "cost.stats.missing" in
   Alcotest.(check int)
     "default row count" Stats.default_row_count
-    (Stats.row_count [] "no_such_table");
+    (Stats.row_count Stats.empty "no_such_table");
   Alcotest.(check int)
     "missing counter bumped" (before + 1)
     (gval "cost.stats.missing");
   (* a known table does not touch the counter *)
-  let stats = [ ("t", { Stats.row_count = 5; columns = [] }) ] in
+  let stats = Stats.of_list [ ("t", { Stats.row_count = 5; columns = [] }) ] in
   Alcotest.(check int) "known row count" 5 (Stats.row_count stats "t");
   Alcotest.(check int)
     "counter unchanged" (before + 1)
     (gval "cost.stats.missing")
+
+(* Entry lists over a few names, so names repeat, each entry a record of
+   its own; lookups also ask for names no list binds. *)
+let bound_names = [ "a"; "b"; "c"; "d"; "e" ]
+let asked_names = bound_names @ [ "f"; "g" ]
+let entry n = { Stats.row_count = n; columns = [] }
+
+let gen_entries =
+  QCheck.make
+    ~print:(fun (l, (n, k)) ->
+      Printf.sprintf "[%s], add %s %d"
+        (String.concat "; "
+           (List.map
+              (fun (name, ts) -> Printf.sprintf "%s:%d" name ts.Stats.row_count)
+              l))
+        n k)
+    QCheck.Gen.(
+      pair
+        (list_size (0 -- 12)
+           (pair (oneofl bound_names) (map entry (0 -- 1000))))
+        (pair (oneofl asked_names) (0 -- 1000)))
+
+let same_entry a b =
+  match (a, b) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | _ -> false
+
+let entries_prop =
+  QCheck.Test.make
+    ~name:"stats: a lookup finds List.assoc's entry, add replaces one"
+    ~count:(Helpers.qcheck_count 500) gen_entries
+    (fun (l, (added, k)) ->
+      let gval = Mv_obs.Registry.counter_value Mv_obs.Registry.global in
+      let t = Stats.of_list l in
+      List.iter
+        (fun n ->
+          if not (same_entry (Stats.table t n) (List.assoc_opt n l)) then
+            QCheck.Test.fail_reportf "%s: not the first binding's record" n;
+          let before = gval "cost.stats.missing" in
+          let rows = Stats.row_count t n in
+          let expected, bumps =
+            match List.assoc_opt n l with
+            | Some ts -> (ts.Stats.row_count, 0)
+            | None -> (Stats.default_row_count, 1)
+          in
+          if rows <> expected || gval "cost.stats.missing" <> before + bumps
+          then
+            QCheck.Test.fail_reportf
+              "%s: row count %d (expected %d), missing counter moved %d" n
+              rows expected
+              (gval "cost.stats.missing" - before))
+        asked_names;
+      let fresh = entry k in
+      let t' = Stats.add added fresh t in
+      if not (same_entry (Stats.table t' added) (Some fresh)) then
+        QCheck.Test.fail_reportf "%s: add did not replace the entry" added;
+      List.iter
+        (fun n ->
+          if
+            (not (String.equal n added))
+            && not (same_entry (Stats.table t' n) (Stats.table t n))
+          then QCheck.Test.fail_reportf "add %s moved %s's entry" added n)
+        asked_names;
+      let names t = List.map fst (Stats.bindings t) in
+      List.equal String.equal (names t')
+        (List.sort_uniq String.compare (added :: names t))
+      || QCheck.Test.fail_reportf "add %s: bindings name the wrong tables"
+           added)
 
 (* Regression for the bench --exec q_bigcust q-error: a view over
    correlated predicates whose analytic estimate (independence
@@ -321,7 +395,7 @@ let test_view_level_stats () =
   (* a and b perfectly correlated: both predicates below select the
      same 100 rows, but independence multiplies the selectivities *)
   Helpers.insert db "t" (List.init 200 (fun i -> [| Value.Int i; Value.Int i |]));
-  let stats = [ ("t", Mv_engine.Database.table_stats db "t") ] in
+  let stats = Stats.of_list [ ("t", Mv_engine.Database.table_stats db "t") ] in
   let ca = Expr.Col (Col.make "t" "a") in
   let cb = Expr.Col (Col.make "t" "b") in
   let spjg =
@@ -357,6 +431,7 @@ let suite =
         Helpers.qtest reference_prop;
         Helpers.qtest range_prop;
         Helpers.qtest eq_prop;
+        Helpers.qtest entries_prop;
         Alcotest.test_case "range error within a recut 3-row bucket" `Quick
           test_containing_bucket_case;
         Alcotest.test_case "empty column" `Quick test_empty_column;
