@@ -22,22 +22,13 @@ type level =
   | Grouping_exprs
   | Grouping_cols
 
-let level_name = function
-  | Hubs -> "hubs"
-  | Source_tables -> "source-tables"
-  | Output_exprs -> "output-expressions"
-  | Output_cols -> "output-columns"
-  | Residuals -> "residual-predicates"
-  | Range_cols -> "range-constrained-columns"
-  | Grouping_exprs -> "grouping-expressions"
-  | Grouping_cols -> "grouping-columns"
-
 type plan = P_level of level * plan | P_split of plan * plan | P_bucket
 
 type stage =
   | Stage_level of level
   | Stage_agg_split
   | Stage_strong_range
+  | Stage_sum_args
 
 (* Levels of a plan in navigation order (split branches concatenated). *)
 let rec plan_levels = function
@@ -65,94 +56,6 @@ let backjoin_plan =
     [ Hubs; Source_tables; Residuals; Range_cols ]
     (P_split (P_bucket, agg))
 
-type node =
-  | Bucket of View.t list
-  | Agg_split of { spj : node; agg : node }
-  | Level of {
-      level : level;
-      rest : plan;
-      lattice : node Lattice.t;
-      nviews : int;
-          (** views in this subtree — lets a search report how many
-              candidates each level received and passed on without ever
-              enumerating them *)
-    }
-
-let rec new_node = function
-  | P_bucket -> Bucket []
-  | P_split (ps, pa) -> Agg_split { spj = new_node ps; agg = new_node pa }
-  | P_level (level, rest) ->
-      Level { level; rest; lattice = Lattice.empty; nviews = 0 }
-
-(* Views under a node: O(1) at levels, O(bucket size) at the leaves. *)
-let rec views_under = function
-  | Bucket views -> List.length views
-  | Agg_split s -> views_under s.spj + views_under s.agg
-  | Level l -> l.nviews
-
-(* Cached per-level counter handles: counters are resolved from the obs
-   registry by dotted-name lookup, which costs a string concatenation and a
-   hash per call — far too much for something the search does at every
-   visited level node. The handles are plain mutable records, so resolving
-   them once per (tree, obs) pairing and indexing by level is safe. *)
-type obs_handles = {
-  h_obs : Mv_obs.Registry.t;
-  h_searches : Mv_obs.Instrument.counter;
-  h_level_in : Mv_obs.Instrument.counter array;  (** indexed by level *)
-  h_level_out : Mv_obs.Instrument.counter array;
-  h_strong_in : Mv_obs.Instrument.counter;
-  h_strong_out : Mv_obs.Instrument.counter;
-}
-
-(* [handles] is the one mutable cell; {!insert} and {!remove} pass it on,
-   so every version of a tree shares one handle cache. *)
-type t = { plan : plan; root : node; handles : obs_handles option Atomic.t }
-
-let create ?(plan = default_plan) () =
-  { plan; root = new_node plan; handles = Atomic.make None }
-
-let level_index = function
-  | Hubs -> 0
-  | Source_tables -> 1
-  | Output_exprs -> 2
-  | Output_cols -> 3
-  | Residuals -> 4
-  | Range_cols -> 5
-  | Grouping_exprs -> 6
-  | Grouping_cols -> 7
-
-let all_levels =
-  [
-    Hubs;
-    Source_tables;
-    Output_exprs;
-    Output_cols;
-    Residuals;
-    Range_cols;
-    Grouping_exprs;
-    Grouping_cols;
-  ]
-
-(* ---- keys ----
-
-   All level keys are interned bitsets ({!Mv_util.Bitset} over the
-   {!Mv_relalg.Intern} domains): the view side is precomputed once at
-   registration ({!View.keys}), the query side once per rule invocation,
-   and every subset / disjointness test the navigation performs is a
-   word-level AND loop. *)
-
-let view_key level (v : View.t) : Bitset.t =
-  let k = v.View.keys in
-  match level with
-  | Hubs -> k.View.hub
-  | Source_tables -> k.View.source_tables
-  | Output_exprs -> k.View.output_exprs
-  | Output_cols -> k.View.output_cols
-  | Residuals -> k.View.residuals
-  | Range_cols -> k.View.range_cols
-  | Grouping_exprs -> k.View.grouping_exprs
-  | Grouping_cols -> k.View.grouping_cols
-
 (* Query-side search keys: the analysis' interned key record, built with
    the analysis (see {!A.keys}). *)
 type query_info = A.keys = {
@@ -165,38 +68,163 @@ type query_info = A.keys = {
       (** all columns of every range-constrained query class *)
   grouping_expr_templates : Bitset.t;
   grouping_classes : Bitset.t list;
+  sum_classes : Bitset.t list;
+      (** query class of each bare-column SUM or AVG argument *)
   is_aggregate : bool;
 }
 
 let query_info (q : A.t) : query_info = A.keys q
 
-(* The search condition at each level, as (traversal direction, monotone
-   predicate on node keys). Interning preserves monotonicity: string-set
-   inclusion maps to bitset inclusion bit-for-bit, so `Up/`Down pruning
-   stays sound (see DESIGN.md). *)
-let level_search level (qi : query_info) =
-  let covers_classes classes k =
-    List.for_all (fun cls -> not (Bitset.inter_empty k cls)) classes
-  in
-  match level with
-  | Hubs -> (`Up, fun k -> Bitset.subset k qi.source_tables)
-  | Source_tables -> (`Down, fun k -> Bitset.subset qi.source_tables k)
-  | Output_exprs -> (`Down, fun k -> Bitset.subset qi.output_expr_templates k)
-  | Output_cols -> (`Down, covers_classes qi.output_classes)
-  | Residuals -> (`Up, fun k -> Bitset.subset k qi.residual_templates)
-  | Range_cols -> (`Up, fun k -> Bitset.subset k qi.extended_range_cols)
-  | Grouping_exprs ->
-      (`Down, fun k -> Bitset.subset qi.grouping_expr_templates k)
-  | Grouping_cols -> (`Down, covers_classes qi.grouping_classes)
+(* ---- the levels ----
 
-(* The strong range-constraint condition (section 4.2.5) cannot be indexed
-   directly (it involves the view's full, class-aware constraint list), so
-   the tree navigates by the weak condition and this check runs once per
-   surviving candidate. *)
+   All level keys are interned bitsets ({!Mv_util.Bitset} over the
+   {!Mv_relalg.Intern} domains): the view side is precomputed once at
+   registration ({!View.keys}), the query side once per rule invocation,
+   and every subset / disjointness test the navigation performs is a
+   word-level AND loop.
+
+   One description per level holds everything the tree knows about it:
+   its name, its slot in the per-search flow counts, the view's key, and
+   the search condition as a traversal direction and a monotone
+   predicate on node keys. Interning preserves monotonicity: string-set
+   inclusion maps to bitset inclusion bit-for-bit, so `Up/`Down pruning
+   stays sound (see DESIGN.md). Every field is a constant or a closed
+   function, so reading one allocates nothing. *)
+
+type desc = {
+  level : level;
+  name : string;
+  index : int;
+  key : View.keys -> Bitset.t;
+  dir : [ `Down | `Up ];
+  pred : query_info -> Bitset.t -> bool;
+}
+
+(* Every class of [classes] meets [k]: the output-column, grouping-column
+   and SUM-argument conditions. *)
+let rec covers k = function
+  | [] -> true
+  | cls :: rest -> (not (Bitset.inter_empty k cls)) && covers k rest
+
+let hubs =
+  { level = Hubs; name = "hubs"; index = 0; key = (fun k -> k.View.hub);
+    dir = `Up; pred = (fun qi k -> Bitset.subset k qi.source_tables) }
+
+let source_tables =
+  { level = Source_tables; name = "source-tables"; index = 1;
+    key = (fun k -> k.View.source_tables);
+    dir = `Down; pred = (fun qi k -> Bitset.subset qi.source_tables k) }
+
+let output_exprs =
+  { level = Output_exprs; name = "output-expressions"; index = 2;
+    key = (fun k -> k.View.output_exprs);
+    dir = `Down; pred = (fun qi k -> Bitset.subset qi.output_expr_templates k) }
+
+let output_cols =
+  { level = Output_cols; name = "output-columns"; index = 3;
+    key = (fun k -> k.View.output_cols);
+    dir = `Down; pred = (fun qi k -> covers k qi.output_classes) }
+
+let residuals =
+  { level = Residuals; name = "residual-predicates"; index = 4;
+    key = (fun k -> k.View.residuals);
+    dir = `Up; pred = (fun qi k -> Bitset.subset k qi.residual_templates) }
+
+let range_cols =
+  { level = Range_cols; name = "range-constrained-columns"; index = 5;
+    key = (fun k -> k.View.range_cols);
+    dir = `Up; pred = (fun qi k -> Bitset.subset k qi.extended_range_cols) }
+
+let grouping_exprs =
+  { level = Grouping_exprs; name = "grouping-expressions"; index = 6;
+    key = (fun k -> k.View.grouping_exprs);
+    dir = `Down;
+    pred = (fun qi k -> Bitset.subset qi.grouping_expr_templates k) }
+
+let grouping_cols =
+  { level = Grouping_cols; name = "grouping-columns"; index = 7;
+    key = (fun k -> k.View.grouping_cols);
+    dir = `Down; pred = (fun qi k -> covers k qi.grouping_classes) }
+
+let descs =
+  [| hubs; source_tables; output_exprs; output_cols; residuals; range_cols;
+     grouping_exprs; grouping_cols |]
+
+let desc = function
+  | Hubs -> hubs
+  | Source_tables -> source_tables
+  | Output_exprs -> output_exprs
+  | Output_cols -> output_cols
+  | Residuals -> residuals
+  | Range_cols -> range_cols
+  | Grouping_exprs -> grouping_exprs
+  | Grouping_cols -> grouping_cols
+
+let level_name l = (desc l).name
+
+(* The two checks that run on each navigated view instead of as levels.
+   The strong range-constraint condition (section 4.2.5) cannot be
+   indexed directly (it involves the view's full, class-aware constraint
+   list), so the tree navigates by the weak condition and this check
+   runs once per navigated view. *)
 let strong_range_ok (qi : query_info) (v : View.t) =
   List.for_all
     (fun cls -> not (Bitset.inter_empty cls qi.extended_range_cols))
     v.View.keys.View.range_classes
+
+(* The SUM-argument condition, a ninth beside section 4.2's eight: an
+   aggregation view answers a grouped query only with a SUM over an
+   argument equivalent to each bare-column SUM or AVG argument of the
+   query, so each of the query's classes must meet the view's SUM key
+   (DESIGN.md §5). It runs after the strong range check, on aggregation
+   views only, rather than as a level: a level would split the
+   aggregation buckets and reorder the views that survive, and candidate
+   order breaks cost ties. *)
+let sum_args_ok (qi : query_info) (v : View.t) =
+  covers v.View.keys.View.sum_args qi.sum_classes
+
+type node =
+  | Bucket of { views : View.t list; count : int }
+  | Agg_split of { spj : node; agg : node }
+  | Level of {
+      desc : desc;
+      rest : plan;
+      lattice : node Lattice.t;
+      nviews : int;
+          (** views in this subtree — lets a search report how many
+              candidates each level received and passed on without ever
+              enumerating them *)
+    }
+
+let rec new_node = function
+  | P_bucket -> Bucket { views = []; count = 0 }
+  | P_split (ps, pa) -> Agg_split { spj = new_node ps; agg = new_node pa }
+  | P_level (level, rest) ->
+      Level { desc = desc level; rest; lattice = Lattice.empty; nviews = 0 }
+
+(* Views under a node, in constant time. *)
+let rec views_under = function
+  | Bucket b -> b.count
+  | Agg_split s -> views_under s.spj + views_under s.agg
+  | Level l -> l.nviews
+
+(* Cached counter handles: counters are resolved from the obs registry by
+   dotted-name lookup, which costs a string concatenation and a hash per
+   call. The handles are plain mutable records, so resolving them once
+   per (tree, obs) pairing and indexing by level is safe. *)
+type obs_handles = {
+  h_obs : Mv_obs.Registry.t;
+  h_searches : Mv_obs.Instrument.counter;
+  h_flow : Mv_obs.Instrument.counter array;
+      (** indexed like a search's flow counts ({!flow_slots}) *)
+}
+
+(* [handles] is the one mutable cell; {!insert} and {!remove} pass it on,
+   so every version of a tree shares one handle cache. *)
+type t = { plan : plan; root : node; handles : obs_handles option Atomic.t }
+
+let create ?(plan = default_plan) () =
+  { plan; root = new_node plan; handles = Atomic.make None }
 
 (* ---- insertion and removal ----
 
@@ -209,14 +237,14 @@ let strong_range_ok (qi : query_info) (v : View.t) =
 
 let rec insert_node node (v : View.t) reshaped =
   match node with
-  | Bucket views -> Bucket (v :: views)
+  | Bucket b -> Bucket { views = v :: b.views; count = b.count + 1 }
   | Agg_split s ->
       if View.is_aggregate v then
         Agg_split { s with agg = insert_node s.agg v reshaped }
       else Agg_split { s with spj = insert_node s.spj v reshaped }
   | Level l ->
       let lattice =
-        Lattice.update l.lattice (view_key l.level v) (fun child ->
+        Lattice.update l.lattice (l.desc.key v.View.keys) (fun child ->
             let child =
               match child with
               | Some c -> c
@@ -224,8 +252,8 @@ let rec insert_node node (v : View.t) reshaped =
                   (* every level below a new key is new too: keep the
                      first *)
                   (match !reshaped with
-                  | Stage_strong_range -> reshaped := Stage_level l.level
-                  | Stage_level _ | Stage_agg_split -> ());
+                  | Stage_strong_range -> reshaped := Stage_level l.desc.level
+                  | Stage_level _ | Stage_agg_split | Stage_sum_args -> ());
                   new_node l.rest
             in
             Some (insert_node child v reshaped))
@@ -244,20 +272,21 @@ let insert t v =
    last assignment to [reshaped] is the shallowest. *)
 let rec remove_node node (v : View.t) reshaped =
   match node with
-  | Bucket views ->
-      Bucket (List.filter (fun x -> x.View.name <> v.View.name) views)
+  | Bucket b ->
+      let views = List.filter (fun x -> x.View.name <> v.View.name) b.views in
+      Bucket { views; count = List.length views }
   | Agg_split s ->
       if View.is_aggregate v then
         Agg_split { s with agg = remove_node s.agg v reshaped }
       else Agg_split { s with spj = remove_node s.spj v reshaped }
   | Level l -> (
-      let key = view_key l.level v in
+      let key = l.desc.key v.View.keys in
       match Lattice.find l.lattice key with
       | None -> node
       | Some child ->
           let child' = remove_node child v reshaped in
           let left = views_under child' in
-          if left = 0 then reshaped := Stage_level l.level;
+          if left = 0 then reshaped := Stage_level l.desc.level;
           let lattice =
             Lattice.update l.lattice key (fun _ ->
                 if left = 0 then None else Some child')
@@ -270,35 +299,78 @@ let remove t v =
   let root = remove_node t.root v reshaped in
   ({ t with root }, !reshaped)
 
-(* ---- search ---- *)
+(* ---- search ----
 
-(* [record] is called once per visited level node with the number of views
-   the node received and the number its surviving children still hold —
-   summed per level by the caller, this is the paper's level-by-level
-   pruning breakdown (Figures 6-7). *)
-let rec search_node ?record node (qi : query_info) acc =
+   One walk per search, with one scratch record ({!Lattice.scratch}) for
+   every lattice on the way, so nothing is allocated per node: the
+   result list grows by one cell per candidate, and the in/out counts of
+   each level (the paper's level-by-level pruning breakdown, Figures
+   6-7) go to a local array, flushed to the counters once per search.
+
+   Candidate order breaks cost ties in the memo, so it is fixed: at a
+   level, the children of the keys that pass in the order of
+   {!Lattice.search}'s list; at the split, the SPJ bucket before the
+   aggregation subtree; in a bucket, the order of its list. Each view is
+   consed onto the result as it is reached, and the two post-navigation
+   checks drop views without moving the others. *)
+
+(* The flow counts of one search: in and out per level (slots [2i] and
+   [2i + 1] for the level of index [i]), then the strong range check and
+   the SUM-argument check. *)
+let strong_slot = 2 * Array.length descs
+
+let sum_slot = strong_slot + 2
+
+let flow_slots = sum_slot + 2
+
+type walk = {
+  qi : query_info;
+  scratch : node Lattice.scratch;
+  flow : int array;
+}
+
+let bump flow i n = Array.unsafe_set flow i (Array.unsafe_get flow i + n)
+
+(* A check's outcome, counted in at [slot] and out at [slot + 1]. *)
+let counted w slot ok =
+  bump w.flow slot 1;
+  if ok then bump w.flow (slot + 1) 1;
+  ok
+
+(* A navigated view, through the strong range check and, for an
+   aggregation view, the SUM-argument check. *)
+let post_ok w v =
+  counted w strong_slot (strong_range_ok w.qi v)
+  && ((not (View.is_aggregate v)) || counted w sum_slot (sum_args_ok w.qi v))
+
+let rec walk_node w node acc =
   match node with
-  | Bucket views -> List.rev_append views acc
+  | Bucket b -> walk_bucket w b.views acc
   | Agg_split s ->
-      let acc = search_node ?record s.spj qi acc in
-      if qi.is_aggregate then search_node ?record s.agg qi acc else acc
+      let acc = walk_node w s.spj acc in
+      if w.qi.is_aggregate then walk_node w s.agg acc else acc
   | Level l ->
-      let dir, pred = level_search l.level qi in
-      let hits = Lattice.search l.lattice ~dir ~pred in
-      (match record with
-      | None -> ()
-      | Some f ->
-          let out =
-            List.fold_left (fun n child -> n + views_under child) 0 hits
-          in
-          f l.level ~in_:l.nviews ~out);
-      List.fold_left
-        (fun acc child -> search_node ?record child qi acc)
-        acc hits
+      let d = l.desc in
+      bump w.flow (2 * d.index) l.nviews;
+      let hits =
+        Lattice.walk w.scratch l.lattice ~dir:d.dir ~pred:d.pred w.qi
+      in
+      walk_hits w ((2 * d.index) + 1) hits acc
 
-let level_counter obs level suffix =
-  Mv_obs.Registry.counter obs
-    ("filter_tree.level." ^ level_name level ^ "." ^ suffix)
+(* The [n] children the level's walk pushed, last visited first. *)
+and walk_hits w out n acc =
+  if n = 0 then acc
+  else
+    let child = Lattice.pop w.scratch in
+    bump w.flow out (views_under child);
+    walk_hits w out (n - 1) (walk_node w child acc)
+
+and walk_bucket w views acc =
+  match views with
+  | [] -> acc
+  | v :: rest -> walk_bucket w rest (if post_ok w v then v :: acc else acc)
+
+let counter obs name = Mv_obs.Registry.counter obs ("filter_tree." ^ name)
 
 (* Resolve (and cache) the counter handles for [obs]. The cache is keyed by
    physical equality on the registry: benches and tests that swap in a
@@ -311,54 +383,42 @@ let handles_for t obs =
   match Atomic.get t.handles with
   | Some h when h.h_obs == obs -> h
   | _ ->
-      let searches = Mv_obs.Registry.counter obs "filter_tree.searches" in
-      let per_level suffix =
-        (* every slot is overwritten below; [searches] is just a filler *)
-        let arr = Array.make 8 searches in
-        List.iter
-          (fun l -> arr.(level_index l) <- level_counter obs l suffix)
-          all_levels;
-        arr
-      in
+      (* every slot is set below *)
+      let flow = Array.make flow_slots (counter obs "searches") in
+      Array.iter
+        (fun d ->
+          flow.(2 * d.index) <- counter obs ("level." ^ d.name ^ ".in");
+          flow.((2 * d.index) + 1) <- counter obs ("level." ^ d.name ^ ".out"))
+        descs;
+      flow.(strong_slot) <- counter obs "strong_range.in";
+      flow.(strong_slot + 1) <- counter obs "strong_range.out";
+      flow.(sum_slot) <- counter obs "sum_arguments.in";
+      flow.(sum_slot + 1) <- counter obs "sum_arguments.out";
       let h =
-        {
-          h_obs = obs;
-          h_searches = searches;
-          h_level_in = per_level "in";
-          h_level_out = per_level "out";
-          h_strong_in =
-            Mv_obs.Registry.counter obs "filter_tree.strong_range.in";
-          h_strong_out =
-            Mv_obs.Registry.counter obs "filter_tree.strong_range.out";
-        }
+        { h_obs = obs; h_searches = counter obs "searches"; h_flow = flow }
       in
       Atomic.set t.handles (Some h);
       h
 
 (* Candidate views for the query's search keys. With [obs], bump
    [filter_tree.searches], per-level [filter_tree.level.<name>.in/out]
-   and the post-navigation [filter_tree.strong_range.in/out] counters. *)
+   and the post-navigation [filter_tree.strong_range.in/out] and
+   [filter_tree.sum_arguments.in/out] counters. *)
 let search ?obs t (qi : query_info) : View.t list =
-  let handles = Option.map (handles_for t) obs in
-  let record =
-    match handles with
-    | None -> None
-    | Some h ->
-        Mv_obs.Instrument.incr h.h_searches;
-        Some
-          (fun level ~in_ ~out ->
-            let i = level_index level in
-            Mv_obs.Instrument.add h.h_level_in.(i) in_;
-            Mv_obs.Instrument.add h.h_level_out.(i) out)
+  let w =
+    { qi; scratch = Lattice.scratch (); flow = Array.make flow_slots 0 }
   in
-  let navigated = search_node ?record t.root qi [] in
-  let survivors = List.filter (strong_range_ok qi) navigated in
-  (match handles with
+  let found = walk_node w t.root [] in
+  (match obs with
   | None -> ()
-  | Some h ->
-      Mv_obs.Instrument.add h.h_strong_in (List.length navigated);
-      Mv_obs.Instrument.add h.h_strong_out (List.length survivors));
-  survivors
+  | Some obs ->
+      let h = handles_for t obs in
+      Mv_obs.Instrument.incr h.h_searches;
+      for i = 0 to flow_slots - 1 do
+        let n = w.flow.(i) in
+        if n > 0 then Mv_obs.Instrument.add h.h_flow.(i) n
+      done);
+  found
 
 let candidates ?obs t (q : A.t) = search ?obs t (query_info q)
 
@@ -368,25 +428,26 @@ let stage_name = function
   | Stage_level l -> level_name l
   | Stage_agg_split -> "agg-split"
   | Stage_strong_range -> "strong-range"
+  | Stage_sum_args -> "sum-arguments"
 
 type fate = Pruned of stage | Passed
 
 (* Why-not replay: walk the tree's plan for ONE view, applying exactly the
-   predicates the search applies — each level's [level_search] predicate to
-   the view's own precomputed key, the agg-split branch rule, and the
-   post-navigation strong-range check. A view reaches the candidate set iff
-   its key passes the predicate at every level on its path (the search
-   soundness property, qcheck-tested against a reference implementation),
-   so this replay names the exact stage that pruned it without ever
-   touching — or slowing — the indexed search itself. *)
+   predicates the search applies — each level's predicate to the view's
+   own precomputed key, the agg-split branch rule, and the two
+   post-navigation checks. A view reaches the candidate set iff its key
+   passes the predicate at every level on its path (the search soundness
+   property, qcheck-tested against a reference implementation), so this
+   replay names the exact stage that pruned it without ever touching — or
+   slowing — the indexed search itself. *)
 let provenance t (qi : query_info) (v : View.t) : stage list * fate =
   let agg_view = View.is_aggregate v in
   let rec go plan acc =
     match plan with
     | P_level (l, rest) ->
         let acc = Stage_level l :: acc in
-        let _, pred = level_search l qi in
-        if pred (view_key l v) then go rest acc
+        let d = desc l in
+        if d.pred qi (d.key v.View.keys) then go rest acc
         else (List.rev acc, Pruned (Stage_level l))
     | P_split (spj, agg) ->
         let acc = Stage_agg_split :: acc in
@@ -395,8 +456,13 @@ let provenance t (qi : query_info) (v : View.t) : stage list * fate =
         else (List.rev acc, Pruned Stage_agg_split)
     | P_bucket ->
         let acc = Stage_strong_range :: acc in
-        if strong_range_ok qi v then (List.rev acc, Passed)
-        else (List.rev acc, Pruned Stage_strong_range)
+        if not (strong_range_ok qi v) then
+          (List.rev acc, Pruned Stage_strong_range)
+        else if not agg_view then (List.rev acc, Passed)
+        else
+          let acc = Stage_sum_args :: acc in
+          if sum_args_ok qi v then (List.rev acc, Passed)
+          else (List.rev acc, Pruned Stage_sum_args)
   in
   go t.plan []
 
@@ -408,14 +474,18 @@ let fate t qi v = snd (provenance t qi v)
    reshaped stage the lattice gains or loses the view's own key, and a
    key that fails a monotone predicate changes no hit of the search for
    it (DESIGN.md §8); at the bucket the view is either added to or
-   removed from a list the strong-range check then drops it from. The
-   path {!provenance} replays is a prefix of the view's path through the
-   tree, so the stage that pruned it is no later than [reshaped] exactly
-   when [reshaped] is that stage or lies beyond the replayed path. *)
+   removed from a list, and a post-navigation check (strong range or SUM
+   arguments) then drops it from the result. The path {!provenance}
+   replays is a prefix of the view's path through the tree, so the stage
+   that pruned it is no later than [reshaped] exactly when [reshaped] is
+   that stage, or the bucket's stage [Stage_strong_range] for either
+   post-navigation check, or lies beyond the replayed path. *)
 let unchanged_by t qi v ~reshaped =
   match provenance t qi v with
   | _, Passed -> false
-  | path, Pruned s -> s = reshaped || not (List.mem reshaped path)
+  | path, Pruned s ->
+      let s = match s with Stage_sum_args -> Stage_strong_range | s -> s in
+      s = reshaped || not (List.mem reshaped path)
 
 let stages t =
   let rec go = function
@@ -423,7 +493,7 @@ let stages t =
     | P_level (l, rest) -> Stage_level l :: go rest
     | P_split (spj, agg) -> (Stage_agg_split :: go spj) @ go agg
   in
-  go t.plan @ [ Stage_strong_range ]
+  go t.plan @ [ Stage_strong_range; Stage_sum_args ]
 
 (* Number of lattice nodes across all levels, for diagnostics. *)
 let rec node_count = function

@@ -19,7 +19,10 @@
     or vanishes, never writing what it was given. Each search marks the
     nodes it visits in a byte string of its own, so searches share no
     state: any number of domains may search one lattice concurrently, and
-    a search may re-enter the lattice from inside its predicate. *)
+    a search may re-enter the lattice from inside its predicate. [walk]
+    runs the same traversal with marks and hits kept in a scratch record
+    its caller reuses across the lattices of one search, so that it
+    allocates nothing per node. *)
 
 module Bitset = Mv_util.Bitset
 
@@ -88,6 +91,71 @@ let collect d ~dir ~pred out =
   !acc
 
 let search t ~dir ~pred = collect t.dag ~dir ~pred t.payloads
+
+(* ---- the allocation-free walk ----
+
+   The same traversal as [collect], for a caller that walks many
+   lattices per search (the filter tree). The visit marks and the hits
+   live in a scratch record that one search owns and reuses for every
+   lattice it walks: the marks are cleared per walk, and the hits are a
+   stack of payloads the caller pops, last visited first, which is the
+   order of [search]'s list. A walk pushes above whatever earlier walks
+   left, so the caller may walk another lattice between two pops. *)
+
+type 'a scratch = {
+  mutable marks : Bytes.t;
+  mutable stack : 'a array;  (** filled from slot 0 up to [height] *)
+  mutable height : int;
+}
+
+let scratch () = { marks = Bytes.empty; stack = [||]; height = 0 }
+
+let push s p =
+  let n = Array.length s.stack in
+  if s.height = n then begin
+    (* the first payload fills the fresh slots *)
+    let stack = Array.make (max 32 (2 * n)) p in
+    Array.blit s.stack 0 stack 0 n;
+    s.stack <- stack
+  end;
+  Array.unsafe_set s.stack s.height p;
+  s.height <- s.height + 1
+
+let pop s =
+  if s.height = 0 then invalid_arg "Lattice.pop: no hit left";
+  s.height <- s.height - 1;
+  Array.unsafe_get s.stack s.height
+
+(* Top-level and closed over nothing, so a visit allocates nothing:
+   [pred] is applied to [q] and the node's key. *)
+let rec visit_list s payloads dir pred q = function
+  | [] -> ()
+  | n :: rest ->
+      visit s payloads dir pred q n;
+      visit_list s payloads dir pred q rest
+
+and visit s payloads dir pred q n =
+  if Bytes.unsafe_get s.marks n.id = '\000' then begin
+    Bytes.unsafe_set s.marks n.id '\001';
+    if pred q n.key then begin
+      push s payloads.(n.id);
+      visit_list s payloads dir pred q
+        (match dir with `Down -> n.subs | `Up -> n.supers)
+    end
+  end
+
+let walk s t ~dir ~pred q =
+  let before = s.height in
+  (match size t with
+  | 0 -> ()
+  | 1 -> if pred q t.dag.nodes.(0).key then push s t.payloads.(0)
+  | n ->
+      if Bytes.length s.marks < n then
+        s.marks <- Bytes.make (max n (2 * Bytes.length s.marks)) '\000'
+      else Bytes.fill s.marks 0 n '\000';
+      visit_list s t.payloads dir pred q
+        (match dir with `Down -> t.dag.tops | `Up -> t.dag.roots));
+  s.height - before
 
 (* Keep only keys with no strict subset among [ns]. *)
 let minimal_nodes ns =

@@ -39,6 +39,39 @@ val search :
     [`Up] starts at the roots and follows superset pointers — correct when
     failure propagates to supersets. *)
 
+(** {2 Walking many lattices in one search}
+
+    {!search} allocates its visit marks and its result list per call.
+    A caller that searches many lattices per query (the filter tree)
+    instead owns one scratch record per query and walks each lattice
+    with it: the same traversal, with the same hits in the same order,
+    and no allocation per node. *)
+
+type 'a scratch
+(** Visit marks and a stack of hits. Owned by one search: never share
+    one between domains, nor use it from inside a [walk]'s [pred]. *)
+
+val scratch : unit -> 'a scratch
+
+val walk :
+  'a scratch ->
+  'a t ->
+  dir:[ `Down | `Up ] ->
+  pred:('q -> Bitset.t -> bool) ->
+  'q ->
+  int
+(** [walk s t ~dir ~pred q] runs {!search}'s traversal with the
+    predicate [pred q], pushes the payload of every key that passes onto
+    [s]'s stack, and returns how many it pushed. Popping them gives
+    exactly {!search}'s list, in order. A lattice with one key is tested
+    directly. The hits of earlier walks stay below the new ones, so the
+    caller may walk another lattice with [s] between two pops, as long
+    as it pops what that walk pushed. *)
+
+val pop : 'a scratch -> 'a
+(** The most recently pushed hit, removed from the stack.
+    @raise Invalid_argument when the stack is empty. *)
+
 val fold : (Bitset.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Every key with its payload. *)
 

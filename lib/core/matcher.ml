@@ -58,7 +58,11 @@ let substitute_group_by (router : Routing.t) q_equiv ~situation (query : A.t) :
                          (Mv_base.Expr.to_string g))))
       in
       go [] 0 gq
-  | (`Agg_over_spj | `Agg_regroup), None -> assert false
+  | (`Agg_over_spj | `Agg_regroup), None ->
+      (* [grouping] regroups only a grouped query *)
+      Error
+        (Reject.Grouping_incompatible
+           (Reject.detail "the query has no grouping list to map"))
 
 (* One construction pass with a given router. *)
 let build_substitute (router : Routing.t) ~backjoin_preds

@@ -114,8 +114,8 @@ let out_item (router : Routing.t) (q_equiv : Mv_relalg.Equiv.t) ~situation
   | Spjg.Aggregate (Spjg.Sum_div_sum _ | Spjg.Sum0 _), _ ->
       fail (Reject.detail "SUM/SUM and coalesced SUM are internal to substitutes")
   | Spjg.Aggregate _, `Plain ->
-      (* Spjg.make forbids aggregates without GROUP BY *)
-      assert false
+      (* [Spjg.make] forbids aggregates without GROUP BY *)
+      fail (Reject.detail "an aggregate in an ungrouped query")
 
 let out_items router q_equiv ~situation items shapes :
     (Spjg.out_item list, Reject.t) result =

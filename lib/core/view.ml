@@ -23,6 +23,9 @@ type keys = {
   grouping_cols : Bitset.t;
   range_classes : Bitset.t list;
       (** full range-constraint list for the strong post-check *)
+  sum_args : Bitset.t;
+      (** the SUM key: every column in the view's own equivalence class
+          of a bare-column SUM argument, for the SUM-argument post-check *)
 }
 
 (** The CHECK constraints of a view's tables (section 3.1.2), classified
@@ -203,6 +206,8 @@ let create ?(relaxed_nulls = false) ?(row_count = 0) ?(indexes = []) schema
         List.map
           (Mv_relalg.Equiv.class_key analysis.A.equiv)
           (Mv_relalg.Range.constrained_roots analysis.A.ranges);
+      (* a view has no AVG output, so these are its SUM arguments *)
+      sum_args = union akeys.A.sum_classes;
     }
   in
   {

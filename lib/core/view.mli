@@ -18,6 +18,9 @@ type keys = {
   grouping_cols : Bitset.t;
   range_classes : Bitset.t list;
       (** full range-constraint list for the strong post-check *)
+  sum_args : Bitset.t;
+      (** the SUM key: every column in the view's own equivalence class
+          of a bare-column SUM argument, for the SUM-argument post-check *)
 }
 
 (** The CHECK constraints of a view's tables (section 3.1.2), classified

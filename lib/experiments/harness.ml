@@ -47,7 +47,8 @@ let take n xs = List.filteri (fun i _ -> i < n) xs
 
 (* The per-level candidate flow recorded by the registry's filter tree:
    one "level" measure (candidates in, out) per level that saw any, in the
-   navigation order of the registry's plan, the strong-range check last. *)
+   navigation order of the registry's plan, then the strong-range and
+   SUM-argument checks. *)
 let levels (registry : Mv_core.Registry.t) : Measure.t list =
   let count = Mv_obs.Registry.counter_value registry.Mv_core.Registry.obs in
   let plan =
@@ -69,7 +70,10 @@ let levels (registry : Mv_core.Registry.t) : Measure.t list =
          let name = Mv_core.Filter_tree.level_name level in
          (name, "filter_tree.level." ^ name))
        (Mv_core.Filter_tree.plan_levels plan)
-    @ [ ("strong-range", "filter_tree.strong_range") ])
+    @ [
+        ("strong-range", "filter_tree.strong_range");
+        ("sum-arguments", "filter_tree.sum_arguments");
+      ])
 
 (* One grid cell: first [nviews] views, one configuration. With
    [domains > 1] the query batch is sharded over that many OCaml domains

@@ -34,10 +34,11 @@ val take : int -> 'a list -> 'a list
 
 val levels : Mv_core.Registry.t -> Measure.t list
 (** The registry filter tree's per-level candidate flow, read from its
-    [filter_tree.level.*] and [filter_tree.strong_range] counters: one
-    ["level"] measure (param [level], metrics [in] and [out]) per level
-    that saw any candidate, in the navigation order of the registry's
-    plan, strong-range last. *)
+    [filter_tree.level.*], [filter_tree.strong_range] and
+    [filter_tree.sum_arguments] counters: one ["level"] measure (param
+    [level], metrics [in] and [out]) per level that saw any candidate, in
+    the navigation order of the registry's plan, then strong-range and
+    sum-arguments. *)
 
 val run : ?domains:int -> workload -> nviews:int -> config:config -> Measure.t
 (** One grid cell, a ["cell"] measure. Params: [config], [alt], [filter],

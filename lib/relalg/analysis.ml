@@ -26,6 +26,8 @@ type keys = {
       (** all columns of every range-constrained query class *)
   grouping_expr_templates : Bitset.t;
   grouping_classes : Bitset.t list;
+  sum_classes : Bitset.t list;
+      (** query class (interned) of each bare-column SUM or AVG argument *)
   is_aggregate : bool;
 }
 
@@ -55,9 +57,9 @@ let out_shape (o : Spjg.out_item) =
 
 let is_template_expr = function Expr.Col _ | Expr.Const _ -> false | _ -> true
 
-(* The output- and grouping-dependent fields: shapes and their keys. The
-   table, residual and range keys depend on (tables, where) alone and are
-   passed through. *)
+(* The output- and grouping-dependent fields: shapes and their keys, the
+   SUM and AVG argument classes included. The table, residual and range
+   keys depend on (tables, where) alone and are passed through. *)
 let with_outputs (equiv : Equiv.t) (spjg : Spjg.t) (keys : keys) =
   let out_shapes = Array.of_list (List.map out_shape spjg.Spjg.out) in
   let gs = Option.value ~default:[] spjg.Spjg.group_by in
@@ -78,16 +80,28 @@ let with_outputs (equiv : Equiv.t) (spjg : Spjg.t) (keys : keys) =
         | _ -> None)
       pairs
   in
+  (* the (expression, shape) pairs of the outputs [arg] picks an
+     expression from *)
+  let rec out_pairs arg i = function
+    | [] -> []
+    | (o : Spjg.out_item) :: rest -> (
+        match arg o.Spjg.def with
+        | Some e -> (e, out_shapes.(i)) :: out_pairs arg (i + 1) rest
+        | None -> out_pairs arg (i + 1) rest)
+  in
   let scalars =
-    List.concat
-      (List.mapi
-         (fun i (o : Spjg.out_item) ->
-           match o.Spjg.def with
-           | Spjg.Scalar e -> [ (e, out_shapes.(i)) ]
-           | Spjg.Aggregate _ -> [])
-         spjg.Spjg.out)
+    out_pairs
+      (function Spjg.Scalar e -> Some e | Spjg.Aggregate _ -> None)
+      0 spjg.Spjg.out
   in
   let groups = List.mapi (fun i g -> (g, group_shapes.(i))) gs in
+  let sums =
+    out_pairs
+      (function
+        | Spjg.Aggregate (Spjg.Sum e | Spjg.Avg e) -> Some e
+        | Spjg.Scalar _ | Spjg.Aggregate _ -> None)
+      0 spjg.Spjg.out
+  in
   ( out_shapes,
     group_shapes,
     {
@@ -96,6 +110,7 @@ let with_outputs (equiv : Equiv.t) (spjg : Spjg.t) (keys : keys) =
       output_classes = class_keys scalars;
       grouping_expr_templates = template_key groups;
       grouping_classes = class_keys groups;
+      sum_classes = class_keys sums;
       is_aggregate = Spjg.is_aggregate spjg;
     } )
 
@@ -128,6 +143,7 @@ let analyze (schema : Mv_catalog.Schema.t) (spjg : Spjg.t) : t =
           (Range.constrained_roots ranges);
       grouping_expr_templates = Bitset.empty;
       grouping_classes = [];
+      sum_classes = [];
       is_aggregate = false;
     }
   in

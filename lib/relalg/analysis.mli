@@ -21,6 +21,8 @@ type keys = {
       (** all columns of every range-constrained query class *)
   grouping_expr_templates : Bitset.t;
   grouping_classes : Bitset.t list;
+  sum_classes : Bitset.t list;
+      (** query class (interned) of each bare-column SUM or AVG argument *)
   is_aggregate : bool;
 }
 

@@ -86,12 +86,14 @@ let qcheck_count default =
 
 (* ---- the filter tree's reference ----
 
-   The level conditions of section 4.2 evaluated directly with
-   string/column-set operations on the views' un-interned descriptor
-   fields — the pre-interning semantics. A view reaches a bucket iff every
-   level condition on its path holds (each level partitions by key and
-   applies its predicate to the key alone), so a filter tree over [views]
-   must return exactly this set, in both plans. *)
+   The level conditions of section 4.2, and the SUM-argument condition
+   the tree checks on navigated aggregation views, evaluated directly
+   with string/column-set operations on the views' un-interned
+   descriptor fields — the pre-interning semantics. A view reaches a
+   bucket iff every level condition on its path holds (each level
+   partitions by key and applies its predicate to the key alone), so a
+   filter tree over [views] must return exactly this set, in both
+   plans. *)
 
 module A = Mv_relalg.Analysis
 module FT = Mv_core.Filter_tree
@@ -128,6 +130,27 @@ let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
     List.for_all
       (fun cls -> not (Col.Set.is_empty (Col.Set.inter cls view_cols)))
       classes
+  in
+  (* the SUM-argument condition: the query class of each bare-column SUM
+     or AVG argument, and the view's own class of each bare-column SUM
+     argument, as column sets *)
+  let sum_arg_cols (a : A.t) ~avg =
+    List.filter_map
+      (fun (o : Mv_relalg.Spjg.out_item) ->
+        match o.Mv_relalg.Spjg.def with
+        | Mv_relalg.Spjg.Aggregate (Mv_relalg.Spjg.Sum (Expr.Col c)) ->
+            Some (Mv_relalg.Equiv.class_of a.A.equiv c)
+        | Mv_relalg.Spjg.Aggregate (Mv_relalg.Spjg.Avg (Expr.Col c)) when avg
+          ->
+            Some (Mv_relalg.Equiv.class_of a.A.equiv c)
+        | _ -> None)
+      a.A.spjg.Mv_relalg.Spjg.out
+  in
+  let q_sum_classes = sum_arg_cols qa ~avg:true in
+  let sum_ok (v : Mv_core.View.t) =
+    covers q_sum_classes
+      (List.fold_left Col.Set.union Col.Set.empty
+         (sum_arg_cols v.Mv_core.View.analysis ~avg:false))
   in
   let level_ok (v : Mv_core.View.t) = function
     | FT.Hubs -> Sset.subset v.Mv_core.View.hub q_tables
@@ -170,6 +193,7 @@ let reference_candidates ~backjoins (views : Mv_core.View.t list) (qa : A.t) =
       && (if Mv_core.View.is_aggregate v then
             q_is_agg
             && List.for_all (level_ok v) [ FT.Grouping_exprs; FT.Grouping_cols ]
+            && sum_ok v
           else true)
       && strong_ok v)
     views

@@ -2,8 +2,9 @@
     slice at 1000 views and without views (the first 100 queries of the
     harness population), per executed read and per maintained write over
     a fixed small TPC-H instance, each one warm, uncached, single-domain
-    pass; and minor words to register the 1000 views and per registry
-    write among them. Words per operation repeat exactly across
+    pass; minor words to register the 1000 views and per registry write
+    among them; and minor words per filter-tree candidate search over the
+    section 5 rule blocks. Words per operation repeat exactly across
     processes, so unlike wall time they can gate a regression in CI, and
     a figure that falls more than the tolerance below its constant fails
     too, naming the constant to lower. *)
@@ -31,10 +32,16 @@ module DB = Mv_engine.Database
    borrowing a stamp array from a domain-local pool inside
    [Fun.protect]. The bitset word loops ([subset], [inter_empty],
    [equal], [compare]) each allocated a closure per call until they
-   became top-level functions: 111,994 at 1000 views. *)
-let budget = 95_610.
+   became top-level functions: 111,994 at 1000 views. Before the filter
+   tree searched in one walk with a scratch record per search (each level
+   visit built a closure pair and each lattice its own marks and hit
+   list) and pruned aggregation views lacking the query's SUM before the
+   section 3 tests, and before the analysis collected its output pairs
+   without a list per output, a pass took 95,628 at 1000 views and
+   21,252 without views. *)
+let budget = 61_371.
 
-let no_view_budget = 21_148.
+let no_view_budget = 20_934.
 
 (* Measured on the exec fixture below. Before the executor ran on
    slot-compiled value arrays (tuples were column-keyed maps) the same
@@ -62,8 +69,10 @@ let no_view_budget = 21_148.
    none, so its rebuilds build no column), a write took 8,680. Before an
    aggregate view's stored list was rebuilt from its groups after a batch
    that changes one (a walk copied the list up to the last changed row,
-   finding the changed rows by physical identity), a write took 6,785. *)
-let read_budget = 14_987.
+   finding the changed rows by physical identity), a write took 6,785.
+   Before the filter tree's one-walk search and SUM-argument check (see
+   [budget] above), a read took 14,852. *)
+let read_budget = 14_312.
 let write_budget = 6_531.
 
 (* Measured on the section 5 views (1000): minor words to register them
@@ -83,6 +92,14 @@ let write_budget = 6_531.
    the log halved at 2,048) adds the rest. *)
 let register_budget = 2_633_323.
 let mutation_budget = 4_229.
+
+(* Measured over the rule blocks of the 1000 section 5 queries at 1000
+   views: minor words per candidate search ({!Mv_core.Registry.candidates},
+   the filter tree's search with its counters), the candidate list
+   included. Searches must stay at or under 500 words. Before the search
+   became one walk with a scratch record per search and pruned
+   aggregation views lacking the query's SUM, a search took 1,674. *)
+let search_budget = 90.
 
 let tolerance = 0.03
 
@@ -125,6 +142,27 @@ let words_per_mutation () =
   in
   churn ();
   words churn /. 16.
+
+let words_per_search () =
+  let w = H.make_workload ~nviews:1000 ~nqueries:1000 () in
+  let registry = Mv_core.Registry.create w.H.schema in
+  List.iter (Mv_core.Registry.add_prebuilt registry) w.H.views;
+  Mv_relalg.Intern.freeze ();
+  let blocks =
+    List.concat_map
+      (fun q ->
+        List.map
+          (Mv_relalg.Analysis.analyze w.H.schema)
+          (Mv_opt.Optimizer.enumerate_blocks q))
+      w.H.queries
+  in
+  let pass () =
+    List.iter
+      (fun qa -> ignore (Mv_core.Registry.candidates registry qa))
+      blocks
+  in
+  pass ();
+  words pass /. float_of_int (List.length blocks)
 
 (* bench --exec's views and queries: three views, four queries they
    answer, two joins over base tables only. *)
@@ -270,5 +308,9 @@ let suite =
         Alcotest.test_case "minor words per registry write" `Quick (fun () ->
             check "registry write" ~name:"mutation_budget"
               (words_per_mutation ()) mutation_budget);
+        Alcotest.test_case "minor words per candidate search" `Quick
+          (fun () ->
+            check "candidate search" ~name:"search_budget"
+              (words_per_search ()) search_budget);
       ] );
   ]

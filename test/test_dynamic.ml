@@ -438,6 +438,53 @@ let test_screen_outcomes () =
     [ false; true ]
     (screen_tallies (all @ churn))
 
+(* A churned aggregation view that the SUM-argument check prunes only
+   joins or leaves a bucket, and the check drops it from the result, so
+   the screen clears it as it clears one the strong range check prunes.
+   The view carrying the query's SUM reaches the result and is flagged. *)
+let test_screen_sum_arguments () =
+  let view name sum =
+    Helpers.view_of_sql
+      (Printf.sprintf
+         "create view %s with schemabinding as select o_custkey, \
+          count_big(*) as cnt, sum(%s) as s from dbo.lineitem, dbo.orders \
+          where l_orderkey = o_orderkey group by o_custkey"
+         name sum)
+  in
+  let has = view "has_sum" "l_quantity"
+  and lacks = view "lacks_sum" "l_extendedprice" in
+  let keys =
+    FT.query_info
+      (A.analyze Helpers.schema
+         (Helpers.parse_q
+            "select o_custkey, sum(l_quantity) as q from lineitem, orders \
+             where l_orderkey = o_orderkey group by o_custkey"))
+  in
+  let reg = R.create Helpers.schema in
+  R.add_prebuilt reg has;
+  let churn f =
+    let before = R.snapshot reg in
+    f ();
+    let after = R.snapshot reg in
+    let ch = List.hd after.R.snap_log in
+    ( R.unchanged_by reg ch keys,
+      List.equal ( == ) (R.search ~snap:before reg keys)
+        (R.search ~snap:after reg keys) )
+  in
+  let tree = (R.snapshot reg).R.snap_tree in
+  Alcotest.(check bool)
+    "the SUM-argument check prunes the view" true
+    (FT.fate tree keys lacks = FT.Pruned FT.Stage_sum_args);
+  let cleared, same = churn (fun () -> R.add_prebuilt reg lacks) in
+  Alcotest.(check bool) "its add is cleared" true cleared;
+  Alcotest.(check bool) "its add leaves the candidates" true same;
+  let cleared, same = churn (fun () -> R.remove_view reg "lacks_sum") in
+  Alcotest.(check bool) "its drop is cleared" true cleared;
+  Alcotest.(check bool) "its drop leaves the candidates" true same;
+  let cleared, _ = churn (fun () -> R.remove_view reg "has_sum") in
+  Alcotest.(check bool) "the drop of the view with the SUM is flagged" false
+    cleared
+
 let suite =
   [
     ( "prop_dynamic",
@@ -448,6 +495,8 @@ let suite =
         Helpers.qtest screen_prop;
         Alcotest.test_case "screen: cleared and flagged pairs both occur"
           `Quick test_screen_outcomes;
+        Alcotest.test_case "screen: a view the SUM check prunes is cleared"
+          `Quick test_screen_sum_arguments;
         Alcotest.test_case "epoch protocol" `Quick test_epoch_protocol;
         Alcotest.test_case "duplicate add raises, no epoch bump" `Quick
           test_duplicate_add_raises;

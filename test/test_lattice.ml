@@ -195,6 +195,50 @@ let failing_key_prop =
       in
       hits t' = hits t)
 
+(* The filter tree's walk against {!Lattice.search}, its reference: the
+   same payloads, in the same order, for a subset ([`Up]), a superset
+   ([`Down]) and a class-intersection ([`Down]) predicate. The walk runs
+   as the filter tree nests it: above the hits an earlier walk left on
+   the scratch stack, with another lattice walked and popped between two
+   of its pops, and with a predicate that re-enters the lattice through
+   a search and a walk of its own. *)
+let walk_prop =
+  QCheck.Test.make ~name:"lattice: walk pops search's hits in order"
+    ~count:300
+    QCheck.(
+      quad ops_arb ops_arb (pair (int_range 0 63) (int_range 0 2)) bool)
+    (fun (ops, ops2, (probe, kind), reenter) ->
+      let t, _ = build ops and t2, _ = build ops2 in
+      let q = set_of_int probe in
+      let dir, pred =
+        match kind with
+        | 0 -> (`Up, fun q k -> Bitset.subset k q)
+        | 1 -> (`Down, fun q k -> Bitset.subset q k)
+        | _ -> (`Down, fun q k -> not (Bitset.inter_empty k q))
+      in
+      let expected t = Lattice.search t ~dir ~pred:(pred q) in
+      let reentrant q k =
+        let inner = Lattice.scratch () in
+        let n = Lattice.walk inner t ~dir ~pred q in
+        let popped = List.init n (fun _ -> Lattice.pop inner) in
+        popped = expected t
+        && Lattice.search t ~dir ~pred:(pred q) = expected t
+        && pred q k
+      in
+      let pred_t = if reenter then reentrant else pred in
+      let s = Lattice.scratch () in
+      let pop_all n = List.init n (fun _ -> Lattice.pop s) in
+      let below = Lattice.walk s t2 ~dir ~pred q in
+      let n = Lattice.walk s t ~dir ~pred:pred_t q in
+      let hits, nested =
+        if n = 0 then ([], expected t2)
+        else
+          let first = Lattice.pop s in
+          let nested = pop_all (Lattice.walk s t2 ~dir ~pred q) in
+          (first :: pop_all (n - 1), nested)
+      in
+      hits = expected t && nested = expected t2 && pop_all below = expected t2)
+
 let test_update_present_key () =
   let k = set_of_int 5 in
   let t1 = Lattice.update Lattice.empty k (fun _ -> Some 1) in
@@ -292,5 +336,6 @@ let suite =
         Helpers.qtest invariants_prop;
         Helpers.qtest custom_search_prop;
         Helpers.qtest failing_key_prop;
+        Helpers.qtest walk_prop;
       ] );
   ]

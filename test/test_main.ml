@@ -17,4 +17,4 @@ let () =
    @ Test_parallel.suite @ Test_dynamic.suite @ Test_cache.suite
    @ Test_serve.suite @ Test_stats.suite @ Test_adaptive.suite
    @ Test_ivm.suite @ Test_advisor.suite @ Test_health.suite
-   @ Test_golden.suite)
+   @ Test_golden.suite @ Test_paper_scale.suite)

@@ -19,18 +19,43 @@ let candidate_names registry qa =
     Sset.empty
     (Mv_core.Registry.candidates registry qa)
 
+(* An aggregation view whose SUM argument equals the query's only
+   through the view's own WHERE: the matcher eliminates nation through
+   the foreign key s_nationkey -> n_nationkey and so equates n_nationkey
+   with the query's s_nationkey, a column the view does not sum. The
+   SUM-argument check must keep it, which it does only because the view's
+   SUM key holds the view's class of n_nationkey. *)
+let fk_sum_view =
+  Helpers.view_of_sql
+    "create view fk_sum with schemabinding as select s_nationkey, \
+     count_big(*) as cnt, sum(n_nationkey) as sn from dbo.supplier, \
+     dbo.nation where s_nationkey = n_nationkey group by s_nationkey"
+
+let fk_sum_query =
+  Helpers.parse_q
+    "select s_nationkey, sum(s_nationkey) as s from supplier group by \
+     s_nationkey"
+
 (* One case = one fresh mini-workload: the seed drives both the view batch
-   and the query batch, so shrinking finds a small failing workload. *)
+   and the query batch, so shrinking finds a small failing workload. Every
+   rule block of each query is probed ({!Mv_opt.Optimizer.enumerate_blocks}:
+   its SPJ sub-blocks and, for a grouped query, the whole query with its
+   SUM outputs), beside the fixed pair above. *)
 let check_seed seed =
   let views =
-    List.filter_map
-      (fun (name, spjg) ->
-        match Mv_core.View.create schema ~name spjg with
-        | v -> Some v
-        | exception Mv_core.View.Rejected _ -> None)
-      (Gen.views ~seed:(1000 + seed) schema stats 25)
+    fk_sum_view
+    :: List.filter_map
+         (fun (name, spjg) ->
+           match Mv_core.View.create schema ~name spjg with
+           | v -> Some v
+           | exception Mv_core.View.Rejected _ -> None)
+         (Gen.views ~seed:(1000 + seed) schema stats 25)
   in
-  let queries = Gen.queries ~seed:(5000 + seed) schema stats 5 in
+  let queries =
+    fk_sum_query
+    :: List.concat_map Mv_opt.Optimizer.enumerate_blocks
+         (Gen.queries ~seed:(5000 + seed) schema stats 5)
+  in
   List.iter
     (fun backjoins ->
       let filtered = Mv_core.Registry.create ~backjoins schema in
@@ -118,6 +143,43 @@ let equivalence_prop =
     QCheck.(int_bound 9999)
     check_equivalence_seed
 
+(* The fixed pair of the soundness property is a real match, kept by
+   the tree under both plans, and a view without the query's SUM is
+   pruned by the SUM-argument check. *)
+let test_fk_sum_pair () =
+  let qa = Mv_relalg.Analysis.analyze schema fk_sum_query in
+  let lacks =
+    Helpers.view_of_sql
+      "create view no_sum with schemabinding as select s_nationkey, \
+       count_big(*) as cnt, sum(s_suppkey) as sk from dbo.supplier, \
+       dbo.nation where s_nationkey = n_nationkey group by s_nationkey"
+  in
+  List.iter
+    (fun backjoins ->
+      Alcotest.(check bool) "the view matches" true
+        (Result.is_ok
+           (Mv_core.Matcher.match_view ~backjoins ~query:qa fk_sum_view));
+      let plan = if backjoins then FT.backjoin_plan else FT.default_plan in
+      let tree =
+        List.fold_left
+          (fun t v -> fst (FT.insert t v))
+          (FT.create ~plan ()) [ fk_sum_view; lacks ]
+      in
+      Alcotest.(check (list string)) "the tree keeps it alone" [ "fk_sum" ]
+        (names (FT.candidates tree qa));
+      Alcotest.(check string) "the other view's fate" "sum-arguments"
+        (match FT.fate tree (FT.query_info qa) lacks with
+        | FT.Pruned s -> FT.stage_name s
+        | FT.Passed -> "passed"))
+    [ false; true ]
+
 let suite =
-  [ ("prop_filter", [ Helpers.qtest soundness_prop;
-                      Helpers.qtest equivalence_prop ]) ]
+  [
+    ( "prop_filter",
+      [
+        Helpers.qtest soundness_prop;
+        Helpers.qtest equivalence_prop;
+        Alcotest.test_case "a SUM argument equal through the view's WHERE"
+          `Quick test_fk_sum_pair;
+      ] );
+  ]
