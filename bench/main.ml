@@ -84,7 +84,7 @@ let () =
   let exec_scales = ref [ 1; 2; 4 ] in
   let exec_reps = ref 5 in
   let batches = ref 10 in
-  let maintain_views = ref [ 10; 50; 100 ] in
+  let maint_nviews = ref [ 10; 50; 100 ] in
   let batch_rows = ref [ 4; 32 ] in
   let advise_candidates = ref [ 100; 1000 ] in
   let advise_trials = ref 5 in
@@ -169,7 +169,7 @@ let () =
         batches := max 1 (int_of_string n);
         parse rest
     | "--maintain-views" :: s :: rest ->
-        maintain_views :=
+        maint_nviews :=
           List.map int_of_string (String.split_on_char ',' s);
         parse rest
     | "--batch-rows" :: s :: rest ->
@@ -383,7 +383,7 @@ let () =
        random batches through both arms per (view count, batch size) cell,
        contents and refreshed statistics checked against rematerialization *)
     one
-      (H.maintain ~batches:!batches ~nviews_list:!maintain_views
+      (H.maintain ~batches:!batches ~nviews_list:!maint_nviews
          ~batch_sizes:!batch_rows ());
   if what.advise then
     (* the view advisor: mine candidates from a generated workload, select

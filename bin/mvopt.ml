@@ -15,9 +15,9 @@
       metrics  the same run exported in OpenMetrics text format: obs
                counters/histograms, the per-view ledger and the
                timeline windows
-      refresh  demonstrate the freshness protocol: stale marks on
-               unmaintained writes, fresh-only rejection, rematerialization
-               and incremental maintenance (Ivm.apply) restoring freshness
+      refresh  demonstrate incremental maintenance: materialize a view,
+               keep it current under write batches (Ivm.apply), and check
+               its contents against recomputation
       demo     a self-contained end-to-end demonstration
       generate print a random section-5 workload
       advise   mine view candidates from a generated workload, select a set
@@ -771,43 +771,14 @@ let refresh_cmd =
            where l_orderkey = o_orderkey
            group by o_custkey |}
     in
-    let qa = Mv_relalg.Analysis.analyze schema q in
-    let uses fresh_only =
-      let r = Mv_opt.Optimizer.optimize ~fresh_only registry stats q in
+    let uses () =
+      let r = Mv_opt.Optimizer.optimize registry stats q in
       List.mem name (Mv_opt.Plan.views_used r.Mv_opt.Optimizer.plan)
     in
-    let explain_fate () =
-      match
-        List.find_opt
-          (fun ((v : Mv_core.View.t), _) -> v.Mv_core.View.name = name)
-          (Mv_core.Registry.explain ~fresh_only:true registry qa)
-        |> Option.map snd
-      with
-      | Some (Mv_core.Registry.Matched _) -> "matched"
-      | Some (Mv_core.Registry.Rejected r) -> "reject:" ^ Mv_core.Reject.label r
-      | Some (Mv_core.Registry.Filtered s) ->
-          "filter:" ^ Mv_core.Filter_tree.stage_name s
-      | None -> "unknown"
-    in
-    Printf.printf "materialized %s (%d rows, fresh)\n" name
+    Printf.printf "materialized %s (%d rows)\n" name
       view.Mv_core.View.row_count;
-    Printf.printf "fresh-only optimize uses the view: %b\n" (uses true);
-    (* an unmaintained write: the registry marks every view over the table *)
-    let li = Mv_engine.Database.table_exn db "lineitem" in
-    let some_row = List.hd li.Mv_engine.Table.rows in
-    Mv_engine.Database.write db
-      [ ("lineitem", { Mv_engine.Database.ins = [ some_row ]; del = [] }) ];
-    let marked = Mv_core.Registry.mark_stale registry ~tables:[ "lineitem" ] in
-    Printf.printf
-      "\nunmaintained write to lineitem: %d view(s) marked stale\n" marked;
-    Printf.printf "fresh-only optimize uses the view: %b (%s)\n" (uses true)
-      (explain_fate ());
-    Printf.printf "default optimize still uses it:    %b\n" (uses false);
-    (* refresh = rematerialize the stale view; it is fresh again *)
-    ignore (Mv_engine.Exec.materialize db view);
-    Printf.printf "\nrematerialized %s: stale=%b, fresh-only uses it: %b\n" name
-      (Mv_core.View.is_stale view) (uses true);
-    (* from here on, keep it fresh incrementally under write batches *)
+    Printf.printf "optimize uses the view: %b\n" (uses ());
+    (* keep it current incrementally under write batches *)
     let ivm = Mv_engine.Ivm.create db in
     Mv_engine.Ivm.attach ivm view;
     let rng = Mv_util.Prng.create (seed + 1) in
@@ -821,10 +792,8 @@ let refresh_cmd =
         ]
     done;
     let wall = Mv_obs.Instrument.now_wall () -. t0 in
-    Printf.printf
-      "\napplied %d maintained batches (%d rows each) in %.4fs; stale=%b\n"
-      (max 1 batches) batch_rows wall
-      (Mv_core.View.is_stale view);
+    Printf.printf "\napplied %d maintained batches (%d rows each) in %.4fs\n"
+      (max 1 batches) batch_rows wall;
     (* verify: the maintained contents match a from-scratch evaluation *)
     let direct = Mv_engine.Exec.execute db (Mv_core.View.spjg view) in
     let kept =
@@ -835,16 +804,17 @@ let refresh_cmd =
     in
     let ok = Mv_engine.Relation.same_bag direct kept in
     Printf.printf "maintained contents equivalent to recomputation: %b\n" ok;
-    Printf.printf "fresh-only optimize uses the view: %b\n" (uses true);
-    if not (ok && uses true) then exit 3
+    let used = uses () in
+    Printf.printf "optimize uses the view: %b\n" used;
+    if not (ok && used) then exit 3
   in
   Cmd.v
     (Cmd.info "refresh"
        ~doc:
-         "Demonstrate the freshness protocol: unmaintained writes mark views \
-          stale (rejected under fresh-only matching), rematerialization or \
-          incremental maintenance (Ivm.apply) makes them fresh again; \
-          verifies maintained contents against recomputation")
+         "Demonstrate incremental maintenance: materialize a view, keep it \
+          current under write batches (Ivm.apply), and verify the \
+          maintained contents against recomputation and that the optimizer \
+          still uses the view; exits 3 otherwise")
     Term.(const run $ scale $ seed $ batches $ batch_rows)
 
 (* ---- demo ---- *)

@@ -6,6 +6,13 @@ exception Eval_error of string
 
 let eval_error fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 
+let float_arith op x y =
+  match op with
+  | Expr.Add -> Value.Float (x +. y)
+  | Expr.Sub -> Value.Float (x -. y)
+  | Expr.Mul -> Value.Float (x *. y)
+  | Expr.Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
+
 let arith op a b =
   let open Value in
   match (a, b) with
@@ -16,15 +23,9 @@ let arith op a b =
       | Expr.Sub -> Int (x - y)
       | Expr.Mul -> Int (x * y)
       | Expr.Div -> if y = 0 then Null else Int (x / y))
-  | (Int _ | Float _), (Int _ | Float _) -> (
-      match (Value.as_float a, Value.as_float b) with
-      | Some x, Some y -> (
-          match op with
-          | Expr.Add -> Float (x +. y)
-          | Expr.Sub -> Float (x -. y)
-          | Expr.Mul -> Float (x *. y)
-          | Expr.Div -> if y = 0.0 then Null else Float (x /. y))
-      | _ -> assert false)
+  | Float x, Float y -> float_arith op x y
+  | Int x, Float y -> float_arith op (float_of_int x) y
+  | Float x, Int y -> float_arith op x (float_of_int y)
   | Date d, Int i -> (
       (* date arithmetic: shifting by days *)
       match op with

@@ -23,7 +23,7 @@ let dtype_of = function
 
 let is_null = function Null -> true | _ -> false
 
-(* Numeric view used for cross-type Int/Float comparison and arithmetic. *)
+(* Numeric view of an Int or Float, for interpolating statistics. *)
 let as_float = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
@@ -40,10 +40,8 @@ let cmp3 a b =
   | Null, _ | _, Null -> None
   | Int x, Int y -> Some (compare x y)
   | Float x, Float y -> Some (compare x y)
-  | (Int _ | Float _), (Int _ | Float _) -> (
-      match (as_float a, as_float b) with
-      | Some x, Some y -> Some (compare x y)
-      | _ -> assert false)
+  | Int x, Float y -> Some (compare (float_of_int x) y)
+  | Float x, Int y -> Some (compare x (float_of_int y))
   | Str x, Str y -> Some (compare x y)
   | Bool x, Bool y -> Some (compare x y)
   | Date x, Date y -> Some (compare x y)

@@ -369,18 +369,10 @@ let range_selectivity t c (op : Pred.cmp) (v : Value.t) =
         when (not (List.is_empty cs.mcvs)) || Option.is_some cs.hist ->
           let eq = eq_sel () in
           clamp (match op with Pred.Eq -> eq | _ -> 1.0 -. eq)
-      | (Pred.Lt | Pred.Le | Pred.Gt | Pred.Ge), Some h ->
-          let le = hist_frac_le h v in
-          let eq = eq_sel () in
-          let sel =
-            match op with
-            | Pred.Le -> le
-            | Pred.Lt -> le -. eq
-            | Pred.Gt -> 1.0 -. le
-            | Pred.Ge -> 1.0 -. le +. eq
-            | _ -> assert false
-          in
-          clamp sel
+      | Pred.Le, Some h -> clamp (hist_frac_le h v)
+      | Pred.Lt, Some h -> clamp (hist_frac_le h v -. eq_sel ())
+      | Pred.Gt, Some h -> clamp (1.0 -. hist_frac_le h v)
+      | Pred.Ge, Some h -> clamp (1.0 -. hist_frac_le h v +. eq_sel ())
       | _ -> uniform_selectivity cs op v)
 
 let ndv t c =

@@ -1,8 +1,7 @@
 (* The per-view health ledger: runtime accounts of what each registered
    view cost and earned, keyed by view NAME so an account survives
    add/drop churn (a view dropped and defined again gets a new
-   descriptor; the name is the stable identity — same reasoning as the
-   staleness bit in DESIGN.md §12).
+   descriptor; the name is the stable identity).
 
    Counts are atomic ints (no lock, no lost updates under multi-domain
    serving); the float accumulators (estimated cost saved, maintenance
@@ -21,7 +20,6 @@ type account = {
   a_matched : int Atomic.t;  (** produced a substitute *)
   a_chosen : int Atomic.t;  (** appeared in a final plan *)
   a_cache_hits : int Atomic.t;  (** served from the plan cache *)
-  a_stale_flips : int Atomic.t;  (** fresh -> stale transitions *)
   a_maint_events : int Atomic.t;  (** maintenance batches applied *)
   a_lock : Mutex.t;
   mutable a_benefit : float;
@@ -57,7 +55,6 @@ let account t name =
               a_matched = Atomic.make 0;
               a_chosen = Atomic.make 0;
               a_cache_hits = Atomic.make 0;
-              a_stale_flips = Atomic.make 0;
               a_maint_events = Atomic.make 0;
               a_lock = Mutex.create ();
               a_benefit = 0.0;
@@ -74,8 +71,6 @@ let record_candidate = bump (fun a -> a.a_candidate)
 let record_matched = bump (fun a -> a.a_matched)
 
 let record_cache_hit = bump (fun a -> a.a_cache_hits)
-
-let record_stale = bump (fun a -> a.a_stale_flips)
 
 let record_chosen t ?(benefit = 0.0) name =
   let a = account t name in
@@ -116,7 +111,6 @@ type row = {
   r_matched : int;
   r_chosen : int;
   r_cache_hits : int;
-  r_stale_flips : int;
   r_maint_events : int;
   r_benefit : float;
   r_maint_s : float;
@@ -132,7 +126,6 @@ let row_of name a =
     r_matched = Atomic.get a.a_matched;
     r_chosen = Atomic.get a.a_chosen;
     r_cache_hits = Atomic.get a.a_cache_hits;
-    r_stale_flips = Atomic.get a.a_stale_flips;
     r_maint_events = Atomic.get a.a_maint_events;
     r_benefit = benefit;
     r_maint_s = maint_s;
@@ -168,7 +161,6 @@ let row_json r =
       ("matched", J.Int r.r_matched);
       ("chosen", J.Int r.r_chosen);
       ("cache_hits", J.Int r.r_cache_hits);
-      ("stale_flips", J.Int r.r_stale_flips);
       ("maint_events", J.Int r.r_maint_events);
       ("benefit", J.Float r.r_benefit);
       ("maint_s", J.Float r.r_maint_s);
@@ -215,7 +207,6 @@ let families ?(prefix = "mv_view_") t =
         (fun r -> r.r_chosen);
       counter "cache_hits" "times a cached plan using the view was served"
         (fun r -> r.r_cache_hits);
-      counter "stale_flips" "fresh->stale transitions" (fun r -> r.r_stale_flips);
       counter "maintenance_batches" "maintenance batches applied"
         (fun r -> r.r_maint_events);
       fcounter "benefit" "estimated optimizer cost saved" (fun r -> r.r_benefit);
@@ -238,14 +229,14 @@ let render ?(limit = 0) t =
   let width =
     List.fold_left (fun acc r -> max acc (String.length r.r_view)) 4 rs
   in
-  Printf.bprintf b "  %-*s %9s %9s %9s %7s %7s %6s %12s %10s %12s  %s\n" width
-    "view" "candidate" "matched" "chosen" "cached" "stale" "maint" "benefit"
-    "maint_s" "net" "";
+  Printf.bprintf b "  %-*s %9s %9s %9s %7s %6s %12s %10s %12s  %s\n" width
+    "view" "candidate" "matched" "chosen" "cached" "maint" "benefit" "maint_s"
+    "net" "";
   List.iter
     (fun r ->
-      Printf.bprintf b "  %-*s %9d %9d %9d %7d %7d %6d %12.1f %10.4f %12.1f  %s\n"
+      Printf.bprintf b "  %-*s %9d %9d %9d %7d %6d %12.1f %10.4f %12.1f  %s\n"
         width r.r_view r.r_candidate r.r_matched r.r_chosen r.r_cache_hits
-        r.r_stale_flips r.r_maint_events r.r_benefit r.r_maint_s (net r)
+        r.r_maint_events r.r_benefit r.r_maint_s (net r)
         (if dead r then "DEAD" else ""))
     rs;
   Buffer.contents b

@@ -9,9 +9,8 @@
 
     Attribution points (DESIGN.md §14): candidate/matched in the
     view-matching rule ({!Registry.find_substitutes}), chosen and
-    estimated benefit at the optimizer's win site, staleness flips in
-    {!Registry.mark_stale}, maintenance wall time in [Mv_engine.Ivm],
-    cache hits in the serving front end. *)
+    estimated benefit at the optimizer's win site, maintenance wall time
+    in [Mv_engine.Ivm], cache hits in the serving front end. *)
 
 type t
 
@@ -30,8 +29,6 @@ val record_chosen : t -> ?benefit:float -> string -> unit
 
 val record_cache_hit : t -> string -> unit
 
-val record_stale : t -> string -> unit
-
 val record_maintenance : t -> wall:float -> string -> unit
 
 val record_query : t -> Mv_relalg.Spjg.t -> unit
@@ -46,7 +43,6 @@ type row = {
   r_matched : int;
   r_chosen : int;
   r_cache_hits : int;
-  r_stale_flips : int;
   r_maint_events : int;
   r_benefit : float;
   r_maint_s : float;

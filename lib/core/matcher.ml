@@ -84,22 +84,8 @@ let build_substitute (router : Routing.t) ~backjoin_preds
       Error
         (Reject.Output_not_computable (fun () -> "substitute invalid: " ^ msg))
 
-let match_view ?(relaxed_nulls = false) ?(backjoins = false)
-    ?(fresh_only = false) ?spans ~(query : A.t) (view : View.t) :
-    (Substitute.t, Reject.t) result =
-  if fresh_only && View.is_stale view then begin
-    (* freshness gate (DESIGN.md §12): a stale view may answer with data
-       its base tables have since outrun, so a fresh-only caller rejects
-       it before any structural test runs *)
-    Mv_obs.Span.annotate spans (fun () ->
-        [
-          ("result", Mv_obs.Span.Str "rejected");
-          ("reject", Mv_obs.Span.Str (Reject.label Reject.Stale));
-          ("detail", Mv_obs.Span.Str (Reject.to_string Reject.Stale));
-        ]);
-    Error Reject.Stale
-  end
-  else
+let match_view ?(relaxed_nulls = false) ?(backjoins = false) ?spans
+    ~(query : A.t) (view : View.t) : (Substitute.t, Reject.t) result =
   let checks =
     Mv_obs.Span.wrap spans "spj-tests" (fun _ ->
         let* tests = Spj_match.run ~relaxed_nulls query view in
@@ -170,7 +156,7 @@ let match_view ?(relaxed_nulls = false) ?(backjoins = false)
   result
 
 (* Convenience entry point used by tests and examples. *)
-let match_spjg ?relaxed_nulls ?backjoins ?fresh_only schema
-    ~(query : Spjg.t) (view : View.t) =
+let match_spjg ?relaxed_nulls ?backjoins schema ~(query : Spjg.t)
+    (view : View.t) =
   let analysis = A.analyze schema query in
-  match_view ?relaxed_nulls ?backjoins ?fresh_only ~query:analysis view
+  match_view ?relaxed_nulls ?backjoins ~query:analysis view

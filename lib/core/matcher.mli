@@ -5,23 +5,17 @@
 val match_view :
   ?relaxed_nulls:bool ->
   ?backjoins:bool ->
-  ?fresh_only:bool ->
   ?spans:Mv_obs.Span.scope ->
   query:Mv_relalg.Analysis.t ->
   View.t ->
   (Substitute.t, Reject.t) result
 (** With [spans], records ["spj-tests"] and ["construct"] child spans and
     annotates the enclosing span with the outcome ([result], plus
-    [reject]/[detail] from the {!Reject.t} on failure).
-
-    [fresh_only] (default [false]) rejects a view whose {!View.is_stale}
-    mark is set with {!Reject.Stale} before any structural test runs — the
-    freshness-aware mode of DESIGN.md §12. *)
+    [reject]/[detail] from the {!Reject.t} on failure). *)
 
 val match_spjg :
   ?relaxed_nulls:bool ->
   ?backjoins:bool ->
-  ?fresh_only:bool ->
   Mv_catalog.Schema.t ->
   query:Mv_relalg.Spjg.t ->
   View.t ->

@@ -262,8 +262,7 @@ let record_stage_notes snap sub (q : A.t) =
 
 (* The view-matching rule body: find all views that can compute [q] and
    build one substitute per view. *)
-let find_substitutes ?spans ?snap ?record ?(fresh_only = false) t (q : A.t)
-    : Substitute.t list =
+let find_substitutes ?spans ?snap ?record t (q : A.t) : Substitute.t list =
   (* one snapshot per invocation: the candidate search, the population
      counts and the traced stage replay all see the same registry state *)
   let s = current ?snap t in
@@ -288,7 +287,7 @@ let find_substitutes ?spans ?snap ?record ?(fresh_only = false) t (q : A.t)
   let match_one v sub =
     match
       Matcher.match_view ~relaxed_nulls:t.relaxed_nulls ~backjoins:t.backjoins
-        ~fresh_only ?spans:sub ~query:q v
+        ?spans:sub ~query:q v
     with
     | Ok s -> Some s
     | Error _ -> None
@@ -309,27 +308,6 @@ let find_substitutes ?spans ?snap ?record ?(fresh_only = false) t (q : A.t)
     subs;
   subs
 
-(* ---- freshness (DESIGN.md §12) ----
-
-   Staleness marks live on the shared [View.t] descriptors (an atomic
-   bool), so marking needs no epoch bump or publication: snapshots share
-   the descriptors and the population did not change. Matching behavior is
-   unchanged unless a caller opts into [fresh_only]. *)
-
-let mark_stale t ~tables : int =
-  let hit (v : View.t) =
-    List.exists (fun tn -> Mv_util.Sset.mem tn v.View.source_tables) tables
-  in
-  List.fold_left
-    (fun n v ->
-      if hit v && not (View.is_stale v) then begin
-        View.mark_stale v;
-        Health.record_stale t.health v.View.name;
-        n + 1
-      end
-      else n)
-    0 (snapshot t).snap_views
-
 (* ---- why-not ---- *)
 
 type explanation =
@@ -344,8 +322,7 @@ type explanation =
    real matcher. Deliberately bumps NO [rule.*] counters — explanation is a
    diagnostic read, not a rule invocation. With [use_filter] off every view
    goes straight to the matcher, mirroring the "No Filter" configuration. *)
-let explain ?snap ?(fresh_only = false) t (q : A.t) :
-    (View.t * explanation) list =
+let explain ?snap t (q : A.t) : (View.t * explanation) list =
   let s = current ?snap t in
   let qi = Filter_tree.query_info q in
   List.map
@@ -359,7 +336,7 @@ let explain ?snap ?(fresh_only = false) t (q : A.t) :
       | Filter_tree.Passed -> (
           match
             Matcher.match_view ~relaxed_nulls:t.relaxed_nulls
-              ~backjoins:t.backjoins ~fresh_only ~query:q v
+              ~backjoins:t.backjoins ~query:q v
           with
           | Ok sub -> (v, Matched sub)
           | Error e -> (v, Rejected e)))

@@ -58,10 +58,9 @@ type t = {
   rule : rule_handles;  (** handles on [obs] *)
   health : Health.t;
       (** the per-view ledger: candidate/matched recorded here by the
-          rule, staleness flips by {!mark_stale}; higher layers attribute
-          chosen/benefit (optimizer), maintenance ([Mv_engine.Ivm]) and
-          cache hits (serving front end). Keyed by view name, so accounts
-          survive churn. *)
+          rule; higher layers attribute chosen/benefit (optimizer),
+          maintenance ([Mv_engine.Ivm]) and cache hits (serving front
+          end). Keyed by view name, so accounts survive churn. *)
   state : snapshot Atomic.t;
       (** the published state. Internal — read through {!val-snapshot};
           the serving front's plan table ([Mv_experiments.Serve]) stamps
@@ -143,19 +142,10 @@ val unchanged_by : t -> change -> Filter_tree.query_info -> bool
     [false] without the filter tree, where the candidates are the whole
     population. *)
 
-val mark_stale : t -> tables:string list -> int
-(** Set the staleness mark on every registered view sourcing one of
-    [tables]; returns how many views newly became stale. Marks live on the
-    shared descriptors (an atomic bool), so nothing is published and the
-    epoch stays — matching is unchanged unless a caller passes
-    [fresh_only]. Clear per view with {!View.mark_fresh} after a refresh
-    (see [Mv_engine.Ivm]). *)
-
 val find_substitutes :
   ?spans:Mv_obs.Span.scope ->
   ?snap:snapshot ->
   ?record:(Filter_tree.query_info -> View.t list -> unit) ->
-  ?fresh_only:bool ->
   t ->
   Mv_relalg.Analysis.t ->
   Substitute.t list
@@ -173,10 +163,7 @@ val find_substitutes :
 
     Without [snap], each invocation runs against {!val-snapshot}'s current
     value; with it, against exactly the pinned state — what lets a whole
-    optimization see one consistent registry under concurrent churn.
-
-    [fresh_only] (default [false]) additionally rejects stale views with
-    {!Reject.Stale} — the freshness-aware matcher mode of DESIGN.md §12. *)
+    optimization see one consistent registry under concurrent churn. *)
 
 (** {2 Why-not} *)
 
@@ -188,7 +175,6 @@ type explanation =
 
 val explain :
   ?snap:snapshot ->
-  ?fresh_only:bool ->
   t ->
   Mv_relalg.Analysis.t ->
   (View.t * explanation) list
@@ -196,8 +182,7 @@ val explain :
     respect to the rule: [Filtered] views are precisely the population
     minus {!candidates} (the filtering is replayed per view through
     {!Filter_tree.provenance}), and the rest are re-tested through the
-    real matcher (with [fresh_only] passed along, so stale views report
-    [Rejected Stale]). Bumps no [rule.*] counters. With [use_filter] off,
+    real matcher. Bumps no [rule.*] counters. With [use_filter] off,
     every view goes straight to the matcher. *)
 
 val find_substitutes_spjg : t -> Mv_relalg.Spjg.t -> Substitute.t list

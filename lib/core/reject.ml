@@ -18,7 +18,6 @@ type t =
   | Output_not_computable of detail
   | Grouping_incompatible of detail
   | View_more_aggregated
-  | Stale
 
 let detail s () = s
 
@@ -35,8 +34,6 @@ let to_string = function
       "query output not computable from view output: " ^ s ()
   | Grouping_incompatible s -> "grouping lists incompatible: " ^ s ()
   | View_more_aggregated -> "view is more aggregated than the query"
-  | Stale ->
-      "view is stale: base tables changed since it was last refreshed"
 
 (* Stable machine-readable labels: one per constructor, detail payloads
    dropped. Used as aggregation keys (why-not tables, span attributes), so
@@ -51,6 +48,5 @@ let label = function
   | Output_not_computable _ -> "output-not-computable"
   | Grouping_incompatible _ -> "grouping-incompatible"
   | View_more_aggregated -> "view-more-aggregated"
-  | Stale -> "stale"
 
 let pp ppf t = Fmt.string ppf (to_string t)

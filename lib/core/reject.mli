@@ -14,9 +14,6 @@ type t =
   | Output_not_computable of detail
   | Grouping_incompatible of detail
   | View_more_aggregated
-  | Stale
-      (** the view's base tables changed since it was last refreshed and
-          the caller asked for fresh views only (IVM, DESIGN.md §12) *)
 
 val detail : string -> detail
 (** A fixed detail text. *)
@@ -29,6 +26,6 @@ val label : t -> string
     ["equijoin-subsumption"], ["range-subsumption"],
     ["residual-subsumption"], ["compensation-not-computable"],
     ["output-not-computable"], ["grouping-incompatible"],
-    ["view-more-aggregated"], ["stale"]. *)
+    ["view-more-aggregated"]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -70,11 +70,6 @@ type t = {
       (** secondary indexes over output columns (Example 1 creates one on
           (gross_revenue, p_name)); considered automatically by the cost
           model and built at materialization time *)
-  stale : bool Atomic.t;
-      (** freshness mark (DESIGN.md §12): set when a base table is written
-          without the view's contents being maintained, cleared by
-          materialize/refresh. Atomic so write-side marking and a
-          [fresh_only] matcher on another domain never race. *)
 }
 
 (* CHECK components depend on the table set alone, so views over the same
@@ -219,16 +214,9 @@ let create ?(relaxed_nulls = false) ?(row_count = 0) ?(indexes = []) schema
     keys;
     row_count;
     indexes;
-    stale = Atomic.make false;
   }
 
 let spjg t = t.analysis.Mv_relalg.Analysis.spjg
-
-let is_stale t = Atomic.get t.stale
-
-let mark_stale t = Atomic.set t.stale true
-
-let mark_fresh t = Atomic.set t.stale false
 
 let is_aggregate t = Mv_relalg.Spjg.is_aggregate (spjg t)
 

@@ -62,9 +62,6 @@ type t = {
   mutable indexes : string list list;
       (** secondary indexes over output columns; considered automatically
           by the cost model and built at materialization time *)
-  stale : bool Atomic.t;
-      (** freshness mark: set when a base table is written without the
-          view being maintained; read through {!is_stale} *)
 }
 
 exception Rejected of string
@@ -83,17 +80,6 @@ val create :
     @raise Rejected when the definition is not indexable. *)
 
 val spjg : t -> Mv_relalg.Spjg.t
-
-val is_stale : t -> bool
-(** [true] once a base-table write outran the view's contents. Stale views
-    still match by default; a [fresh_only] matcher rejects them with
-    {!Reject.Stale}. *)
-
-val mark_stale : t -> unit
-
-val mark_fresh : t -> unit
-(** Clear the staleness mark: the contents correspond to the base tables
-    again (materialized, or maintained through the last write). *)
 
 val is_aggregate : t -> bool
 

@@ -709,7 +709,6 @@ let materialize db (view : Mv_core.View.t) : Table.t =
   let tbl = Table.of_rows def rel.Relation.rows in
   Database.add_table db tbl;
   view.Mv_core.View.row_count <- List.length rel.Relation.rows;
-  Mv_core.View.mark_fresh view;
   List.iter
     (fun cols ->
       Database.declare_index db ~table:view.Mv_core.View.name ~cols)

@@ -153,8 +153,7 @@ end
 
 val materialize : Database.t -> Mv_core.View.t -> Table.t
 (** Compute the view's contents, register them as a table in the database,
-    and record the row count on the view descriptor — which is also marked
-    fresh (DESIGN.md §12). *)
+    and record the row count on the view descriptor. *)
 
 val materialize_stats :
   Database.t ->

@@ -188,7 +188,6 @@ let attach t (view : View.t) =
   let e =
     { view; block; state; built_rows = Table.row_count tbl; changed = 0 }
   in
-  View.mark_fresh view;
   t.entries <- t.entries @ [ e ]
 
 (* ---- delta evaluation ------------------------------------------------- *)
@@ -431,7 +430,6 @@ let apply t (batch : batch) =
             entry.changed <- entry.changed + changed
           end;
           tick views_updated;
-          View.mark_fresh entry.view;
           match t.health with
           | Some h ->
               Mv_core.Health.record_maintenance h

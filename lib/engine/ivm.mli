@@ -109,7 +109,7 @@ val attach : t -> Mv_core.View.t -> unit
     is the base of the rebuild threshold. An SPJ view computes its
     {!Database.table_stats}, every column built, once here: its distinct
     counts pick, for the view's life, the column its deletes are matched
-    on first. Clears the descriptor's staleness mark.
+    on first.
     @raise Invalid_argument when the view is not materialized or already
     attached.
     @raise Unsupported on a definition IVM cannot maintain.
@@ -130,14 +130,13 @@ val apply : t -> batch -> unit
     written tables: rewrite their materialized rows in place, add the
     stored rows removed plus added to the view's change count (an
     aggregate group whose row changes counts 2), update
-    {!Mv_core.View.row_count}, drop the indexes and hash tables built over
-    the view tables ({!Database.touch}) and clear their staleness marks
-    ({!Mv_core.View.mark_fresh}). Views sourcing none of the written
-    tables are untouched. The delta consumers (the grouping and the
+    {!Mv_core.View.row_count} and drop the indexes and hash tables built
+    over the view tables ({!Database.touch}). Views sourcing none of the
+    written tables are untouched. The delta consumers (the grouping and the
     projected outputs) are the ones {!Exec.compile} built at {!attach}.
     @raise Database.Invalid_batch when the batch writes an attached view's
     own table, or {!Database.write} rejects it; nothing is written: base
-    rows, view rows, change counts and freshness are as before the call.
+    rows, view rows and change counts are as before the call.
     @raise Inconsistent when propagation contradicts the attached state. *)
 
 val refresh_stats : t -> Mv_catalog.Stats.t -> Mv_catalog.Stats.t

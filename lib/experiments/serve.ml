@@ -249,10 +249,6 @@ type cfg = {
   churn_pool : int;  (** how many tail views the mutator cycles *)
   sample : int;  (** observations kept per domain for the replay check *)
   sample_stride : int;  (** keep every k-th observation *)
-  maintain_batch : int;
-      (** base rows per delta batch the mutator pushes through
-          {!Mv_engine.Ivm} each churn tick; 0 = no write traffic *)
-  maintain_views : int;  (** view clones the write traffic maintains *)
   advise : int;
       (** mine up to this many candidates from the workload, advise under
           the default budget and register the picks before the clock
@@ -274,8 +270,6 @@ let default_cfg =
     churn_pool = 8;
     sample = 32;
     sample_stride = 13;
-    maintain_batch = 0;
-    maintain_views = 8;
     advise = 0;
     timeline_period = 0.05;
     seed = 4242;
@@ -284,84 +278,6 @@ let default_cfg =
 type observation = { ob_epoch : int; ob_query : int; ob_plan : string }
 
 let now = Unix.gettimeofday
-
-(* ---- write traffic (the serve-under-writes stress) ----
-
-   The mutator's delta batches run against a PRIVATE database and PRIVATE
-   view clones: serving plans depend on the registry population and the
-   immutable workload statistics, so maintaining the live descriptors
-   concurrently would change plan costs mid-run and invalidate the
-   replay. What the stress proves instead is that maintenance work and
-   registry staleness flips interleaved with the serving loop leave the
-   linearizability replay and the flight accounting intact, while the
-   maintained contents still end bag-equal to a from-scratch
-   recomputation. *)
-
-type maint = {
-  mt_db : Mv_engine.Database.t;
-  mt_ivm : Mv_engine.Ivm.t;
-  mt_views : Mv_core.View.t list;  (** attached clones *)
-}
-
-let maint_fixture (w : Harness.workload) views cfg =
-  if cfg.maintain_batch <= 0 then None
-  else begin
-    let db = Mv_tpch.Datagen.generate ~seed:cfg.seed ~scale:1 () in
-    let clones =
-      List.filter_map
-        (fun (v : Mv_core.View.t) ->
-          match
-            Mv_core.View.create w.Harness.schema
-              ~name:(v.Mv_core.View.name ^ "__w")
-              (Mv_core.View.spjg v)
-          with
-          | c -> Some c
-          | exception Mv_core.View.Rejected _ -> None)
-        (Harness.take cfg.maintain_views views)
-    in
-    List.iter (fun c -> ignore (Mv_engine.Exec.materialize db c)) clones;
-    let ivm = Mv_engine.Ivm.create db in
-    let attached =
-      List.filter
-        (fun c ->
-          match Mv_engine.Ivm.attach ivm c with
-          | () -> true
-          | exception Mv_engine.Ivm.Unsupported _ -> false)
-        clones
-    in
-    if attached = [] then None
-    else Some { mt_db = db; mt_ivm = ivm; mt_views = attached }
-  end
-
-(* One random batch ({!Harness.random_delta}) over a random source table
-   of the maintained clones. *)
-let maint_batch prng mt nrows : Mv_engine.Ivm.batch =
-  let tables =
-    Mv_util.Sset.elements
-      (List.fold_left
-         (fun acc (v : Mv_core.View.t) ->
-           Mv_util.Sset.union acc v.Mv_core.View.source_tables)
-         Mv_util.Sset.empty mt.mt_views)
-  in
-  match tables with
-  | [] -> []
-  | _ -> (
-      let tn = Prng.pick prng tables in
-      match (Mv_engine.Database.table_exn mt.mt_db tn).Mv_engine.Table.rows with
-      | [] -> []
-      | rows -> [ (tn, Harness.random_delta prng rows ~nrows) ])
-
-let maint_consistent = function
-  | None -> true
-  | Some mt ->
-      List.for_all
-        (fun (c : Mv_core.View.t) ->
-          Harness.bag_close
-            (Mv_engine.Database.table_exn mt.mt_db c.Mv_core.View.name)
-              .Mv_engine.Table.rows
-            (Mv_engine.Exec.execute mt.mt_db (Mv_core.View.spjg c))
-              .Mv_engine.Relation.rows)
-        mt.mt_views
 
 (* The view population at each epoch the run can have produced, from the
    initial population and the mutator's (epoch, op) log. *)
@@ -469,8 +385,6 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
       ]
   in
   let mlog = ref [] (* newest first; only the mutator writes *) in
-  let maint = maint_fixture w base_views cfg in
-  let maint_batches = ref 0 (* only the mutator writes *) in
   (* timeline sampler: a dedicated domain snapshotting the shared obs
      registry every [timeline_period]; started after warmup so the
      windows cover exactly the measured interval *)
@@ -491,41 +405,21 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
              (fun i _ -> i >= List.length base_views - cfg.churn_pool)
              base_views)
     in
-    let mprng = Prng.create (cfg.seed + 31) in
     let i = ref 0 in
-    if cfg.churn_period > 0.0 && (Array.length pool > 0 || maint <> None)
-    then
+    if cfg.churn_period > 0.0 && Array.length pool > 0 then
       while now () < t_stop do
         Unix.sleepf cfg.churn_period;
         if now () < t_stop then begin
-          if Array.length pool > 0 then begin
-            let v = pool.(!i / 2 mod Array.length pool) in
-            let op =
-              if !i mod 2 = 0 then (
-                R.remove_view registry v.Mv_core.View.name;
-                `Drop v)
-              else (
-                R.add_prebuilt registry v;
-                `Add v)
-            in
-            mlog := (R.epoch registry, op) :: !mlog
-          end;
-          (match maint with
-          | None -> ()
-          | Some mt ->
-              let batch = maint_batch mprng mt cfg.maintain_batch in
-              if batch <> [] then begin
-                Mv_engine.Ivm.apply mt.mt_ivm batch;
-                incr maint_batches;
-                (* staleness flips on the LIVE registry ride along: the
-                   default matcher ignores the stale bit, so serving
-                   plans — and the replay — cannot change. The epoch does
-                   not move either (only add/drop publishes). *)
-                let tn = fst (List.hd batch) in
-                if !maint_batches mod 2 = 0 then
-                  ignore (R.mark_stale registry ~tables:[ tn ])
-                else List.iter (fun v -> Mv_core.View.mark_fresh v) views
-              end);
+          let v = pool.(!i / 2 mod Array.length pool) in
+          let op =
+            if !i mod 2 = 0 then (
+              R.remove_view registry v.Mv_core.View.name;
+              `Drop v)
+            else (
+              R.add_prebuilt registry v;
+              `Add v)
+          in
+          mlog := (R.epoch registry, op) :: !mlog;
           incr i
         end
       done;
@@ -627,7 +521,6 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
         ("cache.plan_revalidations", d "cache.plan.revalidations");
         ("cache.plan_researches", d "cache.plan.researches");
         ("churn.mutations", J.Int (List.length ops));
-        ("churn.maint_batches", J.Int !maint_batches);
         ("churn.epoch_lo", J.Int epoch0);
         ("churn.epoch_hi", J.Int (R.epoch registry));
         ("churn.sampled", J.Int (List.length observations));
@@ -643,7 +536,6 @@ let run ?(cfg = default_cfg) (w : Harness.workload) : Measure.t =
       ]
     ~verdicts:
       [
-        ("churn.maint_consistent", maint_consistent maint);
         ("churn.consistent", consistent);
         ("no_dead_views", dead = []);
       ]

@@ -74,14 +74,6 @@ type cfg = {
   churn_pool : int;  (** tail views the mutator alternately drops/re-adds *)
   sample : int;  (** observations kept per domain for the replay check *)
   sample_stride : int;  (** keep every k-th observation *)
-  maintain_batch : int;
-      (** base rows per delta batch the mutator pushes through
-          {!Mv_engine.Ivm} every churn tick, against a private database
-          and private view clones (serving plans must not depend on the
-          write traffic or the replay would be unsound); [0] disables
-          write traffic. Staleness flips on the live registry ride along
-          — invisible to the default matcher, so serving is unaffected. *)
-  maintain_views : int;  (** view clones the write traffic maintains *)
   advise : int;
       (** mine up to this many candidates from the workload's queries,
           advise under the default budget and register the picks (names
@@ -118,7 +110,5 @@ val run : ?cfg:cfg -> Harness.workload -> Measure.t
     timeline window (length, submissions completed, p99 latency).
     Verdicts: [churn.consistent] (every sampled (epoch, query, plan)
     observation is byte-identical to sequential optimization against a
-    scratch registry rebuilt at that epoch's population),
-    [churn.maint_consistent] (every maintained view clone ends bag-equal
-    to a from-scratch recomputation; holds trivially without write
-    traffic) and [no_dead_views] (the dead-view gate). *)
+    scratch registry rebuilt at that epoch's population) and
+    [no_dead_views] (the dead-view gate). *)

@@ -248,7 +248,7 @@ let handles_for obs =
       Atomic.set handles_cache (Some h);
       h
 
-let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
+let optimize_body ~(config : config) ?spans ?snap ?record
     (registry : Mv_core.Registry.t)
     (stats : Mv_catalog.Stats.t) (query : Spjg.t) : result =
   let schema = registry.Mv_core.Registry.schema in
@@ -291,8 +291,7 @@ let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
      all subexpressions of this optimization see one registry state *)
   let find_subs ?spans qa =
     Mv_obs.Instrument.time_hist h_match (fun () ->
-        Mv_core.Registry.find_substitutes ?spans ?snap ?record ~fresh_only
-          registry qa)
+        Mv_core.Registry.find_substitutes ?spans ?snap ?record registry qa)
   in
   (* invoke the view-matching rule on the block of a table subset; returns
      one leaf plan per substitute *)
@@ -510,8 +509,7 @@ let optimize_body ~(config : config) ?spans ?snap ?record ~fresh_only
       }
 
 let optimize ?(config = default_config) ?spans ?snap ?record
-    ?(fresh_only = false) (registry : Mv_core.Registry.t)
-    (stats : Mv_catalog.Stats.t)
+    (registry : Mv_core.Registry.t) (stats : Mv_catalog.Stats.t)
     (query : Spjg.t) : result =
   let h = handles_for registry.Mv_core.Registry.obs in
   let r =
@@ -524,8 +522,8 @@ let optimize ?(config = default_config) ?spans ?snap ?record
             ])
           (fun spans ->
             let r =
-              optimize_body ~config ?spans ?snap ?record ~fresh_only
-                registry stats query
+              optimize_body ~config ?spans ?snap ?record registry stats
+                query
             in
             Mv_obs.Span.annotate spans (fun () ->
                 [

@@ -41,7 +41,6 @@ val optimize :
   ?spans:Mv_obs.Span.scope ->
   ?snap:Mv_core.Registry.snapshot ->
   ?record:(Mv_core.Filter_tree.query_info -> Mv_core.View.t list -> unit) ->
-  ?fresh_only:bool ->
   Mv_core.Registry.t ->
   Mv_catalog.Stats.t ->
   Mv_relalg.Spjg.t ->
@@ -73,12 +72,7 @@ val optimize :
     test/test_serve.ml).
 
     With [record], every rule invocation passes its search keys and
-    candidate list to it ({!Mv_core.Registry.find_substitutes}). Without
-    [fresh_only] the result is a deterministic function of those lists,
-    in invocation order, given the query and the statistics: the serving
-    front keeps them to revalidate a stored plan at a later epoch
-    (DESIGN.md §8).
-
-    With [fresh_only] (default [false]), every rule invocation rejects
-    stale views with {!Mv_core.Reject.Stale} (freshness-aware mode,
-    DESIGN.md §12). *)
+    candidate list to it ({!Mv_core.Registry.find_substitutes}). The
+    result is a deterministic function of those lists, in invocation
+    order, given the query and the statistics: the serving front keeps
+    them to revalidate a stored plan at a later epoch (DESIGN.md §8). *)

@@ -9,9 +9,21 @@ let test_value_cmp3 () =
   Alcotest.(check (option int)) "int lt" (Some (-1)) (Value.cmp3 (Value.Int 1) (Value.Int 2));
   Alcotest.(check (option int)) "null lhs" None (Value.cmp3 Value.Null (Value.Int 2));
   Alcotest.(check (option int)) "null rhs" None (Value.cmp3 (Value.Int 2) Value.Null);
-  Alcotest.(check (option int))
-    "mixed numeric" (Some 0)
-    (Value.cmp3 (Value.Int 2) (Value.Float 2.0));
+  (* mixed numerics compare numerically in both operand orders *)
+  List.iter
+    (fun (a, b, c) ->
+      let show v = Value.to_string v in
+      Alcotest.(check (option int))
+        (Printf.sprintf "cmp3 %s %s" (show a) (show b))
+        (Some c) (Value.cmp3 a b);
+      Alcotest.(check (option int))
+        (Printf.sprintf "cmp3 %s %s" (show b) (show a))
+        (Some (-c)) (Value.cmp3 b a))
+    [
+      (Value.Int 2, Value.Float 2.0, 0);
+      (Value.Int 1, Value.Float 1.5, -1);
+      (Value.Int 2, Value.Float 1.5, 1);
+    ];
   Alcotest.(check bool)
     "incomparable raises" true
     (try
@@ -107,11 +119,30 @@ let test_eval_arith () =
   let div0 = Expr.Binop (Expr.Div, Expr.Const (v_int 1), Expr.Const (v_int 0)) in
   Alcotest.(check bool) "div by zero is null" true
     (Value.is_null (Eval.expr env_empty div0));
-  let mixed =
-    Expr.Binop (Expr.Add, Expr.Const (Value.Float 1.5), Expr.Const (v_int 2))
-  in
-  Alcotest.(check bool) "mixed promotes" true
-    (Value.equal (Eval.expr env_empty mixed) (Value.Float 3.5))
+  (* an Int and a Float promote to Float in both operand orders, and
+     division by a zero of either type is NULL *)
+  let f x = Value.Float x in
+  List.iter
+    (fun (op, a, b, want) ->
+      let got = Eval.arith op a b in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s %s = %s (got %s)" (Value.to_string a)
+           (Expr.binop_to_string op) (Value.to_string b)
+           (Value.to_string want) (Value.to_string got))
+        true (got = want))
+    [
+      (Expr.Add, f 1.5, v_int 2, f 3.5);
+      (Expr.Add, v_int 2, f 1.5, f 3.5);
+      (Expr.Sub, f 1.5, v_int 2, f (-0.5));
+      (Expr.Sub, v_int 2, f 1.5, f 0.5);
+      (Expr.Mul, f 1.5, v_int 2, f 3.0);
+      (Expr.Mul, v_int 2, f 1.5, f 3.0);
+      (Expr.Div, f 1.5, v_int 2, f 0.75);
+      (Expr.Div, v_int 2, f 1.5, f (2.0 /. 1.5));
+      (Expr.Div, f 1.5, v_int 0, Value.Null);
+      (Expr.Div, v_int 1, f 0.0, Value.Null);
+      (Expr.Div, f 1.5, f 0.0, Value.Null);
+    ]
 
 let test_eval_null_propagation () =
   let e = Expr.Binop (Expr.Add, Expr.Const Value.Null, Expr.Const (v_int 2)) in

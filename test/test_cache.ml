@@ -11,7 +11,7 @@
     view (never a stale plan), revalidation across the drop and re-add of
     an unused one, invalidation on every change without the filter tree,
     eviction under a tiny capacity, and a model-based property: random
-    add/drop/stale/fresh/submit sequences, every serve (plan and pruned
+    add/drop/submit sequences, every serve (plan and pruned
     views) equal to uncached optimization against the registry at that
     moment, and some serve revalidated across an epoch change. *)
 
@@ -247,14 +247,12 @@ let test_eviction_under_tiny_capacity () =
 (* Model: every serve equals uncached optimization at that moment   *)
 (* ---------------------------------------------------------------- *)
 
-type op = Submit of int | Add of int | Drop of int | Stale of int | Fresh of int
+type op = Submit of int | Add of int | Drop of int
 
 let show_op = function
   | Submit i -> Printf.sprintf "submit %d" i
   | Add i -> Printf.sprintf "add %d" i
   | Drop i -> Printf.sprintf "drop %d" i
-  | Stale i -> Printf.sprintf "stale %d" i
-  | Fresh i -> Printf.sprintf "fresh %d" i
 
 let arb_ops =
   let open QCheck.Gen in
@@ -264,8 +262,6 @@ let arb_ops =
         (6, map (fun i -> Submit i) nat);
         (2, map (fun i -> Add i) nat);
         (2, map (fun i -> Drop i) nat);
-        (1, map (fun i -> Stale i) nat);
-        (1, map (fun i -> Fresh i) nat);
       ]
   in
   QCheck.pair QCheck.bool
@@ -298,7 +294,6 @@ let model_prop =
       let pool = Lazy.force churn_pool in
       let reg, front = setup ~capacity:(if tiny then 2 else 4096) w ~nviews:40 in
       let queries = Array.of_list w.H.queries in
-      let tables = [| "lineitem"; "orders"; "customer"; "part" |] in
       let nth l i = List.nth l (i mod List.length l) in
       let registered v = R.find_view reg v.V.name <> None in
       let submits = ref 0 in
@@ -322,16 +317,8 @@ let model_prop =
             | [] -> ()
             | vs -> R.remove_view reg (nth vs i).V.name);
             true
-        | Stale i ->
-            ignore (R.mark_stale reg ~tables:[ tables.(i mod 4) ]);
-            true
-        | Fresh i ->
-            V.mark_fresh (nth w.H.views i);
-            true
       in
       let ok = List.for_all step ops in
-      (* the descriptors are shared with the other cases *)
-      List.iter (fun v -> V.mark_fresh v) w.H.views;
       revalidated := !revalidated + counter reg "cache.plan.revalidations";
       ok
       && counter reg "cache.plan.hits" + counter reg "serve.flight.leaders"

@@ -10,9 +10,8 @@
       results, and the candidate/matched totals equal the
       [rule.candidates]/[rule.substitutes] obs counters recorded at the
       same call sites;
-    - deterministic units for the engine-side attribution points:
-      [Ivm.apply] maintenance events/wall time and [Registry.mark_stale]
-      staleness flips (flips count transitions, not calls);
+    - a deterministic unit for the engine-side attribution point:
+      [Ivm.apply] maintenance events and wall time;
     - a multi-domain serving identity under add/drop churn: N domains
       submitting through {!Mv_experiments.Serve.front} while a mutator
       drops/re-adds a view must lose no updates — [queries_total] equals
@@ -137,7 +136,7 @@ let test_column_sanity () =
     (Health.rows registry.R.health)
 
 (* ---------------------------------------------------------------- *)
-(* Engine-side attribution: maintenance events and staleness flips  *)
+(* Engine-side attribution: maintenance events                      *)
 (* ---------------------------------------------------------------- *)
 
 let tiny_schema =
@@ -190,26 +189,6 @@ let test_maintenance_attribution () =
   | Some row ->
       Alcotest.(check int) "second batch, second event" 2
         row.Health.r_maint_events
-
-let test_stale_flip_attribution () =
-  let view = tiny_view () in
-  let registry = R.create tiny_schema in
-  R.add_prebuilt registry view;
-  let flips row_check =
-    match Health.find registry.R.health "hv_fact" with
-    | None -> Alcotest.fail "registered view has no ledger account"
-    | Some row -> row_check row
-  in
-  let flipped = R.mark_stale registry ~tables:[ "fact" ] in
-  Alcotest.(check int) "first write flips the view" 1 flipped;
-  flips (fun row ->
-      Alcotest.(check int) "one staleness flip recorded" 1
-        row.Health.r_stale_flips);
-  let again = R.mark_stale registry ~tables:[ "fact" ] in
-  Alcotest.(check int) "already-stale view does not re-flip" 0 again;
-  flips (fun row ->
-      Alcotest.(check int) "flip count unchanged: transitions, not calls" 1
-        row.Health.r_stale_flips)
 
 (* ---------------------------------------------------------------- *)
 (* Multi-domain serving identity under churn                        *)
@@ -312,8 +291,6 @@ let suite =
       [
         Alcotest.test_case "maintenance events and wall time" `Quick
           test_maintenance_attribution;
-        Alcotest.test_case "staleness flips count transitions" `Quick
-          test_stale_flip_attribution;
       ] );
     ( "health_serve",
       [

@@ -8,7 +8,7 @@
       equality is exact: SPJ projection duplicates, join deltas (including
       a batch writing both join sides at once), count/sum groups with NULL
       inputs, group birth, deletion-to-zero removal, the scalar-aggregate
-      single row, freshness, statistics refresh, and the error paths;
+      single row, statistics refresh, and the error paths;
     - a randomized property over section-5 generator views and TPC-H-style
       data, where float SUM columns compare within a relative tolerance
       (incremental maintenance reorders float additions; integer sums stay
@@ -160,7 +160,7 @@ let test_spj_duplicates () =
         [ Spjg.scalar "f_dim" c_fdim; Spjg.scalar "f_qty" c_fqty ]
   in
   let dup = [| V.Int 9; V.Int 1; V.Int 99; V.Int 2 |] in
-  let ivm, dba =
+  let _, dba =
     differential view
       [
         (* two inserts producing identical output rows: the view must gain
@@ -174,9 +174,7 @@ let test_spj_duplicates () =
   in
   Alcotest.(check int) "two (1,2) instances after the dup batch remain one" 2
     (List.length
-       (List.filter (fun r -> r = [| V.Int 1; V.Int 2 |]) (view_rows dba "iv_spj")));
-  Alcotest.(check bool) "view stays fresh" false
-    (Mv_core.View.is_stale (List.hd (Ivm.attached ivm)))
+       (List.filter (fun r -> r = [| V.Int 1; V.Int 2 |]) (view_rows dba "iv_spj")))
 
 (* ---- join deltas, including both sides written in one batch ---- *)
 
@@ -398,20 +396,17 @@ let test_scalar_agg () =
       Alcotest.failf "scalar aggregate must keep exactly one row, got %d"
         (List.length rows)
 
-(* ---- freshness and view-level statistics refresh ---- *)
+(* ---- view-level statistics refresh ---- *)
 
-let test_freshness_and_stats () =
+let test_stats_refresh () =
   let view = agg_view "iv_stats" in
   let dba = tiny_db () in
   ignore (Exec.materialize dba view);
   let stats0 = DB.stats dba in
   let ivm = Ivm.create dba in
   Ivm.attach ivm view;
-  Alcotest.(check bool) "fresh after attach" false (Mv_core.View.is_stale view);
   Ivm.apply ivm
     [ ("fact", ins [ [| V.Int 50; V.Int 3; V.Int 2; V.Int 9 |] ]) ];
-  Alcotest.(check bool) "still fresh after maintenance" false
-    (Mv_core.View.is_stale view);
   (* the descriptor's row count tracks the maintained contents (group "c"
      was just born) *)
   Alcotest.(check int) "descriptor row count tracks the delta"
@@ -495,8 +490,7 @@ let test_errors () =
       Ivm.apply ivm [ ("fact", del [ r; r ]) ]);
   (* a batch naming fact twice (each delta valid alone), an inserted value
      that does not fit its column: nothing is written, neither the base
-     table nor the view, no statistics go dirty and the view stays
-     fresh *)
+     table nor the view, and no statistics go dirty *)
   let view0 = view_rows dba "iv_err" in
   List.iter
     (fun (what, batch, msg) ->
@@ -505,8 +499,7 @@ let test_errors () =
       Alcotest.(check bool) (what ^ ": nothing written") true
         (view_rows dba "fact" == rows0
         && view_rows dba "iv_err" == view0
-        && Ivm.dirty_views ivm = []
-        && not (Mv_core.View.is_stale view)))
+        && Ivm.dirty_views ivm = []))
     [
       ( "a table named twice is rejected",
         [
@@ -1452,7 +1445,7 @@ let write_matches_model db batch ~valid =
 (* Twin databases take the same valid batch; one then takes an invalid
    batch, which must raise [Invalid_batch] and leave it equal to its twin:
    base and view rows, the statistics [refresh_stats] derives, the dirty
-   set, and each view's freshness and row count. A third copy with no IVM
+   set, and each view's row count. A third copy with no IVM
    attached takes both batches through [Database.write] alone
    ({!write_matches_model}). *)
 let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
@@ -1491,13 +1484,10 @@ let invalid_batch_unchanged (pick, db_seed, batch_seed, kind) =
   match Ivm.apply ia bad with
   | () -> false
   | exception DB.Invalid_batch _ ->
-      let stamp (v : Mv_core.View.t) =
-        (Mv_core.View.is_stale v, v.Mv_core.View.row_count)
-      in
       plain_valid && plain_invalid
       && table_rows dba = table_rows dbb
       && Ivm.dirty_views ia = Ivm.dirty_views ib
-      && stamp va = stamp vb
+      && va.Mv_core.View.row_count = vb.Mv_core.View.row_count
       && List.equal
            (fun (n, a) (m, b) ->
              n = m && Mv_catalog.Stats.equal_table a b)
@@ -1565,8 +1555,7 @@ let suite =
           test_updates;
         Alcotest.test_case "scalar aggregate keeps its single row" `Quick
           test_scalar_agg;
-        Alcotest.test_case "freshness + statistics refresh" `Quick
-          test_freshness_and_stats;
+        Alcotest.test_case "statistics refresh" `Quick test_stats_refresh;
         Alcotest.test_case "error paths" `Quick test_errors;
         Alcotest.test_case "attach refuses rows not one per group" `Quick
           test_attach_mismatch;

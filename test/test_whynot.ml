@@ -26,7 +26,6 @@ let all_rejects =
     ( Reject.Grouping_incompatible (Reject.detail "finer"),
       "grouping-incompatible" );
     (Reject.View_more_aggregated, "view-more-aggregated");
-    (Reject.Stale, "stale");
   ]
 
 let test_reject_labels () =
@@ -35,7 +34,7 @@ let test_reject_labels () =
       Alcotest.(check string) ("label of " ^ expected) expected (Reject.label r))
     all_rejects;
   let labels = List.map (fun (r, _) -> Reject.label r) all_rejects in
-  Alcotest.(check int) "ten constructors, ten distinct labels" 10
+  Alcotest.(check int) "nine constructors, nine distinct labels" 9
     (List.length (List.sort_uniq compare labels));
   (* payloads vary the message but never the aggregation key *)
   Alcotest.(check string) "label drops the payload" "range-subsumption"
@@ -56,7 +55,7 @@ let test_reject_to_string_and_pp () =
        (Reject.to_string
           (Reject.Range_subsumption_failed (Reject.detail "l_quantity"))));
   let strings = List.map (fun (r, _) -> Reject.to_string r) all_rejects in
-  Alcotest.(check int) "messages pairwise distinct" 10
+  Alcotest.(check int) "messages pairwise distinct" 9
     (List.length (List.sort_uniq compare strings))
 
 (* A registry whose views exercise all three fates: matched, rejected by
@@ -150,80 +149,6 @@ let test_explain_exact_vs_rule () =
   Alcotest.(check int) "explain's matches = the rule's substitutes"
     (List.length subs) (List.length matched)
 
-(* Freshness provenance: a stale view is rejected with [Stale] under
-   fresh-only matching — and only then; an identical fresh twin keeps
-   matching, and clearing the mark restores the stale one. *)
-let test_explain_stale_freshness () =
-  let registry = Registry.create schema in
-  let add name =
-    let sql =
-      Printf.sprintf
-        "create view %s with schemabinding as select l_orderkey, l_quantity \
-         from dbo.lineitem where l_quantity >= 5"
-        name
-    in
-    let _, vdef = Mv_sql.Parser.parse_view schema sql in
-    Registry.add_view registry ~name vdef
-  in
-  let _fresh_v = add "wn_fresh" in
-  let stale_v = add "wn_stale" in
-  Mv_core.View.mark_stale stale_v;
-  let qa = Mv_relalg.Analysis.analyze schema (query ()) in
-  let fate ?fresh_only name =
-    match
-      List.find_opt
-        (fun ((v : Mv_core.View.t), _) -> v.Mv_core.View.name = name)
-        (Registry.explain ?fresh_only registry qa)
-    with
-    | Some (_, e) -> e
-    | None -> Alcotest.fail (name ^ " missing from explain")
-  in
-  (* default matching ignores staleness entirely *)
-  (match fate "wn_stale" with
-  | Registry.Matched _ -> ()
-  | _ -> Alcotest.fail "stale view must still match by default");
-  (* fresh-only: the stale twin is rejected with exactly [Stale] *)
-  (match fate ~fresh_only:true "wn_stale" with
-  | Registry.Rejected Reject.Stale -> ()
-  | Registry.Rejected r ->
-      Alcotest.fail ("stale view rejected with " ^ Reject.label r)
-  | _ -> Alcotest.fail "stale view must be Rejected Stale under fresh-only");
-  (match fate ~fresh_only:true "wn_fresh" with
-  | Registry.Matched _ -> ()
-  | _ -> Alcotest.fail "the fresh twin must keep matching under fresh-only");
-  (* the aggregation key for the new cause *)
-  let causes =
-    List.map
-      (fun (_, e) ->
-        match e with
-        | Registry.Matched _ -> "matched"
-        | Registry.Filtered s -> "filter:" ^ Mv_core.Filter_tree.stage_name s
-        | Registry.Rejected r -> "reject:" ^ Reject.label r)
-      (Registry.explain ~fresh_only:true registry qa)
-  in
-  Alcotest.(check bool) "aggregates as reject:stale" true
-    (List.mem "reject:stale" causes);
-  (* the rule itself emits no substitute over the stale view under
-     fresh-only *)
-  Alcotest.(check bool) "find_substitutes drops the stale view" true
-    (List.for_all
-       (fun (s : Mv_core.Substitute.t) ->
-         s.Mv_core.Substitute.view.Mv_core.View.name <> "wn_stale")
-       (Registry.find_substitutes ~fresh_only:true registry qa));
-  (* marking by table covers every view over it, once *)
-  Mv_core.View.mark_fresh stale_v;
-  Alcotest.(check int) "mark_stale hits both lineitem views" 2
-    (Registry.mark_stale registry ~tables:[ "lineitem" ]);
-  Alcotest.(check int) "already-stale views are not re-marked" 0
-    (Registry.mark_stale registry ~tables:[ "lineitem" ]);
-  Alcotest.(check int) "unrelated tables mark nothing" 0
-    (Registry.mark_stale registry ~tables:[ "region" ]);
-  (* clearing the mark restores matching *)
-  Mv_core.View.mark_fresh stale_v;
-  match fate ~fresh_only:true "wn_stale" with
-  | Registry.Matched _ -> ()
-  | _ -> Alcotest.fail "mark_fresh must restore fresh-only matching"
-
 let test_harness_whynot_aggregation () =
   let w =
     Mv_experiments.Harness.make_workload ~nviews:30 ~nqueries:6 ()
@@ -288,8 +213,6 @@ let suite =
           test_explain_accounts_for_every_view;
         Alcotest.test_case "explain exact against the rule" `Quick
           test_explain_exact_vs_rule;
-        Alcotest.test_case "stale views under fresh-only matching" `Quick
-          test_explain_stale_freshness;
         Alcotest.test_case "harness aggregation covers all pairs" `Quick
           test_harness_whynot_aggregation;
         Alcotest.test_case "interpolated quantiles" `Quick
